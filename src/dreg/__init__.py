@@ -12,11 +12,10 @@ from .operators import (ThetaOperator, UnivarOperator, chart_infinity,
 from .regularity import (INFINITY, fuchs_regular_at, newton_polygon,
                          regular_on_projective_line, theta_regular_at_zero)
 from .dmod import (CharVariety, ContradictionError, CyclicFiltration,
-                   bernstein_check, characteristic_variety_univar,
-                   check_good_filtration, decompose_symbol_ideal,
-                   fuchs_kashiwara_equivalence, is_holonomic,
-                   kashiwara_regular_at_zero, singular_points,
-                   trivial_filtration_annihilator)
+                   characteristic_variety_univar, check_good_filtration,
+                   decompose_symbol_ideal, dimension_report,
+                   fuchs_kashiwara_equivalence, kashiwara_regular_at_zero,
+                   singular_points, trivial_filtration_annihilator)
 from .polelattice import (LogLattice, NCChart, PoleModuleElement,
                           pole_filtration_annihilator, prop21_inclusion,
                           theorem_backward_extraction,

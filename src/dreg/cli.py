@@ -16,11 +16,10 @@ from pathlib import Path
 
 from . import __version__
 from .corpus import CHART_FILES, OPERATOR_FILES, OPERATORS, SYSTEM_FILES
-from .dmod import (ContradictionError, ZeroModuleError, bernstein_check,
-                   decompose_symbol_ideal, fuchs_kashiwara_equivalence,
-                   is_holonomic, kashiwara_regular_at,
-                   characteristic_variety_univar)
-from .ideals import BudgetExceeded, DEFAULT_BUDGET, krull_dimension
+from .dmod import (ContradictionError, ZeroModuleError, decompose_symbol_ideal,
+                   dimension_report, fuchs_kashiwara_equivalence,
+                   kashiwara_regular_at)
+from .ideals import BudgetExceeded, DEFAULT_BUDGET
 from .operators import UnivarOperator
 from .parser import (ParseError, format_operator, parse_operator,
                      parse_polynomial, parse_ratfun, parse_weyl_generators)
@@ -32,7 +31,7 @@ from .polynomials import INF
 from .regularity import (INFINITY, IRREGULAR, REGULAR, fuchs_regular_at,
                          newton_polygon, regular_on_projective_line,
                          theta_regular_at_zero)
-from .systems import ConnectionSystem, cyclic_vector, regular_system_report
+from .systems import ConnectionSystem, regular_system_report
 from .weyl import characteristic_ideal, coordinate_names
 
 SCHEMA_VERSION = "dreg-report/1"
@@ -163,19 +162,21 @@ def _ring_vars(args) -> tuple:
     return ("x",)
 
 
+def _dimension_verdicts(ideal, n: int, budget: int) -> list:
+    dims = dimension_report(ideal, n, budget)
+    return [{"method": "dimension", "verdict": str(dims.dimension)},
+            {"method": "holonomic", "verdict": str(dims.holonomic)},
+            {"method": "bernstein", "verdict": str(dims.bernstein)}]
+
+
 def cmd_charvar(args) -> dict:
     variables = _ring_vars(args)
     gens = parse_weyl_generators(_read_source(args), variables)
     n = len(variables)
     ideal = characteristic_ideal(gens, budget=args.budget)
     cv = decompose_symbol_ideal(ideal, n, budget=args.budget)
-    dim = krull_dimension(ideal, budget=args.budget)
-    verdicts = [{"method": "charvar", "verdict": f"{len(cv.components)} components"},
-                {"method": "dimension", "verdict": str(dim)},
-                {"method": "holonomic",
-                 "verdict": str(is_holonomic(ideal, n, args.budget))},
-                {"method": "bernstein",
-                 "verdict": str(bernstein_check(ideal, n, args.budget))}]
+    verdicts = ([{"method": "charvar", "verdict": f"{len(cv.components)} components"}]
+                + _dimension_verdicts(ideal, n, args.budget))
     return _report("charvar",
                    {"generators": [str(g) for g in gens],
                     "vars": list(variables)},
@@ -187,14 +188,9 @@ def cmd_holonomic(args) -> dict:
     gens = parse_weyl_generators(_read_source(args), variables)
     n = len(variables)
     ideal = characteristic_ideal(gens, budget=args.budget)
-    dim = krull_dimension(ideal, budget=args.budget)
     return _report("holonomic",
                    {"generators": [str(g) for g in gens], "vars": list(variables)},
-                   [{"method": "dimension", "verdict": str(dim)},
-                    {"method": "holonomic",
-                     "verdict": str(is_holonomic(ideal, n, args.budget))},
-                    {"method": "bernstein",
-                     "verdict": str(bernstein_check(ideal, n, args.budget))}],
+                   _dimension_verdicts(ideal, n, args.budget),
                    [{"characteristic_ideal": [str(g) for g in ideal.gens]}], [])
 
 
@@ -305,8 +301,7 @@ def cmd_system(args) -> dict:
         verdicts.append({"method": "saturation", "point": str(pt.point),
                          "verdict": pt.saturation.status})
     return _report("system", {"file": args.file, "rank": system.rank},
-                   verdicts, [rep.to_dict()],
-                   [cyclic_vector(system).to_dict()])
+                   verdicts, [rep.to_dict()], [rep.cyclic.to_dict()])
 
 
 def cmd_corpus(args) -> dict:
@@ -423,10 +418,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_bounds(args) -> None:
+    for name in ("budget", "bound", "pole_bound", "max_steps"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            raise InputError(f"--{name.replace('_', '-')} must be non-negative, got {value}")
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _check_bounds(args)
         report = args.fn(args)
     except (ParseError, InputError, ZeroModuleError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

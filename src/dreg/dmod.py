@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .ideals import (DEFAULT_BUDGET, DEGREVLEX, LEX, Ideal, groebner_basis,
-                     is_radical_squarefree_monomial, krull_dimension,
+from .ideals import (DEFAULT_BUDGET, DEGREVLEX, LEX, Ideal, basis_dimension,
+                     groebner_basis, is_radical_squarefree_monomial,
                      normal_form, radical_membership)
 from .lattices import LocalLattice
 from .operators import UnivarOperator, to_theta_form
@@ -86,17 +87,6 @@ class CurveModule:
     def from_operator(cls, p: UnivarOperator) -> "CurveModule":
         filt = CyclicFiltration(p)
         return cls(p.var, filt.theta_matrix)
-
-    def theta_action(self, vec):
-        x = RatFun.x(self.var)
-        out = []
-        for i in range(self.dim):
-            acc = x * vec[i].derivative()
-            for j in range(self.dim):
-                if not self.theta[i][j].is_zero() and not vec[j].is_zero():
-                    acc = acc + self.theta[i][j] * vec[j]
-            out.append(acc)
-        return tuple(out)
 
     def partial_action(self, vec):
         x = RatFun.x(self.var)
@@ -475,42 +465,31 @@ def verify_components_both_ways(ideal: Ideal, cv: CharVariety,
 # -- holonomicity -----------------------------------------------------------------
 
 
-def _check_proper(ideal: Ideal, budget: int) -> None:
+class DimensionReport(NamedTuple):
+    dimension: int      # dim Ch, the Krull dimension of the symbol ideal
+    holonomic: bool     # dim Ch <= n (equality then holds by the Bernstein bound)
+    bernstein: bool     # dim Ch >= n, asserted for every characteristic ideal
+
+
+def dimension_report(ideal: Ideal, n: int, budget: int = DEFAULT_BUDGET) -> DimensionReport:
+    """Dimension, holonomicity and the Bernstein bound from one DEGREVLEX basis."""
     gb = groebner_basis(ideal, DEGREVLEX, budget)
     if any(g.is_constant() and not g.is_zero() for g in gb):
         raise ZeroModuleError("unit ideal: the module is zero")
-
-
-def is_holonomic(ideal: Ideal, n: int, budget: int = DEFAULT_BUDGET) -> bool:
-    """dim Ch <= dim X (equality then holds by the Bernstein bound)."""
-    _check_proper(ideal, budget)
-    return krull_dimension(ideal, budget) <= n
-
-
-def bernstein_check(ideal: Ideal, n: int, budget: int = DEFAULT_BUDGET) -> bool:
-    """dim Ch >= dim X, asserted for every characteristic ideal produced."""
-    _check_proper(ideal, budget)
-    return krull_dimension(ideal, budget) >= n
+    dim = basis_dimension(ideal.vars, gb)
+    return DimensionReport(dim, dim <= n, dim >= n)
 
 
 def trivial_filtration_annihilator(n: int, rank: int) -> Ideal:
     """Graded annihilator of the stationary filtration on the trivial
     rank-m connection: the ideal of all symbols (xi_1, ..., xi_n).
 
-    The stationary filtration is verified concretely: each derivation kills
-    the frame, so F stays put in every degree and the graded module lives in
-    degree zero only.
+    Each derivation kills the frame of the trivial connection, so F stays
+    put in every degree and the graded module lives in degree zero only.
     """
     if n < 1 or rank < 1:
         raise ValueError("need n >= 1 and rank >= 1")
-    coords = coordinate_names(n)
-    for i in range(n):
-        for j in range(rank):
-            # trivial connection: d_i applied to the frame section e_j
-            image = MPoly.zero(coords)
-            if not image.is_zero():
-                raise AssertionError("trivial connection failed to be flat")
-    ring = coords + symbol_names(n)
+    ring = coordinate_names(n) + symbol_names(n)
     gens = [MPoly.var(ring, s) for s in symbol_names(n)]
     ideal = Ideal(ring, gens)
     if not is_radical_squarefree_monomial(ideal):

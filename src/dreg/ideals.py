@@ -1,17 +1,22 @@
-"""Commutative ideal machinery: Gröbner bases and the tests built on them.
+"""Gröbner bases over a ring description, and the ideal tests built on them.
 
-The Buchberger loop is the workhorse for everything that happens in the
-symbol ring: membership, radical membership via the extra-variable trick,
-and Krull dimension through independent variable sets modulo the initial
-ideal.  All computations carry an explicit work budget; exceeding it raises
-rather than silently truncating.
+One Buchberger driver serves both rings of the package: the commutative
+polynomial ring Q[vars] (the symbol ring) and the Weyl algebra A_n, which
+`dreg.weyl` describes to it.  A `Ring` gives the term order, the leading
+term, c * monomial and commutativity; the S-pair loop, the division routine
+and the interreduction are shared.  On top sit membership, radical
+membership via the extra-variable trick, and Krull dimension through
+independent variable sets modulo the initial ideal.  All computations carry
+an explicit work budget; exceeding it raises rather than silently
+truncating.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from operator import mul, neg
+from typing import Callable, Iterable, Sequence
 
 from .polynomials import MPoly, format_mpoly
 
@@ -37,10 +42,10 @@ class TermOrder:
         if self.name == "lex":
             return tuple(exps)
         if self.name == "degrevlex":
-            return (sum(exps), tuple(-e for e in reversed(exps)))
+            return (sum(exps), tuple(map(neg, reversed(exps))))
         if self.name == "weighted":
-            w = sum(wi * ei for wi, ei in zip(self.weights, exps))
-            return (w, sum(exps), tuple(-e for e in reversed(exps)))
+            return (sum(map(mul, self.weights, exps)), sum(exps),
+                    tuple(map(neg, reversed(exps))))
         raise ValueError(f"unknown term order {self.name}")
 
 
@@ -103,31 +108,60 @@ def _exp_lcm(a: tuple, b: tuple) -> tuple:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def normal_form(f: MPoly, basis: Sequence[MPoly], order: TermOrder = DEGREVLEX) -> MPoly:
-    """Full remainder of f on division by the basis (every term reduced)."""
+@dataclass(frozen=True)
+class Ring:
+    """What the Buchberger driver needs to know about a ring of elements.
+
+    Exponents are flat tuples compared by `order`; `leading(f)` gives the
+    leading (exponents, coefficient) of a nonzero element and
+    `monomial(f, exps, c)` builds c * monomial in the ring of f.  Sums,
+    differences, products and `scale` are the elements' own methods.  Only
+    a commutative ring may skip S-pairs by the coprimality criterion.
+    """
+
+    order: TermOrder
+    leading: Callable
+    monomial: Callable
+    commutative: bool
+
+
+def polynomial_ring(order: TermOrder) -> Ring:
+    """Q[vars] under the given term order."""
+    return Ring(order, lambda p: leading_term(p, order),
+                lambda p, exps, c: MPoly.monomial(p.vars, exps, c), True)
+
+
+POLYNOMIALS = polynomial_ring(DEGREVLEX)
+
+
+def normal_form(f, basis: Sequence, ring: Ring = POLYNOMIALS):
+    """Full remainder of f on (left) division by the basis (every term reduced)."""
     if not basis:
         return f
-    lead = [leading_term(g, order) for g in basis]
-    remainder = MPoly.zero(f.vars)
+    lead = [ring.leading(g) for g in basis]
+    remainder = f.scale(0)
     work = f
     while not work.is_zero():
-        e, c = leading_term(work, order)
+        e, c = ring.leading(work)
         for g, (ge, gc) in zip(basis, lead):
             if _divides(ge, e):
-                mono = MPoly.monomial(f.vars, _exp_sub(e, ge), c / gc)
-                work = work - mono * g
+                work = work - ring.monomial(f, _exp_sub(e, ge), c / gc) * g
                 break
         else:
-            mono = MPoly.monomial(f.vars, e, c)
+            mono = ring.monomial(f, e, c)
             remainder = remainder + mono
             work = work - mono
     return remainder
 
 
-def groebner_basis(ideal: Ideal, order: TermOrder = DEGREVLEX,
-                   budget: int = DEFAULT_BUDGET) -> list[MPoly]:
-    """Reduced Gröbner basis of the ideal under the given term order."""
-    basis = [g for g in ideal.gens if not g.is_zero()]
+def buchberger_basis(gens: Iterable, ring: Ring, budget: int = DEFAULT_BUDGET) -> list:
+    """Reduced (left) Gröbner basis of the (left) ideal the generators span.
+
+    S-pairs are taken first in, first out.  The coprimality criterion is
+    used only in a commutative ring: in A_n the commutator of elements with
+    disjoint leading supports need not vanish, so every S-pair is reduced.
+    """
+    basis = [g for g in gens if not g.is_zero()]
     if not basis:
         return []
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
@@ -138,26 +172,31 @@ def groebner_basis(ideal: Ideal, order: TermOrder = DEGREVLEX,
             raise BudgetExceeded(
                 f"Buchberger budget of {budget} S-pairs exceeded")
         i, j = pairs.pop(0)
-        fe, fc = leading_term(basis[i], order)
-        ge, gc = leading_term(basis[j], order)
+        fe, fc = ring.leading(basis[i])
+        ge, gc = ring.leading(basis[j])
         lcm = _exp_lcm(fe, ge)
-        # Buchberger's coprimality criterion.
-        if lcm == tuple(a + b for a, b in zip(fe, ge)):
+        # Buchberger's coprimality criterion, sound only where elements commute.
+        if ring.commutative and lcm == tuple(a + b for a, b in zip(fe, ge)):
             continue
-        mf = MPoly.monomial(ideal.vars, _exp_sub(lcm, fe), Fraction(1) / fc)
-        mg = MPoly.monomial(ideal.vars, _exp_sub(lcm, ge), Fraction(1) / gc)
-        s = mf * basis[i] - mg * basis[j]
-        r = normal_form(s, basis, order)
+        s = (ring.monomial(basis[i], _exp_sub(lcm, fe), Fraction(1) / fc) * basis[i]
+             - ring.monomial(basis[j], _exp_sub(lcm, ge), Fraction(1) / gc) * basis[j])
+        r = normal_form(s, basis, ring)
         if not r.is_zero():
             basis.append(r)
             k = len(basis) - 1
             pairs.extend((t, k) for t in range(k))
-    return _reduce_basis(basis, order, ideal.vars)
+    return _reduce_basis(basis, ring)
 
 
-def _reduce_basis(basis: list[MPoly], order: TermOrder, variables: tuple) -> list[MPoly]:
+def groebner_basis(ideal: Ideal, order: TermOrder = DEGREVLEX,
+                   budget: int = DEFAULT_BUDGET) -> list[MPoly]:
+    """Reduced Gröbner basis of the ideal under the given term order."""
+    return buchberger_basis(ideal.gens, polynomial_ring(order), budget)
+
+
+def _reduce_basis(basis: list, ring: Ring) -> list:
     # Minimalize: drop generators whose leading monomial another one divides.
-    lead = [leading_term(g, order)[0] for g in basis]
+    lead = [ring.leading(g)[0] for g in basis]
     keep = []
     for i, e in enumerate(lead):
         if any(j != i and _divides(lead[j], e) and (lead[j] != e or j < i)
@@ -169,12 +208,12 @@ def _reduce_basis(basis: list[MPoly], order: TermOrder, variables: tuple) -> lis
     reduced = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
-        r = normal_form(g, others, order) if others else g
+        r = normal_form(g, others, ring) if others else g
         if r.is_zero():
             continue
-        _, lc = leading_term(r, order)
+        _, lc = ring.leading(r)
         reduced.append(r.scale(Fraction(1) / lc))
-    reduced.sort(key=lambda g: order.key(leading_term(g, order)[0]))
+    reduced.sort(key=lambda g: ring.order.key(ring.leading(g)[0]))
     return reduced
 
 
@@ -187,7 +226,7 @@ def buchberger(ideal: Ideal, order: TermOrder = DEGREVLEX,
 def ideal_contains(ideal: Ideal, f: MPoly, order: TermOrder = DEGREVLEX,
                    budget: int = DEFAULT_BUDGET) -> bool:
     gb = groebner_basis(ideal, order, budget)
-    return normal_form(f, gb, order).is_zero()
+    return normal_form(f, gb, polynomial_ring(order)).is_zero()
 
 
 def is_unit_ideal(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> bool:
@@ -202,11 +241,15 @@ def krull_dimension(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> int:
     Gröbner basis is supported inside S.  The unit ideal cuts out the empty
     set and is reported as dimension -1 by convention.
     """
-    gb = groebner_basis(ideal, DEGREVLEX, budget)
+    return basis_dimension(ideal.vars, groebner_basis(ideal, DEGREVLEX, budget))
+
+
+def basis_dimension(variables: Sequence[str], gb: Sequence[MPoly]) -> int:
+    """Krull dimension of the ideal a reduced DEGREVLEX Gröbner basis spans."""
     if any(g.is_constant() and not g.is_zero() for g in gb):
         return -1
     lead = [leading_term(g, DEGREVLEX)[0] for g in gb]
-    n = len(ideal.vars)
+    n = len(variables)
     best = 0
     for mask in range(1 << n):
         size = mask.bit_count()

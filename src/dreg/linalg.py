@@ -23,23 +23,9 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]):
         out.append(row)
     return out
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
-def mat_map(a, fn: Callable):
-    return [[fn(x) for x in row] for row in a]
-
-def mat_vec(a, v):
-    return [sum_entries([x * y for x, y in zip(row, v)]) for row in a]
-
-def sum_entries(entries):
-    acc = entries[0]
-    for e in entries[1:]:
-        acc = acc + e
-    return acc
 
 
 def gauss_solve(matrix, rhs, zero, is_zero: Callable) -> list | None:

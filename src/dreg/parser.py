@@ -38,6 +38,7 @@ class Token:
     col: int
 
 
+_DERIV_RE = re.compile(r"d[a-z0-9]*")
 _TOKEN_RE = re.compile(r"\s+|(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^();])")
 
 
@@ -173,7 +174,7 @@ class _UnivarAlgebra:
             return UnivarOperator.from_entries(self.var, [RatFun.x(self.var)])
         if tok.text in self.deriv_tokens:
             return UnivarOperator.derivation(self.var)
-        if re.fullmatch(r"d[a-z0-9]*", tok.text):
+        if _DERIV_RE.fullmatch(tok.text):
             raise ParseError(f"derivation {tok.text!r} does not exist in a "
                              f"1-variable context (variable {self.var!r})",
                              tok.line, tok.col)
@@ -201,6 +202,11 @@ class _WeylAlgebra:
     def __init__(self, variables: tuple):
         self.vars = tuple(variables)
         self.n = len(self.vars)
+        for i, name in enumerate(self.vars):
+            if name in self.vars[:i]:
+                raise ValueError(f"variable {name!r} is repeated in {self.vars}")
+            if _DERIV_RE.fullmatch(name):
+                raise ValueError(f"variable {name!r} is named like a derivation")
         self.derivs = {}
         for i, name in enumerate(deriv_names(self.n)):
             self.derivs[name] = i
@@ -217,7 +223,7 @@ class _WeylAlgebra:
             return WeylElement.x(self.n, self.vars.index(tok.text))
         if tok.text in self.derivs:
             return WeylElement.d(self.n, self.derivs[tok.text])
-        if re.fullmatch(r"d[a-z0-9]*", tok.text) or re.fullmatch(r"[xyz][0-9]*", tok.text):
+        if _DERIV_RE.fullmatch(tok.text) or re.fullmatch(r"[xyz][0-9]*", tok.text):
             raise ParseError(
                 f"{tok.text!r} does not exist in the {self.n}-variable "
                 f"context {self.vars}", tok.line, tok.col)

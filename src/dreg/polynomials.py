@@ -599,11 +599,6 @@ class RatFun:
     def is_polynomial(self) -> bool:
         return self.den.total_degree() == 0
 
-    def as_poly(self) -> MPoly:
-        if not self.is_polynomial():
-            raise ValueError(f"{self} is not polynomial")
-        return self.num
-
     def is_constant(self) -> bool:
         return self.is_polynomial() and self.num.is_constant()
 

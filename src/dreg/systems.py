@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .dmod import ContradictionError
 from .lattices import LocalLattice
-from .linalg import determinant, gauss_solve
+from .linalg import determinant, gauss_solve, mat_mul
 from .operators import UnivarOperator
 from .polynomials import INF, MPoly, RatFun, as_rat, factor_rational, univar_gcd
 from .regularity import (FuchsCertificate, GLOBAL_IRREGULAR, GLOBAL_REGULAR,
@@ -81,10 +81,13 @@ class ConnectionSystem:
         m = self.rank
         var = self.var
         gq = [[as_rat(e) for e in row] for row in g]
-        inv = _invert_rational_matrix(gq)
+        # column j of g^-1 solves g y = e_j
+        inv_cols = [gauss_solve(gq, [Fraction(i == j) for i in range(m)],
+                                Fraction(0), lambda f: not f) for j in range(m)]
+        if None in inv_cols:
+            raise ValueError("gauge matrix is singular")
         rat = [[RatFun.const(var, e) for e in row] for row in gq]
-        ratinv = [[RatFun.const(var, e) for e in row] for row in inv]
-        from .linalg import mat_mul
+        ratinv = [[RatFun.const(var, col[i]) for col in inv_cols] for i in range(m)]
         prod = mat_mul(mat_mul(rat, [list(r) for r in self.matrix]), ratinv)
         return ConnectionSystem(prod, var)
 
@@ -121,24 +124,6 @@ class ConnectionSystem:
         if denlcm.total_degree() <= 0:
             return [], MPoly.const((self.var,), 1)
         return factor_rational(denlcm)
-
-
-def _invert_rational_matrix(g):
-    m = len(g)
-    aug = [[Fraction(e) for e in row] + [Fraction(1 if i == j else 0) for j in range(m)]
-           for i, row in enumerate(g)]
-    for c in range(m):
-        pivot = next((i for i in range(c, m) if aug[i][c]), None)
-        if pivot is None:
-            raise ValueError("gauge matrix is singular")
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        pv = aug[c][c]
-        aug[c] = [e / pv for e in aug[c]]
-        for i in range(m):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [e - f * p for e, p in zip(aug[i], aug[c])]
-    return [row[m:] for row in aug]
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,11 @@ all d's; multiplication normal-orders immediately through the closed form
 
     d^a x^b = sum_k k! C(a,k) C(b,k) x^(b-k) d^(a-k)
 
-so equality of elements is equality of term maps.  The left Gröbner engine
-uses a term order that compares total d-degree first, which makes principal
-symbols of a basis generate a well-defined graded ideal in Q[x, xi].
+so equality of elements is equality of term maps.  Left Gröbner bases come
+from the Buchberger driver in `dreg.ideals`; this module only describes A_n
+to it (`weyl_ring`).  Its term order compares total d-degree first, which
+makes the principal symbols of a basis generate a well-defined graded ideal
+in Q[x, xi].
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .ideals import BudgetExceeded, DEFAULT_BUDGET, Ideal
+from .ideals import (DEFAULT_BUDGET, Ideal, Ring, buchberger_basis,
+                     symbol_weight_order)
 from .polynomials import MPoly, as_rat, format_mpoly
 
 _COORD_NAMES = ("x", "y", "z")
@@ -84,13 +87,6 @@ class WeylElement:
     def d(cls, n: int, i: int, power: int = 1) -> "WeylElement":
         beta = tuple(power if j == i else 0 for j in range(n))
         return cls(n, {((0,) * n, beta): Fraction(1)})
-
-    @classmethod
-    def from_poly(cls, p: MPoly) -> "WeylElement":
-        """Inject a polynomial in the coordinates as a pure-x element."""
-        n = len(p.vars)
-        zero = (0,) * n
-        return cls(n, {(e, zero): c for e, c in p.terms.items()})
 
     # -- structure -----------------------------------------------------------
 
@@ -259,7 +255,9 @@ def format_weyl(w: WeylElement,
         return "0"
     coord = tuple(coord) if coord else coordinate_names(w.n)
     deriv = tuple(deriv) if deriv else deriv_names(w.n)
-    items = sorted(w.terms.items(), key=lambda kv: _order_key(kv[0]), reverse=True)
+    order = symbol_weight_order(2 * w.n)
+    items = sorted(w.terms.items(), key=lambda kv: order.key(kv[0][0] + kv[0][1]),
+                   reverse=True)
     parts = []
     for (alpha, beta), c in items:
         factors = []
@@ -291,108 +289,32 @@ def format_weyl(w: WeylElement,
 # -- left Gröbner bases -------------------------------------------------------
 
 
-def _order_key(key: tuple) -> tuple:
-    """Filtration-compatible term order: total d-degree, then degrevlex."""
-    alpha, beta = key
-    joint = alpha + beta
-    return (sum(beta), sum(joint), tuple(-e for e in reversed(joint)))
+def weyl_ring(n: int) -> Ring:
+    """A_n for the Buchberger driver in `dreg.ideals`.
 
+    The exponents of x^alpha d^beta flatten to alpha + beta.  The term order
+    compares total d-degree first, then degrevlex, so it is compatible with
+    the order filtration.  Monomial times element goes through `weyl_mul`.
+    """
+    order = symbol_weight_order(2 * n)
 
-def _leading(w: WeylElement) -> tuple[tuple, Fraction]:
-    key = max(w.terms, key=_order_key)
-    return key, w.terms[key]
+    def leading(w: WeylElement) -> tuple[tuple, Fraction]:
+        alpha, beta = max(w.terms, key=lambda k: order.key(k[0] + k[1]))
+        return alpha + beta, w.terms[(alpha, beta)]
 
+    def monomial(w: WeylElement, exps: tuple, c: Fraction) -> WeylElement:
+        return WeylElement(n, {(exps[:n], exps[n:]): c})
 
-def _mono_divides(a: tuple, b: tuple) -> bool:
-    (aa, ad), (ba, bd) = a, b
-    return all(x <= y for x, y in zip(aa, ba)) and all(x <= y for x, y in zip(ad, bd))
-
-
-def _mono_element(n: int, alpha: tuple, beta: tuple, c: Fraction) -> WeylElement:
-    return WeylElement(n, {(alpha, beta): c})
-
-
-def weyl_normal_form(f: WeylElement, basis: Sequence[WeylElement]) -> WeylElement:
-    """Full left-division remainder of f by the basis."""
-    if not basis:
-        return f
-    lead = [_leading(g) for g in basis]
-    remainder = WeylElement.zero(f.n)
-    work = f
-    while not work.is_zero():
-        key, c = _leading(work)
-        for g, (gkey, gc) in zip(basis, lead):
-            if _mono_divides(gkey, key):
-                (ga, gd), (ka, kd) = gkey, key
-                mult = _mono_element(
-                    f.n,
-                    tuple(x - y for x, y in zip(ka, ga)),
-                    tuple(x - y for x, y in zip(kd, gd)),
-                    c / gc,
-                )
-                work = work - weyl_mul(mult, g)
-                break
-        else:
-            mono = _mono_element(f.n, key[0], key[1], c)
-            remainder = remainder + mono
-            work = work - mono
-    return remainder
+    return Ring(order, leading, monomial, commutative=False)
 
 
 def weyl_groebner(gens: Iterable[WeylElement],
                   budget: int = DEFAULT_BUDGET) -> list[WeylElement]:
-    """Reduced left Gröbner basis of the left ideal sum A_n * g.
-
-    No coprimality shortcut is applied: in A_n commutators of elements with
-    disjoint leading supports need not vanish, so every S-pair is processed.
-    """
-    basis = [g for g in gens if not g.is_zero()]
-    if not basis:
+    """Reduced left Gröbner basis of the left ideal sum A_n * g."""
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
         return []
-    n = basis[0].n
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
-    processed = 0
-    while pairs:
-        processed += 1
-        if processed > budget:
-            raise BudgetExceeded(f"Weyl Gröbner budget of {budget} S-pairs exceeded")
-        i, j = pairs.pop(0)
-        (fa, fd), fc = _leading(basis[i])
-        (ga, gd), gc = _leading(basis[j])
-        la = tuple(max(x, y) for x, y in zip(fa, ga))
-        ld = tuple(max(x, y) for x, y in zip(fd, gd))
-        mi = _mono_element(n, tuple(x - y for x, y in zip(la, fa)),
-                           tuple(x - y for x, y in zip(ld, fd)), Fraction(1) / fc)
-        mj = _mono_element(n, tuple(x - y for x, y in zip(la, ga)),
-                           tuple(x - y for x, y in zip(ld, gd)), Fraction(1) / gc)
-        s = weyl_mul(mi, basis[i]) - weyl_mul(mj, basis[j])
-        r = weyl_normal_form(s, basis)
-        if not r.is_zero():
-            basis.append(r)
-            k = len(basis) - 1
-            pairs.extend((t, k) for t in range(k))
-    return _reduce_weyl_basis(basis)
-
-
-def _reduce_weyl_basis(basis: list[WeylElement]) -> list[WeylElement]:
-    lead = [_leading(g)[0] for g in basis]
-    keep = []
-    for i, e in enumerate(lead):
-        if any(j != i and _mono_divides(lead[j], e) and (lead[j] != e or j < i)
-               for j in range(len(basis))):
-            continue
-        keep.append(i)
-    minimal = [basis[i] for i in keep]
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        r = weyl_normal_form(g, others) if others else g
-        if r.is_zero():
-            continue
-        _, lc = _leading(r)
-        reduced.append(r.scale(Fraction(1) / lc))
-    reduced.sort(key=lambda g: _order_key(_leading(g)[0]))
-    return reduced
+    return buchberger_basis(gens, weyl_ring(gens[0].n), budget)
 
 
 def characteristic_ideal(gens: Iterable[WeylElement],

@@ -11,9 +11,9 @@ import pytest
 
 from dreg.cli import main
 from dreg.corpus import OPERATORS
-from dreg.dmod import (bernstein_check, characteristic_variety_univar,
-                       decompose_symbol_ideal, fuchs_kashiwara_equivalence,
-                       is_holonomic, trivial_filtration_annihilator,
+from dreg.dmod import (characteristic_variety_univar, decompose_symbol_ideal,
+                       dimension_report, fuchs_kashiwara_equivalence,
+                       trivial_filtration_annihilator,
                        verify_components_both_ways, CONORMAL_DIVISOR,
                        CONORMAL_POINT, ZERO_SECTION)
 from dreg.ideals import (Ideal, is_radical_squarefree_monomial,
@@ -122,18 +122,18 @@ def test_criterion_5_bernstein_and_holonomicity():
     for entry in OPERATORS:
         p = parse_operator(entry.expression)
         cv = characteristic_variety_univar(p)
-        assert bernstein_check(cv.ideal, 1)
+        assert dimension_report(cv.ideal, 1).bernstein
         assert krull_dimension(cv.ideal) == 1
-        assert is_holonomic(cv.ideal, 1)
+        assert dimension_report(cv.ideal, 1).holonomic
         checked += 1
     gens = parse_weyl_generators("y*dx - 1 ; y^2*dy + x", ("x", "y"))
     exy = characteristic_ideal(gens)
     assert krull_dimension(exy) == 2
-    assert is_holonomic(exy, 2) and bernstein_check(exy, 2)
+    assert dimension_report(exy, 2).holonomic and dimension_report(exy, 2).bernstein
     zero_ideal = Ideal(("x", "xi"), [])
     assert krull_dimension(zero_ideal) == 2
-    assert not is_holonomic(zero_ideal, 1)
-    assert bernstein_check(zero_ideal, 1)
+    assert not dimension_report(zero_ideal, 1).holonomic
+    assert dimension_report(zero_ideal, 1).bernstein
     report(5, f"dim = n for {checked} cyclic modules and the e^(x/y) module; "
               f"dim = 2n for the full algebra; Bernstein bound everywhere")
 
@@ -214,7 +214,7 @@ def test_criterion_8_coherent_case():
         assert names == ["xi", "eta", "zeta"][:n]
         assert is_radical_squarefree_monomial(ideal)
         assert krull_dimension(ideal) == n
-        assert is_holonomic(ideal, n)
+        assert dimension_report(ideal, n).holonomic
     report(8, "stationary filtration annihilator is (xi_1..xi_n), radical, "
               "dimension n, for n = 1, 2, 3")
 

@@ -14,6 +14,7 @@ from dreg.weyl import coordinate_names, format_weyl
 
 from conftest import random_operator, random_weyl
 
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "src" / "dreg" / "data"
      / "report_schema.json").read_text())
@@ -109,6 +110,22 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "charvar", "--vars", "x,y",
                                "y*dx - 1 ; y^2*dy + x", "--budget", "1")
         assert code == 2 and "budget" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("charvar", "--vars", "x,x", "dx"), "repeated"),
+        (("charvar", "--vars", "x,d", "d*x"), "named like a derivation"),
+        (("holonomic", "--vars", "dz", "dz"), "named like a derivation"),
+        (("theorem", "--backward", "d", "--pole-bound", "-3"), "--pole-bound"),
+        (("charvar", "--budget", "-5", "dx"), "--budget"),
+        (("polelattice", "--n", "1", "--r", "1", "--bound", "-1"), "--bound"),
+        (("system", "--file", str(CORPUS / "airy.sys"), "--max-steps", "-1"),
+         "--max-steps"),
+    ], ids=["repeated-var", "var-d", "var-dz", "pole-bound", "budget", "bound",
+            "max-steps"])
+    def test_malformed_ring_or_bound(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and not out
+        assert "input error" in err and message in err
 
     def test_analysis_completed_regardless_of_verdict(self, capsys):
         code, out, _ = run_cli(capsys, "fuchs", "x^2*d - 1", "--point", "0")

@@ -5,10 +5,10 @@ import pytest
 
 from dreg.corpus import OPERATORS
 from dreg.dmod import (CurveModule, CyclicFiltration, ZeroModuleError,
-                       bernstein_check, characteristic_variety_univar,
-                       check_good_filtration, decompose_symbol_ideal,
-                       fuchs_kashiwara_equivalence, is_holonomic,
-                       kashiwara_regular_at, kashiwara_regular_at_zero,
+                       characteristic_variety_univar, check_good_filtration,
+                       decompose_symbol_ideal, dimension_report,
+                       fuchs_kashiwara_equivalence, kashiwara_regular_at,
+                       kashiwara_regular_at_zero,
                        require_agreement, singular_points,
                        trivial_filtration_annihilator,
                        verify_components_both_ways, CONORMAL_DIVISOR,
@@ -163,36 +163,36 @@ class TestExponentialModule:
 
     def test_holonomic(self):
         assert krull_dimension(self.ideal) == 2
-        assert is_holonomic(self.ideal, 2)
-        assert bernstein_check(self.ideal, 2)
+        assert dimension_report(self.ideal, 2).holonomic
+        assert dimension_report(self.ideal, 2).bernstein
 
 
 class TestHolonomicity:
     def test_structure_sheaf(self):
         vs = ("x", "xi")
         I = Ideal(vs, [MPoly.var(vs, "xi")])
-        assert is_holonomic(I, 1) and bernstein_check(I, 1)
+        assert dimension_report(I, 1).holonomic and dimension_report(I, 1).bernstein
 
     def test_full_module_not_holonomic(self):
         vs = ("x", "xi")
         I = Ideal(vs, [])
-        assert not is_holonomic(I, 1)
-        assert bernstein_check(I, 1)
+        assert not dimension_report(I, 1).holonomic
+        assert dimension_report(I, 1).bernstein
         assert krull_dimension(I) == 2
 
     def test_unit_ideal_error(self):
         vs = ("x", "xi")
         I = Ideal(vs, [MPoly.const(vs, 1)])
         with pytest.raises(ZeroModuleError):
-            is_holonomic(I, 1)
+            dimension_report(I, 1)
 
     def test_every_univar_char_ideal(self):
         rng = random.Random(109)
         for _ in range(20):
             p = random_operator(rng, order=3, degree=3, pole=2)
             cv = characteristic_variety_univar(p)
-            assert bernstein_check(cv.ideal, 1)
-            assert is_holonomic(cv.ideal, 1)
+            assert dimension_report(cv.ideal, 1).bernstein
+            assert dimension_report(cv.ideal, 1).holonomic
 
 
 class TestTrivialFiltration:
@@ -208,7 +208,7 @@ class TestTrivialFiltration:
     def test_holonomic_consistency(self):
         for n in (1, 2, 3):
             ideal = trivial_filtration_annihilator(n, 2)
-            assert is_holonomic(ideal, n)
+            assert dimension_report(ideal, n).holonomic
             assert krull_dimension(ideal) == n
 
 

@@ -3,12 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dreg.ideals import (BudgetExceeded, DEGREVLEX, LEX, Ideal, NotMonomialIdeal,
                          buchberger, groebner_basis, ideal_contains,
                          is_radical_squarefree_monomial, krull_dimension,
-                         normal_form, radical_membership, symbol_weight_order)
+                         leading_term, normal_form, radical_membership,
+                         symbol_weight_order)
 from dreg.polynomials import MPoly
+from dreg.weyl import WeylElement, weyl_groebner
 
 from conftest import random_mpoly
 
@@ -168,3 +171,93 @@ class TestSquarefreeMonomial:
         with pytest.raises(NotMonomialIdeal):
             is_radical_squarefree_monomial(
                 Ideal(vs, [V(vs, "x") + V(vs, "y")]))
+
+
+COEFFS = st.fractions(min_value=-4, max_value=4, max_denominator=4).filter(bool)
+
+
+def flat_terms(nvars, degree, max_terms):
+    return st.dictionaries(st.tuples(*[st.integers(0, degree)] * nvars), COEFFS,
+                           min_size=1, max_size=max_terms)
+
+
+@st.composite
+def polynomial_generators(draw):
+    vs = ring("x", "y", "z")
+    terms = draw(st.lists(flat_terms(3, 2, 3), min_size=1, max_size=3))
+    return vs, [MPoly(vs, t) for t in terms]
+
+
+@st.composite
+def weyl_generators(draw):
+    n = draw(st.integers(1, 2))
+    terms = draw(st.lists(flat_terms(2 * n, 3 - n, 2), min_size=1, max_size=3))
+    return [WeylElement(n, {(e[:n], e[n:]): c for e, c in t.items()}) for t in terms]
+
+
+@st.composite
+def permuted_and_rescaled(draw, gens):
+    perm = draw(st.permutations(gens))
+    scales = draw(st.lists(COEFFS, min_size=len(gens), max_size=len(gens)))
+    return [g.scale(c) for g, c in zip(perm, scales)]
+
+
+def to_sympy(g, symbols, sympy):
+    return sum(sympy.Rational(c.numerator, c.denominator)
+               * sympy.Mul(*(s ** e for s, e in zip(symbols, exps)))
+               for exps, c in g.terms.items())
+
+
+class TestSharedDriver:
+    """The one Buchberger driver, checked on the polynomial and Weyl rings."""
+
+    def test_s_polynomials_reduce_to_zero_post_hoc(self):
+        rng = random.Random(59)
+        vs = ring("x", "y", "z")
+        pairs = 0
+        for _ in range(6):
+            gens = [random_mpoly(rng, vs, 2, 3) for _ in range(3)]
+            gb = groebner_basis(Ideal(vs, gens), budget=20000)
+            assert all(normal_form(g, gb).is_zero() for g in gens)
+            for i in range(len(gb)):
+                for j in range(i + 1, len(gb)):
+                    fe, fc = leading_term(gb[i], DEGREVLEX)
+                    ge, gc = leading_term(gb[j], DEGREVLEX)
+                    lcm = tuple(max(p, q) for p, q in zip(fe, ge))
+                    mi = MPoly.monomial(vs, tuple(p - q for p, q in zip(lcm, fe)),
+                                        Fraction(1) / fc)
+                    mj = MPoly.monomial(vs, tuple(p - q for p, q in zip(lcm, ge)),
+                                        Fraction(1) / gc)
+                    assert normal_form(mi * gb[i] - mj * gb[j], gb).is_zero()
+                    pairs += 1
+        assert pairs > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_polynomial_basis_ignores_generator_order_and_scale(self, data):
+        vs, gens = data.draw(polynomial_generators())
+        again = data.draw(permuted_and_rescaled(gens))
+        assert groebner_basis(Ideal(vs, again)) == groebner_basis(Ideal(vs, gens))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_weyl_basis_ignores_generator_order_and_scale(self, data):
+        gens = data.draw(weyl_generators())
+        again = data.draw(permuted_and_rescaled(gens))
+        assert weyl_groebner(again) == weyl_groebner(gens)
+
+    @pytest.mark.parametrize("order, name", [(DEGREVLEX, "grevlex"), (LEX, "lex")],
+                             ids=["grevlex", "lex"])
+    def test_matches_sympy(self, order, name):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(61)
+        vs = ring("x", "y", "z")
+        symbols = sympy.symbols(vs)
+        for _ in range(8):
+            gens = [random_mpoly(rng, vs, 2, 4) for _ in range(3)]
+            ours = groebner_basis(Ideal(vs, gens), order)
+            theirs = sympy.groebner([to_sympy(g, symbols, sympy) for g in gens],
+                                    *symbols, order=name)
+            expected = [MPoly(vs, {e: Fraction(int(c.p), int(c.q)) for e, c in p.terms()})
+                        for p in theirs.polys]
+            assert sorted(ours, key=str) == sorted(expected, key=str)

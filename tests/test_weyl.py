@@ -6,7 +6,7 @@ import pytest
 from dreg.ideals import Ideal, krull_dimension, normal_form, groebner_basis
 from dreg.polynomials import MPoly
 from dreg.weyl import (WeylElement, characteristic_ideal, format_weyl,
-                       weyl_groebner, weyl_mul, weyl_normal_form)
+                       weyl_groebner, weyl_mul, weyl_ring)
 
 from conftest import random_mpoly, random_weyl
 
@@ -130,18 +130,15 @@ class TestWeylGroebner:
             if not gb:
                 continue
             n = gb[0].n
+            ring = weyl_ring(n)
             for i in range(len(gb)):
                 for j in range(i + 1, len(gb)):
-                    from dreg.weyl import _leading, _mono_element
-                    (fa, fd), fc = _leading(gb[i])
-                    (ga, gd), gc = _leading(gb[j])
-                    la = tuple(max(p, q) for p, q in zip(fa, ga))
-                    ld = tuple(max(p, q) for p, q in zip(fd, gd))
-                    mi = _mono_element(n, tuple(p - q for p, q in zip(la, fa)),
-                                       tuple(p - q for p, q in zip(ld, fd)),
-                                       Fraction(1) / fc)
-                    mj = _mono_element(n, tuple(p - q for p, q in zip(la, ga)),
-                                       tuple(p - q for p, q in zip(ld, gd)),
-                                       Fraction(1) / gc)
+                    fe, fc = ring.leading(gb[i])
+                    ge, gc = ring.leading(gb[j])
+                    lcm = tuple(max(p, q) for p, q in zip(fe, ge))
+                    ei = tuple(p - q for p, q in zip(lcm, fe))
+                    ej = tuple(p - q for p, q in zip(lcm, ge))
+                    mi = WeylElement(n, {(ei[:n], ei[n:]): Fraction(1) / fc})
+                    mj = WeylElement(n, {(ej[:n], ej[n:]): Fraction(1) / gc})
                     s = weyl_mul(mi, gb[i]) - weyl_mul(mj, gb[j])
-                    assert weyl_normal_form(s, gb).is_zero()
+                    assert normal_form(s, gb, ring).is_zero()
