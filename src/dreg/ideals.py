@@ -2,20 +2,21 @@
 
 One Buchberger driver serves both rings of the package: the commutative
 polynomial ring Q[vars] (the symbol ring) and the Weyl algebra A_n, which
-`dreg.weyl` describes to it.  A `Ring` gives the term order, the leading
-term, c * monomial and commutativity; the S-pair loop, the division routine
-and the interreduction are shared.  On top sit membership, radical
-membership via the extra-variable trick, and Krull dimension through
-independent variable sets modulo the initial ideal.  All computations carry
-an explicit work budget; exceeding it raises rather than silently
-truncating.
+`dreg.weyl` describes to it.  A `Ring` gives the term order, the flat
+exponents of a term, c * monomial and commutativity; the S-pair loop, the
+division routine and the interreduction are shared.  On top sit
+membership, radical membership via the extra-variable trick, and Krull
+dimension through independent variable sets modulo the initial ideal.  All
+computations carry an explicit work budget; exceeding it raises rather
+than silently truncating.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul, neg
+from operator import add, le, mul, neg, sub
 from typing import Callable, Iterable, Sequence
 
 from .polynomials import MPoly, format_mpoly
@@ -97,95 +98,138 @@ def leading_term(p: MPoly, order: TermOrder) -> tuple[tuple, Fraction]:
 
 
 def _divides(a: tuple, b: tuple) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _exp_sub(a: tuple, b: tuple) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _exp_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 @dataclass(frozen=True)
 class Ring:
     """What the Buchberger driver needs to know about a ring of elements.
 
-    Exponents are flat tuples compared by `order`; `leading(f)` gives the
-    leading (exponents, coefficient) of a nonzero element and
-    `monomial(f, exps, c)` builds c * monomial in the ring of f.  Sums,
-    differences, products and `scale` are the elements' own methods.  Only
-    a commutative ring may skip S-pairs by the coprimality criterion.
+    Elements keep their terms in a map `terms` from term keys to nonzero
+    coefficients.  `flat(key)` gives a term's exponents as one flat tuple,
+    compared by `order`, and `monomial(f, exps, c)` builds c * monomial in
+    the ring of f.  Products and `scale` are the elements' own methods.
+    Only a commutative ring may skip S-pairs by the coprimality criterion.
     """
 
     order: TermOrder
-    leading: Callable
+    flat: Callable
     monomial: Callable
     commutative: bool
+
+    def leading(self, f) -> tuple[tuple, Fraction]:
+        """Leading (exponents, coefficient) of a nonzero element."""
+        key, flat = self.order.key, self.flat
+        t = max(f.terms, key=lambda t: key(flat(t)))
+        return flat(t), f.terms[t]
 
 
 def polynomial_ring(order: TermOrder) -> Ring:
     """Q[vars] under the given term order."""
-    return Ring(order, lambda p: leading_term(p, order),
+    return Ring(order, lambda e: e,
                 lambda p, exps, c: MPoly.monomial(p.vars, exps, c), True)
 
 
 POLYNOMIALS = polynomial_ring(DEGREVLEX)
 
 
-def normal_form(f, basis: Sequence, ring: Ring = POLYNOMIALS):
-    """Full remainder of f on (left) division by the basis (every term reduced)."""
+def normal_form(f, basis: Sequence, ring: Ring = POLYNOMIALS,
+                leads: Sequence | None = None):
+    """Full remainder of f on (left) division by the basis (every term reduced).
+
+    `leads` are the basis' leading terms when the caller keeps them.  The
+    division runs inside one term map: a step subtracts c * monomial * g
+    from it in place, or moves its leading term to the remainder.
+    """
     if not basis:
         return f
-    lead = [ring.leading(g) for g in basis]
+    if leads is None:
+        leads = [ring.leading(g) for g in basis]
+    key, flat = ring.order.key, ring.flat
     remainder = f.scale(0)
-    work = f
-    while not work.is_zero():
-        e, c = ring.leading(work)
-        for g, (ge, gc) in zip(basis, lead):
+    done, rest = remainder.terms, dict(f.terms)
+    rank = {t: key(flat(t)) for t in rest}      # order key of every term met
+    while rest:
+        t = max(rest, key=rank.__getitem__)
+        e = flat(t)
+        for g, (ge, gc) in zip(basis, leads):
             if _divides(ge, e):
-                work = work - ring.monomial(f, _exp_sub(e, ge), c / gc) * g
+                product = ring.monomial(f, _exp_sub(e, ge), rest[t] / gc) * g
+                for u, v in product.terms.items():
+                    s = rest.get(u)
+                    if s is None:
+                        rest[u] = -v
+                        if u not in rank:
+                            rank[u] = key(flat(u))
+                    elif s == v:
+                        del rest[u]
+                    else:
+                        rest[u] = s - v
                 break
         else:
-            mono = ring.monomial(f, e, c)
-            remainder = remainder + mono
-            work = work - mono
+            done[t] = rest.pop(t)
     return remainder
 
 
 def buchberger_basis(gens: Iterable, ring: Ring, budget: int = DEFAULT_BUDGET) -> list:
     """Reduced (left) Gröbner basis of the (left) ideal the generators span.
 
-    S-pairs are taken first in, first out.  The coprimality criterion is
-    used only in a commutative ring: in A_n the commutator of elements with
-    disjoint leading supports need not vanish, so every S-pair is reduced.
+    The schedule is normal selection: the pending S-pair whose lcm of
+    leading monomials is smallest in the term order comes first, ties going
+    to the older pair.  Buchberger's chain criterion drops (i, j) when some
+    basis element's leading monomial divides lcm(i, j) and neither (i, k)
+    nor (j, k) is still pending; it holds in A_n as in Q[vars].  The
+    coprimality criterion is used only in a commutative ring: in A_n the
+    commutator of elements with disjoint leading supports need not vanish.
+    `budget` counts the pairs taken off the queue, those a criterion drops
+    included.
     """
-    basis = [g for g in gens if not g.is_zero()]
-    if not basis:
-        return []
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    basis, leads = [], []           # the elements and their leading terms
+    queue, pending = [], set()      # heap of (order key of lcm, j, i, lcm); the (i, j) in it
+
+    def insert(g) -> None:
+        lead = ring.leading(g)
+        j = len(basis)
+        for i, (fe, _) in enumerate(leads):
+            lcm = _exp_lcm(fe, lead[0])
+            heapq.heappush(queue, (ring.order.key(lcm), j, i, lcm))
+            pending.add((i, j))
+        basis.append(g)
+        leads.append(lead)
+
+    for g in gens:
+        if not g.is_zero():
+            insert(g)
     processed = 0
-    while pairs:
+    while queue:
         processed += 1
         if processed > budget:
             raise BudgetExceeded(
                 f"Buchberger budget of {budget} S-pairs exceeded")
-        i, j = pairs.pop(0)
-        fe, fc = ring.leading(basis[i])
-        ge, gc = ring.leading(basis[j])
-        lcm = _exp_lcm(fe, ge)
+        _, j, i, lcm = heapq.heappop(queue)
+        pending.discard((i, j))
+        (fe, fc), (ge, gc) = leads[i], leads[j]
         # Buchberger's coprimality criterion, sound only where elements commute.
-        if ring.commutative and lcm == tuple(a + b for a, b in zip(fe, ge)):
+        if ring.commutative and lcm == tuple(map(add, fe, ge)):
+            continue
+        if any(k != i and k != j and (min(i, k), max(i, k)) not in pending
+               and (min(j, k), max(j, k)) not in pending and _divides(ke, lcm)
+               for k, (ke, _) in enumerate(leads)):
             continue
         s = (ring.monomial(basis[i], _exp_sub(lcm, fe), Fraction(1) / fc) * basis[i]
              - ring.monomial(basis[j], _exp_sub(lcm, ge), Fraction(1) / gc) * basis[j])
-        r = normal_form(s, basis, ring)
+        r = normal_form(s, basis, ring, leads)
         if not r.is_zero():
-            basis.append(r)
-            k = len(basis) - 1
-            pairs.extend((t, k) for t in range(k))
-    return _reduce_basis(basis, ring)
+            insert(r)
+    return _reduce_basis(basis, leads, ring)
 
 
 def groebner_basis(ideal: Ideal, order: TermOrder = DEGREVLEX,
@@ -194,27 +238,24 @@ def groebner_basis(ideal: Ideal, order: TermOrder = DEGREVLEX,
     return buchberger_basis(ideal.gens, polynomial_ring(order), budget)
 
 
-def _reduce_basis(basis: list, ring: Ring) -> list:
+def _reduce_basis(basis: list, leads: list, ring: Ring) -> list:
     # Minimalize: drop generators whose leading monomial another one divides.
-    lead = [ring.leading(g)[0] for g in basis]
     keep = []
-    for i, e in enumerate(lead):
-        if any(j != i and _divides(lead[j], e) and (lead[j] != e or j < i)
-               for j in range(len(basis))):
+    for i, (e, _) in enumerate(leads):
+        if any(j != i and _divides(f, e) and (f != e or j < i)
+               for j, (f, _) in enumerate(leads)):
             continue
         keep.append(i)
     minimal = [basis[i] for i in keep]
-    # Fully reduce each element against the others and make monic.
+    lead = [leads[i] for i in keep]
+    # Fully reduce each element against the others and make monic; no other
+    # leading monomial divides its own, so the leading term stays.
     reduced = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
-        r = normal_form(g, others, ring) if others else g
-        if r.is_zero():
-            continue
-        _, lc = ring.leading(r)
-        reduced.append(r.scale(Fraction(1) / lc))
-    reduced.sort(key=lambda g: ring.order.key(ring.leading(g)[0]))
-    return reduced
+        r = normal_form(g, others, ring, lead[:i] + lead[i + 1:]) if others else g
+        reduced.append((ring.order.key(lead[i][0]), r.scale(Fraction(1) / lead[i][1])))
+    return [r for _, r in sorted(reduced, key=lambda kr: kr[0])]
 
 
 def buchberger(ideal: Ideal, order: TermOrder = DEGREVLEX,

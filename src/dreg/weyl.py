@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 
 from .ideals import (DEFAULT_BUDGET, Ideal, Ring, buchberger_basis,
@@ -208,12 +209,12 @@ class WeylElement:
         return f"WeylElement({format_weyl(self)!r})"
 
 
-def _binom(a: int, k: int) -> int:
-    return math.comb(a, k)
-
-
 def weyl_mul(a: WeylElement, b: WeylElement) -> WeylElement:
-    """Normal-ordered product in A_n."""
+    """Normal-ordered product in A_n.
+
+    The contraction factors k! C(beta_i, k) C(gamma_i, k) stay integers, so
+    each product term costs one Fraction multiply.
+    """
     a._check(b)
     n = a.n
     res: dict[tuple, Fraction] = {}
@@ -221,24 +222,23 @@ def weyl_mul(a: WeylElement, b: WeylElement) -> WeylElement:
         for (gamma, delta), cb in b.terms.items():
             base = ca * cb
             # distribute the per-variable contraction d^beta_i x^gamma_i
-            stack = [((), Fraction(1))]
-            for i in range(n):
-                top = min(beta[i], gamma[i])
-                new_stack = []
-                for ks, coeff in stack:
-                    for k in range(top + 1):
-                        factor = Fraction(math.factorial(k) * _binom(beta[i], k) * _binom(gamma[i], k))
-                        new_stack.append((ks + (k,), coeff * factor))
-                stack = new_stack
-            for ks, coeff in stack:
-                exp_x = tuple(alpha[i] + gamma[i] - ks[i] for i in range(n))
-                exp_d = tuple(beta[i] + delta[i] - ks[i] for i in range(n))
-                key = (exp_x, exp_d)
-                s = res.get(key, Fraction(0)) + base * coeff
-                if s:
-                    res[key] = s
+            stack = [((), 1)]
+            for bi, gi in zip(beta, gamma):
+                stack = [(ks + (k,), f * math.factorial(k) * math.comb(bi, k) * math.comb(gi, k))
+                         for ks, f in stack for k in range(min(bi, gi) + 1)]
+            exp_x = tuple(map(add, alpha, gamma))
+            exp_d = tuple(map(add, beta, delta))
+            for ks, f in stack:
+                key = (tuple(map(sub, exp_x, ks)), tuple(map(sub, exp_d, ks)))
+                term = base * f if f != 1 else base
+                if key in res:
+                    s = res[key] + term
+                    if s:
+                        res[key] = s
+                    else:
+                        del res[key]
                 else:
-                    res.pop(key, None)
+                    res[key] = term
     out = WeylElement.__new__(WeylElement)
     out.n = n
     out.terms = res
@@ -296,16 +296,11 @@ def weyl_ring(n: int) -> Ring:
     compares total d-degree first, then degrevlex, so it is compatible with
     the order filtration.  Monomial times element goes through `weyl_mul`.
     """
-    order = symbol_weight_order(2 * n)
-
-    def leading(w: WeylElement) -> tuple[tuple, Fraction]:
-        alpha, beta = max(w.terms, key=lambda k: order.key(k[0] + k[1]))
-        return alpha + beta, w.terms[(alpha, beta)]
-
     def monomial(w: WeylElement, exps: tuple, c: Fraction) -> WeylElement:
         return WeylElement(n, {(exps[:n], exps[n:]): c})
 
-    return Ring(order, leading, monomial, commutative=False)
+    return Ring(symbol_weight_order(2 * n), lambda t: t[0] + t[1], monomial,
+                commutative=False)
 
 
 def weyl_groebner(gens: Iterable[WeylElement],

@@ -54,6 +54,30 @@ def random_operator(rng: random.Random, var: str = "x", order: int = 3,
     return UnivarOperator(var, coeffs)
 
 
+def random_point(rng: random.Random, span: int = 6) -> Fraction:
+    """A nonzero rational point."""
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, span), rng.randint(1, span))
+
+
+def random_ratfun_with_poles(rng: random.Random, c: Fraction, var: str = "x",
+                             degree: int = 3, pole: int = 2) -> RatFun:
+    """Denominator (x - c)^k (x^2 + 1)^m: poles at c and off the rationals."""
+    num = random_mpoly(rng, (var,), degree, terms=degree + 1)
+    linear = MPoly.from_univar_coeffs(var, [-c, Fraction(1)])
+    quadratic = MPoly.from_univar_coeffs(var, [1, 0, 1])
+    den = linear ** rng.randint(0, pole) * quadratic ** rng.randint(0, 1)
+    return RatFun(num, den)
+
+
+def random_operator_with_poles(rng: random.Random, c: Fraction, var: str = "x",
+                               order: int = 3, degree: int = 3,
+                               pole: int = 2) -> UnivarOperator:
+    n = rng.randint(1, order)
+    coeffs = [random_ratfun_with_poles(rng, c, var, degree, pole) for _ in range(n)]
+    coeffs.append(RatFun.const(var, 1))
+    return UnivarOperator(var, coeffs)
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240917)

@@ -19,7 +19,7 @@ from dreg.polynomials import MPoly, RatFun
 from dreg.regularity import INFINITY, IRREGULAR, REGULAR
 from dreg.weyl import WeylElement, characteristic_ideal, symbol_names
 
-from conftest import random_operator
+from conftest import random_operator, random_operator_with_poles, random_point
 
 
 def op(text):
@@ -77,6 +77,18 @@ class TestEquivalence:
             p = random_operator(rng, order=3, degree=3, pole=3)
             rep = fuchs_kashiwara_equivalence(p, 0)
             assert rep.agree, rep.to_dict()
+
+    def test_randomized_sweep_at_nonzero_points(self):
+        # poles at a nonzero rational c and at the roots of x^2 + 1
+        rng = random.Random(109)
+        verdicts = set()
+        for _ in range(80):
+            c = random_point(rng)
+            p = random_operator_with_poles(rng, c, order=3, degree=3, pole=2)
+            rep = fuchs_kashiwara_equivalence(p, c)
+            assert rep.agree, rep.to_dict()
+            verdicts.add(rep.verdicts)
+        assert verdicts == {(REGULAR, REGULAR), (IRREGULAR, IRREGULAR)}
 
 
 class TestGoodFiltration:

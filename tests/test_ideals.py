@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from dreg.ideals import (BudgetExceeded, DEGREVLEX, LEX, Ideal, NotMonomialIdeal,
                          buchberger, groebner_basis, ideal_contains,
                          is_radical_squarefree_monomial, krull_dimension,
-                         leading_term, normal_form, radical_membership,
-                         symbol_weight_order)
+                         leading_term, normal_form, polynomial_ring,
+                         radical_membership, symbol_weight_order)
 from dreg.polynomials import MPoly
-from dreg.weyl import WeylElement, weyl_groebner
+from dreg.weyl import WeylElement, weyl_groebner, weyl_ring
 
 from conftest import random_mpoly
 
@@ -261,3 +261,37 @@ class TestSharedDriver:
             expected = [MPoly(vs, {e: Fraction(int(c.p), int(c.q)) for e, c in p.terms()})
                         for p in theirs.polys]
             assert sorted(ours, key=str) == sorted(expected, key=str)
+
+
+def assert_buchberger_test(gens, gb, ring, monomial):
+    """Every generator and every S-element of gb reduces to 0 modulo gb."""
+    assert all(normal_form(g, gb, ring).is_zero() for g in gens)
+    for f, g in itertools.combinations(gb, 2):
+        (fe, fc), (ge, gc) = ring.leading(f), ring.leading(g)
+        lcm = tuple(max(p, q) for p, q in zip(fe, ge))
+        s = (monomial(tuple(p - q for p, q in zip(lcm, fe)), Fraction(1) / fc) * f
+             - monomial(tuple(p - q for p, q in zip(lcm, ge)), Fraction(1) / gc) * g)
+        assert normal_form(s, gb, ring).is_zero()
+
+
+class TestPairCriteria:
+    """Bases built with the chain (and, in Q[vars], coprimality) criterion,
+    checked afterwards by Buchberger's S-pair test, at sizes where the chain
+    criterion drops pairs."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(terms=st.lists(flat_terms(3, 2, 3), min_size=3, max_size=3))
+    def test_polynomial_basis_passes_s_pair_test(self, terms):
+        vs = ring("x", "y", "z")
+        gens = [MPoly(vs, t) for t in terms]
+        gb = groebner_basis(Ideal(vs, gens))
+        assert_buchberger_test(gens, gb, polynomial_ring(DEGREVLEX),
+                               lambda e, c: MPoly.monomial(vs, e, c))
+
+    @settings(max_examples=40, deadline=None)
+    @given(terms=st.lists(flat_terms(4, 2, 2), min_size=3, max_size=3))
+    def test_weyl_basis_passes_s_pair_test(self, terms):
+        gens = [WeylElement(2, {(e[:2], e[2:]): c for e, c in t.items()}) for t in terms]
+        gb = weyl_groebner(gens)
+        assert_buchberger_test(gens, gb, weyl_ring(2),
+                               lambda e, c: WeylElement(2, {(e[:2], e[2:]): c}))

@@ -106,6 +106,66 @@ class TestGcdFactoring:
         assert rest == x ** 2 + MPoly.const(("x",), 1)
 
 
+def to_sympy(p, x, sympy):
+    return sum(sympy.Rational(c.numerator, c.denominator) * x ** e
+               for (e,), c in p.terms.items())
+
+
+def from_sympy(expr, x, sympy):
+    coeffs = sympy.Poly(expr, x).all_coeffs()[::-1]
+    return MPoly.from_univar_coeffs("x", [Fraction(int(c.p), int(c.q)) for c in coeffs])
+
+
+class TestAgainstSympy:
+    """Differential tests of the univariate kernels on seeded random inputs."""
+
+    def test_gcd_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        X = sympy.Symbol("x")
+        rng = random.Random(127)
+        nontrivial = 0
+        for _ in range(60):
+            common = random_mpoly(rng, ("x",), 3, 3)
+            a = common * random_mpoly(rng, ("x",), 3, 3)
+            b = random_mpoly(rng, ("x",), 4, 3)
+            if rng.random() < 0.7:
+                b = common * b
+            if a.is_zero() or b.is_zero():
+                continue
+            ours = univar_gcd(a, b)
+            theirs = from_sympy(sympy.gcd(to_sympy(a, X, sympy), to_sympy(b, X, sympy)),
+                                X, sympy)
+            assert ours == theirs.monic_univar()
+            nontrivial += ours.total_degree() > 0
+        assert nontrivial > 10
+
+    def test_factor_rational_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        X = sympy.Symbol("x")
+        rng = random.Random(131)
+        x = MPoly.var(("x",), "x")
+        one = MPoly.const(("x",), 1)
+        repeated = 0
+        for _ in range(40):
+            p = random_mpoly(rng, ("x",), 3, 3)
+            for _ in range(rng.randint(0, 3)):
+                p = p * (x - random_fraction(rng) * one) ** rng.randint(1, 3)
+            p = p * rng.choice([one, x ** 2 + one, x ** 2 - 2 * one])
+            if p.is_zero():
+                continue
+            roots, rest = factor_rational(p)
+            expr = to_sympy(p, X, sympy)
+            expected = sympy.roots(expr, X, filter="Q")
+            assert {r: m for r, m in roots} == {
+                Fraction(int(r.p), int(r.q)): m for r, m in expected.items()}
+            _, factors = sympy.factor_list(expr, X)
+            nonlinear = sympy.Mul(*(f ** m for f, m in factors
+                                    if sympy.degree(f, X) > 1))
+            assert rest == from_sympy(nonlinear, X, sympy).monic_univar()
+            repeated += any(m > 1 for _, m in roots)
+        assert repeated > 10
+
+
 class TestRatFun:
     def test_reduction_invariants(self):
         f = rf([0, -1, 1], [0, 0, 2])  # (x^2 - x) / (2 x^2)

@@ -11,7 +11,7 @@ from dreg.regularity import (GLOBAL_IRREGULAR, GLOBAL_REGULAR,
                              REGULAR, fuchs_regular_at, newton_polygon,
                              regular_on_projective_line, theta_regular_at_zero)
 
-from conftest import random_operator
+from conftest import random_operator, random_operator_with_poles, random_point
 
 
 def op(text):
@@ -143,3 +143,26 @@ class TestProjectiveLine:
         untested = [e for e in rep.points if not e.tested]
         assert len(untested) == 1
         assert untested[0].location.total_degree() == 2
+
+    def test_untested_factor_sweep(self):
+        # x^2 + 1 in a denominator is reported untested; x - c is tested at c
+        rng = random.Random(113)
+        quadratic = MPoly.from_univar_coeffs("x", [1, 0, 1])
+        seen = set()
+        for _ in range(60):
+            c = random_point(rng)
+            p = random_operator_with_poles(rng, c, order=3, degree=3, pole=2)
+            dens = [a.den for a in p.monic().coeffs]
+            has_quadratic = any(d.univar_divmod(quadratic)[1].is_zero() for d in dens)
+            has_c = any(d.evaluate({"x": c}) == 0 for d in dens)
+            rep = regular_on_projective_line(p)
+            untested = [e for e in rep.points if not e.tested]
+            assert bool(untested) == has_quadratic
+            for e in untested:
+                assert e.to_dict()["verdict"] == "requires extension field"
+                assert e.location.univar_divmod(quadratic)[1].is_zero()
+            if untested:
+                assert rep.verdict in (GLOBAL_REGULAR_TESTED, GLOBAL_IRREGULAR)
+            assert (c in [e.location for e in rep.points if e.tested]) == has_c
+            seen.add((has_quadratic, has_c))
+        assert seen == {(False, False), (False, True), (True, False), (True, True)}

@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dreg.ideals import Ideal, krull_dimension, normal_form, groebner_basis
+from dreg.parser import parse_weyl_generators
 from dreg.polynomials import MPoly
-from dreg.weyl import (WeylElement, characteristic_ideal, format_weyl,
-                       weyl_groebner, weyl_mul, weyl_ring)
+from dreg.weyl import (WeylElement, characteristic_ideal, coordinate_names,
+                       format_weyl, weyl_groebner, weyl_mul, weyl_ring)
 
 from conftest import random_mpoly, random_weyl
 
@@ -59,6 +61,68 @@ class TestNormalOrdering:
         for k in range(5):
             xk = MPoly.monomial(("x",), (k,))
             assert theta2.apply(xk) == xk.scale(k * k)
+
+
+COEFFS = st.fractions(min_value=-4, max_value=4, max_denominator=4).filter(bool)
+
+
+def multi_indices(n, degree):
+    return st.tuples(*[st.integers(0, degree)] * n)
+
+
+def weyl_elements(n, degree=2, max_terms=3):
+    """Small elements of A_n, zero included."""
+    return st.dictionaries(st.tuples(multi_indices(n, degree), multi_indices(n, degree)),
+                           COEFFS, max_size=max_terms).map(lambda t: WeylElement(n, t))
+
+
+def coordinate_polynomials(n, degree=3, max_terms=3):
+    return st.dictionaries(multi_indices(n, degree), COEFFS, max_size=max_terms).map(
+        lambda t: MPoly(coordinate_names(n), t))
+
+
+def as_weyl(p: MPoly) -> WeylElement:
+    """A polynomial in the coordinates as an element of A_n."""
+    n = len(p.vars)
+    return WeylElement(n, {(e, (0,) * n): c for e, c in p.terms.items()})
+
+
+class TestProductProperties:
+    """Hypothesis properties of `weyl_mul` on small elements of A_1 and A_2."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 2))
+    def test_associative(self, data, n):
+        a, b, c = (data.draw(weyl_elements(n)) for _ in range(3))
+        assert (a * b) * c == a * (b * c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 2))
+    def test_distributive_on_both_sides(self, data, n):
+        a, b, c = (data.draw(weyl_elements(n)) for _ in range(3))
+        assert a * (b + c) == a * b + a * c
+        assert (a + b) * c == a * c + b * c
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 2))
+    def test_leibniz(self, data, n):
+        p = data.draw(coordinate_polynomials(n))
+        i = data.draw(st.integers(0, n - 1))
+        d = WeylElement.d(n, i)
+        assert d * as_weyl(p) - as_weyl(p) * d == as_weyl(p.diff(p.vars[i]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 2))
+    def test_action_is_faithful_to_products(self, data, n):
+        a, b = (data.draw(weyl_elements(n)) for _ in range(2))
+        p = data.draw(coordinate_polynomials(n))
+        assert (a * b).apply(p) == a.apply(b.apply(p))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 2))
+    def test_product_coefficients_are_fractions(self, data, n):
+        a, b = (data.draw(weyl_elements(n)) for _ in range(2))
+        assert all(type(c) is Fraction for c in weyl_mul(a, b).terms.values())
 
 
 class TestSymbols:
@@ -142,3 +206,10 @@ class TestWeylGroebner:
                     mj = WeylElement(n, {(ej[:n], ej[n:]): Fraction(1) / gc})
                     s = weyl_mul(mi, gb[i]) - weyl_mul(mj, gb[j])
                     assert normal_form(s, gb, ring).is_zero()
+
+    def test_unit_ideal_cliff_within_budget(self):
+        # normal selection with the chain criterion needs 630 S-pairs; first in,
+        # first out without it needs 903
+        gens = parse_weyl_generators(
+            "x*dx*(x*dx + y*dy) - x*(x*dx + y*dy + 1)*(x*dx+1/2) ; dx*dy - 1", ("x", "y"))
+        assert weyl_groebner(gens, budget=800) == [WeylElement.const(2, 1)]
