@@ -120,8 +120,8 @@ class CurveModule:
             gens.append(new)
         return gens
 
-    def filtration_lattices(self, levels: int, point=0, start=None):
-        return [LocalLattice(point, self.dim, g)
+    def filtration_lattices(self, levels: int, start=None):
+        return [LocalLattice(self.dim, g)
                 for g in self.filtration_generators(levels, start)]
 
     def monomial_annihilates(self, a: int, b: int, lattices, scan_levels: int) -> bool:
@@ -141,10 +141,10 @@ class CurveModule:
                     return False
         return True
 
-    def annihilator_monomials(self, bound: int, point=0, start=None):
+    def annihilator_monomials(self, bound: int, start=None):
         """Symbol monomials x^a xi^b (a + b <= bound) killing the graded
         module across all scanned levels."""
-        lattices = self.filtration_lattices(2 * bound, point, start)
+        lattices = self.filtration_lattices(2 * bound, start)
         found = []
         for total in range(1, bound + 1):
             for b in range(total + 1):
@@ -238,7 +238,7 @@ def check_good_filtration(p: UnivarOperator, bound: int = 8, point=0) -> tuple[b
     transcript = []
     ok = True
     for j in range(module.dim, bound + 1):
-        span = LocalLattice(0, module.dim,
+        span = LocalLattice(module.dim,
                             gens[j] + [module.partial_action(g) for g in gens[j]])
         for idx, g in enumerate(gens[j + 1]):
             inside = span.contains(g)

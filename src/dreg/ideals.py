@@ -190,12 +190,14 @@ def buchberger_basis(gens: Iterable, ring: Ring, budget: int = DEFAULT_BUDGET) -
     coprimality criterion is used only in a commutative ring: in A_n the
     commutator of elements with disjoint leading supports need not vanish.
     `budget` counts the pairs taken off the queue, those a criterion drops
-    included.
+    included.  A nonzero constant in the basis ends the loop at once: the
+    reduced basis of the unit ideal is [1].
     """
     basis, leads = [], []           # the elements and their leading terms
     queue, pending = [], set()      # heap of (order key of lcm, j, i, lcm); the (i, j) in it
 
-    def insert(g) -> None:
+    def insert(g) -> bool:
+        """Add g and its pairs; True when g is a constant."""
         lead = ring.leading(g)
         j = len(basis)
         for i, (fe, _) in enumerate(leads):
@@ -204,10 +206,11 @@ def buchberger_basis(gens: Iterable, ring: Ring, budget: int = DEFAULT_BUDGET) -
             pending.add((i, j))
         basis.append(g)
         leads.append(lead)
+        return not any(lead[0])
 
     for g in gens:
-        if not g.is_zero():
-            insert(g)
+        if not g.is_zero() and insert(g):
+            return [ring.monomial(g, leads[-1][0], Fraction(1))]
     processed = 0
     while queue:
         processed += 1
@@ -227,8 +230,8 @@ def buchberger_basis(gens: Iterable, ring: Ring, budget: int = DEFAULT_BUDGET) -
         s = (ring.monomial(basis[i], _exp_sub(lcm, fe), Fraction(1) / fc) * basis[i]
              - ring.monomial(basis[j], _exp_sub(lcm, ge), Fraction(1) / gc) * basis[j])
         r = normal_form(s, basis, ring, leads)
-        if not r.is_zero():
-            insert(r)
+        if not r.is_zero() and insert(r):
+            return [ring.monomial(r, leads[-1][0], Fraction(1))]
     return _reduce_basis(basis, leads, ring)
 
 

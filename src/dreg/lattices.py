@@ -1,11 +1,12 @@
-"""Lattices over the local ring at a rational point.
+"""Lattices over the local ring at the origin.
 
-The local ring O_c = { f in Q(x) : ord_c f >= 0 } is a discrete valuation
+The local ring O = { f in Q(x) : ord_0 f >= 0 } is a discrete valuation
 ring, so membership in a finitely generated submodule of Q(x)^m reduces to
 a forced triangular solve after a valuation-pivoted column echelon.
 Stability questions (is theta(L) inside L?) are exactly such membership
-questions, so no completion machinery is needed: ord_c reads the same
-valuation the completed lattice would.
+questions, so no completion machinery is needed: ord_0 reads the same
+valuation the completed lattice would.  Callers move their point to the
+origin first, where ord_0 is a trailing-exponent lookup.
 """
 
 from __future__ import annotations
@@ -14,11 +15,17 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .polynomials import INF, MPoly, RatFun, as_rat, univar_gcd
+from .polynomials import MPoly, RatFun, denominator_lcm, univar_gcd
 
 
-def _unit_normalize(vec: tuple, point: Fraction) -> tuple:
-    """Scale a vector by a unit of O_c into poly/(x-c)^k shape.
+def _unit_part(p: MPoly) -> MPoly:
+    """p / x^ord_0(p) for a nonzero univariate polynomial."""
+    k = min(e for (e,) in p.terms)
+    return MPoly(p.vars, {(e - k,): c for (e,), c in p.terms.items()}) if k else p
+
+
+def _unit_normalize(vec: tuple) -> tuple:
+    """Scale a vector by a unit of O into poly/x^k shape.
 
     Unit scalings do not change the generated module but stop polynomial
     denominators from compounding through pivot divisions.
@@ -27,34 +34,17 @@ def _unit_normalize(vec: tuple, point: Fraction) -> tuple:
     if not entries:
         return vec
     var = entries[0].var
-    lin = MPoly.from_univar_coeffs(var, [-point, Fraction(1)])
-    # lcm of the unit parts of the denominators
-    unit_lcm = MPoly.const((var,), 1)
-    for f in entries:
-        den = f.den
-        while True:
-            q, r = den.univar_divmod(lin)
-            if not r.is_zero():
-                break
-            den = q
-        g = univar_gcd(unit_lcm, den)
-        extra, _ = den.univar_divmod(g)
-        unit_lcm = unit_lcm * extra
-    scaled = [f * RatFun(unit_lcm) for f in vec]
+    unit = RatFun(_unit_part(denominator_lcm(entries)))
+    scaled = [f * unit for f in vec]
     # divide by the unit part of the gcd of the numerators
     g = MPoly.zero((var,))
     for f in scaled:
         if not f.is_zero():
             g = univar_gcd(g, f.num)
-    if not g.is_zero() and g.total_degree() > 0:
-        while True:
-            q, r = g.univar_divmod(lin)
-            if not r.is_zero():
-                break
-            g = q
-        if g.total_degree() > 0:
-            inv = RatFun(MPoly.const((var,), 1), g)
-            scaled = [f * inv for f in scaled]
+    g = _unit_part(g)
+    if g.total_degree() > 0:
+        inv = RatFun(MPoly.const((var,), 1), g)
+        scaled = [f * inv for f in scaled]
     # rational content is a unit too; dividing keeps integers small
     num_gcd, den_lcm = 0, 1
     for f in scaled:
@@ -68,58 +58,45 @@ def _unit_normalize(vec: tuple, point: Fraction) -> tuple:
 
 
 class LocalLattice:
-    """An O_c-submodule of Q(x)^m held in column echelon form.
+    """An O-submodule of Q(x)^m held in column echelon form.
 
-    Columns are processed row by row; at each row the remaining column with
-    the smallest valuation becomes the pivot and clears that row from the
-    others (quotients are integral by minimality, so all column operations
-    are unimodular over O_c and the generated module never changes).
+    `pivots` lists (row, column) pairs in row order; a pivot column vanishes
+    above its row.  A column joins by walking down the rows: at a pivot row
+    the pivot of smaller valuation stays and the other column, reduced by
+    it, walks on (the quotient is integral, so every step is unimodular over
+    O and the generated module never changes); at a free row it becomes
+    the pivot.
     """
 
-    __slots__ = ("point", "dim", "pivots")
+    __slots__ = ("dim", "pivots")
 
-    def __init__(self, point, dim: int, columns: Iterable[Sequence[RatFun]]):
-        self.point = as_rat(point)
+    def __init__(self, dim: int, columns: Iterable[Sequence[RatFun]]):
         self.dim = dim
         self.pivots: list[tuple[int, tuple]] = []
         self._build([tuple(c) for c in columns])
 
     @classmethod
-    def standard(cls, point, dim: int, var: str = "x") -> "LocalLattice":
+    def standard(cls, dim: int, var: str = "x") -> "LocalLattice":
         cols = [tuple(RatFun.const(var, 1 if j == i else 0) for j in range(dim))
                 for i in range(dim)]
-        return cls(point, dim, cols)
-
-    def _ord(self, f: RatFun) -> int | float:
-        return f.ord_at(self.point)
+        return cls(dim, cols)
 
     def _build(self, columns: list[tuple]) -> None:
-        active = [_unit_normalize(c, self.point) for c in columns
-                  if not all(f.is_zero() for f in c)]
-        pivots: list[tuple[int, tuple]] = []
-        for row in range(self.dim):
-            best, best_ord = None, INF
-            for idx, col in enumerate(active):
-                o = self._ord(col[row])
-                if o < best_ord:
-                    best, best_ord = idx, o
-            if best is None:
-                continue
-            pivot = active.pop(best)
-            reduced = []
-            for col in active:
-                entry = col[row]
-                if not entry.is_zero():
-                    q = entry / pivot[row]
-                    col = _unit_normalize(
-                        tuple(a - q * b for a, b in zip(col, pivot)), self.point)
-                if not all(f.is_zero() for f in col):
-                    reduced.append(col)
-            active = reduced
-            pivots.append((row, pivot))
-        # leftover columns vanish at every pivot row and at every skipped
-        # row (skipped rows were identically zero), hence are zero
-        self.pivots = pivots
+        pivots = dict(self.pivots)
+        for col in columns:
+            col = _unit_normalize(col)
+            for row in range(self.dim):
+                if col[row].is_zero():
+                    continue
+                pivot = pivots.get(row)
+                if pivot is None:
+                    pivots[row] = col
+                    break
+                if col[row].ord_at(0) < pivot[row].ord_at(0):
+                    pivots[row], col, pivot = col, pivot, col
+                q = col[row] / pivot[row]
+                col = _unit_normalize(tuple(a - q * b for a, b in zip(col, pivot)))
+        self.pivots = sorted(pivots.items())
 
     def generators(self) -> list[tuple]:
         return [col for _, col in self.pivots]
@@ -130,15 +107,18 @@ class LocalLattice:
             entry = v[row]
             if entry.is_zero():
                 continue
-            if self._ord(entry) < self._ord(col[row]):
+            if entry.ord_at(0) < col[row].ord_at(0):
                 return False
             q = entry / col[row]
             v = [a - q * b for a, b in zip(v, col)]
         return all(f.is_zero() for f in v)
 
     def extended(self, vectors: Iterable[Sequence[RatFun]]) -> "LocalLattice":
-        cols = self.generators() + [tuple(v) for v in vectors]
-        return LocalLattice(self.point, self.dim, cols)
+        """The lattice with the vectors added, grown from this echelon, not rebuilt."""
+        out = LocalLattice.__new__(LocalLattice)
+        out.dim, out.pivots = self.dim, self.pivots
+        out._build([tuple(v) for v in vectors])
+        return out
 
     def same_module(self, other: "LocalLattice") -> bool:
         return (all(other.contains(c) for c in self.generators())

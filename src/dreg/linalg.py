@@ -66,31 +66,6 @@ def gauss_solve(matrix, rhs, zero, is_zero: Callable) -> list | None:
     return sol
 
 
-def rank(matrix, is_zero: Callable) -> int:
-    rows = [list(r) for r in matrix]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    r = 0
-    for c in range(n):
-        pivot = None
-        for i in range(r, m):
-            if not is_zero(rows[i][c]):
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        for i in range(r + 1, m):
-            if not is_zero(rows[i][c]):
-                f = rows[i][c] / pv
-                rows[i] = [e - f * p for e, p in zip(rows[i], rows[r])]
-        r += 1
-        if r == m:
-            break
-    return r
-
-
 def determinant(matrix, zero, one, is_zero: Callable):
     """Fraction-free-ish Gaussian determinant over a field."""
     rows = [list(r) for r in matrix]

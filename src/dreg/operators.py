@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .polynomials import INF, MPoly, RatFun, as_rat, univar_gcd
+from .polynomials import INF, MPoly, RatFun, as_rat, denominator_lcm
 from .weyl import WeylElement
 
 
@@ -215,12 +215,7 @@ class UnivarOperator:
         """
         if self.is_zero():
             return WeylElement.zero(1), MPoly.const((self.var,), 1)
-        cleared = MPoly.const((self.var,), 1)
-        for c in self.coeffs:
-            g = univar_gcd(cleared, c.den)
-            extra, _ = c.den.univar_divmod(g)
-            cleared = cleared * extra
-        cleared = cleared.monic_univar()
+        cleared = denominator_lcm(self.coeffs)
         terms: dict[tuple, Fraction] = {}
         for i, c in enumerate(self.coeffs):
             if c.is_zero():

@@ -745,6 +745,15 @@ class RatFun:
         return f"RatFun({self!s})"
 
 
+def denominator_lcm(fs: Iterable[RatFun]) -> MPoly:
+    """Monic lcm of the denominators of some rational functions in one variable."""
+    dens = (f.den for f in fs)
+    lcm = next(dens)
+    for den in dens:
+        lcm = lcm * den.univar_divmod(univar_gcd(lcm, den))[0]
+    return lcm
+
+
 def _mult_at(p: MPoly, c: Fraction) -> int:
     """Multiplicity of the root x = c in a nonzero univariate polynomial."""
     if not c:

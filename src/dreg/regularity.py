@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .operators import ThetaOperator, UnivarOperator, chart_infinity, to_theta_form
-from .polynomials import INF, MPoly, RatFun, as_rat, factor_rational
+from .polynomials import INF, MPoly, as_rat, denominator_lcm, factor_rational
 
 
 class _Infinity:
@@ -198,16 +198,7 @@ class ProjectiveLineReport:
 
 def singular_support(p: UnivarOperator) -> tuple[list[tuple[Fraction, int]], MPoly]:
     """Rational roots and untested factor of the cleared leading coefficient."""
-    monic = p.monic()
-    denlcm = MPoly.const((p.var,), 1)
-    from .polynomials import univar_gcd
-    for c in monic.coeffs:
-        g = univar_gcd(denlcm, c.den)
-        extra, _ = c.den.univar_divmod(g)
-        denlcm = denlcm * extra
-    if denlcm.total_degree() <= 0:
-        return [], MPoly.const((p.var,), 1)
-    return factor_rational(denlcm)
+    return factor_rational(denominator_lcm(p.monic().coeffs))
 
 
 def regular_on_projective_line(p: UnivarOperator) -> ProjectiveLineReport:

@@ -17,7 +17,7 @@ from .dmod import ContradictionError
 from .lattices import LocalLattice
 from .linalg import determinant, gauss_solve, mat_mul
 from .operators import UnivarOperator
-from .polynomials import INF, MPoly, RatFun, as_rat, factor_rational, univar_gcd
+from .polynomials import INF, RatFun, as_rat, denominator_lcm, factor_rational
 from .regularity import (FuchsCertificate, GLOBAL_IRREGULAR, GLOBAL_REGULAR,
                          GLOBAL_REGULAR_TESTED, INFINITY, fuchs_regular_at)
 
@@ -115,15 +115,7 @@ class ConnectionSystem:
 
     def singular_support(self):
         """Rational poles of A and the untested denominator factor."""
-        denlcm = MPoly.const((self.var,), 1)
-        for row in self.matrix:
-            for e in row:
-                g = univar_gcd(denlcm, e.den)
-                extra, _ = e.den.univar_divmod(g)
-                denlcm = denlcm * extra
-        if denlcm.total_degree() <= 0:
-            return [], MPoly.const((self.var,), 1)
-        return factor_rational(denlcm)
+        return factor_rational(denominator_lcm(e for row in self.matrix for e in row))
 
 
 @dataclass(frozen=True)
@@ -234,7 +226,7 @@ def saturate_lattice(system: ConnectionSystem, point,
         return saturate_lattice(system.at_infinity(), Fraction(0), max_steps)
     point = as_rat(point)
     if point:
-        # valuations at the origin are trailing-exponent lookups
+        # lattices live at the origin, where valuations are trailing-exponent lookups
         return saturate_lattice(system.shifted(point), Fraction(0), max_steps)
     m = system.rank
     if max_steps is None:
@@ -246,7 +238,7 @@ def saturate_lattice(system: ConnectionSystem, point,
         d = system.functional_derivative(vec)
         return tuple(shift * e for e in d)
 
-    lattice = LocalLattice.standard(point, m, var)
+    lattice = LocalLattice.standard(m, var)
     for step in range(max_steps + 1):
         images = [theta(g) for g in lattice.generators()]
         new = [v for v in images if not lattice.contains(v)]

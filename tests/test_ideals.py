@@ -75,6 +75,12 @@ class TestBuchberger:
         with pytest.raises(BudgetExceeded):
             groebner_basis(I, budget=1)
 
+    def test_constant_generator_is_the_unit_ideal(self):
+        vs = ring("x", "y")
+        x, y = V(vs, "x"), V(vs, "y")
+        gb = groebner_basis(Ideal(vs, [x * y - 1, x, MPoly.const(vs, 3)]), budget=0)
+        assert gb == [MPoly.const(vs, 1)]
+
     def test_buchberger_returns_ideal(self):
         vs = ring("x", "xi")
         x, xi = V(vs, "x"), V(vs, "xi")

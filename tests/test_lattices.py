@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dreg.lattices import LocalLattice
 from dreg.linalg import determinant, gauss_solve, mat_mul
@@ -13,12 +14,12 @@ def rf(num, den=(1,)):
 
 class TestLocalLattice:
     def test_standard_contains_integral_vectors(self):
-        lat = LocalLattice.standard(0, 2)
+        lat = LocalLattice.standard(2)
         assert lat.contains((rf([1, 2]), rf([3])))
         assert not lat.contains((rf([1], [0, 1]), rf([0])))  # 1/x
 
     def test_extension_and_membership(self):
-        lat = LocalLattice.standard(0, 2)
+        lat = LocalLattice.standard(2)
         v = (rf([1], [0, 1]), rf([0]))  # (1/x, 0)
         bigger = lat.extended([v])
         assert bigger.contains(v)
@@ -26,23 +27,56 @@ class TestLocalLattice:
         assert not lat.contains(v)
 
     def test_same_module(self):
-        lat = LocalLattice.standard(0, 2)
+        lat = LocalLattice.standard(2)
         # a unimodular combination generates the same module
         cols = [(rf([1]), rf([1])), (rf([0]), rf([1]))]
-        other = LocalLattice(0, 2, cols)
+        other = LocalLattice(2, cols)
         assert lat.same_module(other)
 
     def test_point_matters(self):
-        v = (rf([1], [-1, 1]),)  # 1/(x-1)
-        at_zero = LocalLattice.standard(0, 1)
-        at_one = LocalLattice.standard(1, 1)
-        assert at_zero.contains(v)      # unit at 0
-        assert not at_one.contains(v)   # pole at 1
+        v = rf([1], [-1, 1])  # 1/(x-1)
+        lat = LocalLattice.standard(1)
+        assert lat.contains((v,))               # unit at 0
+        assert not lat.contains((v.shift(1),))  # pole at 1, moved to 0
 
     def test_deep_pole_chain(self):
-        lat = LocalLattice(0, 1, [(rf([1], [0, 0, 1]),)])  # x^-2 O
+        lat = LocalLattice(1, [(rf([1], [0, 0, 1]),)])  # x^-2 O
         assert lat.contains((rf([1], [0, 1]),))
         assert not lat.contains((rf([1], [0, 0, 0, 1]),))
+
+
+# entries p / (x^k (x + c)): poles at 0 of order k or k + 1, and units
+# of O that are not polynomials
+ENTRIES = st.builds(lambda p, k, c: rf(p, [0] * k + [c, 1]),
+                    st.lists(st.integers(-3, 3), max_size=3),
+                    st.integers(0, 2), st.integers(-2, 2))
+
+
+@st.composite
+def column_lists(draw):
+    dim = draw(st.integers(1, 3))
+    cols = draw(st.lists(st.tuples(*[ENTRIES] * dim), min_size=1, max_size=4))
+    return dim, cols
+
+
+class TestInsertionWalk:
+    @settings(max_examples=60, deadline=None)
+    @given(data=column_lists(), order=st.randoms(use_true_random=False))
+    def test_one_call_matches_column_by_column(self, data, order):
+        dim, cols = data
+        lat = LocalLattice(dim, cols)
+        assert all(lat.contains(c) for c in cols)
+        shuffled = list(cols)
+        order.shuffle(shuffled)
+        grown = LocalLattice(dim, [])
+        for c in shuffled:
+            grown = grown.extended([c])
+        assert lat.same_module(grown)
+
+        def shape(lattice):
+            return [(row, col[row].ord_at(0)) for row, col in lattice.pivots]
+
+        assert shape(lat) == shape(grown)
 
 
 class TestLinalg:

@@ -213,3 +213,9 @@ class TestWeylGroebner:
         gens = parse_weyl_generators(
             "x*dx*(x*dx + y*dy) - x*(x*dx + y*dy + 1)*(x*dx+1/2) ; dx*dy - 1", ("x", "y"))
         assert weyl_groebner(gens, budget=800) == [WeylElement.const(2, 1)]
+
+    def test_unit_ideal_cliff_stops_at_the_constant(self):
+        # a constant joins the basis at pop 220, and the loop stops there
+        gens = parse_weyl_generators(
+            "x*dx*(x*dx + y*dy) - x*(x*dx + y*dy + 1)*(x*dx+1/2) ; dx*dy - 1", ("x", "y"))
+        assert weyl_groebner(gens, budget=300) == [WeylElement.const(2, 1)]
