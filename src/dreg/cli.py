@@ -9,6 +9,7 @@ byte-identical JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -339,7 +340,9 @@ def render_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing leaves no state in it."""
     ap = argparse.ArgumentParser(
         prog="dreg",
         description="Exact regularity analyses for differential operators, "

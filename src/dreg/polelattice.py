@@ -121,13 +121,31 @@ class AnnihilatorReport:
                              self.stability_rows + self.witness_rows if not r.ok]}
 
 
+def _compositions(total: int, parts: int):
+    """Tuples of `parts` non-negative integers summing to `total`, in
+    lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
 def _symbol_monomials(chart: NCChart, bound: int):
-    """Exponents (a, b) of monomials x^a xi^b of total degree <= bound."""
+    """Exponents (a, b) of monomials x^a xi^b of total degree <= bound,
+    by degree, then lexicographically."""
     n = chart.n
     for total in range(1, bound + 1):
-        for exps in itertools.product(range(total + 1), repeat=2 * n):
-            if sum(exps) == total:
-                yield exps[:n], exps[n:]
+        for exps in _compositions(total, 2 * n):
+            yield exps[:n], exps[n:]
+
+
+def _window(chart: NCChart, level: int, max_poly: int) -> tuple:
+    """Pairs (pole order, exponent) of the monomials with pole order <= level
+    and polynomial degree <= max_poly, by pole order."""
+    return tuple((pole, alpha) for pole in range(level + 1)
+                 for alpha in chart.monomials_with_pole(pole, max_poly))
 
 
 def _in_monomial_ideal(chart: NCChart, a: tuple, b: tuple) -> bool:
@@ -149,6 +167,7 @@ def pole_filtration_annihilator(chart: NCChart, bound: int = 6) -> AnnihilatorRe
     1/(product of the x_l named by its d-support).
     """
     ideal = theta_XZ_ideal(chart)
+    window = _window(chart, bound, bound)
     stability = []
     ok_all = True
     for i in range(chart.n):
@@ -158,14 +177,13 @@ def pole_filtration_annihilator(chart: NCChart, bound: int = 6) -> AnnihilatorRe
             a = (0,) * chart.n
         b = tuple(1 if j == i else 0 for j in range(chart.n))
         gen_name = f"x{i+1}*xi{i+1}" if i < chart.r else f"xi{i+1}"
-        for k in range(bound + 1):
-            for alpha in chart.monomials_with_pole(k, bound):
-                coeff, exp = _apply_lift(chart, a, b, alpha)
-                ok = coeff == 0 or chart.pole_order(exp) <= k
-                if not ok:
-                    ok_all = False
-                stability.append(ScanRow(
-                    f"{gen_name} on x^{alpha} at level {k}", ok))
+        for k, alpha in window:
+            coeff, exp = _apply_lift(chart, a, b, alpha)
+            ok = coeff == 0 or chart.pole_order(exp) <= k
+            if not ok:
+                ok_all = False
+            stability.append(ScanRow(
+                f"{gen_name} on x^{alpha} at level {k}", ok))
     witnesses = []
     for a, b in _symbol_monomials(chart, bound):
         if _in_monomial_ideal(chart, a, b):
@@ -337,33 +355,30 @@ class LogLattice:
                     add((shifted, i), c * ce)
         return out
 
-    def apply_symbol_monomial(self, a: tuple, b: tuple, elem: dict) -> dict | None:
-        """Action of the lift x^a d^b on a windowed element.
+    def derivation_image(self, alpha: tuple, j: int, b: tuple, memo: dict) -> dict:
+        """Image of d^b on the frame element x^alpha e_j, kept in memo
+        under (alpha, j, b).
 
-        d_l for a dividing coordinate is realized as x_l^(-1) (x_l d_l);
-        the inverse powers fold into the final monomial shift, which keeps
-        everything in the pole-module window.
+        d_l for a dividing coordinate is realized as x_l^(-1) (x_l d_l).
+        The coordinates act in increasing order, so the image for b is one
+        derivation, along the last nonzero coordinate l of b, on the image
+        for b less one unit at l.
         """
-        chart = self.chart
-        work = dict(elem)
-        for l in range(chart.n):
-            for _ in range(b[l]):
-                if l < chart.r:
-                    work = self.apply_derivation(l, work)
-                    # divide by x_l
-                    work = {(tuple(al - (1 if i == l else 0) for i, al in enumerate(alpha)), j): c
-                            for (alpha, j), c in work.items()}
-                else:
-                    work = self.apply_derivation(l, work)
-        out: dict = {}
-        for (alpha, j), c in work.items():
-            shifted = tuple(al + ai for al, ai in zip(alpha, a))
-            s = out.get((shifted, j), Fraction(0)) + c
-            if s:
-                out[(shifted, j)] = s
-            else:
-                out.pop((shifted, j), None)
-        return out
+        key = (alpha, j, b)
+        image = memo.get(key)
+        if image is not None:
+            return image
+        l = max((i for i, e in enumerate(b) if e), default=None)
+        if l is None:
+            image = self.frame_element(alpha, j)
+        else:
+            lower = b[:l] + (b[l] - 1,) + b[l + 1:]
+            image = self.apply_derivation(l, self.derivation_image(alpha, j, lower, memo))
+            if l < self.chart.r:
+                image = {(beta[:l] + (beta[l] - 1,) + beta[l + 1:], i): c
+                         for (beta, i), c in image.items()}
+        memo[key] = image
+        return image
 
     def element_pole_order(self, elem: dict) -> int:
         if not elem:
@@ -411,28 +426,26 @@ def theorem_forward_filtration(lattice: LogLattice, chart: NCChart,
         twist = chart.r
     ideal = theta_XZ_ideal(chart)
     radical = is_radical_squarefree_monomial(ideal)
+    window = _window(chart, twist + bound, bound)
     rows = []
     stable = True
     for i in range(chart.n):
         gen_name = f"x{i+1}*xi{i+1}" if i < chart.r else f"xi{i+1}"
-        for k in range(bound + 1):
-            level = twist + k
-            for alpha in _window(chart, level, bound):
-                for j in range(lattice.rank):
-                    elem = lattice.frame_element(alpha, j)
-                    image = lattice.apply_derivation(i, elem)
-                    ok = lattice.element_pole_order(image) <= level if image else True
+        orders = [[lattice.element_pole_order(
+                       lattice.apply_derivation(i, lattice.frame_element(alpha, j)))
+                   for j in range(lattice.rank)] for _pole, alpha in window]
+        for level in range(twist, twist + bound + 1):
+            for (pole, alpha), row in zip(window, orders):
+                if pole > level:
+                    break
+                for j, order in enumerate(row):
+                    ok = order <= level
                     if not ok:
                         stable = False
                     rows.append(ScanRow(
                         f"{gen_name} on x^{alpha} e_{j} at level {level}", ok))
     incl = prop21_inclusion(lattice, chart, bound, twist=twist)
     return ForwardReport(ideal, radical, stable, tuple(rows), incl.holds)
-
-
-def _window(chart: NCChart, level: int, max_poly: int):
-    for pole in range(level + 1):
-        yield from chart.monomials_with_pole(pole, max_poly)
 
 
 @dataclass(frozen=True)
@@ -480,8 +493,10 @@ def prop21_inclusion(data, chart: NCChart, bound: int = 4,
     if isinstance(data, LogLattice):
         if twist is None:
             twist = chart.r
+        window = _window(chart, twist + bound, bound)
+        memo: dict = {}
         for a, b in _symbol_monomials(chart, bound):
-            if _annihilates_lattice(data, chart, a, b, bound, twist):
+            if _annihilates_lattice(data, window, a, b, twist, memo):
                 check(a, b)
         return Prop21Report(not violations, tuple(found), tuple(violations))
 
@@ -499,21 +514,29 @@ def prop21_inclusion(data, chart: NCChart, bound: int = 4,
     return Prop21Report(not violations, tuple(found), tuple(violations))
 
 
-def _annihilates_lattice(lattice: LogLattice, chart: NCChart, a: tuple,
-                         b: tuple, bound: int, twist: int) -> bool:
+def _annihilates_lattice(lattice: LogLattice, window: tuple, a: tuple,
+                         b: tuple, twist: int, memo: dict) -> bool:
+    """Whether x^a d^b maps every level twist + k of the scanned window into
+    level twist + k + |b| - 1.
+
+    A monomial of pole order p lies in the levels with k >= max(0, p - twist);
+    the target level grows with k, so the lowest of them decides.
+    """
+    r = lattice.chart.r
     d = sum(b)
-    for k in range(bound + 1):
-        level = twist + k
-        for alpha in _window(chart, level, bound):
-            for j in range(lattice.rank):
-                elem = lattice.frame_element(alpha, j)
-                image = lattice.apply_symbol_monomial(a, b, elem)
-                if not image:
-                    continue
-                if k + d - 1 < 0:
-                    return False
-                if lattice.element_pole_order(image) > twist + k + d - 1:
-                    return False
+    for pole, alpha in window:
+        k = max(0, pole - twist)
+        for j in range(lattice.rank):
+            image = lattice.derivation_image(alpha, j, b, memo)
+            if not image:
+                continue
+            if k + d - 1 < 0:
+                return False
+            # pole order of x^a times the image
+            order = max(sum(max(0, -beta[i] - a[i]) for i in range(r))
+                        for beta, _i in image)
+            if order > twist + k + d - 1:
+                return False
     return True
 
 

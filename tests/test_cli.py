@@ -5,7 +5,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from dreg.cli import main, parse_point, render_json
+from dreg.cli import build_parser, main, parse_point, render_json
 from dreg.corpus import OPERATORS
 from dreg.parser import (ParseError, format_operator, parse_operator,
                          parse_weyl_generators)
@@ -50,6 +50,32 @@ class TestParser:
     def test_multi_generator_split(self):
         gens = parse_weyl_generators("dx ; dy ; x*dx + y*dy", ("x", "y"))
         assert len(gens) == 3
+
+
+class TestParserReuse:
+    """The parser is built once per process; parsing must leave nothing in it."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_each_verb_keeps_its_own_defaults(self):
+        ap = build_parser()
+        first = ap.parse_args(["polelattice", "--n", "1", "--r", "1"])
+        second = ap.parse_args(["theorem", "--file", "F"])
+        assert first.bound == 6
+        assert second.bound == 4 and second.file == "F"
+        assert not hasattr(second, "n")
+
+    def test_repeated_request_prints_identical_bytes(self, capsys):
+        argv = ("theorem", "--file", str(CORPUS / "euler_lattice.chart"),
+                "--format", "json")
+        code1, out1, _ = run_cli(capsys, *argv)
+        code, _, _ = run_cli(capsys, "polelattice", "--n", "2", "--r", "1",
+                             "--bound", "3")
+        assert code == 0
+        code2, out2, _ = run_cli(capsys, *argv)
+        assert code1 == code2 == 0
+        assert out1 == out2
 
 
 class TestPointParsing:

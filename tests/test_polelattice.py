@@ -1,20 +1,26 @@
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dreg.cli import _read_chart_file
 from dreg.dmod import CurveModule
-from dreg.ideals import Ideal, is_radical_squarefree_monomial
+from dreg.ideals import (Ideal, groebner_basis, is_radical_squarefree_monomial,
+                         normal_form)
 from dreg.parser import parse_operator
 from dreg.polelattice import (LogLattice, NCChart, PoleModuleElement,
-                              goodness_scan, pole_filtration_annihilator,
-                              prop21_inclusion, theorem_backward_extraction,
+                              _symbol_monomials, goodness_scan,
+                              pole_filtration_annihilator, prop21_inclusion,
+                              theorem_backward_extraction,
                               theorem_forward_filtration, theta_XZ_ideal)
 from dreg.polynomials import MPoly, RatFun
 from dreg.regularity import IRREGULAR, REGULAR
 from dreg.weyl import coordinate_names
 
 ALL_CHARTS = [(n, r) for n in (1, 2, 3) for r in range(1, n + 1)]
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def op(text):
@@ -213,3 +219,134 @@ class TestBackwardExtraction:
             p = op(expr)
             report = theorem_backward_extraction(p, 3)
             assert (report.verdict == REGULAR) == kashiwara_regular_at_zero(p).regular
+
+
+# -- the memoized window scan against a direct reference -----------------------
+
+
+def reference_symbol_monomials(chart, bound):
+    n = chart.n
+    for total in range(1, bound + 1):
+        for exps in itertools.product(range(total + 1), repeat=2 * n):
+            if sum(exps) == total:
+                yield exps[:n], exps[n:]
+
+
+def reference_lift_image(lattice, a, b, alpha, j):
+    """x^a d^b on x^alpha e_j: d^b by repeated derivations, coordinate by
+    coordinate, d_l = x_l^(-1) (x_l d_l) on a dividing coordinate, then the
+    x^a shift."""
+    chart = lattice.chart
+    work = lattice.frame_element(alpha, j)
+    for l in range(chart.n):
+        for _ in range(b[l]):
+            work = lattice.apply_derivation(l, work)
+            if l < chart.r:
+                work = {(tuple(e - (i == l) for i, e in enumerate(beta)), k): c
+                        for (beta, k), c in work.items()}
+    return {(tuple(e + s for e, s in zip(beta, a)), k): c
+            for (beta, k), c in work.items()}
+
+
+def reference_annihilates(lattice, chart, a, b, bound, twist):
+    """Every level of every window, each checked on its own."""
+    d = sum(b)
+    for k in range(bound + 1):
+        level = twist + k
+        for pole in range(level + 1):
+            for alpha in chart.monomials_with_pole(pole, bound):
+                for j in range(lattice.rank):
+                    image = reference_lift_image(lattice, a, b, alpha, j)
+                    if not image:
+                        continue
+                    if k + d - 1 < 0:
+                        return False
+                    if lattice.element_pole_order(image) > level + d - 1:
+                        return False
+    return True
+
+
+def reference_prop21(lattice, chart, bound):
+    gb = groebner_basis(theta_XZ_ideal(chart))
+    found, violations = [], []
+    for a, b in reference_symbol_monomials(chart, bound):
+        if reference_annihilates(lattice, chart, a, b, bound, chart.r):
+            mono = MPoly.monomial(chart.ring, a + b)
+            (found if normal_form(mono, gb).is_zero() else violations).append(str(mono))
+    return not violations, tuple(found), tuple(violations)
+
+
+def assert_matches_reference(lattice, chart, bound):
+    report = prop21_inclusion(lattice, chart, bound)
+    assert (report.holds, report.annihilating, report.violations) == \
+        reference_prop21(lattice, chart, bound)
+
+
+SMALL = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
+                         Fraction(-2, 3), Fraction(5, 2)])
+
+
+@st.composite
+def integrable_charts(draw):
+    """Commuting constant gammas g_l = p_l * g + q_l * I."""
+    n = draw(st.integers(1, 2))
+    r = draw(st.integers(1, n))
+    rank = draw(st.integers(1, 2))
+    g = [[draw(SMALL) for _ in range(rank)] for _ in range(rank)]
+    gammas = []
+    for _ in range(n):
+        p, q = draw(SMALL), draw(SMALL)
+        gammas.append([[p * g[i][j] + (q if i == j else 0) for j in range(rank)]
+                       for i in range(rank)])
+    chart = NCChart(n, r)
+    return chart, LogLattice(chart, rank, gammas), draw(st.integers(1, 3))
+
+
+class TestMemoizedScan:
+    @pytest.mark.parametrize("name, bound", [("euler_lattice.chart", 6),
+                                             ("nilpotent_lattice.chart", 6),
+                                             ("plane_lattice.chart", 3)])
+    def test_corpus_charts_match_reference(self, name, bound):
+        chart, lattice = _read_chart_file(str(CORPUS / name))
+        assert_matches_reference(lattice, chart, bound)
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=integrable_charts())
+    def test_integrable_charts_match_reference(self, case):
+        chart, lattice, bound = case
+        assert_matches_reference(lattice, chart, bound)
+
+    def test_catalog_and_polynomial_gammas_match_reference(self):
+        for _name, chart, lattice in lattice_catalog():
+            assert_matches_reference(lattice, chart, 3)
+        c1 = coordinate_names(1)
+        x = MPoly.var(c1, "x")
+        chart = NCChart(1, 1)
+        lattice = LogLattice(chart, 2, [[[x, MPoly.const(c1, 1)],
+                                         [x * x, MPoly.zero(c1)]]])
+        assert_matches_reference(lattice, chart, 4)
+
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_symbol_monomials_in_product_order(self, n):
+        chart = NCChart(n, 1)
+        for bound in range(7):
+            assert list(_symbol_monomials(chart, bound)) == \
+                list(reference_symbol_monomials(chart, bound))
+
+    def test_forward_theorem_derivation_count(self, monkeypatch):
+        # one derivation image per (generator, monomial, frame index) and
+        # per memoized d^b; recomputing at every level took 3,474 calls
+        chart, lattice = _read_chart_file(str(CORPUS / "plane_lattice.chart"))
+        calls = 0
+        apply = LogLattice.apply_derivation
+
+        def counted(self, l, elem):
+            nonlocal calls
+            calls += 1
+            return apply(self, l, elem)
+
+        monkeypatch.setattr(LogLattice, "apply_derivation", counted)
+        report = theorem_forward_filtration(lattice, chart, 3)
+        assert report.certified
+        assert len(report.rows) == 344
+        assert calls <= 1000

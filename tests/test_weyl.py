@@ -208,8 +208,8 @@ class TestWeylGroebner:
                     assert normal_form(s, gb, ring).is_zero()
 
     def test_unit_ideal_cliff_within_budget(self):
-        # normal selection with the chain criterion needs 630 S-pairs; first in,
-        # first out without it needs 903
+        # normal selection with the chain criterion stops at pop 220, when a
+        # constant joins the basis; first in, first out without it needs 903
         gens = parse_weyl_generators(
             "x*dx*(x*dx + y*dy) - x*(x*dx + y*dy + 1)*(x*dx+1/2) ; dx*dy - 1", ("x", "y"))
         assert weyl_groebner(gens, budget=800) == [WeylElement.const(2, 1)]
