@@ -106,23 +106,24 @@ class CurveModule:
                 for i in range(self.dim)]
 
     def filtration_generators(self, levels: int, start=None):
-        """Generator lists of F^0 .. F^levels for F^k = F_k(D) F^0.
+        """Echelon generator lists of F^0 .. F^levels for F^k = F_k(D) F^0."""
+        return [lattice.generators() for lattice in self.filtration_lattices(levels, start)]
+
+    def filtration_lattices(self, levels: int, start=None):
+        """F^0 .. F^levels as lattices, with F^(k+1) = F^k + d F^k.
 
         The default F^0 is spanned by the whole frame; passing a smaller
         start list realizes coarser good filtrations of the same module.
+        F^(k+1) grows from the at most m echelon generators g of F^k and
+        their images d(g): d(f g) = f' g + f d(g) with f' in O, so these
+        span the same module as the images of any generating list.
         """
-        gens = [list(start) if start is not None else list(self.frame())]
+        lattice = LocalLattice(self.dim, start if start is not None else self.frame())
+        out = [lattice]
         for _ in range(levels):
-            prev = gens[-1]
-            new = list(prev)
-            for g in prev:
-                new.append(self.partial_action(g))
-            gens.append(new)
-        return gens
-
-    def filtration_lattices(self, levels: int, start=None):
-        return [LocalLattice(self.dim, g)
-                for g in self.filtration_generators(levels, start)]
+            lattice = lattice.extended([self.partial_action(g) for g in lattice.generators()])
+            out.append(lattice)
+        return out
 
     def monomial_annihilates(self, a: int, b: int, lattices, scan_levels: int) -> bool:
         """Does the symbol of x^a d^b kill Gr_F up to the scanned window?"""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dmod import ContradictionError
-from .lattices import LocalLattice
+from .lattices import Laurent, PolarLattice
 from .linalg import determinant, gauss_solve, mat_mul
 from .operators import UnivarOperator
 from .polynomials import INF, RatFun, as_rat, denominator_lcm, factor_rational
@@ -204,7 +204,7 @@ class SaturationResult:
     status: str
     steps: int
     max_steps: int
-    lattice: LocalLattice | None
+    lattice: PolarLattice | None
 
     @property
     def stabilized(self) -> bool:
@@ -219,6 +219,12 @@ def saturate_lattice(system: ConnectionSystem, point,
                      max_steps: int | None = None) -> SaturationResult:
     """Iterate L -> L + theta L from the standard lattice at the point.
 
+    Every iterate contains O^m, so it is held by its polar parts.  theta is
+    Q-linear and theta(f v) = x f' v + f theta(v) with x f' in O, so step s
+    needs theta only of the rows added at step s - 1; theta of older rows
+    already lies in L_s.  Step 0 tests theta(e_i) = x (row i of B), which
+    puts theta(O^m) inside L_1.
+
     Stabilization certifies a theta-stable coherent extension; exceeding the
     bound is explicitly not a verdict of irregularity.
     """
@@ -226,25 +232,36 @@ def saturate_lattice(system: ConnectionSystem, point,
         return saturate_lattice(system.at_infinity(), Fraction(0), max_steps)
     point = as_rat(point)
     if point:
-        # lattices live at the origin, where valuations are trailing-exponent lookups
+        # lattices live at the origin, where Laurent tails are power-series divisions
         return saturate_lattice(system.shifted(point), Fraction(0), max_steps)
     m = system.rank
     if max_steps is None:
         max_steps = m * (system.pole_order_at(point) + 1) + 4
-    var = system.var
-    shift = RatFun.x(var)
+    series = [[(j, Laurent(e)) for j, e in enumerate(row) if not e.is_zero()]
+              for row in system.flow_matrix()]
 
-    def theta(vec):
-        d = system.functional_derivative(vec)
-        return tuple(shift * e for e in d)
+    def theta(v):
+        """The polar part of x (v' + v B) for v = {(exponent, component): c}."""
+        out = {}
+        for (e, i), c in v.items():
+            if e:
+                out[e, i] = out.get((e, i), 0) + e * c
+            for j, f in series[i]:
+                # x^e x^n x lies in the polar part while n <= -e - 2
+                for n, b in enumerate(f.terms(-e - 1), e + 1 + f.start):
+                    if b:
+                        out[n, j] = out.get((n, j), 0) + c * b
+        return {k: c for k, c in out.items() if c}
 
-    lattice = LocalLattice.standard(m, var)
+    lattice = PolarLattice(m, system.var)
+    new = [{(0, i): Fraction(1)} for i in range(m)]
     for step in range(max_steps + 1):
-        images = [theta(g) for g in lattice.generators()]
-        new = [v for v in images if not lattice.contains(v)]
-        if not new:
+        added = []
+        for v in new:
+            added += lattice.insert(theta(v))
+        if not added:
             return SaturationResult(STABILIZED, step, max_steps, lattice)
-        lattice = lattice.extended(new)
+        new = added
     return SaturationResult(EXCEEDED_BOUND, max_steps, max_steps, None)
 
 

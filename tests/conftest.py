@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+from dreg.linalg import mat_mul
 from dreg.operators import UnivarOperator
 from dreg.polynomials import MPoly, RatFun
+from dreg.systems import ConnectionSystem
 from dreg.weyl import WeylElement
 
 
@@ -76,6 +78,40 @@ def random_operator_with_poles(rng: random.Random, c: Fraction, var: str = "x",
     coeffs = [random_ratfun_with_poles(rng, c, var, degree, pole) for _ in range(n)]
     coeffs.append(RatFun.const(var, 1))
     return UnivarOperator(var, coeffs)
+
+
+def random_system(rng: random.Random, rank: int, var: str = "x",
+                  degree: int = 2, pole: int = 2) -> ConnectionSystem:
+    """A connection matrix with poles at 0, at a nonzero rational and at
+    the roots of x^2 + 1; about a quarter of the entries are zero."""
+    points = (Fraction(0), random_point(rng))
+    rows = [[RatFun.zero(var) if rng.random() < 0.25
+             else random_ratfun_with_poles(rng, rng.choice(points), var, degree, pole)
+             for _ in range(rank)] for _ in range(rank)]
+    return ConnectionSystem(rows, var)
+
+
+def random_gauged_euler(rng: random.Random, rank: int, var: str = "x") -> ConnectionSystem:
+    """An Euler system diag(a_i / x) moved by the gauge T = I + U, U strictly
+    upper triangular with entries c / x^k: regular at 0 by construction, and
+    its saturated lattice mixes exponents across components."""
+    x = RatFun.x(var)
+    zero, one = RatFun.zero(var), RatFun.const(var, 1)
+    ident = [[one if i == j else zero for j in range(rank)] for i in range(rank)]
+    euler = [[RatFun.const(var, rng.randint(-3, 3)) / x if i == j else zero
+              for j in range(rank)] for i in range(rank)]
+    u = [[RatFun.const(var, rng.randint(-2, 2)) / x ** rng.randint(1, 2) if j > i else zero
+          for j in range(rank)] for i in range(rank)]
+    t = [[a + b for a, b in zip(r, s)] for r, s in zip(ident, u)]
+    # T^-1 = I - U + U^2 - ..., since U is nilpotent
+    t_inv, power = ident, ident
+    for k in range(1, rank):
+        power = mat_mul(power, u)
+        t_inv = [[a + (-1) ** k * b for a, b in zip(r, s)] for r, s in zip(t_inv, power)]
+    conj = mat_mul(mat_mul(t_inv, euler), t)
+    drift = mat_mul(t_inv, [[e.derivative() for e in row] for row in t])
+    # flow matrix T^-1 B T - T^-1 T', so A = T^-1 T' - T^-1 B T
+    return ConnectionSystem([[d - c for c, d in zip(r, s)] for r, s in zip(conj, drift)], var)
 
 
 @pytest.fixture

@@ -105,6 +105,26 @@ class TestGoodFiltration:
         assert ok
 
 
+class TestEchelonFiltration:
+    """Each level grows from the echelon of the last, not from its whole list."""
+
+    def test_annihilator_monomials_unchanged(self):
+        module = CurveModule.from_operator(op("x^2*d - 1").monic())
+        expected = [(2, 1), (3, 1), (2, 2), (4, 1), (3, 2), (2, 3)]
+        sizes = {1: 0, 2: 0, 3: 1, 4: 3, 5: 6}
+        for bound, size in sizes.items():
+            assert module.annihilator_monomials(bound) == expected[:size]
+
+    @pytest.mark.parametrize("expr", ["x^2*d - 1", "d^2 + 1", "x*(1 - x)*d^2 + d - 1/4",
+                                      "d^3 - x"])
+    def test_at_most_rank_generators_per_level(self, expr):
+        module = CurveModule.from_operator(op(expr).monic())
+        for start in (None, [module.frame()[0]]):
+            levels = module.filtration_generators(8, start)
+            assert len(levels) == 9
+            assert all(len(gens) <= module.dim for gens in levels)
+
+
 class TestRadicalIndependence:
     """Two good filtrations of the same module have the same radical."""
 

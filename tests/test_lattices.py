@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dreg.lattices import LocalLattice
+from dreg.lattices import Laurent, LocalLattice, PolarLattice, polar_part
 from dreg.linalg import determinant, gauss_solve, mat_mul
 from dreg.polynomials import MPoly, RatFun
 
@@ -77,6 +77,61 @@ class TestInsertionWalk:
             return [(row, col[row].ord_at(0)) for row, col in lattice.pivots]
 
         assert shape(lat) == shape(grown)
+
+
+# a numerator, k and a unit u, u(0) != 0, for the denominator x^k u
+LAURENT_INPUTS = st.tuples(st.lists(st.integers(-3, 3), min_size=1, max_size=4),
+                           st.integers(0, 3), st.sampled_from([(1,), (2, 1), (1, 0, 1),
+                                                               (-1, 2, 0, 1)]))
+
+# polar vectors {(exponent, component): c} in rank <= 3, depth <= 4
+POLAR = st.dictionaries(st.tuples(st.integers(-4, -1), st.integers(0, 2)),
+                        st.fractions(min_value=-3, max_value=3, max_denominator=3)
+                        .filter(bool), max_size=5)
+
+
+class TestPolarLattice:
+    @settings(max_examples=15, deadline=None)
+    @given(LAURENT_INPUTS)
+    def test_laurent_matches_sympy(self, data):
+        sympy = pytest.importorskip("sympy")
+        num, k, unit = data
+        f = rf(num, [0] * k + list(unit))
+        X = sympy.Symbol("x")
+        expr = (sum(c * X ** i for i, c in enumerate(num))
+                / (X ** k * sum(c * X ** i for i, c in enumerate(unit))))
+        stop = 3
+        series = Laurent(f)
+        expansion = sympy.series(expr, X, 0, stop).removeO()
+        expected = [expansion.coeff(X, e) for e in range(series.start, stop)]
+        assert series.start == min(0, f.ord_at(0))
+        assert [sympy.Rational(c.numerator, c.denominator)
+                for c in series.terms(stop)] == expected
+
+    def test_polar_part_ignores_other_poles(self):
+        v = (rf([1], [-1, 1]) + rf([2], [0, 0, 1]), rf([0]))  # 1/(x-1) + 2/x^2
+        assert polar_part(v) == {(-2, 0): 2}
+        lat = PolarLattice(2)
+        assert lat.contains((rf([1], [-1, 1]), rf([3, 1])))
+        assert not lat.contains(v)
+        lat.insert({(-2, 0): Fraction(1)})
+        assert lat.contains(v)
+        assert lat.contains((rf([1], [0, 1]), rf([0])))  # the shift 1/x
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(POLAR, min_size=1, max_size=4))
+    def test_insert_keeps_an_echelon_closed_under_the_shift(self, vectors):
+        lat = PolarLattice(3)
+        for v in vectors:
+            lat.insert(v)
+            assert not lat.reduce(v)
+        for pivot, row in lat.rows.items():
+            assert min(row) == pivot and row[pivot] == 1
+            assert not lat.reduce({(e + 1, j): c for (e, j), c in row.items() if e < -1})
+        gens = lat.generators()
+        assert len(gens) == 3 + len(lat.rows)
+        assert all(lat.contains(g) for g in gens)
+        assert all(polar_part(g) in lat.rows.values() for g in gens[3:])
 
 
 class TestLinalg:

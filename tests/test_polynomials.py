@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dreg.polynomials import (INF, MPoly, Rat, RatFun, factor_rational,
                               rational_roots, squarefree_part, univar_gcd)
@@ -164,6 +165,46 @@ class TestAgainstSympy:
             assert rest == from_sympy(nonlinear, X, sympy).monic_univar()
             repeated += any(m > 1 for _, m in roots)
         assert repeated > 10
+
+
+# p / (x^k (x + c)^i (x^2 + 1)^j): poles at 0, at a rational and off the rationals
+def _ratfun(num, k, c, i, j):
+    x = MPoly.var(("x",), "x")
+    den = x ** k * (x + c) ** i * (x ** 2 + 1) ** j
+    return RatFun(MPoly.from_univar_coeffs("x", num), den)
+
+
+RATFUNS = st.builds(_ratfun, st.lists(st.integers(-4, 4), max_size=4),
+                    st.integers(0, 2), st.integers(-2, 2).filter(bool),
+                    st.integers(0, 2), st.integers(0, 1))
+
+
+class TestRatFunFieldLaws:
+    @settings(max_examples=40, deadline=None)
+    @given(RATFUNS, RATFUNS, RATFUNS)
+    def test_associative(self, f, g, h):
+        assert (f + g) + h == f + (g + h)
+        assert (f * g) * h == f * (g * h)
+
+    @settings(max_examples=40, deadline=None)
+    @given(RATFUNS, RATFUNS, RATFUNS)
+    def test_distributive(self, f, g, h):
+        assert f * (g + h) == f * g + f * h
+
+    @settings(max_examples=40, deadline=None)
+    @given(RATFUNS)
+    def test_inverses(self, f):
+        assert (f + (-f)).is_zero()
+        assert f - f == RatFun.zero("x")
+        if not f.is_zero():
+            assert f * (1 / f) == RatFun.const("x", 1)
+            assert f / f == RatFun.const("x", 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(RATFUNS, RATFUNS)
+    def test_quotient_rule(self, f, g):
+        if not g.is_zero():
+            assert (f / g).derivative() == (f.derivative() * g - f * g.derivative()) / (g * g)
 
 
 class TestRatFun:

@@ -1,19 +1,29 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dreg.dmod import ContradictionError
+from dreg.lattices import LocalLattice
 from dreg.operators import UnivarOperator
 from dreg.parser import parse_operator
-from dreg.polynomials import MPoly, RatFun
+from dreg.polynomials import MPoly, RatFun, as_rat
 from dreg.regularity import (GLOBAL_IRREGULAR, GLOBAL_REGULAR, INFINITY,
                              IRREGULAR, REGULAR, fuchs_regular_at)
 from dreg.systems import (ConnectionSystem, CyclicVectorError, EXCEEDED_BOUND,
                           STABILIZED, cyclic_vector, regular_system_report,
                           saturate_lattice)
 
-from conftest import random_operator
+from conftest import (random_gauged_euler, random_operator, random_ratfun_with_poles,
+                      random_system)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def rat(text):
@@ -84,6 +94,87 @@ class TestSaturation:
         assert res.lattice is None
 
 
+def reference_saturation(sysm, point, max_steps=None):
+    """L -> L + theta L by whole LocalLattice echelons: the reference loop.
+
+    Returns (status, steps, lattice or None), the lattice at the origin of
+    the moved chart, as saturate_lattice leaves its own.
+    """
+    if point is INFINITY:
+        return reference_saturation(sysm.at_infinity(), Fraction(0), max_steps)
+    point = as_rat(point)
+    if point:
+        return reference_saturation(sysm.shifted(point), Fraction(0), max_steps)
+    m = sysm.rank
+    if max_steps is None:
+        max_steps = m * (sysm.pole_order_at(point) + 1) + 4
+    shift = RatFun.x(sysm.var)
+    lattice = LocalLattice.standard(m, sysm.var)
+    for step in range(max_steps + 1):
+        images = [tuple(shift * e for e in sysm.functional_derivative(g))
+                  for g in lattice.generators()]
+        new = [v for v in images if not lattice.contains(v)]
+        if not new:
+            return STABILIZED, step, lattice
+        lattice = lattice.extended(new)
+    return EXCEEDED_BOUND, max_steps, None
+
+
+class TestPolarSaturation:
+    """saturate_lattice on polar parts against the LocalLattice loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from([1, 2]),
+           st.integers(0, 6))
+    def test_matches_reference_loop(self, rng, rank, max_steps):
+        sysm = random_system(rng, rank)
+        roots, _ = sysm.singular_support()
+        for pt in [root for root, _ in roots] + [INFINITY]:
+            res = saturate_lattice(sysm, pt, max_steps)
+            status, steps, ref = reference_saturation(sysm, pt, max_steps)
+            assert (res.status, res.steps) == (status, steps), str(pt)
+            if ref is not None:
+                polar = res.lattice
+                assert all(polar.contains(g) for g in ref.generators())
+                assert all(ref.contains(g) for g in polar.generators())
+
+    def test_matches_reference_loop_on_gauged_euler_systems(self):
+        rng = random.Random(41)
+        deep = 0
+        for _ in range(40):
+            sysm = random_gauged_euler(rng, 3)
+            res = saturate_lattice(sysm, 0, 6)
+            status, steps, ref = reference_saturation(sysm, 0, 6)
+            assert (res.status, res.steps) == (status, steps) == (STABILIZED, steps)
+            assert all(res.lattice.contains(g) for g in ref.generators())
+            assert all(ref.contains(g) for g in res.lattice.generators())
+            deep += steps >= 2
+        assert deep > 10
+
+    def test_generators_are_p_over_x_power(self):
+        res = saturate_lattice(system([["0", "-1"], ["1/x^2", "-1/x"]]), 0)
+        gens = res.lattice.generators()
+        assert res.stabilized and len(gens) > 2
+        for g in gens:
+            assert all(e.den.is_monomial() for e in g)
+            assert res.lattice.contains(g)
+
+    def test_d3_companion_default_bound_finishes(self, tmp_path):
+        sys_file = tmp_path / "d3.sys"
+        sys_file.write_text("rank 3\n0 ; -1 ; 0\n0 ; 0 ; -1\n"
+                            "2/3/x^2 ; 3/4*x^2 ; 0\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run(
+            [sys.executable, "-m", "dreg.cli", "system", "--file", str(sys_file),
+             "--format", "json"],
+            capture_output=True, text=True, timeout=30, env=env)
+        assert done.returncode == 0, done.stderr
+        points = json.loads(done.stdout)["certificates"][0]["points"]
+        assert [(p["point"], p["saturation"]) for p in points] == [
+            ("0", {"status": STABILIZED, "steps": 1, "max_steps": 13}),
+            ("inf", {"status": EXCEEDED_BOUND, "steps": 19, "max_steps": 19})]
+
+
 class TestReports:
     def test_euler(self):
         rep = regular_system_report(system([["-5/x"]]))
@@ -117,6 +208,21 @@ class TestReports:
             p = random_operator(rng, order=2, degree=2, pole=2).monic()
             sysm = ConnectionSystem.companion(p)
             rep = regular_system_report(sysm)
+            for pt in rep.points:
+                if pt.saturation.stabilized:
+                    assert pt.fuchs.verdict == REGULAR
+                    checked += 1
+        assert checked > 10
+
+    def test_stabilized_implies_regular_rank_three_sweep(self):
+        rng = random.Random(331)
+        checked = 0
+        for _ in range(24):
+            c = rng.choice((Fraction(0), Fraction(rng.randint(1, 3))))
+            coeffs = [random_ratfun_with_poles(rng, c, degree=2, pole=2)
+                      for _ in range(3)]
+            p = UnivarOperator("x", coeffs + [RatFun.const("x", 1)])
+            rep = regular_system_report(ConnectionSystem.companion(p), max_steps=6)
             for pt in rep.points:
                 if pt.saturation.stabilized:
                     assert pt.fuchs.verdict == REGULAR
