@@ -27,8 +27,7 @@ from .parser import (ParseError, format_operator, parse_operator,
 from .polelattice import (LogLattice, NCChart, goodness_scan,
                           pole_filtration_annihilator, prop21_inclusion,
                           theorem_backward_extraction,
-                          theorem_forward_filtration, theta_XZ_ideal)
-from .polynomials import INF
+                          theorem_forward_filtration)
 from .regularity import (INFINITY, IRREGULAR, REGULAR, fuchs_regular_at,
                          newton_polygon, regular_on_projective_line,
                          theta_regular_at_zero)

@@ -17,12 +17,12 @@ from typing import NamedTuple
 from .ideals import (DEFAULT_BUDGET, DEGREVLEX, LEX, Ideal, basis_dimension,
                      groebner_basis, is_radical_squarefree_monomial,
                      normal_form, radical_membership)
-from .lattices import LocalLattice
+from .lattices import PolarLattice
 from .operators import UnivarOperator, to_theta_form
-from .polynomials import INF, MPoly, RatFun, as_rat, factor_rational
-from .regularity import (FuchsCertificate, INFINITY, IRREGULAR, REGULAR,
-                         _localize, fuchs_regular_at)
-from .weyl import WeylElement, coordinate_names, symbol_names
+from .polynomials import INF, MPoly, RatFun, factor_rational
+from .regularity import (FuchsCertificate, IRREGULAR, REGULAR, _localize,
+                         fuchs_regular_at)
+from .weyl import coordinate_names, symbol_names
 
 
 class ContradictionError(RuntimeError):
@@ -99,26 +99,20 @@ class CurveModule:
             out.append(acc)
         return tuple(out)
 
-    def frame(self):
-        one = RatFun.const(self.var, 1)
-        zero = RatFun.zero(self.var)
-        return [tuple(one if j == i else zero for j in range(self.dim))
-                for i in range(self.dim)]
+    def filtration_generators(self, levels: int):
+        """O-bases of F^0 .. F^levels for F^k = F_k(D) F^0, m vectors each."""
+        return [lattice.generators() for lattice in self.filtration_lattices(levels)]
 
-    def filtration_generators(self, levels: int, start=None):
-        """Echelon generator lists of F^0 .. F^levels for F^k = F_k(D) F^0."""
-        return [lattice.generators() for lattice in self.filtration_lattices(levels, start)]
+    def filtration_lattices(self, levels: int):
+        """F^0 .. F^levels as polar lattices, with F^(k+1) = F^k + d F^k.
 
-    def filtration_lattices(self, levels: int, start=None):
-        """F^0 .. F^levels as lattices, with F^(k+1) = F^k + d F^k.
-
-        The default F^0 is spanned by the whole frame; passing a smaller
-        start list realizes coarser good filtrations of the same module.
-        F^(k+1) grows from the at most m echelon generators g of F^k and
-        their images d(g): d(f g) = f' g + f d(g) with f' in O, so these
-        span the same module as the images of any generating list.
+        F^0 is O^m, spanned by the frame e_1 .. e_m, so every level
+        contains O^m and is held by its polar parts.  F^(k+1) grows from the
+        m basis vectors g of F^k and their images d(g): d(f g) = f' g +
+        f d(g) with f' in O, so these span the same module as the images of
+        any generating list.
         """
-        lattice = LocalLattice(self.dim, start if start is not None else self.frame())
+        lattice = PolarLattice(self.dim, self.var)
         out = [lattice]
         for _ in range(levels):
             lattice = lattice.extended([self.partial_action(g) for g in lattice.generators()])
@@ -142,10 +136,10 @@ class CurveModule:
                     return False
         return True
 
-    def annihilator_monomials(self, bound: int, start=None):
+    def annihilator_monomials(self, bound: int):
         """Symbol monomials x^a xi^b (a + b <= bound) killing the graded
         module across all scanned levels."""
-        lattices = self.filtration_lattices(2 * bound, start)
+        lattices = self.filtration_lattices(2 * bound)
         found = []
         for total in range(1, bound + 1):
             for b in range(total + 1):
@@ -231,7 +225,8 @@ def check_good_filtration(p: UnivarOperator, bound: int = 8, point=0) -> tuple[b
     """Certify F^1 D . F^j = F^(j+1) for n <= j <= bound on D/DP.
 
     Each spanning generator of F^(j+1) is exhibited inside the local-ring
-    span of the F^j generators and their single d-applications.
+    span of the F^j generators and their single d-applications; that span
+    contains O^m, as F^j does, so it is a polar lattice.
     """
     local = _localize(p, point)
     module = CurveModule.from_operator(local)
@@ -239,8 +234,8 @@ def check_good_filtration(p: UnivarOperator, bound: int = 8, point=0) -> tuple[b
     transcript = []
     ok = True
     for j in range(module.dim, bound + 1):
-        span = LocalLattice(module.dim,
-                            gens[j] + [module.partial_action(g) for g in gens[j]])
+        span = PolarLattice(module.dim, module.var).extended(
+            gens[j] + [module.partial_action(g) for g in gens[j]])
         for idx, g in enumerate(gens[j + 1]):
             inside = span.contains(g)
             if not inside:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .polynomials import INF, MPoly, RatFun, as_rat, denominator_lcm
+from .polynomials import MPoly, RatFun, as_rat, denominator_lcm
 from .weyl import WeylElement
 
 

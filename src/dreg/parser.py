@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .operators import UnivarOperator
 from .polynomials import MPoly, RatFun, format_mpoly
-from .weyl import WeylElement, coordinate_names, deriv_names, format_weyl
+from .weyl import WeylElement, deriv_names
 
 
 class ParseError(ValueError):

@@ -14,7 +14,6 @@ curve-level backward extraction.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,7 +22,7 @@ from .ideals import (DEFAULT_BUDGET, Ideal, groebner_basis,
                      is_radical_squarefree_monomial, normal_form)
 from .linalg import mat_mul, mat_sub
 from .operators import UnivarOperator
-from .polynomials import INF, MPoly, RatFun
+from .polynomials import INF, MPoly
 from .regularity import IRREGULAR, REGULAR
 from .weyl import coordinate_names, symbol_names
 

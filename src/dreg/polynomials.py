@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 # Base field: Q.  Kept as an alias so call sites read as field elements,
 # not as "the stdlib fraction type".

@@ -67,7 +67,7 @@ class ConnectionSystem:
         if new_var == self.var:
             new_var = "t" if self.var != "t" else "s"
         t2 = RatFun.x(new_var) ** 2
-        a = [[-(-e.invert_var(new_var)) / t2 for e in row] for row in self.matrix]
+        a = [[-e.invert_var(new_var) / t2 for e in row] for row in self.matrix]
         # A~ = -B~ = t^-2 B(1/t) = -t^-2 A(1/t)
         return ConnectionSystem(a, new_var)
 

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .ideals import (DEFAULT_BUDGET, Ideal, Ring, buchberger_basis,
                      symbol_weight_order)
-from .polynomials import MPoly, as_rat, format_mpoly
+from .polynomials import MPoly, as_rat
 
 _COORD_NAMES = ("x", "y", "z")
 _SYMBOL_NAMES = ("xi", "eta", "zeta")

@@ -19,7 +19,8 @@ from dreg.polynomials import MPoly, RatFun
 from dreg.regularity import INFINITY, IRREGULAR, REGULAR
 from dreg.weyl import WeylElement, characteristic_ideal, symbol_names
 
-from conftest import random_operator, random_operator_with_poles, random_point
+from conftest import (frame, random_operator, random_operator_with_poles, random_point,
+                      reference_annihilator_monomials, reference_filtration)
 
 
 def op(text):
@@ -119,10 +120,33 @@ class TestEchelonFiltration:
                                       "d^3 - x"])
     def test_at_most_rank_generators_per_level(self, expr):
         module = CurveModule.from_operator(op(expr).monic())
-        for start in (None, [module.frame()[0]]):
-            levels = module.filtration_generators(8, start)
+        coarse = [lattice.generators()
+                  for lattice in reference_filtration(module, 8, [frame(module)[0]])]
+        for levels in (module.filtration_generators(8), coarse):
             assert len(levels) == 9
             assert all(len(gens) <= module.dim for gens in levels)
+
+
+class TestPolarFiltration:
+    """The polar filtration against the LocalLattice reference from the frame."""
+
+    def test_matches_reference_on_random_operators(self):
+        rng = random.Random(5)
+        deep = 0
+        for i in range(24):
+            module = CurveModule.from_operator(random_operator(rng, degree=2, pole=2))
+            bound = 1 + i % 3
+            polar = module.filtration_lattices(2 * bound)
+            reference = reference_filtration(module, 2 * bound)
+            for lattice, ref in zip(polar, reference, strict=True):
+                gens = lattice.generators()
+                assert len(gens) == module.dim
+                assert all(ref.contains(g) for g in gens)
+                assert all(lattice.contains(g) for g in ref.generators())
+            assert (module.annihilator_monomials(bound)
+                    == reference_annihilator_monomials(module, bound))
+            deep += len(polar[-1].rows) > module.dim
+        assert deep > 5
 
 
 class TestRadicalIndependence:
@@ -134,7 +158,7 @@ class TestRadicalIndependence:
         module = CurveModule.from_operator(p)
         bound = 3
         fine = module.annihilator_monomials(bound)
-        coarse = module.annihilator_monomials(bound, start=[module.frame()[0]])
+        coarse = reference_annihilator_monomials(module, bound, [frame(module)[0]])
         ring = ("x", symbol_names(1)[0])
         def ideal_of(monos):
             gens = [MPoly.monomial(ring, e) for e in monos]

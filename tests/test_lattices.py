@@ -3,13 +3,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dreg.lattices import Laurent, LocalLattice, PolarLattice, polar_part
+from dreg.lattices import Laurent, PolarLattice, polar_part
 from dreg.linalg import determinant, gauss_solve, mat_mul
 from dreg.polynomials import MPoly, RatFun
+
+from conftest import LocalLattice
 
 
 def rf(num, den=(1,)):
     return RatFun.from_coeffs("x", num, den)
+
+
+def polar_vector(row: dict, dim: int) -> tuple:
+    """A polar dict {(exponent, component): c} written as a RatFun vector."""
+    out = [rf([0])] * dim
+    for (e, j), c in row.items():
+        out[j] = out[j] + rf([c], [0] * -e + [1])
+    return tuple(out)
 
 
 class TestLocalLattice:
@@ -129,9 +139,32 @@ class TestPolarLattice:
             assert min(row) == pivot and row[pivot] == 1
             assert not lat.reduce({(e + 1, j): c for (e, j), c in row.items() if e < -1})
         gens = lat.generators()
-        assert len(gens) == 3 + len(lat.rows)
+        assert len(gens) == 3
         assert all(lat.contains(g) for g in gens)
-        assert all(polar_part(g) in lat.rows.values() for g in gens[3:])
+        for i, g in enumerate(gens):
+            # the pivots of component i run from -1 down to -d_i without gaps
+            depth = sum(j == i for _, j in lat.rows)
+            assert {(-k, i) for k in range(1, depth + 1)} == {p for p in lat.rows if p[1] == i}
+            if depth:
+                assert polar_part(g) == lat.rows[-depth, i]
+            else:
+                assert g == tuple(rf([int(j == i)]) for j in range(3))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(POLAR, min_size=1, max_size=4))
+    def test_generators_are_an_m_vector_basis(self, vectors):
+        lat = PolarLattice(3)
+        for v in vectors:
+            lat.insert(v)
+        gens = lat.generators()
+        assert len(gens) == 3
+        for g in gens:
+            assert all(e.den.is_monomial() for e in g)
+            assert lat.contains(g)
+        # the same module as e_1 .. e_m and the rows, by the reference lattice
+        rows = LocalLattice.standard(3).extended(
+            polar_vector(row, 3) for row in lat.rows.values())
+        assert LocalLattice(3, gens).same_module(rows)
 
 
 class TestLinalg:

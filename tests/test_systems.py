@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dreg.dmod import ContradictionError
-from dreg.lattices import LocalLattice
+from dreg.lattices import polar_part
 from dreg.operators import UnivarOperator
 from dreg.parser import parse_operator
 from dreg.polynomials import MPoly, RatFun, as_rat
@@ -20,8 +20,8 @@ from dreg.systems import (ConnectionSystem, CyclicVectorError, EXCEEDED_BOUND,
                           STABILIZED, cyclic_vector, regular_system_report,
                           saturate_lattice)
 
-from conftest import (random_gauged_euler, random_operator, random_ratfun_with_poles,
-                      random_system)
+from conftest import (LocalLattice, random_gauged_euler, random_operator,
+                      random_ratfun_with_poles, random_system)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -154,7 +154,8 @@ class TestPolarSaturation:
     def test_generators_are_p_over_x_power(self):
         res = saturate_lattice(system([["0", "-1"], ["1/x^2", "-1/x"]]), 0)
         gens = res.lattice.generators()
-        assert res.stabilized and len(gens) > 2
+        assert res.stabilized and len(gens) == 2
+        assert any(polar_part(g) for g in gens)  # at least one has a pole
         for g in gens:
             assert all(e.den.is_monomial() for e in g)
             assert res.lattice.contains(g)
@@ -235,3 +236,14 @@ class TestReports:
         assert inf_sys.var == "t"
         res = cyclic_vector(inf_sys)
         assert fuchs_regular_at(res.operator, 0).verdict == REGULAR
+
+    def test_infinity_chart_carries_solutions(self):
+        # d^2 - 2/x^2 has the solution x^2, so its companion has (x^2, 2x);
+        # in the chart t = 1/x that is (t^-2, 2/t), and y' + A y = 0 there
+        sysm = ConnectionSystem.companion(parse_operator("d^2 - 2/x^2"))
+        inf_sys = sysm.at_infinity()
+        t = RatFun.x("t")
+        y = (RatFun.const("t", 1) / t ** 2, RatFun.const("t", 2) / t)
+        residual = [f.derivative() + sum((a * g for a, g in zip(row, y)), RatFun.zero("t"))
+                    for f, row in zip(y, inf_sys.matrix)]
+        assert all(r.is_zero() for r in residual)
