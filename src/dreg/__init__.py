@@ -16,9 +16,8 @@ from .dmod import (CharVariety, ContradictionError, CyclicFiltration,
                    decompose_symbol_ideal, dimension_report,
                    fuchs_kashiwara_equivalence, kashiwara_regular_at_zero,
                    singular_points, trivial_filtration_annihilator)
-from .polelattice import (LogLattice, NCChart, PoleModuleElement,
-                          pole_filtration_annihilator, prop21_inclusion,
-                          theorem_backward_extraction,
+from .polelattice import (LogLattice, NCChart, pole_filtration_annihilator,
+                          prop21_inclusion, theorem_backward_extraction,
                           theorem_forward_filtration, theta_XZ_ideal)
 from .systems import (ConnectionSystem, cyclic_vector, regular_system_report,
                       saturate_lattice)

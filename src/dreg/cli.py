@@ -20,7 +20,8 @@ from .corpus import CHART_FILES, OPERATOR_FILES, OPERATORS, SYSTEM_FILES
 from .dmod import (ContradictionError, ZeroModuleError, decompose_symbol_ideal,
                    dimension_report, fuchs_kashiwara_equivalence,
                    kashiwara_regular_at)
-from .ideals import BudgetExceeded, DEFAULT_BUDGET
+from .ideals import (BudgetExceeded, DEFAULT_BUDGET,
+                     is_radical_squarefree_monomial)
 from .operators import UnivarOperator
 from .parser import (ParseError, format_operator, parse_operator,
                      parse_polynomial, parse_ratfun, parse_weyl_generators)
@@ -67,14 +68,18 @@ def _report(command: str, inputs: dict, verdicts: list, certificates: list,
     return report
 
 
+def _read_lines(path: str) -> list[str]:
+    """The lines of a file that are neither blank nor comments, unstripped."""
+    p = Path(path)
+    if not p.exists():
+        raise InputError(f"no such file: {p}")
+    return [ln for ln in p.read_text().splitlines()
+            if ln.strip() and not ln.lstrip().startswith("#")]
+
+
 def _read_source(args) -> str:
     if getattr(args, "file", None):
-        path = Path(args.file)
-        if not path.exists():
-            raise InputError(f"no such file: {path}")
-        lines = [ln for ln in path.read_text().splitlines()
-                 if ln.strip() and not ln.lstrip().startswith("#")]
-        return "\n".join(lines)
+        return "\n".join(_read_lines(args.file))
     if getattr(args, "expression", None):
         return args.expression
     raise InputError("provide an inline expression or --file")
@@ -198,8 +203,7 @@ def cmd_polelattice(args) -> dict:
     chart = NCChart(args.n, args.r)
     rep = pole_filtration_annihilator(chart, args.bound)
     good, transcript = goodness_scan(chart, args.bound)
-    incl = prop21_inclusion(None, chart, min(args.bound, 4))
-    from .ideals import is_radical_squarefree_monomial
+    incl = prop21_inclusion(rep, chart, min(args.bound, 4))
     verdicts = [
         {"method": "annihilator", "verdict":
             "matches" if rep.matches_ideal else "mismatch"},
@@ -214,11 +218,7 @@ def cmd_polelattice(args) -> dict:
 
 
 def _read_chart_file(path: str):
-    p = Path(path)
-    if not p.exists():
-        raise InputError(f"no such file: {p}")
-    lines = [ln.strip() for ln in p.read_text().splitlines()
-             if ln.strip() and not ln.lstrip().startswith("#")]
+    lines = [ln.strip() for ln in _read_lines(path)]
     header = {}
     idx = 0
     while idx < len(lines) and lines[idx].split()[0] in ("n", "r", "rank"):
@@ -233,7 +233,7 @@ def _read_chart_file(path: str):
     gammas = []
     for l in range(n):
         if idx >= len(lines) or not lines[idx].startswith("gamma"):
-            raise InputError(f"expected 'gamma {l+1}' block in {p}")
+            raise InputError(f"expected 'gamma {l+1}' block in {Path(path)}")
         idx += 1
         rows = []
         for _ in range(rank):
@@ -272,11 +272,7 @@ def cmd_theorem(args) -> dict:
 
 
 def _read_system_file(path: str) -> ConnectionSystem:
-    p = Path(path)
-    if not p.exists():
-        raise InputError(f"no such file: {p}")
-    lines = [ln.strip() for ln in p.read_text().splitlines()
-             if ln.strip() and not ln.lstrip().startswith("#")]
+    lines = [ln.strip() for ln in _read_lines(path)]
     if not lines or not lines[0].startswith("rank"):
         raise InputError("system file must start with 'rank m'")
     rank = int(lines[0].split()[1])

@@ -13,13 +13,12 @@ curve-level backward extraction.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .dmod import CurveModule, CyclicFiltration
-from .ideals import (DEFAULT_BUDGET, Ideal, groebner_basis,
-                     is_radical_squarefree_monomial, normal_form)
+from .ideals import (Ideal, is_radical_squarefree_monomial,
+                     minimal_monomial_generators)
 from .linalg import mat_mul, mat_sub
 from .operators import UnivarOperator
 from .polynomials import INF, MPoly
@@ -50,14 +49,24 @@ class NCChart:
         return sum(max(0, a) for a in alpha)
 
     def monomials_with_pole(self, pole: int, max_poly: int):
-        """Exponent vectors in Z^n with the given total pole order."""
-        ranges = []
-        for i in range(self.n):
-            low = -pole if i < self.r else 0
-            ranges.append(range(low, max_poly + 1))
-        for alpha in itertools.product(*ranges):
-            if self.pole_order(alpha) == pole and self.poly_degree(alpha) <= max_poly:
-                yield alpha
+        """Exponent vectors in Z^n with the given total pole order and
+        polynomial degree at most max_poly, in lexicographic order.
+
+        Built coordinate by coordinate from the pole order and degree still
+        to spend; only a dividing coordinate may take a negative exponent.
+        """
+        def extend(i, pole_left, poly_left):
+            if i == self.n or (i >= self.r and pole_left):
+                if not pole_left:
+                    yield ()
+                return
+            low = -pole_left if i < self.r else 0
+            for e in range(low, poly_left + 1):
+                for rest in extend(i + 1, pole_left + min(e, 0),
+                                   poly_left - max(e, 0)):
+                    yield (e,) + rest
+
+        return extend(0, pole, max_poly)
 
 
 def theta_XZ_ideal(chart: NCChart) -> Ideal:
@@ -75,6 +84,12 @@ def theta_XZ_ideal(chart: NCChart) -> Ideal:
         e[chart.n + i] = 1
         gens.append(MPoly.monomial(ring, e))
     return Ideal(ring, gens)
+
+
+def _in_ideal(generators: list, exps: tuple) -> bool:
+    """Membership of the monomial with exponents exps in a monomial ideal:
+    divisibility by one of its minimal generators."""
+    return any(all(g <= e for g, e in zip(gen, exps)) for gen in generators)
 
 
 def _falling(a: int, b: int) -> int:
@@ -147,16 +162,6 @@ def _window(chart: NCChart, level: int, max_poly: int) -> tuple:
                  for alpha in chart.monomials_with_pole(pole, max_poly))
 
 
-def _in_monomial_ideal(chart: NCChart, a: tuple, b: tuple) -> bool:
-    for i in range(chart.r):
-        if a[i] >= 1 and b[i] >= 1:
-            return True
-    for i in range(chart.r, chart.n):
-        if b[i] >= 1:
-            return True
-    return False
-
-
 def pole_filtration_annihilator(chart: NCChart, bound: int = 6) -> AnnihilatorReport:
     """Certify Ann Gr_F = (x_l xi_l, xi_m) on the scanned window.
 
@@ -166,6 +171,7 @@ def pole_filtration_annihilator(chart: NCChart, bound: int = 6) -> AnnihilatorRe
     1/(product of the x_l named by its d-support).
     """
     ideal = theta_XZ_ideal(chart)
+    generators = minimal_monomial_generators(ideal)
     window = _window(chart, bound, bound)
     stability = []
     ok_all = True
@@ -185,7 +191,7 @@ def pole_filtration_annihilator(chart: NCChart, bound: int = 6) -> AnnihilatorRe
                 f"{gen_name} on x^{alpha} at level {k}", ok))
     witnesses = []
     for a, b in _symbol_monomials(chart, bound):
-        if _in_monomial_ideal(chart, a, b):
+        if _in_ideal(generators, a + b):
             continue
         support = [i for i in range(chart.r) if b[i] >= 1]
         witness = tuple(-1 if i in support else 0 for i in range(chart.n))
@@ -224,64 +230,20 @@ def goodness_scan(chart: NCChart, bound: int = 6) -> tuple[bool, list]:
     return ok_all, transcript
 
 
-class PoleModuleElement:
-    """Finite Q-combination of monomials x^alpha with poles only on Z."""
-
-    __slots__ = ("chart", "terms")
-
-    def __init__(self, chart: NCChart, terms=None):
-        self.chart = chart
-        clean = {}
-        if terms:
-            for alpha, c in terms.items():
-                alpha = tuple(alpha)
-                if len(alpha) != chart.n:
-                    raise ValueError("wrong exponent length")
-                if any(alpha[i] < 0 for i in range(chart.r, chart.n)):
-                    raise ValueError("poles allowed only on the dividing coordinates")
-                c = Fraction(c)
-                if c:
-                    clean[alpha] = c
-        self.terms = clean
-
-    def pole_order(self) -> int:
-        if not self.terms:
-            return 0
-        return max(self.chart.pole_order(a) for a in self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def apply_lift(self, a: tuple, b: tuple) -> "PoleModuleElement":
-        out: dict[tuple, Fraction] = {}
-        for alpha, c in self.terms.items():
-            coeff, exp = _apply_lift(self.chart, a, b, alpha)
-            if coeff:
-                s = out.get(exp, Fraction(0)) + c * coeff
-                if s:
-                    out[exp] = s
-                else:
-                    out.pop(exp, None)
-        return PoleModuleElement(self.chart, out)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c}*x^{a}" for a, c in sorted(self.terms.items()))
-
-
 class LogLattice:
     """Rank-m lattice with logarithmic connection matrices over Q[x].
 
     gammas[l] is the matrix of the action of x_l d_l (l < r) or d_l
-    (l >= r) on the frame, on top of the derivation itself.
+    (l >= r) on the frame, on top of the derivation itself.  The images of
+    d^b on frame elements are kept as they are computed.
     """
 
-    __slots__ = ("chart", "rank", "gammas")
+    __slots__ = ("chart", "rank", "gammas", "_images")
 
     def __init__(self, chart: NCChart, rank: int, gammas):
         self.chart = chart
         self.rank = rank
+        self._images: dict = {}
         coords = coordinate_names(chart.n)
         mats = []
         if len(gammas) != chart.n:
@@ -354,9 +316,9 @@ class LogLattice:
                     add((shifted, i), c * ce)
         return out
 
-    def derivation_image(self, alpha: tuple, j: int, b: tuple, memo: dict) -> dict:
-        """Image of d^b on the frame element x^alpha e_j, kept in memo
-        under (alpha, j, b).
+    def derivation_image(self, alpha: tuple, j: int, b: tuple) -> dict:
+        """Image of d^b on the frame element x^alpha e_j, computed once per
+        lattice and then read from its memo.
 
         d_l for a dividing coordinate is realized as x_l^(-1) (x_l d_l).
         The coordinates act in increasing order, so the image for b is one
@@ -364,7 +326,7 @@ class LogLattice:
         for b less one unit at l.
         """
         key = (alpha, j, b)
-        image = memo.get(key)
+        image = self._images.get(key)
         if image is not None:
             return image
         l = max((i for i, e in enumerate(b) if e), default=None)
@@ -372,17 +334,21 @@ class LogLattice:
             image = self.frame_element(alpha, j)
         else:
             lower = b[:l] + (b[l] - 1,) + b[l + 1:]
-            image = self.apply_derivation(l, self.derivation_image(alpha, j, lower, memo))
+            image = self.apply_derivation(l, self.derivation_image(alpha, j, lower))
             if l < self.chart.r:
                 image = {(beta[:l] + (beta[l] - 1,) + beta[l + 1:], i): c
                          for (beta, i), c in image.items()}
-        memo[key] = image
+        self._images[key] = image
         return image
 
-    def element_pole_order(self, elem: dict) -> int:
-        if not elem:
-            return 0
-        return max(self.chart.pole_order(alpha) for (alpha, _j) in elem)
+    def lift_pole_order(self, a: tuple, b: tuple, alpha: tuple, j: int) -> int | None:
+        """Pole order of x^a d^b (x^alpha e_j); None for the zero image."""
+        image = self.derivation_image(alpha, j, b)
+        if not image:
+            return None
+        r = self.chart.r
+        return max(sum(max(0, -beta[i] - a[i]) for i in range(r))
+                   for beta, _i in image)
 
 
 @dataclass(frozen=True)
@@ -430,15 +396,16 @@ def theorem_forward_filtration(lattice: LogLattice, chart: NCChart,
     stable = True
     for i in range(chart.n):
         gen_name = f"x{i+1}*xi{i+1}" if i < chart.r else f"xi{i+1}"
-        orders = [[lattice.element_pole_order(
-                       lattice.apply_derivation(i, lattice.frame_element(alpha, j)))
+        b = tuple(int(k == i) for k in range(chart.n))
+        a = b if i < chart.r else (0,) * chart.n
+        orders = [[lattice.lift_pole_order(a, b, alpha, j)
                    for j in range(lattice.rank)] for _pole, alpha in window]
         for level in range(twist, twist + bound + 1):
             for (pole, alpha), row in zip(window, orders):
                 if pole > level:
                     break
                 for j, order in enumerate(row):
-                    ok = order <= level
+                    ok = order is None or order <= level
                     if not ok:
                         stable = False
                     rows.append(ScanRow(
@@ -460,42 +427,40 @@ class Prop21Report:
 
 
 def prop21_inclusion(data, chart: NCChart, bound: int = 4,
-                     twist: int | None = None,
-                     budget: int = DEFAULT_BUDGET) -> Prop21Report:
+                     twist: int | None = None) -> Prop21Report:
     """Graded-annihilator monomials up to the bound all lie in the
     logarithmic symbol ideal.
 
-    Accepts the bare chart pole module (data None), a LogLattice, a curve
-    operator, or a curve theta-action matrix.
+    Accepts the bare chart pole module (data None, or the
+    AnnihilatorReport of its window scan, which is then not run again), a
+    LogLattice, a curve operator, or a curve theta-action matrix.
+    Membership in the monomial ideal is divisibility by one of its minimal
+    generators.
     """
-    ideal = theta_XZ_ideal(chart)
-    gb = groebner_basis(ideal, budget=budget)
+    generators = minimal_monomial_generators(theta_XZ_ideal(chart))
+    if data is None or isinstance(data, AnnihilatorReport):
+        report = pole_filtration_annihilator(chart, bound) if data is None else data
+        if not report.matches_ideal:
+            return Prop21Report(False, (), ("window scan failed",))
+        return Prop21Report(True, tuple(
+            str(MPoly.monomial(chart.ring, a + b))
+            for a, b in _symbol_monomials(chart, bound)
+            if _in_ideal(generators, a + b)), ())
+
     found: list[str] = []
     violations: list[str] = []
 
     def check(a, b):
-        mono = MPoly.monomial(chart.ring, tuple(a) + tuple(b))
-        if normal_form(mono, gb).is_zero():
-            found.append(str(mono))
-            return
-        violations.append(str(mono))
-
-    if data is None:
-        report = pole_filtration_annihilator(chart, bound)
-        if not report.matches_ideal:
-            return Prop21Report(False, (), ("window scan failed",))
-        for a, b in _symbol_monomials(chart, bound):
-            if _in_monomial_ideal(chart, a, b):
-                check(a, b)
-        return Prop21Report(not violations, tuple(found), tuple(violations))
+        exps = a + b
+        mono = str(MPoly.monomial(chart.ring, exps))
+        (found if _in_ideal(generators, exps) else violations).append(mono)
 
     if isinstance(data, LogLattice):
         if twist is None:
             twist = chart.r
         window = _window(chart, twist + bound, bound)
-        memo: dict = {}
         for a, b in _symbol_monomials(chart, bound):
-            if _annihilates_lattice(data, window, a, b, twist, memo):
+            if _annihilates_lattice(data, window, a, b, twist):
                 check(a, b)
         return Prop21Report(not violations, tuple(found), tuple(violations))
 
@@ -514,27 +479,21 @@ def prop21_inclusion(data, chart: NCChart, bound: int = 4,
 
 
 def _annihilates_lattice(lattice: LogLattice, window: tuple, a: tuple,
-                         b: tuple, twist: int, memo: dict) -> bool:
+                         b: tuple, twist: int) -> bool:
     """Whether x^a d^b maps every level twist + k of the scanned window into
     level twist + k + |b| - 1.
 
     A monomial of pole order p lies in the levels with k >= max(0, p - twist);
     the target level grows with k, so the lowest of them decides.
     """
-    r = lattice.chart.r
     d = sum(b)
     for pole, alpha in window:
         k = max(0, pole - twist)
         for j in range(lattice.rank):
-            image = lattice.derivation_image(alpha, j, b, memo)
-            if not image:
+            order = lattice.lift_pole_order(a, b, alpha, j)
+            if order is None:
                 continue
-            if k + d - 1 < 0:
-                return False
-            # pole order of x^a times the image
-            order = max(sum(max(0, -beta[i] - a[i]) for i in range(r))
-                        for beta, _i in image)
-            if order > twist + k + d - 1:
+            if k + d - 1 < 0 or order > twist + k + d - 1:
                 return False
     return True
 

@@ -1,16 +1,19 @@
 import itertools
+import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dreg.cli
+import dreg.polelattice
 from dreg.cli import _read_chart_file
 from dreg.dmod import CurveModule
 from dreg.ideals import (Ideal, groebner_basis, is_radical_squarefree_monomial,
-                         normal_form)
+                         minimal_monomial_generators, normal_form)
 from dreg.parser import parse_operator
-from dreg.polelattice import (LogLattice, NCChart, PoleModuleElement,
+from dreg.polelattice import (LogLattice, NCChart, _apply_lift, _in_ideal,
                               _symbol_monomials, goodness_scan,
                               pole_filtration_annihilator, prop21_inclusion,
                               theorem_backward_extraction,
@@ -70,22 +73,37 @@ class TestPoleModule:
         ab = (0, 0)
         assert chart.pole_order(ab) <= chart.pole_order(a) + chart.pole_order(b)
 
-    def test_element_validation(self):
-        chart = NCChart(2, 1)
-        with pytest.raises(ValueError):
-            PoleModuleElement(chart, {(0, -1): 1})
-        e = PoleModuleElement(chart, {(-2, 3): 1, (0, 0): 5})
-        assert e.pole_order() == 2
-
     def test_derivation_action(self):
         chart = NCChart(1, 1)
-        e = PoleModuleElement(chart, {(-3,): 1})
         # x d x^-3 = -3 x^-3: pole order preserved
-        out = e.apply_lift((1,), (1,))
-        assert out.terms == {(-3,): Fraction(-3)}
+        assert _apply_lift(chart, (1,), (1,), (-3,)) == (-3, (-3,))
         # d x^-3 = -3 x^-4: pole order raised by exactly one
-        out2 = e.apply_lift((0,), (1,))
-        assert out2.terms == {(-4,): Fraction(-3)}
+        assert _apply_lift(chart, (0,), (1,), (-3,)) == (-3, (-4,))
+
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_monomials_with_pole_match_product_filter(self, n):
+        for r in range(1, n + 1):
+            chart = NCChart(n, r)
+            for pole in range(9):
+                for max_poly in range(8):
+                    ranges = [range(-pole if i < r else 0, max_poly + 1)
+                              for i in range(n)]
+                    reference = [alpha for alpha in itertools.product(*ranges)
+                                 if chart.pole_order(alpha) == pole
+                                 and chart.poly_degree(alpha) <= max_poly]
+                    assert list(chart.monomials_with_pole(pole, max_poly)) == reference
+
+
+class TestSymbolIdealMembership:
+    @pytest.mark.parametrize("n,r", ALL_CHARTS)
+    def test_divisibility_matches_groebner_normal_form(self, n, r):
+        chart = NCChart(n, r)
+        ideal = theta_XZ_ideal(chart)
+        generators = minimal_monomial_generators(ideal)
+        gb = groebner_basis(ideal)
+        for a, b in _symbol_monomials(chart, 6):
+            mono = MPoly.monomial(chart.ring, a + b)
+            assert _in_ideal(generators, a + b) == normal_form(mono, gb).is_zero()
 
 
 class TestAnnihilatorScan:
@@ -248,6 +266,12 @@ def reference_lift_image(lattice, a, b, alpha, j):
             for (beta, k), c in work.items()}
 
 
+def element_pole_order(chart, elem):
+    if not elem:
+        return 0
+    return max(chart.pole_order(alpha) for (alpha, _j) in elem)
+
+
 def reference_annihilates(lattice, chart, a, b, bound, twist):
     """Every level of every window, each checked on its own."""
     d = sum(b)
@@ -261,7 +285,7 @@ def reference_annihilates(lattice, chart, a, b, bound, twist):
                         continue
                     if k + d - 1 < 0:
                         return False
-                    if lattice.element_pole_order(image) > level + d - 1:
+                    if element_pole_order(chart, image) > level + d - 1:
                         return False
     return True
 
@@ -333,9 +357,10 @@ class TestMemoizedScan:
             assert list(_symbol_monomials(chart, bound)) == \
                 list(reference_symbol_monomials(chart, bound))
 
-    def test_forward_theorem_derivation_count(self, monkeypatch):
-        # one derivation image per (generator, monomial, frame index) and
-        # per memoized d^b; recomputing at every level took 3,474 calls
+    @staticmethod
+    def counted_plane_forward_theorem(monkeypatch):
+        """The forward theorem on the plane chart at bound 3, with the number
+        of apply_derivation calls it made."""
         chart, lattice = _read_chart_file(str(CORPUS / "plane_lattice.chart"))
         calls = 0
         apply = LogLattice.apply_derivation
@@ -347,6 +372,45 @@ class TestMemoizedScan:
 
         monkeypatch.setattr(LogLattice, "apply_derivation", counted)
         report = theorem_forward_filtration(lattice, chart, 3)
+        return report, calls
+
+    def test_forward_theorem_derivation_count(self, monkeypatch):
+        # one derivation image per (generator, monomial, frame index) and
+        # per memoized d^b; recomputing at every level took 3,474 calls
+        report, calls = self.counted_plane_forward_theorem(monkeypatch)
         assert report.certified
         assert len(report.rows) == 344
         assert calls <= 1000
+
+    def test_forward_rows_share_the_lattice_memo(self, monkeypatch):
+        # the stability rows read d^(e_i) from the lattice's memo, which the
+        # inclusion scan then reuses: 496 calls when the rows derived their
+        # own images
+        report, calls = self.counted_plane_forward_theorem(monkeypatch)
+        assert report.certified
+        assert calls <= 376
+
+
+class TestPolelatticeCommand:
+    def test_one_scan_per_request_and_inclusion_unchanged(self, monkeypatch, capsys):
+        # the CLI hands its scan to prop21_inclusion, whose own scan at
+        # min(bound, 4) gives the same report: both match the ideal
+        scans = 0
+        scan = dreg.polelattice.pole_filtration_annihilator
+
+        def counted(*args, **kwargs):
+            nonlocal scans
+            scans += 1
+            return scan(*args, **kwargs)
+
+        for module in (dreg.cli, dreg.polelattice):
+            monkeypatch.setattr(module, "pole_filtration_annihilator", counted)
+        for n, r in ALL_CHARTS:
+            for bound in range(8):
+                scans = 0
+                code = dreg.cli.main(["polelattice", "--n", str(n), "--r", str(r),
+                                      "--bound", str(bound), "--format", "json"])
+                assert (code, scans) == (0, 1)
+                transcript = json.loads(capsys.readouterr().out)["transcripts"][1]
+                expected = prop21_inclusion(None, NCChart(n, r), min(bound, 4))
+                assert transcript == expected.to_dict()
