@@ -146,6 +146,11 @@ class UnivarOperator:
         return NotImplemented
 
     def __pow__(self, k: int) -> "UnivarOperator":
+        terms = [(j, c) for j, c in enumerate(self.coeffs) if c]
+        if len(terms) == 1 and (terms[0][0] == 0 or terms[0][1].is_constant()):
+            # (c*d^j)^k = c^k*d^(jk) when c is a constant or j = 0: no Leibniz
+            j, c = terms[0]
+            return UnivarOperator(self.var, [RatFun.zero(self.var)] * (j * k) + [c ** k])
         result = UnivarOperator.from_entries(self.var, [1])
         for _ in range(k):
             result = result.mul(self)

@@ -10,6 +10,11 @@ Products are noncommutative and associate left to right; division is the
 right-multiplication by the inverse of a pure-coordinate factor (never a
 derivation).  Generators are separated by ';'.  The printers below emit
 canonical forms the parser reads back verbatim.
+
+In one variable a value stays a rational function in Q(x) until it meets a
+derivation: f*P scales the coefficients of P, and only P*f needs the Leibniz
+product.  A power is refused, before it is computed, when the exponent times
+the order or degree of its base exceeds MAX_POWER.
 """
 
 from __future__ import annotations
@@ -21,6 +26,9 @@ from fractions import Fraction
 from .operators import UnivarOperator
 from .polynomials import MPoly, RatFun, format_mpoly
 from .weyl import WeylElement, deriv_names
+
+
+MAX_POWER = 1000
 
 
 class ParseError(ValueError):
@@ -120,7 +128,7 @@ class _Parser:
         if self.peek().kind == "^":
             self.advance()
             tok = self.expect("num")
-            value = self.algebra.pow(value, int(tok.text))
+            value = self.algebra.pow(value, int(tok.text), tok)
         return value
 
     def parse_atom(self):
@@ -157,8 +165,15 @@ class _Parser:
         return values
 
 
+def _check_power(size: int, k: int, tok: Token) -> None:
+    """Refuse v^k when k times max(1, order or degree of v) exceeds MAX_POWER."""
+    if k * max(size, 1) > MAX_POWER:
+        raise ParseError(f"power too large: the exponent times the order or degree "
+                         f"of the base (at least 1) exceeds {MAX_POWER}", tok.line, tok.col)
+
+
 class _UnivarAlgebra:
-    """Evaluation into operators with rational-function coefficients."""
+    """Evaluation into Q(x); a value becomes an operator where it meets a derivation."""
 
     def __init__(self, var: str):
         self.var = var
@@ -166,12 +181,16 @@ class _UnivarAlgebra:
         if var == "x":
             self.deriv_tokens.add("dx")
 
-    def const(self, c: Fraction) -> UnivarOperator:
-        return UnivarOperator.from_entries(self.var, [RatFun.const(self.var, c)])
+    @staticmethod
+    def lift(v) -> UnivarOperator:
+        return v if isinstance(v, UnivarOperator) else UnivarOperator.multiplication(v)
 
-    def symbol(self, tok: Token) -> UnivarOperator:
+    def const(self, c: Fraction) -> RatFun:
+        return RatFun.const(self.var, c)
+
+    def symbol(self, tok: Token):
         if tok.text == self.var:
-            return UnivarOperator.from_entries(self.var, [RatFun.x(self.var)])
+            return RatFun.x(self.var)
         if tok.text in self.deriv_tokens:
             return UnivarOperator.derivation(self.var)
         if _DERIV_RE.fullmatch(tok.text):
@@ -181,19 +200,35 @@ class _UnivarAlgebra:
         raise ParseError(f"unknown symbol {tok.text!r}", tok.line, tok.col)
 
     def neg(self, v): return -v
-    def add(self, a, b): return a + b
-    def sub(self, a, b): return a - b
-    def mul(self, a, b): return a.mul(b)
-    def pow(self, v, k): return v ** k
+
+    def add(self, a, b):
+        if isinstance(a, RatFun) and isinstance(b, RatFun):
+            return a + b
+        return self.lift(a) + self.lift(b)
+
+    def sub(self, a, b): return self.add(a, -b)
+
+    def mul(self, a, b):
+        if isinstance(a, RatFun) and isinstance(b, UnivarOperator):
+            return b.scale(a)
+        return a * b
+
+    def pow(self, v, k, tok: Token):
+        op = self.lift(v)
+        sizes = [len(op.coeffs) - 1]
+        sizes += [max(c.num.total_degree(), c.den.total_degree()) for c in op.coeffs]
+        _check_power(max(sizes), k, tok)
+        return v ** k
 
     def div(self, a, b, tok: Token):
+        if isinstance(b, UnivarOperator) and not b.is_zero():
+            if b.order() > 0:
+                raise ParseError("division by a derivation is not defined",
+                                 tok.line, tok.col)
+            b = b.coeff(0)
         if b.is_zero():
             raise ParseError("division by zero", tok.line, tok.col)
-        if b.order() > 0:
-            raise ParseError("division by a derivation is not defined",
-                             tok.line, tok.col)
-        inv = RatFun.const(self.var, 1) / b.coeff(0)
-        return a.mul(UnivarOperator.multiplication(inv))
+        return self.mul(a, b ** -1)
 
 
 class _WeylAlgebra:
@@ -233,7 +268,10 @@ class _WeylAlgebra:
     def add(self, a, b): return a + b
     def sub(self, a, b): return a - b
     def mul(self, a, b): return a * b
-    def pow(self, v, k): return v ** k
+
+    def pow(self, v, k, tok: Token):
+        _check_power(max((sum(a) + sum(b) for a, b in v.terms), default=0), k, tok)
+        return v ** k
 
     def div(self, a, b, tok: Token):
         if b.is_zero():
@@ -249,8 +287,7 @@ class _WeylAlgebra:
 
 def parse_operator(text: str, var: str = "x") -> UnivarOperator:
     """Parse a univariate operator with rational-function coefficients."""
-    parser = _Parser(tokenize(text), _UnivarAlgebra(var))
-    return parser.parse_single()
+    return _UnivarAlgebra.lift(_Parser(tokenize(text), _UnivarAlgebra(var)).parse_single())
 
 
 def parse_weyl_generators(text: str, variables) -> list[WeylElement]:
@@ -261,14 +298,16 @@ def parse_weyl_generators(text: str, variables) -> list[WeylElement]:
 
 def parse_ratfun(text: str, var: str = "x") -> RatFun:
     """Parse a rational function (an order-zero operator)."""
-    op = parse_operator(text, var)
-    if op.is_zero():
+    tokens = tokenize(text)
+    value = _Parser(tokens, _UnivarAlgebra(var)).parse_single()
+    if isinstance(value, RatFun):
+        return value
+    if value.is_zero():
         return RatFun.zero(var)
-    if op.order() > 0:
-        tokens = tokenize(text)
+    if value.order() > 0:
         raise ParseError("expected a coefficient, found a derivation",
                          tokens[0].line, tokens[0].col)
-    return op.coeff(0)
+    return value.coeff(0)
 
 
 def parse_polynomial(text: str, variables) -> MPoly:

@@ -571,6 +571,20 @@ class RatFun:
     # -- constructors ---------------------------------------------------
 
     @classmethod
+    def from_coprime(cls, num: MPoly, den: MPoly) -> "RatFun":
+        """num/den for a pair the caller knows to be coprime (den nonzero, and
+        a unit when num is zero); only the denominator is made monic."""
+        lc = den.terms[max(den.terms)]
+        if lc != 1:
+            inv = Fraction(1) / lc
+            num = num.scale(inv)
+            den = den.scale(inv)
+        out = cls.__new__(cls)
+        out.num = num
+        out.den = den
+        return out
+
+    @classmethod
     def const(cls, var: str, value) -> "RatFun":
         return cls(MPoly.const((var,), value))
 
@@ -633,15 +647,16 @@ class RatFun:
 
     def __add__(self, other) -> "RatFun":
         other = self._coerce(other)
+        if not self.num.terms:
+            return other
+        if not other.num.terms:
+            return self
         return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatFun":
-        out = RatFun.__new__(RatFun)
-        out.num = -self.num
-        out.den = self.den
-        return out
+        return RatFun.from_coprime(-self.num, self.den)
 
     def __sub__(self, other) -> "RatFun":
         return self + (-self._coerce(other))
@@ -651,6 +666,12 @@ class RatFun:
 
     def __mul__(self, other) -> "RatFun":
         other = self._coerce(other)
+        f, c = (other, self) if self.is_constant() else (self, other)
+        if c.is_constant():
+            # a constant factor changes no common divisor
+            if c.is_zero():
+                return c
+            return RatFun.from_coprime(f.num.scale(c.constant_value()), f.den)
         return RatFun(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -665,12 +686,12 @@ class RatFun:
         return self._coerce(other) / self
 
     def __pow__(self, k: int) -> "RatFun":
-        if k < 0:
-            return RatFun.const(self.var, 1) / (self ** (-k))
-        result = RatFun.const(self.var, 1)
-        for _ in range(k):
-            result = result * self
-        return result
+        # powers of a coprime pair stay coprime, and den^k stays monic
+        if k >= 0:
+            return RatFun.from_coprime(self.num ** k, self.den ** k)
+        if self.is_zero():
+            raise ZeroDivisionError("division by the zero function")
+        return RatFun.from_coprime(self.den ** -k, self.num ** -k)
 
     def derivative(self) -> "RatFun":
         x = self.var
@@ -717,18 +738,17 @@ class RatFun:
         dd = self.den.total_degree()
         num_rev = _reverse_univar(self.num, new_var, int(nd) if self.num else 0)
         den_rev = _reverse_univar(self.den, new_var, int(dd))
-        # num(1/t)/den(1/t) = t^(dd-nd) * rev(num)/rev(den)
+        # num(1/t)/den(1/t) = t^(dd-nd) * rev(num)/rev(den); the reversals keep
+        # their degrees, so neither has a factor t, and a common root of theirs
+        # would invert to one of num and den: the pair stays coprime
         tpow = int(dd) - (int(nd) if self.num else 0)
         t = (new_var,)
         if tpow >= 0:
-            return RatFun(num_rev * MPoly.monomial(t, (tpow,)), den_rev)
-        return RatFun(num_rev, den_rev * MPoly.monomial(t, (-tpow,)))
+            return RatFun.from_coprime(num_rev * MPoly.monomial(t, (tpow,)), den_rev)
+        return RatFun.from_coprime(num_rev, den_rev * MPoly.monomial(t, (-tpow,)))
 
     def rename_var(self, new_var: str) -> "RatFun":
-        out = RatFun.__new__(RatFun)
-        out.num = self.num.rename((new_var,))
-        out.den = self.den.rename((new_var,))
-        return out
+        return RatFun.from_coprime(self.num.rename((new_var,)), self.den.rename((new_var,)))
 
     def __str__(self) -> str:
         if self.is_polynomial():

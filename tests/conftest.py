@@ -1,5 +1,6 @@
-"""Shared builders for randomized exact-arithmetic tests, and the
-LocalLattice reference that the polar lattices are checked against."""
+"""Shared builders for randomized exact-arithmetic tests, the LocalLattice
+reference that the polar lattices are checked against, and the operator
+algebra reference that the parser is checked against."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import pytest
 
 from dreg.linalg import mat_mul
 from dreg.operators import UnivarOperator
+from dreg.parser import _DERIV_RE, ParseError, Token, _Parser, tokenize
 from dreg.polynomials import MPoly, RatFun, denominator_lcm, univar_gcd
 from dreg.systems import ConnectionSystem
 from dreg.weyl import WeylElement
@@ -258,3 +260,73 @@ def reference_annihilator_monomials(module, bound: int, start=None) -> list[tupl
     levels = reference_filtration(module, 2 * bound, start)
     return [(total - b, b) for total in range(1, bound + 1) for b in range(total + 1)
             if module.monomial_annihilates(total - b, b, levels, bound)]
+
+
+# -- the reference parser algebra -------------------------------------------------
+
+
+class _UnivarAlgebra:
+    """Evaluation into operators with rational-function coefficients."""
+
+    def __init__(self, var: str):
+        self.var = var
+        self.deriv_tokens = {"d", "d" + var}
+        if var == "x":
+            self.deriv_tokens.add("dx")
+
+    def const(self, c: Fraction) -> UnivarOperator:
+        return UnivarOperator.from_entries(self.var, [RatFun.const(self.var, c)])
+
+    def symbol(self, tok: Token) -> UnivarOperator:
+        if tok.text == self.var:
+            return UnivarOperator.from_entries(self.var, [RatFun.x(self.var)])
+        if tok.text in self.deriv_tokens:
+            return UnivarOperator.derivation(self.var)
+        if _DERIV_RE.fullmatch(tok.text):
+            raise ParseError(f"derivation {tok.text!r} does not exist in a "
+                             f"1-variable context (variable {self.var!r})",
+                             tok.line, tok.col)
+        raise ParseError(f"unknown symbol {tok.text!r}", tok.line, tok.col)
+
+    def neg(self, v): return -v
+    def add(self, a, b): return a + b
+    def sub(self, a, b): return a - b
+    def mul(self, a, b): return a.mul(b)
+    def pow(self, v, k): return v ** k
+
+    def div(self, a, b, tok: Token):
+        if b.is_zero():
+            raise ParseError("division by zero", tok.line, tok.col)
+        if b.order() > 0:
+            raise ParseError("division by a derivation is not defined",
+                             tok.line, tok.col)
+        inv = RatFun.const(self.var, 1) / b.coeff(0)
+        return a.mul(UnivarOperator.multiplication(inv))
+
+
+class ReferenceUnivarAlgebra(_UnivarAlgebra):
+    """The all-operator algebra above under the shared _Parser, whose pow also
+    receives the exponent token: powers are repeated Leibniz products, uncapped."""
+
+    def pow(self, v, k, tok):
+        result = UnivarOperator.from_entries(self.var, [1])
+        for _ in range(k):
+            result = result.mul(v)
+        return result
+
+
+def reference_parse_operator(text: str, var: str = "x") -> UnivarOperator:
+    """parse_operator with every value evaluated as an operator."""
+    return _Parser(tokenize(text), ReferenceUnivarAlgebra(var)).parse_single()
+
+
+def reference_parse_ratfun(text: str, var: str = "x") -> RatFun:
+    """parse_ratfun as the order-zero coefficient of the reference operator."""
+    op = reference_parse_operator(text, var)
+    if op.is_zero():
+        return RatFun.zero(var)
+    if op.order() > 0:
+        tokens = tokenize(text)
+        raise ParseError("expected a coefficient, found a derivation",
+                         tokens[0].line, tokens[0].col)
+    return op.coeff(0)

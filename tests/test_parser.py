@@ -1,0 +1,150 @@
+"""The parser evaluates in Q(x) and lifts to operators only at a derivation;
+it is checked against the all-operator reference algebra in conftest."""
+
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dreg.operators import UnivarOperator
+from dreg.parser import (MAX_POWER, ParseError, parse_operator, parse_ratfun,
+                         parse_weyl_generators)
+
+from conftest import reference_parse_operator, reference_parse_ratfun
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# (text, size): size bounds the order and degree of the value, so that the
+# reference's repeated Leibniz products stay cheap
+LEAVES = st.sampled_from([("0", 0), ("1", 0), ("3", 0), ("x", 1), ("x", 1), ("d", 1), ("d", 1)])
+SPACES = st.sampled_from(["", " ", "\n  "])
+
+
+def _combine(children):
+    def binary(t):
+        (a, sa), op, space, (b, sb) = t
+        return f"{a}{space}{op} {b}", max(sa, sb) if op in "+-" else sa + sb
+
+    products = st.tuples(children, st.sampled_from("+-*/"), SPACES, children).map(binary)
+    return st.one_of(
+        products, products,
+        st.tuples(children, st.integers(0, 4)).map(
+            lambda t: (f"({t[0][0]})^{t[1]}", t[1] * max(t[0][1], 1))),
+        children.map(lambda t: (f"(-{t[0]})", t[1])))
+
+
+EXPRESSIONS = st.tuples(
+    st.booleans(),
+    st.recursive(LEAVES, _combine, max_leaves=10).filter(lambda t: t[1] <= 10),
+).map(lambda t: ("-" if t[0] else "") + t[1][0])
+
+WELL_FORMED = [
+    "d^3 + (x^2 - 1)/(x^2*(x - 3/2)^2)*d^2 + 2/x*d + 1/(x^2 + 1)",
+    "(x*d)^3", "(2*d^2)^3", "(x^2)^3*d", "(1/x*d)^2", "(d + x)^3", "d*x^2/(x + 1)",
+    "(d*x - x*d)^2", "x*(d - d)^0", "-(x - 1)^2*d/(x^2 + 1)^2",
+]
+MALFORMED = [
+    "1/d", "x/(x*d)", "x/(d - d)", "x/0", "1/(x - x)", "x^", "x^-1", "d^",
+    "q + x", "x*y", "dy", "d2", "x*dy + 1", "(x + 1", "x + 1)", "", "x +",
+    "x\n  * * d", "d*x - x*d)", "2/(d*x - x*d - 1)",
+]
+
+
+def outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except ParseError as exc:
+        return "error", str(exc), exc.line, exc.col
+
+
+class TestAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(EXPRESSIONS)
+    def test_operators_and_errors_match(self, text):
+        assert outcome(parse_operator, text) == outcome(reference_parse_operator, text)
+        assert outcome(parse_ratfun, text) == outcome(reference_parse_ratfun, text)
+
+    @pytest.mark.parametrize("text", WELL_FORMED)
+    def test_named_operators_match(self, text):
+        assert parse_operator(text) == reference_parse_operator(text)
+
+    @pytest.mark.parametrize("text", MALFORMED)
+    def test_malformed_inputs_fail_alike(self, text):
+        got = outcome(parse_operator, text)
+        assert got[0] == "error"
+        assert got == outcome(reference_parse_operator, text)
+        assert outcome(parse_ratfun, text) == outcome(reference_parse_ratfun, text)
+
+
+class TestParseRatfun:
+    """`.sys` entries are parsed in Q(x); operators of order 0 still read as
+    their coefficient, and a derivation is refused at the first token."""
+
+    @pytest.mark.parametrize("text", ["d", "x*d", "d*x - x*d", "1/d", " \n x*d*x",
+                                      "x/(x^2 - 1) + 3", "d - d", "(d*x - x*d)^3/x"])
+    def test_matches_reference(self, text):
+        assert outcome(parse_ratfun, text) == outcome(reference_parse_ratfun, text)
+
+    def test_order_zero_operator_yields_its_coefficient(self):
+        assert parse_ratfun("d*x - x*d") == parse_ratfun("1")
+
+    def test_derivation_refused_at_first_token(self):
+        with pytest.raises(ParseError, match="expected a coefficient, found a derivation") as err:
+            parse_ratfun("\n  x*d")
+        assert (err.value.line, err.value.col) == (2, 3)
+
+
+class TestWork:
+    def test_curves_operator_needs_no_operator_product(self, monkeypatch):
+        calls = []
+        mul = UnivarOperator.mul
+
+        def counted(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(UnivarOperator, "mul", counted)
+        p = parse_operator("d^3 + (x^2 - 1)/(x^2*(x - 3/2)^2)*d^2 + 2/x*d + 1/(x^2 + 1)")
+        assert p.order() == 3
+        assert calls == []
+
+
+class TestPowerCap:
+    @pytest.mark.parametrize("text, col", [("d^3000000000", 3), ("((x+1)^40)^40", 12),
+                                           ("(x*d + 1)^1001", 11), ("2^1001", 3)])
+    def test_operator_power_refused_at_exponent(self, text, col):
+        with pytest.raises(ParseError, match="power too large") as err:
+            parse_operator(text)
+        assert (err.value.line, err.value.col) == (1, col)
+
+    def test_weyl_power_refused_at_exponent(self):
+        with pytest.raises(ParseError, match="power too large") as err:
+            parse_weyl_generators("x*dx - (x*dy)^501", ("x", "y"))
+        assert (err.value.line, err.value.col) == (1, 15)
+
+    def test_powers_up_to_the_cap_are_computed(self):
+        assert parse_operator(f"d^{MAX_POWER}").order() == MAX_POWER
+        assert parse_ratfun(f"1/x^{MAX_POWER}").den.total_degree() == MAX_POWER
+        w = parse_weyl_generators(f"dx^{MAX_POWER}", ("x",))[0]
+        assert list(w.terms) == [((0,), (MAX_POWER,))]
+
+    @pytest.mark.parametrize("argv", [
+        ["fuchs", "d^3000000000"],
+        ["charvar", "--vars", "x", "dx^3000000000"],
+        ["fuchs", "d - ((x+1)^40)^40"],
+    ])
+    def test_cli_exits_1(self, argv):
+        # a memory limit keeps a missing cap from exhausting the machine
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run([sys.executable, "-m", "dreg.cli", *argv],
+                              capture_output=True, text=True, timeout=20, env=env,
+                              preexec_fn=limit)
+        assert done.returncode == 1, done.stderr
+        assert "power too large" in done.stderr

@@ -207,6 +207,50 @@ class TestRatFunFieldLaws:
             assert (f / g).derivative() == (f.derivative() * g - f * g.derivative()) / (g * g)
 
 
+def _invert_by_gcd(f, new_var):
+    """x -> 1/t normalised by the RatFun constructor, which runs a gcd."""
+    nd = f.num.total_degree() if f.num else 0
+    coeffs = f.num.univar_coeffs() + [Fraction(0)] * (int(nd) + 1 - len(f.num.univar_coeffs()))
+    num_rev = MPoly.from_univar_coeffs(new_var, coeffs[::-1])
+    den_rev = MPoly.from_univar_coeffs(new_var, f.den.univar_coeffs()[::-1])
+    t = MPoly.var((new_var,), new_var)
+    tpow = int(f.den.total_degree()) - int(nd)
+    if tpow >= 0:
+        return RatFun(num_rev * t ** tpow, den_rev)
+    return RatFun(num_rev, den_rev * t ** -tpow)
+
+
+class TestCoprimeShortcuts:
+    """Results built without a gcd equal the gcd-normalised ones."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(RATFUNS, st.integers(0, 4))
+    def test_powers(self, f, k):
+        expected = RatFun.const("x", 1)
+        for _ in range(k):
+            expected = RatFun(expected.num * f.num, expected.den * f.den)
+        assert f ** k == expected
+        if f:
+            assert f ** -k == RatFun(expected.den, expected.num)
+
+    @settings(max_examples=60, deadline=None)
+    @given(RATFUNS, st.fractions(-8, 8, max_denominator=5))
+    def test_negation_rename_and_constant_factors(self, f, c):
+        assert -f == RatFun(-f.num, f.den)
+        assert f.rename_var("t") == RatFun(f.num.rename(("t",)), f.den.rename(("t",)))
+        assert f * c == c * f == RatFun(f.num.scale(c), f.den)
+        assert f + 0 == 0 + f == f
+
+    @settings(max_examples=60, deadline=None)
+    @given(RATFUNS)
+    def test_invert_var(self, f):
+        assert f.invert_var("t") == _invert_by_gcd(f, "t")
+
+    def test_zero_power_refuses_a_negative_exponent(self):
+        with pytest.raises(ZeroDivisionError):
+            RatFun.zero("x") ** -1
+
+
 class TestRatFun:
     def test_reduction_invariants(self):
         f = rf([0, -1, 1], [0, 0, 2])  # (x^2 - x) / (2 x^2)

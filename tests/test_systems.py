@@ -237,6 +237,15 @@ class TestReports:
         res = cyclic_vector(inf_sys)
         assert fuchs_regular_at(res.operator, 0).verdict == REGULAR
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from([1, 2]))
+    def test_infinity_chart_matches_gcd_formula(self, rng, rank):
+        sysm = random_system(rng, rank)
+        t2 = RatFun.x("t") ** 2
+        assert sysm.at_infinity().matrix == tuple(
+            tuple(RatFun(-e.invert_var("t").num, e.invert_var("t").den) / t2 for e in row)
+            for row in sysm.matrix)
+
     def test_infinity_chart_carries_solutions(self):
         # d^2 - 2/x^2 has the solution x^2, so its companion has (x^2, 2x);
         # in the chart t = 1/x that is (t^-2, 2/t), and y' + A y = 0 there
