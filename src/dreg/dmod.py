@@ -119,16 +119,24 @@ class CurveModule:
             out.append(lattice)
         return out
 
-    def monomial_annihilates(self, a: int, b: int, lattices, scan_levels: int) -> bool:
-        """Does the symbol of x^a d^b kill Gr_F up to the scanned window?"""
-        x = RatFun.x(self.var)
+    def monomial_annihilates(self, a: int, b: int, lattices, scan_levels: int,
+                             chains: dict) -> bool:
+        """Does the symbol of x^a d^b kill Gr_F up to the scanned window?
+
+        `chains` maps a level k to [basis, d(basis), d^2(basis), ...] of
+        lattices[k]; it grows here on demand, and the callers that test
+        several monomials on the same lattices share one.
+        """
+        xa = RatFun.x(self.var) ** a
         for k in range(scan_levels + 1):
             target = lattices[k + b - 1] if k + b - 1 >= 0 else None
-            for g in lattices[k].generators():
-                w = g
-                for _ in range(b):
-                    w = self.partial_action(w)
-                w = tuple(x ** a * f for f in w)
+            chain = chains.get(k)
+            if chain is None:
+                chain = chains[k] = [lattices[k].generators()]
+            while len(chain) <= b:
+                chain.append([self.partial_action(w) for w in chain[-1]])
+            for w in chain[b]:
+                w = tuple(xa * f for f in w)
                 if target is None:
                     if not all(f.is_zero() for f in w):
                         return False
@@ -140,11 +148,12 @@ class CurveModule:
         """Symbol monomials x^a xi^b (a + b <= bound) killing the graded
         module across all scanned levels."""
         lattices = self.filtration_lattices(2 * bound)
+        chains: dict = {}
         found = []
         for total in range(1, bound + 1):
             for b in range(total + 1):
                 a = total - b
-                if self.monomial_annihilates(a, b, lattices, bound):
+                if self.monomial_annihilates(a, b, lattices, bound, chains):
                     found.append((a, b))
         return found
 

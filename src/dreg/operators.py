@@ -7,7 +7,8 @@ infinity-chart changes, and the two-way conversion with Euler form
     x^n P = sum a_i(x) theta^i,   theta = x d,
 
 computed through signed Stirling numbers of the first kind (and inverted
-with the second kind).
+with the second kind).  The chart at infinity expands the powers of
+-t^2 d_t with Lah numbers.
 """
 
 from __future__ import annotations
@@ -194,18 +195,18 @@ class UnivarOperator:
         if new_var == self.var:
             new_var = "t" if self.var != "t" else "s"
         n = self.order()
-        # (-t^2 d_t)^i expanded once as polynomial-coefficient operators
-        t2d = UnivarOperator.from_entries(new_var, [RatFun.zero(new_var),
-                                                    -RatFun.x(new_var) ** 2])
-        powers = [UnivarOperator.from_entries(new_var, [1])]
-        for _ in range(n):
-            powers.append(powers[-1].mul(t2d))
-        total = UnivarOperator.zero(new_var)
+        out = [RatFun.zero(new_var) for _ in range(n + 1)]
         for i, b in enumerate(self.coeffs):
             if b.is_zero():
                 continue
-            total = total + powers[i].scale(b.invert_var(new_var))
-        return total
+            f = b.invert_var(new_var)
+            if i == 0:
+                out[0] = f
+            # (-t^2 d_t)^i = (-1)^i sum_{k>=1} L(i,k) t^(i+k) d_t^k for i >= 1
+            for k in range(1, i + 1):
+                term = MPoly.monomial((new_var,), (i + k,), (-1) ** i * lah(i, k))
+                out[k] = out[k] + f * term
+        return UnivarOperator(new_var, out)
 
     def rename_var(self, new_var: str) -> "UnivarOperator":
         return UnivarOperator(new_var, [c.rename_var(new_var) for c in self.coeffs])
@@ -303,6 +304,16 @@ def stirling_second(n: int, k: int) -> int:
     if n == 0 or k == 0 or k > n:
         return 0
     return stirling_second(n - 1, k - 1) + k * stirling_second(n - 1, k)
+
+
+@lru_cache(maxsize=None)
+def lah(n: int, k: int) -> int:
+    """Unsigned Lah numbers: (t^2 d)^n = sum_k L(n,k) t^(n+k) d^k."""
+    if n == k == 0:
+        return 1
+    if n == 0 or k == 0 or k > n:
+        return 0
+    return math.comb(n - 1, k - 1) * math.factorial(n) // math.factorial(k)
 
 
 def to_theta_form(p: UnivarOperator) -> ThetaOperator:

@@ -115,8 +115,16 @@ def _apply_lift(chart: NCChart, a: tuple, b: tuple, alpha: tuple):
 
 @dataclass(frozen=True)
 class ScanRow:
-    description: str
+    """One checked row.  Its text is formatted only when read: reports
+    print the failing rows, and scans build thousands of passing ones."""
+
+    template: str
+    args: tuple
     ok: bool
+
+    @property
+    def description(self) -> str:
+        return self.template.format(*self.args)
 
 
 @dataclass(frozen=True)
@@ -187,8 +195,7 @@ def pole_filtration_annihilator(chart: NCChart, bound: int = 6) -> AnnihilatorRe
             ok = coeff == 0 or chart.pole_order(exp) <= k
             if not ok:
                 ok_all = False
-            stability.append(ScanRow(
-                f"{gen_name} on x^{alpha} at level {k}", ok))
+            stability.append(ScanRow("{} on x^{} at level {}", (gen_name, alpha, k), ok))
     witnesses = []
     for a, b in _symbol_monomials(chart, bound):
         if _in_ideal(generators, a + b):
@@ -201,8 +208,7 @@ def pole_filtration_annihilator(chart: NCChart, bound: int = 6) -> AnnihilatorRe
         ok = coeff != 0 and chart.pole_order(exp) == k_in + d
         if not ok:
             ok_all = False
-        witnesses.append(ScanRow(
-            f"x^{a} xi^{b} acts nonzero on x^{witness}", ok))
+        witnesses.append(ScanRow("x^{} xi^{} acts nonzero on x^{}", (a, b, witness), ok))
     return AnnihilatorReport(ideal, ok_all, tuple(stability), tuple(witnesses))
 
 
@@ -408,8 +414,8 @@ def theorem_forward_filtration(lattice: LogLattice, chart: NCChart,
                     ok = order is None or order <= level
                     if not ok:
                         stable = False
-                    rows.append(ScanRow(
-                        f"{gen_name} on x^{alpha} e_{j} at level {level}", ok))
+                    rows.append(ScanRow("{} on x^{} e_{} at level {}",
+                                        (gen_name, alpha, j, level), ok))
     incl = prop21_inclusion(lattice, chart, bound, twist=twist)
     return ForwardReport(ideal, radical, stable, tuple(rows), incl.holds)
 
@@ -538,8 +544,7 @@ def theorem_backward_extraction(data, pole_bound: int) -> BackwardReport:
                 raise ValueError(
                     f"entry ({i},{j}) = {entry} has pole order {-o} > {pole_bound}")
             shifted_ok = o == INF or o + pole_bound >= 0
-            rows.append(ScanRow(
-                f"x^{pole_bound}*T[{i}][{j}] is pole-free", shifted_ok))
+            rows.append(ScanRow("x^{}*T[{}][{}] is pole-free", (pole_bound, i, j), shifted_ok))
             if o != INF and o < 0:
                 regular = False
                 failing.append(f"T[{i}][{j}] = {entry} has a pole")

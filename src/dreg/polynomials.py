@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 # Base field: Q.  Kept as an alias so call sites read as field elements,
@@ -63,9 +64,10 @@ class MPoly:
     @classmethod
     def const(cls, variables: Sequence[str], value) -> "MPoly":
         value = as_rat(value)
-        if not value:
-            return cls.zero(variables)
-        return cls(variables, {(0,) * len(variables): value})
+        out = cls.__new__(cls)
+        out.vars = tuple(variables)
+        out.terms = {(0,) * len(out.vars): value} if value else {}
+        return out
 
     @classmethod
     def var(cls, variables: Sequence[str], name: str) -> "MPoly":
@@ -164,6 +166,10 @@ class MPoly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
+        if len(other.terms) == 1:
+            return self._mul_term(*next(iter(other.terms.items())))
+        if len(self.terms) == 1:
+            return other._mul_term(*next(iter(self.terms.items())))
         res: dict[tuple, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -180,6 +186,19 @@ class MPoly:
 
     __rmul__ = __mul__
 
+    def _mul_term(self, exps: tuple, c: Fraction) -> "MPoly":
+        """Product with the single term c * x^exps: an exponent shift and a
+        scale, neither of which can make two terms collide or cancel."""
+        out = MPoly.__new__(MPoly)
+        out.vars = self.vars
+        if not any(exps):
+            out.terms = {e: v * c for e, v in self.terms.items()} if c != 1 else dict(self.terms)
+        elif c == 1:
+            out.terms = {tuple(map(add, e, exps)): v for e, v in self.terms.items()}
+        else:
+            out.terms = {tuple(map(add, e, exps)): v * c for e, v in self.terms.items()}
+        return out
+
     def scale(self, c) -> "MPoly":
         c = as_rat(c)
         if not c:
@@ -192,14 +211,24 @@ class MPoly:
     def __pow__(self, k: int) -> "MPoly":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = MPoly.const(self.vars, 1)
+        if k == 0:
+            return MPoly.const(self.vars, 1)
+        if len(self.terms) == 1:
+            ((e, c),) = self.terms.items()
+            out = MPoly.__new__(MPoly)
+            out.vars = self.vars
+            out.terms = {tuple(a * k for a in e): c ** k}
+            return out
+        # square-and-multiply from the base: no product by 1, no last squaring
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def diff(self, name: str) -> "MPoly":
         idx = self.vars.index(name)
@@ -277,7 +306,10 @@ class MPoly:
 
     @classmethod
     def from_univar_coeffs(cls, var: str, coeffs: Sequence) -> "MPoly":
-        return cls((var,), {(i,): as_rat(c) for i, c in enumerate(coeffs) if as_rat(c)})
+        out = cls.__new__(cls)
+        out.vars = (var,)
+        out.terms = {(i,): c for i, c in enumerate(map(as_rat, coeffs)) if c}
+        return out
 
     def leading_univar_coeff(self) -> Fraction:
         coeffs = self.univar_coeffs()
@@ -312,15 +344,6 @@ class MPoly:
                 r[shift + i] -= factor * bc
         var = self.vars[0]
         return (MPoly.from_univar_coeffs(var, q), MPoly.from_univar_coeffs(var, r))
-
-    def compose_univar(self, inner: "MPoly") -> "MPoly":
-        """Horner evaluation of self at another univariate polynomial."""
-        self._require_univar()
-        coeffs = self.univar_coeffs()
-        result = MPoly.zero(inner.vars)
-        for c in reversed(coeffs):
-            result = result * inner + MPoly.const(inner.vars, c)
-        return result
 
     def __str__(self) -> str:
         return format_mpoly(self)
@@ -586,15 +609,15 @@ class RatFun:
 
     @classmethod
     def const(cls, var: str, value) -> "RatFun":
-        return cls(MPoly.const((var,), value))
+        return cls.from_coprime(MPoly.const((var,), value), MPoly.const((var,), 1))
 
     @classmethod
     def zero(cls, var: str) -> "RatFun":
-        return cls(MPoly.zero((var,)))
+        return cls.const(var, 0)
 
     @classmethod
     def x(cls, var: str) -> "RatFun":
-        return cls(MPoly.var((var,), var))
+        return cls.from_coprime(MPoly.var((var,), var), MPoly.const((var,), 1))
 
     @classmethod
     def from_coeffs(cls, var: str, num_coeffs: Sequence, den_coeffs: Sequence = (1,)) -> "RatFun":
@@ -645,13 +668,31 @@ class RatFun:
             return RatFun(other)
         raise TypeError(f"cannot combine RatFun with {other!r}")
 
+    # Henrici's cross-cancellation (Knuth, TAOCP vol. 2, 4.5.1): with both
+    # operands reduced, only gcds of the denominators, or of a numerator with
+    # the other denominator, can be nontrivial, and a unit argument has none.
+
     def __add__(self, other) -> "RatFun":
         other = self._coerce(other)
         if not self.num.terms:
             return other
         if not other.num.terms:
             return self
-        return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        g = _common_factor(b, d)
+        if g is None:
+            # gcd(b, d) = 1 makes (ad + cb)/(bd) reduced
+            num, den = a * d + c * b, b * d
+        else:
+            b1 = _quo(b, g)
+            num, den = a * _quo(d, g) + c * b1, b1 * d
+        if not num.terms:
+            return RatFun.zero(self.var)
+        if g is not None:
+            # a common factor of num and den = (b/g)(d/g) g can only divide g
+            g = _common_factor(num, g)
+            num, den = _quo(num, g), _quo(den, g)
+        return RatFun.from_coprime(num, den)
 
     __radd__ = __add__
 
@@ -666,13 +707,11 @@ class RatFun:
 
     def __mul__(self, other) -> "RatFun":
         other = self._coerce(other)
-        f, c = (other, self) if self.is_constant() else (self, other)
-        if c.is_constant():
-            # a constant factor changes no common divisor
-            if c.is_zero():
-                return c
-            return RatFun.from_coprime(f.num.scale(c.constant_value()), f.den)
-        return RatFun(self.num * other.num, self.den * other.den)
+        if not self.num.terms:
+            return self
+        if not other.num.terms:
+            return other
+        return RatFun._cross(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -680,10 +719,18 @@ class RatFun:
         other = self._coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("division by the zero function")
-        return RatFun(self.num * other.den, self.den * other.num)
+        if not self.num.terms:
+            return self
+        return RatFun._cross(self.num, self.den, other.den, other.num)
 
     def __rtruediv__(self, other) -> "RatFun":
         return self._coerce(other) / self
+
+    @staticmethod
+    def _cross(a: MPoly, b: MPoly, c: MPoly, d: MPoly) -> "RatFun":
+        """(a/b)(c/d) for coprime pairs (a, b), (c, d) and nonzero a, c."""
+        g1, g2 = _common_factor(a, d), _common_factor(c, b)
+        return RatFun.from_coprime(_quo(a, g1) * _quo(c, g2), _quo(b, g2) * _quo(d, g1))
 
     def __pow__(self, k: int) -> "RatFun":
         # powers of a coprime pair stay coprime, and den^k stays monic
@@ -716,21 +763,27 @@ class RatFun:
 
     # -- substitutions --------------------------------------------------------
 
+    def _substitute(self, transform) -> "RatFun":
+        """num(phi(x)) / den(phi(x)) for an automorphism phi of Q[x], given
+        as a map on dense coefficient lists: the pair stays coprime."""
+        var = self.var
+        return RatFun.from_coprime(
+            MPoly.from_univar_coeffs(var, transform(self.num.univar_coeffs())),
+            MPoly.from_univar_coeffs(var, transform(self.den.univar_coeffs())))
+
     def shift(self, c) -> "RatFun":
         """Substitute x -> x + c."""
         c = as_rat(c)
-        var = self.var
-        inner = MPoly.from_univar_coeffs(var, [c, Fraction(1)])
-        return RatFun(self.num.compose_univar(inner), self.den.compose_univar(inner))
+        if not c:
+            return self
+        return self._substitute(lambda coeffs: _taylor_shift(coeffs, c))
 
     def scale_var(self, c) -> "RatFun":
         """Substitute x -> c*x for nonzero rational c."""
         c = as_rat(c)
         if not c:
             raise ValueError("scale by zero")
-        var = self.var
-        inner = MPoly.from_univar_coeffs(var, [0, c])
-        return RatFun(self.num.compose_univar(inner), self.den.compose_univar(inner))
+        return self._substitute(lambda coeffs: [a * c ** i for i, a in enumerate(coeffs)])
 
     def invert_var(self, new_var: str) -> "RatFun":
         """Substitute x -> 1/t, returning a rational function of t."""
@@ -765,6 +818,29 @@ class RatFun:
         return f"RatFun({self!s})"
 
 
+def _common_factor(p: MPoly, q: MPoly) -> MPoly | None:
+    """Monic gcd(p, q) of nonzero univariate polynomials, None standing for 1.
+
+    With a single-term argument (a constant, a power of x) the gcd is
+    x^min of the valuations, read off without `univar_gcd`.
+    """
+    if len(p.terms) == 1 or len(q.terms) == 1:
+        k = min(min(p.terms)[0], min(q.terms)[0])
+        return MPoly.monomial(p.vars, (k,)) if k else None
+    g = univar_gcd(p, q)
+    return g if g.total_degree() > 0 else None
+
+
+def _quo(p: MPoly, g: MPoly | None) -> MPoly:
+    """p / g for a monic divisor g, None standing for 1."""
+    if g is None:
+        return p
+    if len(g.terms) == 1:
+        ((k,),) = g.terms
+        return MPoly.from_univar_coeffs(p.vars[0], p.univar_coeffs()[k:])
+    return p.univar_divmod(g)[0]
+
+
 def denominator_lcm(fs: Iterable[RatFun]) -> MPoly:
     """Monic lcm of the denominators of some rational functions in one variable."""
     dens = (f.den for f in fs)
@@ -789,6 +865,16 @@ def _mult_at(p: MPoly, c: Fraction) -> int:
         mult += 1
         if p.is_zero():
             raise AssertionError("unreachable: nonzero polynomial exhausted")
+
+
+def _taylor_shift(a: list, c: Fraction) -> list:
+    """Dense coefficients of p(x + c) from those of p, in place, by repeated
+    synthetic division (Taylor shift): O(d^2) products, no polynomial ones."""
+    d = len(a) - 1
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            a[j] += c * a[j + 1]
+    return a
 
 
 def _reverse_univar(p: MPoly, new_var: str, degree: int) -> MPoly:

@@ -81,15 +81,23 @@ class FuchsCertificate:
         }
 
 
+def _monic_orders(p: UnivarOperator, point) -> list:
+    """ord_0 (b_i / b_n) for the operator moved to the origin: the
+    difference ord_0 b_i - ord_0 b_n, with no division by b_n."""
+    coeffs = _localize(p, point).coeffs
+    top = coeffs[-1].ord_at(0)
+    return [c.ord_at(0) - top for c in coeffs]
+
+
 def fuchs_regular_at(p: UnivarOperator, point) -> FuchsCertificate:
     """Fuchs order test at a point of P^1: ord_0 b_i >= i - n after monic
     normalization and translation of the point to the origin."""
-    local = _localize(p, point).monic()
-    n = local.order()
+    orders = _monic_orders(p, point)
+    n = len(orders) - 1
     rows = []
     verdict = REGULAR
     for i in range(n):
-        o = local.coeff(i).ord_at(0)
+        o = orders[i]
         bound = i - n
         ok = o >= bound
         if not ok:
@@ -130,14 +138,7 @@ class NewtonPolygon:
 def newton_polygon(p: UnivarOperator, point) -> NewtonPolygon:
     """Slopes of the coefficient-order polygon; {0} exactly on Fuchs-regular
     operators.  Plotted points are (i, i - ord b_i) for nonzero b_i."""
-    local = _localize(p, point).monic()
-    n = local.order()
-    pts = []
-    for i in range(n + 1):
-        o = local.coeff(i).ord_at(0)
-        if o == INF:
-            continue
-        pts.append((i, i - int(o)))
+    pts = [(i, i - int(o)) for i, o in enumerate(_monic_orders(p, point)) if o != INF]
     hull = _upper_hull(pts)
     slopes = set()
     if len(hull) == 1:

@@ -17,22 +17,13 @@ from .dmod import ContradictionError
 from .lattices import Laurent, PolarLattice
 from .linalg import determinant, gauss_solve, mat_mul
 from .operators import UnivarOperator
-from .polynomials import INF, MPoly, RatFun, as_rat, denominator_lcm, factor_rational
+from .polynomials import INF, RatFun, as_rat, denominator_lcm, factor_rational
 from .regularity import (FuchsCertificate, GLOBAL_IRREGULAR, GLOBAL_REGULAR,
                          GLOBAL_REGULAR_TESTED, INFINITY, fuchs_regular_at)
 
 
 class CyclicVectorError(RuntimeError):
     """The deterministic candidate schedule was exhausted."""
-
-
-def _over_var_squared(f: RatFun) -> RatFun:
-    """f / t^2 without a gcd: f is reduced, so only a power of t can cancel."""
-    if not f.num.terms:
-        return f
-    j = min(2, min(e[0] for e in f.num.terms))
-    num = MPoly(f.num.vars, {(e[0] - j,): c for e, c in f.num.terms.items()})
-    return RatFun.from_coprime(num, f.den * MPoly.monomial(f.num.vars, (2 - j,)))
 
 
 class ConnectionSystem:
@@ -75,8 +66,10 @@ class ConnectionSystem:
         """Chart t = 1/x: solutions transform with B~ = -t^-2 B(1/t)."""
         if new_var == self.var:
             new_var = "t" if self.var != "t" else "s"
-        # A~ = -B~ = t^-2 B(1/t) = -t^-2 A(1/t)
-        a = [[_over_var_squared(-e.invert_var(new_var)) for e in row] for row in self.matrix]
+        # A~ = -B~ = t^-2 B(1/t) = -t^-2 A(1/t); dividing by the single term
+        # t^2 runs no gcd
+        t2 = RatFun.x(new_var) ** 2
+        a = [[-e.invert_var(new_var) / t2 for e in row] for row in self.matrix]
         return ConnectionSystem(a, new_var)
 
     def shifted(self, c) -> "ConnectionSystem":

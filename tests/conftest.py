@@ -1,6 +1,7 @@
 """Shared builders for randomized exact-arithmetic tests, the LocalLattice
-reference that the polar lattices are checked against, and the operator
-algebra reference that the parser is checked against."""
+reference that the polar lattices are checked against, the operator
+algebra reference that the parser is checked against, and the plain forms
+of the Q(x) kernel's shortcuts."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from dreg.linalg import mat_mul
 from dreg.operators import UnivarOperator
 from dreg.parser import _DERIV_RE, ParseError, Token, _Parser, tokenize
 from dreg.polynomials import MPoly, RatFun, denominator_lcm, univar_gcd
+from dreg.regularity import _localize
 from dreg.systems import ConnectionSystem
 from dreg.weyl import WeylElement
 
@@ -255,11 +257,30 @@ def reference_filtration(module, levels: int, start=None) -> list[LocalLattice]:
     return out
 
 
+def reference_monomial_annihilates(module, a: int, b: int, levels, scan_levels: int) -> bool:
+    """Does the symbol of x^a d^b kill Gr_F up to the scanned window?  Each
+    d^b(g) is derived afresh from the level's generators."""
+    x = RatFun.x(module.var)
+    for k in range(scan_levels + 1):
+        target = levels[k + b - 1] if k + b - 1 >= 0 else None
+        for g in levels[k].generators():
+            w = g
+            for _ in range(b):
+                w = module.partial_action(w)
+            w = tuple(x ** a * f for f in w)
+            if target is None:
+                if not all(f.is_zero() for f in w):
+                    return False
+            elif not target.contains(w):
+                return False
+    return True
+
+
 def reference_annihilator_monomials(module, bound: int, start=None) -> list[tuple]:
     """CurveModule.annihilator_monomials, scored on the reference levels."""
     levels = reference_filtration(module, 2 * bound, start)
     return [(total - b, b) for total in range(1, bound + 1) for b in range(total + 1)
-            if module.monomial_annihilates(total - b, b, levels, bound)]
+            if reference_monomial_annihilates(module, total - b, b, levels, bound)]
 
 
 # -- the reference parser algebra -------------------------------------------------
@@ -330,3 +351,71 @@ def reference_parse_ratfun(text: str, var: str = "x") -> RatFun:
         raise ParseError("expected a coefficient, found a derivation",
                          tokens[0].line, tokens[0].col)
     return op.coeff(0)
+
+
+# -- the plain forms of the Q(x) kernel ---------------------------------------------
+
+
+def reference_mul(p: MPoly, q: MPoly) -> MPoly:
+    """The generic double loop of MPoly.__mul__, for operands of any shape."""
+    res: dict[tuple, Fraction] = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            s = res.get(e, Fraction(0)) + c1 * c2
+            if s:
+                res[e] = s
+            else:
+                res.pop(e, None)
+    return MPoly(p.vars, res)
+
+
+def reference_pow(p: MPoly, k: int) -> MPoly:
+    """p^k as k products, starting from 1."""
+    result = MPoly.const(p.vars, 1)
+    for _ in range(k):
+        result = reference_mul(result, p)
+    return result
+
+
+def compose_univar(p: MPoly, inner: MPoly) -> MPoly:
+    """Horner evaluation of p at another univariate polynomial."""
+    result = MPoly.zero(inner.vars)
+    for c in reversed(p.univar_coeffs()):
+        result = result * inner + MPoly.const(inner.vars, c)
+    return result
+
+
+def reference_shift(f: RatFun, c) -> RatFun:
+    """x -> x + c by Horner composition, normalised by the RatFun gcd."""
+    inner = MPoly.from_univar_coeffs(f.var, [c, 1])
+    return RatFun(compose_univar(f.num, inner), compose_univar(f.den, inner))
+
+
+def reference_scale_var(f: RatFun, c) -> RatFun:
+    """x -> c x by Horner composition, normalised by the RatFun gcd."""
+    inner = MPoly.from_univar_coeffs(f.var, [0, c])
+    return RatFun(compose_univar(f.num, inner), compose_univar(f.den, inner))
+
+
+def reference_monic_orders(p: UnivarOperator, point) -> list:
+    """ord_0 of the coefficients of the localized operator made monic by
+    dividing every coefficient by the leading one."""
+    local = _localize(p, point).monic()
+    return [c.ord_at(0) for c in local.coeffs]
+
+
+def reference_at_infinity(p: UnivarOperator, new_var: str = "t") -> UnivarOperator:
+    """x = 1/t, d_x = -t^2 d_t with the powers of -t^2 d_t built as Leibniz
+    products."""
+    n = p.order()
+    t2d = UnivarOperator.from_entries(new_var, [RatFun.zero(new_var),
+                                                -RatFun.x(new_var) ** 2])
+    powers = [UnivarOperator.from_entries(new_var, [1])]
+    for _ in range(n):
+        powers.append(powers[-1].mul(t2d))
+    total = UnivarOperator.zero(new_var)
+    for i, b in enumerate(p.coeffs):
+        if not b.is_zero():
+            total = total + powers[i].scale(b.invert_var(new_var))
+    return total

@@ -116,6 +116,25 @@ class TestEchelonFiltration:
         for bound, size in sizes.items():
             assert module.annihilator_monomials(bound) == expected[:size]
 
+    def test_derived_bases_computed_once(self, monkeypatch):
+        # d^b of each level's basis is derived once per (level, b): the
+        # filtration takes 2 * 4 levels * 3 vectors, the scan at most 5 levels
+        # * 4 values of b * 3 vectors; deriving per (a, b) pair took 282
+        module = CurveModule.from_operator(op("d^3 - x"))
+        calls = 0
+        action = CurveModule.partial_action
+
+        def counted(self, vec):
+            nonlocal calls
+            calls += 1
+            return action(self, vec)
+
+        monkeypatch.setattr(CurveModule, "partial_action", counted)
+        found = module.annihilator_monomials(4)
+        assert calls <= 24 + 5 * 4 * 3
+        assert found == [(1, 1), (2, 1), (1, 2), (0, 3), (3, 1), (2, 2), (1, 3), (0, 4)]
+        assert found == reference_annihilator_monomials(module, 4)
+
     @pytest.mark.parametrize("expr", ["x^2*d - 1", "d^2 + 1", "x*(1 - x)*d^2 + d - 1/4",
                                       "d^3 - x"])
     def test_at_most_rank_generators_per_level(self, expr):

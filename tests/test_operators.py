@@ -2,15 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dreg.operators import (ThetaOperator, UnivarOperator, chart_infinity,
-                            chart_translate, from_theta_form,
+                            chart_translate, from_theta_form, lah,
                             stirling_first_signed, stirling_second,
                             to_theta_form)
 from dreg.polynomials import MPoly, RatFun
 from dreg.weyl import WeylElement
 
-from conftest import random_operator
+from conftest import (random_operator, random_operator_with_poles, random_point,
+                      random_ratfun_with_poles, reference_at_infinity)
 
 
 def x():
@@ -79,6 +81,31 @@ class TestStirling:
                 total = sum(stirling_first_signed(n, j) * stirling_second(j, k)
                             for j in range(10))
                 assert total == (1 if n == k else 0)
+
+
+class TestLah:
+    def test_powers_of_minus_t2_d(self):
+        # (-t^2 d)^i = (-1)^i sum_k L(i,k) t^(i+k) d^k, against Leibniz products
+        t = RatFun.x("t")
+        step = UnivarOperator.from_entries("t", [0, -t ** 2])
+        power = UnivarOperator.from_entries("t", [1])
+        for i in range(1, 7):
+            power = power.mul(step)
+            assert power == UnivarOperator.from_entries(
+                "t", [0] + [(-1) ** i * lah(i, k) * t ** (i + k) for k in range(1, i + 1)])
+        assert [lah(4, k) for k in range(6)] == [0, 24, 36, 12, 1, 0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_at_infinity_matches_the_leibniz_powers(self, seed):
+        rng = random.Random(seed)
+        c = random_point(rng)
+        p = random_operator_with_poles(rng, c, order=4, degree=3, pole=2)
+        lead = random_ratfun_with_poles(rng, c, degree=2, pole=2)
+        if lead:
+            p = p.scale(lead)
+        assert p.at_infinity() == reference_at_infinity(p)
+        assert p.at_infinity("s") == reference_at_infinity(p, "s")
 
 
 class TestCharts:

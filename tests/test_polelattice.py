@@ -113,6 +113,20 @@ class TestAnnihilatorScan:
         assert report.matches_ideal
         assert not report.to_dict()["failures"]
 
+    def test_row_texts(self):
+        # rows format their text only when read; the texts are unchanged
+        report = pole_filtration_annihilator(NCChart(2, 1), 3)
+        assert report.stability_rows[0].description == "x1*xi1 on x^(0, 0) at level 0"
+        assert report.stability_rows[-1].description == "xi2 on x^(-3, 3) at level 3"
+        assert (report.witness_rows[0].description
+                == "x^(0, 0) xi^(1, 0) acts nonzero on x^(-1, 0)")
+        name, chart, lattice = lattice_catalog()[4]
+        rows = theorem_forward_filtration(lattice, chart, 2).rows
+        assert (len(rows), rows[0].description, rows[-1].description) == (
+            144, "x1*xi1 on x^(0, 0) e_0 at level 1", "xi2 on x^(-3, 2) e_1 at level 3")
+        backward = theorem_backward_extraction(op("x^2*d - 1"), 2)
+        assert backward.to_dict()["certified"] == ["x^2*T[0][0] is pole-free"]
+
     def test_witness_direction_example(self):
         # xi_1 does not annihilate: d_1 deepens the pole on the witness 1/x_1
         chart = NCChart(2, 1)

@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dreg.polynomials
 from dreg.polynomials import (INF, MPoly, Rat, RatFun, factor_rational,
                               rational_roots, squarefree_part, univar_gcd)
 
-from conftest import random_fraction, random_mpoly, random_ratfun
+from conftest import (random_fraction, random_mpoly, random_ratfun, reference_mul,
+                      reference_pow, reference_scale_var, reference_shift)
 
 
 def rf(num, den=(1,)):
@@ -249,6 +251,113 @@ class TestCoprimeShortcuts:
     def test_zero_power_refuses_a_negative_exponent(self):
         with pytest.raises(ZeroDivisionError):
             RatFun.zero("x") ** -1
+
+
+VARS = ("x", "y", "z", "w")
+COEFFS = st.fractions(-6, 6, max_denominator=4)
+
+
+@st.composite
+def polys(draw, nvars: int, max_terms: int = 5) -> MPoly:
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    return MPoly(VARS[:nvars], draw(st.dictionaries(exps, COEFFS, max_size=max_terms)))
+
+
+@st.composite
+def single_terms(draw, nvars: int) -> MPoly:
+    """One term, often the constant 1 or a coefficient-1 power product."""
+    exps = draw(st.one_of(st.just((0,) * nvars), st.tuples(*[st.integers(0, 3)] * nvars)))
+    coeff = draw(st.one_of(st.just(Fraction(1)), COEFFS.filter(bool)))
+    return MPoly(VARS[:nvars], {exps: coeff})
+
+
+class TestKernelShortcuts:
+    """The kernel's shortcuts against the plain forms kept in conftest."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(polys(n), single_terms(n))))
+    def test_single_term_product_is_the_generic_loop(self, pair):
+        p, m = pair
+        for left, right in ((p, m), (m, p), (m, m)):
+            product, expected = left * right, reference_mul(left, right)
+            assert product == expected
+            # the same term order as the loop, not just the same terms
+            assert list(product.terms) == list(expected.terms)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.one_of(polys(n, 3), single_terms(n))),
+           st.integers(0, 5))
+    def test_pow_is_repeated_products(self, p, k):
+        assert p ** k == reference_pow(p, k)
+
+    @settings(max_examples=100, deadline=None)
+    @given(RATFUNS, st.fractions(-5, 5, max_denominator=4))
+    def test_shift_and_scale_var_are_the_horner_composition(self, f, c):
+        assert f.shift(c) == reference_shift(f, c)
+        if c:
+            assert f.scale_var(c) == reference_scale_var(f, c)
+
+    @settings(max_examples=150, deadline=None)
+    @given(RATFUNS, RATFUNS)
+    def test_henrici_arithmetic_is_the_full_normalisation(self, f, g):
+        a, b, c, d = f.num, f.den, g.num, g.den
+        assert f + g == RatFun(a * d + c * b, b * d)
+        assert f - g == RatFun(a * d - c * b, b * d)
+        assert f * g == RatFun(a * c, b * d)
+        if g:
+            assert f / g == RatFun(a * d, b * c)
+
+    def test_henrici_cancellations(self):
+        # second cancellation in +: x/(x+1)^2 + 1/(x+1)^2 = 1/(x+1)
+        assert rf([0, 1], [1, 2, 1]) + rf([1], [1, 2, 1]) == rf([1], [1, 1])
+        # both cross cancellations in *: (x/(x+1)) ((x+1)/x^2) = 1/x
+        assert rf([0, 1], [1, 1]) * rf([1, 1], [0, 0, 1]) == rf([1], [0, 1])
+        # and in /: ((x^2 - 1)/x) / ((x + 1)/(x^3 + x^2)) = (x - 1)(x + 1) x
+        assert rf([-1, 0, 1], [0, 1]) / rf([1, 1], [0, 0, 1, 1]) == rf([0, -1, 0, 1])
+        # sums that vanish
+        f = rf([2, 3], [1, 0, 1])
+        assert (f - f).is_zero() and (f + (-f)).den == MPoly.const(("x",), 1)
+
+
+class TestGcdCount:
+    """Substitutions and products with a unit side run no univar_gcd."""
+
+    @pytest.fixture
+    def gcds(self, monkeypatch):
+        calls = []
+        gcd = dreg.polynomials.univar_gcd
+
+        def counted(a, b):
+            calls.append((a, b))
+            return gcd(a, b)
+
+        monkeypatch.setattr(dreg.polynomials, "univar_gcd", counted)
+        return calls
+
+    def test_shift_and_scale_var(self, gcds):
+        f = _ratfun([3, 0, 1], 2, 1, 2, 1)    # (x^2 + 3) / (x^2 (x + 1)^2 (x^2 + 1))
+        gcds.clear()
+        shifted, scaled = f.shift(Fraction(2, 3)), f.scale_var(-3)
+        assert not gcds
+        assert shifted == reference_shift(f, Fraction(2, 3))
+        assert scaled == reference_scale_var(f, -3)
+
+    def test_polynomial_sides(self, gcds):
+        f = rf([3, 0, 1], [1, 1, 1, 1])       # (x^2 + 3) / ((x + 1) (x^2 + 1))
+        p = rf([1, -2, 0, 1])                  # x^3 - 2x + 1
+        monomial = rf([0, 0, 5])               # 5 x^2
+        over_x = rf([1, 0, 1], [0, 0, 0, 1])   # (x^2 + 1) / x^3
+        gcds.clear()
+        results = [p + f, f + p, f - p, p * p, monomial * f, f * monomial,
+                   p * over_x, over_x / monomial]
+        assert not gcds
+        a, b = f.num, f.den
+        assert results[0] == results[1] == RatFun(p.num * b + a, b)
+        assert results[2] == RatFun(a - p.num * b, b)
+        assert results[3] == RatFun(p.num * p.num)
+        assert results[4] == results[5] == RatFun(monomial.num * a, b)
+        assert results[6] == RatFun(p.num * over_x.num, over_x.den)
+        assert results[7] == RatFun(over_x.num, over_x.den * monomial.num)
 
 
 class TestRatFun:

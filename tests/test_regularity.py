@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dreg.operators import UnivarOperator, chart_translate
 from dreg.parser import parse_operator
@@ -11,7 +12,8 @@ from dreg.regularity import (GLOBAL_IRREGULAR, GLOBAL_REGULAR,
                              REGULAR, fuchs_regular_at, newton_polygon,
                              regular_on_projective_line, theta_regular_at_zero)
 
-from conftest import random_operator, random_operator_with_poles, random_point
+from conftest import (random_operator, random_operator_with_poles, random_point,
+                      random_ratfun_with_poles, reference_monic_orders)
 
 
 def op(text):
@@ -166,3 +168,27 @@ class TestProjectiveLine:
             assert (c in [e.location for e in rep.points if e.tested]) == has_c
             seen.add((has_quadratic, has_c))
         assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+class TestOrdersWithoutDivision:
+    """Fuchs rows and Newton points read ord b_i - ord b_n off the localized
+    operator; the reference divides by b_n first."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_rows_and_points_match_the_monic_division(self, seed):
+        rng = random.Random(seed)
+        c = random_point(rng)
+        p = random_operator_with_poles(rng, c, order=3, degree=3, pole=2)
+        # a left factor with zeros and poles makes the leading coefficient matter
+        lead = random_ratfun_with_poles(rng, c, degree=2, pole=2)
+        if lead:
+            p = p.scale(lead)
+        for point in (c, Fraction(0), INFINITY):
+            orders = reference_monic_orders(p, point)
+            n = len(orders) - 1
+            rows = [(r.index, r.order, r.bound, r.satisfied)
+                    for r in fuchs_regular_at(p, point).rows]
+            assert rows == [(i, orders[i], i - n, orders[i] >= i - n) for i in range(n)]
+            assert newton_polygon(p, point).points == tuple(
+                (i, i - int(o)) for i, o in enumerate(orders) if o != INF)
