@@ -222,14 +222,6 @@ def fuchs_kashiwara_equivalence(p: UnivarOperator, point=0) -> EquivalenceReport
     return EquivalenceReport(point, fuchs, kash, fuchs.regular == kash.regular)
 
 
-def require_agreement(report: EquivalenceReport) -> EquivalenceReport:
-    if not report.agree:
-        raise ContradictionError(
-            f"Fuchs and graded-annihilator verdicts disagree at {report.point}",
-            details=report.to_dict())
-    return report
-
-
 def check_good_filtration(p: UnivarOperator, bound: int = 8, point=0) -> tuple[bool, list]:
     """Certify F^1 D . F^j = F^(j+1) for n <= j <= bound on D/DP.
 

@@ -267,12 +267,6 @@ def buchberger(ideal: Ideal, order: TermOrder = DEGREVLEX,
     return Ideal(ideal.vars, groebner_basis(ideal, order, budget))
 
 
-def ideal_contains(ideal: Ideal, f: MPoly, order: TermOrder = DEGREVLEX,
-                   budget: int = DEFAULT_BUDGET) -> bool:
-    gb = groebner_basis(ideal, order, budget)
-    return normal_form(f, gb, polynomial_ring(order)).is_zero()
-
-
 def is_unit_ideal(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> bool:
     gb = groebner_basis(ideal, DEGREVLEX, budget)
     return any(g.is_constant() and not g.is_zero() for g in gb)

@@ -83,9 +83,6 @@ class UnivarOperator:
             raise ValueError("zero operator")
         return self.coeffs[-1]
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == RatFun.const(self.var, 1)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, UnivarOperator):
             return NotImplemented

@@ -20,8 +20,8 @@ the order or degree of its base exceeds MAX_POWER.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .operators import UnivarOperator
 from .polynomials import MPoly, RatFun, format_mpoly
@@ -38,8 +38,7 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int

@@ -45,9 +45,6 @@ class NCChart:
         """Total pole order across the dividing coordinates."""
         return sum(max(0, -alpha[i]) for i in range(self.r))
 
-    def poly_degree(self, alpha: tuple) -> int:
-        return sum(max(0, a) for a in alpha)
-
     def monomials_with_pole(self, pole: int, max_poly: int):
         """Exponent vectors in Z^n with the given total pole order and
         polynomial degree at most max_poly, in lexicographic order.
@@ -379,11 +376,11 @@ class ForwardReport:
 
 
 def theorem_forward_filtration(lattice: LogLattice, chart: NCChart,
-                               bound: int = 4, twist: int | None = None) -> ForwardReport:
+                               bound: int = 4) -> ForwardReport:
     """Forward comparison: a log lattice induces the filtration with level
-    zero the twisted lattice, and every logarithmic symbol stabilizes every
-    scanned level, so the graded annihilator is the radical squarefree
-    ideal.
+    zero the lattice twisted by chart.r, and every logarithmic symbol
+    stabilizes every scanned level, so the graded annihilator is the
+    radical squarefree ideal.
 
     Raises on non-integrable input, reporting the failed commutator.
     """
@@ -393,8 +390,7 @@ def theorem_forward_filtration(lattice: LogLattice, chart: NCChart,
         raise ValueError(
             f"lattice is not integrable: [D_{l+1}, D_{k+1}] has nonzero entries "
             f"{[[str(e) for e in row] for row in mat]}")
-    if twist is None:
-        twist = chart.r
+    twist = chart.r
     ideal = theta_XZ_ideal(chart)
     radical = is_radical_squarefree_monomial(ideal)
     window = _window(chart, twist + bound, bound)
@@ -416,7 +412,7 @@ def theorem_forward_filtration(lattice: LogLattice, chart: NCChart,
                         stable = False
                     rows.append(ScanRow("{} on x^{} e_{} at level {}",
                                         (gen_name, alpha, j, level), ok))
-    incl = prop21_inclusion(lattice, chart, bound, twist=twist)
+    incl = prop21_inclusion(lattice, chart, bound)
     return ForwardReport(ideal, radical, stable, tuple(rows), incl.holds)
 
 
@@ -432,8 +428,7 @@ class Prop21Report:
                 "violations": list(self.violations)}
 
 
-def prop21_inclusion(data, chart: NCChart, bound: int = 4,
-                     twist: int | None = None) -> Prop21Report:
+def prop21_inclusion(data, chart: NCChart, bound: int = 4) -> Prop21Report:
     """Graded-annihilator monomials up to the bound all lie in the
     logarithmic symbol ideal.
 
@@ -462,11 +457,9 @@ def prop21_inclusion(data, chart: NCChart, bound: int = 4,
         (found if _in_ideal(generators, exps) else violations).append(mono)
 
     if isinstance(data, LogLattice):
-        if twist is None:
-            twist = chart.r
-        window = _window(chart, twist + bound, bound)
+        window = _window(chart, chart.r + bound, bound)
         for a, b in _symbol_monomials(chart, bound):
-            if _annihilates_lattice(data, window, a, b, twist):
+            if _annihilates_lattice(data, window, a, b, chart.r):
                 check(a, b)
         return Prop21Report(not violations, tuple(found), tuple(violations))
 

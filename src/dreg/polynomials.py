@@ -100,12 +100,6 @@ class MPoly:
             return -INF
         return max(sum(e) for e in self.terms)
 
-    def degree_in(self, name: str):
-        if not self.terms:
-            return -INF
-        idx = self.vars.index(name)
-        return max(e[idx] for e in self.terms)
-
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
@@ -392,16 +386,14 @@ def _format_rat(c: Fraction) -> str:
 def _primitive_int_coeffs(p: MPoly) -> list[int]:
     """Dense integer coefficients with content removed."""
     coeffs = p.univar_coeffs()
-    denom_lcm = 1
-    for c in coeffs:
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in coeffs]
-    content = 0
-    for c in ints:
-        content = math.gcd(content, abs(c))
-    if content > 1:
-        ints = [c // content for c in ints]
-    return ints
+    denom_lcm = math.lcm(*(c.denominator for c in coeffs))
+    return _primitive([int(c * denom_lcm) for c in coeffs])
+
+
+def _primitive(ints: list[int]) -> list[int]:
+    """Integer coefficients divided by their content."""
+    content = math.gcd(*ints)
+    return [c // content for c in ints] if content > 1 else ints
 
 
 def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
@@ -435,38 +427,21 @@ def univar_gcd(a: MPoly, b: MPoly) -> MPoly:
         return b.monic_univar() if not b.is_zero() else b
     if b.is_zero():
         return a.monic_univar()
-    if a.total_degree() == 0 or b.total_degree() == 0:
-        return MPoly.const(a.vars, 1)
-    if a.is_monomial() or b.is_monomial():
-        # gcd with x^k is x^min(k, valuation)
-        val_a = min(e[0] for e in a.terms)
-        val_b = min(e[0] for e in b.terms)
-        return MPoly.monomial(a.vars, (min(val_a, val_b),))
     fa = _primitive_int_coeffs(a)
     fb = _primitive_int_coeffs(b)
     if len(fa) < len(fb):
         fa, fb = fb, fa
     while fb:
-        r = _pseudo_rem(fa, fb)
-        if r:
-            content = 0
-            for c in r:
-                content = math.gcd(content, abs(c))
-            if content > 1:
-                r = [c // content for c in r]
-        fa, fb = fb, r
+        fa, fb = fb, _primitive(_pseudo_rem(fa, fb))
     return MPoly.from_univar_coeffs(var, fa).monic_univar()
 
 
 def squarefree_part(p: MPoly) -> MPoly:
     """Monic squarefree part p / gcd(p, p') of a univariate polynomial."""
     p._require_univar()
-    if p.is_zero() or p.total_degree() == 0:
-        return MPoly.const(p.vars, 1) if not p.is_zero() else p
-    g = univar_gcd(p, p.diff(p.vars[0]))
-    q, r = p.univar_divmod(g)
-    assert r.is_zero()
-    return q.monic_univar()
+    if p.total_degree() <= 0:
+        return MPoly.const(p.vars, 1) if p else p
+    return _quo(p, _common_factor(p, p.diff(p.vars[0]))).monic_univar()
 
 
 def rational_roots(p: MPoly) -> list[Fraction]:
@@ -474,26 +449,13 @@ def rational_roots(p: MPoly) -> list[Fraction]:
     p._require_univar()
     if p.is_zero():
         raise ValueError("zero polynomial has every root")
-    coeffs = p.univar_coeffs()
-    # strip trailing/leading structure: root 0 first
-    roots = []
-    low = 0
-    while low < len(coeffs) and not coeffs[low]:
-        low += 1
-    if low > 0:
-        roots.append(Fraction(0))
-        coeffs = coeffs[low:]
-    if len(coeffs) <= 1:
-        return sorted(roots)
-    # scale to integer coefficients
-    denom_lcm = 1
-    for c in coeffs:
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in coeffs]
-    content = 0
-    for c in ints:
-        content = math.gcd(content, abs(c))
-    ints = [c // content for c in ints]
+    ints = _primitive_int_coeffs(p)
+    # root 0 first, then the candidates p/q of the polynomial divided by x^low
+    low = min(p.terms)[0]
+    roots = [Fraction(0)] if low else []
+    ints = ints[low:]
+    if len(ints) <= 1:
+        return roots
     a0, an = ints[0], ints[-1]
 
     def divisors(n: int) -> list[int]:
@@ -531,18 +493,10 @@ def factor_rational(p: MPoly) -> tuple[list[tuple[Fraction, int]], MPoly]:
     p._require_univar()
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    var = p.vars[0]
     rest = p.monic_univar()
     out: list[tuple[Fraction, int]] = []
     for root in rational_roots(rest):
-        lin = MPoly.from_univar_coeffs(var, [-root, Fraction(1)])
-        mult = 0
-        while True:
-            q, r = rest.univar_divmod(lin)
-            if not r.is_zero():
-                break
-            rest = q
-            mult += 1
+        rest, mult = _divide_out(rest, root)
         if mult:
             out.append((root, mult))
     return out, rest.monic_univar()
@@ -562,34 +516,10 @@ class RatFun:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
             den = MPoly.const(num.vars, 1)
-        elif den.total_degree() == 0:
-            lc = den.constant_value()
-            if lc != 1:
-                num = num.scale(Fraction(1) / lc)
-                den = MPoly.const(num.vars, 1)
-        elif den.is_monomial():
-            # denominator x^k: cancel the shared power of x directly
-            (k,), dc = next(iter(den.terms.items()))
-            shift = min(k, min(e[0] for e in num.terms))
-            if shift:
-                num = MPoly(num.vars, {(e[0] - shift,): c
-                                       for e, c in num.terms.items()})
-                k -= shift
-            den = MPoly.monomial(num.vars, (k,))
-            if dc != 1:
-                num = num.scale(Fraction(1) / dc)
         else:
-            g = univar_gcd(num, den)
-            if g.total_degree() > 0:
-                num, _ = num.univar_divmod(g)
-                den, _ = den.univar_divmod(g)
-            lc = den.leading_univar_coeff()
-            if lc != 1:
-                inv = Fraction(1) / lc
-                num = num.scale(inv)
-                den = den.scale(inv)
-        self.num = num
-        self.den = den
+            g = _common_factor(num, den)
+            num, den = _quo(num, g), _quo(den, g)
+        self.num, self.den = _monic_den(num, den)
 
     # -- constructors ---------------------------------------------------
 
@@ -597,14 +527,8 @@ class RatFun:
     def from_coprime(cls, num: MPoly, den: MPoly) -> "RatFun":
         """num/den for a pair the caller knows to be coprime (den nonzero, and
         a unit when num is zero); only the denominator is made monic."""
-        lc = den.terms[max(den.terms)]
-        if lc != 1:
-            inv = Fraction(1) / lc
-            num = num.scale(inv)
-            den = den.scale(inv)
         out = cls.__new__(cls)
-        out.num = num
-        out.den = den
+        out.num, out.den = _monic_den(num, den)
         return out
 
     @classmethod
@@ -618,11 +542,6 @@ class RatFun:
     @classmethod
     def x(cls, var: str) -> "RatFun":
         return cls.from_coprime(MPoly.var((var,), var), MPoly.const((var,), 1))
-
-    @classmethod
-    def from_coeffs(cls, var: str, num_coeffs: Sequence, den_coeffs: Sequence = (1,)) -> "RatFun":
-        return cls(MPoly.from_univar_coeffs(var, num_coeffs),
-                   MPoly.from_univar_coeffs(var, den_coeffs))
 
     # -- queries ----------------------------------------------------------
 
@@ -846,7 +765,7 @@ def denominator_lcm(fs: Iterable[RatFun]) -> MPoly:
     dens = (f.den for f in fs)
     lcm = next(dens)
     for den in dens:
-        lcm = lcm * den.univar_divmod(univar_gcd(lcm, den))[0]
+        lcm = lcm * _quo(den, _common_factor(lcm, den))
     return lcm
 
 
@@ -854,17 +773,28 @@ def _mult_at(p: MPoly, c: Fraction) -> int:
     """Multiplicity of the root x = c in a nonzero univariate polynomial."""
     if not c:
         return min(e[0] for e in p.terms)
-    var = p.vars[0]
-    lin = MPoly.from_univar_coeffs(var, [-c, Fraction(1)])
+    return _divide_out(p, c)[1]
+
+
+def _divide_out(p: MPoly, c: Fraction) -> tuple[MPoly, int]:
+    """(q, m) with p = (x - c)^m q and q(c) != 0, for nonzero univariate p."""
+    lin = MPoly.from_univar_coeffs(p.vars[0], [-c, Fraction(1)])
     mult = 0
     while True:
         q, r = p.univar_divmod(lin)
-        if not r.is_zero():
-            return mult
+        if r:
+            return p, mult
         p = q
         mult += 1
-        if p.is_zero():
-            raise AssertionError("unreachable: nonzero polynomial exhausted")
+
+
+def _monic_den(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
+    """num/den rescaled so that the nonzero denominator is monic."""
+    lc = den.terms[max(den.terms)]
+    if lc == 1:
+        return num, den
+    inv = Fraction(1) / lc
+    return num.scale(inv), den.scale(inv)
 
 
 def _taylor_shift(a: list, c: Fraction) -> list:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .dmod import ContradictionError
 from .lattices import Laurent, PolarLattice
-from .linalg import determinant, gauss_solve, mat_mul
+from .linalg import gauss_solve
 from .operators import UnivarOperator
 from .polynomials import INF, RatFun, as_rat, denominator_lcm, factor_rational
 from .regularity import (FuchsCertificate, GLOBAL_IRREGULAR, GLOBAL_REGULAR,
@@ -76,21 +76,6 @@ class ConnectionSystem:
         """Translate the point c to the origin: A(x) -> A(x + c)."""
         return ConnectionSystem([[e.shift(c) for e in row] for row in self.matrix],
                                 self.var)
-
-    def conjugate(self, g) -> "ConnectionSystem":
-        """Gauge by a constant invertible matrix: A -> g A g^-1."""
-        m = self.rank
-        var = self.var
-        gq = [[as_rat(e) for e in row] for row in g]
-        # column j of g^-1 solves g y = e_j
-        inv_cols = [gauss_solve(gq, [Fraction(i == j) for i in range(m)],
-                                Fraction(0), lambda f: not f) for j in range(m)]
-        if None in inv_cols:
-            raise ValueError("gauge matrix is singular")
-        rat = [[RatFun.const(var, e) for e in row] for row in gq]
-        ratinv = [[RatFun.const(var, col[i]) for col in inv_cols] for i in range(m)]
-        prod = mat_mul(mat_mul(rat, [list(r) for r in self.matrix]), ratinv)
-        return ConnectionSystem(prod, var)
 
     def functional_derivative(self, c: tuple) -> tuple:
         """Derivation on row functionals: c -> c' + c B."""
@@ -176,22 +161,17 @@ def cyclic_vector(system: ConnectionSystem) -> CyclicVectorResult:
     one = RatFun.const(var, 1)
     for cand in _candidate_schedule(system):
         iterates = [cand]
-        for _ in range(m - 1):
+        for _ in range(m):
             iterates.append(system.functional_derivative(iterates[-1]))
-        matrix = [list(c) for c in iterates]
-        det = determinant(matrix, zero, one, lambda f: f.is_zero())
-        if det.is_zero():
-            continue
-        final = system.functional_derivative(iterates[-1])
-        # solve sum_i g_i c_i = c_m  =>  monic P = d^m - sum g_i d^i
-        cols = [[iterates[i][j] for i in range(m)] for j in range(m)]
-        sol = gauss_solve(cols, list(final), zero, lambda f: f.is_zero())
+        final = iterates.pop()
+        # solve sum_i g_i c_i = c_m  =>  monic P = d^m - sum g_i d^i; the
+        # columns c_i have the determinant of the iterate matrix
+        cols = [[c[j] for c in iterates] for j in range(m)]
+        det, sol = gauss_solve(cols, final, zero, one)
         if sol is None:
             continue
-        coeffs = [-g for g in sol] + [one]
-        p = UnivarOperator(var, coeffs)
-        return CyclicVectorResult(p, cand,
-                                  tuple(tuple(r) for r in matrix), det)
+        p = UnivarOperator(var, [-g for g in sol] + [one])
+        return CyclicVectorResult(p, cand, tuple(iterates), det)
     raise CyclicVectorError(
         f"no cyclic functional found for rank {m} within the schedule")
 

@@ -1,7 +1,7 @@
 """Shared builders for randomized exact-arithmetic tests, the LocalLattice
 reference that the polar lattices are checked against, the operator
-algebra reference that the parser is checked against, and the plain forms
-of the Q(x) kernel's shortcuts."""
+algebra reference that the parser is checked against, the plain forms
+of the Q(x) kernel's shortcuts, and small helpers only tests call."""
 
 from __future__ import annotations
 
@@ -12,10 +12,11 @@ from typing import Iterable, Sequence
 
 import pytest
 
-from dreg.linalg import mat_mul
+from dreg.dmod import ContradictionError, EquivalenceReport
+from dreg.linalg import gauss_solve, mat_mul
 from dreg.operators import UnivarOperator
 from dreg.parser import _DERIV_RE, ParseError, Token, _Parser, tokenize
-from dreg.polynomials import MPoly, RatFun, denominator_lcm, univar_gcd
+from dreg.polynomials import INF, MPoly, RatFun, as_rat, denominator_lcm, univar_gcd
 from dreg.regularity import _localize
 from dreg.systems import ConnectionSystem
 from dreg.weyl import WeylElement
@@ -419,3 +420,125 @@ def reference_at_infinity(p: UnivarOperator, new_var: str = "t") -> UnivarOperat
         if not b.is_zero():
             total = total + powers[i].scale(b.invert_var(new_var))
     return total
+
+
+def reference_ratfun(num: MPoly, den: MPoly | None = None) -> RatFun:
+    """The RatFun constructor with its own branches: a constant denominator
+    scaled away, a denominator x^k cancelled by valuations, any other one
+    by univar_gcd and univar_divmod, then made monic."""
+    num._require_univar()
+    if den is None:
+        den = MPoly.const(num.vars, 1)
+    num._check(den)
+    if den.is_zero():
+        raise ZeroDivisionError("rational function with zero denominator")
+    if num.is_zero():
+        den = MPoly.const(num.vars, 1)
+    elif den.total_degree() == 0:
+        lc = den.constant_value()
+        if lc != 1:
+            num = num.scale(Fraction(1) / lc)
+            den = MPoly.const(num.vars, 1)
+    elif den.is_monomial():
+        # denominator x^k: cancel the shared power of x directly
+        (k,), dc = next(iter(den.terms.items()))
+        shift = min(k, min(e[0] for e in num.terms))
+        if shift:
+            num = MPoly(num.vars, {(e[0] - shift,): c
+                                   for e, c in num.terms.items()})
+            k -= shift
+        den = MPoly.monomial(num.vars, (k,))
+        if dc != 1:
+            num = num.scale(Fraction(1) / dc)
+    else:
+        g = univar_gcd(num, den)
+        if g.total_degree() > 0:
+            num, _ = num.univar_divmod(g)
+            den, _ = den.univar_divmod(g)
+        lc = den.leading_univar_coeff()
+        if lc != 1:
+            inv = Fraction(1) / lc
+            num = num.scale(inv)
+            den = den.scale(inv)
+    out = RatFun.__new__(RatFun)
+    out.num = num
+    out.den = den
+    return out
+
+
+def reference_determinant(matrix, zero, one, is_zero):
+    """Fraction-free-ish Gaussian determinant over a field."""
+    rows = [list(r) for r in matrix]
+    n = len(rows)
+    det = one
+    sign = 1
+    for c in range(n):
+        pivot = None
+        for i in range(c, n):
+            if not is_zero(rows[i][c]):
+                pivot = i
+                break
+        if pivot is None:
+            return zero
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            sign = -sign
+        pv = rows[c][c]
+        det = det * pv
+        for i in range(c + 1, n):
+            if not is_zero(rows[i][c]):
+                f = rows[i][c] / pv
+                rows[i] = [e - f * p for e, p in zip(rows[i], rows[c])]
+    if sign < 0:
+        det = zero - det
+    return det
+
+
+# -- helpers only tests call --------------------------------------------------------
+
+
+def from_coeffs(var: str, num_coeffs: Sequence, den_coeffs: Sequence = (1,)) -> RatFun:
+    """The reduced RatFun with these dense numerator and denominator coefficients."""
+    return RatFun(MPoly.from_univar_coeffs(var, num_coeffs),
+                  MPoly.from_univar_coeffs(var, den_coeffs))
+
+
+def degree_in(p: MPoly, name: str):
+    """Degree of p in one of its variables; -inf for the zero polynomial."""
+    if not p.terms:
+        return -INF
+    idx = p.vars.index(name)
+    return max(e[idx] for e in p.terms)
+
+
+def poly_degree(alpha: tuple) -> int:
+    """Polynomial degree of the Laurent monomial x^alpha: its positive exponents."""
+    return sum(max(0, a) for a in alpha)
+
+
+def is_monic(p: UnivarOperator) -> bool:
+    return bool(p.coeffs) and p.coeffs[-1] == RatFun.const(p.var, 1)
+
+
+def require_agreement(report: EquivalenceReport) -> EquivalenceReport:
+    if not report.agree:
+        raise ContradictionError(
+            f"Fuchs and graded-annihilator verdicts disagree at {report.point}",
+            details=report.to_dict())
+    return report
+
+
+def conjugate(system: ConnectionSystem, g) -> ConnectionSystem:
+    """Gauge by a constant invertible matrix: A -> g A g^-1."""
+    m = system.rank
+    var = system.var
+    gq = [[as_rat(e) for e in row] for row in g]
+    # column j of g^-1 solves g y = e_j
+    inv_cols = [gauss_solve(gq, [Fraction(i == j) for i in range(m)],
+                            Fraction(0), Fraction(1))[1] for j in range(m)]
+    if None in inv_cols:
+        raise ValueError("gauge matrix is singular")
+    rat = [[RatFun.const(var, e) for e in row] for row in gq]
+    ratinv = [[RatFun.const(var, col[i]) for col in inv_cols] for i in range(m)]
+    prod = mat_mul(mat_mul(rat, [list(r) for r in system.matrix]), ratinv)
+    return ConnectionSystem(prod, var)

@@ -9,7 +9,7 @@ from dreg.dmod import (CurveModule, CyclicFiltration, ZeroModuleError,
                        decompose_symbol_ideal, dimension_report,
                        fuchs_kashiwara_equivalence, kashiwara_regular_at,
                        kashiwara_regular_at_zero,
-                       require_agreement, singular_points,
+                       singular_points,
                        trivial_filtration_annihilator,
                        verify_components_both_ways, CONORMAL_DIVISOR,
                        CONORMAL_POINT, ZERO_SECTION)
@@ -19,8 +19,9 @@ from dreg.polynomials import MPoly, RatFun
 from dreg.regularity import INFINITY, IRREGULAR, REGULAR
 from dreg.weyl import WeylElement, characteristic_ideal, symbol_names
 
-from conftest import (frame, random_operator, random_operator_with_poles, random_point,
-                      reference_annihilator_monomials, reference_filtration)
+from conftest import (degree_in, frame, random_operator, random_operator_with_poles,
+                      random_point, reference_annihilator_monomials,
+                      reference_filtration, require_agreement)
 
 
 def op(text):
@@ -201,7 +202,7 @@ class TestCharVarietyUnivar:
         kinds = [c.kind for c in cv.components]
         assert kinds == [ZERO_SECTION, CONORMAL_POINT]
         pts = singular_points(op("x*d - 5"))
-        assert len(pts) == 1 and pts[0].degree_in("x") == 1
+        assert len(pts) == 1 and degree_in(pts[0], "x") == 1
 
     def test_hypergeometric_fibers(self):
         cv = characteristic_variety_univar(

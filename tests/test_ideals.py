@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dreg.ideals import (BudgetExceeded, DEGREVLEX, LEX, Ideal, NotMonomialIdeal,
-                         buchberger, groebner_basis, ideal_contains,
+                         buchberger, groebner_basis,
                          is_radical_squarefree_monomial, krull_dimension,
                          leading_term, normal_form, polynomial_ring,
                          radical_membership, symbol_weight_order)

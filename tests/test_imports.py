@@ -1,6 +1,8 @@
-"""Every name a module of dreg imports is used in that module.
+"""Every name a module of dreg imports is used in that module, and every
+function, class and method it defines is used somewhere in src/.
 
-`__init__.py` is left out: it imports names to re-export them.
+`__init__.py` is left out of the import check: it imports names to
+re-export them, and a re-exported definition counts as used.
 """
 
 import ast
@@ -10,6 +12,16 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dreg"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+# definitions with no caller in src/ that stay, each with its reason
+KEPT = {
+    "polynomials.squarefree_part":
+        "the gcd-free basis of closed points of degree > 1 (ROADMAP item 2) builds on it",
+    "dmod.verify_components_both_ways": "the gate of charvar from the singular locus (ROADMAP item 4)",
+    "operators.UnivarOperator.apply": "test oracle: operator products act as compositions",
+    "weyl.WeylElement.apply": "test oracle: Weyl products act as compositions",
+    "systems.ConnectionSystem.companion": "test oracle: the system of a scalar operator",
+}
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -51,3 +63,57 @@ def test_finds_an_unused_import():
     tree = ast.parse("import math\nfrom typing import Iterable, Sequence\n"
                      "def f(x: 'Sequence[int]') -> 'Iterable':\n    'math'\n")
     assert set(imported_names(tree)) - used_names(tree) == {"math"}
+
+
+def definitions(tree: ast.Module, module: str) -> dict[str, str]:
+    """{module.name or module.Class.method: bare name} of the top-level
+    functions and classes and their methods, dunder methods aside: the
+    language calls those."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out[f"{module}.{node.name}"] = node.name
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not (
+                        sub.name.startswith("__") and sub.name.endswith("__")):
+                    out[f"{module}.{node.name}.{sub.name}"] = sub.name
+    return out
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Names read and attributes taken anywhere, and names imported (which
+    is how __init__.py re-exports)."""
+    out = used_names(tree) | set(imported_names(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def dead_definitions(sources: dict[str, str]) -> list[str]:
+    """Definitions of the given modules ({name: source}) that no module
+    references by name."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    referenced = set().union(*(referenced_names(tree) for tree in trees.values()))
+    return sorted(qualified for name, tree in trees.items()
+                  for qualified, bare in definitions(tree, name).items()
+                  if bare not in referenced)
+
+
+def test_no_dead_definitions():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    dead = set(dead_definitions(sources))
+    assert not dead - set(KEPT), f"defined but never used in src/: {sorted(dead - set(KEPT))}"
+    assert not set(KEPT) - dead, f"kept as unused but now used: {sorted(set(KEPT) - dead)}"
+
+
+def test_finds_a_dead_definition():
+    sources = {"a": "def used():\n    pass\n\ndef unused():\n    pass\n\n"
+                    "class C:\n    def __eq__(self, other):\n        return True\n\n"
+                    "    def m(self):\n        pass\n\n    def idle(self):\n        pass\n",
+               "b": "from a import C, used\nused()\nC().m()\n"}
+    assert dead_definitions(sources) == ["a.C.idle", "a.unused"]
+    # a re-export by import counts as a use
+    sources["__init__"] = "from .a import unused\n"
+    assert dead_definitions(sources) == ["a.C.idle"]

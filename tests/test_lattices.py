@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dreg.lattices import Laurent, PolarLattice, polar_part
-from dreg.linalg import determinant, gauss_solve, mat_mul
+from dreg.linalg import gauss_solve, mat_mul
 from dreg.polynomials import MPoly, RatFun
 
-from conftest import LocalLattice
+from conftest import LocalLattice, from_coeffs, reference_determinant
 
 
 def rf(num, den=(1,)):
-    return RatFun.from_coeffs("x", num, den)
+    return from_coeffs("x", num, den)
 
 
 def polar_vector(row: dict, dim: int) -> tuple:
@@ -174,23 +174,61 @@ class TestLinalg:
         x = rf([0, 1])
         matrix = [[one, x], [zero, one]]
         rhs = [x, one]
-        sol = gauss_solve(matrix, rhs, zero, lambda f: f.is_zero())
+        det, sol = gauss_solve(matrix, rhs, zero, one)
+        assert det == one
         assert sol is not None
         assert sol[0] + x * sol[1] == x
         assert sol[1] == one
 
     def test_gauss_inconsistent(self):
+        # x + y = 1 and x + y = 0: singular, so no solution is returned
         zero = rf([0])
         one = rf([1])
-        matrix = [[one], [one]]
+        matrix = [[one, one], [one, one]]
         rhs = [one, zero]
-        assert gauss_solve(matrix, rhs, zero, lambda f: f.is_zero()) is None
+        assert gauss_solve(matrix, rhs, zero, one) == (zero, None)
 
     def test_determinant(self):
         zero, one = rf([0]), rf([1])
         x = rf([0, 1])
-        det = determinant([[x, one], [one, x]], zero, one, lambda f: f.is_zero())
+        det, _ = gauss_solve([[x, one], [one, x]], [zero, zero], zero, one)
         assert det == x * x - one
+        # a row swap flips the sign
+        det, _ = gauss_solve([[zero, one], [one, x]], [zero, zero], zero, one)
+        assert det == -one
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 4), st.booleans(), st.booleans())
+    def test_elimination_matches_reference_determinant(self, data, n, rational, singular):
+        if rational:
+            entries = st.builds(lambda a, b: rf(a, b), st.lists(st.integers(-3, 3), max_size=3),
+                                st.lists(st.integers(-2, 2), min_size=1, max_size=3).filter(any))
+            zero, one = rf([0]), rf([1])
+        else:
+            entries = st.fractions(-5, 5, max_denominator=4)
+            zero, one = Fraction(0), Fraction(1)
+        square = st.lists(entries, min_size=n, max_size=n)
+        matrix = data.draw(st.lists(square, min_size=n, max_size=n))
+        if singular:
+            # the last row becomes a combination of the others (zero when n = 1)
+            weights = data.draw(st.lists(entries, min_size=n - 1, max_size=n - 1))
+            last = [zero] * n
+            for w, row in zip(weights, matrix):
+                last = [a + w * b for a, b in zip(last, row)]
+            matrix[-1] = last
+        rhs = data.draw(square)
+        det, x = gauss_solve(matrix, rhs, zero, one)
+        assert det == reference_determinant(matrix, zero, one, lambda f: not f)
+        if singular:
+            assert not det
+        if det:
+            for row, b in zip(matrix, rhs):
+                total = zero
+                for a, v in zip(row, x):
+                    total = total + a * v
+                assert total == b
+        else:
+            assert x is None
 
     def test_mat_mul(self):
         a = [[1, 2], [3, 4]]

@@ -9,12 +9,13 @@ import dreg.polynomials
 from dreg.polynomials import (INF, MPoly, Rat, RatFun, factor_rational,
                               rational_roots, squarefree_part, univar_gcd)
 
-from conftest import (random_fraction, random_mpoly, random_ratfun, reference_mul,
-                      reference_pow, reference_scale_var, reference_shift)
+from conftest import (from_coeffs, random_fraction, random_mpoly, random_ratfun,
+                      reference_mul, reference_pow, reference_ratfun,
+                      reference_scale_var, reference_shift)
 
 
 def rf(num, den=(1,)):
-    return RatFun.from_coeffs("x", num, den)
+    return from_coeffs("x", num, den)
 
 
 class TestRat:
@@ -402,8 +403,63 @@ class TestRatFun:
         assert f.scale_var(2) == rf([0, 2])
         g = f.invert_var("t")
         assert g.var == "t"
-        assert g == RatFun.from_coeffs("t", [1], [0, 1])
+        assert g == from_coeffs("t", [1], [0, 1])
 
     def test_derivative(self):
         f = rf([1], [0, 1])  # 1/x
         assert f.derivative() == rf([-1], [0, 0, 1])
+
+
+UNIVAR = st.lists(COEFFS, max_size=5).map(lambda cs: MPoly.from_univar_coeffs("x", cs))
+CONSTANTS = COEFFS.filter(bool).map(lambda c: MPoly.const(("x",), c))
+SINGLE_TERMS = st.builds(lambda c, k: MPoly.monomial(("x",), (k,), c),
+                         COEFFS.filter(bool), st.integers(1, 4))
+
+
+def _general(k, c, i, q):
+    """x^k (x + c)^i q: a polynomial of two or more terms that often shares a
+    power of x or a linear factor with another drawn the same way."""
+    return MPoly.monomial(("x",), (k,)) * MPoly.from_univar_coeffs("x", [c, 1]) ** i * q
+
+
+GENERAL = st.builds(_general, st.integers(0, 2), st.integers(-2, 2), st.integers(0, 2),
+                    UNIVAR.filter(lambda q: len(q.terms) > 1))
+
+
+def _monic_pair(num, den):
+    lc = den.leading_univar_coeff()
+    return num.scale(1 / lc), den.scale(1 / lc)
+
+
+class TestOneNormaliser:
+    """RatFun(num, den) and univar_gcd against the constructor's former
+    branches (kept in conftest) and against sympy."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.just(MPoly.zero(("x",))), CONSTANTS, SINGLE_TERMS, UNIVAR, GENERAL),
+           st.one_of(CONSTANTS, SINGLE_TERMS, GENERAL), st.booleans())
+    def test_constructor_matches_reference_and_cancel(self, num, den, plant):
+        sympy = pytest.importorskip("sympy")
+        X = sympy.Symbol("x")
+        if plant:
+            num = num * den     # the whole denominator cancels
+        f, ref = RatFun(num, den), reference_ratfun(num, den)
+        assert (f.num, f.den) == (ref.num, ref.den)
+        assert f.den.leading_univar_coeff() == 1
+        top, bottom = sympy.fraction(sympy.cancel(to_sympy(num, X, sympy)
+                                                  / to_sympy(den, X, sympy)))
+        assert (f.num, f.den) == _monic_pair(from_sympy(top, X, sympy),
+                                             from_sympy(bottom, X, sympy))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.just(MPoly.zero(("x",))), CONSTANTS, SINGLE_TERMS),
+           st.one_of(st.just(MPoly.zero(("x",))), CONSTANTS, SINGLE_TERMS, UNIVAR, GENERAL),
+           st.booleans())
+    def test_gcd_with_a_unit_or_single_term_matches_sympy(self, a, b, swap):
+        sympy = pytest.importorskip("sympy")
+        X = sympy.Symbol("x")
+        if swap:
+            a, b = b, a
+        theirs = from_sympy(sympy.gcd(to_sympy(a, X, sympy), to_sympy(b, X, sympy)),
+                            X, sympy)
+        assert univar_gcd(a, b) == theirs.monic_univar()

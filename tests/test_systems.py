@@ -20,7 +20,7 @@ from dreg.systems import (ConnectionSystem, CyclicVectorError, EXCEEDED_BOUND,
                           STABILIZED, cyclic_vector, regular_system_report,
                           saturate_lattice)
 
-from conftest import (LocalLattice, random_gauged_euler, random_operator,
+from conftest import (LocalLattice, conjugate, random_gauged_euler, random_operator,
                       random_ratfun_with_poles, random_system)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -58,7 +58,7 @@ class TestCyclicVector:
         p = parse_operator("d^2 - x")
         base = ConnectionSystem.companion(p)
         for g in ([[1, 1], [0, 1]], [[2, 0], [3, 1]], [[0, 1], [1, 0]]):
-            conj = base.conjugate(g)
+            conj = conjugate(base, g)
             res = cyclic_vector(conj)
             for point in (Fraction(0), INFINITY):
                 assert (fuchs_regular_at(res.operator, point).verdict
