@@ -13,8 +13,10 @@ curve-level backward extraction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import add
+from typing import NamedTuple
 
 from .dmod import CurveModule, CyclicFiltration
 from .ideals import (Ideal, is_radical_squarefree_monomial,
@@ -110,8 +112,7 @@ def _apply_lift(chart: NCChart, a: tuple, b: tuple, alpha: tuple):
     return coeff, exp
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     """One checked row.  Its text is formatted only when read: reports
     print the failing rows, and scans build thousands of passing ones."""
 
@@ -180,16 +181,17 @@ def pole_filtration_annihilator(chart: NCChart, bound: int = 6) -> AnnihilatorRe
     window = _window(chart, bound, bound)
     stability = []
     ok_all = True
+    r = chart.r
     for i in range(chart.n):
-        if i < chart.r:
-            a = tuple(1 if j == i else 0 for j in range(chart.n))
-        else:
-            a = (0,) * chart.n
-        b = tuple(1 if j == i else 0 for j in range(chart.n))
-        gen_name = f"x{i+1}*xi{i+1}" if i < chart.r else f"xi{i+1}"
+        # x_i xi_i (i < r) or xi_i lifts to x^a d^b with b = e_i: on x^alpha
+        # it has coefficient alpha_i and exponent alpha + a - b
+        gen_name = f"x{i+1}*xi{i+1}" if i < r else f"xi{i+1}"
         for k, alpha in window:
-            coeff, exp = _apply_lift(chart, a, b, alpha)
-            ok = coeff == 0 or chart.pole_order(exp) <= k
+            if alpha[i]:
+                exp = alpha if i < r else alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+                ok = sum(-e for e in exp[:r] if e < 0) <= k
+            else:
+                ok = True
             if not ok:
                 ok_all = False
             stability.append(ScanRow("{} on x^{} at level {}", (gen_name, alpha, k), ok))
@@ -237,16 +239,23 @@ class LogLattice:
     """Rank-m lattice with logarithmic connection matrices over Q[x].
 
     gammas[l] is the matrix of the action of x_l d_l (l < r) or d_l
-    (l >= r) on the frame, on top of the derivation itself.  The images of
-    d^b on frame elements are kept as they are computed.
+    (l >= r) on the frame, on top of the derivation itself.  The scans run
+    on integers: `denominator` D is the lcm of the denominators of every
+    gamma coefficient, and apply_derivation returns D times the action, so
+    the image of d^b carries the implicit denominator D^|b|.  The scans
+    read only supports, and cancellation is decided exactly on integers.
+    The images of d^b on frame elements, and their pole profiles, are kept
+    as they are computed.
     """
 
-    __slots__ = ("chart", "rank", "gammas", "_images")
+    __slots__ = ("chart", "rank", "gammas", "denominator", "_steps", "_images",
+                 "_profiles")
 
     def __init__(self, chart: NCChart, rank: int, gammas):
         self.chart = chart
         self.rank = rank
         self._images: dict = {}
+        self._profiles: dict = {}
         coords = coordinate_names(chart.n)
         mats = []
         if len(gammas) != chart.n:
@@ -261,6 +270,16 @@ class LogLattice:
                     for e in row))
             mats.append(tuple(rows))
         self.gammas = tuple(mats)
+        scale = self.denominator = math.lcm(*(
+            c.denominator for g in mats for row in g for e in row
+            for c in e.terms.values()))
+        # _steps[l][j]: one (i, shift, D * c) per term c x^shift of
+        # gamma_l[i][j], with shift None for a constant term
+        self._steps = tuple(
+            tuple(tuple((i, e if any(e) else None, c.numerator * (scale // c.denominator))
+                        for i in range(rank) for e, c in g[i][j].terms.items())
+                  for j in range(rank))
+            for g in mats)
 
     def _derive(self, l: int, p: MPoly) -> MPoly:
         coords = coordinate_names(self.chart.n)
@@ -286,42 +305,30 @@ class LogLattice:
                     return l, k, total
         return None
 
-    # elements of the windowed module: dict[(alpha, frame index)] -> Fraction
-
-    def frame_element(self, alpha: tuple, j: int) -> dict:
-        return {(tuple(alpha), j): Fraction(1)}
+    # elements of the windowed module: dict[(alpha, frame index)] -> int,
+    # nonzero entries only
 
     def apply_derivation(self, l: int, elem: dict) -> dict:
-        """Action of x_l d_l (l < r) or d_l (l >= r) twisted by gamma."""
-        chart = self.chart
+        """D times the action of x_l d_l (l < r) or d_l (l >= r) twisted by
+        gamma."""
+        scale = self.denominator
+        dividing = l < self.chart.r
+        steps = self._steps[l]
         out: dict = {}
-
-        def add(key, c):
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-
+        get = out.get
         for (alpha, j), c in elem.items():
-            if l < chart.r:
-                if alpha[l]:
-                    add((alpha, j), c * alpha[l])
-            else:
-                if alpha[l]:
-                    shifted = tuple(a - (1 if i == l else 0)
-                                    for i, a in enumerate(alpha))
-                    add((shifted, j), c * alpha[l])
-            for i in range(self.rank):
-                entry = self.gammas[l][i][j]
-                for e, ce in entry.terms.items():
-                    shifted = tuple(a + g for a, g in zip(alpha, e))
-                    add((shifted, i), c * ce)
-        return out
+            a = alpha[l]
+            if a:
+                key = (alpha if dividing else alpha[:l] + (a - 1,) + alpha[l + 1:], j)
+                out[key] = get(key, 0) + c * a * scale
+            for i, e, ce in steps[j]:
+                key = (alpha if e is None else tuple(map(add, alpha, e)), i)
+                out[key] = get(key, 0) + c * ce
+        return {key: c for key, c in out.items() if c}
 
     def derivation_image(self, alpha: tuple, j: int, b: tuple) -> dict:
-        """Image of d^b on the frame element x^alpha e_j, computed once per
-        lattice and then read from its memo.
+        """D^|b| times the image of d^b on the frame element x^alpha e_j,
+        computed once per lattice and then read from its memo.
 
         d_l for a dividing coordinate is realized as x_l^(-1) (x_l d_l).
         The coordinates act in increasing order, so the image for b is one
@@ -334,7 +341,7 @@ class LogLattice:
             return image
         l = max((i for i, e in enumerate(b) if e), default=None)
         if l is None:
-            image = self.frame_element(alpha, j)
+            image = {(alpha, j): 1}
         else:
             lower = b[:l] + (b[l] - 1,) + b[l + 1:]
             image = self.apply_derivation(l, self.derivation_image(alpha, j, lower))
@@ -345,13 +352,23 @@ class LogLattice:
         return image
 
     def lift_pole_order(self, a: tuple, b: tuple, alpha: tuple, j: int) -> int | None:
-        """Pole order of x^a d^b (x^alpha e_j); None for the zero image."""
-        image = self.derivation_image(alpha, j, b)
-        if not image:
+        """Pole order of x^a d^b (x^alpha e_j); None for the zero image.
+
+        Read from the pole profile of the d^b image, memoised per (alpha,
+        j, b): the distinct pole vectors (max(0, -beta_i) for i < r) of its
+        exponents beta, each of which x^a lowers by a.
+        """
+        key = (alpha, j, b)
+        profile = self._profiles.get(key)
+        if profile is None:
+            r = self.chart.r
+            profile = self._profiles[key] = tuple({
+                tuple(-e if e < 0 else 0 for e in beta[:r]): None
+                for beta, _i in self.derivation_image(alpha, j, b)})
+        if not profile:
             return None
-        r = self.chart.r
-        return max(sum(max(0, -beta[i] - a[i]) for i in range(r))
-                   for beta, _i in image)
+        return max(sum(p - s if p > s else 0 for p, s in zip(poles, a))
+                   for poles in profile)
 
 
 @dataclass(frozen=True)
@@ -457,10 +474,18 @@ def prop21_inclusion(data, chart: NCChart, bound: int = 4) -> Prop21Report:
         (found if _in_ideal(generators, exps) else violations).append(mono)
 
     if isinstance(data, LogLattice):
+        # x^a d^b annihilating the window makes x^a' d^b annihilate it for
+        # every a' >= a (pole orders only fall as a grows), and a comes
+        # before a' in the scan, so a dominated a is not scanned again
         window = _window(chart, chart.r + bound, bound)
+        annihilating: dict = {}
         for a, b in _symbol_monomials(chart, bound):
-            if _annihilates_lattice(data, window, a, b, chart.r):
-                check(a, b)
+            lows = annihilating.setdefault(b, [])
+            if not any(all(s <= t for s, t in zip(low, a)) for low in lows):
+                if not _annihilates_lattice(data, window, a, b, chart.r):
+                    continue
+                lows.append(a)
+            check(a, b)
         return Prop21Report(not violations, tuple(found), tuple(violations))
 
     # curve cases reduce to the 1-variable module machinery

@@ -108,7 +108,6 @@ class ConnectionSystem:
 class CyclicVectorResult:
     operator: UnivarOperator
     cyclic_vector: tuple
-    iterate_matrix: tuple
     determinant: RatFun
 
     def to_dict(self) -> dict:
@@ -171,7 +170,7 @@ def cyclic_vector(system: ConnectionSystem) -> CyclicVectorResult:
         if sol is None:
             continue
         p = UnivarOperator(var, [-g for g in sol] + [one])
-        return CyclicVectorResult(p, cand, tuple(iterates), det)
+        return CyclicVectorResult(p, cand, det)
     raise CyclicVectorError(
         f"no cyclic functional found for rank {m} within the schedule")
 

@@ -1,7 +1,8 @@
 """Shared builders for randomized exact-arithmetic tests, the LocalLattice
 reference that the polar lattices are checked against, the operator
 algebra reference that the parser is checked against, the plain forms
-of the Q(x) kernel's shortcuts, and small helpers only tests call."""
+of the Q(x) kernel's shortcuts, the Fraction form of the log lattice's
+integer derivation images, and small helpers only tests call."""
 
 from __future__ import annotations
 
@@ -542,3 +543,34 @@ def conjugate(system: ConnectionSystem, g) -> ConnectionSystem:
     ratinv = [[RatFun.const(var, col[i]) for col in inv_cols] for i in range(m)]
     prod = mat_mul(mat_mul(rat, [list(r) for r in system.matrix]), ratinv)
     return ConnectionSystem(prod, var)
+
+
+def reference_apply_derivation(lattice, l: int, elem: dict) -> dict:
+    """Action of x_l d_l (l < r) or d_l (l >= r) twisted by gamma, in
+    Fraction arithmetic: the log lattice's scans work on integer multiples
+    of it."""
+    chart = lattice.chart
+    out: dict = {}
+
+    def add(key, c):
+        s = out.get(key, Fraction(0)) + c
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+
+    for (alpha, j), c in elem.items():
+        if l < chart.r:
+            if alpha[l]:
+                add((alpha, j), c * alpha[l])
+        else:
+            if alpha[l]:
+                shifted = tuple(a - (1 if i == l else 0)
+                                for i, a in enumerate(alpha))
+                add((shifted, j), c * alpha[l])
+        for i in range(lattice.rank):
+            entry = lattice.gammas[l][i][j]
+            for e, ce in entry.terms.items():
+                shifted = tuple(a + g for a, g in zip(alpha, e))
+                add((shifted, i), c * ce)
+    return out

@@ -22,7 +22,7 @@ from dreg.polynomials import MPoly, RatFun
 from dreg.regularity import IRREGULAR, REGULAR
 from dreg.weyl import coordinate_names
 
-from conftest import poly_degree
+from conftest import poly_degree, reference_apply_derivation
 
 ALL_CHARTS = [(n, r) for n in (1, 2, 3) for r in range(1, n + 1)]
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -128,6 +128,25 @@ class TestAnnihilatorScan:
             144, "x1*xi1 on x^(0, 0) e_0 at level 1", "xi2 on x^(-3, 2) e_1 at level 3")
         backward = theorem_backward_extraction(op("x^2*d - 1"), 2)
         assert backward.to_dict()["certified"] == ["x^2*T[0][0] is pole-free"]
+
+    @pytest.mark.parametrize("n,r", ALL_CHARTS)
+    def test_stability_rows_match_lift_reference(self, n, r):
+        # the rows compute coefficient and target exponent inline; the
+        # reference applies the full lift and takes the pole order
+        chart = NCChart(n, r)
+        for bound in range(7):
+            expected = []
+            for i in range(n):
+                b = tuple(int(k == i) for k in range(n))
+                a = b if i < r else (0,) * n
+                name = f"x{i+1}*xi{i+1}" if i < r else f"xi{i+1}"
+                for k in range(bound + 1):
+                    for alpha in chart.monomials_with_pole(k, bound):
+                        coeff, exp = _apply_lift(chart, a, b, alpha)
+                        expected.append(((name, alpha, k),
+                                         coeff == 0 or chart.pole_order(exp) <= k))
+            rows = pole_filtration_annihilator(chart, bound).stability_rows
+            assert [(row.args, row.ok) for row in rows] == expected
 
     def test_witness_direction_example(self):
         # xi_1 does not annihilate: d_1 deepens the pole on the witness 1/x_1
@@ -271,10 +290,10 @@ def reference_lift_image(lattice, a, b, alpha, j):
     coordinate, d_l = x_l^(-1) (x_l d_l) on a dividing coordinate, then the
     x^a shift."""
     chart = lattice.chart
-    work = lattice.frame_element(alpha, j)
+    work = {(tuple(alpha), j): Fraction(1)}
     for l in range(chart.n):
         for _ in range(b[l]):
-            work = lattice.apply_derivation(l, work)
+            work = reference_apply_derivation(lattice, l, work)
             if l < chart.r:
                 work = {(tuple(e - (i == l) for i, e in enumerate(beta)), k): c
                         for (beta, k), c in work.items()}
@@ -342,6 +361,66 @@ def integrable_charts(draw):
     return chart, LogLattice(chart, rank, gammas), draw(st.integers(1, 3))
 
 
+def assert_integer_images(lattice, alpha, j, b):
+    """The integer image of d^b is D^|b| times the Fraction reference."""
+    image = lattice.derivation_image(alpha, j, b)
+    reference = reference_lift_image(lattice, (0,) * lattice.chart.n, b, alpha, j)
+    scale = lattice.denominator ** sum(b)
+    assert all(type(c) is int for c in image.values())
+    assert image == {key: c * scale for key, c in reference.items()}
+    return image
+
+
+@st.composite
+def frame_monomials(draw, chart, rank):
+    """(alpha, j, b): a window exponent, a frame index and a d^b."""
+    alpha = tuple(draw(st.integers(-3 if i < chart.r else 0, 3)) for i in range(chart.n))
+    b = tuple(draw(st.integers(0, 2)) for _ in range(chart.n))
+    return alpha, draw(st.integers(0, rank - 1)), b
+
+
+@st.composite
+def polynomial_gamma_charts(draw):
+    """Any polynomial gammas: the images need no integrability."""
+    n = draw(st.integers(1, 3))
+    chart = NCChart(n, draw(st.integers(1, n)))
+    rank = draw(st.integers(1, 2))
+    coords = coordinate_names(n)
+    exponents = st.tuples(*[st.integers(0, 2)] * n)
+    gammas = [[[MPoly(coords, draw(st.dictionaries(exponents, SMALL, max_size=3)))
+                for _ in range(rank)] for _ in range(rank)] for _ in range(n)]
+    return chart, LogLattice(chart, rank, gammas)
+
+
+class TestIntegerImages:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_integrable_charts(self, data):
+        chart, lattice, _bound = data.draw(integrable_charts())
+        alpha, j, b = data.draw(frame_monomials(chart, lattice.rank))
+        assert_integer_images(lattice, alpha, j, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_polynomial_gammas(self, data):
+        chart, lattice = data.draw(polynomial_gamma_charts())
+        alpha, j, b = data.draw(frame_monomials(chart, lattice.rank))
+        assert_integer_images(lattice, alpha, j, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(c=st.integers(-4, 4), extra=st.integers(0, 3), n=st.integers(1, 2))
+    def test_rank_one_cancellation(self, c, extra, n):
+        # x_1 d_1 + c kills x_1^-c: the alpha_1 and gamma terms cancel
+        chart = NCChart(n, 1)
+        gammas = [[[c]]] + [[[0]]] * (n - 1)
+        lattice = LogLattice(chart, 1, gammas)
+        assert lattice.denominator == 1
+        alpha = (-c,) + (extra,) * (n - 1)
+        assert assert_integer_images(lattice, alpha, 0, (1,) + (0,) * (n - 1)) == {}
+        assert assert_integer_images(lattice, alpha, 0, (2,) + (1,) * (n - 1)) == {}
+        assert lattice.lift_pole_order((0,) * n, (1,) + (0,) * (n - 1), alpha, 0) is None
+
+
 class TestMemoizedScan:
     @pytest.mark.parametrize("name, bound", [("euler_lattice.chart", 6),
                                              ("nilpotent_lattice.chart", 6),
@@ -365,6 +444,25 @@ class TestMemoizedScan:
         lattice = LogLattice(chart, 2, [[[x, MPoly.const(c1, 1)],
                                          [x * x, MPoly.zero(c1)]]])
         assert_matches_reference(lattice, chart, 4)
+
+    def test_upward_closure_skips_dominated_scans(self, monkeypatch):
+        # x^a d^b annihilating the window makes every x^a' d^b with a' >= a
+        # annihilate it, so those are not scanned: 34 scans, one per symbol
+        # monomial, when every monomial was scanned
+        scans = 0
+        scan = dreg.polelattice._annihilates_lattice
+
+        def counted(*args):
+            nonlocal scans
+            scans += 1
+            return scan(*args)
+
+        monkeypatch.setattr(dreg.polelattice, "_annihilates_lattice", counted)
+        chart, lattice = _read_chart_file(str(CORPUS / "plane_lattice.chart"))
+        report = theorem_forward_filtration(lattice, chart, 3)
+        assert report.certified
+        assert len(report.rows) == 344
+        assert scans <= 30
 
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_symbol_monomials_in_product_order(self, n):
