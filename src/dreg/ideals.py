@@ -3,8 +3,12 @@
 One Buchberger driver serves both rings of the package: the commutative
 polynomial ring Q[vars] (the symbol ring) and the Weyl algebra A_n, which
 `dreg.weyl` describes to it.  A `Ring` gives the term order, the flat
-exponents of a term, c * monomial and commutativity; the S-pair loop, the
-division routine and the interreduction are shared.  On top sit
+exponents of a term, elements from term maps and commutativity; the S-pair
+loop, the division routine and the interreduction are shared.  Arithmetic
+inside the driver is on integers: it keeps primitive integer multiples of
+its elements and divides by pseudo-division, and Fractions appear only at
+the boundary, in the monic reduced basis and in the exact remainder
+`normal_form` hands to an outside caller.  On top sit
 membership, radical membership via the extra-variable trick, and Krull
 dimension through independent variable sets modulo the initial ideal.  All
 computations carry an explicit work budget; exceeding it raises rather
@@ -14,6 +18,7 @@ than silently truncating.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, le, mul, neg, sub
@@ -115,14 +120,17 @@ class Ring:
 
     Elements keep their terms in a map `terms` from term keys to nonzero
     coefficients.  `flat(key)` gives a term's exponents as one flat tuple,
-    compared by `order`, and `monomial(f, exps, c)` builds c * monomial in
-    the ring of f.  Products and `scale` are the elements' own methods.
-    Only a commutative ring may skip S-pairs by the coprimality criterion.
+    compared by `order`.  `element(f, terms)` is the element of f's ring
+    with that term map and `monomial(f, exps, c)` is c * monomial there,
+    both taking their coefficients as given, integer or Fraction.  Products
+    and `scale` are the elements' own methods.  Only a commutative ring may
+    skip S-pairs by the coprimality criterion.
     """
 
     order: TermOrder
     flat: Callable
     monomial: Callable
+    element: Callable
     commutative: bool
 
     def leading(self, f) -> tuple[tuple, Fraction]:
@@ -134,35 +142,61 @@ class Ring:
 
 def polynomial_ring(order: TermOrder) -> Ring:
     """Q[vars] under the given term order."""
-    return Ring(order, lambda e: e,
-                lambda p, exps, c: MPoly.monomial(p.vars, exps, c), True)
+    def element(p: MPoly, terms: dict) -> MPoly:
+        out = MPoly.__new__(MPoly)
+        out.vars = p.vars
+        out.terms = terms
+        return out
+
+    return Ring(order, lambda e: e, lambda p, exps, c: element(p, {exps: c}), element, True)
 
 
 POLYNOMIALS = polynomial_ring(DEGREVLEX)
 
 
-def normal_form(f, basis: Sequence, ring: Ring = POLYNOMIALS,
-                leads: Sequence | None = None):
-    """Full remainder of f on (left) division by the basis (every term reduced).
+def _primitive(ints: dict) -> tuple[dict, int]:
+    """(F, g): a nonzero integer term map is g * F with F primitive, g > 0."""
+    g = math.gcd(*ints.values())
+    return ({t: c // g for t, c in ints.items()} if g != 1 else ints), g
 
-    `leads` are the basis' leading terms when the caller keeps them.  The
-    division runs inside one term map: a step subtracts c * monomial * g
-    from it in place, or moves its leading term to the remainder.
+
+def _integral(terms: dict) -> tuple[dict, Fraction]:
+    """(F, c) with F the primitive integer multiple of a nonzero term map and
+    terms = c * F: clear the denominators, then divide by the numerators' gcd."""
+    den = math.lcm(*[c.denominator for c in terms.values()])
+    ints, g = _primitive({t: c.numerator * (den // c.denominator) for t, c in terms.items()})
+    return ints, Fraction(g, den)
+
+
+def _pseudo_remainder(f, basis: Sequence, leads: Sequence, ring: Ring) -> tuple[dict, int]:
+    """(R, m) with R the integer term map of m * (remainder of f), m > 0.
+
+    f and the basis have integer coefficients.  The division runs inside
+    one term map: a step that meets a term a * x^e divisible by lc(g) x^ge
+    scales the map by lc(g)/h, h = gcd(a, lc(g)), and subtracts
+    a/h * x^(e-ge) * g in place; a term no leading monomial divides moves
+    to the remainder.  Scaling by a nonzero constant changes no support, so
+    the steps are those of the division over Q.
     """
-    if not basis:
-        return f
-    if leads is None:
-        leads = [ring.leading(g) for g in basis]
     key, flat = ring.order.key, ring.flat
-    remainder = f.scale(0)
-    done, rest = remainder.terms, dict(f.terms)
+    done, rest = {}, dict(f.terms)
+    scale = 1
     rank = {t: key(flat(t)) for t in rest}      # order key of every term met
     while rest:
         t = max(rest, key=rank.__getitem__)
         e = flat(t)
         for g, (ge, gc) in zip(basis, leads):
             if _divides(ge, e):
-                product = ring.monomial(f, _exp_sub(e, ge), rest[t] / gc) * g
+                a = rest[t]
+                h = math.gcd(a, gc) if gc > 0 else -math.gcd(a, gc)
+                m = gc // h
+                if m != 1:
+                    scale *= m
+                    for u in rest:
+                        rest[u] *= m
+                    for u in done:
+                        done[u] *= m
+                product = ring.monomial(f, _exp_sub(e, ge), a // h) * g
                 for u, v in product.terms.items():
                     s = rest.get(u)
                     if s is None:
@@ -176,7 +210,30 @@ def normal_form(f, basis: Sequence, ring: Ring = POLYNOMIALS,
                 break
         else:
             done[t] = rest.pop(t)
-    return remainder
+    return done, scale
+
+
+def normal_form(f, basis: Sequence, ring: Ring = POLYNOMIALS,
+                leads: Sequence | None = None):
+    """Full remainder of f on (left) division by the basis (every term reduced).
+
+    The division is integer pseudo-division (`_pseudo_remainder`).  Called
+    with `leads`, the basis' leading terms, as the Buchberger driver does,
+    f and the basis must have integer coefficients, and the result is the
+    primitive integer multiple of the remainder.  Without them, f and the
+    basis are made integer here and the exact remainder comes back,
+    divided into Fractions once per term.
+    """
+    if not basis or f.is_zero():
+        return f
+    if leads is not None:
+        r, _ = _pseudo_remainder(f, basis, leads, ring)
+        return ring.element(f, _primitive(r)[0])
+    basis = [ring.element(g, _integral(g.terms)[0]) for g in basis]
+    ints, c = _integral(f.terms)
+    r, m = _pseudo_remainder(ring.element(f, ints), basis, [ring.leading(g) for g in basis], ring)
+    c /= m
+    return ring.element(f, {t: v * c for t, v in r.items()})
 
 
 def buchberger_basis(gens: Iterable, ring: Ring, budget: int = DEFAULT_BUDGET) -> list:
@@ -192,6 +249,10 @@ def buchberger_basis(gens: Iterable, ring: Ring, budget: int = DEFAULT_BUDGET) -
     `budget` counts the pairs taken off the queue, those a criterion drops
     included.  A nonzero constant in the basis ends the loop at once: the
     reduced basis of the unit ideal is [1].
+
+    Every element the loop keeps is the primitive integer multiple of the
+    element over Q, and an S-element is built with integer cofactors, so
+    the loop runs on integers; the reduced basis is made monic at the end.
     """
     basis, leads = [], []           # the elements and their leading terms
     queue, pending = [], set()      # heap of (order key of lcm, j, i, lcm); the (i, j) in it
@@ -209,7 +270,7 @@ def buchberger_basis(gens: Iterable, ring: Ring, budget: int = DEFAULT_BUDGET) -
         return not any(lead[0])
 
     for g in gens:
-        if not g.is_zero() and insert(g):
+        if not g.is_zero() and insert(ring.element(g, _integral(g.terms)[0])):
             return [ring.monomial(g, leads[-1][0], Fraction(1))]
     processed = 0
     while queue:
@@ -223,12 +284,13 @@ def buchberger_basis(gens: Iterable, ring: Ring, budget: int = DEFAULT_BUDGET) -
         # Buchberger's coprimality criterion, sound only where elements commute.
         if ring.commutative and lcm == tuple(map(add, fe, ge)):
             continue
-        if any(k != i and k != j and (min(i, k), max(i, k)) not in pending
-               and (min(j, k), max(j, k)) not in pending and _divides(ke, lcm)
+        if any(_divides(ke, lcm) and k != i and k != j
+               and (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending
                for k, (ke, _) in enumerate(leads)):
             continue
-        s = (ring.monomial(basis[i], _exp_sub(lcm, fe), Fraction(1) / fc) * basis[i]
-             - ring.monomial(basis[j], _exp_sub(lcm, ge), Fraction(1) / gc) * basis[j])
+        h = math.gcd(fc, gc)
+        s = (ring.monomial(basis[i], _exp_sub(lcm, fe), gc // h) * basis[i]
+             - ring.monomial(basis[j], _exp_sub(lcm, ge), fc // h) * basis[j])
         r = normal_form(s, basis, ring, leads)
         if not r.is_zero() and insert(r):
             return [ring.monomial(r, leads[-1][0], Fraction(1))]
@@ -257,7 +319,7 @@ def _reduce_basis(basis: list, leads: list, ring: Ring) -> list:
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
         r = normal_form(g, others, ring, lead[:i] + lead[i + 1:]) if others else g
-        reduced.append((ring.order.key(lead[i][0]), r.scale(Fraction(1) / lead[i][1])))
+        reduced.append((ring.order.key(lead[i][0]), r.scale(Fraction(1, ring.leading(r)[1]))))
     return [r for _, r in sorted(reduced, key=lambda kr: kr[0])]
 
 

@@ -132,11 +132,15 @@ class MPoly:
         self._check(other)
         res = dict(self.terms)
         for e, c in other.terms.items():
-            s = res.get(e, Fraction(0)) + c
+            s = res.get(e)
+            if s is None:
+                res[e] = c
+                continue
+            s += c
             if s:
                 res[e] = s
             else:
-                res.pop(e, None)
+                del res[e]
         out = MPoly.__new__(MPoly)
         out.vars = self.vars
         out.terms = res

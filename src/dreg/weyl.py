@@ -121,11 +121,15 @@ class WeylElement:
         self._check(other)
         res = dict(self.terms)
         for key, c in other.terms.items():
-            s = res.get(key, Fraction(0)) + c
+            s = res.get(key)
+            if s is None:
+                res[key] = c
+                continue
+            s += c
             if s:
                 res[key] = s
             else:
-                res.pop(key, None)
+                del res[key]
         out = WeylElement.__new__(WeylElement)
         out.n = self.n
         out.terms = res
@@ -212,11 +216,21 @@ class WeylElement:
 def weyl_mul(a: WeylElement, b: WeylElement) -> WeylElement:
     """Normal-ordered product in A_n.
 
-    The contraction factors k! C(beta_i, k) C(gamma_i, k) stay integers, so
-    each product term costs one Fraction multiply.
+    A left factor c * x^alpha with no d is an exponent shift and a scale,
+    under which no two terms collide.  Otherwise the contraction factors
+    k! C(beta_i, k) C(gamma_i, k) stay integers, so each product term costs
+    one coefficient multiply.
     """
     a._check(b)
     n = a.n
+    out = WeylElement.__new__(WeylElement)
+    out.n = n
+    if len(a.terms) == 1:
+        (((alpha, beta), c),) = a.terms.items()
+        if not any(beta):
+            out.terms = {(tuple(map(add, alpha, gamma)), delta): c * cb
+                         for (gamma, delta), cb in b.terms.items()}
+            return out
     res: dict[tuple, Fraction] = {}
     for (alpha, beta), ca in a.terms.items():
         for (gamma, delta), cb in b.terms.items():
@@ -239,8 +253,6 @@ def weyl_mul(a: WeylElement, b: WeylElement) -> WeylElement:
                         del res[key]
                 else:
                     res[key] = term
-    out = WeylElement.__new__(WeylElement)
-    out.n = n
     out.terms = res
     return out
 
@@ -296,10 +308,14 @@ def weyl_ring(n: int) -> Ring:
     compares total d-degree first, then degrevlex, so it is compatible with
     the order filtration.  Monomial times element goes through `weyl_mul`.
     """
-    def monomial(w: WeylElement, exps: tuple, c: Fraction) -> WeylElement:
-        return WeylElement(n, {(exps[:n], exps[n:]): c})
+    def element(w: WeylElement, terms: dict) -> WeylElement:
+        out = WeylElement.__new__(WeylElement)
+        out.n = n
+        out.terms = terms
+        return out
 
-    return Ring(symbol_weight_order(2 * n), lambda t: t[0] + t[1], monomial,
+    return Ring(symbol_weight_order(2 * n), lambda t: t[0] + t[1],
+                lambda w, exps, c: element(w, {(exps[:n], exps[n:]): c}), element,
                 commutative=False)
 
 

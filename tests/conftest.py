@@ -2,18 +2,24 @@
 reference that the polar lattices are checked against, the operator
 algebra reference that the parser is checked against, the plain forms
 of the Q(x) kernel's shortcuts, the Fraction form of the log lattice's
-integer derivation images, and small helpers only tests call."""
+integer derivation images, the Fraction Buchberger driver and general Weyl
+product that the integer driver and the one-term shift are checked against,
+and small helpers only tests call."""
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Sequence
 
 import pytest
 
 from dreg.dmod import ContradictionError, EquivalenceReport
+from dreg.ideals import (DEFAULT_BUDGET, POLYNOMIALS, BudgetExceeded, Ring, _divides,
+                         _exp_lcm, _exp_sub)
 from dreg.linalg import gauss_solve, mat_mul
 from dreg.operators import UnivarOperator
 from dreg.parser import _DERIV_RE, ParseError, Token, _Parser, tokenize
@@ -573,4 +579,156 @@ def reference_apply_derivation(lattice, l: int, elem: dict) -> dict:
             for e, ce in entry.terms.items():
                 shifted = tuple(a + g for a, g in zip(alpha, e))
                 add((shifted, i), c * ce)
+    return out
+
+
+# -- the Fraction Buchberger driver -----------------------------------------------
+# The shared driver as it ran on Fraction coefficients throughout: the oracle
+# that the integer driver's bases, remainders and pop counts are checked against.
+
+
+def reference_normal_form(f, basis: Sequence, ring: Ring = POLYNOMIALS,
+                leads: Sequence | None = None):
+    """Full remainder of f on (left) division by the basis (every term reduced).
+
+    `leads` are the basis' leading terms when the caller keeps them.  The
+    division runs inside one term map: a step subtracts c * monomial * g
+    from it in place, or moves its leading term to the remainder.
+    """
+    if not basis:
+        return f
+    if leads is None:
+        leads = [ring.leading(g) for g in basis]
+    key, flat = ring.order.key, ring.flat
+    remainder = f.scale(0)
+    done, rest = remainder.terms, dict(f.terms)
+    rank = {t: key(flat(t)) for t in rest}      # order key of every term met
+    while rest:
+        t = max(rest, key=rank.__getitem__)
+        e = flat(t)
+        for g, (ge, gc) in zip(basis, leads):
+            if _divides(ge, e):
+                product = ring.monomial(f, _exp_sub(e, ge), rest[t] / gc) * g
+                for u, v in product.terms.items():
+                    s = rest.get(u)
+                    if s is None:
+                        rest[u] = -v
+                        if u not in rank:
+                            rank[u] = key(flat(u))
+                    elif s == v:
+                        del rest[u]
+                    else:
+                        rest[u] = s - v
+                break
+        else:
+            done[t] = rest.pop(t)
+    return remainder
+
+
+def reference_buchberger_basis(gens: Iterable, ring: Ring, budget: int = DEFAULT_BUDGET) -> list:
+    """Reduced (left) Gröbner basis of the (left) ideal the generators span.
+
+    The schedule is normal selection: the pending S-pair whose lcm of
+    leading monomials is smallest in the term order comes first, ties going
+    to the older pair.  Buchberger's chain criterion drops (i, j) when some
+    basis element's leading monomial divides lcm(i, j) and neither (i, k)
+    nor (j, k) is still pending; it holds in A_n as in Q[vars].  The
+    coprimality criterion is used only in a commutative ring: in A_n the
+    commutator of elements with disjoint leading supports need not vanish.
+    `budget` counts the pairs taken off the queue, those a criterion drops
+    included.  A nonzero constant in the basis ends the loop at once: the
+    reduced basis of the unit ideal is [1].
+    """
+    basis, leads = [], []           # the elements and their leading terms
+    queue, pending = [], set()      # heap of (order key of lcm, j, i, lcm); the (i, j) in it
+
+    def insert(g) -> bool:
+        """Add g and its pairs; True when g is a constant."""
+        lead = ring.leading(g)
+        j = len(basis)
+        for i, (fe, _) in enumerate(leads):
+            lcm = _exp_lcm(fe, lead[0])
+            heapq.heappush(queue, (ring.order.key(lcm), j, i, lcm))
+            pending.add((i, j))
+        basis.append(g)
+        leads.append(lead)
+        return not any(lead[0])
+
+    for g in gens:
+        if not g.is_zero() and insert(g):
+            return [ring.monomial(g, leads[-1][0], Fraction(1))]
+    processed = 0
+    while queue:
+        processed += 1
+        if processed > budget:
+            raise BudgetExceeded(
+                f"Buchberger budget of {budget} S-pairs exceeded")
+        _, j, i, lcm = heapq.heappop(queue)
+        pending.discard((i, j))
+        (fe, fc), (ge, gc) = leads[i], leads[j]
+        # Buchberger's coprimality criterion, sound only where elements commute.
+        if ring.commutative and lcm == tuple(map(add, fe, ge)):
+            continue
+        if any(k != i and k != j and (min(i, k), max(i, k)) not in pending
+               and (min(j, k), max(j, k)) not in pending and _divides(ke, lcm)
+               for k, (ke, _) in enumerate(leads)):
+            continue
+        s = (ring.monomial(basis[i], _exp_sub(lcm, fe), Fraction(1) / fc) * basis[i]
+             - ring.monomial(basis[j], _exp_sub(lcm, ge), Fraction(1) / gc) * basis[j])
+        r = reference_normal_form(s, basis, ring, leads)
+        if not r.is_zero() and insert(r):
+            return [ring.monomial(r, leads[-1][0], Fraction(1))]
+    return _reference_reduce_basis(basis, leads, ring)
+
+
+def _reference_reduce_basis(basis: list, leads: list, ring: Ring) -> list:
+    # Minimalize: drop generators whose leading monomial another one divides.
+    keep = []
+    for i, (e, _) in enumerate(leads):
+        if any(j != i and _divides(f, e) and (f != e or j < i)
+               for j, (f, _) in enumerate(leads)):
+            continue
+        keep.append(i)
+    minimal = [basis[i] for i in keep]
+    lead = [leads[i] for i in keep]
+    # Fully reduce each element against the others and make monic; no other
+    # leading monomial divides its own, so the leading term stays.
+    reduced = []
+    for i, g in enumerate(minimal):
+        others = minimal[:i] + minimal[i + 1:]
+        r = reference_normal_form(g, others, ring, lead[:i] + lead[i + 1:]) if others else g
+        reduced.append((ring.order.key(lead[i][0]), r.scale(Fraction(1) / lead[i][1])))
+    return [r for _, r in sorted(reduced, key=lambda kr: kr[0])]
+
+
+def reference_weyl_mul(a: WeylElement, b: WeylElement) -> WeylElement:
+    """Normal-ordered product in A_n by the general contraction, for every
+    pair of terms."""
+    a._check(b)
+    n = a.n
+    res: dict[tuple, Fraction] = {}
+    for (alpha, beta), ca in a.terms.items():
+        for (gamma, delta), cb in b.terms.items():
+            base = ca * cb
+            # distribute the per-variable contraction d^beta_i x^gamma_i
+            stack = [((), 1)]
+            for bi, gi in zip(beta, gamma):
+                stack = [(ks + (k,), f * math.factorial(k) * math.comb(bi, k) * math.comb(gi, k))
+                         for ks, f in stack for k in range(min(bi, gi) + 1)]
+            exp_x = tuple(map(add, alpha, gamma))
+            exp_d = tuple(map(add, beta, delta))
+            for ks, f in stack:
+                key = (tuple(map(sub, exp_x, ks)), tuple(map(sub, exp_d, ks)))
+                term = base * f if f != 1 else base
+                if key in res:
+                    s = res[key] + term
+                    if s:
+                        res[key] = s
+                    else:
+                        del res[key]
+                else:
+                    res[key] = term
+    out = WeylElement.__new__(WeylElement)
+    out.n = n
+    out.terms = res
     return out

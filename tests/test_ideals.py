@@ -1,19 +1,30 @@
+import importlib.util
 import itertools
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dreg.ideals import (BudgetExceeded, DEGREVLEX, LEX, Ideal, NotMonomialIdeal,
-                         buchberger, groebner_basis,
+                         buchberger, buchberger_basis, groebner_basis,
                          is_radical_squarefree_monomial, krull_dimension,
                          leading_term, normal_form, polynomial_ring,
                          radical_membership, symbol_weight_order)
+from dreg.parser import parse_weyl_generators
 from dreg.polynomials import MPoly
-from dreg.weyl import WeylElement, weyl_groebner, weyl_ring
+from dreg.weyl import WeylElement, characteristic_ideal, weyl_groebner, weyl_ring
 
-from conftest import random_mpoly
+from conftest import random_mpoly, reference_buchberger_basis, reference_normal_form
+
+# the benchmark's Weyl families and their parameters
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+WORKLOADS = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(WORKLOADS)
+CLIFF = WORKLOADS.CLIFF_WEYL
 
 
 def ring(*names):
@@ -208,6 +219,15 @@ def permuted_and_rescaled(draw, gens):
     return [g.scale(c) for g, c in zip(perm, scales)]
 
 
+PRIMES = (998244353, 999999929, 999999937, 1000000007, 1000000009, 2147483647, 4294967291)
+
+
+def with_prime_ratios(rng, g):
+    """g's support with coefficients +-p/q for 9-10 digit primes p, q."""
+    return MPoly(g.vars, {e: rng.choice((-1, 1)) * Fraction(rng.choice(PRIMES), rng.choice(PRIMES))
+                          for e in g.terms})
+
+
 def to_sympy(g, symbols, sympy):
     return sum(sympy.Rational(c.numerator, c.denominator)
                * sympy.Mul(*(s ** e for s, e in zip(symbols, exps)))
@@ -259,8 +279,11 @@ class TestSharedDriver:
         rng = random.Random(61)
         vs = ring("x", "y", "z")
         symbols = sympy.symbols(vs)
-        for _ in range(8):
-            gens = [random_mpoly(rng, vs, 2, 4) for _ in range(3)]
+        samples = [[random_mpoly(rng, vs, 2, 4) for _ in range(3)] for _ in range(8)]
+        # coefficient growth: ratios of 9-10 digit primes on the same supports
+        samples += [[with_prime_ratios(rng, random_mpoly(rng, vs, 2, 3)) for _ in range(3)]
+                    for _ in range(4)]
+        for gens in samples:
             ours = groebner_basis(Ideal(vs, gens), order)
             theirs = sympy.groebner([to_sympy(g, symbols, sympy) for g in gens],
                                     *symbols, order=name)
@@ -301,3 +324,122 @@ class TestPairCriteria:
         gb = weyl_groebner(gens)
         assert_buchberger_test(gens, gb, weyl_ring(2),
                                lambda e, c: WeylElement(2, {(e[:2], e[2:]): c}))
+
+
+def fraction_coefficients(elements) -> bool:
+    return all(type(c) is Fraction for g in elements for c in g.terms.values())
+
+
+POP_BOUND = 100     # random sets that need more pops compare as "exceeded"
+
+
+def outcome(driver, gens, ring, budget=POP_BOUND):
+    """The driver's basis, or None when it needs more than `budget` pops."""
+    try:
+        return driver(gens, ring, budget)
+    except BudgetExceeded:
+        return None
+
+
+def smallest_budget(driver, gens, ring, bound=POP_BOUND):
+    """The least budget up to `bound` under which the driver returns, or None."""
+    if outcome(driver, gens, ring, bound) is None:
+        return None
+    lo, hi = -1, bound
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if outcome(driver, gens, ring, mid) is None:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+SYMBOL_VARS = ring("x", "y", "xi", "eta")
+ORACLE_ORDERS = [DEGREVLEX, LEX, symbol_weight_order(4)]
+
+
+@st.composite
+def symbol_ring_generators(draw):
+    terms = draw(st.lists(flat_terms(4, 2, 3), min_size=1, max_size=3))
+    return [MPoly(SYMBOL_VARS, t) for t in terms]
+
+
+@st.composite
+def a1_a2_generators(draw):
+    n = draw(st.integers(1, 2))
+    terms = draw(st.lists(flat_terms(2 * n, 4 - n, 2), min_size=1, max_size=3))
+    return [WeylElement(n, {(e[:n], e[n:]): c for e, c in t.items()}) for t in terms]
+
+
+class TestIntegerDriver:
+    """The driver runs on primitive integer elements; its bases, remainders
+    and pop counts equal those of the Fraction driver in conftest, and only
+    Fractions leave it."""
+
+    @pytest.mark.parametrize("order", ORACLE_ORDERS, ids=["degrevlex", "lex", "symbol"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_polynomial_bases_and_remainders_match_the_oracle(self, order, data):
+        gens = data.draw(symbol_ring_generators())
+        f = MPoly(SYMBOL_VARS, data.draw(flat_terms(4, 3, 5)))
+        ring_ = polynomial_ring(order)
+        gb = outcome(buchberger_basis, gens, ring_)
+        assert gb == outcome(reference_buchberger_basis, gens, ring_)
+        for basis in [gens] if gb is None else [gb, gens]:
+            r = normal_form(f, basis, ring_)
+            assert r == reference_normal_form(f, basis, ring_)
+            assert fraction_coefficients([r] + basis)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_weyl_bases_and_remainders_match_the_oracle(self, data):
+        gens = data.draw(a1_a2_generators())
+        n = gens[0].n
+        terms = data.draw(flat_terms(2 * n, 3, 4))
+        f = WeylElement(n, {(e[:n], e[n:]): c for e, c in terms.items()})
+        ring_ = weyl_ring(n)
+        gb = outcome(buchberger_basis, gens, ring_)
+        assert gb == outcome(reference_buchberger_basis, gens, ring_)
+        for basis in [gens] if gb is None else [gb, gens]:
+            r = normal_form(f, basis, ring_)
+            assert r == reference_normal_form(f, basis, ring_)
+            assert fraction_coefficients([r] + basis)
+
+    @settings(max_examples=25, deadline=None)
+    @given(gens=symbol_ring_generators())
+    def test_polynomial_budget_counts_the_same_pops(self, gens):
+        ring_ = polynomial_ring(symbol_weight_order(4))
+        assert (smallest_budget(buchberger_basis, gens, ring_)
+                == smallest_budget(reference_buchberger_basis, gens, ring_))
+
+    @settings(max_examples=25, deadline=None)
+    @given(gens=a1_a2_generators())
+    def test_weyl_budget_counts_the_same_pops(self, gens):
+        ring_ = weyl_ring(gens[0].n)
+        assert (smallest_budget(buchberger_basis, gens, ring_)
+                == smallest_budget(reference_buchberger_basis, gens, ring_))
+
+    def test_unit_ideal_cliff_pops(self):
+        # the constant joins the basis at pop 220 in both drivers
+        gens = parse_weyl_generators(CLIFF, ("x", "y"))
+        ring_ = weyl_ring(2)
+        assert smallest_budget(buchberger_basis, gens, ring_, 300) == 220
+        assert smallest_budget(reference_buchberger_basis, gens, ring_, 300) == 220
+
+    @pytest.mark.parametrize("family", [f[0] for f in WORKLOADS.FAMILIES])
+    def test_workload_families_match_the_oracle(self, family):
+        _, build, nparams, variables = next(f for f in WORKLOADS.FAMILIES if f[0] == family)
+        names = tuple(variables.split(","))
+        n = len(names)
+        rng = random.Random(71)
+        for _ in range(2):
+            gens = parse_weyl_generators(" ; ".join(build(*rng.sample(WORKLOADS.PARAMS, nparams))),
+                                         names)
+            gb = weyl_groebner(gens)
+            assert gb == reference_buchberger_basis(gens, weyl_ring(n))
+            assert fraction_coefficients(gb)
+            symbols = characteristic_ideal(gens)
+            for order in (DEGREVLEX, LEX):
+                assert (groebner_basis(symbols, order)
+                        == reference_buchberger_basis(symbols.gens, polynomial_ring(order)))

@@ -10,7 +10,7 @@ from dreg.polynomials import MPoly
 from dreg.weyl import (WeylElement, characteristic_ideal, coordinate_names,
                        format_weyl, weyl_groebner, weyl_mul, weyl_ring)
 
-from conftest import random_mpoly, random_weyl
+from conftest import random_mpoly, random_weyl, reference_weyl_mul
 
 
 def a1():
@@ -123,6 +123,20 @@ class TestProductProperties:
     def test_product_coefficients_are_fractions(self, data, n):
         a, b = (data.draw(weyl_elements(n)) for _ in range(2))
         assert all(type(c) is Fraction for c in weyl_mul(a, b).terms.values())
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 2))
+    def test_one_term_shift_equals_the_general_contraction(self, data, n):
+        # c * x^alpha on the left takes the shift path, any other factor the
+        # contraction; both must give the product term by term
+        alpha = data.draw(multi_indices(n, 3))
+        a = WeylElement(n, {(alpha, (0,) * n): data.draw(COEFFS)})
+        b = data.draw(weyl_elements(n, degree=3, max_terms=4))
+        shifted = weyl_mul(a, b)
+        assert shifted == reference_weyl_mul(a, b)
+        assert all(type(c) is Fraction for c in shifted.terms.values())
+        other = data.draw(weyl_elements(n))
+        assert weyl_mul(other, b) == reference_weyl_mul(other, b)
 
 
 class TestSymbols:
