@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .ideals import (DEFAULT_BUDGET, DEGREVLEX, LEX, Ideal, basis_dimension,
-                     groebner_basis, is_radical_squarefree_monomial,
-                     normal_form, radical_membership)
+from .ideals import (DEFAULT_BUDGET, DEGREVLEX, LEX, Ideal, all_in_ideal,
+                     basis_dimension, groebner_basis, is_radical_squarefree_monomial,
+                     radical_membership)
 from .lattices import PolarLattice
 from .operators import UnivarOperator, to_theta_form
 from .polynomials import INF, MPoly, RatFun, factor_rational
@@ -427,8 +427,7 @@ def decompose_symbol_ideal(ideal: Ideal, n: int,
 
     accepted = []
     for cand in candidates:
-        gb = groebner_basis(cand.ideal, DEGREVLEX, budget)
-        if all(normal_form(g, gb).is_zero() for g in gens):
+        if all_in_ideal(gens, groebner_basis(cand.ideal, DEGREVLEX, budget)):
             accepted.append(cand)
 
     covered = _covers(ideal, accepted, budget) if accepted else False

@@ -229,11 +229,26 @@ def normal_form(f, basis: Sequence, ring: Ring = POLYNOMIALS,
     if leads is not None:
         r, _ = _pseudo_remainder(f, basis, leads, ring)
         return ring.element(f, _primitive(r)[0])
-    basis = [ring.element(g, _integral(g.terms)[0]) for g in basis]
+    basis, leads = _integral_basis(basis, ring)
     ints, c = _integral(f.terms)
-    r, m = _pseudo_remainder(ring.element(f, ints), basis, [ring.leading(g) for g in basis], ring)
+    r, m = _pseudo_remainder(ring.element(f, ints), basis, leads, ring)
     c /= m
     return ring.element(f, {t: v * c for t, v in r.items()})
+
+
+def _integral_basis(basis: Sequence, ring: Ring) -> tuple[list, list]:
+    """The primitive integer multiples of the basis elements and their
+    leading terms: what `normal_form` takes with `leads`."""
+    basis = [ring.element(g, _integral(g.terms)[0]) for g in basis]
+    return basis, [ring.leading(g) for g in basis]
+
+
+def all_in_ideal(fs: Iterable, gb: Sequence, ring: Ring = POLYNOMIALS) -> bool:
+    """Whether every f lies in the ideal a Gröbner basis gb spans: each
+    remainder is zero.  The basis is made integer once for all of them."""
+    basis, leads = _integral_basis(gb, ring)
+    return all(normal_form(ring.element(f, _integral(f.terms)[0]), basis, ring, leads).is_zero()
+               for f in fs)
 
 
 def buchberger_basis(gens: Iterable, ring: Ring, budget: int = DEFAULT_BUDGET) -> list:

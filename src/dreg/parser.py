@@ -11,10 +11,12 @@ right-multiplication by the inverse of a pure-coordinate factor (never a
 derivation).  Generators are separated by ';'.  The printers below emit
 canonical forms the parser reads back verbatim.
 
-In one variable a value stays a rational function in Q(x) until it meets a
-derivation: f*P scales the coefficients of P, and only P*f needs the Leibniz
-product.  A power is refused, before it is computed, when the exponent times
-the order or degree of its base exceeds MAX_POWER.
+In one variable a value is a polynomial in Q[x] (an MPoly) until it is divided
+by a non-constant polynomial, a rational function in Q(x) after that, and an
+operator only where it meets a derivation: f*d^k places f at order k, f*P
+scales the coefficients of P, and only P*f needs the Leibniz product.  A power
+is refused, before it is computed, when the exponent times the order or
+degree of its base exceeds MAX_POWER.
 """
 
 from __future__ import annotations
@@ -172,24 +174,32 @@ def _check_power(size: int, k: int, tok: Token) -> None:
 
 
 class _UnivarAlgebra:
-    """Evaluation into Q(x); a value becomes an operator where it meets a derivation."""
+    """Evaluation into Q[x] until a division by a non-constant polynomial, into
+    Q(x) after it; a value becomes an operator where it meets a derivation."""
 
     def __init__(self, var: str):
         self.var = var
         self.deriv_tokens = {"d", "d" + var}
         if var == "x":
             self.deriv_tokens.add("dx")
+        self.one = MPoly.const((var,), 1)
+        self.unit = RatFun.from_coprime(self.one, self.one)
 
-    @staticmethod
-    def lift(v) -> UnivarOperator:
-        return v if isinstance(v, UnivarOperator) else UnivarOperator.multiplication(v)
+    def function(self, v) -> RatFun:
+        """A polynomial or rational function as a RatFun."""
+        return RatFun.from_coprime(v, self.one) if isinstance(v, MPoly) else v
 
-    def const(self, c: Fraction) -> RatFun:
-        return RatFun.const(self.var, c)
+    def lift(self, v) -> UnivarOperator:
+        if isinstance(v, UnivarOperator):
+            return v
+        return UnivarOperator.multiplication(self.function(v))
+
+    def const(self, c: Fraction) -> MPoly:
+        return MPoly.const((self.var,), c)
 
     def symbol(self, tok: Token):
         if tok.text == self.var:
-            return RatFun.x(self.var)
+            return MPoly.var((self.var,), self.var)
         if tok.text in self.deriv_tokens:
             return UnivarOperator.derivation(self.var)
         if _DERIV_RE.fullmatch(tok.text):
@@ -201,22 +211,36 @@ class _UnivarAlgebra:
     def neg(self, v): return -v
 
     def add(self, a, b):
-        if isinstance(a, RatFun) and isinstance(b, RatFun):
+        if isinstance(a, MPoly) and isinstance(b, MPoly):
             return a + b
-        return self.lift(a) + self.lift(b)
+        if isinstance(a, UnivarOperator) or isinstance(b, UnivarOperator):
+            return self.lift(a) + self.lift(b)
+        return self.function(a) + self.function(b)
 
     def sub(self, a, b): return self.add(a, -b)
 
     def mul(self, a, b):
-        if isinstance(a, RatFun) and isinstance(b, UnivarOperator):
-            return b.scale(a)
-        return a * b
+        if isinstance(a, MPoly) and isinstance(b, MPoly):
+            return a * b
+        if isinstance(a, UnivarOperator):
+            return a.mul(self.lift(b))
+        if not isinstance(b, UnivarOperator):
+            return self.function(a) * self.function(b)
+        f = self.function(a)
+        if b.coeffs and b.coeffs[-1] == self.unit and not any(b.coeffs[:-1]):
+            # b = d^k: f lands at order k, with no coefficient products
+            return UnivarOperator(self.var, b.coeffs[:-1] + (f,))
+        return b.scale(f)
 
     def pow(self, v, k, tok: Token):
-        op = self.lift(v)
-        sizes = [len(op.coeffs) - 1]
-        sizes += [max(c.num.total_degree(), c.den.total_degree()) for c in op.coeffs]
-        _check_power(max(sizes), k, tok)
+        if isinstance(v, MPoly):
+            size = v.total_degree() if v.terms else 0
+        else:
+            op = self.lift(v)
+            sizes = [len(op.coeffs) - 1]
+            sizes += [max(c.num.total_degree(), c.den.total_degree()) for c in op.coeffs]
+            size = max(sizes)
+        _check_power(size, k, tok)
         return v ** k
 
     def div(self, a, b, tok: Token):
@@ -227,7 +251,13 @@ class _UnivarAlgebra:
             b = b.coeff(0)
         if b.is_zero():
             raise ParseError("division by zero", tok.line, tok.col)
-        return self.mul(a, b ** -1)
+        if isinstance(a, MPoly) and isinstance(b, MPoly) and b.is_constant():
+            return a.scale(1 / b.constant_value())
+        if isinstance(a, UnivarOperator):
+            return a * self.function(b) ** -1
+        # a/b for a reduced a and a nonzero b: RatFun's cross-cancellation
+        # runs the one gcd of a's numerator with b's
+        return self.function(a) / self.function(b)
 
 
 class _WeylAlgebra:
@@ -286,7 +316,8 @@ class _WeylAlgebra:
 
 def parse_operator(text: str, var: str = "x") -> UnivarOperator:
     """Parse a univariate operator with rational-function coefficients."""
-    return _UnivarAlgebra.lift(_Parser(tokenize(text), _UnivarAlgebra(var)).parse_single())
+    algebra = _UnivarAlgebra(var)
+    return algebra.lift(_Parser(tokenize(text), algebra).parse_single())
 
 
 def parse_weyl_generators(text: str, variables) -> list[WeylElement]:
@@ -298,9 +329,10 @@ def parse_weyl_generators(text: str, variables) -> list[WeylElement]:
 def parse_ratfun(text: str, var: str = "x") -> RatFun:
     """Parse a rational function (an order-zero operator)."""
     tokens = tokenize(text)
-    value = _Parser(tokens, _UnivarAlgebra(var)).parse_single()
-    if isinstance(value, RatFun):
-        return value
+    algebra = _UnivarAlgebra(var)
+    value = _Parser(tokens, algebra).parse_single()
+    if not isinstance(value, UnivarOperator):
+        return algebra.function(value)
     if value.is_zero():
         return RatFun.zero(var)
     if value.order() > 0:

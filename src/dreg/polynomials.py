@@ -506,6 +506,9 @@ def factor_rational(p: MPoly) -> tuple[list[tuple[Fraction, int]], MPoly]:
     return out, rest.monic_univar()
 
 
+_ZEROS: dict = {}       # variable name -> its zero RatFun, built on first use
+
+
 class RatFun:
     """Reduced univariate rational function num/den with monic denominator."""
 
@@ -541,7 +544,12 @@ class RatFun:
 
     @classmethod
     def zero(cls, var: str) -> "RatFun":
-        return cls.const(var, 0)
+        """The zero function of `var`: one shared instance per variable, which
+        no operation writes to."""
+        zero = _ZEROS.get(var)
+        if zero is None:
+            zero = _ZEROS[var] = cls.const(var, 0)
+        return zero
 
     @classmethod
     def x(cls, var: str) -> "RatFun":

@@ -1,9 +1,11 @@
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dreg.cli import build_parser, main, parse_point, render_json
 from dreg.corpus import OPERATORS
@@ -172,6 +174,11 @@ class TestExitCodes:
         monkeypatch.setattr(cli_mod, "fuchs_kashiwara_equivalence", broken)
         code, _, err = run_cli(capsys, "compare", "x*d - 5", "--point", "0")
         assert code == 3 and "contradiction" in err
+        # the disagreeing report follows, written like a --format json report
+        _, details = err.split("\n", 1)
+        report = json.loads(details)
+        assert report["summary"]["agree"] is False
+        assert details == json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 class TestDeterminismAndSchema:
@@ -217,6 +224,34 @@ class TestDeterminismAndSchema:
         assert code == 0
         report = json.loads(out)
         assert report["verdicts"][0]["verdict"] == "irregular"
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-2 ** 80, 2 ** 80)
+                | st.text() | st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "é—\u2028", "😀", ""]))
+
+
+class TestRenderJson:
+    """render_json writes the bytes of json.dumps(sort_keys=True, indent=2)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.recursive(JSON_SCALARS, lambda children: (
+        st.lists(children, max_size=4) | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(st.text(max_size=6), children, max_size=4)), max_leaves=25))
+    def test_matches_json_dumps(self, value):
+        report = {"nested": value, "": [], "e": {}}
+        assert render_json(report) == json.dumps(report, sort_keys=True, indent=2)
+        assert render_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [{"a": 1.5}, {"a": Fraction(1, 2)}, {1: "a"},
+                                       [{"x": {None: 0}}], {"s": {1, 2}}])
+    def test_other_types_are_refused(self, value):
+        with pytest.raises(TypeError):
+            render_json(value)
+
+    @pytest.mark.parametrize("argv", TestDeterminismAndSchema.VERBS, ids=lambda a: a[0])
+    def test_reports_match_json_dumps(self, capsys, argv):
+        _, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 class TestCorpus:

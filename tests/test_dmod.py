@@ -14,7 +14,7 @@ from dreg.dmod import (CurveModule, CyclicFiltration, ZeroModuleError,
                        verify_components_both_ways, CONORMAL_DIVISOR,
                        CONORMAL_POINT, ZERO_SECTION)
 from dreg.ideals import Ideal, krull_dimension, radical_membership
-from dreg.parser import parse_operator
+from dreg.parser import parse_operator, parse_weyl_generators
 from dreg.polynomials import MPoly, RatFun
 from dreg.regularity import INFINITY, IRREGULAR, REGULAR
 from dreg.weyl import WeylElement, characteristic_ideal, symbol_names
@@ -241,6 +241,15 @@ class TestExponentialModule:
         assert krull_dimension(self.ideal) == 2
         assert dimension_report(self.ideal, 2).holonomic
         assert dimension_report(self.ideal, 2).bernstein
+
+
+class TestSymbolDecomposition:
+    def test_candidate_not_containing_the_variety_is_dropped(self):
+        # x lies in the symbol ideal but not in the zero section's (xi, eta)
+        ideal = characteristic_ideal(parse_weyl_generators("x ; dy", ("x", "y")))
+        cv = decompose_symbol_ideal(ideal, 2)
+        assert [(c.kind, c.label) for c in cv.components] == [(CONORMAL_DIVISOR, "V(x)")]
+        assert cv.covered
 
 
 class TestHolonomicity:

@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dreg.ideals import (BudgetExceeded, DEGREVLEX, LEX, Ideal, NotMonomialIdeal,
                          buchberger, buchberger_basis, groebner_basis,
@@ -319,9 +319,20 @@ class TestPairCriteria:
 
     @settings(max_examples=40, deadline=None)
     @given(terms=st.lists(flat_terms(4, 2, 2), min_size=3, max_size=3))
+    # -x*y^2*dx^2 + 7/2*dy^2 ; 7/2*x*y^2*dx^2*dy - 2*y^2*dx ; 7/2*dy^2 + 7/2*x^2
+    # needs more than 400 pops with swelling coefficients
+    @example(terms=[{(1, 2, 2, 0): Fraction(-1), (0, 0, 0, 2): Fraction(7, 2)},
+                    {(1, 2, 2, 1): Fraction(7, 2), (0, 2, 1, 0): Fraction(-2)},
+                    {(0, 0, 0, 2): Fraction(7, 2), (2, 0, 0, 0): Fraction(7, 2)}])
     def test_weyl_basis_passes_s_pair_test(self, terms):
+        # bounded like TestIntegerDriver: a draw past POP_BOUND pops must be
+        # past it for the Fraction driver too
         gens = [WeylElement(2, {(e[:2], e[2:]): c for e, c in t.items()}) for t in terms]
-        gb = weyl_groebner(gens)
+        gb = outcome(buchberger_basis, gens, weyl_ring(2))
+        if gb is None:
+            assert outcome(reference_buchberger_basis, gens, weyl_ring(2)) is None
+            return
+        assert gb == weyl_groebner(gens)
         assert_buchberger_test(gens, gb, weyl_ring(2),
                                lambda e, c: WeylElement(2, {(e[:2], e[2:]): c}))
 

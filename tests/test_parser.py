@@ -1,5 +1,6 @@
-"""The parser evaluates in Q(x) and lifts to operators only at a derivation;
-it is checked against the all-operator reference algebra in conftest."""
+"""The parser evaluates in Q[x] until a division, in Q(x) after it, and lifts
+to operators only at a derivation; it is checked against the all-operator
+reference algebra in conftest."""
 
 import os
 import resource
@@ -10,9 +11,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dreg import polynomials
+from dreg.cli import main
+from dreg.corpus import OPERATORS
 from dreg.operators import UnivarOperator
 from dreg.parser import (MAX_POWER, ParseError, parse_operator, parse_ratfun,
                          parse_weyl_generators)
+from dreg.polynomials import MPoly, RatFun
 
 from conftest import reference_parse_operator, reference_parse_ratfun
 
@@ -99,18 +104,63 @@ class TestParseRatfun:
 
 
 class TestWork:
-    def test_curves_operator_needs_no_operator_product(self, monkeypatch):
+    @staticmethod
+    def count(monkeypatch, owner, name):
+        """The list that gets one entry per call of owner.name."""
         calls = []
-        mul = UnivarOperator.mul
+        fn = getattr(owner, name)
 
-        def counted(self, other):
+        def counted(*args):
             calls.append(1)
-            return mul(self, other)
+            return fn(*args)
 
-        monkeypatch.setattr(UnivarOperator, "mul", counted)
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_curves_operator_needs_no_operator_product(self, monkeypatch):
+        calls = self.count(monkeypatch, UnivarOperator, "mul")
         p = parse_operator("d^3 + (x^2 - 1)/(x^2*(x - 3/2)^2)*d^2 + 2/x*d + 1/(x^2 + 1)")
         assert p.order() == 3
         assert calls == []
+
+    def test_polynomials_run_no_gcd(self, monkeypatch):
+        calls = self.count(monkeypatch, polynomials, "univar_gcd")
+        # nor the cross-cancellation that decides when a gcd is needed
+        cross = self.count(monkeypatch, polynomials, "_common_factor")
+        p = parse_operator("(3*x^2 - 1/2*x + 5/3)*d^2 + x^4")
+        f = parse_ratfun("(x + 1)^3*(x - 2)/3 - x^2")
+        assert calls == cross == []
+        assert p == reference_parse_operator("(3*x^2 - 1/2*x + 5/3)*d^2 + x^4")
+        assert f == reference_parse_ratfun("(x + 1)^3*(x - 2)/3 - x^2")
+
+    @pytest.mark.parametrize("text", ["d^2 + (x^2 - 1)/(x^2 + 3*x + 2)*d + x",
+                                      "(x^3 - x)/((x + 1)*(x^2 + 2))",
+                                      "(x^2 + 5)*d^3 - 2/(x - 1)^2*d"])
+    def test_one_gcd_per_division(self, monkeypatch, text):
+        calls = self.count(monkeypatch, polynomials, "univar_gcd")
+        got = parse_operator(text)
+        assert len(calls) <= 1
+        assert got == reference_parse_operator(text)
+
+    @pytest.mark.parametrize("text", ["x^2*d", "(x^2 + 1)/(x - 2)*d^3", "3*d^2", "(2/x)*d^0"])
+    def test_function_times_derivation_power_multiplies_nothing(self, monkeypatch, text):
+        calls = self.count(monkeypatch, RatFun, "__mul__")
+        got = parse_operator(text)
+        assert calls == []
+        assert got == reference_parse_operator(text)
+
+    def test_shared_zero_is_left_alone(self, capsys):
+        zero = RatFun.zero("x")
+        for entry in OPERATORS:
+            for argv in (["fuchs", entry.expression], ["theta", entry.expression],
+                         ["compare", entry.expression, "--point", "inf"]):
+                main(argv + ["--format", "json"])
+        capsys.readouterr()
+        for var in ("x", "t"):
+            assert RatFun.zero(var) is RatFun.zero(var)
+            assert RatFun.zero(var).num.terms == {}
+            assert RatFun.zero(var).den == MPoly.const((var,), 1)
+        assert RatFun.zero("x") is zero
 
 
 class TestPowerCap:
