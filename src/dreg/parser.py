@@ -251,7 +251,7 @@ class _UnivarAlgebra:
             b = b.coeff(0)
         if b.is_zero():
             raise ParseError("division by zero", tok.line, tok.col)
-        if isinstance(a, MPoly) and isinstance(b, MPoly) and b.is_constant():
+        if isinstance(a, (MPoly, UnivarOperator)) and isinstance(b, MPoly) and b.is_constant():
             return a.scale(1 / b.constant_value())
         if isinstance(a, UnivarOperator):
             return a * self.function(b) ** -1

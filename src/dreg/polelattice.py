@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import takewhile
 from operator import add
 from typing import NamedTuple
 
@@ -73,13 +74,9 @@ def theta_XZ_ideal(chart: NCChart) -> Ideal:
     (x_1 xi_1, ..., x_r xi_r, xi_(r+1), ..., xi_n)."""
     ring = chart.ring
     gens = []
-    for i in range(chart.r):
+    for i in range(chart.n):
         e = [0] * (2 * chart.n)
-        e[i] = 1
-        e[chart.n + i] = 1
-        gens.append(MPoly.monomial(ring, e))
-    for i in range(chart.r, chart.n):
-        e = [0] * (2 * chart.n)
+        e[i] = int(i < chart.r)
         e[chart.n + i] = 1
         gens.append(MPoly.monomial(ring, e))
     return Ideal(ring, gens)
@@ -131,6 +128,8 @@ class AnnihilatorReport:
     matches_ideal: bool
     stability_rows: tuple
     witness_rows: tuple
+    bound: int
+    annihilating: tuple     # (a, b) of the scanned monomials in the ideal, by degree
 
     def to_dict(self) -> dict:
         return {"ideal": [str(g) for g in self.ideal.gens],
@@ -196,11 +195,12 @@ def pole_filtration_annihilator(chart: NCChart, bound: int = 6) -> AnnihilatorRe
                 ok_all = False
             stability.append(ScanRow("{} on x^{} at level {}", (gen_name, alpha, k), ok))
     witnesses = []
+    annihilating = []
     for a, b in _symbol_monomials(chart, bound):
         if _in_ideal(generators, a + b):
+            annihilating.append((a, b))
             continue
-        support = [i for i in range(chart.r) if b[i] >= 1]
-        witness = tuple(-1 if i in support else 0 for i in range(chart.n))
+        witness = tuple(-1 if i < r and b[i] else 0 for i in range(chart.n))
         k_in = chart.pole_order(witness)
         coeff, exp = _apply_lift(chart, a, b, witness)
         d = sum(b)
@@ -208,7 +208,8 @@ def pole_filtration_annihilator(chart: NCChart, bound: int = 6) -> AnnihilatorRe
         if not ok:
             ok_all = False
         witnesses.append(ScanRow("x^{} xi^{} acts nonzero on x^{}", (a, b, witness), ok))
-    return AnnihilatorReport(ideal, ok_all, tuple(stability), tuple(witnesses))
+    return AnnihilatorReport(ideal, ok_all, tuple(stability), tuple(witnesses),
+                             bound, tuple(annihilating))
 
 
 def goodness_scan(chart: NCChart, bound: int = 6) -> tuple[bool, list]:
@@ -429,8 +430,10 @@ def theorem_forward_filtration(lattice: LogLattice, chart: NCChart,
                         stable = False
                     rows.append(ScanRow("{} on x^{} e_{} at level {}",
                                         (gen_name, alpha, j, level), ok))
-    incl = prop21_inclusion(lattice, chart, bound)
-    return ForwardReport(ideal, radical, stable, tuple(rows), incl.holds)
+    generators = minimal_monomial_generators(ideal)
+    holds = all(_in_ideal(generators, a + b)
+                for a, b in _lattice_annihilators(lattice, chart, window, bound))
+    return ForwardReport(ideal, radical, stable, tuple(rows), holds)
 
 
 @dataclass(frozen=True)
@@ -450,56 +453,53 @@ def prop21_inclusion(data, chart: NCChart, bound: int = 4) -> Prop21Report:
     logarithmic symbol ideal.
 
     Accepts the bare chart pole module (data None, or the
-    AnnihilatorReport of its window scan, which is then not run again), a
-    LogLattice, a curve operator, or a curve theta-action matrix.
-    Membership in the monomial ideal is divisibility by one of its minimal
-    generators.
+    AnnihilatorReport of its window scan at a bound at least this one,
+    which is then not run again), a LogLattice, or a curve operator.
     """
-    generators = minimal_monomial_generators(theta_XZ_ideal(chart))
     if data is None or isinstance(data, AnnihilatorReport):
         report = pole_filtration_annihilator(chart, bound) if data is None else data
+        if bound > report.bound:
+            raise ValueError(f"inclusion bound {bound} exceeds the scan bound {report.bound}")
         if not report.matches_ideal:
             return Prop21Report(False, (), ("window scan failed",))
+        # the scan walks by degree: the monomials up to the bound lead its list
         return Prop21Report(True, tuple(
-            str(MPoly.monomial(chart.ring, a + b))
-            for a, b in _symbol_monomials(chart, bound)
-            if _in_ideal(generators, a + b)), ())
-
+            str(MPoly.monomial(chart.ring, a + b)) for a, b in takewhile(
+                lambda ab: sum(ab[0] + ab[1]) <= bound, report.annihilating)), ())
+    if isinstance(data, LogLattice):
+        monomials = _lattice_annihilators(
+            data, chart, _window(chart, chart.r + bound, bound), bound)
+    elif isinstance(data, UnivarOperator):
+        if chart.n != 1:
+            raise ValueError("curve data requires a 1-variable chart")
+        monomials = (((a,), (b,)) for a, b in
+                     CurveModule.from_operator(data).annihilator_monomials(bound))
+    else:
+        raise TypeError(f"no inclusion check for a {type(data).__name__}")
+    # membership in the monomial ideal is divisibility by a minimal generator
+    generators = minimal_monomial_generators(theta_XZ_ideal(chart))
     found: list[str] = []
     violations: list[str] = []
-
-    def check(a, b):
-        exps = a + b
-        mono = str(MPoly.monomial(chart.ring, exps))
-        (found if _in_ideal(generators, exps) else violations).append(mono)
-
-    if isinstance(data, LogLattice):
-        # x^a d^b annihilating the window makes x^a' d^b annihilate it for
-        # every a' >= a (pole orders only fall as a grows), and a comes
-        # before a' in the scan, so a dominated a is not scanned again
-        window = _window(chart, chart.r + bound, bound)
-        annihilating: dict = {}
-        for a, b in _symbol_monomials(chart, bound):
-            lows = annihilating.setdefault(b, [])
-            if not any(all(s <= t for s, t in zip(low, a)) for low in lows):
-                if not _annihilates_lattice(data, window, a, b, chart.r):
-                    continue
-                lows.append(a)
-            check(a, b)
-        return Prop21Report(not violations, tuple(found), tuple(violations))
-
-    # curve cases reduce to the 1-variable module machinery
-    if chart.n != 1:
-        raise ValueError("curve data requires a 1-variable chart")
-    if isinstance(data, UnivarOperator):
-        module = CurveModule.from_operator(data)
-    elif isinstance(data, CurveModule):
-        module = data
-    else:
-        module = CurveModule("x", data)
-    for a, b in module.annihilator_monomials(bound):
-        check((a,), (b,))
+    for a, b in monomials:
+        mono = str(MPoly.monomial(chart.ring, a + b))
+        (found if _in_ideal(generators, a + b) else violations).append(mono)
     return Prop21Report(not violations, tuple(found), tuple(violations))
+
+
+def _lattice_annihilators(lattice: LogLattice, chart: NCChart, window: tuple,
+                          bound: int):
+    """Exponents (a, b) of the x^a d^b of degree <= bound that annihilate the
+    window, in scan order.  x^a d^b annihilating it makes x^a' d^b annihilate
+    it for every a' >= a (pole orders only fall as a grows), and a comes
+    before a', so a dominated a is not scanned again."""
+    annihilating: dict = {}
+    for a, b in _symbol_monomials(chart, bound):
+        lows = annihilating.setdefault(b, [])
+        if not any(all(s <= t for s, t in zip(low, a)) for low in lows):
+            if not _annihilates_lattice(lattice, window, a, b, chart.r):
+                continue
+            lows.append(a)
+        yield a, b
 
 
 def _annihilates_lattice(lattice: LogLattice, window: tuple, a: tuple,
@@ -540,18 +540,17 @@ class BackwardReport:
                 "obstructions": list(self.failing_entries)}
 
 
-def theorem_backward_extraction(data, pole_bound: int) -> BackwardReport:
+def theorem_backward_extraction(p: UnivarOperator, pole_bound: int) -> BackwardReport:
     """Backward comparison at a curve point.
 
-    The input lattice has theta-action entries with poles of order at most
-    s = pole_bound, so x^(s+1) d stabilizes it (certified entrywise).  With
-    radicality as the hypothesis, stability must already hold at s = 0: the
-    verdict is read off the unweighted entry orders.
+    The operator's lattice has theta-action entries with poles of order at
+    most s = pole_bound, so x^(s+1) d stabilizes it (certified entrywise).
+    With radicality as the hypothesis, stability must already hold at
+    s = 0: the verdict is read off the unweighted entry orders.
     """
-    if isinstance(data, UnivarOperator):
-        matrix = CyclicFiltration(data).theta_matrix
-    else:
-        matrix = [list(row) for row in data]
+    if not isinstance(p, UnivarOperator):
+        raise TypeError(f"backward extraction needs an operator, not a {type(p).__name__}")
+    matrix = CyclicFiltration(p).theta_matrix
     rows = []
     failing = []
     regular = True

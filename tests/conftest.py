@@ -2,7 +2,8 @@
 reference that the polar lattices are checked against, the operator
 algebra reference that the parser is checked against, the plain forms
 of the Q(x) kernel's shortcuts, the Fraction form of the log lattice's
-integer derivation images, the Fraction Buchberger driver and general Weyl
+integer derivation images, the bare-chart inclusion as a direct
+enumeration, the Fraction Buchberger driver and general Weyl
 product that the integer driver and the one-term shift are checked against,
 and small helpers only tests call."""
 
@@ -19,10 +20,11 @@ import pytest
 
 from dreg.dmod import ContradictionError, EquivalenceReport
 from dreg.ideals import (DEFAULT_BUDGET, POLYNOMIALS, BudgetExceeded, Ring, _divides,
-                         _exp_lcm, _exp_sub)
+                         _exp_lcm, _exp_sub, minimal_monomial_generators)
 from dreg.linalg import gauss_solve, mat_mul
 from dreg.operators import UnivarOperator
 from dreg.parser import _DERIV_RE, ParseError, Token, _Parser, tokenize
+from dreg.polelattice import _in_ideal, _symbol_monomials, theta_XZ_ideal
 from dreg.polynomials import INF, MPoly, RatFun, as_rat, denominator_lcm, univar_gcd
 from dreg.regularity import _localize
 from dreg.systems import ConnectionSystem
@@ -580,6 +582,17 @@ def reference_apply_derivation(lattice, l: int, elem: dict) -> dict:
                 shifted = tuple(a + g for a, g in zip(alpha, e))
                 add((shifted, i), c * ce)
     return out
+
+
+def reference_bare_inclusion(chart, bound: int) -> tuple:
+    """The annihilating monomials of the bare chart pole module up to the
+    bound, as prop21_inclusion enumerated them before it read the window
+    scan's record: every symbol monomial, tested for divisibility by a
+    minimal generator of the log-symbol ideal."""
+    generators = minimal_monomial_generators(theta_XZ_ideal(chart))
+    return tuple(str(MPoly.monomial(chart.ring, a + b))
+                 for a, b in _symbol_monomials(chart, bound)
+                 if _in_ideal(generators, a + b))
 
 
 # -- the Fraction Buchberger driver -----------------------------------------------

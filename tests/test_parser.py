@@ -15,8 +15,8 @@ from dreg import polynomials
 from dreg.cli import main
 from dreg.corpus import OPERATORS
 from dreg.operators import UnivarOperator
-from dreg.parser import (MAX_POWER, ParseError, parse_operator, parse_ratfun,
-                         parse_weyl_generators)
+from dreg.parser import (MAX_POWER, ParseError, format_operator, parse_operator,
+                         parse_ratfun, parse_weyl_generators)
 from dreg.polynomials import MPoly, RatFun
 
 from conftest import reference_parse_operator, reference_parse_ratfun
@@ -147,6 +147,16 @@ class TestWork:
         calls = self.count(monkeypatch, RatFun, "__mul__")
         got = parse_operator(text)
         assert calls == []
+        assert got == reference_parse_operator(text)
+
+    @pytest.mark.parametrize("text, shown", [("x*d/2", "1/2*x*d"),
+                                             ("(x^2*d^2 + d)/3", "1/3*x^2*d^2 + 1/3*d"),
+                                             ("d/(-5)", "-1/5*d")])
+    def test_operator_over_constant_is_scaled(self, monkeypatch, text, shown):
+        calls = self.count(monkeypatch, UnivarOperator, "mul")
+        got = parse_operator(text)
+        assert calls == []
+        assert format_operator(got) == shown
         assert got == reference_parse_operator(text)
 
     def test_shared_zero_is_left_alone(self, capsys):

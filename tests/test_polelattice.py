@@ -1,5 +1,10 @@
+import contextlib
+import hashlib
+import importlib.util
+import io
 import itertools
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dreg.cli
+import dreg.corpus
 import dreg.polelattice
 from dreg.cli import _read_chart_file
 from dreg.dmod import CurveModule
@@ -22,10 +28,17 @@ from dreg.polynomials import MPoly, RatFun
 from dreg.regularity import IRREGULAR, REGULAR
 from dreg.weyl import coordinate_names
 
-from conftest import poly_degree, reference_apply_derivation
+from conftest import poly_degree, reference_apply_derivation, reference_bare_inclusion
 
 ALL_CHARTS = [(n, r) for n in (1, 2, 3) for r in range(1, n + 1)]
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# the benchmark's request pools, read only
+_spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                               PERFBENCH / "workloads.py")
+WORKLOADS = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(WORKLOADS)
 
 
 def op(text):
@@ -243,6 +256,30 @@ class TestProp21:
             report = prop21_inclusion(lat, chart, 3)
             assert report.holds, (name, report.violations)
 
+    @pytest.mark.parametrize("n,r", ALL_CHARTS)
+    def test_bare_chart_matches_direct_enumeration(self, n, r):
+        chart = NCChart(n, r)
+        for bound in range(8):
+            report = prop21_inclusion(None, chart, bound)
+            assert (report.holds, report.violations) == (True, ())
+            assert report.annihilating == reference_bare_inclusion(chart, bound)
+
+    def test_scan_read_up_to_its_own_bound_only(self):
+        # a lower inclusion bound reads a prefix of the scan's record; a
+        # higher one would need monomials the scan never walked
+        chart = NCChart(2, 1)
+        scan = pole_filtration_annihilator(chart, 5)
+        for bound in range(6):
+            assert prop21_inclusion(scan, chart, bound).annihilating == \
+                reference_bare_inclusion(chart, bound)
+        with pytest.raises(ValueError, match="exceeds the scan bound 5"):
+            prop21_inclusion(scan, chart, 6)
+
+    def test_matrix_input_refused(self):
+        matrix = [[RatFun.x("x") ** -1]]
+        with pytest.raises(TypeError):
+            prop21_inclusion(matrix, NCChart(1, 1), 4)
+
 
 class TestBackwardExtraction:
     def test_euler_stable_at_zero(self):
@@ -265,6 +302,10 @@ class TestBackwardExtraction:
     def test_pole_bound_enforced(self):
         with pytest.raises(ValueError, match="pole order"):
             theorem_backward_extraction(op("x^3*d - 1"), 1)
+
+    def test_matrix_input_refused(self):
+        with pytest.raises(TypeError):
+            theorem_backward_extraction([[RatFun.x("x") ** -1]], 2)
 
     def test_agrees_with_kashiwara(self):
         from dreg.dmod import kashiwara_regular_at_zero
@@ -528,3 +569,60 @@ class TestPolelatticeCommand:
                 transcript = json.loads(capsys.readouterr().out)["transcripts"][1]
                 expected = prop21_inclusion(None, NCChart(n, r), min(bound, 4))
                 assert transcript == expected.to_dict()
+                assert expected.annihilating == \
+                    reference_bare_inclusion(NCChart(n, r), min(bound, 4))
+
+    @staticmethod
+    def count(monkeypatch, name):
+        """The list that gets one entry per call of dreg.polelattice.name."""
+        calls = []
+        fn = getattr(dreg.polelattice, name)
+
+        def counted(*args):
+            calls.append(1)
+            return fn(*args)
+
+        monkeypatch.setattr(dreg.polelattice, name, counted)
+        return calls
+
+    def test_one_symbol_walk_per_request(self, monkeypatch, capsys):
+        # the inclusion reads the monomials the annihilator scan recorded
+        calls = self.count(monkeypatch, "_symbol_monomials")
+        assert dreg.cli.main(["polelattice", "--n", "3", "--r", "2", "--bound", "6"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+
+    def test_one_window_per_forward_theorem(self, monkeypatch, capsys):
+        # the inclusion scan reads the window the stability rows were built on
+        calls = self.count(monkeypatch, "_window")
+        assert dreg.cli.main(["theorem", "--file", str(CORPUS / "plane_lattice.chart"),
+                              "--bound", "3"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+
+
+class TestRecordedReports:
+    def test_polelattice_pool_matches_recorded_digests(self, monkeypatch, tmp_path):
+        # every request of the benchmark's polelattice pool, run from a
+        # directory laid out like the checkout, so that the input paths the
+        # reports carry are the recorded ones; the digest is that of the
+        # benchmark: SHA-256 of stdout, a NUL byte and stderr
+        recorded = json.loads((PERFBENCH / "expected.json").read_text())
+        recorded = recorded["workloads"]["polelattice"]["requests"]
+        pool = WORKLOADS.polelattice(dreg.corpus).pool
+        monkeypatch.chdir(tmp_path)
+        mismatches = []
+        for request in pool:
+            for rel, content in request.files:
+                path = tmp_path / rel
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(content)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = dreg.cli.main(list(request.argv))
+            digest = hashlib.sha256(out.getvalue().encode() + b"\0"
+                                    + err.getvalue().encode()).hexdigest()
+            if [code, digest] != recorded[request.key]:
+                mismatches.append(request.key)
+        assert len(pool) == len(recorded) == 69
+        assert mismatches == []
