@@ -223,16 +223,20 @@ def _read_chart_file(path: str):
     idx = 0
     while idx < len(lines) and lines[idx].split()[0] in ("n", "r", "rank"):
         key, value = lines[idx].split()
+        if key in header:
+            raise InputError(f"chart file repeats the {key!r} header")
         header[key] = int(value)
         idx += 1
     for key in ("n", "r", "rank"):
         if key not in header:
             raise InputError(f"chart file is missing the {key!r} header")
     n, r, rank = header["n"], header["r"], header["rank"]
+    if rank < 1:
+        raise InputError(f"chart rank must be at least 1, got {rank}")
     coords = coordinate_names(n)
     gammas = []
     for l in range(n):
-        if idx >= len(lines) or not lines[idx].startswith("gamma"):
+        if idx >= len(lines) or lines[idx].split() != ["gamma", str(l + 1)]:
             raise InputError(f"expected 'gamma {l+1}' block in {Path(path)}")
         idx += 1
         rows = []
@@ -246,6 +250,8 @@ def _read_chart_file(path: str):
             rows.append(entries)
             idx += 1
         gammas.append(rows)
+    if idx < len(lines):
+        raise InputError(f"unexpected line after gamma block {n}: {lines[idx]!r}")
     chart = NCChart(n, r)
     return chart, LogLattice(chart, rank, gammas)
 
@@ -273,9 +279,10 @@ def cmd_theorem(args) -> dict:
 
 def _read_system_file(path: str) -> ConnectionSystem:
     lines = [ln.strip() for ln in _read_lines(path)]
-    if not lines or not lines[0].startswith("rank"):
-        raise InputError("system file must start with 'rank m'")
-    rank = int(lines[0].split()[1])
+    head = lines[0].split() if lines else []
+    if len(head) != 2 or head[0] != "rank" or not head[1].isdigit() or int(head[1]) < 1:
+        raise InputError("system file must start with 'rank m', m >= 1 an integer")
+    rank = int(head[1])
     if len(lines) != rank + 1:
         raise InputError(f"expected {rank} matrix rows, found {len(lines) - 1}")
     matrix = []

@@ -205,8 +205,20 @@ def saturate_lattice(system: ConnectionSystem, point,
     already lies in L_s.  Step 0 tests theta(e_i) = x (row i of B), which
     puts theta(O^m) inside L_1.
 
-    Stabilization certifies a theta-stable coherent extension; exceeding the
-    bound is explicitly not a verdict of irregularity.
+    Step s thus inserts theta of the rows L_s added (L_0 = O^m) and builds
+    L_(s+1) = L_s + theta L_s: step s adding nothing means that L_s is
+    theta-stable.  A rank-m connection is regular at the point exactly when
+    L_(m-1) = L + theta L + ... + theta^(m-1) L is theta-stable (Gerard &
+    Levelt 1973), and a theta-stable lattice forces regularity (Deligne,
+    LNM 163).  So if step m - 1 still adds rows no later step can
+    stabilize, and the loop stops there with what the run to max_steps
+    would return: exceeded_bound, steps = max_steps.  Below m - 1 the bound
+    alone ends the loop.
+
+    Stabilization certifies a theta-stable coherent extension.  The result
+    fields keep their meaning: exceeded_bound reports the bound running
+    out, not an irregularity verdict, although at max_steps >= m - 1 it was
+    decided at step m - 1.
     """
     if point is INFINITY:
         return saturate_lattice(system.at_infinity(), Fraction(0), max_steps)
@@ -241,6 +253,9 @@ def saturate_lattice(system: ConnectionSystem, point,
             added += lattice.insert(theta(v))
         if not added:
             return SaturationResult(STABILIZED, step, max_steps, lattice)
+        if step == m - 1:
+            # L_(m-1) is not theta-stable: Gerard-Levelt rules out every later step
+            break
         new = added
     return SaturationResult(EXCEEDED_BOUND, max_steps, max_steps, None)
 
@@ -280,7 +295,9 @@ def regular_system_report(system: ConnectionSystem,
     """Per-point verdicts from the scalar reduction and from saturation.
 
     A stabilized lattice together with a Fuchs-irregular verdict at the same
-    point is a genuine contradiction and aborts with both certificates.
+    point is a genuine contradiction and aborts with both certificates; so
+    is a Fuchs-regular point whose saturation exceeded a bound of at least
+    m - 1 steps, since by Gerard-Levelt L_(m-1) is then theta-stable.
     """
     cyc = cyclic_vector(system)
     roots, leftover = system.singular_support()
@@ -290,9 +307,10 @@ def regular_system_report(system: ConnectionSystem,
     for pt in points:
         cert = fuchs_regular_at(cyc.operator, pt)
         sat = saturate_lattice(system, pt, max_steps)
-        if sat.stabilized and not cert.regular:
+        decided = sat.stabilized or sat.max_steps >= system.rank - 1
+        if decided and sat.stabilized != cert.regular:
             raise ContradictionError(
-                f"saturation stabilized at {pt} but the Fuchs test is irregular",
+                f"saturation {sat.status} at {pt} but the Fuchs test is {cert.verdict}",
                 details={"point": str(pt), "fuchs": cert.to_dict(),
                          "saturation": sat.to_dict(),
                          "operator": str(cyc.operator)})

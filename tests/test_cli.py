@@ -155,6 +155,46 @@ class TestExitCodes:
         assert code == 1 and not out
         assert "input error" in err and message in err
 
+    @pytest.mark.parametrize("text", ["rank 0\n", "rank\n", "rank -1\n",
+                                      "rank 1 1\n-5/x\n", "ranks 1\n-5/x\n",
+                                      "rank one\n-5/x\n", "\n"],
+                             ids=["zero", "bare", "negative", "extra", "ranks",
+                                  "word", "empty"])
+    def test_malformed_rank_header(self, capsys, tmp_path, text):
+        sys_file = tmp_path / "bad.sys"
+        sys_file.write_text(text)
+        code, out, err = run_cli(capsys, "system", "--file", str(sys_file))
+        assert code == 1 and not out
+        assert err == ("input error: system file must start with 'rank m', "
+                       "m >= 1 an integer\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("n 1\nr 1\nrank 1\ngamma 1\n1/2\ngamma 1\n3\n",
+         "unexpected line after gamma block 1: 'gamma 1'"),
+        ("n 1\nr 1\nrank 1\ngamma 1\n1/2\n3\n",
+         "unexpected line after gamma block 1: '3'"),
+        ("n 2\nr 2\nrank 1\ngamma 2\n1/2\ngamma 1\n3\n", "expected 'gamma 1' block"),
+        ("n 2\nr 2\nrank 1\ngamma 1\n1/2\ngamma 1\n3\n", "expected 'gamma 2' block"),
+        ("n 1\nr 1\nrank 1\ngamma\n1/2\n", "expected 'gamma 1' block"),
+        ("n 1\nr 1\nrank 1\ngamma 1 2\n1/2\n", "expected 'gamma 1' block"),
+        ("n 1\nr 1\nrank 1\nrank 1\ngamma 1\n1/2\n", "repeats the 'rank' header"),
+        ("n 1\nn 1\nr 1\nrank 1\ngamma 1\n1/2\n", "repeats the 'n' header"),
+        ("n 1\nrank 1\ngamma 1\n1/2\n", "missing the 'r' header"),
+        ("n 1\nr 1\nrank 0\ngamma 1\n", "chart rank must be at least 1, got 0"),
+    ], ids=["gamma-twice", "extra-row", "gamma-order", "gamma-repeat", "gamma-bare",
+            "gamma-extra", "rank-twice", "n-twice", "r-missing", "rank-zero"])
+    def test_malformed_chart(self, capsys, tmp_path, text, message):
+        chart = tmp_path / "bad.chart"
+        chart.write_text(text)
+        code, out, err = run_cli(capsys, "theorem", "--file", str(chart))
+        assert code == 1 and not out
+        assert err.startswith("input error: ") and message in err
+
+    def test_shipped_charts_still_read(self, capsys):
+        for chart in sorted(CORPUS.glob("*.chart")):
+            code, _, err = run_cli(capsys, "theorem", "--file", str(chart))
+            assert code == 0, err
+
     def test_analysis_completed_regardless_of_verdict(self, capsys):
         code, out, _ = run_cli(capsys, "fuchs", "x^2*d - 1", "--point", "0")
         assert code == 0 and "irregular" in out

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,8 +18,8 @@ from dreg.polynomials import MPoly, RatFun, as_rat
 from dreg.regularity import (GLOBAL_IRREGULAR, GLOBAL_REGULAR, INFINITY,
                              IRREGULAR, REGULAR, fuchs_regular_at)
 from dreg.systems import (ConnectionSystem, CyclicVectorError, EXCEEDED_BOUND,
-                          STABILIZED, cyclic_vector, regular_system_report,
-                          saturate_lattice)
+                          STABILIZED, SaturationResult, cyclic_vector,
+                          regular_system_report, saturate_lattice)
 
 from conftest import (LocalLattice, conjugate, random_gauged_euler, random_operator,
                       random_ratfun_with_poles, random_system)
@@ -174,6 +175,172 @@ class TestPolarSaturation:
         assert [(p["point"], p["saturation"]) for p in points] == [
             ("0", {"status": STABILIZED, "steps": 1, "max_steps": 13}),
             ("inf", {"status": EXCEEDED_BOUND, "steps": 19, "max_steps": 19})]
+
+
+def direct_sum(a, b):
+    """The block-diagonal system a (+) b."""
+    zero = RatFun.zero(a.var)
+    return ConnectionSystem([list(r) + [zero] * b.rank for r in a.matrix]
+                            + [[zero] * a.rank + list(r) for r in b.matrix], a.var)
+
+
+def cliff_rows(m, p):
+    """Companion-shaped: -1 on the superdiagonal, last row (j+1)/x^((m-j)p)."""
+    rows = [["-1" if j == i + 1 else "0" for j in range(m)] for i in range(m - 1)]
+    return rows + [[f"{j + 1}/x^{(m - j) * p}" for j in range(m)]]
+
+
+def cliff_text(m, p):
+    return f"rank {m}\n" + "".join(" ; ".join(row) + "\n" for row in cliff_rows(m, p))
+
+
+def run_system(tmp_path, text, *argv):
+    """dreg system --format json on a .sys text in a fresh interpreter."""
+    sys_file = tmp_path / "cliff.sys"
+    sys_file.write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "dreg.cli", "system", "--file", str(sys_file),
+         "--format", "json", *argv],
+        capture_output=True, text=True, timeout=60, env=env)
+    elapsed = time.perf_counter() - start
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)["certificates"][0]["points"], elapsed
+
+
+class TestGerardLevelt:
+    """Saturation ends after step m - 1 once L_(m-1) is not theta-stable."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.randoms(use_true_random=False), st.integers(1, 4), st.integers(-1, 1),
+           st.booleans())
+    def test_matches_reference_loop_around_m_minus_one(self, rng, rank, offset, gauged):
+        if gauged:
+            # regular, and often stable only at step m - 1
+            sysm = random_gauged_euler(rng, rank)
+        elif rank < 4:
+            sysm = random_system(rng, rank, degree=1)
+        else:
+            # the reference loop swells on coupled rank-4 systems; two blocks keep it cheap
+            sysm = direct_sum(random_system(rng, 2, degree=1), random_system(rng, 2, degree=1))
+        max_steps = max(0, rank - 1 + offset)
+        operator = cyclic_vector(sysm).operator
+        roots, _ = sysm.singular_support()
+        for pt in [root for root, _ in roots] + [INFINITY]:
+            res = saturate_lattice(sysm, pt, max_steps)
+            status, steps, _ = reference_saturation(sysm, pt, max_steps)
+            assert (res.status, res.steps) == (status, steps), str(pt)
+            if max_steps >= rank - 1:
+                # Gerard-Levelt: regular exactly when L_(m-1) is theta-stable
+                assert res.stabilized == fuchs_regular_at(operator, pt).regular, str(pt)
+                assert not res.stabilized or res.steps <= rank - 1
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(st.randoms(use_true_random=False), st.integers(1, 4))
+    def test_verdict_is_settled_at_m_minus_one(self, rng, rank):
+        sysm = random_system(rng, rank)
+        operator = cyclic_vector(sysm).operator
+        roots, _ = sysm.singular_support()
+        for pt in [root for root, _ in roots] + [INFINITY]:
+            at = saturate_lattice(sysm, pt, rank - 1)
+            above = saturate_lattice(sysm, pt, rank + 3)
+            assert at.stabilized == above.stabilized == fuchs_regular_at(operator, pt).regular
+            assert at.steps == (above.steps if above.stabilized else rank - 1)
+
+    def test_loop_ends_after_step_m_minus_one(self, monkeypatch):
+        from dreg.lattices import PolarLattice
+        calls = []
+        real = PolarLattice.insert
+        monkeypatch.setattr(PolarLattice, "insert",
+                            lambda self, row: calls.append(row) or real(self, row))
+        res = saturate_lattice(system([["1/x^2"]]), 0, max_steps=50)
+        assert (res.status, res.steps, res.max_steps) == (EXCEEDED_BOUND, 50, 50)
+        assert len(calls) == 1
+        calls.clear()
+        res = saturate_lattice(system([["0", "-1"], ["1/x^3", "0"]]), 0, max_steps=50)
+        assert (res.status, res.steps) == (EXCEEDED_BOUND, 50)
+        assert 2 < len(calls) <= 4  # steps 0 and 1 only
+
+    def test_bound_below_m_minus_one_is_honoured(self):
+        sysm = system(cliff_rows(3, 2))
+        for max_steps in (0, 1):
+            res = saturate_lattice(sysm, 0, max_steps)
+            assert (res.status, res.steps) == (EXCEEDED_BOUND, max_steps)
+            assert (res.status, res.steps) == reference_saturation(sysm, 0, max_steps)[:2]
+
+    def test_disagreeing_saturation_is_a_contradiction(self, monkeypatch, capsys,
+                                                        tmp_path):
+        import dreg.systems as systems_mod
+        from dreg.cli import main
+        real = systems_mod.saturate_lattice
+
+        def flipped(sysm, point, max_steps=None):
+            res = real(sysm, point, max_steps)
+            if res.stabilized:
+                return SaturationResult(EXCEEDED_BOUND, res.max_steps, res.max_steps, None)
+            return SaturationResult(STABILIZED, 0, res.max_steps, res.lattice)
+
+        monkeypatch.setattr(systems_mod, "saturate_lattice", flipped)
+        for entry, fuchs, said in (
+                ("-5/x", REGULAR, "exceeded_bound at 0 but the Fuchs test is regular"),
+                ("1/x^2", IRREGULAR, "stabilized at 0 but the Fuchs test is irregular")):
+            with pytest.raises(ContradictionError, match=said) as caught:
+                regular_system_report(system([[entry]]))
+            assert caught.value.details["fuchs"]["verdict"] == fuchs
+        sys_file = tmp_path / "euler.sys"
+        sys_file.write_text("rank 1\n-5/x\n")
+        assert main(["system", "--file", str(sys_file), "--format", "json"]) == 3
+        message, details = capsys.readouterr().err.split("\n", 1)
+        assert "exceeded_bound at 0" in message
+        details = json.loads(details)
+        assert details["saturation"] == {"status": EXCEEDED_BOUND, "steps": 6,
+                                         "max_steps": 6}
+        assert details["fuchs"]["verdict"] == REGULAR
+
+    def test_bound_below_m_minus_one_is_no_contradiction(self):
+        rng = random.Random(41)
+        while True:
+            sysm = random_gauged_euler(rng, 3)
+            if saturate_lattice(sysm, 0, 6).steps >= 2:
+                break
+        rep = regular_system_report(sysm, max_steps=1)
+        origin = rep.points[0]
+        assert str(origin.point) == "0" and origin.fuchs.verdict == REGULAR
+        assert origin.saturation.to_dict() == {"status": EXCEEDED_BOUND, "steps": 1,
+                                               "max_steps": 1}
+
+    def test_rank_five_cliff_finishes(self, tmp_path):
+        points, elapsed = run_system(tmp_path, cliff_text(5, 3))
+        assert [(p["point"], p["fuchs"], p["saturation"]) for p in points] == [
+            ("0", IRREGULAR, {"status": EXCEEDED_BOUND, "steps": 84, "max_steps": 84}),
+            ("inf", REGULAR, {"status": STABILIZED, "steps": 4, "max_steps": 19})]
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_euler_companion_is_stable_exactly_at_m_minus_one(self, m):
+        # p = 1 makes the operator Fuchsian at 0, of Euler type
+        sysm = system(cliff_rows(m, 1))
+        for max_steps in range(max(0, m - 2), m + 1):
+            res = saturate_lattice(sysm, 0, max_steps)
+            assert (res.status, res.steps) == reference_saturation(sysm, 0, max_steps)[:2]
+        assert saturate_lattice(sysm, 0, m + 3).to_dict() == {
+            "status": STABILIZED, "steps": m - 1, "max_steps": m + 3}
+
+    def test_rank_three_cliff_matches_reference(self, tmp_path):
+        sysm = system(cliff_rows(3, 2))
+        text = cliff_text(3, 2)
+        for max_steps in (1, 2, 6):
+            points, _ = run_system(tmp_path, text, "--max-steps", str(max_steps))
+            assert [p["point"] for p in points] == ["0", "inf"]
+            for p, pt in zip(points, (0, INFINITY)):
+                status, steps, _ = reference_saturation(sysm, pt, max_steps)
+                assert p["saturation"] == {"status": status, "steps": steps,
+                                           "max_steps": max_steps}
+        points, _ = run_system(tmp_path, text)
+        assert [p["saturation"] for p in points] == [
+            {"status": EXCEEDED_BOUND, "steps": 25, "max_steps": 25},
+            {"status": STABILIZED, "steps": 2, "max_steps": 13}]
 
 
 class TestReports:
