@@ -479,7 +479,12 @@ def _check_bounds(args) -> None:
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed help, the version or its usage message; a
+        # usage error is an input error (argparse's 2 means a budget ran out here)
+        return 1 if exc.code else 0
     try:
         _check_bounds(args)
         report = args.fn(args)

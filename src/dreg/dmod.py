@@ -364,9 +364,11 @@ def decompose_symbol_ideal(ideal: Ideal, n: int,
 
     Candidates are the zero section, conormals to linear divisors read off
     monomial contents and pure-coordinate generators, and conormals to
-    rational points where the whole fiber lies in the variety.  Inclusion of
+    rational points where the whole fiber lies in the variety; candidates
+    with equal reduced bases are one component, listed once.  Inclusion of
     every candidate and coverage of the variety are certified by radical
-    membership in both directions.
+    membership in both directions; coverage starts from the ideal's own
+    basis when it carries one (a characteristic ideal does).
     """
     variables = ideal.vars
     if len(variables) != 2 * n:
@@ -425,10 +427,14 @@ def decompose_symbol_ideal(ideal: Ideal, n: int,
             candidates.append(Component(CONORMAL_POINT, label,
                                         Ideal(variables, cgens)))
 
-    accepted = []
+    # a candidate another route already proposed (V(x) as a divisor and as
+    # the point x = 0 when n = 1) has the same reduced basis and is dropped
+    accepted, bases = [], []
     for cand in candidates:
-        if all_in_ideal(gens, groebner_basis(cand.ideal, DEGREVLEX, budget)):
+        gb = groebner_basis(cand.ideal, DEGREVLEX, budget)
+        if gb not in bases and all_in_ideal(gens, gb):
             accepted.append(cand)
+            bases.append(gb)
 
     covered = _covers(ideal, accepted, budget) if accepted else False
     comps = tuple(accepted)
@@ -468,11 +474,16 @@ class DimensionReport(NamedTuple):
 
 
 def dimension_report(ideal: Ideal, n: int, budget: int = DEFAULT_BUDGET) -> DimensionReport:
-    """Dimension, holonomicity and the Bernstein bound from one DEGREVLEX basis."""
-    gb = groebner_basis(ideal, DEGREVLEX, budget)
+    """Dimension, holonomicity and the Bernstein bound from one basis.
+
+    A characteristic ideal carries its reduced basis (`basis_order`), and
+    the leading monomials of that basis give the dimension with no new
+    basis; any other ideal gets a DEGREVLEX basis first.
+    """
+    gb = ideal.gens if ideal.basis_order else groebner_basis(ideal, DEGREVLEX, budget)
     if any(g.is_constant() and not g.is_zero() for g in gb):
         raise ZeroModuleError("unit ideal: the module is zero")
-    dim = basis_dimension(ideal.vars, gb)
+    dim = basis_dimension(ideal.vars, gb, ideal.basis_order or DEGREVLEX)
     return DimensionReport(dim, dim <= n, dim >= n)
 
 

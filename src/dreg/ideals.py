@@ -10,16 +10,18 @@ its elements and divides by pseudo-division, and Fractions appear only at
 the boundary, in the monic reduced basis and in the exact remainder
 `normal_form` hands to an outside caller.  On top sit
 membership, radical membership via the extra-variable trick, and Krull
-dimension through independent variable sets modulo the initial ideal.  All
-computations carry an explicit work budget; exceeding it raises rather
-than silently truncating.
+dimension through independent variable sets modulo the initial ideal.  An
+ideal whose generators are known to be a reduced Gröbner basis says so
+(`Ideal.basis_order`), and both tests then start from that basis instead of
+computing one.  All computations carry an explicit work budget; exceeding
+it raises rather than silently truncating.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, le, mul, neg, sub
 from typing import Callable, Iterable, Sequence
@@ -74,12 +76,18 @@ def symbol_weight_order(nvars: int) -> TermOrder:
 
 @dataclass(frozen=True)
 class Ideal:
-    """An ideal of Q[vars] presented by a finite generating set."""
+    """An ideal of Q[vars] presented by a finite generating set.
+
+    `basis_order`, when given, is a term order under which the generators
+    are a reduced Gröbner basis; only a caller that knows this passes it.
+    """
 
     vars: tuple
     gens: tuple
+    basis_order: TermOrder | None = field(default=None, compare=False)
 
-    def __init__(self, variables: Sequence[str], gens: Iterable[MPoly]):
+    def __init__(self, variables: Sequence[str], gens: Iterable[MPoly],
+                 basis_order: TermOrder | None = None):
         variables = tuple(variables)
         cleaned = []
         for g in gens:
@@ -89,6 +97,7 @@ class Ideal:
                 cleaned.append(g)
         object.__setattr__(self, "vars", variables)
         object.__setattr__(self, "gens", tuple(cleaned))
+        object.__setattr__(self, "basis_order", basis_order)
 
     def __str__(self) -> str:
         inner = ", ".join(format_mpoly(g) for g in self.gens) or "0"
@@ -251,8 +260,15 @@ def all_in_ideal(fs: Iterable, gb: Sequence, ring: Ring = POLYNOMIALS) -> bool:
                for f in fs)
 
 
-def buchberger_basis(gens: Iterable, ring: Ring, budget: int = DEFAULT_BUDGET) -> list:
-    """Reduced (left) Gröbner basis of the (left) ideal the generators span.
+def buchberger_basis(gens: Iterable, ring: Ring, budget: int = DEFAULT_BUDGET,
+                     known: Sequence = ()) -> list:
+    """Reduced (left) Gröbner basis of the (left) ideal `known` and the
+    generators span.
+
+    `known` must be a Gröbner basis under the ring's order.  The loop
+    starts from it with the pairs among its elements counted as processed:
+    they reduce to zero, so the chain criterion may lean on them.  Only the
+    pairs of the generators are queued.
 
     The schedule is normal selection: the pending S-pair whose lcm of
     leading monomials is smallest in the term order comes first, ties going
@@ -272,11 +288,11 @@ def buchberger_basis(gens: Iterable, ring: Ring, budget: int = DEFAULT_BUDGET) -
     basis, leads = [], []           # the elements and their leading terms
     queue, pending = [], set()      # heap of (order key of lcm, j, i, lcm); the (i, j) in it
 
-    def insert(g) -> bool:
-        """Add g and its pairs; True when g is a constant."""
+    def insert(g, paired: bool) -> bool:
+        """Add g, and its pairs when `paired`; True when g is a constant."""
         lead = ring.leading(g)
         j = len(basis)
-        for i, (fe, _) in enumerate(leads):
+        for i, (fe, _) in enumerate(leads if paired else ()):
             lcm = _exp_lcm(fe, lead[0])
             heapq.heappush(queue, (ring.order.key(lcm), j, i, lcm))
             pending.add((i, j))
@@ -284,9 +300,10 @@ def buchberger_basis(gens: Iterable, ring: Ring, budget: int = DEFAULT_BUDGET) -
         leads.append(lead)
         return not any(lead[0])
 
-    for g in gens:
-        if not g.is_zero() and insert(ring.element(g, _integral(g.terms)[0])):
-            return [ring.monomial(g, leads[-1][0], Fraction(1))]
+    for paired, elements in ((False, known), (True, gens)):
+        for g in elements:
+            if not g.is_zero() and insert(ring.element(g, _integral(g.terms)[0]), paired):
+                return [ring.monomial(g, leads[-1][0], Fraction(1))]
     processed = 0
     while queue:
         processed += 1
@@ -307,7 +324,7 @@ def buchberger_basis(gens: Iterable, ring: Ring, budget: int = DEFAULT_BUDGET) -
         s = (ring.monomial(basis[i], _exp_sub(lcm, fe), gc // h) * basis[i]
              - ring.monomial(basis[j], _exp_sub(lcm, ge), fc // h) * basis[j])
         r = normal_form(s, basis, ring, leads)
-        if not r.is_zero() and insert(r):
+        if not r.is_zero() and insert(r, True):
             return [ring.monomial(r, leads[-1][0], Fraction(1))]
     return _reduce_basis(basis, leads, ring)
 
@@ -359,11 +376,16 @@ def krull_dimension(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> int:
     return basis_dimension(ideal.vars, groebner_basis(ideal, DEGREVLEX, budget))
 
 
-def basis_dimension(variables: Sequence[str], gb: Sequence[MPoly]) -> int:
-    """Krull dimension of the ideal a reduced DEGREVLEX Gröbner basis spans."""
+def basis_dimension(variables: Sequence[str], gb: Sequence[MPoly],
+                    order: TermOrder = DEGREVLEX) -> int:
+    """Krull dimension of the ideal a Gröbner basis under `order` spans.
+
+    I and in(I) have the same dimension under every term order, so the
+    leading monomials of any basis give it.
+    """
     if any(g.is_constant() and not g.is_zero() for g in gb):
         return -1
-    lead = [leading_term(g, DEGREVLEX)[0] for g in gb]
+    lead = [leading_term(g, order)[0] for g in gb]
     n = len(variables)
     best = 0
     for mask in range(1 << n):
@@ -381,7 +403,14 @@ def basis_dimension(variables: Sequence[str], gb: Sequence[MPoly]) -> int:
 
 
 def radical_membership(f: MPoly, ideal: Ideal, budget: int = DEFAULT_BUDGET) -> bool:
-    """Decide f in sqrt(I) by testing 1 in I + (1 - t*f) with t fresh."""
+    """Decide f in sqrt(I) by testing 1 in I + (1 - t*f) with t fresh.
+
+    An ideal whose generators are a reduced basis (`basis_order`) starts
+    the driver from that basis, under its order extended by t last, of
+    weight 0: on t-free monomials that order is the basis' own, so the
+    basis stays one, and only the pairs of 1 - t*f are queued.  Any other
+    ideal gets a DEGREVLEX basis of I + (1 - t*f) from scratch.
+    """
     if f.vars != ideal.vars:
         raise ValueError("polynomial and ideal live in different rings")
     if f.is_zero():
@@ -392,9 +421,14 @@ def radical_membership(f: MPoly, ideal: Ideal, budget: int = DEFAULT_BUDGET) -> 
     bigvars = ideal.vars + (tname,)
     gens = [g.extend(bigvars) for g in ideal.gens]
     t = MPoly.var(bigvars, tname)
-    one = MPoly.const(bigvars, 1)
-    gens.append(one - t * f.extend(bigvars))
-    return is_unit_ideal(Ideal(bigvars, gens), budget)
+    rabinowitsch = MPoly.const(bigvars, 1) - t * f.extend(bigvars)
+    order = ideal.basis_order
+    if order is None:
+        return is_unit_ideal(Ideal(bigvars, gens + [rabinowitsch]), budget)
+    if order.weights is not None:
+        order = weighted_order(order.weights + (0,))
+    gb = buchberger_basis([rabinowitsch], polynomial_ring(order), budget, known=gens)
+    return any(g.is_constant() for g in gb)
 
 
 def minimal_monomial_generators(ideal: Ideal) -> list[tuple]:

@@ -124,6 +124,7 @@ class ScanRow(NamedTuple):
 
 @dataclass(frozen=True)
 class AnnihilatorReport:
+    chart: NCChart          # the chart whose window was scanned
     ideal: Ideal
     matches_ideal: bool
     stability_rows: tuple
@@ -208,7 +209,7 @@ def pole_filtration_annihilator(chart: NCChart, bound: int = 6) -> AnnihilatorRe
         if not ok:
             ok_all = False
         witnesses.append(ScanRow("x^{} xi^{} acts nonzero on x^{}", (a, b, witness), ok))
-    return AnnihilatorReport(ideal, ok_all, tuple(stability), tuple(witnesses),
+    return AnnihilatorReport(chart, ideal, ok_all, tuple(stability), tuple(witnesses),
                              bound, tuple(annihilating))
 
 
@@ -400,8 +401,11 @@ def theorem_forward_filtration(lattice: LogLattice, chart: NCChart,
     stabilizes every scanned level, so the graded annihilator is the
     radical squarefree ideal.
 
-    Raises on non-integrable input, reporting the failed commutator.
+    Raises on non-integrable input, reporting the failed commutator, and
+    on a chart other than the lattice's own.
     """
+    if chart != lattice.chart:
+        raise ValueError(f"lattice lives on chart {lattice.chart}, not on {chart}")
     fail = lattice.integrability_failure()
     if fail is not None:
         l, k, mat = fail
@@ -453,11 +457,14 @@ def prop21_inclusion(data, chart: NCChart, bound: int = 4) -> Prop21Report:
     logarithmic symbol ideal.
 
     Accepts the bare chart pole module (data None, or the
-    AnnihilatorReport of its window scan at a bound at least this one,
-    which is then not run again), a LogLattice, or a curve operator.
+    AnnihilatorReport of its window scan on this chart at a bound at least
+    this one, which is then not run again), a LogLattice, or a curve
+    operator.
     """
     if data is None or isinstance(data, AnnihilatorReport):
         report = pole_filtration_annihilator(chart, bound) if data is None else data
+        if report.chart != chart:
+            raise ValueError(f"the report was scanned on chart {report.chart}, not on {chart}")
         if bound > report.bound:
             raise ValueError(f"inclusion bound {bound} exceeds the scan bound {report.bound}")
         if not report.matches_ideal:
@@ -467,6 +474,8 @@ def prop21_inclusion(data, chart: NCChart, bound: int = 4) -> Prop21Report:
             str(MPoly.monomial(chart.ring, a + b)) for a, b in takewhile(
                 lambda ab: sum(ab[0] + ab[1]) <= bound, report.annihilating)), ())
     if isinstance(data, LogLattice):
+        if data.chart != chart:
+            raise ValueError(f"lattice lives on chart {data.chart}, not on {chart}")
         monomials = _lattice_annihilators(
             data, chart, _window(chart, chart.r + bound, bound), bound)
     elif isinstance(data, UnivarOperator):

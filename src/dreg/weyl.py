@@ -14,9 +14,10 @@ in Q[x, xi].
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
-from operator import add, sub
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .ideals import (DEFAULT_BUDGET, Ideal, Ring, buchberger_basis,
@@ -213,13 +214,22 @@ class WeylElement:
         return f"WeylElement({format_weyl(self)!r})"
 
 
+@functools.cache
+def _leibniz(b: int, g: int) -> tuple:
+    """The integers k! C(b, k) C(g, k), k = 0 .. min(b, g): the coefficients
+    of d^b x^g in normal order."""
+    return tuple(math.factorial(k) * math.comb(b, k) * math.comb(g, k)
+                 for k in range(min(b, g) + 1))
+
+
 def weyl_mul(a: WeylElement, b: WeylElement) -> WeylElement:
     """Normal-ordered product in A_n.
 
     A left factor c * x^alpha with no d is an exponent shift and a scale,
-    under which no two terms collide.  Otherwise the contraction factors
-    k! C(beta_i, k) C(gamma_i, k) stay integers, so each product term costs
-    one coefficient multiply.
+    under which no two terms collide.  Otherwise each term pair contracts
+    d_i^beta_i against x_i^gamma_i for the variables where both are
+    nonzero, with the integer factors of `_leibniz`, so each product term
+    costs one coefficient multiply.
     """
     a._check(b)
     n = a.n
@@ -233,26 +243,22 @@ def weyl_mul(a: WeylElement, b: WeylElement) -> WeylElement:
             return out
     res: dict[tuple, Fraction] = {}
     for (alpha, beta), ca in a.terms.items():
+        dvars = [i for i in range(n) if beta[i]]
         for (gamma, delta), cb in b.terms.items():
-            base = ca * cb
-            # distribute the per-variable contraction d^beta_i x^gamma_i
-            stack = [((), 1)]
-            for bi, gi in zip(beta, gamma):
-                stack = [(ks + (k,), f * math.factorial(k) * math.comb(bi, k) * math.comb(gi, k))
-                         for ks, f in stack for k in range(min(bi, gi) + 1)]
-            exp_x = tuple(map(add, alpha, gamma))
-            exp_d = tuple(map(add, beta, delta))
-            for ks, f in stack:
-                key = (tuple(map(sub, exp_x, ks)), tuple(map(sub, exp_d, ks)))
-                term = base * f if f != 1 else base
-                if key in res:
-                    s = res[key] + term
-                    if s:
-                        res[key] = s
-                    else:
-                        del res[key]
+            terms = [(tuple(map(add, alpha, gamma)), tuple(map(add, beta, delta)), ca * cb)]
+            for i in dvars:
+                if gamma[i]:
+                    row = _leibniz(beta[i], gamma[i])
+                    terms = [(x[:i] + (x[i] - k,) + x[i + 1:], d[:i] + (d[i] - k,) + d[i + 1:],
+                              c * f if f != 1 else c)
+                             for x, d, c in terms for k, f in enumerate(row)]
+            for x, d, c in terms:
+                key = (x, d)
+                s = res.get(key, 0) + c
+                if s:
+                    res[key] = s
                 else:
-                    res[key] = term
+                    del res[key]
     out.terms = res
     return out
 
@@ -331,7 +337,14 @@ def weyl_groebner(gens: Iterable[WeylElement],
 def characteristic_ideal(gens: Iterable[WeylElement],
                          variables: Sequence[str] | None = None,
                          budget: int = DEFAULT_BUDGET) -> Ideal:
-    """Ideal of principal symbols of a left Gröbner basis of the input."""
+    """Ideal of principal symbols of the reduced left Gröbner basis of the
+    input.
+
+    The basis' term order refines the weight (0, 1) of the order
+    filtration, so the symbols are a reduced Gröbner basis of the symbol
+    ideal under `symbol_weight_order(2n)` (Saito, Sturmfels & Takayama
+    2000, Thm 1.1.6), and the ideal records that order.
+    """
     gens = list(gens)
     if not gens:
         raise ValueError("characteristic ideal of the empty generator list")
@@ -340,4 +353,4 @@ def characteristic_ideal(gens: Iterable[WeylElement],
     if variables is None:
         variables = coordinate_names(n) + symbol_names(n)
     symbols = [g.principal_symbol(variables) for g in gb]
-    return Ideal(tuple(variables), symbols)
+    return Ideal(tuple(variables), symbols, basis_order=symbol_weight_order(2 * n))

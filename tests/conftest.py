@@ -4,20 +4,26 @@ algebra reference that the parser is checked against, the plain forms
 of the Q(x) kernel's shortcuts, the Fraction form of the log lattice's
 integer derivation images, the bare-chart inclusion as a direct
 enumeration, the Fraction Buchberger driver and general Weyl
-product that the integer driver and the one-term shift are checked against,
-and small helpers only tests call."""
+product that the integer driver and the table-driven product are checked
+against, the replay of recorded benchmark reports, and small helpers only
+tests call."""
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import heapq
+import io
 import math
 import random
 from fractions import Fraction
 from operator import add, sub
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import pytest
 
+import dreg.cli
 from dreg.dmod import ContradictionError, EquivalenceReport
 from dreg.ideals import (DEFAULT_BUDGET, POLYNOMIALS, BudgetExceeded, Ring, _divides,
                          _exp_lcm, _exp_sub, minimal_monomial_generators)
@@ -745,3 +751,28 @@ def reference_weyl_mul(a: WeylElement, b: WeylElement) -> WeylElement:
     out.n = n
     out.terms = res
     return out
+
+
+def recorded_mismatches(pool, recorded: dict, directory: Path) -> list:
+    """Keys of the benchmark requests whose exit code or report digest is
+    not the recorded one.
+
+    Each request runs in-process from `directory`, the working directory,
+    laid out like the checkout so that the input paths the reports carry
+    are the recorded ones; the digest is that of the benchmark: SHA-256 of
+    stdout, a NUL byte and stderr.
+    """
+    mismatches = []
+    for request in pool:
+        for rel, content in request.files:
+            path = directory / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(content)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = dreg.cli.main(list(request.argv))
+        digest = hashlib.sha256(out.getvalue().encode() + b"\0"
+                                + err.getvalue().encode()).hexdigest()
+        if [code, digest] != recorded[request.key]:
+            mismatches.append(request.key)
+    return mismatches

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +20,7 @@ from dreg.weyl import coordinate_names, format_weyl
 from conftest import random_operator, random_weyl
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+SRC = Path(__file__).resolve().parent.parent / "src"
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "src" / "dreg" / "data"
      / "report_schema.json").read_text())
@@ -108,6 +112,19 @@ class TestDocumentedInvocations:
         kinds = sorted(c["kind"] for c in comps)
         assert kinds == ["conormal_divisor", "conormal_point", "zero_section"]
 
+    @pytest.mark.parametrize("expression", ["x*d", "x*d - 5", "x^2*d - 1", "(x-1)*d"])
+    def test_charvar_on_the_line_lists_each_component_once(self, capsys, expression):
+        # V(x) is proposed as a divisor and as the point x = 0; one ideal is
+        # one component
+        code, out, _ = run_cli(capsys, "charvar", "--vars", "x", expression,
+                               "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["verdicts"][0]["verdict"] == "2 components"
+        comps = report["certificates"][0]["components"]
+        assert comps[0]["kind"] == "zero_section"
+        assert len({tuple(c["ideal"]) for c in comps}) == 2
+
     def test_system_airy(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "corpus", "--emit", str(tmp_path))
         assert code == 0
@@ -194,6 +211,29 @@ class TestExitCodes:
         for chart in sorted(CORPUS.glob("*.chart")):
             code, _, err = run_cli(capsys, "theorem", "--file", str(chart))
             assert code == 0, err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("fuchs", "--bogus", "d"), "unrecognized arguments: --bogus"),
+        (("fuchs", "--budget", "x", "d"), "argument --budget: invalid int value: 'x'"),
+        (("frobnicate", "d"), "argument verb: invalid choice: 'frobnicate'"),
+    ], ids=["unknown-option", "budget-not-int", "unknown-verb"])
+    def test_usage_errors_are_input_errors(self, capsys, argv, message):
+        # exit 2 is kept for an exceeded work budget
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and not out
+        assert err.startswith("usage: dreg") and message in err
+
+    @pytest.mark.parametrize("argv", [("--help",), ("--version",), ("fuchs", "--help")])
+    def test_help_and_version_exit_zero(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and out and not err
+
+    def test_usage_error_exit_code_of_the_process(self):
+        # the installed entry point raises SystemExit(main())
+        proc = subprocess.run([sys.executable, "-m", "dreg.cli", "fuchs", "--bogus", "d"],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert proc.returncode == 1 and "unrecognized arguments: --bogus" in proc.stderr
 
     def test_analysis_completed_regardless_of_verdict(self, capsys):
         code, out, _ = run_cli(capsys, "fuchs", "x^2*d - 1", "--point", "0")
@@ -311,3 +351,51 @@ class TestCorpus:
         code, _, _ = run_cli(capsys, "fuchs",
                              "--file", str(tmp_path / "euler.op"))
         assert code == 0
+
+
+class TestOneBasisPerRequest:
+    """charvar and holonomic compute one Weyl basis; its symbols serve the
+    dimension and the radical tests, which compute no basis of the symbol
+    ideal."""
+
+    def runs(self, monkeypatch):
+        import dreg.ideals
+        import dreg.weyl
+        calls = []
+        real = dreg.ideals.buchberger_basis
+
+        def counting(gens, ring, budget=dreg.ideals.DEFAULT_BUDGET, known=()):
+            gens = list(gens)
+            calls.append((ring, gens, list(known)))
+            return real(gens, ring, budget, known)
+
+        monkeypatch.setattr(dreg.ideals, "buchberger_basis", counting)
+        monkeypatch.setattr(dreg.weyl, "buchberger_basis", counting)
+        return calls
+
+    @pytest.mark.parametrize("argv", [
+        ("--vars", "x,y", "y*dx - 1 ; y^2*dy + x"),
+        ("--vars", "x,y", "x*dx^2 - x^2*dx^2 + y*dx*dy - x*y*dx*dy + 2/3*dx - 5/2*x*dx"
+                          " - 1/2*y*dy - 1/2 ; y*dy^2 - y^2*dy^2 + x*dx*dy - x*y*dx*dy"
+                          " + 2/3*dy - 7/3*y*dy - 1/3*x*dx - 1/3"),
+        ("--vars", "x", "x*d - 5"),
+    ], ids=["exponential", "appell-f1", "euler"])
+    def test_charvar(self, capsys, monkeypatch, argv):
+        calls = self.runs(monkeypatch)
+        code, out, _ = run_cli(capsys, "charvar", *argv, "--format", "json")
+        assert code == 0
+        symbols = json.loads(out)["certificates"][0]["ideal"]
+        weyl_runs = [c for c in calls if not c[0].commutative]
+        assert len(weyl_runs) == 1
+        # no basis of the symbol ideal itself, in any order: the radical
+        # tests start from it (known) and queue only 1 - t*f
+        commutative = [c for c in calls if c[0].commutative]
+        assert all([str(g) for g in gens] != symbols for _, gens, _ in commutative)
+        rabinowitsch = [c for c in commutative if c[2]]
+        assert rabinowitsch and all(len(gens) == 1 for _, gens, _ in rabinowitsch)
+
+    def test_holonomic(self, capsys, monkeypatch):
+        calls = self.runs(monkeypatch)
+        code, _, _ = run_cli(capsys, "holonomic", "--vars", "x,y", "y*dx - 1 ; y^2*dy + x")
+        assert code == 0
+        assert [c[0].commutative for c in calls] == [False]

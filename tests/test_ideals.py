@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dreg.dmod import OTHER, ZeroModuleError, decompose_symbol_ideal, dimension_report
 from dreg.ideals import (BudgetExceeded, DEGREVLEX, LEX, Ideal, NotMonomialIdeal,
                          buchberger, buchberger_basis, groebner_basis,
                          is_radical_squarefree_monomial, krull_dimension,
@@ -454,3 +455,144 @@ class TestIntegerDriver:
             for order in (DEGREVLEX, LEX):
                 assert (groebner_basis(symbols, order)
                         == reference_buchberger_basis(symbols.gens, polynomial_ring(order)))
+
+
+def characteristic_or_none(gens):
+    """The characteristic ideal, or None when its Weyl basis needs more than
+    POP_BOUND pops."""
+    try:
+        return characteristic_ideal(gens, budget=POP_BOUND)
+    except BudgetExceeded:
+        return None
+
+
+def dimension_or_zero(ideal, n):
+    try:
+        return dimension_report(ideal, n)
+    except ZeroModuleError:
+        return "zero module"
+
+
+def cover_products(cv) -> list:
+    """The one-generator-per-component products the coverage test takes,
+    and every component generator on its own."""
+    comps = [c for c in cv.components if c.kind != OTHER]
+    products = [MPoly.const(cv.ideal.vars, 1)]
+    for comp in comps:
+        products = [p * g for p in products for g in comp.ideal.gens]
+    return products + [g for comp in comps for g in comp.ideal.gens]
+
+
+class TestCharacteristicBasis:
+    """A characteristic ideal carries its reduced basis: the dimension and
+    the radical test start from it, and give what a basis from scratch
+    gives."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(gens=a1_a2_generators())
+    def test_symbols_are_the_reduced_symbol_order_basis(self, gens):
+        ideal = characteristic_or_none(gens)
+        if ideal is None:
+            return
+        order = symbol_weight_order(len(ideal.vars))
+        assert ideal.basis_order == order
+        assert groebner_basis(Ideal(ideal.vars, ideal.gens), order) == list(ideal.gens)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(gens=a1_a2_generators())
+    def test_dimension_report_equals_the_degrevlex_report(self, gens):
+        ideal = characteristic_or_none(gens)
+        if ideal is None:
+            return
+        scratch = Ideal(ideal.vars, ideal.gens)
+        assert scratch.basis_order is None
+        n = gens[0].n
+        assert dimension_or_zero(ideal, n) == dimension_or_zero(scratch, n)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(gens=a1_a2_generators(), data=st.data())
+    def test_radical_membership_equals_the_scratch_test(self, gens, data):
+        ideal = characteristic_or_none(gens)
+        if ideal is None:
+            return
+        scratch = Ideal(ideal.vars, ideal.gens)
+        n = gens[0].n
+        fs = cover_products(decompose_symbol_ideal(scratch, n))
+        fs += [MPoly(ideal.vars, data.draw(flat_terms(2 * n, 2, 3))) for _ in range(2)]
+        fs += [g * f for g, f in zip(ideal.gens, fs)]
+        for f in fs:
+            assert radical_membership(f, ideal) == radical_membership(f, scratch)
+
+    @pytest.mark.parametrize("family", [f[0] for f in WORKLOADS.FAMILIES])
+    def test_workload_families_give_the_scratch_verdicts(self, family):
+        _, build, nparams, variables = next(f for f in WORKLOADS.FAMILIES if f[0] == family)
+        names = tuple(variables.split(","))
+        rng = random.Random(73)
+        gens = parse_weyl_generators(" ; ".join(build(*rng.sample(WORKLOADS.PARAMS, nparams))),
+                                     names)
+        ideal = characteristic_ideal(gens)
+        scratch = Ideal(ideal.vars, ideal.gens)
+        cv = decompose_symbol_ideal(ideal, len(names))
+        assert cv == decompose_symbol_ideal(scratch, len(names))
+        assert dimension_report(ideal, len(names)) == dimension_report(scratch, len(names))
+        # the pool's varieties are not covered: the products alone read False
+        fs = cover_products(cv)
+        fs += [g * f for g, f in zip(ideal.gens, fs)]
+        verdicts = [radical_membership(f, ideal) for f in fs]
+        assert verdicts == [radical_membership(f, scratch) for f in fs]
+        assert set(verdicts) == {True, False}
+
+    def test_hand_built_ideal_is_not_taken_for_a_basis(self):
+        # (x^2 + xi, x*xi) is no Gröbner basis under any order (xi^2 joins
+        # it): V is the origin, and its leading monomials x^2, x*xi would
+        # leave xi independent and read dimension 1
+        vs = ring("x", "xi")
+        x, xi = V(vs, "x"), V(vs, "xi")
+        ideal = Ideal(vs, [x * x + xi, x * xi])
+        assert ideal.basis_order is None
+        assert dimension_report(ideal, 1) == (0, True, False)
+        assert radical_membership(x, ideal) and radical_membership(xi, ideal)
+        assert not radical_membership(x + MPoly.const(vs, 1), ideal)
+
+    def test_known_pairs_are_not_popped(self):
+        # a known basis alone comes back reduced under a budget of 0 pops; a
+        # run from scratch takes its pairs off the queue
+        gens = parse_weyl_generators(" ; ".join(WORKLOADS.FAMILIES[0][1](*WORKLOADS.PARAMS[:4])),
+                                     ("x", "y"))
+        symbols = characteristic_ideal(gens)
+        ring_ = polynomial_ring(symbols.basis_order)
+        assert len(symbols.gens) > 1
+        assert buchberger_basis([], ring_, 0, known=symbols.gens) == list(symbols.gens)
+        with pytest.raises(BudgetExceeded):
+            buchberger_basis(symbols.gens, ring_, 0)
+
+    @pytest.mark.parametrize("order", ORACLE_ORDERS, ids=["degrevlex", "lex", "symbol"])
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_known_start_gives_the_scratch_basis(self, order, data):
+        # the pairs of a known basis count as processed; the reduced basis
+        # of the whole ideal is the one a run from scratch finds
+        gb = outcome(buchberger_basis, data.draw(symbol_ring_generators()),
+                     polynomial_ring(order))
+        if gb is None:
+            return
+        extra = data.draw(symbol_ring_generators())
+        ring_ = polynomial_ring(order)
+        whole = outcome(buchberger_basis, gb + extra, ring_)
+        started = outcome(lambda g, r, b: buchberger_basis(g, r, b, known=gb), extra, ring_)
+        if whole is not None and started is not None:
+            assert started == whole
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_known_start_in_the_weyl_algebra(self, data):
+        gens = data.draw(a1_a2_generators())
+        ring_ = weyl_ring(gens[0].n)
+        gb = outcome(buchberger_basis, gens, ring_)
+        if gb is None:
+            return
+        extra = [g for g in data.draw(a1_a2_generators()) if g.n == gens[0].n]
+        whole = outcome(buchberger_basis, gb + extra, ring_)
+        started = outcome(lambda g, r, b: buchberger_basis(g, r, b, known=gb), extra, ring_)
+        if whole is not None and started is not None:
+            assert started == whole

@@ -1,7 +1,4 @@
-import contextlib
-import hashlib
 import importlib.util
-import io
 import itertools
 import json
 import sys
@@ -28,7 +25,8 @@ from dreg.polynomials import MPoly, RatFun
 from dreg.regularity import IRREGULAR, REGULAR
 from dreg.weyl import coordinate_names
 
-from conftest import poly_degree, reference_apply_derivation, reference_bare_inclusion
+from conftest import (poly_degree, recorded_mismatches, reference_apply_derivation,
+                      reference_bare_inclusion)
 
 ALL_CHARTS = [(n, r) for n in (1, 2, 3) for r in range(1, n + 1)]
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -209,6 +207,11 @@ def lattice_catalog():
     ]
 
 
+def another_chart(chart):
+    """A chart other than `chart`, with the same ring where there is one."""
+    return NCChart(chart.n, chart.r % chart.n + 1) if chart.n > 1 else NCChart(2, 1)
+
+
 class TestForwardTheorem:
     def test_catalog_certifies(self):
         for name, chart, lat in lattice_catalog():
@@ -222,6 +225,11 @@ class TestForwardTheorem:
                          [[[MPoly.var(c2, "y")]], [[MPoly.zero(c2)]]])
         with pytest.raises(ValueError, match="not integrable"):
             theorem_forward_filtration(bad, NCChart(2, 2), 2)
+
+    def test_chart_must_be_the_lattice_chart(self):
+        for name, chart, lat in lattice_catalog():
+            with pytest.raises(ValueError, match="lattice lives on chart"):
+                theorem_forward_filtration(lat, another_chart(chart), 2)
 
     def test_integrability_detects_commutator(self):
         c2 = coordinate_names(2)
@@ -274,6 +282,21 @@ class TestProp21:
                 reference_bare_inclusion(chart, bound)
         with pytest.raises(ValueError, match="exceeds the scan bound 5"):
             prop21_inclusion(scan, chart, 6)
+
+    def test_scan_of_another_chart_refused(self):
+        # both charts share one ring; the (2, 1) scan would print eta, eta^2,
+        # xi*eta, ... where the (2, 2) chart's own scan gives y*eta, x*xi
+        scan = pole_filtration_annihilator(NCChart(2, 1), 2)
+        with pytest.raises(ValueError, match="scanned on chart"):
+            prop21_inclusion(scan, NCChart(2, 2), 2)
+        assert prop21_inclusion(pole_filtration_annihilator(NCChart(2, 2), 2),
+                                NCChart(2, 2), 2).annihilating == \
+            reference_bare_inclusion(NCChart(2, 2), 2)
+
+    def test_lattice_of_another_chart_refused(self):
+        for name, chart, lat in lattice_catalog():
+            with pytest.raises(ValueError, match="lattice lives on chart"):
+                prop21_inclusion(lat, another_chart(chart), 2)
 
     def test_matrix_input_refused(self):
         matrix = [[RatFun.x("x") ** -1]]
@@ -603,26 +626,10 @@ class TestPolelatticeCommand:
 
 class TestRecordedReports:
     def test_polelattice_pool_matches_recorded_digests(self, monkeypatch, tmp_path):
-        # every request of the benchmark's polelattice pool, run from a
-        # directory laid out like the checkout, so that the input paths the
-        # reports carry are the recorded ones; the digest is that of the
-        # benchmark: SHA-256 of stdout, a NUL byte and stderr
         recorded = json.loads((PERFBENCH / "expected.json").read_text())
         recorded = recorded["workloads"]["polelattice"]["requests"]
         pool = WORKLOADS.polelattice(dreg.corpus).pool
         monkeypatch.chdir(tmp_path)
-        mismatches = []
-        for request in pool:
-            for rel, content in request.files:
-                path = tmp_path / rel
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(content)
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = dreg.cli.main(list(request.argv))
-            digest = hashlib.sha256(out.getvalue().encode() + b"\0"
-                                    + err.getvalue().encode()).hexdigest()
-            if [code, digest] != recorded[request.key]:
-                mismatches.append(request.key)
+        mismatches = recorded_mismatches(pool, recorded, tmp_path)
         assert len(pool) == len(recorded) == 69
         assert mismatches == []

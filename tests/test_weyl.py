@@ -1,16 +1,29 @@
+import importlib.util
+import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dreg.corpus
 from dreg.ideals import Ideal, krull_dimension, normal_form, groebner_basis
 from dreg.parser import parse_weyl_generators
 from dreg.polynomials import MPoly
 from dreg.weyl import (WeylElement, characteristic_ideal, coordinate_names,
                        format_weyl, weyl_groebner, weyl_mul, weyl_ring)
 
-from conftest import random_mpoly, random_weyl, reference_weyl_mul
+from conftest import random_mpoly, random_weyl, recorded_mismatches, reference_weyl_mul
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# the benchmark's request pools, read only
+_spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                               PERFBENCH / "workloads.py")
+WORKLOADS = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(WORKLOADS)
 
 
 def a1():
@@ -138,6 +151,19 @@ class TestProductProperties:
         other = data.draw(weyl_elements(n))
         assert weyl_mul(other, b) == reference_weyl_mul(other, b)
 
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(1, 3))
+    def test_one_term_factor_with_d_equals_the_general_contraction(self, data, n):
+        # the Buchberger driver's products: c * x^alpha d^beta, beta != 0,
+        # times an element; the table rows replace the per-pair factorials
+        alpha = data.draw(multi_indices(n, 3))
+        beta = data.draw(multi_indices(n, 3).filter(any))
+        a = WeylElement(n, {(alpha, beta): data.draw(COEFFS)})
+        b = data.draw(weyl_elements(n, degree=3, max_terms=4))
+        product = weyl_mul(a, b)
+        assert product == reference_weyl_mul(a, b)
+        assert all(type(c) is Fraction for c in product.terms.values())
+
 
 class TestSymbols:
     def test_examples(self):
@@ -233,3 +259,16 @@ class TestWeylGroebner:
         gens = parse_weyl_generators(
             "x*dx*(x*dx + y*dy) - x*(x*dx + y*dy + 1)*(x*dx+1/2) ; dx*dy - 1", ("x", "y"))
         assert weyl_groebner(gens, budget=300) == [WeylElement.const(2, 1)]
+
+
+class TestRecordedReports:
+    def test_weyl_pool_matches_recorded_digests(self, monkeypatch, tmp_path):
+        # every charvar and holonomic request of the benchmark's weyl pool,
+        # the unit-ideal cliff included
+        recorded = json.loads((PERFBENCH / "expected.json").read_text())
+        recorded = recorded["workloads"]["weyl"]["requests"]
+        pool = WORKLOADS.weyl(dreg.corpus).pool
+        monkeypatch.chdir(tmp_path)
+        mismatches = recorded_mismatches(pool, recorded, tmp_path)
+        assert len(pool) == len(recorded) == 81
+        assert mismatches == []
