@@ -23,7 +23,7 @@ from dreg.polelattice import (LogLattice, NCChart, _apply_lift, _in_ideal,
                               theorem_forward_filtration, theta_XZ_ideal)
 from dreg.polynomials import MPoly, RatFun
 from dreg.regularity import IRREGULAR, REGULAR
-from dreg.weyl import coordinate_names
+from dreg.weyl import WeylElement, characteristic_ideal, coordinate_names
 
 from conftest import (poly_degree, recorded_mismatches, reference_apply_derivation,
                       reference_bare_inclusion)
@@ -127,44 +127,74 @@ class TestAnnihilatorScan:
         assert not report.to_dict()["failures"]
 
     def test_row_texts(self):
-        # rows format their text only when read; the texts are unchanged
+        # the certificates keep check counts and the texts of failures only
         report = pole_filtration_annihilator(NCChart(2, 1), 3)
-        assert report.stability_rows[0].description == "x1*xi1 on x^(0, 0) at level 0"
-        assert report.stability_rows[-1].description == "xi2 on x^(-3, 3) at level 3"
-        assert (report.witness_rows[0].description
-                == "x^(0, 0) xi^(1, 0) acts nonzero on x^(-1, 0)")
+        assert (report.stability_checks, report.witness_checks, report.failures) == (
+            44, 15, ())
         name, chart, lattice = lattice_catalog()[4]
-        rows = theorem_forward_filtration(lattice, chart, 2).rows
-        assert (len(rows), rows[0].description, rows[-1].description) == (
-            144, "x1*xi1 on x^(0, 0) e_0 at level 1", "xi2 on x^(-3, 2) e_1 at level 3")
+        forward = theorem_forward_filtration(lattice, chart, 2).to_dict()
+        assert (forward["checks"], forward["generators_stabilize"], forward["failures"]) == (
+            144, True, [])
         backward = theorem_backward_extraction(op("x^2*d - 1"), 2)
         assert backward.to_dict()["certified"] == ["x^2*T[0][0] is pole-free"]
 
     @pytest.mark.parametrize("n,r", ALL_CHARTS)
     def test_stability_rows_match_lift_reference(self, n, r):
-        # the rows compute coefficient and target exponent inline; the
-        # reference applies the full lift and takes the pole order
+        # the report counts these checks without running them: the reference
+        # applies the full lift of each generator, takes the pole order, and
+        # finds every check ok
         chart = NCChart(n, r)
         for bound in range(7):
             expected = []
             for i in range(n):
                 b = tuple(int(k == i) for k in range(n))
                 a = b if i < r else (0,) * n
-                name = f"x{i+1}*xi{i+1}" if i < r else f"xi{i+1}"
                 for k in range(bound + 1):
                     for alpha in chart.monomials_with_pole(k, bound):
                         coeff, exp = _apply_lift(chart, a, b, alpha)
-                        expected.append(((name, alpha, k),
-                                         coeff == 0 or chart.pole_order(exp) <= k))
-            rows = pole_filtration_annihilator(chart, bound).stability_rows
-            assert [(row.args, row.ok) for row in rows] == expected
+                        expected.append(coeff == 0 or chart.pole_order(exp) <= k)
+            assert all(expected)
+            assert len(expected) == pole_filtration_annihilator(chart, bound).stability_checks
 
     def test_witness_direction_example(self):
         # xi_1 does not annihilate: d_1 deepens the pole on the witness 1/x_1
         chart = NCChart(2, 1)
         report = pole_filtration_annihilator(chart, 3)
-        labels = [row.description for row in report.witness_rows]
-        assert any("xi" in lbl and "(-1, 0)" in lbl for lbl in labels)
+        assert ((0, 0), (1, 0)) not in report.annihilating
+        assert _apply_lift(chart, (0, 0), (1, 0), (-1, 0)) == (-1, (-2, 0))
+        outside = [(a, b) for a, b in _symbol_monomials(chart, 3)
+                   if (a, b) not in report.annihilating]
+        assert (report.witness_checks, report.failures) == (len(outside), ())
+
+    def test_dropped_generator_fails_the_witness_check(self, monkeypatch):
+        # without x1*xi1 the ideal misses monomials the window says annihilate
+        theta = dreg.polelattice.theta_XZ_ideal
+
+        def dropped(chart):
+            ideal = theta(chart)
+            return Ideal(ideal.vars, [g for g in ideal.gens if str(g) != "x*xi"])
+
+        monkeypatch.setattr(dreg.polelattice, "theta_XZ_ideal", dropped)
+        report = pole_filtration_annihilator(NCChart(2, 1), 3)
+        assert not report.matches_ideal
+        assert report.to_dict()["failures"][0] == \
+            "x^(1, 0) xi^(1, 0) acts nonzero on x^(-1, 0)"
+        assert len(report.failures) == 4
+
+    @pytest.mark.parametrize("n,r", ALL_CHARTS)
+    def test_theta_ideal_is_the_weyl_characteristic_ideal(self, n, r):
+        # Saito, Sturmfels & Takayama (2000): the symbol ideal of
+        # D/D(x_i d_i + 1 (i <= r), d_j (j > r)) by a left Groebner basis,
+        # a path that shares nothing with theta_XZ_ideal
+        chart = NCChart(n, r)
+        gens = []
+        for i in range(n):
+            unit = tuple(int(k == i) for k in range(n))
+            terms = {(unit, unit): 1, ((0,) * n, (0,) * n): 1} if i < r else \
+                {((0,) * n, unit): 1}
+            gens.append(WeylElement(n, terms))
+        assert {str(g) for g in characteristic_ideal(gens).gens} == \
+            {str(g) for g in theta_XZ_ideal(chart).gens}
 
 
 class TestGoodness:
@@ -218,6 +248,30 @@ class TestForwardTheorem:
             report = theorem_forward_filtration(lat, chart, 4)
             assert report.certified, (name, report.to_dict())
             assert report.radical
+
+    def test_forward_stability_matches_lift_reference(self):
+        # the report counts these checks without running them: every
+        # generator's lift keeps each window monomial at each level that
+        # contains it
+        lattices = [(chart, lat) for _name, chart, lat in lattice_catalog()]
+        lattices += [_read_chart_file(str(CORPUS / name)) for name in
+                     ("euler_lattice.chart", "nilpotent_lattice.chart",
+                      "plane_lattice.chart")]
+        for chart, lattice in lattices:
+            for bound in range(5):
+                expected = []
+                for i in range(chart.n):
+                    b = tuple(int(k == i) for k in range(chart.n))
+                    a = b if i < chart.r else (0,) * chart.n
+                    for level in range(chart.r, chart.r + bound + 1):
+                        for pole in range(level + 1):
+                            for alpha in chart.monomials_with_pole(pole, bound):
+                                for j in range(lattice.rank):
+                                    order = lattice.lift_pole_order(a, b, alpha, j)
+                                    expected.append(order is None or order <= level)
+                assert all(expected)
+                report = theorem_forward_filtration(lattice, chart, bound)
+                assert len(expected) == report.checks
 
     def test_non_integrable_rejected(self):
         c2 = coordinate_names(2)
@@ -315,7 +369,7 @@ class TestBackwardExtraction:
         assert report.verdict == IRREGULAR
         assert report.failing_entries
         # the s-level stability is still certified entrywise
-        assert all(r.ok for r in report.certified_rows)
+        assert report.certified == ("x^2*T[0][0] is pole-free",)
 
     def test_hypergeometric_with_bound_one(self):
         report = theorem_backward_extraction(
@@ -525,7 +579,7 @@ class TestMemoizedScan:
         chart, lattice = _read_chart_file(str(CORPUS / "plane_lattice.chart"))
         report = theorem_forward_filtration(lattice, chart, 3)
         assert report.certified
-        assert len(report.rows) == 344
+        assert report.checks == 344
         assert scans <= 30
 
     @pytest.mark.parametrize("n", (1, 2, 3))
@@ -557,13 +611,12 @@ class TestMemoizedScan:
         # per memoized d^b; recomputing at every level took 3,474 calls
         report, calls = self.counted_plane_forward_theorem(monkeypatch)
         assert report.certified
-        assert len(report.rows) == 344
+        assert report.checks == 344
         assert calls <= 1000
 
     def test_forward_rows_share_the_lattice_memo(self, monkeypatch):
-        # the stability rows read d^(e_i) from the lattice's memo, which the
-        # inclusion scan then reuses: 496 calls when the rows derived their
-        # own images
+        # the inclusion scan derives each d^b image once, into the
+        # lattice's memo
         report, calls = self.counted_plane_forward_theorem(monkeypatch)
         assert report.certified
         assert calls <= 376
@@ -616,7 +669,7 @@ class TestPolelatticeCommand:
         assert len(calls) == 1
 
     def test_one_window_per_forward_theorem(self, monkeypatch, capsys):
-        # the inclusion scan reads the window the stability rows were built on
+        # the check count and the inclusion scan read one window
         calls = self.count(monkeypatch, "_window")
         assert dreg.cli.main(["theorem", "--file", str(CORPUS / "plane_lattice.chart"),
                               "--bound", "3"]) == 0
@@ -632,4 +685,15 @@ class TestRecordedReports:
         monkeypatch.chdir(tmp_path)
         mismatches = recorded_mismatches(pool, recorded, tmp_path)
         assert len(pool) == len(recorded) == 69
+        assert mismatches == []
+
+    def test_backward_theorem_requests_match_recorded_digests(self, monkeypatch, tmp_path):
+        # every theorem --backward request of the benchmark's curves pool
+        recorded = json.loads((PERFBENCH / "expected.json").read_text())
+        recorded = recorded["workloads"]["curves"]["requests"]
+        pool = [request for request in WORKLOADS.curves(dreg.corpus).pool
+                if request.argv[:2] == ("theorem", "--backward")]
+        monkeypatch.chdir(tmp_path)
+        mismatches = recorded_mismatches(pool, recorded, tmp_path)
+        assert len(pool) == len([key for key in recorded if key.endswith("/backward")]) == 148
         assert mismatches == []
