@@ -56,7 +56,7 @@ class CyclicFiltration:
         for j in range(n):
             col = [zero] * n
             if j < n - 1:
-                col[j + 1] = RatFun.const(var, 1)
+                col[j + 1] = RatFun.one(var)
             else:
                 top = theta.coeff(n)
                 for i in range(n):

@@ -6,9 +6,10 @@ polynomial ring Q[vars] (the symbol ring) and the Weyl algebra A_n, which
 exponents of a term, elements from term maps and commutativity; the S-pair
 loop, the division routine and the interreduction are shared.  Arithmetic
 inside the driver is on integers: it keeps primitive integer multiples of
-its elements and divides by pseudo-division, and Fractions appear only at
-the boundary, in the monic reduced basis and in the exact remainder
-`normal_form` hands to an outside caller.  On top sit
+its elements and divides by pseudo-division.  Rationals appear only at the
+boundary, in the monic reduced basis and in the exact remainder
+`normal_form` hands to an outside caller, and there in the normal form of
+`dreg.polynomials`: an int when integral, else a Fraction.  On top sit
 membership, radical membership via the extra-variable trick, and Krull
 dimension through independent variable sets modulo the initial ideal.  An
 ideal whose generators are known to be a reduced Gröbner basis says so
@@ -26,7 +27,7 @@ from fractions import Fraction
 from operator import add, le, mul, neg, sub
 from typing import Callable, Iterable, Sequence
 
-from .polynomials import MPoly, format_mpoly
+from .polynomials import MPoly, _exact, _inverse, format_mpoly
 
 DEFAULT_BUDGET = 100_000
 
@@ -231,7 +232,7 @@ def normal_form(f, basis: Sequence, ring: Ring = POLYNOMIALS,
     f and the basis must have integer coefficients, and the result is the
     primitive integer multiple of the remainder.  Without them, f and the
     basis are made integer here and the exact remainder comes back,
-    divided into Fractions once per term.
+    divided once per term into exact rationals in normal form.
     """
     if not basis or f.is_zero():
         return f
@@ -242,7 +243,7 @@ def normal_form(f, basis: Sequence, ring: Ring = POLYNOMIALS,
     ints, c = _integral(f.terms)
     r, m = _pseudo_remainder(ring.element(f, ints), basis, leads, ring)
     c /= m
-    return ring.element(f, {t: v * c for t, v in r.items()})
+    return ring.element(f, {t: _exact(v * c) for t, v in r.items()})
 
 
 def _integral_basis(basis: Sequence, ring: Ring) -> tuple[list, list]:
@@ -303,7 +304,7 @@ def buchberger_basis(gens: Iterable, ring: Ring, budget: int = DEFAULT_BUDGET,
     for paired, elements in ((False, known), (True, gens)):
         for g in elements:
             if not g.is_zero() and insert(ring.element(g, _integral(g.terms)[0]), paired):
-                return [ring.monomial(g, leads[-1][0], Fraction(1))]
+                return [ring.monomial(g, leads[-1][0], 1)]
     processed = 0
     while queue:
         processed += 1
@@ -325,7 +326,7 @@ def buchberger_basis(gens: Iterable, ring: Ring, budget: int = DEFAULT_BUDGET,
              - ring.monomial(basis[j], _exp_sub(lcm, ge), fc // h) * basis[j])
         r = normal_form(s, basis, ring, leads)
         if not r.is_zero() and insert(r, True):
-            return [ring.monomial(r, leads[-1][0], Fraction(1))]
+            return [ring.monomial(r, leads[-1][0], 1)]
     return _reduce_basis(basis, leads, ring)
 
 
@@ -351,7 +352,7 @@ def _reduce_basis(basis: list, leads: list, ring: Ring) -> list:
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
         r = normal_form(g, others, ring, lead[:i] + lead[i + 1:]) if others else g
-        reduced.append((ring.order.key(lead[i][0]), r.scale(Fraction(1, ring.leading(r)[1]))))
+        reduced.append((ring.order.key(lead[i][0]), r.scale(_inverse(ring.leading(r)[1]))))
     return [r for _, r in sorted(reduced, key=lambda kr: kr[0])]
 
 

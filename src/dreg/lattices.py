@@ -9,15 +9,16 @@ and the curve filtrations both use it, since each of their lattices
 contains the standard one.
 
 Stability questions (is theta(L) inside L?) are membership questions, so
-no completion machinery is needed.
+no completion machinery is needed.  Series coefficients and echelon rows
+keep the coefficient normal form of `dreg.polynomials`: an int when
+integral, else a Fraction.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .polynomials import MPoly, RatFun
+from .polynomials import MPoly, RatFun, _exact, _inverse
 
 
 class Laurent:
@@ -27,24 +28,25 @@ class Laurent:
     num/u come on demand by power-series division by u and are kept.
     """
 
-    __slots__ = ("start", "_num", "_unit", "_coeffs")
+    __slots__ = ("start", "_num", "_unit", "_inv", "_coeffs")
 
     def __init__(self, f: RatFun):
         k = min(e for (e,) in f.den.terms)
         self.start = -k                  # no term below x^start
         self._num = f.num.univar_coeffs()
         self._unit = f.den.univar_coeffs()[k:]
-        self._coeffs: list[Fraction] = []
+        self._inv = _inverse(self._unit[0])
+        self._coeffs: list = []
 
-    def terms(self, stop: int) -> list[Fraction]:
+    def terms(self, stop: int) -> list:
         """The coefficients of x^start .. x^(stop - 1)."""
-        num, unit, out = self._num, self._unit, self._coeffs
+        num, unit, inv, out = self._num, self._unit, self._inv, self._coeffs
         while len(out) < stop - self.start:
             j = len(out)
-            acc = num[j] if j < len(num) else Fraction(0)
+            acc = num[j] if j < len(num) else 0
             for t in range(1, min(j, len(unit) - 1) + 1):
                 acc -= unit[t] * out[j - t]
-            out.append(acc / unit[0])
+            out.append(_exact(acc * inv))
         return out[:max(0, stop - self.start)]
 
 
@@ -107,8 +109,8 @@ class PolarLattice:
         v = self.reduce(v)
         while v:
             key = min(v)
-            inv = 1 / v[key]
-            row = {k: c * inv for k, c in v.items()}
+            inv = _inverse(v[key])
+            row = {k: _exact(c * inv) for k, c in v.items()}
             self.rows[key] = row
             added.append(row)
             v = self.reduce({(e + 1, j): c for (e, j), c in row.items() if e < -1})
@@ -139,7 +141,7 @@ class PolarLattice:
             depth[j] += 1
         gens = []
         for i, k in enumerate(depth):
-            row = self.rows[-k, i] if k else {(0, i): Fraction(1)}
+            row = self.rows[-k, i] if k else {(0, i): 1}
             nums: list[dict] = [{} for _ in range(self.dim)]
             for (e, j), c in row.items():
                 nums[j][(e + k,)] = c

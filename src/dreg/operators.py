@@ -57,7 +57,7 @@ class UnivarOperator:
 
     @classmethod
     def derivation(cls, var: str) -> "UnivarOperator":
-        return cls(var, [RatFun.zero(var), RatFun.const(var, 1)])
+        return cls(var, [RatFun.zero(var), RatFun.one(var)])
 
     @classmethod
     def multiplication(cls, f: RatFun) -> "UnivarOperator":
@@ -125,7 +125,7 @@ class UnivarOperator:
                 deriv = cj
                 for k in range(i + 1):
                     if not deriv.is_zero():
-                        out[i + j - k] = out[i + j - k] + bi * Fraction(math.comb(i, k)) * deriv
+                        out[i + j - k] = out[i + j - k] + bi * math.comb(i, k) * deriv
                     deriv = deriv.derivative()
         return UnivarOperator(self.var, out)
 
@@ -226,7 +226,7 @@ class UnivarOperator:
             num = c.num * cleared.univar_divmod(c.den)[0]
             for (e,), coeff in num.terms.items():
                 key = ((e,), (i,))
-                terms[key] = terms.get(key, Fraction(0)) + coeff
+                terms[key] = terms.get(key, 0) + coeff
         return WeylElement(1, terms), cleared
 
     def __str__(self) -> str:
@@ -329,7 +329,7 @@ def to_theta_form(p: UnivarOperator) -> ThetaOperator:
         for i in range(k + 1):
             s = stirling_first_signed(k, i)
             if s:
-                out[i] = out[i] + scaled * Fraction(s)
+                out[i] = out[i] + scaled * s
     return ThetaOperator(var, out)
 
 
@@ -348,7 +348,7 @@ def from_theta_form(t: ThetaOperator) -> UnivarOperator:
         for k in range(i + 1):
             s = stirling_second(i, k)
             if s:
-                out[k] = out[k] + a * Fraction(s) * x ** k
+                out[k] = out[k] + a * s * x ** k
     return UnivarOperator(var, out)
 
 

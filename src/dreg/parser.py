@@ -22,11 +22,10 @@ degree of its base exceeds MAX_POWER.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import NamedTuple
 
 from .operators import UnivarOperator
-from .polynomials import MPoly, RatFun, format_mpoly
+from .polynomials import MPoly, RatFun, _inverse, format_mpoly
 from .weyl import WeylElement, deriv_names
 
 
@@ -136,7 +135,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            return self.algebra.const(Fraction(int(tok.text)))
+            return self.algebra.const(int(tok.text))
         if tok.kind == "name":
             self.advance()
             return self.algebra.symbol(tok)
@@ -182,8 +181,8 @@ class _UnivarAlgebra:
         self.deriv_tokens = {"d", "d" + var}
         if var == "x":
             self.deriv_tokens.add("dx")
-        self.one = MPoly.const((var,), 1)
-        self.unit = RatFun.from_coprime(self.one, self.one)
+        self.unit = RatFun.one(var)
+        self.one = self.unit.den
 
     def function(self, v) -> RatFun:
         """A polynomial or rational function as a RatFun."""
@@ -194,7 +193,7 @@ class _UnivarAlgebra:
             return v
         return UnivarOperator.multiplication(self.function(v))
 
-    def const(self, c: Fraction) -> MPoly:
+    def const(self, c: int) -> MPoly:
         return MPoly.const((self.var,), c)
 
     def symbol(self, tok: Token):
@@ -252,7 +251,7 @@ class _UnivarAlgebra:
         if b.is_zero():
             raise ParseError("division by zero", tok.line, tok.col)
         if isinstance(a, (MPoly, UnivarOperator)) and isinstance(b, MPoly) and b.is_constant():
-            return a.scale(1 / b.constant_value())
+            return a.scale(_inverse(b.constant_value()))
         if isinstance(a, UnivarOperator):
             return a * self.function(b) ** -1
         # a/b for a reduced a and a nonzero b: RatFun's cross-cancellation
@@ -279,7 +278,7 @@ class _WeylAlgebra:
         if self.n == 1:
             self.derivs.setdefault("d", 0)
 
-    def const(self, c: Fraction) -> WeylElement:
+    def const(self, c: int) -> WeylElement:
         return WeylElement.const(self.n, c)
 
     def symbol(self, tok: Token) -> WeylElement:
@@ -311,7 +310,7 @@ class _WeylAlgebra:
             raise ParseError(
                 "division is only defined by nonzero rational constants in a "
                 "multivariate context", tok.line, tok.col)
-        return a.scale(Fraction(1) / terms[(zero, zero)])
+        return a.scale(_inverse(terms[(zero, zero)]))
 
 
 def parse_operator(text: str, var: str = "x") -> UnivarOperator:
@@ -383,7 +382,7 @@ def format_operator(p: UnivarOperator, deriv: str = "d") -> str:
     if p.is_zero():
         return "0"
     parts = []
-    one = RatFun.const(p.var, 1)
+    one = RatFun.one(p.var)
     for i in range(p.order(), -1, -1):
         c = p.coeff(i)
         if c.is_zero():

@@ -157,6 +157,20 @@ def _window(chart: NCChart, level: int, max_poly: int) -> tuple:
                  for alpha in chart.monomials_with_pole(pole, max_poly))
 
 
+def _window_size(chart: NCChart, level: int, max_poly: int) -> int:
+    """len(_window(chart, level, max_poly)) without building the window.
+
+    Pole order 0 leaves C(m+n, n) exponents in N^n of degree <= m.  Pole
+    order p >= 1 spreads over s of the r dividing coordinates, each at
+    least 1, in C(r, s) C(p-1, s-1) ways, and the other n - s coordinates
+    take degree <= m in C(m+n-s, n-s) ways.
+    """
+    n, r, m = chart.n, chart.r, max_poly
+    return math.comb(m + n, n) + sum(
+        math.comb(r, s) * math.comb(p - 1, s - 1) * math.comb(m + n - s, n - s)
+        for p in range(1, level + 1) for s in range(1, min(r, p) + 1))
+
+
 def pole_filtration_annihilator(chart: NCChart, bound: int = 6) -> AnnihilatorReport:
     """Certify Ann Gr_F = (x_l xi_l, xi_m) on the scanned window.
 
@@ -181,7 +195,7 @@ def pole_filtration_annihilator(chart: NCChart, bound: int = 6) -> AnnihilatorRe
         coeff, exp = _apply_lift(chart, a, b, witness)
         if not (coeff and chart.pole_order(exp) == chart.pole_order(witness) + sum(b)):
             failures.append(f"x^{a} xi^{b} acts nonzero on x^{witness}")
-    return AnnihilatorReport(chart, ideal, chart.n * len(_window(chart, bound, bound)),
+    return AnnihilatorReport(chart, ideal, chart.n * _window_size(chart, bound, bound),
                              checks, tuple(failures), bound, tuple(annihilating))
 
 

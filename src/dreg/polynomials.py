@@ -1,9 +1,16 @@
 """Exact polynomial arithmetic over Q.
 
 Everything downstream (symbol rings, operator coefficients, lattice entries)
-is built from two types: MPoly, a multivariate polynomial with Fraction
+is built from two types: MPoly, a multivariate polynomial with rational
 coefficients keyed by exponent vectors, and RatFun, a reduced univariate
 rational function with exact order-of-vanishing at every rational point.
+
+A stored coefficient has one exact normal form (`_exact`): an int when it
+is integral, else a Fraction with denominator > 1, never a float or a
+bool.  Python hashes and compares 3 and Fraction(3) alike, so term maps,
+equality and printing do not see the difference, and integral operands run
+at int speed.  An int has no true division that stays exact, so every
+division of coefficients goes through Fraction.
 """
 
 from __future__ import annotations
@@ -20,14 +27,24 @@ Rat = Fraction
 INF = math.inf
 
 
-def as_rat(value) -> Fraction:
-    """Coerce ints, strings and Fractions to an exact rational."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+def _exact(c):
+    """The normal form of a rational: an int when integral (a bool becomes
+    0 or 1), else the Fraction itself."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _inverse(c):
+    """1/c for a nonzero rational c, in normal form: an int has no exact
+    true division, so the quotient is built as a Fraction."""
+    return _exact(Fraction(c.denominator, c.numerator))
+
+
+def as_rat(value):
+    """Coerce ints, strings and Fractions to an exact rational in normal form."""
+    if isinstance(value, (int, Fraction)):
+        return _exact(value)
     if isinstance(value, str):
-        return Fraction(value)
+        return _exact(Fraction(value))
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
@@ -74,7 +91,7 @@ class MPoly:
         variables = tuple(variables)
         idx = variables.index(name)
         exps = tuple(1 if i == idx else 0 for i in range(len(variables)))
-        return cls(variables, {exps: Fraction(1)})
+        return cls(variables, {exps: 1})
 
     @classmethod
     def monomial(cls, variables: Sequence[str], exps: Sequence[int], coeff=1) -> "MPoly":
@@ -88,9 +105,9 @@ class MPoly:
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self):
         if self.is_zero():
-            return Fraction(0)
+            return 0
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
         return next(iter(self.terms.values()))
@@ -138,7 +155,7 @@ class MPoly:
                 continue
             s += c
             if s:
-                res[e] = s
+                res[e] = _exact(s)
             else:
                 del res[e]
         out = MPoly.__new__(MPoly)
@@ -172,14 +189,14 @@ class MPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = res.get(e, Fraction(0)) + c1 * c2
+                s = res.get(e, 0) + c1 * c2
                 if s:
                     res[e] = s
                 else:
                     res.pop(e, None)
         out = MPoly.__new__(MPoly)
         out.vars = self.vars
-        out.terms = res
+        out.terms = {e: _exact(c) for e, c in res.items()}
         return out
 
     __rmul__ = __mul__
@@ -190,11 +207,12 @@ class MPoly:
         out = MPoly.__new__(MPoly)
         out.vars = self.vars
         if not any(exps):
-            out.terms = {e: v * c for e, v in self.terms.items()} if c != 1 else dict(self.terms)
+            out.terms = ({e: _exact(v * c) for e, v in self.terms.items()} if c != 1
+                         else dict(self.terms))
         elif c == 1:
             out.terms = {tuple(map(add, e, exps)): v for e, v in self.terms.items()}
         else:
-            out.terms = {tuple(map(add, e, exps)): v * c for e, v in self.terms.items()}
+            out.terms = {tuple(map(add, e, exps)): _exact(v * c) for e, v in self.terms.items()}
         return out
 
     def scale(self, c) -> "MPoly":
@@ -203,7 +221,7 @@ class MPoly:
             return MPoly.zero(self.vars)
         out = MPoly.__new__(MPoly)
         out.vars = self.vars
-        out.terms = {e: c * v for e, v in self.terms.items()}
+        out.terms = {e: _exact(c * v) for e, v in self.terms.items()}
         return out
 
     def __pow__(self, k: int) -> "MPoly":
@@ -213,6 +231,7 @@ class MPoly:
             return MPoly.const(self.vars, 1)
         if len(self.terms) == 1:
             ((e, c),) = self.terms.items()
+            # a power of a non-integral rational is not integral: c^k is exact
             out = MPoly.__new__(MPoly)
             out.vars = self.vars
             out.terms = {tuple(a * k for a in e): c ** k}
@@ -260,7 +279,7 @@ class MPoly:
         res: dict[tuple, Fraction] = {}
         for e, c in self.terms.items():
             ne = e[:idx] + e[idx + 1:]
-            s = res.get(ne, Fraction(0)) + c * value ** e[idx]
+            s = res.get(ne, 0) + c * value ** e[idx]
             if s:
                 res[ne] = s
             else:
@@ -291,13 +310,13 @@ class MPoly:
         if len(self.vars) != 1:
             raise ValueError("operation requires a univariate polynomial")
 
-    def univar_coeffs(self) -> list[Fraction]:
+    def univar_coeffs(self) -> list:
         """Dense coefficient list c0..cd for a univariate polynomial."""
         self._require_univar()
         if not self.terms:
             return []
         d = max(e[0] for e in self.terms)
-        out = [Fraction(0)] * (d + 1)
+        out = [0] * (d + 1)
         for e, c in self.terms.items():
             out[e[0]] = c
         return out
@@ -309,17 +328,15 @@ class MPoly:
         out.terms = {(i,): c for i, c in enumerate(map(as_rat, coeffs)) if c}
         return out
 
-    def leading_univar_coeff(self) -> Fraction:
-        coeffs = self.univar_coeffs()
-        if not coeffs:
-            return Fraction(0)
-        return coeffs[-1]
+    def leading_univar_coeff(self):
+        self._require_univar()
+        return self.terms[max(self.terms)] if self.terms else 0
 
     def monic_univar(self) -> "MPoly":
         lc = self.leading_univar_coeff()
-        if not lc:
+        if not lc or lc == 1:
             return self
-        return self.scale(Fraction(1) / lc)
+        return self.scale(_inverse(lc))
 
     def univar_divmod(self, other: "MPoly") -> tuple["MPoly", "MPoly"]:
         self._require_univar()
@@ -328,14 +345,15 @@ class MPoly:
             raise ZeroDivisionError("polynomial division by zero")
         a = self.univar_coeffs()
         b = other.univar_coeffs()
-        q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+        q = [0] * max(0, len(a) - len(b) + 1)
         r = list(a)
+        inv = _inverse(b[-1])
         while len(r) >= len(b) and any(r):
             while r and not r[-1]:
                 r.pop()
             if len(r) < len(b):
                 break
-            factor = r[-1] / b[-1]
+            factor = _exact(r[-1] * inv)
             shift = len(r) - len(b)
             q[shift] = factor
             for i, bc in enumerate(b):
@@ -391,7 +409,7 @@ def _primitive_int_coeffs(p: MPoly) -> list[int]:
     """Dense integer coefficients with content removed."""
     coeffs = p.univar_coeffs()
     denom_lcm = math.lcm(*(c.denominator for c in coeffs))
-    return _primitive([int(c * denom_lcm) for c in coeffs])
+    return _primitive([c.numerator * (denom_lcm // c.denominator) for c in coeffs])
 
 
 def _primitive(ints: list[int]) -> list[int]:
@@ -479,9 +497,11 @@ def rational_roots(p: MPoly) -> list[Fraction]:
                 cand = Fraction(sign * pnum, qden)
                 if cand in roots:
                     continue
-                val = Fraction(0)
+                # den^n * P(num/den), an integer, by Horner's rule
+                val, den_power = 0, 1
                 for c in reversed(ints):
-                    val = val * cand + c
+                    val = val * cand.numerator + c * den_power
+                    den_power *= cand.denominator
                 if not val:
                     roots.append(cand)
     return sorted(roots)
@@ -507,6 +527,7 @@ def factor_rational(p: MPoly) -> tuple[list[tuple[Fraction, int]], MPoly]:
 
 
 _ZEROS: dict = {}       # variable name -> its zero RatFun, built on first use
+_ONES: dict = {}        # variable name -> its constant 1, built on first use
 
 
 class RatFun:
@@ -552,6 +573,14 @@ class RatFun:
         return zero
 
     @classmethod
+    def one(cls, var: str) -> "RatFun":
+        """The constant 1 of `var`, shared like `zero`."""
+        one = _ONES.get(var)
+        if one is None:
+            one = _ONES[var] = cls.const(var, 1)
+        return one
+
+    @classmethod
     def x(cls, var: str) -> "RatFun":
         return cls.from_coprime(MPoly.var((var,), var), MPoly.const((var,), 1))
 
@@ -570,7 +599,7 @@ class RatFun:
     def is_constant(self) -> bool:
         return self.is_polynomial() and self.num.is_constant()
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self):
         if not self.is_constant():
             raise ValueError("not a constant")
         return self.num.constant_value()
@@ -790,7 +819,7 @@ def _mult_at(p: MPoly, c: Fraction) -> int:
 
 def _divide_out(p: MPoly, c: Fraction) -> tuple[MPoly, int]:
     """(q, m) with p = (x - c)^m q and q(c) != 0, for nonzero univariate p."""
-    lin = MPoly.from_univar_coeffs(p.vars[0], [-c, Fraction(1)])
+    lin = MPoly.from_univar_coeffs(p.vars[0], [-c, 1])
     mult = 0
     while True:
         q, r = p.univar_divmod(lin)
@@ -805,7 +834,7 @@ def _monic_den(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
     lc = den.terms[max(den.terms)]
     if lc == 1:
         return num, den
-    inv = Fraction(1) / lc
+    inv = _inverse(lc)
     return num.scale(inv), den.scale(inv)
 
 
@@ -815,11 +844,11 @@ def _taylor_shift(a: list, c: Fraction) -> list:
     d = len(a) - 1
     for i in range(d):
         for j in range(d - 1, i - 1, -1):
-            a[j] += c * a[j + 1]
+            a[j] = _exact(a[j] + c * a[j + 1])
     return a
 
 
 def _reverse_univar(p: MPoly, new_var: str, degree: int) -> MPoly:
     coeffs = p.univar_coeffs()
-    coeffs += [Fraction(0)] * (degree + 1 - len(coeffs))
+    coeffs += [0] * (degree + 1 - len(coeffs))
     return MPoly.from_univar_coeffs(new_var, list(reversed(coeffs)))

@@ -51,7 +51,7 @@ class ConnectionSystem:
         zero = RatFun.zero(var)
         b = [[zero] * m for _ in range(m)]
         for i in range(m - 1):
-            b[i][i + 1] = RatFun.const(var, 1)
+            b[i][i + 1] = RatFun.one(var)
         for j in range(m):
             b[m - 1][j] = -monic.coeff(j)
         # A = -B so that y' + A y = 0 reads y' = B y
@@ -119,7 +119,7 @@ class CyclicVectorResult:
 def _candidate_schedule(system: ConnectionSystem):
     m = system.rank
     var = system.var
-    one = RatFun.const(var, 1)
+    one = RatFun.one(var)
     zero = RatFun.zero(var)
     seen = set()
 
@@ -157,7 +157,7 @@ def cyclic_vector(system: ConnectionSystem) -> CyclicVectorResult:
     m = system.rank
     var = system.var
     zero = RatFun.zero(var)
-    one = RatFun.const(var, 1)
+    one = RatFun.one(var)
     for cand in _candidate_schedule(system):
         iterates = [cand]
         for _ in range(m):
@@ -246,7 +246,7 @@ def saturate_lattice(system: ConnectionSystem, point,
         return {k: c for k, c in out.items() if c}
 
     lattice = PolarLattice(m, system.var)
-    new = [{(0, i): Fraction(1)} for i in range(m)]
+    new = [{(0, i): 1} for i in range(m)]
     for step in range(max_steps + 1):
         added = []
         for v in new:

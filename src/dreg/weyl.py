@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .ideals import (DEFAULT_BUDGET, Ideal, Ring, buchberger_basis,
                      symbol_weight_order)
-from .polynomials import MPoly, as_rat
+from .polynomials import MPoly, _exact, as_rat
 
 _COORD_NAMES = ("x", "y", "z")
 _SYMBOL_NAMES = ("xi", "eta", "zeta")
@@ -83,12 +83,12 @@ class WeylElement:
     @classmethod
     def x(cls, n: int, i: int, power: int = 1) -> "WeylElement":
         alpha = tuple(power if j == i else 0 for j in range(n))
-        return cls(n, {(alpha, (0,) * n): Fraction(1)})
+        return cls(n, {(alpha, (0,) * n): 1})
 
     @classmethod
     def d(cls, n: int, i: int, power: int = 1) -> "WeylElement":
         beta = tuple(power if j == i else 0 for j in range(n))
-        return cls(n, {((0,) * n, beta): Fraction(1)})
+        return cls(n, {((0,) * n, beta): 1})
 
     # -- structure -----------------------------------------------------------
 
@@ -128,7 +128,7 @@ class WeylElement:
                 continue
             s += c
             if s:
-                res[key] = s
+                res[key] = _exact(s)
             else:
                 del res[key]
         out = WeylElement.__new__(WeylElement)
@@ -151,7 +151,7 @@ class WeylElement:
             return WeylElement.zero(self.n)
         out = WeylElement.__new__(WeylElement)
         out.n = self.n
-        out.terms = {k: c * v for k, v in self.terms.items()}
+        out.terms = {k: _exact(c * v) for k, v in self.terms.items()}
         return out
 
     def __mul__(self, other) -> "WeylElement":
@@ -238,7 +238,7 @@ def weyl_mul(a: WeylElement, b: WeylElement) -> WeylElement:
     if len(a.terms) == 1:
         (((alpha, beta), c),) = a.terms.items()
         if not any(beta):
-            out.terms = {(tuple(map(add, alpha, gamma)), delta): c * cb
+            out.terms = {(tuple(map(add, alpha, gamma)), delta): _exact(c * cb)
                          for (gamma, delta), cb in b.terms.items()}
             return out
     res: dict[tuple, Fraction] = {}
@@ -259,7 +259,7 @@ def weyl_mul(a: WeylElement, b: WeylElement) -> WeylElement:
                     res[key] = s
                 else:
                     del res[key]
-    out.terms = res
+    out.terms = {key: _exact(c) for key, c in res.items()}
     return out
 
 

@@ -31,10 +31,22 @@ from dreg.linalg import gauss_solve, mat_mul
 from dreg.operators import UnivarOperator
 from dreg.parser import _DERIV_RE, ParseError, Token, _Parser, tokenize
 from dreg.polelattice import _in_ideal, _symbol_monomials, theta_XZ_ideal
-from dreg.polynomials import INF, MPoly, RatFun, as_rat, denominator_lcm, univar_gcd
+from dreg.polynomials import INF, MPoly, RatFun, denominator_lcm, univar_gcd
 from dreg.regularity import _localize
 from dreg.systems import ConnectionSystem
 from dreg.weyl import WeylElement
+
+
+def is_exact(c) -> bool:
+    """The coefficient normal form: an int, or a Fraction that is not an
+    integer.  Checked by type: 0.5 == Fraction(1, 2), so a value check would
+    let a float through."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def exact_coefficients(elements) -> bool:
+    """Every stored coefficient of some MPolys or WeylElements is in normal form."""
+    return all(is_exact(c) for g in elements for c in g.terms.values())
 
 
 def random_fraction(rng: random.Random, span: int = 6) -> Fraction:
@@ -482,7 +494,9 @@ def reference_ratfun(num: MPoly, den: MPoly | None = None) -> RatFun:
 
 
 def reference_determinant(matrix, zero, one, is_zero):
-    """Fraction-free-ish Gaussian determinant over a field."""
+    """Fraction-free-ish Gaussian determinant over a field; each pivot is
+    inverted as `one / pivot`, so integer entries with a Fraction `one`
+    stay exact."""
     rows = [list(r) for r in matrix]
     n = len(rows)
     det = one
@@ -502,7 +516,7 @@ def reference_determinant(matrix, zero, one, is_zero):
         det = det * pv
         for i in range(c + 1, n):
             if not is_zero(rows[i][c]):
-                f = rows[i][c] / pv
+                f = rows[i][c] * (one / pv)
                 rows[i] = [e - f * p for e, p in zip(rows[i], rows[c])]
     if sign < 0:
         det = zero - det
@@ -547,7 +561,7 @@ def conjugate(system: ConnectionSystem, g) -> ConnectionSystem:
     """Gauge by a constant invertible matrix: A -> g A g^-1."""
     m = system.rank
     var = system.var
-    gq = [[as_rat(e) for e in row] for row in g]
+    gq = [[Fraction(e) for e in row] for row in g]
     # column j of g^-1 solves g y = e_j
     inv_cols = [gauss_solve(gq, [Fraction(i == j) for i in range(m)],
                             Fraction(0), Fraction(1))[1] for j in range(m)]
@@ -627,7 +641,7 @@ def reference_normal_form(f, basis: Sequence, ring: Ring = POLYNOMIALS,
         e = flat(t)
         for g, (ge, gc) in zip(basis, leads):
             if _divides(ge, e):
-                product = ring.monomial(f, _exp_sub(e, ge), rest[t] / gc) * g
+                product = ring.monomial(f, _exp_sub(e, ge), Fraction(rest[t]) / gc) * g
                 for u, v in product.terms.items():
                     s = rest.get(u)
                     if s is None:

@@ -18,7 +18,8 @@ from dreg.parser import parse_weyl_generators
 from dreg.polynomials import MPoly
 from dreg.weyl import WeylElement, characteristic_ideal, weyl_groebner, weyl_ring
 
-from conftest import random_mpoly, reference_buchberger_basis, reference_normal_form
+from conftest import (exact_coefficients, random_mpoly, reference_buchberger_basis,
+                      reference_normal_form)
 
 # the benchmark's Weyl families and their parameters
 _spec = importlib.util.spec_from_file_location(
@@ -338,10 +339,6 @@ class TestPairCriteria:
                                lambda e, c: WeylElement(2, {(e[:2], e[2:]): c}))
 
 
-def fraction_coefficients(elements) -> bool:
-    return all(type(c) is Fraction for g in elements for c in g.terms.values())
-
-
 POP_BOUND = 100     # random sets that need more pops compare as "exceeded"
 
 
@@ -386,8 +383,9 @@ def a1_a2_generators(draw):
 
 class TestIntegerDriver:
     """The driver runs on primitive integer elements; its bases, remainders
-    and pop counts equal those of the Fraction driver in conftest, and only
-    Fractions leave it."""
+    and pop counts equal those of the Fraction driver in conftest, and every
+    coefficient that leaves it is in normal form: an int when integral, else
+    a Fraction."""
 
     @pytest.mark.parametrize("order", ORACLE_ORDERS, ids=["degrevlex", "lex", "symbol"])
     @settings(max_examples=30, deadline=None)
@@ -401,7 +399,7 @@ class TestIntegerDriver:
         for basis in [gens] if gb is None else [gb, gens]:
             r = normal_form(f, basis, ring_)
             assert r == reference_normal_form(f, basis, ring_)
-            assert fraction_coefficients([r] + basis)
+            assert exact_coefficients([r] + basis)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -416,7 +414,7 @@ class TestIntegerDriver:
         for basis in [gens] if gb is None else [gb, gens]:
             r = normal_form(f, basis, ring_)
             assert r == reference_normal_form(f, basis, ring_)
-            assert fraction_coefficients([r] + basis)
+            assert exact_coefficients([r] + basis)
 
     @settings(max_examples=25, deadline=None)
     @given(gens=symbol_ring_generators())
@@ -450,7 +448,7 @@ class TestIntegerDriver:
                                          names)
             gb = weyl_groebner(gens)
             assert gb == reference_buchberger_basis(gens, weyl_ring(n))
-            assert fraction_coefficients(gb)
+            assert exact_coefficients(gb)
             symbols = characteristic_ideal(gens)
             for order in (DEGREVLEX, LEX):
                 assert (groebner_basis(symbols, order)

@@ -17,7 +17,7 @@ from dreg.ideals import (Ideal, groebner_basis, is_radical_squarefree_monomial,
                          minimal_monomial_generators, normal_form)
 from dreg.parser import parse_operator
 from dreg.polelattice import (LogLattice, NCChart, _apply_lift, _in_ideal,
-                              _symbol_monomials, goodness_scan,
+                              _symbol_monomials, _window, _window_size, goodness_scan,
                               pole_filtration_annihilator, prop21_inclusion,
                               theorem_backward_extraction,
                               theorem_forward_filtration, theta_XZ_ideal)
@@ -155,6 +155,20 @@ class TestAnnihilatorScan:
                         expected.append(coeff == 0 or chart.pole_order(exp) <= k)
             assert all(expected)
             assert len(expected) == pole_filtration_annihilator(chart, bound).stability_checks
+
+    @pytest.mark.parametrize("n,r", ALL_CHARTS)
+    def test_window_size_counts_the_window(self, n, r):
+        chart = NCChart(n, r)
+        for level in range(10):
+            for max_poly in range(10):
+                assert _window_size(chart, level, max_poly) == len(
+                    _window(chart, level, max_poly))
+
+    def test_annihilator_builds_no_window(self, monkeypatch):
+        # stability_checks comes from the closed-form count
+        monkeypatch.setattr(dreg.polelattice, "_window", None)
+        report = pole_filtration_annihilator(NCChart(3, 3), 6)
+        assert report.stability_checks == 3 * 923
 
     def test_witness_direction_example(self):
         # xi_1 does not annihilate: d_1 deepens the pole on the witness 1/x_1

@@ -428,7 +428,7 @@ GENERAL = st.builds(_general, st.integers(0, 2), st.integers(-2, 2), st.integers
 
 def _monic_pair(num, den):
     lc = den.leading_univar_coeff()
-    return num.scale(1 / lc), den.scale(1 / lc)
+    return num.scale(Fraction(1) / lc), den.scale(Fraction(1) / lc)
 
 
 class TestOneNormaliser:
