@@ -7,8 +7,8 @@ from .ideals import (BudgetExceeded, Ideal, buchberger, groebner_basis,
                      is_radical_squarefree_monomial, krull_dimension,
                      normal_form, radical_membership)
 from .weyl import WeylElement, characteristic_ideal, weyl_groebner, weyl_mul
-from .operators import (ThetaOperator, UnivarOperator, chart_infinity,
-                        chart_translate, from_theta_form, to_theta_form)
+from .operators import (ThetaOperator, UnivarOperator, chart_infinity, from_theta_form,
+                        to_theta_form)
 from .regularity import (INFINITY, fuchs_regular_at, newton_polygon,
                          regular_on_projective_line, theta_regular_at_zero)
 from .dmod import (CharVariety, ContradictionError, CyclicFiltration,

@@ -1,10 +1,13 @@
-"""Gröbner bases over a ring description, and the ideal tests built on them.
+"""Gröbner bases under a term order, and the ideal tests built on them.
 
 One Buchberger driver serves both rings of the package: the commutative
-polynomial ring Q[vars] (the symbol ring) and the Weyl algebra A_n, which
-`dreg.weyl` describes to it.  A `Ring` gives the term order, the flat
-exponents of a term, elements from term maps and commutativity; the S-pair
-loop, the division routine and the interreduction are shared.  Arithmetic
+polynomial ring Q[vars] (the symbol ring) and the Weyl algebra A_n, whose
+elements are `MPoly`s in x and d with their own product (`dreg.weyl`).  The
+driver takes a term order; it builds new elements of its input's type with
+`MPoly._with`, multiplies with the elements' own product, and skips S-pairs
+by coprimality only where the elements say they commute
+(`MPoly.commutative`).  The S-pair loop, the division routine and the
+interreduction are shared.  Arithmetic
 inside the driver is on integers: it keeps primitive integer multiples of
 its elements and divides by pseudo-division.  Rationals appear only at the
 boundary, in the monic reduced basis and in the exact remainder
@@ -25,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, le, mul, neg, sub
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .polynomials import MPoly, _exact, _inverse, format_mpoly
 
@@ -124,46 +127,6 @@ def _exp_lcm(a: tuple, b: tuple) -> tuple:
     return tuple(map(max, a, b))
 
 
-@dataclass(frozen=True)
-class Ring:
-    """What the Buchberger driver needs to know about a ring of elements.
-
-    Elements keep their terms in a map `terms` from term keys to nonzero
-    coefficients.  `flat(key)` gives a term's exponents as one flat tuple,
-    compared by `order`.  `element(f, terms)` is the element of f's ring
-    with that term map and `monomial(f, exps, c)` is c * monomial there,
-    both taking their coefficients as given, integer or Fraction.  Products
-    and `scale` are the elements' own methods.  Only a commutative ring may
-    skip S-pairs by the coprimality criterion.
-    """
-
-    order: TermOrder
-    flat: Callable
-    monomial: Callable
-    element: Callable
-    commutative: bool
-
-    def leading(self, f) -> tuple[tuple, Fraction]:
-        """Leading (exponents, coefficient) of a nonzero element."""
-        key, flat = self.order.key, self.flat
-        t = max(f.terms, key=lambda t: key(flat(t)))
-        return flat(t), f.terms[t]
-
-
-def polynomial_ring(order: TermOrder) -> Ring:
-    """Q[vars] under the given term order."""
-    def element(p: MPoly, terms: dict) -> MPoly:
-        out = MPoly.__new__(MPoly)
-        out.vars = p.vars
-        out.terms = terms
-        return out
-
-    return Ring(order, lambda e: e, lambda p, exps, c: element(p, {exps: c}), element, True)
-
-
-POLYNOMIALS = polynomial_ring(DEGREVLEX)
-
-
 def _primitive(ints: dict) -> tuple[dict, int]:
     """(F, g): a nonzero integer term map is g * F with F primitive, g > 0."""
     g = math.gcd(*ints.values())
@@ -178,7 +141,7 @@ def _integral(terms: dict) -> tuple[dict, Fraction]:
     return ints, Fraction(g, den)
 
 
-def _pseudo_remainder(f, basis: Sequence, leads: Sequence, ring: Ring) -> tuple[dict, int]:
+def _pseudo_remainder(f, basis: Sequence, leads: Sequence, order: TermOrder) -> tuple[dict, int]:
     """(R, m) with R the integer term map of m * (remainder of f), m > 0.
 
     f and the basis have integer coefficients.  The division runs inside
@@ -188,16 +151,15 @@ def _pseudo_remainder(f, basis: Sequence, leads: Sequence, ring: Ring) -> tuple[
     to the remainder.  Scaling by a nonzero constant changes no support, so
     the steps are those of the division over Q.
     """
-    key, flat = ring.order.key, ring.flat
+    key = order.key
     done, rest = {}, dict(f.terms)
     scale = 1
-    rank = {t: key(flat(t)) for t in rest}      # order key of every term met
+    rank = {e: key(e) for e in rest}      # order key of every term met
     while rest:
-        t = max(rest, key=rank.__getitem__)
-        e = flat(t)
+        e = max(rest, key=rank.__getitem__)
         for g, (ge, gc) in zip(basis, leads):
             if _divides(ge, e):
-                a = rest[t]
+                a = rest[e]
                 h = math.gcd(a, gc) if gc > 0 else -math.gcd(a, gc)
                 m = gc // h
                 if m != 1:
@@ -206,24 +168,24 @@ def _pseudo_remainder(f, basis: Sequence, leads: Sequence, ring: Ring) -> tuple[
                         rest[u] *= m
                     for u in done:
                         done[u] *= m
-                product = ring.monomial(f, _exp_sub(e, ge), a // h) * g
+                product = f._with({_exp_sub(e, ge): a // h}) * g
                 for u, v in product.terms.items():
                     s = rest.get(u)
                     if s is None:
                         rest[u] = -v
                         if u not in rank:
-                            rank[u] = key(flat(u))
+                            rank[u] = key(u)
                     elif s == v:
                         del rest[u]
                     else:
                         rest[u] = s - v
                 break
         else:
-            done[t] = rest.pop(t)
+            done[e] = rest.pop(e)
     return done, scale
 
 
-def normal_form(f, basis: Sequence, ring: Ring = POLYNOMIALS,
+def normal_form(f, basis: Sequence, order: TermOrder = DEGREVLEX,
                 leads: Sequence | None = None):
     """Full remainder of f on (left) division by the basis (every term reduced).
 
@@ -237,36 +199,36 @@ def normal_form(f, basis: Sequence, ring: Ring = POLYNOMIALS,
     if not basis or f.is_zero():
         return f
     if leads is not None:
-        r, _ = _pseudo_remainder(f, basis, leads, ring)
-        return ring.element(f, _primitive(r)[0])
-    basis, leads = _integral_basis(basis, ring)
+        r, _ = _pseudo_remainder(f, basis, leads, order)
+        return f._with(_primitive(r)[0])
+    basis, leads = _integral_basis(basis, order)
     ints, c = _integral(f.terms)
-    r, m = _pseudo_remainder(ring.element(f, ints), basis, leads, ring)
+    r, m = _pseudo_remainder(f._with(ints), basis, leads, order)
     c /= m
-    return ring.element(f, {t: _exact(v * c) for t, v in r.items()})
+    return f._with({e: _exact(v * c) for e, v in r.items()})
 
 
-def _integral_basis(basis: Sequence, ring: Ring) -> tuple[list, list]:
+def _integral_basis(basis: Sequence, order: TermOrder) -> tuple[list, list]:
     """The primitive integer multiples of the basis elements and their
     leading terms: what `normal_form` takes with `leads`."""
-    basis = [ring.element(g, _integral(g.terms)[0]) for g in basis]
-    return basis, [ring.leading(g) for g in basis]
+    basis = [g._with(_integral(g.terms)[0]) for g in basis]
+    return basis, [leading_term(g, order) for g in basis]
 
 
-def all_in_ideal(fs: Iterable, gb: Sequence, ring: Ring = POLYNOMIALS) -> bool:
+def all_in_ideal(fs: Iterable, gb: Sequence, order: TermOrder = DEGREVLEX) -> bool:
     """Whether every f lies in the ideal a Gröbner basis gb spans: each
     remainder is zero.  The basis is made integer once for all of them."""
-    basis, leads = _integral_basis(gb, ring)
-    return all(normal_form(ring.element(f, _integral(f.terms)[0]), basis, ring, leads).is_zero()
+    basis, leads = _integral_basis(gb, order)
+    return all(normal_form(f._with(_integral(f.terms)[0]), basis, order, leads).is_zero()
                for f in fs)
 
 
-def buchberger_basis(gens: Iterable, ring: Ring, budget: int = DEFAULT_BUDGET,
+def buchberger_basis(gens: Iterable, order: TermOrder, budget: int = DEFAULT_BUDGET,
                      known: Sequence = ()) -> list:
-    """Reduced (left) Gröbner basis of the (left) ideal `known` and the
-    generators span.
+    """Reduced (left) Gröbner basis under `order` of the (left) ideal
+    `known` and the generators span.
 
-    `known` must be a Gröbner basis under the ring's order.  The loop
+    `known` must be a Gröbner basis under the order.  The loop
     starts from it with the pairs among its elements counted as processed:
     they reduce to zero, so the chain criterion may lean on them.  Only the
     pairs of the generators are queued.
@@ -276,7 +238,7 @@ def buchberger_basis(gens: Iterable, ring: Ring, budget: int = DEFAULT_BUDGET,
     to the older pair.  Buchberger's chain criterion drops (i, j) when some
     basis element's leading monomial divides lcm(i, j) and neither (i, k)
     nor (j, k) is still pending; it holds in A_n as in Q[vars].  The
-    coprimality criterion is used only in a commutative ring: in A_n the
+    coprimality criterion is used only for commutative elements: in A_n the
     commutator of elements with disjoint leading supports need not vanish.
     `budget` counts the pairs taken off the queue, those a criterion drops
     included.  A nonzero constant in the basis ends the loop at once: the
@@ -291,11 +253,11 @@ def buchberger_basis(gens: Iterable, ring: Ring, budget: int = DEFAULT_BUDGET,
 
     def insert(g, paired: bool) -> bool:
         """Add g, and its pairs when `paired`; True when g is a constant."""
-        lead = ring.leading(g)
+        lead = leading_term(g, order)
         j = len(basis)
         for i, (fe, _) in enumerate(leads if paired else ()):
             lcm = _exp_lcm(fe, lead[0])
-            heapq.heappush(queue, (ring.order.key(lcm), j, i, lcm))
+            heapq.heappush(queue, (order.key(lcm), j, i, lcm))
             pending.add((i, j))
         basis.append(g)
         leads.append(lead)
@@ -303,8 +265,8 @@ def buchberger_basis(gens: Iterable, ring: Ring, budget: int = DEFAULT_BUDGET,
 
     for paired, elements in ((False, known), (True, gens)):
         for g in elements:
-            if not g.is_zero() and insert(ring.element(g, _integral(g.terms)[0]), paired):
-                return [ring.monomial(g, leads[-1][0], 1)]
+            if not g.is_zero() and insert(g._with(_integral(g.terms)[0]), paired):
+                return [g._with({leads[-1][0]: 1})]
     processed = 0
     while queue:
         processed += 1
@@ -315,28 +277,28 @@ def buchberger_basis(gens: Iterable, ring: Ring, budget: int = DEFAULT_BUDGET,
         pending.discard((i, j))
         (fe, fc), (ge, gc) = leads[i], leads[j]
         # Buchberger's coprimality criterion, sound only where elements commute.
-        if ring.commutative and lcm == tuple(map(add, fe, ge)):
+        if basis[i].commutative and lcm == tuple(map(add, fe, ge)):
             continue
         if any(_divides(ke, lcm) and k != i and k != j
                and (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending
                for k, (ke, _) in enumerate(leads)):
             continue
         h = math.gcd(fc, gc)
-        s = (ring.monomial(basis[i], _exp_sub(lcm, fe), gc // h) * basis[i]
-             - ring.monomial(basis[j], _exp_sub(lcm, ge), fc // h) * basis[j])
-        r = normal_form(s, basis, ring, leads)
+        s = (basis[i]._with({_exp_sub(lcm, fe): gc // h}) * basis[i]
+             - basis[j]._with({_exp_sub(lcm, ge): fc // h}) * basis[j])
+        r = normal_form(s, basis, order, leads)
         if not r.is_zero() and insert(r, True):
-            return [ring.monomial(r, leads[-1][0], 1)]
-    return _reduce_basis(basis, leads, ring)
+            return [r._with({leads[-1][0]: 1})]
+    return _reduce_basis(basis, leads, order)
 
 
 def groebner_basis(ideal: Ideal, order: TermOrder = DEGREVLEX,
                    budget: int = DEFAULT_BUDGET) -> list[MPoly]:
     """Reduced Gröbner basis of the ideal under the given term order."""
-    return buchberger_basis(ideal.gens, polynomial_ring(order), budget)
+    return buchberger_basis(ideal.gens, order, budget)
 
 
-def _reduce_basis(basis: list, leads: list, ring: Ring) -> list:
+def _reduce_basis(basis: list, leads: list, order: TermOrder) -> list:
     # Minimalize: drop generators whose leading monomial another one divides.
     keep = []
     for i, (e, _) in enumerate(leads):
@@ -351,8 +313,8 @@ def _reduce_basis(basis: list, leads: list, ring: Ring) -> list:
     reduced = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
-        r = normal_form(g, others, ring, lead[:i] + lead[i + 1:]) if others else g
-        reduced.append((ring.order.key(lead[i][0]), r.scale(_inverse(ring.leading(r)[1]))))
+        r = normal_form(g, others, order, lead[:i] + lead[i + 1:]) if others else g
+        reduced.append((order.key(lead[i][0]), r.scale(_inverse(leading_term(r, order)[1]))))
     return [r for _, r in sorted(reduced, key=lambda kr: kr[0])]
 
 
@@ -428,7 +390,7 @@ def radical_membership(f: MPoly, ideal: Ideal, budget: int = DEFAULT_BUDGET) -> 
         return is_unit_ideal(Ideal(bigvars, gens + [rabinowitsch]), budget)
     if order.weights is not None:
         order = weighted_order(order.weights + (0,))
-    gb = buchberger_basis([rabinowitsch], polynomial_ring(order), budget, known=gens)
+    gb = buchberger_basis([rabinowitsch], order, budget, known=gens)
     return any(g.is_constant() for g in gb)
 
 

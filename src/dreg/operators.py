@@ -205,9 +205,6 @@ class UnivarOperator:
                 out[k] = out[k] + f * term
         return UnivarOperator(new_var, out)
 
-    def rename_var(self, new_var: str) -> "UnivarOperator":
-        return UnivarOperator(new_var, [c.rename_var(new_var) for c in self.coeffs])
-
     # -- conversions ----------------------------------------------------------------
 
     def to_weyl(self) -> tuple[WeylElement, MPoly]:
@@ -225,8 +222,7 @@ class UnivarOperator:
                 continue
             num = c.num * cleared.univar_divmod(c.den)[0]
             for (e,), coeff in num.terms.items():
-                key = ((e,), (i,))
-                terms[key] = terms.get(key, 0) + coeff
+                terms[(e, i)] = coeff
         return WeylElement(1, terms), cleared
 
     def __str__(self) -> str:
@@ -350,11 +346,6 @@ def from_theta_form(t: ThetaOperator) -> UnivarOperator:
             if s:
                 out[k] = out[k] + a * s * x ** k
     return UnivarOperator(var, out)
-
-
-def chart_translate(p: UnivarOperator, c) -> UnivarOperator:
-    """Operator in the local coordinate at c (the point moves to 0)."""
-    return p.shift(c)
 
 
 def chart_infinity(p: UnivarOperator, new_var: str = "t") -> UnivarOperator:

@@ -298,19 +298,17 @@ class _WeylAlgebra:
     def mul(self, a, b): return a * b
 
     def pow(self, v, k, tok: Token):
-        _check_power(max((sum(a) + sum(b) for a, b in v.terms), default=0), k, tok)
+        _check_power(v.total_degree() if v.terms else 0, k, tok)
         return v ** k
 
     def div(self, a, b, tok: Token):
         if b.is_zero():
             raise ParseError("division by zero", tok.line, tok.col)
-        terms = b.terms
-        zero = (0,) * self.n
-        if list(terms.keys()) != [(zero, zero)]:
+        if not b.is_constant():
             raise ParseError(
                 "division is only defined by nonzero rational constants in a "
                 "multivariate context", tok.line, tok.col)
-        return a.scale(_inverse(terms[(zero, zero)]))
+        return a.scale(_inverse(b.constant_value()))
 
 
 def parse_operator(text: str, var: str = "x") -> UnivarOperator:
@@ -346,14 +344,9 @@ def parse_polynomial(text: str, variables) -> MPoly:
     if len(gens) != 1:
         raise ParseError("expected a single polynomial", 1, 1)
     w = gens[0]
-    n = len(tuple(variables))
-    zero = (0,) * n
-    terms = {}
-    for (alpha, beta), c in w.terms.items():
-        if beta != zero:
-            raise ParseError("expected a polynomial, found a derivation", 1, 1)
-        terms[alpha] = c
-    return MPoly(tuple(variables), terms)
+    if w.order() > 0:
+        raise ParseError("expected a polynomial, found a derivation", 1, 1)
+    return MPoly(tuple(variables), {e[:w.n]: c for e, c in w.terms.items()})
 
 
 # -- printing ----------------------------------------------------------------

@@ -56,6 +56,7 @@ class MPoly:
     """
 
     __slots__ = ("vars", "terms")
+    commutative = True      # a class fact: the Weyl algebra's subclass says False
 
     def __init__(self, variables: Sequence[str], terms: Mapping[tuple, Fraction] | None = None):
         self.vars = tuple(variables)
@@ -65,7 +66,7 @@ class MPoly:
             for exps, coeff in terms.items():
                 if len(exps) != nv:
                     raise ValueError(f"exponent vector {exps} has wrong length for {self.vars}")
-                if any(e < 0 for e in exps):
+                if min(exps, default=0) < 0:
                     raise ValueError(f"negative exponent in {exps}")
                 c = as_rat(coeff)
                 if c:
@@ -133,6 +134,14 @@ class MPoly:
 
     # -- arithmetic ----------------------------------------------------
 
+    def _with(self, terms: dict) -> "MPoly":
+        """The element of self's type and ring with this term map, whose
+        coefficients are taken as given: nonzero and in normal form."""
+        out = object.__new__(self.__class__)
+        out.vars = self.vars
+        out.terms = terms
+        return out
+
     def _check(self, other: "MPoly") -> None:
         if self.vars != other.vars:
             raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
@@ -141,7 +150,8 @@ class MPoly:
         if isinstance(other, MPoly):
             return other
         if isinstance(other, (int, Fraction)):
-            return MPoly.const(self.vars, other)
+            c = as_rat(other)
+            return self._with({(0,) * len(self.vars): c} if c else {})
         raise TypeError(f"cannot combine MPoly with {other!r}")
 
     def __add__(self, other) -> "MPoly":
@@ -158,16 +168,10 @@ class MPoly:
                 res[e] = _exact(s)
             else:
                 del res[e]
-        out = MPoly.__new__(MPoly)
-        out.vars = self.vars
-        out.terms = res
-        return out
+        return self._with(res)
 
     def __neg__(self) -> "MPoly":
-        out = MPoly.__new__(MPoly)
-        out.vars = self.vars
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return self._with({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "MPoly":
         return self + (-self._coerce(other))
@@ -194,48 +198,33 @@ class MPoly:
                     res[e] = s
                 else:
                     res.pop(e, None)
-        out = MPoly.__new__(MPoly)
-        out.vars = self.vars
-        out.terms = {e: _exact(c) for e, c in res.items()}
-        return out
+        return self._with({e: _exact(c) for e, c in res.items()})
 
     __rmul__ = __mul__
 
     def _mul_term(self, exps: tuple, c: Fraction) -> "MPoly":
         """Product with the single term c * x^exps: an exponent shift and a
         scale, neither of which can make two terms collide or cancel."""
-        out = MPoly.__new__(MPoly)
-        out.vars = self.vars
         if not any(exps):
-            out.terms = ({e: _exact(v * c) for e, v in self.terms.items()} if c != 1
-                         else dict(self.terms))
-        elif c == 1:
-            out.terms = {tuple(map(add, e, exps)): v for e, v in self.terms.items()}
-        else:
-            out.terms = {tuple(map(add, e, exps)): _exact(v * c) for e, v in self.terms.items()}
-        return out
+            return self._with({e: _exact(v * c) for e, v in self.terms.items()} if c != 1
+                              else dict(self.terms))
+        if c == 1:
+            return self._with({tuple(map(add, e, exps)): v for e, v in self.terms.items()})
+        return self._with({tuple(map(add, e, exps)): _exact(v * c) for e, v in self.terms.items()})
 
     def scale(self, c) -> "MPoly":
         c = as_rat(c)
-        if not c:
-            return MPoly.zero(self.vars)
-        out = MPoly.__new__(MPoly)
-        out.vars = self.vars
-        out.terms = {e: _exact(c * v) for e, v in self.terms.items()}
-        return out
+        return self._with({e: _exact(c * v) for e, v in self.terms.items()} if c else {})
 
     def __pow__(self, k: int) -> "MPoly":
         if k < 0:
             raise ValueError("negative power of a polynomial")
         if k == 0:
-            return MPoly.const(self.vars, 1)
+            return self._with({(0,) * len(self.vars): 1})
         if len(self.terms) == 1:
             ((e, c),) = self.terms.items()
             # a power of a non-integral rational is not integral: c^k is exact
-            out = MPoly.__new__(MPoly)
-            out.vars = self.vars
-            out.terms = {tuple(a * k for a in e): c ** k}
-            return out
+            return self._with({tuple(a * k for a in e): c ** k})
         # square-and-multiply from the base: no product by 1, no last squaring
         result = None
         base = self
@@ -285,12 +274,6 @@ class MPoly:
             else:
                 res.pop(ne, None)
         return MPoly(rest, res)
-
-    def rename(self, variables: Sequence[str]) -> "MPoly":
-        variables = tuple(variables)
-        if len(variables) != len(self.vars):
-            raise ValueError("rename needs the same number of variables")
-        return MPoly(variables, self.terms)
 
     def extend(self, variables: Sequence[str]) -> "MPoly":
         """Re-express in a larger ring containing the current variables."""
@@ -365,18 +348,19 @@ class MPoly:
         return format_mpoly(self)
 
     def __repr__(self) -> str:
-        return f"MPoly({self.vars}, {format_mpoly(self)!r})"
+        return f"{type(self).__name__}({self.vars}, {str(self)!r})"
 
 
 def _grevlex_key(exps: tuple) -> tuple:
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
-def format_mpoly(p: MPoly) -> str:
-    """Canonical text form: terms in descending graded reverse-lex order."""
+def format_mpoly(p: MPoly, key=_grevlex_key) -> str:
+    """Canonical text form: terms in descending order of the sort key on
+    exponent tuples, graded reverse-lex by default."""
     if p.is_zero():
         return "0"
-    items = sorted(p.terms.items(), key=lambda kv: _grevlex_key(kv[0]), reverse=True)
+    items = sorted(p.terms.items(), key=lambda kv: key(kv[0]), reverse=True)
     parts: list[str] = []
     for exps, coeff in items:
         factors = []
@@ -666,6 +650,11 @@ class RatFun:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> "RatFun":
+        if isinstance(other, (int, Fraction)):
+            # a scalar only scales the numerator: the pair stays coprime
+            if not other or not self.num.terms:
+                return RatFun.zero(self.var)
+            return RatFun.from_coprime(self.num.scale(other), self.den)
         other = self._coerce(other)
         if not self.num.terms:
             return self
@@ -759,9 +748,6 @@ class RatFun:
         if tpow >= 0:
             return RatFun.from_coprime(num_rev * MPoly.monomial(t, (tpow,)), den_rev)
         return RatFun.from_coprime(num_rev, den_rev * MPoly.monomial(t, (-tpow,)))
-
-    def rename_var(self, new_var: str) -> "RatFun":
-        return RatFun.from_coprime(self.num.rename((new_var,)), self.den.rename((new_var,)))
 
     def __str__(self) -> str:
         if self.is_polynomial():

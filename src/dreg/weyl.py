@@ -5,9 +5,12 @@ all d's; multiplication normal-orders immediately through the closed form
 
     d^a x^b = sum_k k! C(a,k) C(b,k) x^(b-k) d^(a-k)
 
-so equality of elements is equality of term maps.  Left Gröbner bases come
-from the Buchberger driver in `dreg.ideals`; this module only describes A_n
-to it (`weyl_ring`).  Its term order compares total d-degree first, which
+so equality of elements is equality of term maps.  A normal-ordered
+element has the basis of a polynomial in x and d, so `WeylElement` is the
+`MPoly` of those 2n variables with the term alpha + beta for x^alpha d^beta;
+it inherits sums, scaling, equality and printing and brings its own
+product.  Left Gröbner bases come from the Buchberger driver in
+`dreg.ideals` under a term order that compares total d-degree first, which
 makes the principal symbols of a basis generate a well-defined graded ideal
 in Q[x, xi].
 """
@@ -20,9 +23,8 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from .ideals import (DEFAULT_BUDGET, Ideal, Ring, buchberger_basis,
-                     symbol_weight_order)
-from .polynomials import MPoly, _exact, as_rat
+from .ideals import DEFAULT_BUDGET, Ideal, buchberger_basis, symbol_weight_order
+from .polynomials import MPoly, _exact, format_mpoly
 
 _COORD_NAMES = ("x", "y", "z")
 _SYMBOL_NAMES = ("xi", "eta", "zeta")
@@ -49,25 +51,22 @@ def deriv_names(n: int) -> tuple:
     return tuple(f"d{i+1}" for i in range(n))
 
 
-class WeylElement:
-    """A normal-ordered element of A_n; terms map (alpha, beta) to Q*."""
+@functools.cache
+def _weyl_vars(n: int) -> tuple:
+    if n < 1:
+        raise ValueError("A_n needs n >= 1")
+    return coordinate_names(n) + deriv_names(n)
 
-    __slots__ = ("n", "terms")
+
+class WeylElement(MPoly):
+    """A normal-ordered element of A_n: an MPoly in x_1..x_n, d_1..d_n whose
+    term alpha + beta stands for x^alpha d^beta, with the Weyl product."""
+
+    __slots__ = ()
+    commutative = False
 
     def __init__(self, n: int, terms: Mapping[tuple, Fraction] | None = None):
-        if n < 1:
-            raise ValueError("A_n needs n >= 1")
-        self.n = n
-        clean: dict[tuple, Fraction] = {}
-        if terms:
-            for key, coeff in terms.items():
-                alpha, beta = key
-                if len(alpha) != n or len(beta) != n:
-                    raise ValueError(f"multi-index {key} has wrong length for A_{n}")
-                c = as_rat(coeff)
-                if c:
-                    clean[(tuple(alpha), tuple(beta))] = c
-        self.terms = clean
+        super().__init__(_weyl_vars(n), terms)
 
     # -- constructors ------------------------------------------------------
 
@@ -77,82 +76,28 @@ class WeylElement:
 
     @classmethod
     def const(cls, n: int, value) -> "WeylElement":
-        z = (0,) * n
-        return cls(n, {(z, z): as_rat(value)})
+        return cls(n, {(0,) * (2 * n): value})
 
     @classmethod
     def x(cls, n: int, i: int, power: int = 1) -> "WeylElement":
-        alpha = tuple(power if j == i else 0 for j in range(n))
-        return cls(n, {(alpha, (0,) * n): 1})
+        return cls(n, {tuple(power if j == i else 0 for j in range(2 * n)): 1})
 
     @classmethod
     def d(cls, n: int, i: int, power: int = 1) -> "WeylElement":
-        beta = tuple(power if j == i else 0 for j in range(n))
-        return cls(n, {((0,) * n, beta): 1})
+        return cls(n, {tuple(power if j == n + i else 0 for j in range(2 * n)): 1})
 
     # -- structure -----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+    @property
+    def n(self) -> int:
+        return len(self.vars) // 2
 
     def order(self) -> int | float:
         """Maximal total d-degree (the order filtration level)."""
-        if not self.terms:
-            return -math.inf
-        return max(sum(beta) for _, beta in self.terms)
+        n = self.n
+        return max((sum(e[n:]) for e in self.terms), default=-math.inf)
 
     # -- arithmetic -----------------------------------------------------------
-
-    def _check(self, other: "WeylElement") -> None:
-        if self.n != other.n:
-            raise ValueError("elements of different Weyl algebras")
-
-    def __add__(self, other: "WeylElement") -> "WeylElement":
-        self._check(other)
-        res = dict(self.terms)
-        for key, c in other.terms.items():
-            s = res.get(key)
-            if s is None:
-                res[key] = c
-                continue
-            s += c
-            if s:
-                res[key] = _exact(s)
-            else:
-                del res[key]
-        out = WeylElement.__new__(WeylElement)
-        out.n = self.n
-        out.terms = res
-        return out
-
-    def __neg__(self) -> "WeylElement":
-        out = WeylElement.__new__(WeylElement)
-        out.n = self.n
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other: "WeylElement") -> "WeylElement":
-        return self + (-other)
-
-    def scale(self, c) -> "WeylElement":
-        c = as_rat(c)
-        if not c:
-            return WeylElement.zero(self.n)
-        out = WeylElement.__new__(WeylElement)
-        out.n = self.n
-        out.terms = {k: _exact(c * v) for k, v in self.terms.items()}
-        return out
 
     def __mul__(self, other) -> "WeylElement":
         if isinstance(other, (int, Fraction)):
@@ -178,40 +123,34 @@ class WeylElement:
         """Image of the top-order part in Gr A_n = Q[x, xi]."""
         if self.is_zero():
             raise ValueError("no symbol of zero")
-        top = self.order()
+        n, top = self.n, self.order()
         if variables is None:
-            variables = coordinate_names(self.n) + symbol_names(self.n)
+            variables = coordinate_names(n) + symbol_names(n)
         variables = tuple(variables)
-        if len(variables) != 2 * self.n:
+        if len(variables) != 2 * n:
             raise ValueError("need one coordinate and one symbol name per variable")
-        terms = {}
-        for (alpha, beta), c in self.terms.items():
-            if sum(beta) == top:
-                terms[alpha + beta] = c
-        return MPoly(variables, terms)
+        return MPoly(variables, {e: c for e, c in self.terms.items() if sum(e[n:]) == top})
 
     def apply(self, p: MPoly) -> MPoly:
         """Act on a polynomial in the coordinates."""
-        if len(p.vars) != self.n:
+        n = self.n
+        if len(p.vars) != n:
             raise ValueError("polynomial has wrong number of variables")
         result = MPoly.zero(p.vars)
-        for (alpha, beta), c in self.terms.items():
+        for e, c in self.terms.items():
             q = p
-            for i, b in enumerate(beta):
+            for i, b in enumerate(e[n:]):
                 for _ in range(b):
                     q = q.diff(p.vars[i])
                     if q.is_zero():
                         break
             if q.is_zero():
                 continue
-            result = result + MPoly.monomial(p.vars, alpha, c) * q
+            result = result + MPoly.monomial(p.vars, e[:n], c) * q
         return result
 
     def __str__(self) -> str:
-        return format_weyl(self)
-
-    def __repr__(self) -> str:
-        return f"WeylElement({format_weyl(self)!r})"
+        return format_mpoly(self, symbol_weight_order(len(self.vars)).key)
 
 
 @functools.cache
@@ -233,96 +172,31 @@ def weyl_mul(a: WeylElement, b: WeylElement) -> WeylElement:
     """
     a._check(b)
     n = a.n
-    out = WeylElement.__new__(WeylElement)
-    out.n = n
     if len(a.terms) == 1:
-        (((alpha, beta), c),) = a.terms.items()
-        if not any(beta):
-            out.terms = {(tuple(map(add, alpha, gamma)), delta): _exact(c * cb)
-                         for (gamma, delta), cb in b.terms.items()}
-            return out
+        ((e, c),) = a.terms.items()
+        if not any(e[n:]):
+            return b._mul_term(e, c)
     res: dict[tuple, Fraction] = {}
-    for (alpha, beta), ca in a.terms.items():
-        dvars = [i for i in range(n) if beta[i]]
-        for (gamma, delta), cb in b.terms.items():
-            terms = [(tuple(map(add, alpha, gamma)), tuple(map(add, beta, delta)), ca * cb)]
+    for ea, ca in a.terms.items():
+        dvars = [i for i in range(n) if ea[n + i]]
+        for eb, cb in b.terms.items():
+            terms = [(tuple(map(add, ea, eb)), ca * cb)]
             for i in dvars:
-                if gamma[i]:
-                    row = _leibniz(beta[i], gamma[i])
-                    terms = [(x[:i] + (x[i] - k,) + x[i + 1:], d[:i] + (d[i] - k,) + d[i + 1:],
+                if eb[i]:
+                    row, j = _leibniz(ea[n + i], eb[i]), n + i
+                    terms = [(e[:i] + (e[i] - k,) + e[i + 1:j] + (e[j] - k,) + e[j + 1:],
                               c * f if f != 1 else c)
-                             for x, d, c in terms for k, f in enumerate(row)]
-            for x, d, c in terms:
-                key = (x, d)
-                s = res.get(key, 0) + c
+                             for e, c in terms for k, f in enumerate(row)]
+            for e, c in terms:
+                s = res.get(e, 0) + c
                 if s:
-                    res[key] = s
+                    res[e] = s
                 else:
-                    del res[key]
-    out.terms = {key: _exact(c) for key, c in res.items()}
-    return out
-
-
-# -- printing ---------------------------------------------------------------
-
-
-def format_weyl(w: WeylElement,
-                coord: Sequence[str] | None = None,
-                deriv: Sequence[str] | None = None) -> str:
-    if w.is_zero():
-        return "0"
-    coord = tuple(coord) if coord else coordinate_names(w.n)
-    deriv = tuple(deriv) if deriv else deriv_names(w.n)
-    order = symbol_weight_order(2 * w.n)
-    items = sorted(w.terms.items(), key=lambda kv: order.key(kv[0][0] + kv[0][1]),
-                   reverse=True)
-    parts = []
-    for (alpha, beta), c in items:
-        factors = []
-        for name, e in zip(coord, alpha):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        for name, e in zip(deriv, beta):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        mag = abs(c)
-        if not factors:
-            body = str(mag) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            mags = str(mag) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
-            body = "*".join([mags] + factors)
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(parts)
+                    del res[e]
+    return a._with({e: _exact(c) for e, c in res.items()})
 
 
 # -- left Gröbner bases -------------------------------------------------------
-
-
-def weyl_ring(n: int) -> Ring:
-    """A_n for the Buchberger driver in `dreg.ideals`.
-
-    The exponents of x^alpha d^beta flatten to alpha + beta.  The term order
-    compares total d-degree first, then degrevlex, so it is compatible with
-    the order filtration.  Monomial times element goes through `weyl_mul`.
-    """
-    def element(w: WeylElement, terms: dict) -> WeylElement:
-        out = WeylElement.__new__(WeylElement)
-        out.n = n
-        out.terms = terms
-        return out
-
-    return Ring(symbol_weight_order(2 * n), lambda t: t[0] + t[1],
-                lambda w, exps, c: element(w, {(exps[:n], exps[n:]): c}), element,
-                commutative=False)
 
 
 def weyl_groebner(gens: Iterable[WeylElement],
@@ -331,7 +205,7 @@ def weyl_groebner(gens: Iterable[WeylElement],
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
-    return buchberger_basis(gens, weyl_ring(gens[0].n), budget)
+    return buchberger_basis(gens, symbol_weight_order(2 * gens[0].n), budget)
 
 
 def characteristic_ideal(gens: Iterable[WeylElement],

@@ -25,8 +25,8 @@ import pytest
 
 import dreg.cli
 from dreg.dmod import ContradictionError, EquivalenceReport
-from dreg.ideals import (DEFAULT_BUDGET, POLYNOMIALS, BudgetExceeded, Ring, _divides,
-                         _exp_lcm, _exp_sub, minimal_monomial_generators)
+from dreg.ideals import (DEFAULT_BUDGET, DEGREVLEX, BudgetExceeded, TermOrder, _divides,
+                         _exp_lcm, _exp_sub, leading_term, minimal_monomial_generators)
 from dreg.linalg import gauss_solve, mat_mul
 from dreg.operators import UnivarOperator
 from dreg.parser import _DERIV_RE, ParseError, Token, _Parser, tokenize
@@ -71,7 +71,7 @@ def random_weyl(rng: random.Random, n: int, degree: int = 4,
     for _ in range(rng.randint(1, terms)):
         alpha = tuple(rng.randint(0, degree) for _ in range(n))
         beta = tuple(rng.randint(0, degree) for _ in range(n))
-        out[(alpha, beta)] = random_fraction(rng)
+        out[alpha + beta] = random_fraction(rng)
     return WeylElement(n, out)
 
 
@@ -620,8 +620,8 @@ def reference_bare_inclusion(chart, bound: int) -> tuple:
 # that the integer driver's bases, remainders and pop counts are checked against.
 
 
-def reference_normal_form(f, basis: Sequence, ring: Ring = POLYNOMIALS,
-                leads: Sequence | None = None):
+def reference_normal_form(f, basis: Sequence, order: TermOrder = DEGREVLEX,
+                          leads: Sequence | None = None):
     """Full remainder of f on (left) division by the basis (every term reduced).
 
     `leads` are the basis' leading terms when the caller keeps them.  The
@@ -631,42 +631,43 @@ def reference_normal_form(f, basis: Sequence, ring: Ring = POLYNOMIALS,
     if not basis:
         return f
     if leads is None:
-        leads = [ring.leading(g) for g in basis]
-    key, flat = ring.order.key, ring.flat
+        leads = [leading_term(g, order) for g in basis]
+    key = order.key
     remainder = f.scale(0)
     done, rest = remainder.terms, dict(f.terms)
-    rank = {t: key(flat(t)) for t in rest}      # order key of every term met
+    rank = {e: key(e) for e in rest}      # order key of every term met
     while rest:
-        t = max(rest, key=rank.__getitem__)
-        e = flat(t)
+        e = max(rest, key=rank.__getitem__)
         for g, (ge, gc) in zip(basis, leads):
             if _divides(ge, e):
-                product = ring.monomial(f, _exp_sub(e, ge), Fraction(rest[t]) / gc) * g
+                product = f._with({_exp_sub(e, ge): Fraction(rest[e]) / gc}) * g
                 for u, v in product.terms.items():
                     s = rest.get(u)
                     if s is None:
                         rest[u] = -v
                         if u not in rank:
-                            rank[u] = key(flat(u))
+                            rank[u] = key(u)
                     elif s == v:
                         del rest[u]
                     else:
                         rest[u] = s - v
                 break
         else:
-            done[t] = rest.pop(t)
+            done[e] = rest.pop(e)
     return remainder
 
 
-def reference_buchberger_basis(gens: Iterable, ring: Ring, budget: int = DEFAULT_BUDGET) -> list:
-    """Reduced (left) Gröbner basis of the (left) ideal the generators span.
+def reference_buchberger_basis(gens: Iterable, order: TermOrder,
+                               budget: int = DEFAULT_BUDGET) -> list:
+    """Reduced (left) Gröbner basis under `order` of the (left) ideal the
+    generators span.
 
     The schedule is normal selection: the pending S-pair whose lcm of
     leading monomials is smallest in the term order comes first, ties going
     to the older pair.  Buchberger's chain criterion drops (i, j) when some
     basis element's leading monomial divides lcm(i, j) and neither (i, k)
     nor (j, k) is still pending; it holds in A_n as in Q[vars].  The
-    coprimality criterion is used only in a commutative ring: in A_n the
+    coprimality criterion is used only for commutative elements: in A_n the
     commutator of elements with disjoint leading supports need not vanish.
     `budget` counts the pairs taken off the queue, those a criterion drops
     included.  A nonzero constant in the basis ends the loop at once: the
@@ -677,11 +678,11 @@ def reference_buchberger_basis(gens: Iterable, ring: Ring, budget: int = DEFAULT
 
     def insert(g) -> bool:
         """Add g and its pairs; True when g is a constant."""
-        lead = ring.leading(g)
+        lead = leading_term(g, order)
         j = len(basis)
         for i, (fe, _) in enumerate(leads):
             lcm = _exp_lcm(fe, lead[0])
-            heapq.heappush(queue, (ring.order.key(lcm), j, i, lcm))
+            heapq.heappush(queue, (order.key(lcm), j, i, lcm))
             pending.add((i, j))
         basis.append(g)
         leads.append(lead)
@@ -689,7 +690,7 @@ def reference_buchberger_basis(gens: Iterable, ring: Ring, budget: int = DEFAULT
 
     for g in gens:
         if not g.is_zero() and insert(g):
-            return [ring.monomial(g, leads[-1][0], Fraction(1))]
+            return [g._with({leads[-1][0]: Fraction(1)})]
     processed = 0
     while queue:
         processed += 1
@@ -700,21 +701,21 @@ def reference_buchberger_basis(gens: Iterable, ring: Ring, budget: int = DEFAULT
         pending.discard((i, j))
         (fe, fc), (ge, gc) = leads[i], leads[j]
         # Buchberger's coprimality criterion, sound only where elements commute.
-        if ring.commutative and lcm == tuple(map(add, fe, ge)):
+        if basis[i].commutative and lcm == tuple(map(add, fe, ge)):
             continue
         if any(k != i and k != j and (min(i, k), max(i, k)) not in pending
                and (min(j, k), max(j, k)) not in pending and _divides(ke, lcm)
                for k, (ke, _) in enumerate(leads)):
             continue
-        s = (ring.monomial(basis[i], _exp_sub(lcm, fe), Fraction(1) / fc) * basis[i]
-             - ring.monomial(basis[j], _exp_sub(lcm, ge), Fraction(1) / gc) * basis[j])
-        r = reference_normal_form(s, basis, ring, leads)
+        s = (basis[i]._with({_exp_sub(lcm, fe): Fraction(1) / fc}) * basis[i]
+             - basis[j]._with({_exp_sub(lcm, ge): Fraction(1) / gc}) * basis[j])
+        r = reference_normal_form(s, basis, order, leads)
         if not r.is_zero() and insert(r):
-            return [ring.monomial(r, leads[-1][0], Fraction(1))]
-    return _reference_reduce_basis(basis, leads, ring)
+            return [r._with({leads[-1][0]: Fraction(1)})]
+    return _reference_reduce_basis(basis, leads, order)
 
 
-def _reference_reduce_basis(basis: list, leads: list, ring: Ring) -> list:
+def _reference_reduce_basis(basis: list, leads: list, order: TermOrder) -> list:
     # Minimalize: drop generators whose leading monomial another one divides.
     keep = []
     for i, (e, _) in enumerate(leads):
@@ -729,8 +730,8 @@ def _reference_reduce_basis(basis: list, leads: list, ring: Ring) -> list:
     reduced = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
-        r = reference_normal_form(g, others, ring, lead[:i] + lead[i + 1:]) if others else g
-        reduced.append((ring.order.key(lead[i][0]), r.scale(Fraction(1) / lead[i][1])))
+        r = reference_normal_form(g, others, order, lead[:i] + lead[i + 1:]) if others else g
+        reduced.append((order.key(lead[i][0]), r.scale(Fraction(1) / lead[i][1])))
     return [r for _, r in sorted(reduced, key=lambda kr: kr[0])]
 
 
@@ -740,8 +741,10 @@ def reference_weyl_mul(a: WeylElement, b: WeylElement) -> WeylElement:
     a._check(b)
     n = a.n
     res: dict[tuple, Fraction] = {}
-    for (alpha, beta), ca in a.terms.items():
-        for (gamma, delta), cb in b.terms.items():
+    for ea, ca in a.terms.items():
+        alpha, beta = ea[:n], ea[n:]
+        for eb, cb in b.terms.items():
+            gamma, delta = eb[:n], eb[n:]
             base = ca * cb
             # distribute the per-variable contraction d^beta_i x^gamma_i
             stack = [((), 1)]
@@ -751,7 +754,7 @@ def reference_weyl_mul(a: WeylElement, b: WeylElement) -> WeylElement:
             exp_x = tuple(map(add, alpha, gamma))
             exp_d = tuple(map(add, beta, delta))
             for ks, f in stack:
-                key = (tuple(map(sub, exp_x, ks)), tuple(map(sub, exp_d, ks)))
+                key = tuple(map(sub, exp_x, ks)) + tuple(map(sub, exp_d, ks))
                 term = base * f if f != 1 else base
                 if key in res:
                     s = res[key] + term
@@ -761,10 +764,7 @@ def reference_weyl_mul(a: WeylElement, b: WeylElement) -> WeylElement:
                         del res[key]
                 else:
                     res[key] = term
-    out = WeylElement.__new__(WeylElement)
-    out.n = n
-    out.terms = res
-    return out
+    return a._with(res)
 
 
 def recorded_mismatches(pool, recorded: dict, directory: Path) -> list:

@@ -164,7 +164,7 @@ class TestIntegerDivisionSites:
         assert type(p.coeff(1).num.terms[(1,)]) is int
         (w,) = parse_weyl_generators("x*dx/2 + 4/2", ("x",))
         assert exact_coefficients([w])
-        assert w.terms == {((1,), (1,)): Fraction(1, 2), ((0,), (0,)): 2}
+        assert w.terms == {(1, 1): Fraction(1, 2), (0, 0): 2}
 
     def test_monic_stops_at_a_unit_leading_coefficient(self):
         p = MPoly.from_univar_coeffs("x", [3, 0, 1])

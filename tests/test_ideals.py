@@ -12,11 +12,11 @@ from dreg.dmod import OTHER, ZeroModuleError, decompose_symbol_ideal, dimension_
 from dreg.ideals import (BudgetExceeded, DEGREVLEX, LEX, Ideal, NotMonomialIdeal,
                          buchberger, buchberger_basis, groebner_basis,
                          is_radical_squarefree_monomial, krull_dimension,
-                         leading_term, normal_form, polynomial_ring,
-                         radical_membership, symbol_weight_order)
+                         leading_term, normal_form, radical_membership,
+                         symbol_weight_order)
 from dreg.parser import parse_weyl_generators
 from dreg.polynomials import MPoly
-from dreg.weyl import WeylElement, characteristic_ideal, weyl_groebner, weyl_ring
+from dreg.weyl import WeylElement, characteristic_ideal, weyl_groebner
 
 from conftest import (exact_coefficients, random_mpoly, reference_buchberger_basis,
                       reference_normal_form)
@@ -211,7 +211,7 @@ def polynomial_generators(draw):
 def weyl_generators(draw):
     n = draw(st.integers(1, 2))
     terms = draw(st.lists(flat_terms(2 * n, 3 - n, 2), min_size=1, max_size=3))
-    return [WeylElement(n, {(e[:n], e[n:]): c for e, c in t.items()}) for t in terms]
+    return [WeylElement(n, t) for t in terms]
 
 
 @st.composite
@@ -294,15 +294,15 @@ class TestSharedDriver:
             assert sorted(ours, key=str) == sorted(expected, key=str)
 
 
-def assert_buchberger_test(gens, gb, ring, monomial):
+def assert_buchberger_test(gens, gb, order, monomial):
     """Every generator and every S-element of gb reduces to 0 modulo gb."""
-    assert all(normal_form(g, gb, ring).is_zero() for g in gens)
+    assert all(normal_form(g, gb, order).is_zero() for g in gens)
     for f, g in itertools.combinations(gb, 2):
-        (fe, fc), (ge, gc) = ring.leading(f), ring.leading(g)
+        (fe, fc), (ge, gc) = leading_term(f, order), leading_term(g, order)
         lcm = tuple(max(p, q) for p, q in zip(fe, ge))
         s = (monomial(tuple(p - q for p, q in zip(lcm, fe)), Fraction(1) / fc) * f
              - monomial(tuple(p - q for p, q in zip(lcm, ge)), Fraction(1) / gc) * g)
-        assert normal_form(s, gb, ring).is_zero()
+        assert normal_form(s, gb, order).is_zero()
 
 
 class TestPairCriteria:
@@ -316,7 +316,7 @@ class TestPairCriteria:
         vs = ring("x", "y", "z")
         gens = [MPoly(vs, t) for t in terms]
         gb = groebner_basis(Ideal(vs, gens))
-        assert_buchberger_test(gens, gb, polynomial_ring(DEGREVLEX),
+        assert_buchberger_test(gens, gb, DEGREVLEX,
                                lambda e, c: MPoly.monomial(vs, e, c))
 
     @settings(max_examples=40, deadline=None)
@@ -329,35 +329,35 @@ class TestPairCriteria:
     def test_weyl_basis_passes_s_pair_test(self, terms):
         # bounded like TestIntegerDriver: a draw past POP_BOUND pops must be
         # past it for the Fraction driver too
-        gens = [WeylElement(2, {(e[:2], e[2:]): c for e, c in t.items()}) for t in terms]
-        gb = outcome(buchberger_basis, gens, weyl_ring(2))
+        gens = [WeylElement(2, t) for t in terms]
+        order = symbol_weight_order(4)
+        gb = outcome(buchberger_basis, gens, order)
         if gb is None:
-            assert outcome(reference_buchberger_basis, gens, weyl_ring(2)) is None
+            assert outcome(reference_buchberger_basis, gens, order) is None
             return
         assert gb == weyl_groebner(gens)
-        assert_buchberger_test(gens, gb, weyl_ring(2),
-                               lambda e, c: WeylElement(2, {(e[:2], e[2:]): c}))
+        assert_buchberger_test(gens, gb, order, lambda e, c: WeylElement(2, {e: c}))
 
 
 POP_BOUND = 100     # random sets that need more pops compare as "exceeded"
 
 
-def outcome(driver, gens, ring, budget=POP_BOUND):
+def outcome(driver, gens, order, budget=POP_BOUND):
     """The driver's basis, or None when it needs more than `budget` pops."""
     try:
-        return driver(gens, ring, budget)
+        return driver(gens, order, budget)
     except BudgetExceeded:
         return None
 
 
-def smallest_budget(driver, gens, ring, bound=POP_BOUND):
+def smallest_budget(driver, gens, order, bound=POP_BOUND):
     """The least budget up to `bound` under which the driver returns, or None."""
-    if outcome(driver, gens, ring, bound) is None:
+    if outcome(driver, gens, order, bound) is None:
         return None
     lo, hi = -1, bound
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if outcome(driver, gens, ring, mid) is None:
+        if outcome(driver, gens, order, mid) is None:
             lo = mid
         else:
             hi = mid
@@ -378,7 +378,7 @@ def symbol_ring_generators(draw):
 def a1_a2_generators(draw):
     n = draw(st.integers(1, 2))
     terms = draw(st.lists(flat_terms(2 * n, 4 - n, 2), min_size=1, max_size=3))
-    return [WeylElement(n, {(e[:n], e[n:]): c for e, c in t.items()}) for t in terms]
+    return [WeylElement(n, t) for t in terms]
 
 
 class TestIntegerDriver:
@@ -393,12 +393,11 @@ class TestIntegerDriver:
     def test_polynomial_bases_and_remainders_match_the_oracle(self, order, data):
         gens = data.draw(symbol_ring_generators())
         f = MPoly(SYMBOL_VARS, data.draw(flat_terms(4, 3, 5)))
-        ring_ = polynomial_ring(order)
-        gb = outcome(buchberger_basis, gens, ring_)
-        assert gb == outcome(reference_buchberger_basis, gens, ring_)
+        gb = outcome(buchberger_basis, gens, order)
+        assert gb == outcome(reference_buchberger_basis, gens, order)
         for basis in [gens] if gb is None else [gb, gens]:
-            r = normal_form(f, basis, ring_)
-            assert r == reference_normal_form(f, basis, ring_)
+            r = normal_form(f, basis, order)
+            assert r == reference_normal_form(f, basis, order)
             assert exact_coefficients([r] + basis)
 
     @settings(max_examples=40, deadline=None)
@@ -407,35 +406,35 @@ class TestIntegerDriver:
         gens = data.draw(a1_a2_generators())
         n = gens[0].n
         terms = data.draw(flat_terms(2 * n, 3, 4))
-        f = WeylElement(n, {(e[:n], e[n:]): c for e, c in terms.items()})
-        ring_ = weyl_ring(n)
-        gb = outcome(buchberger_basis, gens, ring_)
-        assert gb == outcome(reference_buchberger_basis, gens, ring_)
+        f = WeylElement(n, terms)
+        order = symbol_weight_order(2 * n)
+        gb = outcome(buchberger_basis, gens, order)
+        assert gb == outcome(reference_buchberger_basis, gens, order)
         for basis in [gens] if gb is None else [gb, gens]:
-            r = normal_form(f, basis, ring_)
-            assert r == reference_normal_form(f, basis, ring_)
+            r = normal_form(f, basis, order)
+            assert r == reference_normal_form(f, basis, order)
             assert exact_coefficients([r] + basis)
 
     @settings(max_examples=25, deadline=None)
     @given(gens=symbol_ring_generators())
     def test_polynomial_budget_counts_the_same_pops(self, gens):
-        ring_ = polynomial_ring(symbol_weight_order(4))
-        assert (smallest_budget(buchberger_basis, gens, ring_)
-                == smallest_budget(reference_buchberger_basis, gens, ring_))
+        order = symbol_weight_order(4)
+        assert (smallest_budget(buchberger_basis, gens, order)
+                == smallest_budget(reference_buchberger_basis, gens, order))
 
     @settings(max_examples=25, deadline=None)
     @given(gens=a1_a2_generators())
     def test_weyl_budget_counts_the_same_pops(self, gens):
-        ring_ = weyl_ring(gens[0].n)
-        assert (smallest_budget(buchberger_basis, gens, ring_)
-                == smallest_budget(reference_buchberger_basis, gens, ring_))
+        order = symbol_weight_order(2 * gens[0].n)
+        assert (smallest_budget(buchberger_basis, gens, order)
+                == smallest_budget(reference_buchberger_basis, gens, order))
 
     def test_unit_ideal_cliff_pops(self):
         # the constant joins the basis at pop 220 in both drivers
         gens = parse_weyl_generators(CLIFF, ("x", "y"))
-        ring_ = weyl_ring(2)
-        assert smallest_budget(buchberger_basis, gens, ring_, 300) == 220
-        assert smallest_budget(reference_buchberger_basis, gens, ring_, 300) == 220
+        order = symbol_weight_order(4)
+        assert smallest_budget(buchberger_basis, gens, order, 300) == 220
+        assert smallest_budget(reference_buchberger_basis, gens, order, 300) == 220
 
     @pytest.mark.parametrize("family", [f[0] for f in WORKLOADS.FAMILIES])
     def test_workload_families_match_the_oracle(self, family):
@@ -447,12 +446,12 @@ class TestIntegerDriver:
             gens = parse_weyl_generators(" ; ".join(build(*rng.sample(WORKLOADS.PARAMS, nparams))),
                                          names)
             gb = weyl_groebner(gens)
-            assert gb == reference_buchberger_basis(gens, weyl_ring(n))
+            assert gb == reference_buchberger_basis(gens, symbol_weight_order(2 * n))
             assert exact_coefficients(gb)
             symbols = characteristic_ideal(gens)
             for order in (DEGREVLEX, LEX):
                 assert (groebner_basis(symbols, order)
-                        == reference_buchberger_basis(symbols.gens, polynomial_ring(order)))
+                        == reference_buchberger_basis(symbols.gens, order))
 
 
 def characteristic_or_none(gens):
@@ -558,11 +557,11 @@ class TestCharacteristicBasis:
         gens = parse_weyl_generators(" ; ".join(WORKLOADS.FAMILIES[0][1](*WORKLOADS.PARAMS[:4])),
                                      ("x", "y"))
         symbols = characteristic_ideal(gens)
-        ring_ = polynomial_ring(symbols.basis_order)
+        order = symbols.basis_order
         assert len(symbols.gens) > 1
-        assert buchberger_basis([], ring_, 0, known=symbols.gens) == list(symbols.gens)
+        assert buchberger_basis([], order, 0, known=symbols.gens) == list(symbols.gens)
         with pytest.raises(BudgetExceeded):
-            buchberger_basis(symbols.gens, ring_, 0)
+            buchberger_basis(symbols.gens, order, 0)
 
     @pytest.mark.parametrize("order", ORACLE_ORDERS, ids=["degrevlex", "lex", "symbol"])
     @settings(max_examples=25, deadline=None, derandomize=True)
@@ -570,14 +569,12 @@ class TestCharacteristicBasis:
     def test_known_start_gives_the_scratch_basis(self, order, data):
         # the pairs of a known basis count as processed; the reduced basis
         # of the whole ideal is the one a run from scratch finds
-        gb = outcome(buchberger_basis, data.draw(symbol_ring_generators()),
-                     polynomial_ring(order))
+        gb = outcome(buchberger_basis, data.draw(symbol_ring_generators()), order)
         if gb is None:
             return
         extra = data.draw(symbol_ring_generators())
-        ring_ = polynomial_ring(order)
-        whole = outcome(buchberger_basis, gb + extra, ring_)
-        started = outcome(lambda g, r, b: buchberger_basis(g, r, b, known=gb), extra, ring_)
+        whole = outcome(buchberger_basis, gb + extra, order)
+        started = outcome(lambda g, o, b: buchberger_basis(g, o, b, known=gb), extra, order)
         if whole is not None and started is not None:
             assert started == whole
 
@@ -585,12 +582,12 @@ class TestCharacteristicBasis:
     @given(data=st.data())
     def test_known_start_in_the_weyl_algebra(self, data):
         gens = data.draw(a1_a2_generators())
-        ring_ = weyl_ring(gens[0].n)
-        gb = outcome(buchberger_basis, gens, ring_)
+        order = symbol_weight_order(2 * gens[0].n)
+        gb = outcome(buchberger_basis, gens, order)
         if gb is None:
             return
         extra = [g for g in data.draw(a1_a2_generators()) if g.n == gens[0].n]
-        whole = outcome(buchberger_basis, gb + extra, ring_)
-        started = outcome(lambda g, r, b: buchberger_basis(g, r, b, known=gb), extra, ring_)
+        whole = outcome(buchberger_basis, gb + extra, order)
+        started = outcome(lambda g, o, b: buchberger_basis(g, o, b, known=gb), extra, order)
         if whole is not None and started is not None:
             assert started == whole

@@ -21,6 +21,12 @@ KEPT = {
     "operators.UnivarOperator.apply": "test oracle: operator products act as compositions",
     "weyl.WeylElement.apply": "test oracle: Weyl products act as compositions",
     "systems.ConnectionSystem.companion": "test oracle: the system of a scalar operator",
+    "operators.UnivarOperator.scale_var":
+        "test tool: test_dmod::test_scaling_invariance rescales operators x -> c*x",
+    "polynomials.RatFun.scale_var": "test tool: the coefficient map of UnivarOperator.scale_var",
+    "polynomials.MPoly.evaluate":
+        "test tool: test_regularity finds the points where a denominator vanishes",
+    "polynomials.RatFun.evaluate": "test tool: test_polynomials cross-checks ord_at by a value",
 }
 
 
@@ -37,17 +43,20 @@ def imported_names(tree: ast.Module) -> dict[str, int]:
     return out
 
 
+def read_names(node: ast.AST) -> set[str]:
+    """Names one node reads: a Name's own, and those of a quoted annotation
+    it carries."""
+    out = {node.id} if isinstance(node, ast.Name) else set()
+    for note in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+        for quoted in ast.walk(note) if note else ():
+            if isinstance(quoted, ast.Constant) and isinstance(quoted.value, str):
+                out |= used_names(ast.parse(quoted.value, mode="eval"))
+    return out
+
+
 def used_names(tree: ast.AST) -> set[str]:
     """Names read anywhere, quoted annotations included."""
-    out = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            out.add(node.id)
-        for note in (getattr(node, "annotation", None), getattr(node, "returns", None)):
-            for quoted in ast.walk(note) if note else ():
-                if isinstance(quoted, ast.Constant) and isinstance(quoted.value, str):
-                    out |= used_names(ast.parse(quoted.value, mode="eval"))
-    return out
+    return set().union(*map(read_names, ast.walk(tree)))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -65,40 +74,71 @@ def test_finds_an_unused_import():
     assert set(imported_names(tree)) - used_names(tree) == {"math"}
 
 
-def definitions(tree: ast.Module, module: str) -> dict[str, str]:
-    """{module.name or module.Class.method: bare name} of the top-level
+def definitions(tree: ast.Module, module: str) -> dict[str, ast.AST]:
+    """{module.name or module.Class.method: its node} for the top-level
     functions and classes and their methods, dunder methods aside: the
     language calls those."""
     out = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            out[f"{module}.{node.name}"] = node.name
+            out[f"{module}.{node.name}"] = node
         if isinstance(node, ast.ClassDef):
             for sub in node.body:
                 if isinstance(sub, ast.FunctionDef) and not (
                         sub.name.startswith("__") and sub.name.endswith("__")):
-                    out[f"{module}.{node.name}.{sub.name}"] = sub.name
+                    out[f"{module}.{node.name}.{sub.name}"] = sub
     return out
 
 
-def referenced_names(tree: ast.Module) -> set[str]:
-    """Names read and attributes taken anywhere, and names imported (which
-    is how __init__.py re-exports)."""
-    out = used_names(tree) | set(imported_names(tree))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute):
-            out.add(node.attr)
+def referenced_names(node: ast.AST) -> set[str]:
+    """Names one node reads, the attribute it takes and the names it
+    imports (which is how __init__.py re-exports)."""
+    out = read_names(node)
+    if isinstance(node, ast.Attribute):
+        out.add(node.attr)
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        out |= set(imported_names(ast.Module([node], [])))
+    return out
+
+
+def owned_references(tree: ast.Module, module: str, defs: dict) -> dict[str, set]:
+    """{owner: the names it references}, the owner of a node being the
+    innermost definition in `defs` around it, or the module's own code."""
+    owner_of = {node: name for name, node in defs.items()}
+    out: dict[str, set] = {}
+    todo = [(tree, module)]
+    while todo:
+        node, owner = todo.pop()
+        owner = owner_of.get(node, owner)
+        out.setdefault(owner, set()).update(referenced_names(node))
+        todo.extend((child, owner) for child in ast.iter_child_nodes(node))
     return out
 
 
 def dead_definitions(sources: dict[str, str]) -> list[str]:
-    """Definitions of the given modules ({name: source}) that no module
-    references by name."""
-    trees = {name: ast.parse(text) for name, text in sources.items()}
-    referenced = set().union(*(referenced_names(tree) for tree in trees.values()))
-    return sorted(qualified for name, tree in trees.items()
-                  for qualified, bare in definitions(tree, name).items()
-                  if bare not in referenced)
+    """Definitions of the given modules ({name: source}) that no live code
+    references by name.
+
+    A module's own code is live.  A definition is live when live code
+    outside its own body references its name: a name read only inside the
+    definition itself (a recursive call, a method calling itself on
+    another object) does not count, and a definition that only dead ones
+    reference is dead too.  The dead set grows to a fixed point.
+    """
+    refs, bare = {}, {}
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        defs = definitions(tree, module)
+        refs.update(owned_references(tree, module, defs))
+        bare.update((name, name.rpartition(".")[2]) for name in defs)
+    dead: set[str] = set()
+    while True:
+        found = {name for name in bare if name not in dead and not any(
+            bare[name] in names for owner, names in refs.items()
+            if owner not in dead and owner != name and not owner.startswith(name + "."))}
+        if not found:
+            return sorted(dead)
+        dead |= found
 
 
 def test_no_dead_definitions():
@@ -117,3 +157,9 @@ def test_finds_a_dead_definition():
     # a re-export by import counts as a use
     sources["__init__"] = "from .a import unused\n"
     assert dead_definitions(sources) == ["a.C.idle"]
+    # a name read only in its own body does not count, and what only dead
+    # definitions read is dead too
+    sources["c"] = ("def loop(n):\n    return loop(n - 1) + helper()\n\n"
+                    "def helper():\n    return 0\n\n"
+                    "class D:\n    def walk(self, other):\n        return other.walk(self)\n")
+    assert dead_definitions(sources) == ["a.C.idle", "c.D", "c.D.walk", "c.helper", "c.loop"]

@@ -4,10 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dreg.operators import (ThetaOperator, UnivarOperator, chart_infinity,
-                            chart_translate, from_theta_form, lah,
-                            stirling_first_signed, stirling_second,
-                            to_theta_form)
+from dreg.operators import (ThetaOperator, UnivarOperator, chart_infinity, from_theta_form,
+                            lah, stirling_first_signed, stirling_second, to_theta_form)
 from dreg.polynomials import MPoly, RatFun
 from dreg.weyl import WeylElement
 
@@ -111,7 +109,7 @@ class TestLah:
 class TestCharts:
     def test_translate(self):
         p = UnivarOperator.from_entries("x", [-5, x()])
-        q = chart_translate(p, 2)
+        q = p.shift(2)
         assert q.coeff(0) == RatFun.const("x", -5)
         assert q.coeff(1) == x() + 2
 

@@ -204,8 +204,7 @@ class TestAnnihilatorScan:
         gens = []
         for i in range(n):
             unit = tuple(int(k == i) for k in range(n))
-            terms = {(unit, unit): 1, ((0,) * n, (0,) * n): 1} if i < r else \
-                {((0,) * n, unit): 1}
+            terms = {unit + unit: 1, (0,) * (2 * n): 1} if i < r else {(0,) * n + unit: 1}
             gens.append(WeylElement(n, terms))
         assert {str(g) for g in characteristic_ideal(gens).gens} == \
             {str(g) for g in theta_XZ_ideal(chart).gens}

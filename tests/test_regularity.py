@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dreg.operators import UnivarOperator, chart_translate
+from dreg.operators import UnivarOperator
 from dreg.parser import parse_operator
 from dreg.polynomials import INF, MPoly, RatFun
 from dreg.regularity import (GLOBAL_IRREGULAR, GLOBAL_REGULAR,
@@ -65,7 +65,7 @@ class TestFuchs:
             p = random_operator(rng, order=2, degree=2, pole=2)
             c = Fraction(rng.randint(-3, 3))
             direct = fuchs_regular_at(p, c).verdict
-            moved = fuchs_regular_at(chart_translate(p, c), 0).verdict
+            moved = fuchs_regular_at(p.shift(c), 0).verdict
             assert direct == moved
 
 

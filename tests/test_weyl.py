@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dreg.corpus
-from dreg.ideals import Ideal, krull_dimension, normal_form, groebner_basis
+from dreg.ideals import (Ideal, krull_dimension, leading_term, normal_form, groebner_basis,
+                         symbol_weight_order)
 from dreg.parser import parse_weyl_generators
 from dreg.polynomials import MPoly
-from dreg.weyl import (WeylElement, characteristic_ideal, coordinate_names,
-                       format_weyl, weyl_groebner, weyl_mul, weyl_ring)
+from dreg.weyl import (WeylElement, characteristic_ideal, coordinate_names, weyl_groebner,
+                       weyl_mul)
 
 from conftest import (exact_coefficients, random_mpoly, random_weyl, recorded_mismatches,
                       reference_weyl_mul)
@@ -34,7 +35,7 @@ def a1():
 class TestNormalOrdering:
     def test_defining_relation(self):
         x, d = a1()
-        assert d * x == x * d + WeylElement.const(1, 1)
+        assert d * x == x * d + 1
 
     def test_dd_xx(self):
         x, d = a1()
@@ -46,6 +47,17 @@ class TestNormalOrdering:
         x, d = a1()
         theta = x * d
         assert theta * theta == x ** 2 * d ** 2 + x * d
+        # a one-term element has Weyl powers, not multiplied exponents
+        assert theta ** 2 == WeylElement(1, {(2, 2): 1}) + theta
+        assert theta ** 0 == WeylElement.const(1, 1)
+
+    def test_sums_and_scaling_keep_the_type(self):
+        # the arithmetic WeylElement inherits from MPoly returns WeylElements
+        x, d = a1()
+        for value in (x + d, x - d, -x, x.scale(3), x.scale(0), x * d + 1, 1 - d,
+                      x * Fraction(1, 2)):
+            assert type(value) is WeylElement and value.vars == ("x", "d")
+        assert x.scale(0) == WeylElement.zero(1)
 
     def test_pure_parts_commute(self):
         x, d = a1()
@@ -77,6 +89,10 @@ class TestNormalOrdering:
             assert theta2.apply(xk) == xk.scale(k * k)
 
 
+APPELL_F1 = ("x*dx^2 - x^2*dx^2 + y*dx*dy - x*y*dx*dy + 2/3*dx - 5/2*x*dx - 1/2*y*dy - 1/2 ;"
+             " y*dy^2 - y^2*dy^2 + x*dx*dy - x*y*dx*dy + 2/3*dy - 7/3*y*dy - 1/3*x*dx - 1/3")
+
+
 COEFFS = st.fractions(min_value=-4, max_value=4, max_denominator=4).filter(bool)
 
 
@@ -87,7 +103,8 @@ def multi_indices(n, degree):
 def weyl_elements(n, degree=2, max_terms=3):
     """Small elements of A_n, zero included."""
     return st.dictionaries(st.tuples(multi_indices(n, degree), multi_indices(n, degree)),
-                           COEFFS, max_size=max_terms).map(lambda t: WeylElement(n, t))
+                           COEFFS, max_size=max_terms).map(
+        lambda t: WeylElement(n, {alpha + beta: c for (alpha, beta), c in t.items()}))
 
 
 def coordinate_polynomials(n, degree=3, max_terms=3):
@@ -98,7 +115,7 @@ def coordinate_polynomials(n, degree=3, max_terms=3):
 def as_weyl(p: MPoly) -> WeylElement:
     """A polynomial in the coordinates as an element of A_n."""
     n = len(p.vars)
-    return WeylElement(n, {(e, (0,) * n): c for e, c in p.terms.items()})
+    return WeylElement(n, {e + (0,) * n: c for e, c in p.terms.items()})
 
 
 class TestProductProperties:
@@ -144,7 +161,7 @@ class TestProductProperties:
         # c * x^alpha on the left takes the shift path, any other factor the
         # contraction; both must give the product term by term
         alpha = data.draw(multi_indices(n, 3))
-        a = WeylElement(n, {(alpha, (0,) * n): data.draw(COEFFS)})
+        a = WeylElement(n, {alpha + (0,) * n: data.draw(COEFFS)})
         b = data.draw(weyl_elements(n, degree=3, max_terms=4))
         shifted = weyl_mul(a, b)
         assert shifted == reference_weyl_mul(a, b)
@@ -159,7 +176,7 @@ class TestProductProperties:
         # times an element; the table rows replace the per-pair factorials
         alpha = data.draw(multi_indices(n, 3))
         beta = data.draw(multi_indices(n, 3).filter(any))
-        a = WeylElement(n, {(alpha, beta): data.draw(COEFFS)})
+        a = WeylElement(n, {alpha + beta: data.draw(COEFFS)})
         b = data.draw(weyl_elements(n, degree=3, max_terms=4))
         product = weyl_mul(a, b)
         assert product == reference_weyl_mul(a, b)
@@ -176,6 +193,10 @@ class TestSymbols:
         y_dx = WeylElement.x(2, 1) * WeylElement.d(2, 0) - WeylElement.const(2, 1)
         assert y_dx.principal_symbol() == MPoly(
             ("x", "y", "xi", "eta"), {(0, 1, 1, 0): Fraction(1)})
+        f1 = parse_weyl_generators(APPELL_F1, ("x", "y"))
+        assert [str(g.principal_symbol()) for g in f1] == [
+            "-x^2*xi^2 - x*y*xi*eta + x*xi^2 + y*xi*eta",
+            "-x*y*xi*eta - y^2*eta^2 + x*xi*eta + y*eta^2"]
 
     def test_symbol_multiplicative_and_order_additive(self):
         rng = random.Random(47)
@@ -207,10 +228,14 @@ class TestWeylGroebner:
         assert ideal.gens == (MPoly(("x", "xi"), {(1, 1): Fraction(1)}),)
 
     def test_left_ideal_with_unit(self):
-        # x and d generate the unit left ideal: the S-pair is the constant 1
+        # x and d generate the unit left ideal: the S-pair is the constant 1.
+        # Their leading terms are coprime, and (x, xi) in Q[x, xi] keeps both
+        # generators, its pair dropped by the coprimality criterion, which
+        # must not run in A_n
         x, d = a1()
-        gb = weyl_groebner([x, d])
-        assert gb == [WeylElement.const(1, 1)]
+        assert weyl_groebner([x, d]) == [WeylElement.const(1, 1)]
+        x, xi = MPoly.var(("x", "xi"), "x"), MPoly.var(("x", "xi"), "xi")
+        assert groebner_basis(Ideal(("x", "xi"), [x, xi]), symbol_weight_order(2)) == [x, xi]
 
     def test_exponential_module_three_components(self):
         X, Y = WeylElement.x(2, 0), WeylElement.x(2, 1)
@@ -235,18 +260,18 @@ class TestWeylGroebner:
             if not gb:
                 continue
             n = gb[0].n
-            ring = weyl_ring(n)
+            order = symbol_weight_order(2 * n)
             for i in range(len(gb)):
                 for j in range(i + 1, len(gb)):
-                    fe, fc = ring.leading(gb[i])
-                    ge, gc = ring.leading(gb[j])
+                    fe, fc = leading_term(gb[i], order)
+                    ge, gc = leading_term(gb[j], order)
                     lcm = tuple(max(p, q) for p, q in zip(fe, ge))
                     ei = tuple(p - q for p, q in zip(lcm, fe))
                     ej = tuple(p - q for p, q in zip(lcm, ge))
-                    mi = WeylElement(n, {(ei[:n], ei[n:]): Fraction(1) / fc})
-                    mj = WeylElement(n, {(ej[:n], ej[n:]): Fraction(1) / gc})
+                    mi = WeylElement(n, {ei: Fraction(1) / fc})
+                    mj = WeylElement(n, {ej: Fraction(1) / gc})
                     s = weyl_mul(mi, gb[i]) - weyl_mul(mj, gb[j])
-                    assert normal_form(s, gb, ring).is_zero()
+                    assert normal_form(s, gb, order).is_zero()
 
     def test_unit_ideal_cliff_within_budget(self):
         # normal selection with the chain criterion stops at pop 220, when a
