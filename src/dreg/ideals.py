@@ -4,10 +4,16 @@ One Buchberger driver serves both rings of the package: the commutative
 polynomial ring Q[vars] (the symbol ring) and the Weyl algebra A_n, whose
 elements are `MPoly`s in x and d with their own product (`dreg.weyl`).  The
 driver takes a term order; it builds new elements of its input's type with
-`MPoly._with`, multiplies with the elements' own product, and skips S-pairs
-by coprimality only where the elements say they commute
-(`MPoly.commutative`).  The S-pair loop, the division routine and the
-interreduction are shared.  Arithmetic
+`MPoly._with`, and skips S-pairs by coprimality only where the elements say
+they commute (`MPoly.commutative`).  A run computes the order key of each
+exponent it meets once, in a table it makes and passes down
+(`OrderKeys`).  A division step, and the building of an S-element,
+subtract a one-term multiple of a basis element from a term map in place:
+a shift and a scale of its terms where the elements commute, else the
+elements' own product.  The S-pair loop (`buchberger_loop`) and the
+interreduction are two steps: a reduced basis takes both, while the
+unit-ideal tests (`is_unit_ideal`, `radical_membership`) only ask whether
+a nonzero constant entered the loop and stop there.  Arithmetic
 inside the driver is on integers: it keeps primitive integer multiples of
 its elements and divides by pseudo-division.  Rationals appear only at the
 boundary, in the monic reduced basis and in the exact remainder
@@ -115,6 +121,27 @@ def leading_term(p: MPoly, order: TermOrder) -> tuple[tuple, Fraction]:
     return e, p.terms[e]
 
 
+class OrderKeys(dict):
+    """The order key of every exponent tuple one driver run meets, each
+    computed once, on first use.
+
+    A run makes its own table and hands it to everything it does: leading
+    terms, the pair heap, every division and the interreduction.  `key`
+    reads the table, so a table serves wherever a `TermOrder`'s key does.
+    """
+
+    __slots__ = ("order",)
+    key = dict.__getitem__
+
+    def __init__(self, order: TermOrder):
+        super().__init__()
+        self.order = order
+
+    def __missing__(self, e: tuple) -> tuple:
+        k = self[e] = self.order.key(e)
+        return k
+
+
 def _divides(a: tuple, b: tuple) -> bool:
     return all(map(le, a, b))
 
@@ -141,7 +168,27 @@ def _integral(terms: dict) -> tuple[dict, Fraction]:
     return ints, Fraction(g, den)
 
 
-def _pseudo_remainder(f, basis: Sequence, leads: Sequence, order: TermOrder) -> tuple[dict, int]:
+def _subtract(rest: dict, q: int, s: tuple, g) -> None:
+    """rest -= q * x^s * g, in place on the term map.
+
+    Where g commutes the product is g's terms shifted by s and scaled by q;
+    in A_n it is the Weyl product of the one-term left factor with g.
+    """
+    if g.commutative:
+        product = ((tuple(map(add, u, s)), q * v) for u, v in g.terms.items())
+    else:
+        product = (g._with({s: q}) * g).terms.items()
+    for u, v in product:
+        w = rest.get(u)
+        if w is None:
+            rest[u] = -v
+        elif w == v:
+            del rest[u]
+        else:
+            rest[u] = w - v
+
+
+def _pseudo_remainder(f, basis: Sequence, leads: Sequence, keys: OrderKeys) -> tuple[dict, int]:
     """(R, m) with R the integer term map of m * (remainder of f), m > 0.
 
     f and the basis have integer coefficients.  The division runs inside
@@ -151,14 +198,13 @@ def _pseudo_remainder(f, basis: Sequence, leads: Sequence, order: TermOrder) -> 
     to the remainder.  Scaling by a nonzero constant changes no support, so
     the steps are those of the division over Q.
     """
-    key = order.key
+    rank = keys.__getitem__
     done, rest = {}, dict(f.terms)
     scale = 1
-    rank = {e: key(e) for e in rest}      # order key of every term met
     while rest:
-        e = max(rest, key=rank.__getitem__)
+        e = max(rest, key=rank)
         for g, (ge, gc) in zip(basis, leads):
-            if _divides(ge, e):
+            if all(map(le, ge, e)):
                 a = rest[e]
                 h = math.gcd(a, gc) if gc > 0 else -math.gcd(a, gc)
                 m = gc // h
@@ -168,65 +214,59 @@ def _pseudo_remainder(f, basis: Sequence, leads: Sequence, order: TermOrder) -> 
                         rest[u] *= m
                     for u in done:
                         done[u] *= m
-                product = f._with({_exp_sub(e, ge): a // h}) * g
-                for u, v in product.terms.items():
-                    s = rest.get(u)
-                    if s is None:
-                        rest[u] = -v
-                        if u not in rank:
-                            rank[u] = key(u)
-                    elif s == v:
-                        del rest[u]
-                    else:
-                        rest[u] = s - v
+                _subtract(rest, a // h, _exp_sub(e, ge), g)
                 break
         else:
             done[e] = rest.pop(e)
     return done, scale
 
 
-def normal_form(f, basis: Sequence, order: TermOrder = DEGREVLEX,
+def normal_form(f, basis: Sequence, order: TermOrder | OrderKeys = DEGREVLEX,
                 leads: Sequence | None = None):
     """Full remainder of f on (left) division by the basis (every term reduced).
 
     The division is integer pseudo-division (`_pseudo_remainder`).  Called
-    with `leads`, the basis' leading terms, as the Buchberger driver does,
-    f and the basis must have integer coefficients, and the result is the
-    primitive integer multiple of the remainder.  Without them, f and the
-    basis are made integer here and the exact remainder comes back,
-    divided once per term into exact rationals in normal form.
+    with `leads`, the basis' leading terms, as the Buchberger driver does
+    (with its run's `OrderKeys` for the order), f and the basis must have
+    integer coefficients, and the result is the primitive integer multiple
+    of the remainder.  Without them, f and the basis are made integer here
+    and the exact remainder comes back, divided once per term into exact
+    rationals in normal form.
     """
     if not basis or f.is_zero():
         return f
+    keys = order if isinstance(order, OrderKeys) else OrderKeys(order)
     if leads is not None:
-        r, _ = _pseudo_remainder(f, basis, leads, order)
+        r, _ = _pseudo_remainder(f, basis, leads, keys)
         return f._with(_primitive(r)[0])
-    basis, leads = _integral_basis(basis, order)
+    basis, leads = _integral_basis(basis, keys)
     ints, c = _integral(f.terms)
-    r, m = _pseudo_remainder(f._with(ints), basis, leads, order)
+    r, m = _pseudo_remainder(f._with(ints), basis, leads, keys)
     c /= m
     return f._with({e: _exact(v * c) for e, v in r.items()})
 
 
-def _integral_basis(basis: Sequence, order: TermOrder) -> tuple[list, list]:
+def _integral_basis(basis: Sequence, keys: OrderKeys) -> tuple[list, list]:
     """The primitive integer multiples of the basis elements and their
     leading terms: what `normal_form` takes with `leads`."""
     basis = [g._with(_integral(g.terms)[0]) for g in basis]
-    return basis, [leading_term(g, order) for g in basis]
+    return basis, [leading_term(g, keys) for g in basis]
 
 
 def all_in_ideal(fs: Iterable, gb: Sequence, order: TermOrder = DEGREVLEX) -> bool:
     """Whether every f lies in the ideal a Gröbner basis gb spans: each
     remainder is zero.  The basis is made integer once for all of them."""
-    basis, leads = _integral_basis(gb, order)
-    return all(normal_form(f._with(_integral(f.terms)[0]), basis, order, leads).is_zero()
+    keys = OrderKeys(order)
+    basis, leads = _integral_basis(gb, keys)
+    return all(normal_form(f._with(_integral(f.terms)[0]), basis, keys, leads).is_zero()
                for f in fs)
 
 
-def buchberger_basis(gens: Iterable, order: TermOrder, budget: int = DEFAULT_BUDGET,
-                     known: Sequence = ()) -> list:
-    """Reduced (left) Gröbner basis under `order` of the (left) ideal
-    `known` and the generators span.
+def buchberger_loop(gens: Iterable, keys: OrderKeys, budget: int = DEFAULT_BUDGET,
+                    known: Sequence = ()) -> tuple[list, list]:
+    """The S-pair loop: a (left) Gröbner basis, not reduced, of the (left)
+    ideal `known` and the generators span, and its elements' leading terms,
+    under the order of the run's key table.
 
     `known` must be a Gröbner basis under the order.  The loop
     starts from it with the pairs among its elements counted as processed:
@@ -241,23 +281,23 @@ def buchberger_basis(gens: Iterable, order: TermOrder, budget: int = DEFAULT_BUD
     coprimality criterion is used only for commutative elements: in A_n the
     commutator of elements with disjoint leading supports need not vanish.
     `budget` counts the pairs taken off the queue, those a criterion drops
-    included.  A nonzero constant in the basis ends the loop at once: the
-    reduced basis of the unit ideal is [1].
+    included.  A nonzero constant ends the loop at once: it is then the
+    last element (`_is_unit`).
 
     Every element the loop keeps is the primitive integer multiple of the
     element over Q, and an S-element is built with integer cofactors, so
-    the loop runs on integers; the reduced basis is made monic at the end.
+    the loop runs on integers.
     """
     basis, leads = [], []           # the elements and their leading terms
     queue, pending = [], set()      # heap of (order key of lcm, j, i, lcm); the (i, j) in it
 
     def insert(g, paired: bool) -> bool:
         """Add g, and its pairs when `paired`; True when g is a constant."""
-        lead = leading_term(g, order)
+        lead = leading_term(g, keys)
         j = len(basis)
         for i, (fe, _) in enumerate(leads if paired else ()):
             lcm = _exp_lcm(fe, lead[0])
-            heapq.heappush(queue, (order.key(lcm), j, i, lcm))
+            heapq.heappush(queue, (keys[lcm], j, i, lcm))
             pending.add((i, j))
         basis.append(g)
         leads.append(lead)
@@ -266,7 +306,7 @@ def buchberger_basis(gens: Iterable, order: TermOrder, budget: int = DEFAULT_BUD
     for paired, elements in ((False, known), (True, gens)):
         for g in elements:
             if not g.is_zero() and insert(g._with(_integral(g.terms)[0]), paired):
-                return [g._with({leads[-1][0]: 1})]
+                return basis, leads
     processed = 0
     while queue:
         processed += 1
@@ -279,17 +319,38 @@ def buchberger_basis(gens: Iterable, order: TermOrder, budget: int = DEFAULT_BUD
         # Buchberger's coprimality criterion, sound only where elements commute.
         if basis[i].commutative and lcm == tuple(map(add, fe, ge)):
             continue
-        if any(_divides(ke, lcm) and k != i and k != j
+        if any(all(map(le, ke, lcm)) and k != i and k != j
                and (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending
                for k, (ke, _) in enumerate(leads)):
             continue
+        # the S-element (gc/h) x^(lcm-fe) f - (fc/h) x^(lcm-ge) g, built in one term map
         h = math.gcd(fc, gc)
-        s = (basis[i]._with({_exp_sub(lcm, fe): gc // h}) * basis[i]
-             - basis[j]._with({_exp_sub(lcm, ge): fc // h}) * basis[j])
-        r = normal_form(s, basis, order, leads)
+        s = {}
+        _subtract(s, -(gc // h), _exp_sub(lcm, fe), basis[i])
+        _subtract(s, fc // h, _exp_sub(lcm, ge), basis[j])
+        r = normal_form(basis[i]._with(s), basis, keys, leads)
         if not r.is_zero() and insert(r, True):
-            return [r._with({leads[-1][0]: 1})]
-    return _reduce_basis(basis, leads, order)
+            return basis, leads
+    return basis, leads
+
+
+def _is_unit(leads: Sequence) -> bool:
+    """Whether a basis the loop returned holds a nonzero constant (its last
+    element, if any)."""
+    return bool(leads) and not any(leads[-1][0])
+
+
+def buchberger_basis(gens: Iterable, order: TermOrder, budget: int = DEFAULT_BUDGET,
+                     known: Sequence = ()) -> list:
+    """Reduced (left) Gröbner basis under `order` of the (left) ideal
+    `known` and the generators span: the S-pair loop (`buchberger_loop`),
+    then the interreduction, which makes the basis monic.  The reduced
+    basis of the unit ideal is [1]."""
+    keys = OrderKeys(order)
+    basis, leads = buchberger_loop(gens, keys, budget, known)
+    if _is_unit(leads):
+        return [basis[-1]._with({leads[-1][0]: 1})]
+    return _reduce_basis(basis, leads, keys)
 
 
 def groebner_basis(ideal: Ideal, order: TermOrder = DEGREVLEX,
@@ -298,7 +359,7 @@ def groebner_basis(ideal: Ideal, order: TermOrder = DEGREVLEX,
     return buchberger_basis(ideal.gens, order, budget)
 
 
-def _reduce_basis(basis: list, leads: list, order: TermOrder) -> list:
+def _reduce_basis(basis: list, leads: list, keys: OrderKeys) -> list:
     # Minimalize: drop generators whose leading monomial another one divides.
     keep = []
     for i, (e, _) in enumerate(leads):
@@ -313,8 +374,8 @@ def _reduce_basis(basis: list, leads: list, order: TermOrder) -> list:
     reduced = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
-        r = normal_form(g, others, order, lead[:i] + lead[i + 1:]) if others else g
-        reduced.append((order.key(lead[i][0]), r.scale(_inverse(leading_term(r, order)[1]))))
+        r = normal_form(g, others, keys, lead[:i] + lead[i + 1:]) if others else g
+        reduced.append((keys[lead[i][0]], r.scale(_inverse(r.terms[lead[i][0]]))))
     return [r for _, r in sorted(reduced, key=lambda kr: kr[0])]
 
 
@@ -325,8 +386,9 @@ def buchberger(ideal: Ideal, order: TermOrder = DEGREVLEX,
 
 
 def is_unit_ideal(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> bool:
-    gb = groebner_basis(ideal, DEGREVLEX, budget)
-    return any(g.is_constant() and not g.is_zero() for g in gb)
+    """Whether 1 lies in the ideal: whether a nonzero constant enters the
+    DEGREVLEX S-pair loop, with no interreduction after it."""
+    return _is_unit(buchberger_loop(ideal.gens, OrderKeys(DEGREVLEX), budget)[1])
 
 
 def krull_dimension(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> int:
@@ -369,10 +431,12 @@ def radical_membership(f: MPoly, ideal: Ideal, budget: int = DEFAULT_BUDGET) -> 
     """Decide f in sqrt(I) by testing 1 in I + (1 - t*f) with t fresh.
 
     An ideal whose generators are a reduced basis (`basis_order`) starts
-    the driver from that basis, under its order extended by t last, of
+    the S-pair loop from that basis, under its order extended by t last, of
     weight 0: on t-free monomials that order is the basis' own, so the
     basis stays one, and only the pairs of 1 - t*f are queued.  Any other
-    ideal gets a DEGREVLEX basis of I + (1 - t*f) from scratch.
+    ideal runs the DEGREVLEX loop on I + (1 - t*f) from scratch
+    (`is_unit_ideal`).  Either way the answer is whether a nonzero
+    constant enters the loop, and no basis is interreduced.
     """
     if f.vars != ideal.vars:
         raise ValueError("polynomial and ideal live in different rings")
@@ -390,8 +454,7 @@ def radical_membership(f: MPoly, ideal: Ideal, budget: int = DEFAULT_BUDGET) -> 
         return is_unit_ideal(Ideal(bigvars, gens + [rabinowitsch]), budget)
     if order.weights is not None:
         order = weighted_order(order.weights + (0,))
-    gb = buchberger_basis([rabinowitsch], order, budget, known=gens)
-    return any(g.is_constant() for g in gb)
+    return _is_unit(buchberger_loop([rabinowitsch], OrderKeys(order), budget, known=gens)[1])
 
 
 def minimal_monomial_generators(ideal: Ideal) -> list[tuple]:

@@ -52,7 +52,10 @@ class MPoly:
     """Multivariate polynomial over Q with a fixed ordered variable tuple.
 
     Terms map exponent tuples to nonzero coefficients; zero coefficients are
-    never stored, so equality of polynomials is equality of term maps.
+    never stored, so equality of polynomials is equality of term maps.  A
+    subclass with its own product (`dreg.weyl.WeylElement`) is another
+    ring: its elements never equal an MPoly, and sums and products with
+    one raise ValueError.
     """
 
     __slots__ = ("vars", "terms")
@@ -127,7 +130,8 @@ class MPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MPoly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return (self.__class__ is other.__class__ and self.vars == other.vars
+                and self.terms == other.terms)
 
     def __hash__(self):
         return hash((self.vars, frozenset(self.terms.items())))
@@ -143,6 +147,10 @@ class MPoly:
         return out
 
     def _check(self, other: "MPoly") -> None:
+        """Refuse an operand of another ring: other variables, or another
+        class, whose product differs (an MPoly and a WeylElement)."""
+        if self.__class__ is not other.__class__:
+            raise ValueError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
         if self.vars != other.vars:
             raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
 

@@ -24,7 +24,7 @@ from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .ideals import DEFAULT_BUDGET, Ideal, buchberger_basis, symbol_weight_order
-from .polynomials import MPoly, _exact, format_mpoly
+from .polynomials import MPoly, _exact, as_rat, format_mpoly
 
 _COORD_NAMES = ("x", "y", "z")
 _SYMBOL_NAMES = ("xi", "eta", "zeta")
@@ -76,15 +76,25 @@ class WeylElement(MPoly):
 
     @classmethod
     def const(cls, n: int, value) -> "WeylElement":
-        return cls(n, {(0,) * (2 * n): value})
+        value = as_rat(value)
+        return cls._from_terms(n, {(0,) * (2 * n): value} if value else {})
 
     @classmethod
-    def x(cls, n: int, i: int, power: int = 1) -> "WeylElement":
-        return cls(n, {tuple(power if j == i else 0 for j in range(2 * n)): 1})
+    def x(cls, n: int, i: int) -> "WeylElement":
+        return cls._from_terms(n, {tuple(1 if j == i else 0 for j in range(2 * n)): 1})
 
     @classmethod
-    def d(cls, n: int, i: int, power: int = 1) -> "WeylElement":
-        return cls(n, {tuple(power if j == n + i else 0 for j in range(2 * n)): 1})
+    def d(cls, n: int, i: int) -> "WeylElement":
+        return cls._from_terms(n, {tuple(1 if j == n + i else 0 for j in range(2 * n)): 1})
+
+    @classmethod
+    def _from_terms(cls, n: int, terms: dict) -> "WeylElement":
+        """The element of A_n with this term map, taken as given: what the
+        constructors above build, without the checks of `MPoly.__init__`."""
+        out = object.__new__(cls)
+        out.vars = _weyl_vars(n)
+        out.terms = terms
+        return out
 
     # -- structure -----------------------------------------------------------
 

@@ -359,18 +359,17 @@ class TestOneBasisPerRequest:
     ideal."""
 
     def runs(self, monkeypatch):
+        # every driver run, reduced basis or unit test, enters the S-pair loop
         import dreg.ideals
-        import dreg.weyl
         calls = []
-        real = dreg.ideals.buchberger_basis
+        real = dreg.ideals.buchberger_loop
 
-        def counting(gens, order, budget=dreg.ideals.DEFAULT_BUDGET, known=()):
+        def counting(gens, keys, budget=dreg.ideals.DEFAULT_BUDGET, known=()):
             gens = list(gens)
             calls.append((gens[0].commutative, gens, list(known)))
-            return real(gens, order, budget, known)
+            return real(gens, keys, budget, known)
 
-        monkeypatch.setattr(dreg.ideals, "buchberger_basis", counting)
-        monkeypatch.setattr(dreg.weyl, "buchberger_basis", counting)
+        monkeypatch.setattr(dreg.ideals, "buchberger_loop", counting)
         return calls
 
     @pytest.mark.parametrize("argv", [

@@ -2,6 +2,7 @@ import importlib.util
 import itertools
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,11 +10,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dreg.dmod import OTHER, ZeroModuleError, decompose_symbol_ideal, dimension_report
-from dreg.ideals import (BudgetExceeded, DEGREVLEX, LEX, Ideal, NotMonomialIdeal,
-                         buchberger, buchberger_basis, groebner_basis,
-                         is_radical_squarefree_monomial, krull_dimension,
-                         leading_term, normal_form, radical_membership,
-                         symbol_weight_order)
+from dreg.ideals import (BudgetExceeded, DEGREVLEX, LEX, Ideal, NotMonomialIdeal, OrderKeys,
+                         TermOrder, _is_unit, buchberger, buchberger_basis, buchberger_loop,
+                         groebner_basis, is_radical_squarefree_monomial, is_unit_ideal,
+                         krull_dimension, leading_term, normal_form, radical_membership,
+                         symbol_weight_order, weighted_order)
 from dreg.parser import parse_weyl_generators
 from dreg.polynomials import MPoly
 from dreg.weyl import WeylElement, characteristic_ideal, weyl_groebner
@@ -591,3 +592,160 @@ class TestCharacteristicBasis:
         started = outcome(lambda g, o, b: buchberger_basis(g, o, b, known=gb), extra, order)
         if whole is not None and started is not None:
             assert started == whole
+
+
+def has_constant(gb) -> bool:
+    return any(g.is_constant() and not g.is_zero() for g in gb)
+
+
+@st.composite
+def unit_or_not(draw, gens):
+    """The generators, or, half the time, the generators and h * g + 1 for a
+    generator g: an ideal that holds 1 = (h * g + 1) - h * g."""
+    if not draw(st.booleans()):
+        return gens
+    g = gens[0]
+    h = g._with(MPoly(g.vars, draw(flat_terms(len(g.vars), 1, 2))).terms)
+    return gens + [h * g + 1]
+
+
+@st.composite
+def multilinear_generators(draw):
+    """One to three generators of at most three terms, each variable to at
+    most the first power: under POP_BOUND pops no draw swells for long.  A
+    derandomized draw of symbol_ring_generators took 20 s of 100 pops in the
+    Fraction reference; TestIntegerDriver keeps drawing those."""
+    terms = draw(st.lists(flat_terms(4, 1, 3), min_size=1, max_size=3))
+    return [MPoly(SYMBOL_VARS, t) for t in terms]
+
+
+def rabinowitsch(f, ideal):
+    """(generators of I in the ring with t, 1 - t*f) as radical_membership builds them."""
+    bigvars = ideal.vars + ("_t",)
+    t = MPoly.var(bigvars, "_t")
+    return [g.extend(bigvars) for g in ideal.gens], MPoly.const(bigvars, 1) - t * f.extend(bigvars)
+
+
+def extended(order):
+    return weighted_order(order.weights + (0,)) if order.weights is not None else order
+
+
+def bounded(call):
+    """call(POP_BOUND), or None when that budget runs out."""
+    try:
+        return call(POP_BOUND)
+    except BudgetExceeded:
+        return None
+
+
+class TestLoopAndUnitTests:
+    """The driver against the Fraction reference on random ideals of both
+    rings, units included; and the unit-ideal tests, which stop at the
+    S-pair loop, against the old answer: does the reduced basis hold a
+    constant.  Every driver call is bounded by POP_BOUND pops."""
+
+    @pytest.mark.parametrize("order", ORACLE_ORDERS, ids=["degrevlex", "lex", "symbol"])
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_polynomial_ideals(self, order, data):
+        gens = data.draw(unit_or_not(data.draw(multilinear_generators())))
+        gb = outcome(buchberger_basis, gens, order)
+        assert gb == outcome(reference_buchberger_basis, gens, order)
+        loop = bounded(lambda b: _is_unit(buchberger_loop(gens, OrderKeys(order), b)[1]))
+        assert loop == (None if gb is None else has_constant(gb))
+        if order is DEGREVLEX:
+            assert bounded(lambda b: is_unit_ideal(Ideal(SYMBOL_VARS, gens), b)) == loop
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_weyl_ideals(self, data):
+        gens = data.draw(unit_or_not(data.draw(a1_a2_generators())))
+        order = symbol_weight_order(2 * gens[0].n)
+        gb = outcome(buchberger_basis, gens, order)
+        assert gb == outcome(reference_buchberger_basis, gens, order)
+        loop = bounded(lambda b: _is_unit(buchberger_loop(gens, OrderKeys(order), b)[1]))
+        assert loop == (None if gb is None else has_constant(gb))
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(gens=multilinear_generators(), data=st.data())
+    def test_radical_membership_from_scratch(self, gens, data):
+        ideal = Ideal(SYMBOL_VARS, gens)
+        fs = [MPoly(SYMBOL_VARS, data.draw(flat_terms(4, 2, 2))), gens[0] * gens[-1]]
+        for f in fs:
+            big, rab = rabinowitsch(f, ideal)
+            verdict = bounded(lambda b: radical_membership(f, ideal, b))
+            old = outcome(reference_buchberger_basis, big + [rab], DEGREVLEX)
+            assert verdict == (None if old is None else has_constant(old))
+
+    @pytest.mark.parametrize("order", ORACLE_ORDERS, ids=["degrevlex", "lex", "symbol"])
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(gens=multilinear_generators(), data=st.data())
+    def test_radical_membership_from_a_known_basis(self, order, gens, data):
+        gb = outcome(buchberger_basis, gens, order)
+        if gb is None:
+            return
+        ideal = Ideal(SYMBOL_VARS, gb, basis_order=order)
+        fs = [MPoly(SYMBOL_VARS, data.draw(flat_terms(4, 2, 2))), gens[0] * gens[-1],
+              MPoly.const(SYMBOL_VARS, 3)]
+        for f in fs:
+            big, rab = rabinowitsch(f, ideal)
+            verdict = bounded(lambda b: radical_membership(f, ideal, b))
+            # the old test: the reduced basis from the known start holds a constant
+            old = bounded(lambda b: buchberger_basis([rab], extended(order), b, known=big))
+            assert verdict == (None if old is None else has_constant(old))
+            scratch = outcome(reference_buchberger_basis, big + [rab], extended(order))
+            if verdict is not None and scratch is not None:
+                assert verdict == has_constant(scratch)
+
+
+class TestDriverWork:
+    """Work counts of driver runs on the benchmark's Appell F1 pair and GKZ
+    sample: a run evaluates TermOrder.key at most once per exponent, a
+    radical test that answers False runs no interreduction, and both counts
+    repeat from one run to the next."""
+
+    @pytest.fixture
+    def counters(self, monkeypatch):
+        import dreg.ideals
+        keys, reductions = Counter(), []
+        real_key, real_reduce = TermOrder.key, dreg.ideals._reduce_basis
+
+        def key(order, exps):
+            keys[exps] += 1
+            return real_key(order, exps)
+
+        def reduce_basis(*args):
+            reductions.append(len(args[0]))
+            return real_reduce(*args)
+
+        monkeypatch.setattr(TermOrder, "key", key)
+        monkeypatch.setattr(dreg.ideals, "_reduce_basis", reduce_basis)
+        return keys, reductions
+
+    def work(self, counters, family, nparams) -> list:
+        keys, reductions = counters
+        _, build, _, variables = next(f for f in WORKLOADS.FAMILIES if f[0] == family)
+        names = tuple(variables.split(","))
+        gens = parse_weyl_generators(" ; ".join(build(*WORKLOADS.PARAMS[:nparams])), names)
+        counts = []
+        keys.clear()
+        ideal = characteristic_ideal(gens)
+        assert keys and max(keys.values()) == 1
+        counts.append(sum(keys.values()))
+        cv = decompose_symbol_ideal(ideal, len(names))
+        verdicts = []
+        for f in cover_products(cv):
+            keys.clear()
+            reductions.clear()
+            verdict = radical_membership(f, ideal)
+            assert max(keys.values()) == 1
+            if not verdict:
+                assert reductions == []
+            verdicts.append(verdict)
+            counts.append((verdict, sum(keys.values()), len(reductions)))
+        assert False in verdicts
+        return counts
+
+    @pytest.mark.parametrize("family, nparams", [("appell-f1", 4), ("gkz", 2)])
+    def test_counts_hold_and_repeat(self, counters, family, nparams):
+        assert self.work(counters, family, nparams) == self.work(counters, family, nparams)

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -58,6 +59,22 @@ class TestNormalOrdering:
                       x * Fraction(1, 2)):
             assert type(value) is WeylElement and value.vars == ("x", "d")
         assert x.scale(0) == WeylElement.zero(1)
+
+    def test_one_term_constructors_equal_the_checked_ones(self):
+        # x, d and const build their term maps without MPoly.__init__
+        for n in (1, 2, 3):
+            for i in range(n):
+                for built, exps in ((WeylElement.x(n, i), tuple(int(j == i) for j in range(2 * n))),
+                                    (WeylElement.d(n, i),
+                                     tuple(int(j == n + i) for j in range(2 * n)))):
+                    checked = WeylElement(n, {exps: 1})
+                    assert built == checked and built.vars == checked.vars
+            for c in (0, 3, Fraction(4, 2), Fraction(-1, 3)):
+                built, checked = WeylElement.const(n, c), WeylElement(n, {(0,) * (2 * n): c})
+                assert built == checked
+                assert list(map(type, built.terms.values())) == list(map(type, checked.terms.values()))
+        with pytest.raises(ValueError):
+            WeylElement.const(0, 1)
 
     def test_pure_parts_commute(self):
         x, d = a1()
@@ -181,6 +198,26 @@ class TestProductProperties:
         product = weyl_mul(a, b)
         assert product == reference_weyl_mul(a, b)
         assert exact_coefficients([product])
+
+
+class TestRingsDoNotMix:
+    """An MPoly in the variables x, d is no Weyl element: the two never
+    compare equal, and a sum or product of one with the other raises."""
+
+    def test_mixed_arithmetic_raises(self):
+        x, d = a1()
+        p = MPoly(x.vars, {(1, 0): 1})
+        for left, right in ((p, d), (d, p)):
+            for op in (operator.add, operator.sub, operator.mul):
+                with pytest.raises(ValueError):
+                    op(left, right)
+
+    def test_equality_stays_within_one_class(self):
+        x, _ = a1()
+        p = MPoly(x.vars, x.terms)
+        assert p != x and x != p
+        assert x == WeylElement(1, {(1, 0): 1}) and hash(x) == hash(WeylElement(1, {(1, 0): 1}))
+        assert p == MPoly(("x", "d"), {(1, 0): 1}) and hash(p) == hash(MPoly(("x", "d"), {(1, 0): 1}))
 
 
 class TestSymbols:
