@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .polynomials import MPoly, RatFun, as_rat, denominator_lcm
+from .polynomials import MPoly, RatFun, denominator_lcm
 from .weyl import WeylElement
 
 
@@ -159,28 +159,11 @@ class UnivarOperator:
         lead = self.leading_coeff()
         return UnivarOperator(self.var, [c / lead for c in self.coeffs])
 
-    def apply(self, f: RatFun) -> RatFun:
-        """Act on a rational function."""
-        total = RatFun.zero(self.var)
-        deriv = f
-        for c in self.coeffs:
-            if not c.is_zero():
-                total = total + c * deriv
-            deriv = deriv.derivative()
-        return total
-
     # -- coordinate changes ------------------------------------------------------
 
     def shift(self, c) -> "UnivarOperator":
         """Translate the point c to the origin: substitute x -> x + c."""
         return UnivarOperator(self.var, [b.shift(c) for b in self.coeffs])
-
-    def scale_var(self, c) -> "UnivarOperator":
-        """Substitute x -> c*x (so d -> d/c) for nonzero rational c."""
-        c = as_rat(c)
-        return UnivarOperator(
-            self.var,
-            [b.scale_var(c) / (c ** i) for i, b in enumerate(self.coeffs)])
 
     def at_infinity(self, new_var: str = "t") -> "UnivarOperator":
         """Image under x = 1/t, d_x = -t^2 d_t.

@@ -152,8 +152,8 @@ def _symbol_monomials(chart: NCChart, bound: int):
 
 def _window(chart: NCChart, level: int, max_poly: int) -> tuple:
     """Pairs (pole order, exponent) of the monomials with pole order <= level
-    and polynomial degree <= max_poly, by pole order."""
-    return tuple((pole, alpha) for pole in range(level + 1)
+    and polynomial degree <= max_poly, deepest pole first."""
+    return tuple((pole, alpha) for pole in range(level, -1, -1)
                  for alpha in chart.monomials_with_pole(pole, max_poly))
 
 
@@ -389,7 +389,11 @@ def theorem_forward_filtration(lattice: LogLattice, chart: NCChart,
     Stability holds with no scan: the gammas are polynomials, so
     x_l d_l + gamma_l and d_m + gamma_m never raise the pole order
     (Deligne, LNM 163); `checks` counts the n * rank checks of each window
-    monomial at each level r .. r + bound that contains it.
+    monomial at each level r .. r + bound that contains it.  Inclusion of
+    the annihilator in the ideal is decided by its contrapositive: no
+    x^a d^b of degree <= bound outside the ideal annihilates the window.
+    Each scan walks the window deepest pole first, where a failing
+    x^a d^b meets its breaking element early.
 
     Raises on non-integrable input, reporting the failed commutator, and
     on a chart other than the lattice's own.
@@ -406,11 +410,32 @@ def theorem_forward_filtration(lattice: LogLattice, chart: NCChart,
     ideal = theta_XZ_ideal(chart)
     window = _window(chart, twist + bound, bound)
     levels = sum(twist + bound + 1 - max(pole, twist) for pole, _alpha in window)
-    generators = minimal_monomial_generators(ideal)
-    holds = all(_in_ideal(generators, a + b)
-                for a, b in _lattice_annihilators(lattice, chart, window, bound))
+    holds = _outside_annihilator(lattice, window, minimal_monomial_generators(ideal),
+                                 bound) is None
     return ForwardReport(ideal, is_radical_squarefree_monomial(ideal),
                          chart.n * lattice.rank * levels, holds)
+
+
+def _outside_annihilator(lattice: LogLattice, window: tuple, generators: list,
+                         bound: int):
+    """Exponents (a, b) of an x^a d^b of degree <= bound outside the monomial
+    ideal of `generators` that annihilates the window, or None when there is
+    none.
+
+    The walk runs from the top degree down.  x^a' d^b failing on the window
+    makes x^a d^b fail for every a <= a' (pole orders only rise as a falls),
+    and a' comes before a, so a dominated a is not scanned."""
+    failed: dict = {}
+    for a, b in reversed(tuple(_symbol_monomials(lattice.chart, bound))):
+        if _in_ideal(generators, a + b):
+            continue
+        highs = failed.setdefault(b, [])
+        if any(all(s <= t for s, t in zip(a, high)) for high in highs):
+            continue
+        if _breaking_element(lattice, window, a, b) is None:
+            return a, b
+        highs.append(a)
+    return None
 
 
 @dataclass(frozen=True)
@@ -471,37 +496,38 @@ def prop21_inclusion(data, chart: NCChart, bound: int = 4) -> Prop21Report:
 def _lattice_annihilators(lattice: LogLattice, chart: NCChart, window: tuple,
                           bound: int):
     """Exponents (a, b) of the x^a d^b of degree <= bound that annihilate the
-    window, in scan order.  x^a d^b annihilating it makes x^a' d^b annihilate
-    it for every a' >= a (pole orders only fall as a grows), and a comes
-    before a', so a dominated a is not scanned again."""
+    window, in scan order: every annihilator, which the inclusion report
+    lists, where the forward theorem only asks for one outside the ideal
+    (`_outside_annihilator`).  x^a d^b annihilating the window makes x^a' d^b
+    annihilate it for every a' >= a (pole orders only fall as a grows), and
+    a comes before a', so a dominated a is not scanned."""
     annihilating: dict = {}
     for a, b in _symbol_monomials(chart, bound):
         lows = annihilating.setdefault(b, [])
         if not any(all(s <= t for s, t in zip(low, a)) for low in lows):
-            if not _annihilates_lattice(lattice, window, a, b, chart.r):
+            if _breaking_element(lattice, window, a, b) is not None:
                 continue
             lows.append(a)
         yield a, b
 
 
-def _annihilates_lattice(lattice: LogLattice, window: tuple, a: tuple,
-                         b: tuple, twist: int) -> bool:
-    """Whether x^a d^b maps every level twist + k of the scanned window into
-    level twist + k + |b| - 1.
+def _breaking_element(lattice: LogLattice, window: tuple, a: tuple, b: tuple):
+    """The first (alpha, j) of the window such that x^a d^b does not map
+    x^alpha e_j from level twist + k into level twist + k + |b| - 1, with
+    twist the chart's r; None when x^a d^b annihilates the window.
 
     A monomial of pole order p lies in the levels with k >= max(0, p - twist);
     the target level grows with k, so the lowest of them decides.
     """
+    twist = lattice.chart.r
     d = sum(b)
     for pole, alpha in window:
         k = max(0, pole - twist)
         for j in range(lattice.rank):
             order = lattice.lift_pole_order(a, b, alpha, j)
-            if order is None:
-                continue
-            if k + d - 1 < 0 or order > twist + k + d - 1:
-                return False
-    return True
+            if order is not None and (k + d - 1 < 0 or order > twist + k + d - 1):
+                return alpha, j
+    return None
 
 
 @dataclass(frozen=True)

@@ -255,18 +255,6 @@ class MPoly:
             res[tuple(ne)] = c * e[idx]
         return MPoly(self.vars, res)
 
-    def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
-        total = Fraction(0)
-        idxs = [(self.vars.index(n), as_rat(v)) for n, v in point.items()]
-        if len(idxs) != len(self.vars):
-            raise ValueError("evaluate needs a value for every variable")
-        for e, c in self.terms.items():
-            val = c
-            for i, v in idxs:
-                val *= v ** e[i]
-            total += val
-        return total
-
     def subs_const(self, name: str, value) -> "MPoly":
         """Substitute a rational constant for one variable; the variable
         leaves the ring."""
@@ -711,36 +699,18 @@ class RatFun:
         c = as_rat(c)
         return _mult_at(self.num, c) - _mult_at(self.den, c)
 
-    def evaluate(self, c) -> Fraction:
-        c = as_rat(c)
-        dv = self.den.evaluate({self.var: c})
-        if not dv:
-            raise ZeroDivisionError(f"pole at {c}")
-        return self.num.evaluate({self.var: c}) / dv
-
     # -- substitutions --------------------------------------------------------
 
-    def _substitute(self, transform) -> "RatFun":
-        """num(phi(x)) / den(phi(x)) for an automorphism phi of Q[x], given
-        as a map on dense coefficient lists: the pair stays coprime."""
-        var = self.var
-        return RatFun.from_coprime(
-            MPoly.from_univar_coeffs(var, transform(self.num.univar_coeffs())),
-            MPoly.from_univar_coeffs(var, transform(self.den.univar_coeffs())))
-
     def shift(self, c) -> "RatFun":
-        """Substitute x -> x + c."""
+        """Substitute x -> x + c; an automorphism of Q[x] keeps the pair
+        coprime."""
         c = as_rat(c)
         if not c:
             return self
-        return self._substitute(lambda coeffs: _taylor_shift(coeffs, c))
-
-    def scale_var(self, c) -> "RatFun":
-        """Substitute x -> c*x for nonzero rational c."""
-        c = as_rat(c)
-        if not c:
-            raise ValueError("scale by zero")
-        return self._substitute(lambda coeffs: [a * c ** i for i, a in enumerate(coeffs)])
+        var = self.var
+        return RatFun.from_coprime(
+            MPoly.from_univar_coeffs(var, _taylor_shift(self.num.univar_coeffs(), c)),
+            MPoly.from_univar_coeffs(var, _taylor_shift(self.den.univar_coeffs(), c)))
 
     def invert_var(self, new_var: str) -> "RatFun":
         """Substitute x -> 1/t, returning a rational function of t."""

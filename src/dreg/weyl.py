@@ -122,12 +122,14 @@ class WeylElement(MPoly):
     def __pow__(self, k: int) -> "WeylElement":
         if k < 0:
             raise ValueError("negative power in the Weyl algebra")
-        result = WeylElement.const(self.n, 1)
-        for _ in range(k):
+        if k == 0:
+            return WeylElement.const(self.n, 1)
+        result = self
+        for _ in range(k - 1):
             result = weyl_mul(result, self)
         return result
 
-    # -- symbol and action -----------------------------------------------------
+    # -- symbol ----------------------------------------------------------------
 
     def principal_symbol(self, variables: Sequence[str] | None = None) -> MPoly:
         """Image of the top-order part in Gr A_n = Q[x, xi]."""
@@ -140,24 +142,6 @@ class WeylElement(MPoly):
         if len(variables) != 2 * n:
             raise ValueError("need one coordinate and one symbol name per variable")
         return MPoly(variables, {e: c for e, c in self.terms.items() if sum(e[n:]) == top})
-
-    def apply(self, p: MPoly) -> MPoly:
-        """Act on a polynomial in the coordinates."""
-        n = self.n
-        if len(p.vars) != n:
-            raise ValueError("polynomial has wrong number of variables")
-        result = MPoly.zero(p.vars)
-        for e, c in self.terms.items():
-            q = p
-            for i, b in enumerate(e[n:]):
-                for _ in range(b):
-                    q = q.diff(p.vars[i])
-                    if q.is_zero():
-                        break
-            if q.is_zero():
-                continue
-            result = result + MPoly.monomial(p.vars, e[:n], c) * q
-        return result
 
     def __str__(self) -> str:
         return format_mpoly(self, symbol_weight_order(len(self.vars)).key)

@@ -31,7 +31,7 @@ from dreg.linalg import gauss_solve, mat_mul
 from dreg.operators import UnivarOperator
 from dreg.parser import _DERIV_RE, ParseError, Token, _Parser, tokenize
 from dreg.polelattice import _in_ideal, _symbol_monomials, theta_XZ_ideal
-from dreg.polynomials import INF, MPoly, RatFun, denominator_lcm, univar_gcd
+from dreg.polynomials import INF, MPoly, RatFun, as_rat, denominator_lcm, univar_gcd
 from dreg.regularity import _localize
 from dreg.systems import ConnectionSystem
 from dreg.weyl import WeylElement
@@ -543,6 +543,77 @@ def degree_in(p: MPoly, name: str):
 def poly_degree(alpha: tuple) -> int:
     """Polynomial degree of the Laurent monomial x^alpha: its positive exponents."""
     return sum(max(0, a) for a in alpha)
+
+
+def apply_operator(p: UnivarOperator, f: RatFun) -> RatFun:
+    """The operator acting on a rational function."""
+    total = RatFun.zero(p.var)
+    deriv = f
+    for c in p.coeffs:
+        if not c.is_zero():
+            total = total + c * deriv
+        deriv = deriv.derivative()
+    return total
+
+
+def apply_weyl(a: WeylElement, p: MPoly) -> MPoly:
+    """The Weyl element acting on a polynomial in the coordinates."""
+    n = a.n
+    if len(p.vars) != n:
+        raise ValueError("polynomial has wrong number of variables")
+    result = MPoly.zero(p.vars)
+    for e, c in a.terms.items():
+        q = p
+        for i, b in enumerate(e[n:]):
+            for _ in range(b):
+                q = q.diff(p.vars[i])
+                if q.is_zero():
+                    break
+        if q.is_zero():
+            continue
+        result = result + MPoly.monomial(p.vars, e[:n], c) * q
+    return result
+
+
+def scale_ratfun_var(f: RatFun, c) -> RatFun:
+    """Substitute x -> c*x for nonzero rational c; an automorphism of Q[x]
+    keeps the pair coprime."""
+    c = as_rat(c)
+    if not c:
+        raise ValueError("scale by zero")
+    num, den = (MPoly.from_univar_coeffs(f.var, [a * c ** i for i, a in
+                                                 enumerate(q.univar_coeffs())])
+                for q in (f.num, f.den))
+    return RatFun.from_coprime(num, den)
+
+
+def scale_operator_var(p: UnivarOperator, c) -> UnivarOperator:
+    """Substitute x -> c*x (so d -> d/c) for nonzero rational c."""
+    c = as_rat(c)
+    return UnivarOperator(p.var, [scale_ratfun_var(b, c) / (c ** i)
+                                  for i, b in enumerate(p.coeffs)])
+
+
+def evaluate_mpoly(p: MPoly, point: dict) -> Fraction:
+    """The value of p at a point that names every variable."""
+    idxs = [(p.vars.index(name), as_rat(v)) for name, v in point.items()]
+    if len(idxs) != len(p.vars):
+        raise ValueError("evaluate needs a value for every variable")
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        val = c
+        for i, v in idxs:
+            val *= v ** e[i]
+        total += val
+    return total
+
+
+def evaluate_ratfun(f: RatFun, c) -> Fraction:
+    c = as_rat(c)
+    dv = evaluate_mpoly(f.den, {f.var: c})
+    if not dv:
+        raise ZeroDivisionError(f"pole at {c}")
+    return evaluate_mpoly(f.num, {f.var: c}) / dv
 
 
 def is_monic(p: UnivarOperator) -> bool:

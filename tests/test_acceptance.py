@@ -32,7 +32,7 @@ from dreg.systems import (ConnectionSystem, EXCEEDED_BOUND, STABILIZED,
 from dreg.weyl import (WeylElement, characteristic_ideal, coordinate_names,
                        weyl_mul)
 
-from conftest import random_mpoly, random_operator, random_weyl
+from conftest import apply_weyl, random_mpoly, random_operator, random_weyl
 
 
 def report(num, detail):
@@ -52,7 +52,7 @@ def test_criterion_1_weyl_arithmetic():
         a = random_weyl(rng, n, 3, 2)
         b = random_weyl(rng, n, 3, 2)
         p = random_mpoly(rng, coordinate_names(n), 3, 2)
-        assert weyl_mul(a, b).apply(p) == a.apply(b.apply(p))
+        assert apply_weyl(weyl_mul(a, b), p) == apply_weyl(a, apply_weyl(b, p))
     report(1, "d*x = x*d + 1; 1000 associativity and 1000 action triples exact")
 
 

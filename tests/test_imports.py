@@ -18,15 +18,7 @@ KEPT = {
     "polynomials.squarefree_part":
         "the gcd-free basis of closed points of degree > 1 (ROADMAP item 2) builds on it",
     "dmod.verify_components_both_ways": "the gate of charvar from the singular locus (ROADMAP item 4)",
-    "operators.UnivarOperator.apply": "test oracle: operator products act as compositions",
-    "weyl.WeylElement.apply": "test oracle: Weyl products act as compositions",
     "systems.ConnectionSystem.companion": "test oracle: the system of a scalar operator",
-    "operators.UnivarOperator.scale_var":
-        "test tool: test_dmod::test_scaling_invariance rescales operators x -> c*x",
-    "polynomials.RatFun.scale_var": "test tool: the coefficient map of UnivarOperator.scale_var",
-    "polynomials.MPoly.evaluate":
-        "test tool: test_regularity finds the points where a denominator vanishes",
-    "polynomials.RatFun.evaluate": "test tool: test_polynomials cross-checks ord_at by a value",
 }
 
 

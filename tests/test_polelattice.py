@@ -17,7 +17,8 @@ from dreg.ideals import (Ideal, groebner_basis, is_radical_squarefree_monomial,
                          minimal_monomial_generators, normal_form)
 from dreg.parser import parse_operator
 from dreg.polelattice import (LogLattice, NCChart, _apply_lift, _in_ideal,
-                              _symbol_monomials, _window, _window_size, goodness_scan,
+                              _outside_annihilator, _symbol_monomials, _window,
+                              _window_size, goodness_scan,
                               pole_filtration_annihilator, prop21_inclusion,
                               theorem_backward_extraction,
                               theorem_forward_filtration, theta_XZ_ideal)
@@ -416,6 +417,32 @@ def reference_symbol_monomials(chart, bound):
                 yield exps[:n], exps[n:]
 
 
+class SpoiledLattice(LogLattice):
+    """A log lattice whose action along coordinate `spoilt` is broken: zeroed
+    (cutoff None), or with its terms of pole order above `cutoff` dropped.
+    Only supports change, so the integer action and the reference agree."""
+
+    def __init__(self, lattice, spoilt, cutoff):
+        super().__init__(lattice.chart, lattice.rank, lattice.gammas)
+        self.spoilt, self.cutoff = spoilt, cutoff
+
+    def spoil(self, l, elem):
+        if l != self.spoilt:
+            return elem
+        return {key: c for key, c in elem.items() if self.cutoff is not None
+                and self.chart.pole_order(key[0]) <= self.cutoff}
+
+    def apply_derivation(self, l, elem):
+        return self.spoil(l, super().apply_derivation(l, elem))
+
+
+def reference_action(lattice, l, elem):
+    """reference_apply_derivation, spoiled as a SpoiledLattice spoils its own
+    action."""
+    out = reference_apply_derivation(lattice, l, elem)
+    return lattice.spoil(l, out) if isinstance(lattice, SpoiledLattice) else out
+
+
 def reference_lift_image(lattice, a, b, alpha, j):
     """x^a d^b on x^alpha e_j: d^b by repeated derivations, coordinate by
     coordinate, d_l = x_l^(-1) (x_l d_l) on a dividing coordinate, then the
@@ -424,7 +451,7 @@ def reference_lift_image(lattice, a, b, alpha, j):
     work = {(tuple(alpha), j): Fraction(1)}
     for l in range(chart.n):
         for _ in range(b[l]):
-            work = reference_apply_derivation(lattice, l, work)
+            work = reference_action(lattice, l, work)
             if l < chart.r:
                 work = {(tuple(e - (i == l) for i, e in enumerate(beta)), k): c
                         for (beta, k), c in work.items()}
@@ -576,24 +603,25 @@ class TestMemoizedScan:
                                          [x * x, MPoly.zero(c1)]]])
         assert_matches_reference(lattice, chart, 4)
 
-    def test_upward_closure_skips_dominated_scans(self, monkeypatch):
-        # x^a d^b annihilating the window makes every x^a' d^b with a' >= a
-        # annihilate it, so those are not scanned: 34 scans, one per symbol
-        # monomial, when every monomial was scanned
+    def test_failed_scans_skip_dominated_monomials(self, monkeypatch):
+        # only the 24 symbol monomials outside the ideal are walked, from the
+        # top degree down; x^a' d^b failing makes every x^a d^b with a <= a'
+        # fail, so those are not scanned: 13 scans, one per maximal a for
+        # each b
         scans = 0
-        scan = dreg.polelattice._annihilates_lattice
+        scan = dreg.polelattice._breaking_element
 
         def counted(*args):
             nonlocal scans
             scans += 1
             return scan(*args)
 
-        monkeypatch.setattr(dreg.polelattice, "_annihilates_lattice", counted)
+        monkeypatch.setattr(dreg.polelattice, "_breaking_element", counted)
         chart, lattice = _read_chart_file(str(CORPUS / "plane_lattice.chart"))
         report = theorem_forward_filtration(lattice, chart, 3)
         assert report.certified
         assert report.checks == 344
-        assert scans <= 30
+        assert scans <= 13
 
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_symbol_monomials_in_product_order(self, n):
@@ -620,19 +648,74 @@ class TestMemoizedScan:
         return report, calls
 
     def test_forward_theorem_derivation_count(self, monkeypatch):
-        # one derivation image per (generator, monomial, frame index) and
-        # per memoized d^b; recomputing at every level took 3,474 calls
+        # each scan walks the window deepest pole first and stops at its
+        # breaking element; recomputing at every level took 3,474 calls
         report, calls = self.counted_plane_forward_theorem(monkeypatch)
         assert report.certified
         assert report.checks == 344
-        assert calls <= 1000
+        assert calls <= 25
 
     def test_forward_rows_share_the_lattice_memo(self, monkeypatch):
         # the inclusion scan derives each d^b image once, into the
         # lattice's memo
         report, calls = self.counted_plane_forward_theorem(monkeypatch)
         assert report.certified
-        assert calls <= 376
+        assert calls <= 25
+
+
+@st.composite
+def spoiled_lattices(draw):
+    chart, lattice, bound = draw(integrable_charts())
+    spoilt = draw(st.integers(0, chart.n - 1))
+    cutoff = draw(st.none() | st.integers(0, chart.r + bound))
+    return SpoiledLattice(lattice, spoilt, cutoff), bound
+
+
+def forward_inclusion_matches_reference(lattice, bound):
+    """The forward walk's verdict, checked against reference_prop21 and, on
+    an integrable lattice, against the forward theorem's report."""
+    chart = lattice.chart
+    generators = minimal_monomial_generators(theta_XZ_ideal(chart))
+    found = _outside_annihilator(lattice, _window(chart, chart.r + bound, bound),
+                                 generators, bound)
+    holds = found is None
+    assert holds == reference_prop21(lattice, chart, bound)[0]
+    if found is not None:
+        assert not _in_ideal(generators, found[0] + found[1])
+    if lattice.integrability_failure() is None:
+        assert theorem_forward_filtration(lattice, chart, bound).inclusion_holds == holds
+    return holds
+
+
+class TestForwardInclusion:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(case=integrable_charts())
+    def test_integrable_charts(self, case):
+        chart, lattice, bound = case
+        assert forward_inclusion_matches_reference(lattice, bound)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(case=polynomial_gamma_charts(), bound=st.integers(1, 2))
+    def test_polynomial_gammas(self, case, bound):
+        _chart, lattice = case
+        forward_inclusion_matches_reference(lattice, bound)
+
+    def test_spoiled_lattices_reach_both_verdicts(self):
+        verdicts = set()
+
+        @settings(max_examples=40, deadline=None, derandomize=True)
+        @given(case=spoiled_lattices())
+        def check(case):
+            verdicts.add(forward_inclusion_matches_reference(*case))
+
+        check()
+        assert verdicts == {True, False}
+
+    def test_zeroed_action_breaks_the_theorem(self):
+        # d_1 kills everything, so xi_1, outside the ideal, annihilates
+        chart, lattice = _read_chart_file(str(CORPUS / "plane_lattice.chart"))
+        report = theorem_forward_filtration(SpoiledLattice(lattice, 0, None), chart, 3)
+        assert report.radical and not report.inclusion_holds and not report.certified
 
 
 class TestPolelatticeCommand:

@@ -12,8 +12,8 @@ from dreg.regularity import (GLOBAL_IRREGULAR, GLOBAL_REGULAR,
                              REGULAR, fuchs_regular_at, newton_polygon,
                              regular_on_projective_line, theta_regular_at_zero)
 
-from conftest import (random_operator, random_operator_with_poles, random_point,
-                      random_ratfun_with_poles, reference_monic_orders)
+from conftest import (evaluate_mpoly, random_operator, random_operator_with_poles,
+                      random_point, random_ratfun_with_poles, reference_monic_orders)
 
 
 def op(text):
@@ -156,7 +156,7 @@ class TestProjectiveLine:
             p = random_operator_with_poles(rng, c, order=3, degree=3, pole=2)
             dens = [a.den for a in p.monic().coeffs]
             has_quadratic = any(d.univar_divmod(quadratic)[1].is_zero() for d in dens)
-            has_c = any(d.evaluate({"x": c}) == 0 for d in dens)
+            has_c = any(evaluate_mpoly(d, {"x": c}) == 0 for d in dens)
             rep = regular_on_projective_line(p)
             untested = [e for e in rep.points if not e.tested]
             assert bool(untested) == has_quadratic

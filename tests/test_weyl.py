@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dreg.corpus
+import dreg.weyl
 from dreg.ideals import (Ideal, krull_dimension, leading_term, normal_form, groebner_basis,
                          symbol_weight_order)
 from dreg.parser import parse_weyl_generators
@@ -17,8 +18,8 @@ from dreg.polynomials import MPoly
 from dreg.weyl import (WeylElement, characteristic_ideal, coordinate_names, weyl_groebner,
                        weyl_mul)
 
-from conftest import (exact_coefficients, random_mpoly, random_weyl, recorded_mismatches,
-                      reference_weyl_mul)
+from conftest import (apply_weyl, exact_coefficients, random_mpoly, random_weyl,
+                      recorded_mismatches, reference_weyl_mul)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -76,6 +77,32 @@ class TestNormalOrdering:
         with pytest.raises(ValueError):
             WeylElement.const(0, 1)
 
+    def test_powers_are_repeated_products(self):
+        rng = random.Random(47)
+        for _ in range(40):
+            n = rng.choice((1, 2))
+            v = random_weyl(rng, n, 3, 2)
+            product = WeylElement.const(n, 1)
+            for k in range(5):
+                assert v ** k == product
+                product = weyl_mul(product, v)
+
+    def test_power_makes_one_product_fewer_than_its_exponent(self, monkeypatch):
+        # v^0 is the constant 1 and v^k starts from v: no product by 1
+        products = []
+        mul = dreg.weyl.weyl_mul
+
+        def counted(a, b):
+            products.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(dreg.weyl, "weyl_mul", counted)
+        x, _d = a1()
+        for k in range(6):
+            products.clear()
+            assert x ** k == WeylElement(1, {(k, 0): 1})
+            assert len(products) == max(k - 1, 0)
+
     def test_pure_parts_commute(self):
         x, d = a1()
         assert x * (x ** 2) == (x ** 2) * x
@@ -96,14 +123,14 @@ class TestNormalOrdering:
             b = random_weyl(rng, n, 3, 2)
             from dreg.weyl import coordinate_names
             p = random_mpoly(rng, coordinate_names(n), 3, 3)
-            assert weyl_mul(a, b).apply(p) == a.apply(b.apply(p))
+            assert apply_weyl(weyl_mul(a, b), p) == apply_weyl(a, apply_weyl(b, p))
 
     def test_theta_action_on_monomials(self):
         x, d = a1()
         theta2 = (x * d) ** 2
         for k in range(5):
             xk = MPoly.monomial(("x",), (k,))
-            assert theta2.apply(xk) == xk.scale(k * k)
+            assert apply_weyl(theta2, xk) == xk.scale(k * k)
 
 
 APPELL_F1 = ("x*dx^2 - x^2*dx^2 + y*dx*dy - x*y*dx*dy + 2/3*dx - 5/2*x*dx - 1/2*y*dy - 1/2 ;"
@@ -164,7 +191,7 @@ class TestProductProperties:
     def test_action_is_faithful_to_products(self, data, n):
         a, b = (data.draw(weyl_elements(n)) for _ in range(2))
         p = data.draw(coordinate_polynomials(n))
-        assert (a * b).apply(p) == a.apply(b.apply(p))
+        assert apply_weyl(a * b, p) == apply_weyl(a, apply_weyl(b, p))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(1, 2))
