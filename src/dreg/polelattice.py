@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import takewhile
-from operator import add
+from itertools import combinations_with_replacement
+from operator import add, gt, le, sub
 
 from .dmod import CurveModule, CyclicFiltration
 from .ideals import (Ideal, is_radical_squarefree_monomial,
@@ -45,7 +45,7 @@ class NCChart:
 
     def pole_order(self, alpha: tuple) -> int:
         """Total pole order across the dividing coordinates."""
-        return sum(max(0, -alpha[i]) for i in range(self.r))
+        return -sum(e for e in alpha[:self.r] if e < 0)
 
     def monomials_with_pole(self, pole: int, max_poly: int):
         """Exponent vectors in Z^n with the given total pole order and
@@ -84,7 +84,7 @@ def theta_XZ_ideal(chart: NCChart) -> Ideal:
 def _in_ideal(generators: list, exps: tuple) -> bool:
     """Membership of the monomial with exponents exps in a monomial ideal:
     divisibility by one of its minimal generators."""
-    return any(all(g <= e for g, e in zip(gen, exps)) for gen in generators)
+    return any(all(map(le, gen, exps)) for gen in generators)
 
 
 def _falling(a: int, b: int) -> int:
@@ -100,12 +100,12 @@ def _apply_lift(chart: NCChart, a: tuple, b: tuple, alpha: tuple):
     Returns (coefficient, exponent) with coefficient 0 for the zero image.
     """
     coeff = 1
-    for i in range(chart.n):
-        coeff *= _falling(alpha[i], b[i])
-        if not coeff:
-            return 0, None
-    exp = tuple(alpha[i] + a[i] - b[i] for i in range(chart.n))
-    return coeff, exp
+    for e, k in zip(alpha, b):
+        if k:
+            coeff *= _falling(e, k)
+            if not coeff:
+                return 0, None
+    return coeff, tuple(map(sub, map(add, alpha, a), b))
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,6 @@ class AnnihilatorReport:
     witness_checks: int
     failures: tuple         # texts of the failing witness checks
     bound: int
-    annihilating: tuple     # (a, b) of the scanned monomials in the ideal, by degree
 
     @property
     def matches_ideal(self) -> bool:
@@ -132,13 +131,13 @@ class AnnihilatorReport:
 
 def _compositions(total: int, parts: int):
     """Tuples of `parts` non-negative integers summing to `total`, in
-    lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    lexicographic order.
+
+    Stars and bars: the parts - 1 cuts, non-decreasing in 0 .. total, are
+    the partial sums, and the parts are the gaps between them."""
+    end = (total,)
+    for cuts in combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(sub, cuts + end, (0,) + cuts))
 
 
 def _symbol_monomials(chart: NCChart, bound: int):
@@ -148,6 +147,58 @@ def _symbol_monomials(chart: NCChart, bound: int):
     for total in range(1, bound + 1):
         for exps in _compositions(total, 2 * n):
             yield exps[:n], exps[n:]
+
+
+def _outside_monomials(generators: list, n: int, bound: int):
+    """Exponents (a, b) of the x^a xi^b of degree 1 .. bound that no
+    generator (an exponent vector in 2n variables) divides, in
+    `_symbol_monomials` order: the standard monomials of the ideal.
+
+    One composition gives a and the degree s left for b.  Of the generators
+    whose x-part divides x^a, one with no xi-part puts every x^a xi^b in the
+    ideal, one whose xi-part is a single xi_i keeps b_i at 0, and any other
+    is tested by divisibility.  b walks the other coordinates only.
+    """
+    split = [(gen[:n], gen[n:]) for gen in generators]
+    plans: dict = {}
+    for total in range(1, bound + 1):
+        for exps in _compositions(total, n + 1):
+            a, s = exps[:n], exps[n]
+            plan = plans.get(a)
+            if plan is None:
+                plan = plans[a] = _outside_plan(split, a)
+            if not plan:
+                continue
+            walked, others = plan
+            if not walked:
+                # b = 0, which no xi-part in `others` divides
+                if not s:
+                    yield a, (0,) * n
+                continue
+            b = [0] * n
+            for step in _compositions(s, len(walked)):
+                for i, e in zip(walked, step):
+                    b[i] = e
+                if not any(all(map(le, xi, b)) for xi in others):
+                    yield a, tuple(b)
+
+
+def _outside_plan(split: list, a: tuple):
+    """How `_outside_monomials` walks b above x^a, given each generator's
+    x-part and xi-part: () when a generator with no xi-part divides x^a;
+    otherwise the coordinates b walks and the xi-parts left to test."""
+    walked = set(range(len(a)))
+    others = []
+    for x, xi in split:
+        if any(map(gt, x, a)):
+            continue
+        if not any(xi):
+            return ()
+        if sum(xi) == 1:
+            walked.discard(xi.index(1))
+        else:
+            others.append(xi)
+    return sorted(walked), others
 
 
 def _window(chart: NCChart, level: int, max_poly: int) -> tuple:
@@ -178,25 +229,22 @@ def pole_filtration_annihilator(chart: NCChart, bound: int = 6) -> AnnihilatorRe
     xi_m only lowers a non-pole exponent, so neither raises the pole order;
     `stability_checks` counts those n * |window| checks.  Reverse: every
     symbol monomial outside the ideal acts nonzero on the witness
-    1/(product of the x_l named by its d-support).
+    1/(product of the x_l named by its d-support).  The scan walks only
+    those monomials, listed directly from the ideal's minimal generators.
     """
     ideal = theta_XZ_ideal(chart)
-    generators = minimal_monomial_generators(ideal)
     r = chart.r
+    smooth = (0,) * (chart.n - r)
     checks = 0
     failures = []
-    annihilating = []
-    for a, b in _symbol_monomials(chart, bound):
-        if _in_ideal(generators, a + b):
-            annihilating.append((a, b))
-            continue
+    for a, b in _outside_monomials(minimal_monomial_generators(ideal), chart.n, bound):
         checks += 1
-        witness = tuple(-1 if i < r and b[i] else 0 for i in range(chart.n))
+        witness = tuple(-1 if e else 0 for e in b[:r]) + smooth
         coeff, exp = _apply_lift(chart, a, b, witness)
         if not (coeff and chart.pole_order(exp) == chart.pole_order(witness) + sum(b)):
             failures.append(f"x^{a} xi^{b} acts nonzero on x^{witness}")
     return AnnihilatorReport(chart, ideal, chart.n * _window_size(chart, bound, bound),
-                             checks, tuple(failures), bound, tuple(annihilating))
+                             checks, tuple(failures), bound)
 
 
 def goodness_scan(chart: NCChart, bound: int = 6) -> tuple[bool, list]:
@@ -426,9 +474,7 @@ def _outside_annihilator(lattice: LogLattice, window: tuple, generators: list,
     makes x^a d^b fail for every a <= a' (pole orders only rise as a falls),
     and a' comes before a, so a dominated a is not scanned."""
     failed: dict = {}
-    for a, b in reversed(tuple(_symbol_monomials(lattice.chart, bound))):
-        if _in_ideal(generators, a + b):
-            continue
+    for a, b in reversed(tuple(_outside_monomials(generators, lattice.chart.n, bound))):
         highs = failed.setdefault(b, [])
         if any(all(s <= t for s, t in zip(a, high)) for high in highs):
             continue
@@ -457,7 +503,9 @@ def prop21_inclusion(data, chart: NCChart, bound: int = 4) -> Prop21Report:
     Accepts the bare chart pole module (data None, or the
     AnnihilatorReport of its window scan on this chart at a bound at least
     this one, which is then not run again), a LogLattice, or a curve
-    operator.
+    operator.  For the bare chart a passing scan certifies that the
+    annihilator is the ideal, so the symbol monomials up to this bound that
+    lie in the ideal are listed, and none can violate.
     """
     if data is None or isinstance(data, AnnihilatorReport):
         report = pole_filtration_annihilator(chart, bound) if data is None else data
@@ -467,10 +515,10 @@ def prop21_inclusion(data, chart: NCChart, bound: int = 4) -> Prop21Report:
             raise ValueError(f"inclusion bound {bound} exceeds the scan bound {report.bound}")
         if not report.matches_ideal:
             return Prop21Report(False, (), ("window scan failed",))
-        # the scan walks by degree: the monomials up to the bound lead its list
+        generators = minimal_monomial_generators(report.ideal)
         return Prop21Report(True, tuple(
-            str(MPoly.monomial(chart.ring, a + b)) for a, b in takewhile(
-                lambda ab: sum(ab[0] + ab[1]) <= bound, report.annihilating)), ())
+            str(MPoly.monomial(chart.ring, a + b)) for a, b in _symbol_monomials(chart, bound)
+            if _in_ideal(generators, a + b)), ())
     if isinstance(data, LogLattice):
         if data.chart != chart:
             raise ValueError(f"lattice lives on chart {data.chart}, not on {chart}")

@@ -677,9 +677,9 @@ def reference_apply_derivation(lattice, l: int, elem: dict) -> dict:
 
 def reference_bare_inclusion(chart, bound: int) -> tuple:
     """The annihilating monomials of the bare chart pole module up to the
-    bound, as prop21_inclusion enumerated them before it read the window
-    scan's record: every symbol monomial, tested for divisibility by a
-    minimal generator of the log-symbol ideal."""
+    bound, which prop21_inclusion lists once the window scan has certified
+    the ideal: every symbol monomial up to the bound that a minimal
+    generator of the log-symbol ideal divides."""
     generators = minimal_monomial_generators(theta_XZ_ideal(chart))
     return tuple(str(MPoly.monomial(chart.ring, a + b))
                  for a, b in _symbol_monomials(chart, bound)

@@ -16,9 +16,9 @@ from dreg.dmod import CurveModule
 from dreg.ideals import (Ideal, groebner_basis, is_radical_squarefree_monomial,
                          minimal_monomial_generators, normal_form)
 from dreg.parser import parse_operator
-from dreg.polelattice import (LogLattice, NCChart, _apply_lift, _in_ideal,
-                              _outside_annihilator, _symbol_monomials, _window,
-                              _window_size, goodness_scan,
+from dreg.polelattice import (LogLattice, NCChart, _apply_lift, _compositions, _in_ideal,
+                              _outside_annihilator, _outside_monomials,
+                              _symbol_monomials, _window, _window_size, goodness_scan,
                               pole_filtration_annihilator, prop21_inclusion,
                               theorem_backward_extraction,
                               theorem_forward_filtration, theta_XZ_ideal)
@@ -120,6 +120,77 @@ class TestSymbolIdealMembership:
             assert _in_ideal(generators, a + b) == normal_form(mono, gb).is_zero()
 
 
+def reference_outside_monomials(generators, n, bound):
+    """Every symbol monomial up to the bound, filtered by divisibility."""
+    return [(a, b) for a, b in _symbol_monomials(NCChart(n, 1), bound)
+            if not _in_ideal(generators, a + b)]
+
+
+@st.composite
+def monomial_ideals(draw):
+    """(n, exponent vectors in the 2n variables x, xi, bound): random
+    generators with exponents up to 2, plus now and then one of the
+    shapes the walk treats apart, or every variable, which leaves no
+    monomial outside."""
+    n = draw(st.integers(1, 3))
+    exponents = st.tuples(*[st.integers(0, 2)] * (2 * n))
+    generators = draw(st.lists(exponents, max_size=4))
+    x_part = draw(st.tuples(*[st.integers(0, 2)] * n))
+    xi = draw(st.lists(st.integers(0, n - 1), min_size=min(n, 2), max_size=n, unique=True))
+    extra = draw(st.sampled_from(("none", "pure x", "several xi", "every variable")))
+    if extra == "pure x":
+        generators.append(x_part + (0,) * n)
+    elif extra == "several xi":
+        generators.append(x_part + tuple(2 if i in xi else 0 for i in range(n)))
+    elif extra == "every variable":
+        generators += [tuple(int(k == i) for k in range(2 * n)) for i in range(2 * n)]
+    return n, generators, draw(st.integers(0, 7 - 2 * n))
+
+
+def ideal_shapes(n, generators, outside):
+    """The shapes of a drawn ideal, to check that the draws reach each."""
+    shapes = set()
+    for gen in generators:
+        support = sum(1 for e in gen[n:] if e)
+        shapes.add("pure x" if not support else "several xi" if support > 1 else "one xi")
+        if max(gen) == 2:
+            shapes.add("exponent 2")
+    if not outside:
+        shapes.add("nothing outside")
+    return shapes
+
+
+class TestOutsideMonomials:
+    def test_random_monomial_ideals_match_the_filter(self):
+        shapes = set()
+
+        @settings(max_examples=200, deadline=None, derandomize=True)
+        @given(case=monomial_ideals())
+        def check(case):
+            n, generators, bound = case
+            outside = list(_outside_monomials(generators, n, bound))
+            assert outside == reference_outside_monomials(generators, n, bound)
+            shapes.update(ideal_shapes(n, generators, outside))
+
+        check()
+        assert shapes == {"pure x", "one xi", "several xi", "exponent 2", "nothing outside"}
+
+    @pytest.mark.parametrize("n,r", ALL_CHARTS)
+    def test_log_symbol_ideals_match_the_filter(self, n, r):
+        generators = minimal_monomial_generators(theta_XZ_ideal(NCChart(n, r)))
+        for bound in range(9):
+            assert list(_outside_monomials(generators, n, bound)) == \
+                reference_outside_monomials(generators, n, bound)
+
+    def test_compositions_in_product_order(self):
+        for parts in range(1, 8):
+            for total in range(9):
+                reference = [head + (total - sum(head),) for head in
+                             itertools.product(range(total + 1), repeat=parts - 1)
+                             if sum(head) <= total]
+                assert list(_compositions(total, parts)) == reference
+
+
 class TestAnnihilatorScan:
     @pytest.mark.parametrize("n,r", ALL_CHARTS)
     def test_matches_ideal_to_degree_six(self, n, r):
@@ -175,10 +246,11 @@ class TestAnnihilatorScan:
         # xi_1 does not annihilate: d_1 deepens the pole on the witness 1/x_1
         chart = NCChart(2, 1)
         report = pole_filtration_annihilator(chart, 3)
-        assert ((0, 0), (1, 0)) not in report.annihilating
-        assert _apply_lift(chart, (0, 0), (1, 0), (-1, 0)) == (-1, (-2, 0))
+        generators = minimal_monomial_generators(theta_XZ_ideal(chart))
         outside = [(a, b) for a, b in _symbol_monomials(chart, 3)
-                   if (a, b) not in report.annihilating]
+                   if not _in_ideal(generators, a + b)]
+        assert ((0, 0), (1, 0)) in outside
+        assert _apply_lift(chart, (0, 0), (1, 0), (-1, 0)) == (-1, (-2, 0))
         assert (report.witness_checks, report.failures) == (len(outside), ())
 
     def test_dropped_generator_fails_the_witness_check(self, monkeypatch):
@@ -341,8 +413,8 @@ class TestProp21:
             assert report.annihilating == reference_bare_inclusion(chart, bound)
 
     def test_scan_read_up_to_its_own_bound_only(self):
-        # a lower inclusion bound reads a prefix of the scan's record; a
-        # higher one would need monomials the scan never walked
+        # a lower inclusion bound lists its own monomials; a higher one
+        # would go past the degree the scan certified
         chart = NCChart(2, 1)
         scan = pole_filtration_annihilator(chart, 5)
         for bound in range(6):
@@ -751,18 +823,20 @@ class TestPolelatticeCommand:
         fn = getattr(dreg.polelattice, name)
 
         def counted(*args):
-            calls.append(1)
+            calls.append(args)
             return fn(*args)
 
         monkeypatch.setattr(dreg.polelattice, name, counted)
         return calls
 
     def test_one_symbol_walk_per_request(self, monkeypatch, capsys):
-        # the inclusion reads the monomials the annihilator scan recorded
+        # the annihilator scan lists only the monomials outside the ideal;
+        # the inclusion walks every symbol monomial, up to its own bound
         calls = self.count(monkeypatch, "_symbol_monomials")
         assert dreg.cli.main(["polelattice", "--n", "3", "--r", "2", "--bound", "6"]) == 0
         capsys.readouterr()
         assert len(calls) == 1
+        assert all(bound <= min(6, 4) for _chart, bound in calls)
 
     def test_one_window_per_forward_theorem(self, monkeypatch, capsys):
         # the check count and the inclusion scan read one window
