@@ -17,12 +17,15 @@ operator only where it meets a derivation: f*d^k places f at order k, f*P
 scales the coefficients of P, and only P*f needs the Leibniz product.  A power
 is refused, before it is computed, when the exponent times the order or
 degree of its base exceeds MAX_POWER.
+
+Text is lexed in one regex pass into token texts, which the descent reads by
+index; a token's line and column are worked out from its offset only when a
+ParseError is raised.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 from .operators import UnivarOperator
 from .polynomials import MPoly, RatFun, _inverse, format_mpoly
@@ -39,150 +42,151 @@ class ParseError(ValueError):
         self.col = col
 
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    col: int
+class _Refused(Exception):
+    """A parse failure at token `at`; `_parse` raises it as a ParseError with
+    that token's line and column."""
+
+    def __init__(self, message: str, at: int):
+        self.message = message
+        self.at = at
 
 
 _DERIV_RE = re.compile(r"d[a-z0-9]*")
-_TOKEN_RE = re.compile(r"\s+|(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^();])")
+_TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|[-+*/^();]")
+_BAD_CHAR_RE = re.compile(r"[^\s\dA-Za-z_+\-*/^();]")
+# token texts that are neither a value nor its start; the end of input is ""
+_NOT_AN_ATOM = frozenset(("", "+", "-", "*", "/", "^", ";", ")"))
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        chunk = m.group(0)
-        if m.lastgroup == "num":
-            tokens.append(Token("num", chunk, line, col))
-        elif m.lastgroup == "name":
-            tokens.append(Token("name", chunk, line, col))
-        elif m.lastgroup == "op":
-            tokens.append(Token(chunk, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(Token("end", "", line, col))
+def _position(text: str, pos: int) -> tuple[int, int]:
+    """Line and column, both from 1, of offset `pos`; only errors need them."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
+def _token_offset(text: str, at: int) -> int:
+    """Offset of token `at`, or of the end of input after the last token."""
+    for i, m in enumerate(_TOKEN_RE.finditer(text)):
+        if i == at:
+            return m.start()
+    return len(text)
+
+
+def _lex(text: str) -> list[str]:
+    """The token texts from one `findall`, then "" for the end of input.  A
+    number is a run of decimal digits, a name starts with a letter or '_',
+    and an operator's text is its kind; whitespace separates tokens.  Every
+    other character is refused first, wherever the parse would stop."""
+    bad = _BAD_CHAR_RE.search(text)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r}",
+                         *_position(text, bad.start()))
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")
     return tokens
 
 
 class _Parser:
-    """Recursive descent over tokens, generic in the value algebra."""
+    """Recursive descent over token texts by index, generic in the value
+    algebra: each rule takes the index of its first token and returns its
+    value with the index after its last token."""
 
-    def __init__(self, tokens: list[Token], algebra):
+    __slots__ = ("tokens", "algebra")
+
+    def __init__(self, tokens: list[str], algebra):
         self.tokens = tokens
-        self.pos = 0
         self.algebra = algebra
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def expr(self, i: int):
+        tokens, algebra = self.tokens, self.algebra
+        sign = tokens[i]
+        if sign == "-" or sign == "+":
+            i += 1
+        value, i = self.term(i)
+        if sign == "-":
+            value = algebra.neg(value)
+        op = tokens[i]
+        while op == "+" or op == "-":
+            rhs, i = self.term(i + 1)
+            value = algebra.add(value, rhs) if op == "+" else algebra.sub(value, rhs)
+            op = tokens[i]
+        return value, i
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def term(self, i: int):
+        tokens, algebra = self.tokens, self.algebra
+        value, i = self.factor(i)
+        op = tokens[i]
+        while op == "*" or op == "/":
+            at = i
+            rhs, i = self.factor(i + 1)
+            value = algebra.mul(value, rhs) if op == "*" else algebra.div(value, rhs, at)
+            op = tokens[i]
+        return value, i
 
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.col)
-        return self.advance()
-
-    def parse_expr(self):
-        negate = False
-        if self.peek().kind in ("-", "+"):
-            negate = self.advance().kind == "-"
-        value = self.parse_term()
-        if negate:
-            value = self.algebra.neg(value)
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            rhs = self.parse_term()
-            value = self.algebra.sub(value, rhs) if op == "-" else self.algebra.add(value, rhs)
-        return value
-
-    def parse_term(self):
-        value = self.parse_factor()
-        while self.peek().kind in ("*", "/"):
-            tok = self.advance()
-            rhs = self.parse_factor()
-            if tok.kind == "*":
-                value = self.algebra.mul(value, rhs)
-            else:
-                value = self.algebra.div(value, rhs, tok)
-        return value
-
-    def parse_factor(self):
-        value = self.parse_atom()
-        if self.peek().kind == "^":
-            self.advance()
-            tok = self.expect("num")
-            value = self.algebra.pow(value, int(tok.text), tok)
-        return value
-
-    def parse_atom(self):
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
-            return self.algebra.const(int(tok.text))
-        if tok.kind == "name":
-            self.advance()
-            return self.algebra.symbol(tok)
-        if tok.kind == "(":
-            self.advance()
-            value = self.parse_expr()
-            self.expect(")")
-            return value
-        raise ParseError(f"expected a value, found {tok.text or 'end of input'!r}",
-                         tok.line, tok.col)
-
-    def parse_single(self):
-        value = self.parse_expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
-        return value
-
-    def parse_list(self):
-        values = [self.parse_expr()]
-        while self.peek().kind == ";":
-            self.advance()
-            values.append(self.parse_expr())
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
-        return values
+    def factor(self, i: int):
+        tokens, algebra = self.tokens, self.algebra
+        tok = tokens[i]
+        if tok.isdecimal():
+            value = algebra.const(int(tok))
+        elif tok == "(":
+            value, i = self.expr(i + 1)
+            if tokens[i] != ")":
+                raise _Refused(f"expected ')', found {tokens[i] or 'end of input'!r}", i)
+        elif tok not in _NOT_AN_ATOM:
+            value = algebra.symbol(tok, i)
+        else:
+            raise _Refused(f"expected a value, found {tok or 'end of input'!r}", i)
+        i += 1
+        if tokens[i] == "^":
+            i += 1
+            tok = tokens[i]
+            if not tok.isdecimal():
+                raise _Refused(f"expected 'num', found {tok or 'end of input'!r}", i)
+            value = algebra.pow(value, int(tok), i)
+            i += 1
+        return value, i
 
 
-def _check_power(size: int, k: int, tok: Token) -> None:
+def _parse(text: str, algebra, many: bool = False):
+    """The value of `text`, or with `many` the list of its ';'-separated values."""
+    tokens = _lex(text)
+    parser = _Parser(tokens, algebra)
+    try:
+        value, i = parser.expr(0)
+        values = [value]
+        while many and tokens[i] == ";":
+            value, i = parser.expr(i + 1)
+            values.append(value)
+        if tokens[i]:
+            raise _Refused(f"unexpected trailing input {tokens[i]!r}", i)
+    except _Refused as refused:
+        line, col = _position(text, _token_offset(text, refused.at))
+        raise ParseError(refused.message, line, col) from None
+    return values if many else value
+
+
+def _check_power(size: int, k: int, at: int) -> None:
     """Refuse v^k when k times max(1, order or degree of v) exceeds MAX_POWER."""
     if k * max(size, 1) > MAX_POWER:
-        raise ParseError(f"power too large: the exponent times the order or degree "
-                         f"of the base (at least 1) exceeds {MAX_POWER}", tok.line, tok.col)
+        raise _Refused(f"power too large: the exponent times the order or degree "
+                       f"of the base (at least 1) exceeds {MAX_POWER}", at)
 
 
 class _UnivarAlgebra:
     """Evaluation into Q[x] until a division by a non-constant polynomial, into
-    Q(x) after it; a value becomes an operator where it meets a derivation."""
+    Q(x) after it; a value becomes an operator where it meets a derivation.
+    The atoms x and d are built once per parse and shared by every use: no
+    operation writes to its operands."""
 
     def __init__(self, var: str):
         self.var = var
         self.deriv_tokens = {"d", "d" + var}
         if var == "x":
             self.deriv_tokens.add("dx")
+        self.zero = RatFun.zero(var)
         self.unit = RatFun.one(var)
         self.one = self.unit.den
+        self.x = self.one._with({(1,): 1})
+        self.d = UnivarOperator.derivation(var)
 
     def function(self, v) -> RatFun:
         """A polynomial or rational function as a RatFun."""
@@ -194,18 +198,18 @@ class _UnivarAlgebra:
         return UnivarOperator.multiplication(self.function(v))
 
     def const(self, c: int) -> MPoly:
-        return MPoly.const((self.var,), c)
+        # a number token reads as an int, already in normal form
+        return self.one._with({(0,): c} if c else {})
 
-    def symbol(self, tok: Token):
-        if tok.text == self.var:
-            return MPoly.var((self.var,), self.var)
-        if tok.text in self.deriv_tokens:
-            return UnivarOperator.derivation(self.var)
-        if _DERIV_RE.fullmatch(tok.text):
-            raise ParseError(f"derivation {tok.text!r} does not exist in a "
-                             f"1-variable context (variable {self.var!r})",
-                             tok.line, tok.col)
-        raise ParseError(f"unknown symbol {tok.text!r}", tok.line, tok.col)
+    def symbol(self, name: str, at: int):
+        if name == self.var:
+            return self.x
+        if name in self.deriv_tokens:
+            return self.d
+        if _DERIV_RE.fullmatch(name):
+            raise _Refused(f"derivation {name!r} does not exist in a "
+                           f"1-variable context (variable {self.var!r})", at)
+        raise _Refused(f"unknown symbol {name!r}", at)
 
     def neg(self, v): return -v
 
@@ -231,7 +235,10 @@ class _UnivarAlgebra:
             return UnivarOperator(self.var, b.coeffs[:-1] + (f,))
         return b.scale(f)
 
-    def pow(self, v, k, tok: Token):
+    def pow(self, v, k, at: int):
+        if v is self.d:
+            _check_power(1, k, at)
+            return UnivarOperator(self.var, [self.zero] * k + [self.unit])
         if isinstance(v, MPoly):
             size = v.total_degree() if v.terms else 0
         else:
@@ -239,17 +246,16 @@ class _UnivarAlgebra:
             sizes = [len(op.coeffs) - 1]
             sizes += [max(c.num.total_degree(), c.den.total_degree()) for c in op.coeffs]
             size = max(sizes)
-        _check_power(size, k, tok)
+        _check_power(size, k, at)
         return v ** k
 
-    def div(self, a, b, tok: Token):
+    def div(self, a, b, at: int):
         if isinstance(b, UnivarOperator) and not b.is_zero():
             if b.order() > 0:
-                raise ParseError("division by a derivation is not defined",
-                                 tok.line, tok.col)
+                raise _Refused("division by a derivation is not defined", at)
             b = b.coeff(0)
         if b.is_zero():
-            raise ParseError("division by zero", tok.line, tok.col)
+            raise _Refused("division by zero", at)
         if isinstance(a, (MPoly, UnivarOperator)) and isinstance(b, MPoly) and b.is_constant():
             return a.scale(_inverse(b.constant_value()))
         if isinstance(a, UnivarOperator):
@@ -264,77 +270,78 @@ class _WeylAlgebra:
 
     def __init__(self, variables: tuple):
         self.vars = tuple(variables)
-        self.n = len(self.vars)
+        self.n = n = len(self.vars)
         for i, name in enumerate(self.vars):
             if name in self.vars[:i]:
                 raise ValueError(f"variable {name!r} is repeated in {self.vars}")
             if _DERIV_RE.fullmatch(name):
                 raise ValueError(f"variable {name!r} is named like a derivation")
-        self.derivs = {}
-        for i, name in enumerate(deriv_names(self.n)):
-            self.derivs[name] = i
+        derivs = {}
+        for i, name in enumerate(deriv_names(n)):
+            derivs[name] = i
         for i, name in enumerate(self.vars):
-            self.derivs.setdefault("d" + name, i)
-        if self.n == 1:
-            self.derivs.setdefault("d", 0)
+            derivs.setdefault("d" + name, i)
+        if n == 1:
+            derivs.setdefault("d", 0)
+        # name -> the exponent of its one-term element; a variable's name
+        # wins over a derivation's ('dX' in variables ('X', 'dX'))
+        units = [tuple(int(j == k) for k in range(2 * n)) for j in range(2 * n)]
+        self.exponents = {name: units[n + i] for name, i in derivs.items()}
+        self.exponents.update((name, units[i]) for i, name in enumerate(self.vars))
+        self.origin = (0,) * (2 * n)
 
     def const(self, c: int) -> WeylElement:
-        return WeylElement.const(self.n, c)
+        return WeylElement._from_terms(self.n, {self.origin: c} if c else {})
 
-    def symbol(self, tok: Token) -> WeylElement:
-        if tok.text in self.vars:
-            return WeylElement.x(self.n, self.vars.index(tok.text))
-        if tok.text in self.derivs:
-            return WeylElement.d(self.n, self.derivs[tok.text])
-        if _DERIV_RE.fullmatch(tok.text) or re.fullmatch(r"[xyz][0-9]*", tok.text):
-            raise ParseError(
-                f"{tok.text!r} does not exist in the {self.n}-variable "
-                f"context {self.vars}", tok.line, tok.col)
-        raise ParseError(f"unknown symbol {tok.text!r}", tok.line, tok.col)
+    def symbol(self, name: str, at: int) -> WeylElement:
+        exps = self.exponents.get(name)
+        if exps is not None:
+            return WeylElement._from_terms(self.n, {exps: 1})
+        if _DERIV_RE.fullmatch(name) or re.fullmatch(r"[xyz][0-9]*", name):
+            raise _Refused(f"{name!r} does not exist in the {self.n}-variable "
+                           f"context {self.vars}", at)
+        raise _Refused(f"unknown symbol {name!r}", at)
 
     def neg(self, v): return -v
     def add(self, a, b): return a + b
     def sub(self, a, b): return a - b
     def mul(self, a, b): return a * b
 
-    def pow(self, v, k, tok: Token):
-        _check_power(v.total_degree() if v.terms else 0, k, tok)
+    def pow(self, v, k, at: int):
+        _check_power(v.total_degree() if v.terms else 0, k, at)
         return v ** k
 
-    def div(self, a, b, tok: Token):
+    def div(self, a, b, at: int):
         if b.is_zero():
-            raise ParseError("division by zero", tok.line, tok.col)
+            raise _Refused("division by zero", at)
         if not b.is_constant():
-            raise ParseError(
-                "division is only defined by nonzero rational constants in a "
-                "multivariate context", tok.line, tok.col)
+            raise _Refused("division is only defined by nonzero rational constants in a "
+                           "multivariate context", at)
         return a.scale(_inverse(b.constant_value()))
 
 
 def parse_operator(text: str, var: str = "x") -> UnivarOperator:
     """Parse a univariate operator with rational-function coefficients."""
     algebra = _UnivarAlgebra(var)
-    return algebra.lift(_Parser(tokenize(text), algebra).parse_single())
+    return algebra.lift(_parse(text, algebra))
 
 
 def parse_weyl_generators(text: str, variables) -> list[WeylElement]:
     """Parse ';'-separated generators of a left ideal in A_n."""
-    parser = _Parser(tokenize(text), _WeylAlgebra(tuple(variables)))
-    return parser.parse_list()
+    return _parse(text, _WeylAlgebra(tuple(variables)), many=True)
 
 
 def parse_ratfun(text: str, var: str = "x") -> RatFun:
     """Parse a rational function (an order-zero operator)."""
-    tokens = tokenize(text)
     algebra = _UnivarAlgebra(var)
-    value = _Parser(tokens, algebra).parse_single()
+    value = _parse(text, algebra)
     if not isinstance(value, UnivarOperator):
         return algebra.function(value)
     if value.is_zero():
         return RatFun.zero(var)
     if value.order() > 0:
         raise ParseError("expected a coefficient, found a derivation",
-                         tokens[0].line, tokens[0].col)
+                         *_position(text, _token_offset(text, 0)))
     return value.coeff(0)
 
 

@@ -803,13 +803,24 @@ def _monic_den(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
 
 
 def _taylor_shift(a: list, c: Fraction) -> list:
-    """Dense coefficients of p(x + c) from those of p, in place, by repeated
-    synthetic division (Taylor shift): O(d^2) products, no polynomial ones."""
+    """Dense coefficients of p(x + c) from those of p, by repeated synthetic
+    division (Taylor shift) on integers.  At c = u/v, L v^D p(y/v), with L the
+    lcm of the coefficients' denominators, has integer coefficients
+    L v^(D-i) a_i; its shift by u is L v^D p((y + u)/v), whose coefficient i
+    over L v^(D-i) is that of p(x + c) (von zur Gathen & Gerhard 1997)."""
     d = len(a) - 1
+    if d < 1:
+        return a
+    u, v = c.numerator, c.denominator
+    lcm = math.lcm(*(ai.denominator for ai in a))
+    scales = [lcm * v ** (d - i) for i in range(d + 1)]
+    b = [ai.numerator * (s // ai.denominator) for ai, s in zip(a, scales)]
     for i in range(d):
         for j in range(d - 1, i - 1, -1):
-            a[j] = _exact(a[j] + c * a[j + 1])
-    return a
+            b[j] += u * b[j + 1]
+    if lcm == v == 1:
+        return b
+    return [_exact(Fraction(bi, s)) for bi, s in zip(b, scales)]
 
 
 def _reverse_univar(p: MPoly, new_var: str, degree: int) -> MPoly:

@@ -1,12 +1,12 @@
 """Shared builders for randomized exact-arithmetic tests, the LocalLattice
 reference that the polar lattices are checked against, the operator
-algebra reference that the parser is checked against, the plain forms
-of the Q(x) kernel's shortcuts, the Fraction form of the log lattice's
-integer derivation images, the bare-chart inclusion as a direct
-enumeration, the Fraction Buchberger driver and general Weyl
-product that the integer driver and the table-driven product are checked
-against, the replay of recorded benchmark reports, and small helpers only
-tests call."""
+algebra reference and the frozen lexer and descent that the parser is
+checked against, the plain forms of the Q(x) kernel's shortcuts, the
+Fraction form of the log lattice's integer derivation images, the
+bare-chart inclusion as a direct enumeration, the Fraction Buchberger
+driver and general Weyl product that the integer driver and the
+table-driven product are checked against, the replay of recorded
+benchmark reports, and small helpers only tests call."""
 
 from __future__ import annotations
 
@@ -16,10 +16,11 @@ import heapq
 import io
 import math
 import random
+import re
 from fractions import Fraction
 from operator import add, sub
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import pytest
 
@@ -29,12 +30,13 @@ from dreg.ideals import (DEFAULT_BUDGET, DEGREVLEX, BudgetExceeded, TermOrder, _
                          _exp_lcm, _exp_sub, leading_term, minimal_monomial_generators)
 from dreg.linalg import gauss_solve, mat_mul
 from dreg.operators import UnivarOperator
-from dreg.parser import _DERIV_RE, ParseError, Token, _Parser, tokenize
+from dreg.parser import MAX_POWER, ParseError
 from dreg.polelattice import _in_ideal, _symbol_monomials, theta_XZ_ideal
-from dreg.polynomials import INF, MPoly, RatFun, as_rat, denominator_lcm, univar_gcd
+from dreg.polynomials import (INF, MPoly, RatFun, _inverse, as_rat, denominator_lcm,
+                              univar_gcd)
 from dreg.regularity import _localize
 from dreg.systems import ConnectionSystem
-from dreg.weyl import WeylElement
+from dreg.weyl import WeylElement, deriv_names
 
 
 def is_exact(c) -> bool:
@@ -311,6 +313,204 @@ def reference_annihilator_monomials(module, bound: int, start=None) -> list[tupl
             if reference_monomial_annihilates(module, total - b, b, levels, bound)]
 
 
+# -- the frozen reference parser ------------------------------------------------
+#
+# The lexer and descent of dreg.parser as they were before it lexed in one
+# regex pass, kept verbatim so that the references below share no parsing
+# code with the library: a token carries its line and column, and the
+# descent peeks and advances one token at a time.
+
+
+class Token(NamedTuple):
+    kind: str
+    text: str
+    line: int
+    col: int
+
+
+_DERIV_RE = re.compile(r"d[a-z0-9]*")
+_TOKEN_RE = re.compile(r"\s+|(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^();])")
+
+
+def tokenize(text: str) -> list[Token]:
+    tokens = []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        chunk = m.group(0)
+        if m.lastgroup == "num":
+            tokens.append(Token("num", chunk, line, col))
+        elif m.lastgroup == "name":
+            tokens.append(Token("name", chunk, line, col))
+        elif m.lastgroup == "op":
+            tokens.append(Token(chunk, chunk, line, col))
+        newlines = chunk.count("\n")
+        if newlines:
+            line += newlines
+            col = len(chunk) - chunk.rfind("\n")
+        else:
+            col += len(chunk)
+        pos = m.end()
+    tokens.append(Token("end", "", line, col))
+    return tokens
+
+
+class _Parser:
+    """Recursive descent over tokens, generic in the value algebra."""
+
+    def __init__(self, tokens: list[Token], algebra):
+        self.tokens = tokens
+        self.pos = 0
+        self.algebra = algebra
+
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str) -> Token:
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}",
+                             tok.line, tok.col)
+        return self.advance()
+
+    def parse_expr(self):
+        negate = False
+        if self.peek().kind in ("-", "+"):
+            negate = self.advance().kind == "-"
+        value = self.parse_term()
+        if negate:
+            value = self.algebra.neg(value)
+        while self.peek().kind in ("+", "-"):
+            op = self.advance().kind
+            rhs = self.parse_term()
+            value = self.algebra.sub(value, rhs) if op == "-" else self.algebra.add(value, rhs)
+        return value
+
+    def parse_term(self):
+        value = self.parse_factor()
+        while self.peek().kind in ("*", "/"):
+            tok = self.advance()
+            rhs = self.parse_factor()
+            if tok.kind == "*":
+                value = self.algebra.mul(value, rhs)
+            else:
+                value = self.algebra.div(value, rhs, tok)
+        return value
+
+    def parse_factor(self):
+        value = self.parse_atom()
+        if self.peek().kind == "^":
+            self.advance()
+            tok = self.expect("num")
+            value = self.algebra.pow(value, int(tok.text), tok)
+        return value
+
+    def parse_atom(self):
+        tok = self.peek()
+        if tok.kind == "num":
+            self.advance()
+            return self.algebra.const(int(tok.text))
+        if tok.kind == "name":
+            self.advance()
+            return self.algebra.symbol(tok)
+        if tok.kind == "(":
+            self.advance()
+            value = self.parse_expr()
+            self.expect(")")
+            return value
+        raise ParseError(f"expected a value, found {tok.text or 'end of input'!r}",
+                         tok.line, tok.col)
+
+    def parse_single(self):
+        value = self.parse_expr()
+        tok = self.peek()
+        if tok.kind != "end":
+            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+        return value
+
+    def parse_list(self):
+        values = [self.parse_expr()]
+        while self.peek().kind == ";":
+            self.advance()
+            values.append(self.parse_expr())
+        tok = self.peek()
+        if tok.kind != "end":
+            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+        return values
+
+
+def _check_power(size: int, k: int, tok: Token) -> None:
+    """Refuse v^k when k times max(1, order or degree of v) exceeds MAX_POWER."""
+    if k * max(size, 1) > MAX_POWER:
+        raise ParseError(f"power too large: the exponent times the order or degree "
+                         f"of the base (at least 1) exceeds {MAX_POWER}", tok.line, tok.col)
+
+
+class ReferenceWeylAlgebra:
+    """Evaluation into normal-ordered Weyl elements."""
+
+    def __init__(self, variables: tuple):
+        self.vars = tuple(variables)
+        self.n = len(self.vars)
+        for i, name in enumerate(self.vars):
+            if name in self.vars[:i]:
+                raise ValueError(f"variable {name!r} is repeated in {self.vars}")
+            if _DERIV_RE.fullmatch(name):
+                raise ValueError(f"variable {name!r} is named like a derivation")
+        self.derivs = {}
+        for i, name in enumerate(deriv_names(self.n)):
+            self.derivs[name] = i
+        for i, name in enumerate(self.vars):
+            self.derivs.setdefault("d" + name, i)
+        if self.n == 1:
+            self.derivs.setdefault("d", 0)
+
+    def const(self, c: int) -> WeylElement:
+        return WeylElement.const(self.n, c)
+
+    def symbol(self, tok: Token) -> WeylElement:
+        if tok.text in self.vars:
+            return WeylElement.x(self.n, self.vars.index(tok.text))
+        if tok.text in self.derivs:
+            return WeylElement.d(self.n, self.derivs[tok.text])
+        if _DERIV_RE.fullmatch(tok.text) or re.fullmatch(r"[xyz][0-9]*", tok.text):
+            raise ParseError(
+                f"{tok.text!r} does not exist in the {self.n}-variable "
+                f"context {self.vars}", tok.line, tok.col)
+        raise ParseError(f"unknown symbol {tok.text!r}", tok.line, tok.col)
+
+    def neg(self, v): return -v
+    def add(self, a, b): return a + b
+    def sub(self, a, b): return a - b
+    def mul(self, a, b): return a * b
+
+    def pow(self, v, k, tok: Token):
+        _check_power(v.total_degree() if v.terms else 0, k, tok)
+        return v ** k
+
+    def div(self, a, b, tok: Token):
+        if b.is_zero():
+            raise ParseError("division by zero", tok.line, tok.col)
+        if not b.is_constant():
+            raise ParseError(
+                "division is only defined by nonzero rational constants in a "
+                "multivariate context", tok.line, tok.col)
+        return a.scale(_inverse(b.constant_value()))
+
+
+def reference_parse_weyl_generators(text: str, variables) -> list[WeylElement]:
+    """parse_weyl_generators on the frozen lexer and descent."""
+    return _Parser(tokenize(text), ReferenceWeylAlgebra(tuple(variables))).parse_list()
+
+
 # -- the reference parser algebra -------------------------------------------------
 
 
@@ -418,6 +618,26 @@ def reference_shift(f: RatFun, c) -> RatFun:
     """x -> x + c by Horner composition, normalised by the RatFun gcd."""
     inner = MPoly.from_univar_coeffs(f.var, [c, 1])
     return RatFun(compose_univar(f.num, inner), compose_univar(f.den, inner))
+
+
+def reference_taylor_shift(a: list, c: Fraction) -> list:
+    """Dense coefficients of p(x + c) from those of p, in place, by repeated
+    synthetic division with a Fraction product in every update."""
+    d = len(a) - 1
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            a[j] = as_rat(a[j] + c * a[j + 1])
+    return a
+
+
+def reference_taylor_shift_ratfun(f: RatFun, c) -> RatFun:
+    """RatFun.shift on the Fraction Taylor shift above."""
+    c = as_rat(c)
+    if not c:
+        return f
+    num, den = (MPoly.from_univar_coeffs(f.var, reference_taylor_shift(p.univar_coeffs(), c))
+                for p in (f.num, f.den))
+    return RatFun.from_coprime(num, den)
 
 
 def reference_scale_var(f: RatFun, c) -> RatFun:

@@ -1,6 +1,7 @@
 """The parser evaluates in Q[x] until a division, in Q(x) after it, and lifts
 to operators only at a derivation; it is checked against the all-operator
-reference algebra in conftest."""
+reference algebra in conftest, and the Weyl generators against the
+reference Weyl algebra, both run on the frozen lexer and descent there."""
 
 import os
 import resource
@@ -11,22 +12,25 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dreg import polynomials
+from dreg import parser, polynomials
 from dreg.cli import main
 from dreg.corpus import OPERATORS
 from dreg.operators import UnivarOperator
 from dreg.parser import (MAX_POWER, ParseError, format_operator, parse_operator,
                          parse_ratfun, parse_weyl_generators)
 from dreg.polynomials import MPoly, RatFun
+from dreg.weyl import coordinate_names, deriv_names
 
-from conftest import reference_parse_operator, reference_parse_ratfun
+from conftest import (reference_parse_operator, reference_parse_ratfun,
+                      reference_parse_weyl_generators)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # (text, size): size bounds the order and degree of the value, so that the
 # reference's repeated Leibniz products stay cheap
 LEAVES = st.sampled_from([("0", 0), ("1", 0), ("3", 0), ("x", 1), ("x", 1), ("d", 1), ("d", 1)])
-SPACES = st.sampled_from(["", " ", "\n  "])
+# tabs, CRLF and a non-ASCII space separate tokens like a space does
+SPACES = st.sampled_from(["", " ", "\n  ", "\t", "\r\n", "\u00a0"])
 
 
 def _combine(children):
@@ -45,7 +49,8 @@ def _combine(children):
 EXPRESSIONS = st.tuples(
     st.booleans(),
     st.recursive(LEAVES, _combine, max_leaves=10).filter(lambda t: t[1] <= 10),
-).map(lambda t: ("-" if t[0] else "") + t[1][0])
+    SPACES,
+).map(lambda t: ("-" if t[0] else "") + t[1][0] + t[2])
 
 WELL_FORMED = [
     "d^3 + (x^2 - 1)/(x^2*(x - 3/2)^2)*d^2 + 2/x*d + 1/(x^2 + 1)",
@@ -56,7 +61,40 @@ MALFORMED = [
     "1/d", "x/(x*d)", "x/(d - d)", "x/0", "1/(x - x)", "x^", "x^-1", "d^",
     "q + x", "x*y", "dy", "d2", "x*dy + 1", "(x + 1", "x + 1)", "", "x +",
     "x\n  * * d", "d*x - x*d)", "2/(d*x - x*d - 1)",
+    "x\t+ \u00e9*d", "x*d +\r\n\t", "d^2\n + x*d\n + (x - 1))", "x +\r\n ; d",
+    "\u00a0d + x\u00a0^",
 ]
+
+
+def _weyl_leaves(n):
+    """(text, size) leaves in n variables: the variables, every name of a
+    derivation, small numbers and names that do not exist in A_n."""
+    names = coordinate_names(n) + deriv_names(n) + tuple(f"d{v}" for v in coordinate_names(n))
+    return st.sampled_from([(name, 1) for name in names]
+                           + [("0", 0), ("1", 0), ("3", 0), ("q", 0), ("dw", 0), ("x2", 0)])
+
+
+def _weyl_texts(n):
+    # size bounds the degree, so that the products stay cheap
+    generator = st.recursive(_weyl_leaves(n), _combine, max_leaves=6)
+    generator = generator.filter(lambda t: t[1] <= 6).map(lambda t: t[0])
+    return st.tuples(st.just(coordinate_names(n)), st.lists(generator, min_size=1, max_size=3),
+                     SPACES).map(lambda t: (t[0], (";" + t[2]).join(t[1]) + t[2]))
+
+
+WEYL_TEXTS = st.integers(1, 3).flatmap(_weyl_texts)
+WEYL_MALFORMED = ["x*dx ;", "; x", "x ;; y", "x*dx - 1 ;\r\n y*dy\n\t; dz^", "(x ; y)",
+                  "x/y", "x/(y - y)", "dx^1001", "x \u00e9", "x2 + y", "d + x", "x*dw"]
+
+
+def weyl_outcome(parse, text, variables):
+    """The elements with their term order and coefficient types, or the error."""
+    try:
+        gens = parse(text, variables)
+    except ParseError as exc:
+        return "error", str(exc), exc.line, exc.col
+    return ("ok", gens, [list(g.terms.items()) for g in gens],
+            [[type(c) for c in g.terms.values()] for g in gens])
 
 
 def outcome(parse, text):
@@ -83,6 +121,20 @@ class TestAgainstReference:
         assert got[0] == "error"
         assert got == outcome(reference_parse_operator, text)
         assert outcome(parse_ratfun, text) == outcome(reference_parse_ratfun, text)
+
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(WEYL_TEXTS)
+    def test_weyl_generators_and_errors_match(self, case):
+        variables, text = case
+        assert weyl_outcome(parse_weyl_generators, text, variables) == \
+            weyl_outcome(reference_parse_weyl_generators, text, variables)
+
+    @pytest.mark.parametrize("text", WEYL_MALFORMED)
+    def test_malformed_weyl_generators_fail_alike(self, text):
+        got = weyl_outcome(parse_weyl_generators, text, ("x", "y", "z"))
+        assert got[0] == "error"
+        assert got == weyl_outcome(reference_parse_weyl_generators, text, ("x", "y", "z"))
 
 
 class TestParseRatfun:
@@ -116,6 +168,19 @@ class TestWork:
 
         monkeypatch.setattr(owner, name, counted)
         return calls
+
+    @pytest.mark.parametrize("text", WELL_FORMED)
+    def test_well_formed_text_computes_no_position(self, monkeypatch, text):
+        calls = self.count(monkeypatch, parser, "_position")
+        parse_operator(text)
+        assert calls == []
+
+    @pytest.mark.parametrize("text", MALFORMED)
+    def test_malformed_text_computes_its_position(self, monkeypatch, text):
+        calls = self.count(monkeypatch, parser, "_position")
+        with pytest.raises(ParseError):
+            parse_operator(text)
+        assert calls
 
     def test_curves_operator_needs_no_operator_product(self, monkeypatch):
         calls = self.count(monkeypatch, UnivarOperator, "mul")

@@ -12,7 +12,7 @@ from dreg.polynomials import (INF, MPoly, Rat, RatFun, factor_rational,
 from conftest import (evaluate_mpoly, evaluate_ratfun, from_coeffs, random_fraction,
                       random_mpoly, random_ratfun, reference_mul, reference_pow,
                       reference_ratfun, reference_scale_var, reference_shift,
-                      scale_ratfun_var)
+                      reference_taylor_shift_ratfun, scale_ratfun_var)
 
 
 def rf(num, den=(1,)):
@@ -297,6 +297,16 @@ class TestKernelShortcuts:
         assert f.shift(c) == reference_shift(f, c)
         if c:
             assert scale_ratfun_var(f, c) == reference_scale_var(f, c)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(COEFFS, max_size=6), RATFUNS, st.fractions(-6, 6, max_denominator=7))
+    def test_integer_taylor_shift_is_the_fraction_one(self, num, f, c):
+        f = RatFun(MPoly.from_univar_coeffs("x", num), f.den)
+        got, expected = f.shift(c), reference_taylor_shift_ratfun(f, c)
+        for mine, theirs in ((got.num, expected.num), (got.den, expected.den)):
+            assert list(mine.terms.items()) == list(theirs.terms.items())
+            assert [type(v) for v in mine.terms.values()] == \
+                [type(v) for v in theirs.terms.values()]
 
     @settings(max_examples=150, deadline=None)
     @given(RATFUNS, RATFUNS)
