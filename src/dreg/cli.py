@@ -404,8 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("expression", nargs="?", help="inline expression")
             sp.add_argument("--file", help="read the expression from a file")
         sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="work budget for basis computations")
 
     sp = sub.add_parser("fuchs", help="Fuchs order criterion")
     common(sp)
@@ -433,11 +431,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("charvar", help="characteristic variety of a left ideal")
     common(sp)
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                    help="work budget for basis computations")
     sp.add_argument("--vars", help="comma-separated coordinates, e.g. x,y")
     sp.set_defaults(fn=cmd_charvar)
 
     sp = sub.add_parser("holonomic", help="dimension and holonomicity checks")
     common(sp)
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                    help="work budget for basis computations")
     sp.add_argument("--vars", help="comma-separated coordinates")
     sp.set_defaults(fn=cmd_holonomic)
 

@@ -248,27 +248,20 @@ def pole_filtration_annihilator(chart: NCChart, bound: int = 6) -> AnnihilatorRe
 
 
 def goodness_scan(chart: NCChart, bound: int = 6) -> tuple[bool, list]:
-    """Check that first-order operators generate each new level from r on:
-    every top generator of F^(j+1) is a single derivation applied to a
-    generator of F^j."""
-    transcript = []
-    ok_all = True
-    for j in range(chart.r, bound + 1):
-        for beta in chart.monomials_with_pole(j + 1, 0):
-            if any(beta[i] > 0 for i in range(chart.n)):
-                continue
-            pick = next((i for i in range(chart.r) if beta[i] <= -2), None)
-            ok = pick is not None
-            if ok:
-                inner = tuple(b + (1 if i == pick else 0)
-                              for i, b in enumerate(beta))
-                # d_pick x^inner = (inner_pick) x^beta, coefficient nonzero
-                ok = chart.pole_order(inner) == j and inner[pick] != 0
-            if not ok:
-                ok_all = False
-            transcript.append({"level": j + 1, "generator": list(beta),
-                               "derivation": pick, "ok": ok})
-    return ok_all, transcript
+    """Certify that first-order operators generate each new level from r on:
+    every top generator x^beta of F^(j+1) is a single derivation applied to a
+    generator of F^j.
+
+    This holds with no scan.  For j >= r the pole order j + 1 > r is spread
+    over the r dividing coordinates, so some beta_i <= -2 (pigeonhole), and
+    d_i x^(beta + e_i) = (beta_i + 1) x^beta with beta + e_i of pole order j.
+    The transcript names that derivation for each generator.
+    """
+    return True, [{"level": j + 1, "generator": list(beta),
+                   "derivation": next(i for i, e in enumerate(beta) if e <= -2),
+                   "ok": True}
+                  for j in range(chart.r, bound + 1)
+                  for beta in chart.monomials_with_pole(j + 1, 0)]
 
 
 class LogLattice:
@@ -458,30 +451,30 @@ def theorem_forward_filtration(lattice: LogLattice, chart: NCChart,
     ideal = theta_XZ_ideal(chart)
     window = _window(chart, twist + bound, bound)
     levels = sum(twist + bound + 1 - max(pole, twist) for pole, _alpha in window)
-    holds = _outside_annihilator(lattice, window, minimal_monomial_generators(ideal),
-                                 bound) is None
+    holds = next(_outside_annihilators(lattice, window, minimal_monomial_generators(ideal),
+                                       bound), None) is None
     return ForwardReport(ideal, is_radical_squarefree_monomial(ideal),
                          chart.n * lattice.rank * levels, holds)
 
 
-def _outside_annihilator(lattice: LogLattice, window: tuple, generators: list,
-                         bound: int):
-    """Exponents (a, b) of an x^a d^b of degree <= bound outside the monomial
-    ideal of `generators` that annihilates the window, or None when there is
-    none.
+def _outside_annihilators(lattice: LogLattice, window: tuple, generators: list,
+                          bound: int):
+    """Exponents (a, b) of the x^a d^b of degree <= bound outside the monomial
+    ideal of `generators` that annihilate the window, from the top degree
+    down: the reverse of `_symbol_monomials` order.
 
-    The walk runs from the top degree down.  x^a' d^b failing on the window
-    makes x^a d^b fail for every a <= a' (pole orders only rise as a falls),
-    and a' comes before a, so a dominated a is not scanned."""
+    x^a' d^b failing on the window makes x^a d^b fail for every a <= a'
+    (pole orders only rise as a falls), and a' comes before a, so a
+    dominated a is not scanned."""
     failed: dict = {}
     for a, b in reversed(tuple(_outside_monomials(generators, lattice.chart.n, bound))):
         highs = failed.setdefault(b, [])
         if any(all(s <= t for s, t in zip(a, high)) for high in highs):
             continue
         if _breaking_element(lattice, window, a, b) is None:
-            return a, b
-        highs.append(a)
-    return None
+            yield a, b
+        else:
+            highs.append(a)
 
 
 @dataclass(frozen=True)
@@ -506,8 +499,34 @@ def prop21_inclusion(data, chart: NCChart, bound: int = 4) -> Prop21Report:
     operator.  For the bare chart a passing scan certifies that the
     annihilator is the ideal, so the symbol monomials up to this bound that
     lie in the ideal are listed, and none can violate.
+
+    A LogLattice lists the same monomials with no scan: the gammas are
+    polynomials, so d^b raises the pole order by at most the part of |b| on
+    the dividing coordinates (Deligne, LNM 163), and an x^a d^b in the ideal
+    has b_m > 0 for some m >= r or a_l b_l > 0 for some l < r, where x^a
+    takes one pole back.  Its image of x^alpha has pole order at most
+    pole(alpha) + |b| - 1, so it annihilates the window.  Only the
+    monomials outside the ideal are scanned, for the violations.
     """
-    if data is None or isinstance(data, AnnihilatorReport):
+    if isinstance(data, UnivarOperator):
+        if chart.n != 1:
+            raise ValueError("curve data requires a 1-variable chart")
+        generators = minimal_monomial_generators(theta_XZ_ideal(chart))
+        found: list[str] = []
+        violations: list[str] = []
+        for a, b in CurveModule.from_operator(data).annihilator_monomials(bound):
+            mono = str(MPoly.monomial(chart.ring, (a, b)))
+            (found if _in_ideal(generators, (a, b)) else violations).append(mono)
+        return Prop21Report(not violations, tuple(found), tuple(violations))
+    if isinstance(data, LogLattice):
+        if data.chart != chart:
+            raise ValueError(f"lattice lives on chart {data.chart}, not on {chart}")
+        generators = minimal_monomial_generators(theta_XZ_ideal(chart))
+        outside = _outside_annihilators(
+            data, _window(chart, chart.r + bound, bound), generators, bound)
+        violations = tuple(str(MPoly.monomial(chart.ring, a + b))
+                           for a, b in reversed(tuple(outside)))
+    elif data is None or isinstance(data, AnnihilatorReport):
         report = pole_filtration_annihilator(chart, bound) if data is None else data
         if report.chart != chart:
             raise ValueError(f"the report was scanned on chart {report.chart}, not on {chart}")
@@ -515,48 +534,13 @@ def prop21_inclusion(data, chart: NCChart, bound: int = 4) -> Prop21Report:
             raise ValueError(f"inclusion bound {bound} exceeds the scan bound {report.bound}")
         if not report.matches_ideal:
             return Prop21Report(False, (), ("window scan failed",))
-        generators = minimal_monomial_generators(report.ideal)
-        return Prop21Report(True, tuple(
-            str(MPoly.monomial(chart.ring, a + b)) for a, b in _symbol_monomials(chart, bound)
-            if _in_ideal(generators, a + b)), ())
-    if isinstance(data, LogLattice):
-        if data.chart != chart:
-            raise ValueError(f"lattice lives on chart {data.chart}, not on {chart}")
-        monomials = _lattice_annihilators(
-            data, chart, _window(chart, chart.r + bound, bound), bound)
-    elif isinstance(data, UnivarOperator):
-        if chart.n != 1:
-            raise ValueError("curve data requires a 1-variable chart")
-        monomials = (((a,), (b,)) for a, b in
-                     CurveModule.from_operator(data).annihilator_monomials(bound))
+        generators, violations = minimal_monomial_generators(report.ideal), ()
     else:
         raise TypeError(f"no inclusion check for a {type(data).__name__}")
     # membership in the monomial ideal is divisibility by a minimal generator
-    generators = minimal_monomial_generators(theta_XZ_ideal(chart))
-    found: list[str] = []
-    violations: list[str] = []
-    for a, b in monomials:
-        mono = str(MPoly.monomial(chart.ring, a + b))
-        (found if _in_ideal(generators, a + b) else violations).append(mono)
-    return Prop21Report(not violations, tuple(found), tuple(violations))
-
-
-def _lattice_annihilators(lattice: LogLattice, chart: NCChart, window: tuple,
-                          bound: int):
-    """Exponents (a, b) of the x^a d^b of degree <= bound that annihilate the
-    window, in scan order: every annihilator, which the inclusion report
-    lists, where the forward theorem only asks for one outside the ideal
-    (`_outside_annihilator`).  x^a d^b annihilating the window makes x^a' d^b
-    annihilate it for every a' >= a (pole orders only fall as a grows), and
-    a comes before a', so a dominated a is not scanned."""
-    annihilating: dict = {}
-    for a, b in _symbol_monomials(chart, bound):
-        lows = annihilating.setdefault(b, [])
-        if not any(all(s <= t for s, t in zip(low, a)) for low in lows):
-            if _breaking_element(lattice, window, a, b) is not None:
-                continue
-            lows.append(a)
-        yield a, b
+    return Prop21Report(not violations, tuple(
+        str(MPoly.monomial(chart.ring, a + b)) for a, b in _symbol_monomials(chart, bound)
+        if _in_ideal(generators, a + b)), violations)
 
 
 def _breaking_element(lattice: LogLattice, window: tuple, a: tuple, b: tuple):

@@ -807,7 +807,9 @@ def _taylor_shift(a: list, c: Fraction) -> list:
     division (Taylor shift) on integers.  At c = u/v, L v^D p(y/v), with L the
     lcm of the coefficients' denominators, has integer coefficients
     L v^(D-i) a_i; its shift by u is L v^D p((y + u)/v), whose coefficient i
-    over L v^(D-i) is that of p(x + c) (von zur Gathen & Gerhard 1997)."""
+    over L v^(D-i) is that of p(x + c) (von zur Gathen & Gerhard 1997).
+    Unless L = v = 1 the quotients come back as Fractions, which
+    `MPoly.from_univar_coeffs` brings to normal form."""
     d = len(a) - 1
     if d < 1:
         return a
@@ -820,7 +822,7 @@ def _taylor_shift(a: list, c: Fraction) -> list:
             b[j] += u * b[j + 1]
     if lcm == v == 1:
         return b
-    return [_exact(Fraction(bi, s)) for bi, s in zip(b, scales)]
+    return [Fraction(bi, s) for bi, s in zip(b, scales)]
 
 
 def _reverse_univar(p: MPoly, new_var: str, degree: int) -> MPoly:

@@ -3,7 +3,8 @@ reference that the polar lattices are checked against, the operator
 algebra reference and the frozen lexer and descent that the parser is
 checked against, the plain forms of the Q(x) kernel's shortcuts, the
 Fraction form of the log lattice's integer derivation images, the
-bare-chart inclusion as a direct enumeration, the Fraction Buchberger
+bare-chart inclusion as a direct enumeration, the certificate scans that
+the closed forms are checked against, the Fraction Buchberger
 driver and general Weyl product that the integer driver and the
 table-driven product are checked against, the replay of recorded
 benchmark reports, and small helpers only tests call."""
@@ -25,13 +26,15 @@ from typing import Iterable, NamedTuple, Sequence
 import pytest
 
 import dreg.cli
-from dreg.dmod import ContradictionError, EquivalenceReport
+from dreg.dmod import ContradictionError, CurveModule, EquivalenceReport
 from dreg.ideals import (DEFAULT_BUDGET, DEGREVLEX, BudgetExceeded, TermOrder, _divides,
                          _exp_lcm, _exp_sub, leading_term, minimal_monomial_generators)
+from dreg.lattices import PolarLattice
 from dreg.linalg import gauss_solve, mat_mul
 from dreg.operators import UnivarOperator
 from dreg.parser import MAX_POWER, ParseError
-from dreg.polelattice import _in_ideal, _symbol_monomials, theta_XZ_ideal
+from dreg.polelattice import (Prop21Report, _breaking_element, _in_ideal, _symbol_monomials,
+                              _window, theta_XZ_ideal)
 from dreg.polynomials import (INF, MPoly, RatFun, _inverse, as_rat, denominator_lcm,
                               univar_gcd)
 from dreg.regularity import _localize
@@ -904,6 +907,93 @@ def reference_bare_inclusion(chart, bound: int) -> tuple:
     return tuple(str(MPoly.monomial(chart.ring, a + b))
                  for a, b in _symbol_monomials(chart, bound)
                  if _in_ideal(generators, a + b))
+
+
+# -- the frozen certificate scans ------------------------------------------------
+# goodness_scan, check_good_filtration and the LogLattice path of
+# prop21_inclusion as they ran before their checks became closed forms, kept
+# verbatim: each still runs every check it reports.
+
+
+def reference_goodness_scan(chart, bound: int = 6) -> tuple[bool, list]:
+    """Check that first-order operators generate each new level from r on:
+    every top generator of F^(j+1) is a single derivation applied to a
+    generator of F^j."""
+    transcript = []
+    ok_all = True
+    for j in range(chart.r, bound + 1):
+        for beta in chart.monomials_with_pole(j + 1, 0):
+            if any(beta[i] > 0 for i in range(chart.n)):
+                continue
+            pick = next((i for i in range(chart.r) if beta[i] <= -2), None)
+            ok = pick is not None
+            if ok:
+                inner = tuple(b + (1 if i == pick else 0)
+                              for i, b in enumerate(beta))
+                # d_pick x^inner = (inner_pick) x^beta, coefficient nonzero
+                ok = chart.pole_order(inner) == j and inner[pick] != 0
+            if not ok:
+                ok_all = False
+            transcript.append({"level": j + 1, "generator": list(beta),
+                               "derivation": pick, "ok": ok})
+    return ok_all, transcript
+
+
+def reference_check_good_filtration(p: UnivarOperator, bound: int = 8,
+                                    point=0) -> tuple[bool, list]:
+    """Certify F^1 D . F^j = F^(j+1) for n <= j <= bound on D/DP.
+
+    Each spanning generator of F^(j+1) is exhibited inside the local-ring
+    span of the F^j generators and their single d-applications; that span
+    contains O^m, as F^j does, so it is a polar lattice.
+    """
+    local = _localize(p, point)
+    module = CurveModule.from_operator(local)
+    gens = [lattice.generators() for lattice in module.filtration_lattices(bound + 1)]
+    transcript = []
+    ok = True
+    for j in range(module.dim, bound + 1):
+        span = PolarLattice(module.dim, module.var).extended(
+            gens[j] + [module.partial_action(g) for g in gens[j]])
+        for idx, g in enumerate(gens[j + 1]):
+            inside = span.contains(g)
+            if not inside:
+                ok = False
+            transcript.append({"degree": j + 1, "generator": idx, "inside": inside})
+    return ok, transcript
+
+
+def reference_lattice_annihilators(lattice, chart, window: tuple, bound: int):
+    """Exponents (a, b) of the x^a d^b of degree <= bound that annihilate the
+    window, in scan order: every annihilator, in the ideal or not.  x^a d^b
+    annihilating the window makes x^a' d^b annihilate it for every a' >= a
+    (pole orders only fall as a grows), and a comes before a', so a
+    dominated a is not scanned."""
+    annihilating: dict = {}
+    for a, b in _symbol_monomials(chart, bound):
+        lows = annihilating.setdefault(b, [])
+        if not any(all(s <= t for s, t in zip(low, a)) for low in lows):
+            if _breaking_element(lattice, window, a, b) is not None:
+                continue
+            lows.append(a)
+        yield a, b
+
+
+def reference_lattice_inclusion(lattice, chart, bound: int = 4) -> Prop21Report:
+    """prop21_inclusion on a LogLattice with every symbol monomial scanned:
+    the annihilators in the ideal are listed, those outside are the
+    violations."""
+    if lattice.chart != chart:
+        raise ValueError(f"lattice lives on chart {lattice.chart}, not on {chart}")
+    monomials = reference_lattice_annihilators(
+        lattice, chart, _window(chart, chart.r + bound, bound), bound)
+    generators = minimal_monomial_generators(theta_XZ_ideal(chart))
+    found: list[str] = []
+    violations: list[str] = []
+    for a, b in monomials:
+        mono = str(MPoly.monomial(chart.ring, a + b))
+        (found if _in_ideal(generators, a + b) else violations).append(mono)
+    return Prop21Report(not violations, tuple(found), tuple(violations))
 
 
 # -- the Fraction Buchberger driver -----------------------------------------------

@@ -214,9 +214,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, message", [
         (("fuchs", "--bogus", "d"), "unrecognized arguments: --bogus"),
-        (("fuchs", "--budget", "x", "d"), "argument --budget: invalid int value: 'x'"),
+        (("charvar", "--budget", "x", "dx"), "argument --budget: invalid int value: 'x'"),
+        (("fuchs", "d", "--budget", "5"), "unrecognized arguments: --budget 5"),
         (("frobnicate", "d"), "argument verb: invalid choice: 'frobnicate'"),
-    ], ids=["unknown-option", "budget-not-int", "unknown-verb"])
+    ], ids=["unknown-option", "budget-not-int", "budget-without-bases", "unknown-verb"])
     def test_usage_errors_are_input_errors(self, capsys, argv, message):
         # exit 2 is kept for an exceeded work budget
         code, out, err = run_cli(capsys, *argv)

@@ -21,7 +21,8 @@ from dreg.weyl import WeylElement, characteristic_ideal, symbol_names
 
 from conftest import (degree_in, frame, random_operator, random_operator_with_poles,
                       random_point, reference_annihilator_monomials,
-                      reference_filtration, require_agreement, scale_operator_var)
+                      reference_check_good_filtration, reference_filtration,
+                      require_agreement, scale_operator_var)
 
 
 def op(text):
@@ -106,6 +107,22 @@ class TestGoodFiltration:
         ok, _ = check_good_filtration(op("x^2*d - 1"), 5)
         assert ok
 
+    # the corpus holds x*d - 5 and x^2*d - 1 already
+    @pytest.mark.parametrize("expr", [entry.expression for entry in OPERATORS] + ["d^2"])
+    def test_closed_form_matches_reference(self, expr):
+        p = op(expr)
+        for point in (0, 1, INFINITY):
+            for bound in range(9):
+                assert check_good_filtration(p, bound, point) == \
+                    reference_check_good_filtration(p, bound, point)
+
+    @pytest.mark.parametrize("expr, message", [("0", "zero operator"),
+                                               ("x^2 + 1", "order-zero")])
+    def test_zero_module_refused(self, expr, message):
+        for point in (0, 1, INFINITY):
+            with pytest.raises(ValueError, match=message):
+                check_good_filtration(op(expr), 4, point)
+
 
 class TestEchelonFiltration:
     """Each level grows from the echelon of the last, not from its whole list."""
@@ -142,7 +159,8 @@ class TestEchelonFiltration:
         module = CurveModule.from_operator(op(expr).monic())
         coarse = [lattice.generators()
                   for lattice in reference_filtration(module, 8, [frame(module)[0]])]
-        for levels in (module.filtration_generators(8), coarse):
+        polar = [lattice.generators() for lattice in module.filtration_lattices(8)]
+        for levels in (polar, coarse):
             assert len(levels) == 9
             assert all(len(gens) <= module.dim for gens in levels)
 

@@ -17,7 +17,7 @@ from dreg.ideals import (Ideal, groebner_basis, is_radical_squarefree_monomial,
                          minimal_monomial_generators, normal_form)
 from dreg.parser import parse_operator
 from dreg.polelattice import (LogLattice, NCChart, _apply_lift, _compositions, _in_ideal,
-                              _outside_annihilator, _outside_monomials,
+                              _outside_annihilators, _outside_monomials,
                               _symbol_monomials, _window, _window_size, goodness_scan,
                               pole_filtration_annihilator, prop21_inclusion,
                               theorem_backward_extraction,
@@ -27,7 +27,8 @@ from dreg.regularity import IRREGULAR, REGULAR
 from dreg.weyl import WeylElement, characteristic_ideal, coordinate_names
 
 from conftest import (poly_degree, recorded_mismatches, reference_apply_derivation,
-                      reference_bare_inclusion)
+                      reference_bare_inclusion, reference_goodness_scan,
+                      reference_lattice_inclusion)
 
 ALL_CHARTS = [(n, r) for n in (1, 2, 3) for r in range(1, n + 1)]
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -289,6 +290,12 @@ class TestGoodness:
         ok, transcript = goodness_scan(NCChart(n, r), 6)
         assert ok
         assert all(row["ok"] for row in transcript)
+
+    @pytest.mark.parametrize("n,r", ALL_CHARTS)
+    def test_closed_form_matches_reference(self, n, r):
+        chart = NCChart(n, r)
+        for bound in range(13):
+            assert goodness_scan(chart, bound) == reference_goodness_scan(chart, bound)
 
     def test_failure_below_r_for_two_components(self):
         # at level r the pigeonhole needs j >= r: for j = r - 1 the
@@ -569,6 +576,8 @@ def assert_matches_reference(lattice, chart, bound):
     report = prop21_inclusion(lattice, chart, bound)
     assert (report.holds, report.annihilating, report.violations) == \
         reference_prop21(lattice, chart, bound)
+    assert report == reference_lattice_inclusion(lattice, chart, bound)
+    return report
 
 
 SMALL = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
@@ -748,8 +757,8 @@ def forward_inclusion_matches_reference(lattice, bound):
     an integrable lattice, against the forward theorem's report."""
     chart = lattice.chart
     generators = minimal_monomial_generators(theta_XZ_ideal(chart))
-    found = _outside_annihilator(lattice, _window(chart, chart.r + bound, bound),
-                                 generators, bound)
+    found = next(_outside_annihilators(lattice, _window(chart, chart.r + bound, bound),
+                                       generators, bound), None)
     holds = found is None
     assert holds == reference_prop21(lattice, chart, bound)[0]
     if found is not None:
@@ -788,6 +797,22 @@ class TestForwardInclusion:
         chart, lattice = _read_chart_file(str(CORPUS / "plane_lattice.chart"))
         report = theorem_forward_filtration(SpoiledLattice(lattice, 0, None), chart, 3)
         assert report.radical and not report.inclusion_holds and not report.certified
+
+
+class TestSpoiledInclusion:
+    def test_spoiled_lattices_match_reference(self):
+        # the in-ideal listing is the closed form, the violations come from
+        # the outside walk: both against the scans of every symbol monomial
+        verdicts = set()
+
+        @settings(max_examples=40, deadline=None, derandomize=True)
+        @given(case=spoiled_lattices())
+        def check(case):
+            lattice, bound = case
+            verdicts.add(assert_matches_reference(lattice, lattice.chart, bound).holds)
+
+        check()
+        assert verdicts == {True, False}
 
 
 class TestPolelatticeCommand:
