@@ -12,9 +12,8 @@ from .operators import (ThetaOperator, UnivarOperator, chart_infinity, from_thet
 from .regularity import (INFINITY, fuchs_regular_at, newton_polygon,
                          regular_on_projective_line, theta_regular_at_zero)
 from .dmod import (CharVariety, ContradictionError, CyclicFiltration,
-                   characteristic_variety_univar, check_good_filtration,
-                   decompose_symbol_ideal, dimension_report,
-                   fuchs_kashiwara_equivalence, kashiwara_regular_at_zero,
+                   characteristic_variety_univar, decompose_symbol_ideal,
+                   dimension_report, fuchs_kashiwara_equivalence, kashiwara_regular_at_zero,
                    singular_points, trivial_filtration_annihilator)
 from .polelattice import (LogLattice, NCChart, pole_filtration_annihilator,
                           prop21_inclusion, theorem_backward_extraction,

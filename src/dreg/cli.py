@@ -12,6 +12,7 @@ import argparse
 import functools
 import sys
 from fractions import Fraction
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -214,7 +215,7 @@ def cmd_polelattice(args) -> dict:
     ]
     return _report("polelattice", {"n": args.n, "r": args.r, "bound": args.bound},
                    verdicts, [rep.to_dict()],
-                   [{"goodness": transcript[:50]}, incl.to_dict()])
+                   [{"goodness": list(islice(transcript, 50))}, incl.to_dict()])
 
 
 def _read_chart_file(path: str):

@@ -59,10 +59,3 @@ CHART_FILES = {
     "nilpotent_lattice.chart": "n 1\nr 1\nrank 2\ngamma 1\n0 ; 1\n0 ; 0\n",
     "plane_lattice.chart": "n 2\nr 2\nrank 1\ngamma 1\n1/2\ngamma 2\n3\n",
 }
-
-
-def entry(name: str) -> CorpusEntry:
-    for e in OPERATORS:
-        if e.name == name:
-            return e
-    raise KeyError(f"no corpus operator named {name!r}")

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .ideals import (DEFAULT_BUDGET, DEGREVLEX, LEX, Ideal, all_in_ideal,
                      basis_dimension, groebner_basis, radical_membership)
-from .lattices import PolarLattice
+from .lattices import PolarLattice, laurent_rows, theta_terms
 from .operators import UnivarOperator, to_theta_form
 from .polynomials import INF, MPoly, RatFun, factor_rational
 from .regularity import (FuchsCertificate, IRREGULAR, REGULAR, _localize,
@@ -73,82 +73,72 @@ class CurveModule:
     theta(v) = x v' + T v and d(v) = v' + T v / x on coordinate columns.
     Used to realize the module filtration F^k as lattices over the local
     ring and to scan which symbol monomials annihilate the graded module.
+    Vectors are polar dicts {(exponent, component): c}, and d is x^-1 theta
+    through `theta_terms`, so no step runs a polynomial gcd.
     """
 
-    __slots__ = ("var", "dim", "theta")
+    __slots__ = ("var", "dim", "theta", "_columns")
 
     def __init__(self, var: str, theta_matrix):
         self.var = var
         self.dim = len(theta_matrix)
         self.theta = [list(row) for row in theta_matrix]
+        self._columns = laurent_rows(zip(*self.theta))
 
     @classmethod
     def from_operator(cls, p: UnivarOperator) -> "CurveModule":
         filt = CyclicFiltration(p)
         return cls(p.var, filt.theta_matrix)
 
-    def partial_action(self, vec):
-        x = RatFun.x(self.var)
-        out = []
-        for i in range(self.dim):
-            acc = vec[i].derivative()
-            for j in range(self.dim):
-                if not self.theta[i][j].is_zero() and not vec[j].is_zero():
-                    acc = acc + self.theta[i][j] * vec[j] / x
-            out.append(acc)
-        return tuple(out)
+    def _d(self, v: dict) -> dict:
+        """The polar part of d(v) = x^-1 theta(v)."""
+        return {(e - 1, j): c for (e, j), c in theta_terms(v, self._columns, 0, 1).items()}
 
     def filtration_lattices(self, levels: int):
         """F^0 .. F^levels as polar lattices, with F^(k+1) = F^k + d F^k.
 
         F^0 is O^m, spanned by the frame e_1 .. e_m, so every level
-        contains O^m and is held by its polar parts.  F^(k+1) grows from the
-        m basis vectors g of F^k and their images d(g): d(f g) = f' g +
-        f d(g) with f' in O, so these span the same module as the images of
-        any generating list.
+        contains O^m and is held by its polar parts.  d(f g) = f' g +
+        f d(g) with f' in O, so F^(k+1) is F^k plus the images d(g) of any
+        O-generators g of F^k: the frame and the rows of its polar parts.
+        d of the frame lies in F^1 and d of older rows in F^k, so level
+        k + 1 inserts d only of the rows level k added, as saturation does
+        with theta.
         """
-        lattice = PolarLattice(self.dim, self.var)
-        out = [lattice]
+        out = [PolarLattice(self.dim, self.var)]
+        new = [{(0, j): 1} for j in range(self.dim)]
         for _ in range(levels):
-            lattice = lattice.extended([self.partial_action(g) for g in lattice.generators()])
+            lattice = PolarLattice(self.dim, self.var)
+            lattice.rows = dict(out[-1].rows)
+            new = [row for v in new for row in lattice.insert(self._d(v))]
             out.append(lattice)
         return out
 
-    def monomial_annihilates(self, a: int, b: int, lattices, scan_levels: int,
-                             chains: dict) -> bool:
-        """Does the symbol of x^a d^b kill Gr_F up to the scanned window?
-
-        `chains` maps a level k to [basis, d(basis), d^2(basis), ...] of
-        lattices[k]; it grows here on demand, and the callers that test
-        several monomials on the same lattices share one.
-        """
-        xa = RatFun.x(self.var) ** a
-        for k in range(scan_levels + 1):
-            target = lattices[k + b - 1] if k + b - 1 >= 0 else None
-            chain = chains.get(k)
-            if chain is None:
-                chain = chains[k] = [lattices[k].generators()]
-            while len(chain) <= b:
-                chain.append([self.partial_action(w) for w in chain[-1]])
-            for w in chain[b]:
-                w = tuple(xa * f for f in w)
-                if target is None:
-                    if not all(f.is_zero() for f in w):
-                        return False
-                elif not target.contains(w):
-                    return False
-        return True
-
     def annihilator_monomials(self, bound: int):
         """Symbol monomials x^a xi^b (a + b <= bound) killing the graded
-        module across all scanned levels."""
-        lattices = self.filtration_lattices(2 * bound)
-        chains: dict = {}
+        module across all scanned levels.
+
+        x^a d^b kills level k when it sends the m-vector basis of F^k into
+        F^(k + b - 1), for k = 0 .. bound.  b = 0 never does: it would have
+        to send F^0 = O^m to zero.  Each d^j(g) is kept as its polar part:
+        what that drops at step j lies in O^m = F^0, and d^(b - j) of it in
+        F^(b - j), inside F^(k + b - 1) since j >= 1, so x^a times the kept
+        vector lies in the target exactly when x^a d^b(g) does.
+        """
+        lattices = self.filtration_lattices(2 * bound - 1)     # the deepest target
+        chains = [[lattice.basis()] for lattice in lattices[:bound + 1]]
         found = []
         for total in range(1, bound + 1):
-            for b in range(total + 1):
+            for b in range(1, total + 1):
                 a = total - b
-                if self.monomial_annihilates(a, b, lattices, bound, chains):
+                for k, chain in enumerate(chains):
+                    while len(chain) <= b:
+                        chain.append([self._d(v) for v in chain[-1]])
+                    target = lattices[k + b - 1]
+                    if any(target.reduce({(e + a, j): c for (e, j), c in w.items() if e < -a})
+                           for w in chain[b]):
+                        break
+                else:
                     found.append((a, b))
         return found
 
@@ -215,19 +205,6 @@ def fuchs_kashiwara_equivalence(p: UnivarOperator, point=0) -> EquivalenceReport
     fuchs = FuchsCertificate(point, fuchs.rows, fuchs.verdict)
     kash = kashiwara_regular_at_zero(local)
     return EquivalenceReport(point, fuchs, kash, fuchs.regular == kash.regular)
-
-
-def check_good_filtration(p: UnivarOperator, bound: int = 8, point=0) -> tuple[bool, list]:
-    """Certify F^1 D . F^j = F^(j+1) for n <= j <= bound on D/DP.
-
-    This holds with no scan: `CurveModule.filtration_lattices` builds
-    F^(j+1) as F^j extended by d of the n basis vectors of F^j, so the
-    local-ring span of those vectors and their single d-applications is
-    F^(j+1), and each of its n basis vectors lies inside.
-    """
-    n = CyclicFiltration(_localize(p, point)).n
-    return True, [{"degree": j + 1, "generator": idx, "inside": True}
-                  for j in range(n, bound + 1) for idx in range(n)]
 
 
 # -- characteristic varieties ---------------------------------------------------

@@ -6,7 +6,8 @@ lives here: PolarLattice, a lattice O^m + P that contains O^m, held by the
 finite Q-space P of its polar parts.  Membership reduces a vector's
 Laurent tail in a Q-echelon, with no polynomial gcd.  theta-saturation
 and the curve filtrations both use it, since each of their lattices
-contains the standard one.
+contains the standard one, and both grow it by one theta-action on polar
+dicts, `theta_terms`.
 
 Stability questions (is theta(L) inside L?) are membership questions, so
 no completion machinery is needed.  Series coefficients and echelon rows
@@ -16,9 +17,7 @@ integral, else a Fraction.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
-from .polynomials import MPoly, RatFun, _exact, _inverse
+from .polynomials import RatFun, _exact, _inverse
 
 
 class Laurent:
@@ -48,18 +47,6 @@ class Laurent:
                 acc -= unit[t] * out[j - t]
             out.append(_exact(acc * inv))
         return out[:max(0, stop - self.start)]
-
-
-def polar_part(vec: Sequence[RatFun]) -> dict:
-    """{(exponent, component): coefficient} of the negative Laurent terms."""
-    out = {}
-    for j, f in enumerate(vec):
-        if not f.is_zero():
-            series = Laurent(f)
-            for e, c in enumerate(series.terms(0), series.start):
-                if c:
-                    out[e, j] = c
-    return out
 
 
 class PolarLattice:
@@ -116,35 +103,44 @@ class PolarLattice:
             v = self.reduce({(e + 1, j): c for (e, j), c in row.items() if e < -1})
         return added
 
-    def contains(self, vec: Sequence[RatFun]) -> bool:
-        return not self.reduce(polar_part(vec))
+    def basis(self) -> list[dict]:
+        """An O-basis of m vectors, as polar dicts.
 
-    def extended(self, vectors: Iterable[Sequence[RatFun]]) -> "PolarLattice":
-        """A copy with the vectors' polar parts inserted; self is unchanged."""
-        out = PolarLattice(self.dim, self.var)
-        out.rows = dict(self.rows)
-        for v in vectors:
-            out.insert(polar_part(v))
-        return out
-
-    def generators(self) -> list[tuple]:
-        """An O-basis of m vectors, each written as p/x^k.
-
-        Per component j: the row with the most polar pivot there, else e_j.
-        Shift closure makes the pivots of component j run from -1 down to
-        some -d_j without gaps, and the vectors x^(d_j) b_j at 0 form a unit
-        lower triangular matrix, so the b_j span O^m + P.
+        Per component j: the row with the most polar pivot there, else
+        e_j = {(0, j): 1}.  Shift closure makes the pivots of component j
+        run from -1 down to some -d_j without gaps, and the vectors
+        x^(d_j) b_j at 0 form a unit lower triangular matrix, so the b_j
+        span O^m + P.
         """
-        var = (self.var,)
         depth = [0] * self.dim          # d_j: the number of pivots in component j
         for _, j in self.rows:
             depth[j] += 1
-        gens = []
-        for i, k in enumerate(depth):
-            row = self.rows[-k, i] if k else {(0, i): 1}
-            nums: list[dict] = [{} for _ in range(self.dim)]
-            for (e, j), c in row.items():
-                nums[j][(e + k,)] = c
-            den = MPoly.monomial(var, (k,))
-            gens.append(tuple(RatFun(MPoly(var, t), den) for t in nums))
-        return gens
+        return [self.rows[-k, j] if k else {(0, j): 1} for j, k in enumerate(depth)]
+
+
+def laurent_rows(matrix) -> list[list]:
+    """[(j, Laurent of matrix[i][j]) for the nonzero entries] for each row i:
+    the action of a matrix from component i, in the form `theta_terms` reads."""
+    return [[(j, Laurent(e)) for j, e in enumerate(row) if not e.is_zero()]
+            for row in matrix]
+
+
+def theta_terms(v: dict, rows: list, shift: int, stop: int) -> dict:
+    """The terms below x^stop of x v' + x^shift M v, for v = {(exponent,
+    component): c}.
+
+    M comes from `laurent_rows`: rows[i] lists the entries that carry
+    component i of v to a component j.  theta = x (v' + v B) on row
+    functionals is shift 1 with M = B; theta = x v' + T v on columns is
+    shift 0 with M the transpose of T.
+    """
+    out = {}
+    for (e, i), c in v.items():
+        if e and e < stop:
+            out[e, i] = out.get((e, i), 0) + e * c
+        for j, f in rows[i]:
+            # f's term x^t lands at x^(e + shift + t), below x^stop while t < stop - e - shift
+            for n, b in enumerate(f.terms(stop - e - shift), e + shift + f.start):
+                if b:
+                    out[n, j] = out.get((n, j), 0) + c * b
+    return {k: c for k, c in out.items() if c}

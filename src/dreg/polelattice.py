@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from operator import add, gt, le, sub
+from typing import Iterator
 
 from .dmod import CurveModule, CyclicFiltration
 from .ideals import (Ideal, is_radical_squarefree_monomial,
@@ -247,7 +248,7 @@ def pole_filtration_annihilator(chart: NCChart, bound: int = 6) -> AnnihilatorRe
                              checks, tuple(failures), bound)
 
 
-def goodness_scan(chart: NCChart, bound: int = 6) -> tuple[bool, list]:
+def goodness_scan(chart: NCChart, bound: int = 6) -> tuple[bool, Iterator[dict]]:
     """Certify that first-order operators generate each new level from r on:
     every top generator x^beta of F^(j+1) is a single derivation applied to a
     generator of F^j.
@@ -255,13 +256,14 @@ def goodness_scan(chart: NCChart, bound: int = 6) -> tuple[bool, list]:
     This holds with no scan.  For j >= r the pole order j + 1 > r is spread
     over the r dividing coordinates, so some beta_i <= -2 (pigeonhole), and
     d_i x^(beta + e_i) = (beta_i + 1) x^beta with beta + e_i of pole order j.
-    The transcript names that derivation for each generator.
+    The transcript names that derivation for each generator; its entries are
+    built as they are read.
     """
-    return True, [{"level": j + 1, "generator": list(beta),
+    return True, ({"level": j + 1, "generator": list(beta),
                    "derivation": next(i for i, e in enumerate(beta) if e <= -2),
                    "ok": True}
                   for j in range(chart.r, bound + 1)
-                  for beta in chart.monomials_with_pole(j + 1, 0)]
+                  for beta in chart.monomials_with_pole(j + 1, 0))
 
 
 class LogLattice:

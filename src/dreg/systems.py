@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dmod import ContradictionError
-from .lattices import Laurent, PolarLattice
+from .lattices import PolarLattice, laurent_rows, theta_terms
 from .linalg import gauss_solve
 from .operators import UnivarOperator
 from .polynomials import INF, RatFun, as_rat, denominator_lcm, factor_rational
@@ -229,28 +229,15 @@ def saturate_lattice(system: ConnectionSystem, point,
     m = system.rank
     if max_steps is None:
         max_steps = m * (system.pole_order_at(point) + 1) + 4
-    series = [[(j, Laurent(e)) for j, e in enumerate(row) if not e.is_zero()]
-              for row in system.flow_matrix()]
-
-    def theta(v):
-        """The polar part of x (v' + v B) for v = {(exponent, component): c}."""
-        out = {}
-        for (e, i), c in v.items():
-            if e:
-                out[e, i] = out.get((e, i), 0) + e * c
-            for j, f in series[i]:
-                # x^e x^n x lies in the polar part while n <= -e - 2
-                for n, b in enumerate(f.terms(-e - 1), e + 1 + f.start):
-                    if b:
-                        out[n, j] = out.get((n, j), 0) + c * b
-        return {k: c for k, c in out.items() if c}
-
+    # theta = x (v' + v B): the x is the exponent shift 1, and the lattice
+    # reads only the polar terms
+    flow = laurent_rows(system.flow_matrix())
     lattice = PolarLattice(m, system.var)
     new = [{(0, i): 1} for i in range(m)]
     for step in range(max_steps + 1):
         added = []
         for v in new:
-            added += lattice.insert(theta(v))
+            added += lattice.insert(theta_terms(v, flow, 1, 0))
         if not added:
             return SaturationResult(STABILIZED, step, max_steps, lattice)
         if step == m - 1:

@@ -1,5 +1,6 @@
 """Shared builders for randomized exact-arithmetic tests, the LocalLattice
-reference that the polar lattices are checked against, the operator
+reference that the polar lattices are checked against, the Q(x) views of
+those polar lattices and of the curve module's d, the operator
 algebra reference and the frozen lexer and descent that the parser is
 checked against, the plain forms of the Q(x) kernel's shortcuts, the
 Fraction form of the log lattice's integer derivation images, the
@@ -29,7 +30,7 @@ import dreg.cli
 from dreg.dmod import ContradictionError, CurveModule, EquivalenceReport
 from dreg.ideals import (DEFAULT_BUDGET, DEGREVLEX, BudgetExceeded, TermOrder, _divides,
                          _exp_lcm, _exp_sub, leading_term, minimal_monomial_generators)
-from dreg.lattices import PolarLattice
+from dreg.lattices import Laurent, PolarLattice
 from dreg.linalg import gauss_solve, mat_mul
 from dreg.operators import UnivarOperator
 from dreg.parser import MAX_POWER, ParseError
@@ -269,6 +270,67 @@ class LocalLattice:
                 and all(self.contains(c) for c in other.generators()))
 
 
+# -- the Q(x) views of the polar lattices -------------------------------------
+# The library holds lattices and curve-module vectors as polar dicts
+# {(exponent, component): c}.  These views write them as Q(x) vectors, so
+# that they can meet the LocalLattice reference: they are the polar_part,
+# PolarLattice.contains, .extended and .generators and
+# CurveModule.partial_action the library used while its module side
+# computed in Q(x).
+
+
+def polar_part(vec: Sequence[RatFun]) -> dict:
+    """{(exponent, component): coefficient} of the negative Laurent terms."""
+    out = {}
+    for j, f in enumerate(vec):
+        if not f.is_zero():
+            series = Laurent(f)
+            for e, c in enumerate(series.terms(0), series.start):
+                if c:
+                    out[e, j] = c
+    return out
+
+
+def polar_contains(lattice: PolarLattice, vec: Sequence[RatFun]) -> bool:
+    return not lattice.reduce(polar_part(vec))
+
+
+def polar_extended(lattice: PolarLattice, vectors: Iterable[Sequence[RatFun]]) -> PolarLattice:
+    """A copy with the vectors' polar parts inserted; the lattice is unchanged."""
+    out = PolarLattice(lattice.dim, lattice.var)
+    out.rows = dict(lattice.rows)
+    for v in vectors:
+        out.insert(polar_part(v))
+    return out
+
+
+def polar_generators(lattice: PolarLattice) -> list[tuple]:
+    """lattice.basis(), each vector written as p/x^k."""
+    var = (lattice.var,)
+    gens = []
+    for row in lattice.basis():
+        k = -min(e for e, _ in row)
+        nums: list[dict] = [{} for _ in range(lattice.dim)]
+        for (e, j), c in row.items():
+            nums[j][(e + k,)] = c
+        den = MPoly.monomial(var, (k,))
+        gens.append(tuple(RatFun(MPoly(var, t), den) for t in nums))
+    return gens
+
+
+def partial_action(module, vec: Sequence[RatFun]) -> tuple:
+    """d(v) = v' + T v / x on a Q(x) vector of a CurveModule."""
+    x = RatFun.x(module.var)
+    out = []
+    for i in range(module.dim):
+        acc = vec[i].derivative()
+        for j in range(module.dim):
+            if not module.theta[i][j].is_zero() and not vec[j].is_zero():
+                acc = acc + module.theta[i][j] * vec[j] / x
+        out.append(acc)
+    return tuple(out)
+
+
 def frame(module) -> list[tuple]:
     """The coordinate vectors e_1 .. e_m of a CurveModule."""
     one, zero = RatFun.const(module.var, 1), RatFun.zero(module.var)
@@ -285,7 +347,7 @@ def reference_filtration(module, levels: int, start=None) -> list[LocalLattice]:
     lattice = LocalLattice(module.dim, start if start is not None else frame(module))
     out = [lattice]
     for _ in range(levels):
-        lattice = lattice.extended([module.partial_action(g) for g in lattice.generators()])
+        lattice = lattice.extended([partial_action(module, g) for g in lattice.generators()])
         out.append(lattice)
     return out
 
@@ -299,7 +361,7 @@ def reference_monomial_annihilates(module, a: int, b: int, levels, scan_levels: 
         for g in levels[k].generators():
             w = g
             for _ in range(b):
-                w = module.partial_action(w)
+                w = partial_action(module, w)
             w = tuple(x ** a * f for f in w)
             if target is None:
                 if not all(f.is_zero() for f in w):
@@ -911,8 +973,10 @@ def reference_bare_inclusion(chart, bound: int) -> tuple:
 
 # -- the frozen certificate scans ------------------------------------------------
 # goodness_scan, check_good_filtration and the LogLattice path of
-# prop21_inclusion as they ran before their checks became closed forms, kept
-# verbatim: each still runs every check it reports.
+# prop21_inclusion as they ran before their checks became closed forms: each
+# still runs every check it reports.  check_good_filtration has left the
+# library, and its scan, on the Q(x) views, is the test of the lemma it
+# certified.
 
 
 def reference_goodness_scan(chart, bound: int = 6) -> tuple[bool, list]:
@@ -949,14 +1013,14 @@ def reference_check_good_filtration(p: UnivarOperator, bound: int = 8,
     """
     local = _localize(p, point)
     module = CurveModule.from_operator(local)
-    gens = [lattice.generators() for lattice in module.filtration_lattices(bound + 1)]
+    gens = [polar_generators(lattice) for lattice in module.filtration_lattices(bound + 1)]
     transcript = []
     ok = True
     for j in range(module.dim, bound + 1):
-        span = PolarLattice(module.dim, module.var).extended(
-            gens[j] + [module.partial_action(g) for g in gens[j]])
+        span = polar_extended(PolarLattice(module.dim, module.var),
+                              gens[j] + [partial_action(module, g) for g in gens[j]])
         for idx, g in enumerate(gens[j + 1]):
-            inside = span.contains(g)
+            inside = polar_contains(span, g)
             if not inside:
                 ok = False
             transcript.append({"degree": j + 1, "generator": idx, "inside": inside})

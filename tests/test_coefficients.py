@@ -18,13 +18,13 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 import dreg.cli
 import dreg.corpus
 from dreg.cli import _read_system_file
-from dreg.lattices import Laurent, PolarLattice, polar_part
+from dreg.lattices import Laurent, PolarLattice
 from dreg.operators import UnivarOperator, to_theta_form
 from dreg.parser import ParseError, parse_operator, parse_ratfun, parse_weyl_generators
 from dreg.polynomials import MPoly, RatFun
 from dreg.systems import CyclicVectorError, cyclic_vector, saturate_lattice
 
-from conftest import exact_coefficients, is_exact
+from conftest import exact_coefficients, is_exact, polar_extended, polar_part
 
 ATOMS = st.sampled_from(["x", "1", "2", "3", "6", "x^2", "(x - 1)", "(2*x + 3)",
                          "(x^2 + 1)", "(3*x - 2)"])
@@ -100,7 +100,7 @@ class TestNormalFormByType:
             except ParseError:
                 assume(False)
         assert all(ratfun_exact(e) for row in system.matrix for e in row)
-        lattice = PolarLattice(rank).extended(system.matrix)
+        lattice = polar_extended(PolarLattice(rank), system.matrix)
         assert all(is_exact(c) for row in lattice.rows.values() for c in row.values())
         poles, _ = system.singular_support()
         for point in [0] + [c for c, _ in poles][:2]:

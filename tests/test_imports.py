@@ -36,9 +36,9 @@ def imported_names(tree: ast.Module) -> dict[str, int]:
 
 
 def read_names(node: ast.AST) -> set[str]:
-    """Names one node reads: a Name's own, and those of a quoted annotation
-    it carries."""
-    out = {node.id} if isinstance(node, ast.Name) else set()
+    """Names one node reads: a Name's own unless it binds it, and those of a
+    quoted annotation it carries."""
+    out = {node.id} if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) else set()
     for note in (getattr(node, "annotation", None), getattr(node, "returns", None)):
         for quoted in ast.walk(note) if note else ():
             if isinstance(quoted, ast.Constant) and isinstance(quoted.value, str):
@@ -82,10 +82,39 @@ def definitions(tree: ast.Module, module: str) -> dict[str, ast.AST]:
     return out
 
 
-def referenced_names(node: ast.AST) -> set[str]:
-    """Names one node reads, the attribute it takes and the names it
-    imports (which is how __init__.py re-exports)."""
-    out = read_names(node)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def local_bindings(scope: ast.AST) -> set[str]:
+    """Names a function, lambda or comprehension binds in its own scope:
+    parameters, targets, nested definitions and imports, but not what its
+    nested scopes bind."""
+    if isinstance(scope, FUNCTIONS):
+        args = scope.args
+        out = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+               + [args.vararg, args.kwarg] if a}
+        todo = list(scope.body) if isinstance(scope.body, list) else [scope.body]
+    else:
+        out, todo = set(), list(scope.generators)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out |= set(imported_names(ast.Module([node], [])))
+        if not isinstance(node, FUNCTIONS + COMPREHENSIONS + (ast.ClassDef,)):
+            todo.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def referenced_names(node: ast.AST, shadowed: set[str]) -> set[str]:
+    """Names one node reads, less those a local binding shadows, the
+    attribute it takes and the names it imports (which is how __init__.py
+    re-exports)."""
+    out = read_names(node) - shadowed
     if isinstance(node, ast.Attribute):
         out.add(node.attr)
     if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -95,15 +124,26 @@ def referenced_names(node: ast.AST) -> set[str]:
 
 def owned_references(tree: ast.Module, module: str, defs: dict) -> dict[str, set]:
     """{owner: the names it references}, the owner of a node being the
-    innermost definition in `defs` around it, or the module's own code."""
+    innermost definition in `defs` around it, or the module's own code.
+
+    Inside a function, lambda or comprehension, a name that scope binds is
+    a local and not a reference; a comprehension's first iterable is read in
+    the enclosing scope.
+    """
     owner_of = {node: name for name, node in defs.items()}
+    outer: dict[ast.AST, set] = {}
     out: dict[str, set] = {}
-    todo = [(tree, module)]
+    todo = [(tree, module, set())]
     while todo:
-        node, owner = todo.pop()
+        node, owner, shadowed = todo.pop()
         owner = owner_of.get(node, owner)
-        out.setdefault(owner, set()).update(referenced_names(node))
-        todo.extend((child, owner) for child in ast.iter_child_nodes(node))
+        shadowed = outer.pop(node, shadowed)
+        out.setdefault(owner, set()).update(referenced_names(node, shadowed))
+        if isinstance(node, COMPREHENSIONS):
+            outer[node.generators[0].iter] = shadowed
+        if isinstance(node, FUNCTIONS + COMPREHENSIONS):
+            shadowed = shadowed | local_bindings(node)
+        todo.extend((child, owner, shadowed) for child in ast.iter_child_nodes(node))
     return out
 
 
@@ -155,3 +195,13 @@ def test_finds_a_dead_definition():
                     "def helper():\n    return 0\n\n"
                     "class D:\n    def walk(self, other):\n        return other.walk(self)\n")
     assert dead_definitions(sources) == ["a.C.idle", "c.D", "c.D.walk", "c.helper", "c.loop"]
+    # a binding target is no reference, nor is a read of a local that shadows
+    # the definition; a comprehension's first iterable is read outside it
+    sources["e"] = ("def item(n):\n    return n\n\n"
+                    "def rows():\n    return []\n\n"
+                    "def arg():\n    pass\n\n"
+                    "NAMES = [item.name for item in rows()]\n"
+                    "ROWS = [rows for rows in rows()]\n"
+                    "check = lambda arg: arg\n")
+    assert dead_definitions(sources) == ["a.C.idle", "c.D", "c.D.walk", "c.helper", "c.loop",
+                                         "e.arg", "e.item"]

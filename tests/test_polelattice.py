@@ -295,7 +295,30 @@ class TestGoodness:
     def test_closed_form_matches_reference(self, n, r):
         chart = NCChart(n, r)
         for bound in range(13):
-            assert goodness_scan(chart, bound) == reference_goodness_scan(chart, bound)
+            ok, transcript = goodness_scan(chart, bound)
+            assert (ok, list(transcript)) == reference_goodness_scan(chart, bound)
+
+    def test_report_builds_only_the_printed_entries(self, monkeypatch, capsys):
+        # chart (3, 3) at bound 12 has 540 entries, and the report prints 50
+        drawn = 0
+
+        def counted(chart, bound):
+            ok, transcript = goodness_scan(chart, bound)
+
+            def entries():
+                nonlocal drawn
+                for entry in transcript:
+                    drawn += 1
+                    yield entry
+            return ok, entries()
+
+        monkeypatch.setattr(dreg.cli, "goodness_scan", counted)
+        assert dreg.cli.main(["polelattice", "--n", "3", "--r", "3", "--bound", "12",
+                              "--format", "json"]) == 0
+        printed = json.loads(capsys.readouterr().out)["transcripts"][0]["goodness"]
+        _, full = reference_goodness_scan(NCChart(3, 3), 12)
+        assert len(full) == 540
+        assert printed == full[:50] and drawn == 50
 
     def test_failure_below_r_for_two_components(self):
         # at level r the pigeonhole needs j >= r: for j = r - 1 the
