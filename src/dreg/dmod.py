@@ -18,7 +18,7 @@ from .ideals import (DEFAULT_BUDGET, DEGREVLEX, LEX, Ideal, all_in_ideal,
                      basis_dimension, groebner_basis, radical_membership)
 from .lattices import PolarLattice, laurent_rows, theta_terms
 from .operators import UnivarOperator, to_theta_form
-from .polynomials import INF, MPoly, RatFun, factor_rational
+from .polynomials import INF, MPoly, RatFun, factor_rational, split_content
 from .regularity import (FuchsCertificate, IRREGULAR, REGULAR, _localize,
                          fuchs_regular_at)
 from .weyl import coordinate_names, symbol_names
@@ -250,17 +250,19 @@ def characteristic_variety_univar(p: UnivarOperator) -> CharVariety:
     """Ch(D/DP) = V(b_n(x) xi^n) with its fiber decomposition over Q."""
     if p.is_zero():
         raise ValueError("zero operator")
-    w, cleared = p.to_weyl()
+    w, _ = p.to_weyl()
     n = p.order()
     var = p.var
     sym = symbol_names(1)[0] if var == "x" else f"xi_{var}"
     ring = (var, sym)
-    lead_poly = (p.leading_coeff().num * cleared.univar_divmod(p.leading_coeff().den)[0])
+    # the cleared leading coefficient is the d^n part of the Weyl element
+    lead_poly = MPoly((var,), {(e,): c for (e, i), c in w.terms.items() if i == n})
     symbol = lead_poly.extend(ring) * MPoly.monomial(ring, (0, n))
     ideal = Ideal(ring, [symbol])
     comps = [Component(ZERO_SECTION, f"V({sym})",
                        Ideal(ring, [MPoly.var(ring, sym)]))]
-    roots, leftover = factor_rational(lead_poly) if lead_poly.total_degree() > 0 else ([], lead_poly)
+    roots, leftover = (factor_rational(split_content(lead_poly)[1], var)
+                       if lead_poly.total_degree() > 0 else ([], lead_poly))
     for root, _mult in roots:
         lin = MPoly.from_univar_coeffs(var, [-root, Fraction(1)]).extend(ring)
         comps.append(Component(CONORMAL_POINT, f"V({lin})", Ideal(ring, [lin])))
@@ -306,7 +308,7 @@ def _rational_zeros(polys: list[MPoly], variables: tuple,
     if uni is None:
         return None
     uni_poly = MPoly((last,), {(e[-1],): c for e, c in uni.terms.items()})
-    roots, leftover = factor_rational(uni_poly)
+    roots, _ = factor_rational(split_content(uni_poly)[1], last)
     solutions = []
     for root, _ in roots:
         if len(variables) == 1:

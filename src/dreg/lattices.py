@@ -17,23 +17,24 @@ integral, else a Fraction.
 
 from __future__ import annotations
 
-from .polynomials import RatFun, _exact, _inverse
+from .polynomials import RatFun, _exact, _inverse, _valuation
 
 
 class Laurent:
     """The Laurent expansion at the origin of a rational function, term by term.
 
-    With den = x^k u and u(0) != 0, f = x^-k num/u.  The coefficients of
-    num/u come on demand by power-series division by u and are kept.
+    With f = s num/den and den = x^k u, u(0) != 0, f = x^-k (s num)/u.  The
+    coefficients of (s num)/u come on demand by power-series division by the
+    integer polynomial u and are kept.
     """
 
     __slots__ = ("start", "_num", "_unit", "_inv", "_coeffs")
 
     def __init__(self, f: RatFun):
-        k = min(e for (e,) in f.den.terms)
+        k = _valuation(f.denom)
         self.start = -k                  # no term below x^start
-        self._num = f.num.univar_coeffs()
-        self._unit = f.den.univar_coeffs()[k:]
+        self._num = [_exact(f.scale * c) for c in f.numer]
+        self._unit = f.denom[k:]
         self._inv = _inverse(self._unit[0])
         self._coeffs: list = []
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .polynomials import MPoly, RatFun, denominator_lcm
+from .polynomials import MPoly, RatFun, denominator_lcm, monic_mpoly
 from .weyl import WeylElement
 
 
@@ -201,12 +201,10 @@ class UnivarOperator:
         cleared = denominator_lcm(self.coeffs)
         terms: dict[tuple, Fraction] = {}
         for i, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            num = c.num * cleared.univar_divmod(c.den)[0]
-            for (e,), coeff in num.terms.items():
-                terms[(e, i)] = coeff
-        return WeylElement(1, terms), cleared
+            for e, coeff in enumerate(c.clear(cleared)):
+                if coeff:
+                    terms[(e, i)] = coeff
+        return WeylElement(1, terms), monic_mpoly(self.var, cleared)
 
     def __str__(self) -> str:
         from .parser import format_operator

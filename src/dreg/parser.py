@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 
 from .operators import UnivarOperator
-from .polynomials import MPoly, RatFun, _inverse, format_mpoly
+from .polynomials import MPoly, RatFun, _inverse
 from .weyl import WeylElement, deriv_names
 
 
@@ -184,13 +184,13 @@ class _UnivarAlgebra:
             self.deriv_tokens.add("dx")
         self.zero = RatFun.zero(var)
         self.unit = RatFun.one(var)
-        self.one = self.unit.den
+        self.one = MPoly.const((var,), 1)
         self.x = self.one._with({(1,): 1})
         self.d = UnivarOperator.derivation(var)
 
     def function(self, v) -> RatFun:
         """A polynomial or rational function as a RatFun."""
-        return RatFun.from_coprime(v, self.one) if isinstance(v, MPoly) else v
+        return RatFun.from_coprime(v) if isinstance(v, MPoly) else v
 
     def lift(self, v) -> UnivarOperator:
         if isinstance(v, UnivarOperator):
@@ -244,7 +244,7 @@ class _UnivarAlgebra:
         else:
             op = self.lift(v)
             sizes = [len(op.coeffs) - 1]
-            sizes += [max(c.num.total_degree(), c.den.total_degree()) for c in op.coeffs]
+            sizes += [max(len(c.numer), len(c.denom)) - 1 for c in op.coeffs]
             size = max(sizes)
         _check_power(size, k, at)
         return v ** k
@@ -362,20 +362,13 @@ def parse_polynomial(text: str, variables) -> MPoly:
 def format_ratfun_factor(f: RatFun) -> tuple[str, bool]:
     """Render a nonzero coefficient as (body, negated) with the sign pulled
     out front and the body parseable as a single grammar term."""
-    num = f.num
-    lead = num.univar_coeffs()[-1]
-    negated = lead < 0
+    negated = f.scale < 0
     if negated:
-        num = -num
-    num_s = format_mpoly(num)
-    if len(num.terms) > 1:
-        num_s = f"({num_s})"
-    if f.is_polynomial():
-        return num_s, negated
-    den_s = format_mpoly(f.den)
-    if len(f.den.terms) > 1:
-        den_s = f"({den_s})"
-    return f"{num_s}/{den_s}", negated
+        f = -f
+    body = str(f)
+    if f.is_polynomial() and sum(map(bool, f.numer)) > 1:
+        body = f"({body})"
+    return body, negated
 
 
 def format_operator(p: UnivarOperator, deriv: str = "d") -> str:

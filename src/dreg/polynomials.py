@@ -5,18 +5,25 @@ is built from two types: MPoly, a multivariate polynomial with rational
 coefficients keyed by exponent vectors, and RatFun, a reduced univariate
 rational function with exact order-of-vanishing at every rational point.
 
-A stored coefficient has one exact normal form (`_exact`): an int when it
+An MPoly coefficient has one exact normal form (`_exact`): an int when it
 is integral, else a Fraction with denominator > 1, never a float or a
 bool.  Python hashes and compares 3 and Fraction(3) alike, so term maps,
 equality and printing do not see the difference, and integral operands run
 at int speed.  An int has no true division that stays exact, so every
 division of coefficients goes through Fraction.
+
+Q(x) runs on integers inside.  A RatFun is one rational scale times a
+quotient of primitive integer polynomials held as dense tuples of ints, so
+its arithmetic, gcds, lcms, root finding and valuations never touch a
+Fraction (Gauss's lemma).  Rationals appear only in the scale and at the
+boundary: the MPoly views `.num`/`.den`, printing and Laurent series.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
@@ -289,56 +296,12 @@ class MPoly:
         if len(self.vars) != 1:
             raise ValueError("operation requires a univariate polynomial")
 
-    def univar_coeffs(self) -> list:
-        """Dense coefficient list c0..cd for a univariate polynomial."""
-        self._require_univar()
-        if not self.terms:
-            return []
-        d = max(e[0] for e in self.terms)
-        out = [0] * (d + 1)
-        for e, c in self.terms.items():
-            out[e[0]] = c
-        return out
-
     @classmethod
     def from_univar_coeffs(cls, var: str, coeffs: Sequence) -> "MPoly":
         out = cls.__new__(cls)
         out.vars = (var,)
         out.terms = {(i,): c for i, c in enumerate(map(as_rat, coeffs)) if c}
         return out
-
-    def leading_univar_coeff(self):
-        self._require_univar()
-        return self.terms[max(self.terms)] if self.terms else 0
-
-    def monic_univar(self) -> "MPoly":
-        lc = self.leading_univar_coeff()
-        if not lc or lc == 1:
-            return self
-        return self.scale(_inverse(lc))
-
-    def univar_divmod(self, other: "MPoly") -> tuple["MPoly", "MPoly"]:
-        self._require_univar()
-        self._check(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        a = self.univar_coeffs()
-        b = other.univar_coeffs()
-        q = [0] * max(0, len(a) - len(b) + 1)
-        r = list(a)
-        inv = _inverse(b[-1])
-        while len(r) >= len(b) and any(r):
-            while r and not r[-1]:
-                r.pop()
-            if len(r) < len(b):
-                break
-            factor = _exact(r[-1] * inv)
-            shift = len(r) - len(b)
-            q[shift] = factor
-            for i, bc in enumerate(b):
-                r[shift + i] -= factor * bc
-        var = self.vars[0]
-        return (MPoly.from_univar_coeffs(var, q), MPoly.from_univar_coeffs(var, r))
 
     def __str__(self) -> str:
         return format_mpoly(self)
@@ -357,25 +320,35 @@ def format_mpoly(p: MPoly, key=_grevlex_key) -> str:
     if p.is_zero():
         return "0"
     items = sorted(p.terms.items(), key=lambda kv: key(kv[0]), reverse=True)
+    return _join_terms((coeff > 0, _format_rat(abs(coeff)),
+                        "*".join(name if e == 1 else f"{name}^{e}"
+                                 for name, e in zip(p.vars, exps) if e))
+                       for exps, coeff in items)
+
+
+def _format_univar(var: str, coeffs: Sequence[int], divisor: int = 1) -> str:
+    """`format_mpoly` of the polynomial in `var` whose coefficient of x^i
+    is coeffs[i]/divisor, for integers coeffs[i] and divisor > 0."""
+    terms = []
+    for e in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[e]
+        if c:
+            g = math.gcd(c, divisor)
+            mag = str(abs(c) // g) if g == divisor else f"{abs(c) // g}/{divisor // g}"
+            terms.append((c > 0, mag, var if e == 1 else f"{var}^{e}" if e else ""))
+    return _join_terms(terms) or "0"
+
+
+def _join_terms(terms) -> str:
+    """The text of a sum of (positive, magnitude text, monomial text)
+    terms, the monomial 1 written as ''."""
     parts: list[str] = []
-    for exps, coeff in items:
-        factors = []
-        for name, e in zip(p.vars, exps):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        mag = abs(coeff)
-        if not factors:
-            body = _format_rat(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([_format_rat(mag)] + factors)
+    for positive, mag, mono in terms:
+        body = mag if not mono else mono if mag == "1" else f"{mag}*{mono}"
         if not parts:
-            parts.append(body if coeff > 0 else f"-{body}")
+            parts.append(body if positive else f"-{body}")
         else:
-            parts.append(("+ " if coeff > 0 else "- ") + body)
+            parts.append(("+ " if positive else "- ") + body)
     return " ".join(parts)
 
 
@@ -385,21 +358,129 @@ def _format_rat(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-def _primitive_int_coeffs(p: MPoly) -> list[int]:
-    """Dense integer coefficients with content removed."""
-    coeffs = p.univar_coeffs()
-    denom_lcm = math.lcm(*(c.denominator for c in coeffs))
-    return _primitive([c.numerator * (denom_lcm // c.denominator) for c in coeffs])
+def _ratio(a, b):
+    """a/b for rationals a and b != 0, in normal form."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    return _exact(Fraction(a.numerator * b.denominator, a.denominator * b.numerator))
 
 
-def _primitive(ints: list[int]) -> list[int]:
-    """Integer coefficients divided by their content."""
-    content = math.gcd(*ints)
-    return [c // content for c in ints] if content > 1 else ints
+# -- dense integer polynomials ---------------------------------------------------
+# A polynomial of Z[x] is a tuple (or list) of ints, lowest degree first,
+# with no trailing zeros; () is zero.  Q(x) runs on these: a product of
+# primitive polynomials is primitive, and a quotient by a primitive divisor
+# stays in Z[x] (Gauss's lemma; von zur Gathen & Gerhard, Modern Computer
+# Algebra, 6.2).
 
 
-def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of dense integer polynomials (b nonzero)."""
+def split_content(p: MPoly) -> tuple:
+    """(c, P) with p = c P for a nonzero univariate MPoly: c rational and P
+    primitive with a positive leading coefficient."""
+    terms = p.terms
+    dense = [0] * (max(terms)[0] + 1)
+    lcm = 1
+    for (e,), c in terms.items():
+        dense[e] = c
+        if type(c) is not int:
+            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    if lcm > 1:
+        dense = [c.numerator * (lcm // c.denominator) for c in dense]
+    s, prim = _split(dense)
+    return (s if lcm == 1 else _exact(Fraction(s, lcm))), prim
+
+
+def monic_mpoly(var: str, coeffs: Sequence[int]) -> MPoly:
+    """The nonzero integer polynomial divided by its leading coefficient, as an MPoly."""
+    lc = coeffs[-1]
+    return MPoly.from_univar_coeffs(var, coeffs if lc == 1 else [Fraction(c, lc) for c in coeffs])
+
+
+def _split(a) -> tuple:
+    """(s, P) with a = s P and P primitive with a positive leading
+    coefficient, for a nonzero integer polynomial."""
+    s = math.gcd(*a)
+    if a[-1] < 0:
+        s = -s
+    return (1, tuple(a)) if s == 1 else (s, tuple(c // s for c in a))
+
+
+def _valuation(a) -> int:
+    """The exponent of the lowest term of a nonzero polynomial."""
+    for i, c in enumerate(a):
+        if c:
+            return i
+
+
+def _mul(a, b) -> tuple:
+    """The product of integer polynomials."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return ()
+    k = len(b) - 1
+    if not any(b[:k]):
+        # a single term c x^k: a shift and a scale
+        c = b[k]
+        return (0,) * k + (tuple(a) if c == 1 else tuple(c * v for v in a))
+    out = [0] * (len(a) + k)
+    for j, bj in enumerate(b):
+        if bj:
+            for i, ai in enumerate(a, j):
+                out[i] += ai * bj
+    return tuple(out)
+
+
+def _pow(a, k: int) -> tuple:
+    """a^k by square-and-multiply; a single term x^d goes straight to x^(dk)."""
+    d = len(a) - 1
+    if not k or (a[d] == 1 and not any(a[:d])):
+        return (0,) * (d * k) + (1,)
+    result = None
+    while True:
+        if k & 1:
+            result = a if result is None else _mul(result, a)
+        k >>= 1
+        if not k:
+            return result
+        a = _mul(a, a)
+
+
+def _combine(u: int, a, v: int, b) -> list:
+    """u a + v b for integers u, v, trailing zeros dropped."""
+    if len(a) < len(b):
+        u, a, v, b = v, b, u, a
+    out = [u * c for c in a]
+    for i, c in enumerate(b):
+        out[i] += v * c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _diff(a) -> tuple:
+    return tuple(i * c for i, c in enumerate(a))[1:]
+
+
+def _exquo(a, b) -> tuple:
+    """a / b for integer polynomials where b divides a in Z[x], as a
+    primitive b does whenever it divides a over Q."""
+    nb = len(b) - 1
+    lb = b[nb]
+    if not any(b[:nb]):
+        return tuple(a[nb:]) if lb == 1 else tuple(c // lb for c in a[nb:])
+    r = list(a)
+    q = [0] * (len(a) - nb)
+    for i in range(len(q) - 1, -1, -1):
+        c = r[i + nb] if lb == 1 else r[i + nb] // lb
+        if c:
+            q[i] = c
+            for j in range(nb):
+                r[i + j] -= c * b[j]
+    return tuple(q)
+
+
+def _pseudo_rem(a, b) -> list:
+    """Pseudo-remainder of integer polynomials (b nonzero)."""
     a = list(a)
     db = len(b) - 1
     lb = b[-1]
@@ -410,138 +491,278 @@ def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
             return a
         la = a[-1]
         shift = len(a) - 1 - db
-        a = [lb * c for c in a]
+        if lb != 1:
+            a = [lb * c for c in a]
         for i, bc in enumerate(b):
             a[shift + i] -= la * bc
 
 
-def univar_gcd(a: MPoly, b: MPoly) -> MPoly:
-    """Monic gcd of univariate polynomials.
+def univar_gcd(a, b) -> tuple:
+    """The gcd of integer polynomials, primitive with a positive leading
+    coefficient; () when both are zero.
 
     Uses the primitive pseudo-remainder sequence over Z so coefficient
     sizes stay bounded; the plain fraction Euclid blows up on the degrees
     that chart changes and lattice saturations produce.
     """
-    a._require_univar()
-    a._check(b)
-    var = a.vars[0]
-    if a.is_zero():
-        return b.monic_univar() if not b.is_zero() else b
-    if b.is_zero():
-        return a.monic_univar()
-    fa = _primitive_int_coeffs(a)
-    fb = _primitive_int_coeffs(b)
-    if len(fa) < len(fb):
-        fa, fb = fb, fa
-    while fb:
-        fa, fb = fb, _primitive(_pseudo_rem(fa, fb))
-    return MPoly.from_univar_coeffs(var, fa).monic_univar()
+    if not a or not b:
+        return _split(a or b)[1] if a or b else ()
+    a, b = _split(a)[1], _split(b)[1]
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r = _pseudo_rem(a, b)
+        a, b = b, (_split(r)[1] if r else ())
+    return a
 
 
-def squarefree_part(p: MPoly) -> MPoly:
-    """Monic squarefree part p / gcd(p, p') of a univariate polynomial."""
-    p._require_univar()
-    if p.total_degree() <= 0:
-        return MPoly.const(p.vars, 1) if p else p
-    return _quo(p, _common_factor(p, p.diff(p.vars[0]))).monic_univar()
+def _common_factor(a, b):
+    """gcd(a, b) of nonzero primitive polynomials, None standing for 1.
+
+    Equal arguments are their own gcd, and with a constant or a single term
+    x^k the gcd is x^min of the valuations, read off without `univar_gcd`.
+    """
+    if len(a) == 1 or len(b) == 1:
+        return None
+    if a == b:
+        return a
+    va, vb = _valuation(a), _valuation(b)
+    if va == len(a) - 1 or vb == len(b) - 1:
+        k = min(va, vb)
+        return (0,) * k + (1,) if k else None
+    g = univar_gcd(a, b)
+    return g if len(g) > 1 else None
 
 
-def rational_roots(p: MPoly) -> list[Fraction]:
-    """All rational roots of a nonzero univariate polynomial, ascending."""
-    p._require_univar()
-    if p.is_zero():
+def squarefree_part(p) -> tuple:
+    """p / gcd(p, p') for a primitive integer polynomial with a positive
+    leading coefficient."""
+    if len(p) <= 2:
+        return tuple(p)
+    g = _common_factor(p, _split(_diff(p))[1])
+    return _exquo(p, g) if g else tuple(p)
+
+
+def _deflate(a, u: int, v: int):
+    """a / (v x - u) when v x - u divides the integer polynomial a, else None."""
+    q = [0] * (len(a) - 1)
+    carry = 0
+    for i in range(len(a) - 1, 0, -1):
+        carry, r = divmod(a[i] + u * carry, v)
+        if r:
+            return None
+        q[i - 1] = carry
+    return tuple(q) if a[0] + u * carry == 0 else None
+
+
+def _divide_out(a, root: Fraction) -> tuple[tuple, int]:
+    """(q, m) with a = (v x - u)^m q and q(root) != 0 for root = u/v, in Z[x]."""
+    u, v = root.numerator, root.denominator
+    m = 0
+    while len(a) > 1:
+        q = _deflate(a, u, v)
+        if q is None:
+            break
+        a, m = q, m + 1
+    return a, m
+
+
+def _mult_at(a, c: Fraction) -> int:
+    """Multiplicity of the root x = c of a nonzero integer polynomial."""
+    return _valuation(a) if not c else _divide_out(a, c)[1]
+
+
+def _primes():
+    yield 2
+    p = 3
+    while True:
+        if all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
+            yield p
+        p += 2
+
+
+def _squarefree_mod(h, p: int) -> bool:
+    """Whether the monic integer polynomial h stays squarefree mod p: its
+    gcd with h' over F_p is a constant."""
+    a = [c % p for c in h]
+    b = [c % p for c in _diff(h)]
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            c = a[-1] * inv % p
+            shift = len(a) - len(b)
+            for i, bc in enumerate(b):
+                a[shift + i] = (a[shift + i] - c * bc) % p
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
+def _horner(a, y: int, m: int = 0) -> int:
+    """a(y), reduced mod m when m is given."""
+    acc = 0
+    for c in reversed(a):
+        acc = acc * y + c
+        if m:
+            acc %= m
+    return acc
+
+
+def _lifted_roots(f) -> list[Fraction]:
+    """The rational roots of a primitive f of degree >= 2 with f(0) != 0.
+
+    With a = lc(f) and n = deg f, h(y) = a^(n-1) f(y/a) is monic in Z[y],
+    so its rational roots y = a x are integers, each below the Cauchy bound
+    B = 1 + max |h_i| in absolute value.  For a prime p with h squarefree
+    mod p, every root of h mod p is simple: Newton's iteration lifts it to a
+    root mod p^(2^k) > 2B, and a rational root of h is the symmetric residue
+    of exactly one lift.  Such a prime exists exactly when f is squarefree;
+    when none of the first ten primes is one, the roots are those of the
+    squarefree part.
+    """
+    n = len(f) - 1
+    a = f[n]
+    h = [c * a ** (n - 1 - i) for i, c in enumerate(f[:n])] + [1]
+    p = next((q for q in islice(_primes(), 10) if a % q and _squarefree_mod(h, q)), None)
+    if p is None:
+        s = squarefree_part(f)
+        if len(s) < len(f):
+            return [Fraction(-s[0], s[1])] if len(s) == 2 else _lifted_roots(s)
+        p = next(q for q in _primes() if a % q and _squarefree_mod(h, q))
+    bound = 1 + max(map(abs, h[:n]))
+    dh = _diff(h)
+    roots = []
+    for y in range(p):
+        if _horner(h, y, p):
+            continue
+        m = p
+        while m <= 2 * bound:
+            m *= m
+            y = (y - _horner(h, y, m) * pow(_horner(dh, y, m), -1, m)) % m
+        if y > m // 2:
+            y -= m
+        if abs(y) < bound and not _horner(h, y):
+            roots.append(Fraction(y, a))
+    return roots
+
+
+def rational_roots(p) -> list[Fraction]:
+    """All rational roots of a nonzero integer polynomial, ascending."""
+    if not any(p):
         raise ValueError("zero polynomial has every root")
-    ints = _primitive_int_coeffs(p)
-    # root 0 first, then the candidates p/q of the polynomial divided by x^low
-    low = min(p.terms)[0]
+    low = _valuation(p)
     roots = [Fraction(0)] if low else []
-    ints = ints[low:]
-    if len(ints) <= 1:
-        return roots
-    a0, an = ints[0], ints[-1]
-
-    def divisors(n: int) -> list[int]:
-        n = abs(n)
-        out = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.append(d)
-                out.append(n // d)
-            d += 1
-        return sorted(set(out))
-
-    for pnum in divisors(a0):
-        for qden in divisors(an):
-            for sign in (1, -1):
-                cand = Fraction(sign * pnum, qden)
-                if cand in roots:
-                    continue
-                # den^n * P(num/den), an integer, by Horner's rule
-                val, den_power = 0, 1
-                for c in reversed(ints):
-                    val = val * cand.numerator + c * den_power
-                    den_power *= cand.denominator
-                if not val:
-                    roots.append(cand)
+    f = _split(p[low:])[1]
+    if len(f) == 2:
+        roots.append(Fraction(-f[0], f[1]))
+    elif len(f) > 2:
+        roots += _lifted_roots(f)
     return sorted(roots)
 
 
-def factor_rational(p: MPoly) -> tuple[list[tuple[Fraction, int]], MPoly]:
-    """Split off rational linear factors of a univariate polynomial.
+def factor_rational(p, var: str) -> tuple[list[tuple[Fraction, int]], MPoly]:
+    """Split off the rational linear factors of a nonzero integer polynomial.
 
-    Returns ((root, multiplicity) pairs, monic leftover with no rational
-    roots).  No factorization beyond this is attempted: the leftover may be
-    reducible over Q but is reported as a single untested factor.
+    Returns ((root, multiplicity) pairs, the monic leftover in `var`, which
+    has no rational roots).  No factorization beyond this is attempted: the
+    leftover may be reducible over Q but is reported as a single untested
+    factor.
     """
-    p._require_univar()
-    if p.is_zero():
+    if not any(p):
         raise ValueError("cannot factor the zero polynomial")
-    rest = p.monic_univar()
+    rest = _split(p)[1]
     out: list[tuple[Fraction, int]] = []
     for root in rational_roots(rest):
         rest, mult = _divide_out(rest, root)
-        if mult:
-            out.append((root, mult))
-    return out, rest.monic_univar()
+        out.append((root, mult))
+    return out, monic_mpoly(var, rest)
+
+
+def _taylor_shift(a, u: int, v: int) -> list:
+    """v^d a(x + u/v) for an integer polynomial a of degree d, by repeated
+    synthetic division (Taylor shift) on integers: v^d a(y/v) has the
+    coefficients v^(d-i) a_i, its shift by u is v^d a((y + u)/v), and y = v x
+    multiplies coefficient i by v^i (von zur Gathen & Gerhard 1997)."""
+    d = len(a) - 1
+    if d < 1:
+        return list(a)
+    b = list(a) if v == 1 else [ai * v ** (d - i) for i, ai in enumerate(a)]
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            b[j] += u * b[j + 1]
+    return b if v == 1 else [bi * v ** i for i, bi in enumerate(b)]
+
+
+def _reverse(a) -> tuple[int, tuple]:
+    """(sign, x^deg(a) a(1/x) made primitive with a positive leading coefficient)."""
+    r = tuple(reversed(a[_valuation(a):]))
+    return (1, r) if r[-1] > 0 else (-1, tuple(-c for c in r))
 
 
 _ZEROS: dict = {}       # variable name -> its zero RatFun, built on first use
 _ONES: dict = {}        # variable name -> its constant 1, built on first use
 
 
-class RatFun:
-    """Reduced univariate rational function num/den with monic denominator."""
+def _make(var: str, scale, numer: tuple, denom: tuple) -> "RatFun":
+    """The RatFun with these fields, taken as given: in lowest terms."""
+    out = object.__new__(RatFun)
+    out.var, out.scale, out.numer, out.denom = var, scale, numer, denom
+    return out
 
-    __slots__ = ("num", "den")
+
+class RatFun:
+    """A univariate rational function in lowest terms, held on integers.
+
+    A nonzero f is scale * numer/denom: numer and denom are dense tuples of
+    ints, lowest degree first, each primitive with a positive leading
+    coefficient, with gcd(numer, denom) = 1, and scale is a nonzero
+    rational in normal form.  This form is unique, so equality compares
+    fields.  The zero function has scale 0, numer () and denom (1,).
+    `num`/`den` are the MPoly views over a monic denominator.
+    """
+
+    __slots__ = ("var", "scale", "numer", "denom")
 
     def __init__(self, num: MPoly, den: MPoly | None = None):
+        """num/den in lowest terms: the one constructor that runs a gcd."""
         num._require_univar()
         if den is None:
             den = MPoly.const(num.vars, 1)
         num._check(den)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
+        self.var = num.vars[0]
         if num.is_zero():
-            den = MPoly.const(num.vars, 1)
-        else:
-            g = _common_factor(num, den)
-            num, den = _quo(num, g), _quo(den, g)
-        self.num, self.den = _monic_den(num, den)
+            self.scale, self.numer, self.denom = 0, (), (1,)
+            return
+        (cn, n), (cd, d) = split_content(num), split_content(den)
+        g = _common_factor(n, d)
+        if g:
+            n, d = _exquo(n, g), _exquo(d, g)
+        self.scale, self.numer, self.denom = _ratio(cn, cd), n, d
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def from_coprime(cls, num: MPoly, den: MPoly) -> "RatFun":
+    def from_coprime(cls, num: MPoly, den: MPoly | None = None) -> "RatFun":
         """num/den for a pair the caller knows to be coprime (den nonzero, and
-        a unit when num is zero); only the denominator is made monic."""
-        out = cls.__new__(cls)
-        out.num, out.den = _monic_den(num, den)
-        return out
+        a unit when num is zero; None standing for 1): no gcd runs."""
+        var = num.vars[0]
+        if num.is_zero():
+            return RatFun.zero(var)
+        cn, n = split_content(num)
+        if den is None:
+            return _make(var, cn, n, (1,))
+        cd, d = split_content(den)
+        return _make(var, _ratio(cn, cd), n, d)
 
     @classmethod
     def const(cls, var: str, value) -> "RatFun":
-        return cls.from_coprime(MPoly.const((var,), value), MPoly.const((var,), 1))
+        value = as_rat(value)
+        return _make(var, value, (1,) if value else (), (1,))
 
     @classmethod
     def zero(cls, var: str) -> "RatFun":
@@ -562,45 +783,61 @@ class RatFun:
 
     @classmethod
     def x(cls, var: str) -> "RatFun":
-        return cls.from_coprime(MPoly.var((var,), var), MPoly.const((var,), 1))
+        return _make(var, 1, (0, 1), (1,))
 
-    # -- queries ----------------------------------------------------------
+    # -- views and queries ------------------------------------------------
 
     @property
-    def var(self) -> str:
-        return self.num.vars[0]
+    def num(self) -> MPoly:
+        """The numerator over the monic denominator `den`."""
+        s = _ratio(self.scale, self.denom[-1])
+        return MPoly.from_univar_coeffs(self.var, [s * c for c in self.numer])
+
+    @property
+    def den(self) -> MPoly:
+        """The monic denominator."""
+        return monic_mpoly(self.var, self.denom)
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.scale
 
     def is_polynomial(self) -> bool:
-        return self.den.total_degree() == 0
+        return len(self.denom) == 1
 
     def is_constant(self) -> bool:
-        return self.is_polynomial() and self.num.is_constant()
+        return len(self.denom) == 1 and len(self.numer) <= 1
 
     def constant_value(self):
         if not self.is_constant():
             raise ValueError("not a constant")
-        return self.num.constant_value()
+        return self.scale
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.scale)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = RatFun.const(self.var, other)
+            return self.is_constant() and self.scale == other
         if not isinstance(other, RatFun):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return (self.var == other.var and self.scale == other.scale
+                and self.numer == other.numer and self.denom == other.denom)
 
     def __hash__(self):
         return hash((self.num, self.den))
+
+    def clear(self, multiple) -> list:
+        """The dense coefficients of f times the monic form of `multiple`, an
+        integer polynomial that the denominator divides."""
+        s = _ratio(self.scale, multiple[-1])
+        return [_exact(s * c) for c in _mul(self.numer, _exquo(multiple, self.denom))]
 
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other) -> "RatFun":
         if isinstance(other, RatFun):
+            if other.var != self.var:
+                raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
             return other
         if isinstance(other, (int, Fraction)):
             return RatFun.const(self.var, other)
@@ -614,30 +851,33 @@ class RatFun:
 
     def __add__(self, other) -> "RatFun":
         other = self._coerce(other)
-        if not self.num.terms:
+        if not self.scale:
             return other
-        if not other.num.terms:
+        if not other.scale:
             return self
-        a, b, c, d = self.num, self.den, other.num, other.den
+        a, b, c, d = self.numer, self.denom, other.numer, other.denom
         g = _common_factor(b, d)
-        if g is None:
-            # gcd(b, d) = 1 makes (ad + cb)/(bd) reduced
-            num, den = a * d + c * b, b * d
-        else:
-            b1 = _quo(b, g)
-            num, den = a * _quo(d, g) + c * b1, b1 * d
-        if not num.terms:
+        b1, d1 = (b, d) if g is None else (_exquo(b, g), _exquo(d, g))
+        # s a/b + t c/d = (u a d1 + w c b1) / (q b d1), with s = u/q and t = w/q
+        s, t = self.scale, other.scale
+        q = s.denominator * t.denominator // math.gcd(s.denominator, t.denominator)
+        num = _combine(s.numerator * (q // s.denominator), _mul(a, d1),
+                       t.numerator * (q // t.denominator), _mul(c, b1))
+        if not num:
             return RatFun.zero(self.var)
+        k, num = _split(num)
+        den = _mul(b, d1)
         if g is not None:
             # a common factor of num and den = (b/g)(d/g) g can only divide g
-            g = _common_factor(num, g)
-            num, den = _quo(num, g), _quo(den, g)
-        return RatFun.from_coprime(num, den)
+            h = _common_factor(num, g)
+            if h is not None:
+                num, den = _exquo(num, h), _exquo(den, h)
+        return _make(self.var, k if q == 1 else _exact(Fraction(k, q)), num, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatFun":
-        return RatFun.from_coprime(-self.num, self.den)
+        return _make(self.var, -self.scale, self.numer, self.denom) if self.scale else self
 
     def __sub__(self, other) -> "RatFun":
         return self + (-self._coerce(other))
@@ -647,57 +887,67 @@ class RatFun:
 
     def __mul__(self, other) -> "RatFun":
         if isinstance(other, (int, Fraction)):
-            # a scalar only scales the numerator: the pair stays coprime
-            if not other or not self.num.terms:
+            # a scalar only scales: the pair stays coprime
+            if not other or not self.scale:
                 return RatFun.zero(self.var)
-            return RatFun.from_coprime(self.num.scale(other), self.den)
+            return _make(self.var, _exact(self.scale * other), self.numer, self.denom)
         other = self._coerce(other)
-        if not self.num.terms:
+        if not self.scale:
             return self
-        if not other.num.terms:
+        if not other.scale:
             return other
-        return RatFun._cross(self.num, self.den, other.num, other.den)
+        return _cross(self.var, _exact(self.scale * other.scale),
+                      self.numer, self.denom, other.numer, other.denom)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "RatFun":
         other = self._coerce(other)
-        if other.is_zero():
+        if not other.scale:
             raise ZeroDivisionError("division by the zero function")
-        if not self.num.terms:
+        if not self.scale:
             return self
-        return RatFun._cross(self.num, self.den, other.den, other.num)
+        return _cross(self.var, _ratio(self.scale, other.scale),
+                      self.numer, self.denom, other.denom, other.numer)
 
     def __rtruediv__(self, other) -> "RatFun":
         return self._coerce(other) / self
 
-    @staticmethod
-    def _cross(a: MPoly, b: MPoly, c: MPoly, d: MPoly) -> "RatFun":
-        """(a/b)(c/d) for coprime pairs (a, b), (c, d) and nonzero a, c."""
-        g1, g2 = _common_factor(a, d), _common_factor(c, b)
-        return RatFun.from_coprime(_quo(a, g1) * _quo(c, g2), _quo(b, g2) * _quo(d, g1))
-
     def __pow__(self, k: int) -> "RatFun":
-        # powers of a coprime pair stay coprime, and den^k stays monic
-        if k >= 0:
-            return RatFun.from_coprime(self.num ** k, self.den ** k)
-        if self.is_zero():
+        # powers of a coprime pair stay coprime and primitive
+        if k > 0:
+            if not self.scale:
+                return self
+            return _make(self.var, self.scale ** k, _pow(self.numer, k), _pow(self.denom, k))
+        if not k:
+            return RatFun.one(self.var)
+        if not self.scale:
             raise ZeroDivisionError("division by the zero function")
-        return RatFun.from_coprime(self.den ** -k, self.num ** -k)
+        return _make(self.var, _ratio(1, self.scale ** -k), _pow(self.denom, -k),
+                     _pow(self.numer, -k))
 
     def derivative(self) -> "RatFun":
-        x = self.var
-        return RatFun(self.num.diff(x) * self.den - self.num * self.den.diff(x),
-                      self.den * self.den)
+        """(s n/d)' = s (n'd - nd')/d^2.  With n, d coprime, a prime power
+        p^m dividing d exactly divides n'd - nd' exactly m - 1 times, so the
+        gcd with d^2 is the gcd with d."""
+        n, d = self.numer, self.denom
+        if self.is_constant():
+            return RatFun.zero(self.var)
+        k, num = _split(_combine(1, _mul(_diff(n), d), -1, _mul(n, _diff(d))))
+        den = _mul(d, d)
+        g = _common_factor(num, d)
+        if g:
+            num, den = _exquo(num, g), _exquo(den, g)
+        return _make(self.var, _exact(self.scale * k), num, den)
 
     # -- valuations ---------------------------------------------------------
 
     def ord_at(self, c) -> int | float:
         """Order of vanishing at x = c; negative at a pole, +inf for 0."""
-        if self.is_zero():
+        if not self.scale:
             return INF
         c = as_rat(c)
-        return _mult_at(self.num, c) - _mult_at(self.den, c)
+        return _mult_at(self.numer, c) - _mult_at(self.denom, c)
 
     # -- substitutions --------------------------------------------------------
 
@@ -705,36 +955,40 @@ class RatFun:
         """Substitute x -> x + c; an automorphism of Q[x] keeps the pair
         coprime."""
         c = as_rat(c)
-        if not c:
+        if not c or not self.scale:
             return self
-        var = self.var
-        return RatFun.from_coprime(
-            MPoly.from_univar_coeffs(var, _taylor_shift(self.num.univar_coeffs(), c)),
-            MPoly.from_univar_coeffs(var, _taylor_shift(self.den.univar_coeffs(), c)))
+        u, v = c.numerator, c.denominator
+        sn, n = _split(_taylor_shift(self.numer, u, v))
+        sd, d = _split(_taylor_shift(self.denom, u, v))
+        # numer(x + c) = v^-deg(numer) sn n and denom(x + c) = v^-deg(denom) sd d
+        top, bottom = sn * v ** (len(d) - 1), sd * v ** (len(n) - 1)
+        return _make(self.var, _exact(self.scale * Fraction(top, bottom)), n, d)
 
     def invert_var(self, new_var: str) -> "RatFun":
         """Substitute x -> 1/t, returning a rational function of t."""
-        nd = self.num.total_degree() if not self.num.is_zero() else 0
-        dd = self.den.total_degree()
-        num_rev = _reverse_univar(self.num, new_var, int(nd) if self.num else 0)
-        den_rev = _reverse_univar(self.den, new_var, int(dd))
-        # num(1/t)/den(1/t) = t^(dd-nd) * rev(num)/rev(den); the reversals keep
-        # their degrees, so neither has a factor t, and a common root of theirs
-        # would invert to one of num and den: the pair stays coprime
-        tpow = int(dd) - (int(nd) if self.num else 0)
-        t = (new_var,)
+        if not self.scale:
+            return RatFun.zero(new_var)
+        (sn, n), (sd, d) = _reverse(self.numer), _reverse(self.denom)
+        # num(1/t)/den(1/t) = t^(dd-nd) rev(num)/rev(den); the reversals keep
+        # no factor t, and a common root of theirs would invert to one of
+        # num and den: the pair stays coprime
+        tpow = len(self.denom) - len(self.numer)
         if tpow >= 0:
-            return RatFun.from_coprime(num_rev * MPoly.monomial(t, (tpow,)), den_rev)
-        return RatFun.from_coprime(num_rev, den_rev * MPoly.monomial(t, (-tpow,)))
+            n = (0,) * tpow + n
+        else:
+            d = (0,) * -tpow + d
+        return _make(new_var, self.scale if sn == sd else -self.scale, n, d)
 
     def __str__(self) -> str:
-        if self.is_polynomial():
-            return format_mpoly(self.num)
-        num_s = format_mpoly(self.num)
-        den_s = format_mpoly(self.den)
-        if len(self.num.terms) > 1:
+        # the numerator over the monic denominator has coefficients p n_i/(q lc)
+        p, q, lc = self.scale.numerator, self.scale.denominator, self.denom[-1]
+        num_s = _format_univar(self.var, [p * c for c in self.numer], q * lc)
+        if len(self.denom) == 1:
+            return num_s
+        den_s = _format_univar(self.var, self.denom, lc)
+        if sum(map(bool, self.numer)) > 1:
             num_s = f"({num_s})"
-        if len(self.den.terms) > 1:
+        if sum(map(bool, self.denom)) > 1:
             den_s = f"({den_s})"
         return f"{num_s}/{den_s}"
 
@@ -742,90 +996,21 @@ class RatFun:
         return f"RatFun({self!s})"
 
 
-def _common_factor(p: MPoly, q: MPoly) -> MPoly | None:
-    """Monic gcd(p, q) of nonzero univariate polynomials, None standing for 1.
-
-    With a single-term argument (a constant, a power of x) the gcd is
-    x^min of the valuations, read off without `univar_gcd`.
-    """
-    if len(p.terms) == 1 or len(q.terms) == 1:
-        k = min(min(p.terms)[0], min(q.terms)[0])
-        return MPoly.monomial(p.vars, (k,)) if k else None
-    g = univar_gcd(p, q)
-    return g if g.total_degree() > 0 else None
+def _cross(var: str, scale, a, b, c, d) -> RatFun:
+    """scale (a/b)(c/d) for coprime pairs (a, b), (c, d) of primitive polynomials."""
+    g1, g2 = _common_factor(a, d), _common_factor(c, b)
+    if g1:
+        a, d = _exquo(a, g1), _exquo(d, g1)
+    if g2:
+        c, b = _exquo(c, g2), _exquo(b, g2)
+    return _make(var, scale, _mul(a, c), _mul(b, d))
 
 
-def _quo(p: MPoly, g: MPoly | None) -> MPoly:
-    """p / g for a monic divisor g, None standing for 1."""
-    if g is None:
-        return p
-    if len(g.terms) == 1:
-        ((k,),) = g.terms
-        return MPoly.from_univar_coeffs(p.vars[0], p.univar_coeffs()[k:])
-    return p.univar_divmod(g)[0]
-
-
-def denominator_lcm(fs: Iterable[RatFun]) -> MPoly:
-    """Monic lcm of the denominators of some rational functions in one variable."""
-    dens = (f.den for f in fs)
+def denominator_lcm(fs: Iterable[RatFun]) -> tuple:
+    """The primitive lcm of the denominators of some rational functions in one variable."""
+    dens = (f.denom for f in fs)
     lcm = next(dens)
     for den in dens:
-        lcm = lcm * _quo(den, _common_factor(lcm, den))
+        g = _common_factor(lcm, den)
+        lcm = _mul(lcm, _exquo(den, g) if g else den)
     return lcm
-
-
-def _mult_at(p: MPoly, c: Fraction) -> int:
-    """Multiplicity of the root x = c in a nonzero univariate polynomial."""
-    if not c:
-        return min(e[0] for e in p.terms)
-    return _divide_out(p, c)[1]
-
-
-def _divide_out(p: MPoly, c: Fraction) -> tuple[MPoly, int]:
-    """(q, m) with p = (x - c)^m q and q(c) != 0, for nonzero univariate p."""
-    lin = MPoly.from_univar_coeffs(p.vars[0], [-c, 1])
-    mult = 0
-    while True:
-        q, r = p.univar_divmod(lin)
-        if r:
-            return p, mult
-        p = q
-        mult += 1
-
-
-def _monic_den(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
-    """num/den rescaled so that the nonzero denominator is monic."""
-    lc = den.terms[max(den.terms)]
-    if lc == 1:
-        return num, den
-    inv = _inverse(lc)
-    return num.scale(inv), den.scale(inv)
-
-
-def _taylor_shift(a: list, c: Fraction) -> list:
-    """Dense coefficients of p(x + c) from those of p, by repeated synthetic
-    division (Taylor shift) on integers.  At c = u/v, L v^D p(y/v), with L the
-    lcm of the coefficients' denominators, has integer coefficients
-    L v^(D-i) a_i; its shift by u is L v^D p((y + u)/v), whose coefficient i
-    over L v^(D-i) is that of p(x + c) (von zur Gathen & Gerhard 1997).
-    Unless L = v = 1 the quotients come back as Fractions, which
-    `MPoly.from_univar_coeffs` brings to normal form."""
-    d = len(a) - 1
-    if d < 1:
-        return a
-    u, v = c.numerator, c.denominator
-    lcm = math.lcm(*(ai.denominator for ai in a))
-    scales = [lcm * v ** (d - i) for i in range(d + 1)]
-    b = [ai.numerator * (s // ai.denominator) for ai, s in zip(a, scales)]
-    for i in range(d):
-        for j in range(d - 1, i - 1, -1):
-            b[j] += u * b[j + 1]
-    if lcm == v == 1:
-        return b
-    return [Fraction(bi, s) for bi, s in zip(b, scales)]
-
-
-def _reverse_univar(p: MPoly, new_var: str, degree: int) -> MPoly:
-    coeffs = p.univar_coeffs()
-    coeffs += [0] * (degree + 1 - len(coeffs))
-    return MPoly.from_univar_coeffs(new_var, list(reversed(coeffs)))

@@ -199,7 +199,7 @@ class ProjectiveLineReport:
 
 def singular_support(p: UnivarOperator) -> tuple[list[tuple[Fraction, int]], MPoly]:
     """Rational roots and untested factor of the cleared leading coefficient."""
-    return factor_rational(denominator_lcm(p.monic().coeffs))
+    return factor_rational(denominator_lcm(p.monic().coeffs), p.var)
 
 
 def regular_on_projective_line(p: UnivarOperator) -> ProjectiveLineReport:

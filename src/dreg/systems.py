@@ -101,7 +101,7 @@ class ConnectionSystem:
 
     def singular_support(self):
         """Rational poles of A and the untested denominator factor."""
-        return factor_rational(denominator_lcm(e for row in self.matrix for e in row))
+        return factor_rational(denominator_lcm(e for row in self.matrix for e in row), self.var)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@ reference that the polar lattices are checked against, the Q(x) views of
 those polar lattices and of the curve module's d, the operator
 algebra reference and the frozen lexer and descent that the parser is
 checked against, the plain forms of the Q(x) kernel's shortcuts, the
+univariate MPoly helpers and the Fraction RatFun that the integer Q(x)
+kernel replaced, the
 Fraction form of the log lattice's integer derivation images, the
 bare-chart inclusion as a direct enumeration, the certificate scans that
 the closed forms are checked against, the Fraction Buchberger
@@ -36,8 +38,8 @@ from dreg.operators import UnivarOperator
 from dreg.parser import MAX_POWER, ParseError
 from dreg.polelattice import (Prop21Report, _breaking_element, _in_ideal, _symbol_monomials,
                               _window, theta_XZ_ideal)
-from dreg.polynomials import (INF, MPoly, RatFun, _inverse, as_rat, denominator_lcm,
-                              univar_gcd)
+from dreg.polynomials import (INF, MPoly, RatFun, _exact, _inverse, as_rat, denominator_lcm,
+                              format_mpoly, monic_mpoly, split_content, univar_gcd)
 from dreg.regularity import _localize
 from dreg.systems import ConnectionSystem
 from dreg.weyl import WeylElement, deriv_names
@@ -179,13 +181,13 @@ def _unit_normalize(vec: tuple) -> tuple:
     if not entries:
         return vec
     var = entries[0].var
-    unit = RatFun(_unit_part(denominator_lcm(entries)))
+    unit = RatFun(_unit_part(monic_mpoly(var, denominator_lcm(entries))))
     scaled = [f * unit for f in vec]
     # divide by the unit part of the gcd of the numerators
     g = MPoly.zero((var,))
     for f in scaled:
         if not f.is_zero():
-            g = univar_gcd(g, f.num)
+            g = monic_gcd(g, f.num)
     g = _unit_part(g)
     if g.total_degree() > 0:
         inv = RatFun(MPoly.const((var,), 1), g)
@@ -646,6 +648,519 @@ def reference_parse_ratfun(text: str, var: str = "x") -> RatFun:
     return op.coeff(0)
 
 
+# -- the univariate MPoly helpers and the Fraction RatFun -------------------------
+# The library's Q(x) runs on integer coefficient lists.  These are the MPoly
+# forms of the univariate helpers it no longer needs, and, frozen as it was,
+# the RatFun that held num/den as MPolys with Fraction coefficients and
+# normalised through them: the reference the integer kernel is checked
+# against.
+
+
+def univar_coeffs(p: MPoly) -> list:
+    """Dense coefficient list c0..cd for a univariate polynomial."""
+    p._require_univar()
+    if not p.terms:
+        return []
+    d = max(e[0] for e in p.terms)
+    out = [0] * (d + 1)
+    for e, c in p.terms.items():
+        out[e[0]] = c
+    return out
+
+
+def leading_univar_coeff(p: MPoly):
+    p._require_univar()
+    return p.terms[max(p.terms)] if p.terms else 0
+
+
+def monic_univar(p: MPoly) -> MPoly:
+    lc = leading_univar_coeff(p)
+    if not lc or lc == 1:
+        return p
+    return p.scale(_inverse(lc))
+
+
+def univar_divmod(p: MPoly, other: MPoly) -> tuple[MPoly, MPoly]:
+    p._require_univar()
+    p._check(other)
+    if other.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    a = univar_coeffs(p)
+    b = univar_coeffs(other)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    r = list(a)
+    inv = _inverse(b[-1])
+    while len(r) >= len(b) and any(r):
+        while r and not r[-1]:
+            r.pop()
+        if len(r) < len(b):
+            break
+        factor = _exact(r[-1] * inv)
+        shift = len(r) - len(b)
+        q[shift] = factor
+        for i, bc in enumerate(b):
+            r[shift + i] -= factor * bc
+    var = p.vars[0]
+    return (MPoly.from_univar_coeffs(var, q), MPoly.from_univar_coeffs(var, r))
+
+
+def int_coeffs(p: MPoly) -> tuple:
+    """The primitive integer coefficients of a nonzero univariate polynomial."""
+    return split_content(p)[1]
+
+
+def monic_gcd(a: MPoly, b: MPoly) -> MPoly:
+    """univar_gcd on univariate MPolys, made monic; zero for two zeros."""
+    g = univar_gcd(*(int_coeffs(p) if p else () for p in (a, b)))
+    return monic_mpoly(a.vars[0], g) if g else a
+
+
+def _ref_primitive_int_coeffs(p: MPoly) -> list[int]:
+    """Dense integer coefficients with content removed."""
+    coeffs = univar_coeffs(p)
+    denom_lcm = math.lcm(*(c.denominator for c in coeffs))
+    return _ref_primitive([c.numerator * (denom_lcm // c.denominator) for c in coeffs])
+
+
+def _ref_primitive(ints: list[int]) -> list[int]:
+    """Integer coefficients divided by their content."""
+    content = math.gcd(*ints)
+    return [c // content for c in ints] if content > 1 else ints
+
+
+def _ref_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+    """Pseudo-remainder of dense integer polynomials (b nonzero)."""
+    a = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    while True:
+        while a and a[-1] == 0:
+            a.pop()
+        if len(a) - 1 < db or not a:
+            return a
+        la = a[-1]
+        shift = len(a) - 1 - db
+        a = [lb * c for c in a]
+        for i, bc in enumerate(b):
+            a[shift + i] -= la * bc
+
+
+def reference_univar_gcd(a: MPoly, b: MPoly) -> MPoly:
+    """Monic gcd of univariate polynomials.
+
+    Uses the primitive pseudo-remainder sequence over Z so coefficient
+    sizes stay bounded; the plain fraction Euclid blows up on the degrees
+    that chart changes and lattice saturations produce.
+    """
+    a._require_univar()
+    a._check(b)
+    var = a.vars[0]
+    if a.is_zero():
+        return monic_univar(b) if not b.is_zero() else b
+    if b.is_zero():
+        return monic_univar(a)
+    fa = _ref_primitive_int_coeffs(a)
+    fb = _ref_primitive_int_coeffs(b)
+    if len(fa) < len(fb):
+        fa, fb = fb, fa
+    while fb:
+        fa, fb = fb, _ref_primitive(_ref_pseudo_rem(fa, fb))
+    return monic_univar(MPoly.from_univar_coeffs(var, fa))
+
+
+def reference_squarefree_part(p: MPoly) -> MPoly:
+    """Monic squarefree part p / gcd(p, p') of a univariate polynomial."""
+    p._require_univar()
+    if p.total_degree() <= 0:
+        return MPoly.const(p.vars, 1) if p else p
+    return monic_univar(_ref_quo(p, _ref_common_factor(p, p.diff(p.vars[0]))))
+
+
+def reference_rational_roots(p: MPoly) -> list[Fraction]:
+    """All rational roots of a nonzero univariate polynomial, ascending."""
+    p._require_univar()
+    if p.is_zero():
+        raise ValueError("zero polynomial has every root")
+    ints = _ref_primitive_int_coeffs(p)
+    # root 0 first, then the candidates p/q of the polynomial divided by x^low
+    low = min(p.terms)[0]
+    roots = [Fraction(0)] if low else []
+    ints = ints[low:]
+    if len(ints) <= 1:
+        return roots
+    a0, an = ints[0], ints[-1]
+
+    def divisors(n: int) -> list[int]:
+        n = abs(n)
+        out = []
+        d = 1
+        while d * d <= n:
+            if n % d == 0:
+                out.append(d)
+                out.append(n // d)
+            d += 1
+        return sorted(set(out))
+
+    for pnum in divisors(a0):
+        for qden in divisors(an):
+            for sign in (1, -1):
+                cand = Fraction(sign * pnum, qden)
+                if cand in roots:
+                    continue
+                # den^n * P(num/den), an integer, by Horner's rule
+                val, den_power = 0, 1
+                for c in reversed(ints):
+                    val = val * cand.numerator + c * den_power
+                    den_power *= cand.denominator
+                if not val:
+                    roots.append(cand)
+    return sorted(roots)
+
+
+def reference_factor_rational(p: MPoly) -> tuple[list[tuple[Fraction, int]], MPoly]:
+    """Split off rational linear factors of a univariate polynomial.
+
+    Returns ((root, multiplicity) pairs, monic leftover with no rational
+    roots).  No factorization beyond this is attempted: the leftover may be
+    reducible over Q but is reported as a single untested factor.
+    """
+    p._require_univar()
+    if p.is_zero():
+        raise ValueError("cannot factor the zero polynomial")
+    rest = monic_univar(p)
+    out: list[tuple[Fraction, int]] = []
+    for root in reference_rational_roots(rest):
+        rest, mult = _ref_divide_out(rest, root)
+        if mult:
+            out.append((root, mult))
+    return out, monic_univar(rest)
+
+
+_REF_ZEROS: dict = {}       # variable name -> its zero ReferenceRatFun, built on first use
+_REF_ONES: dict = {}        # variable name -> its constant 1, built on first use
+
+
+class ReferenceRatFun:
+    """Reduced univariate rational function num/den with monic denominator."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: MPoly, den: MPoly | None = None):
+        num._require_univar()
+        if den is None:
+            den = MPoly.const(num.vars, 1)
+        num._check(den)
+        if den.is_zero():
+            raise ZeroDivisionError("rational function with zero denominator")
+        if num.is_zero():
+            den = MPoly.const(num.vars, 1)
+        else:
+            g = _ref_common_factor(num, den)
+            num, den = _ref_quo(num, g), _ref_quo(den, g)
+        self.num, self.den = _ref_monic_den(num, den)
+
+    # -- constructors ---------------------------------------------------
+
+    @classmethod
+    def from_coprime(cls, num: MPoly, den: MPoly) -> "ReferenceRatFun":
+        """num/den for a pair the caller knows to be coprime (den nonzero, and
+        a unit when num is zero); only the denominator is made monic."""
+        out = cls.__new__(cls)
+        out.num, out.den = _ref_monic_den(num, den)
+        return out
+
+    @classmethod
+    def const(cls, var: str, value) -> "ReferenceRatFun":
+        return cls.from_coprime(MPoly.const((var,), value), MPoly.const((var,), 1))
+
+    @classmethod
+    def zero(cls, var: str) -> "ReferenceRatFun":
+        """The zero function of `var`: one shared instance per variable, which
+        no operation writes to."""
+        zero = _REF_ZEROS.get(var)
+        if zero is None:
+            zero = _REF_ZEROS[var] = cls.const(var, 0)
+        return zero
+
+    @classmethod
+    def one(cls, var: str) -> "ReferenceRatFun":
+        """The constant 1 of `var`, shared like `zero`."""
+        one = _REF_ONES.get(var)
+        if one is None:
+            one = _REF_ONES[var] = cls.const(var, 1)
+        return one
+
+    @classmethod
+    def x(cls, var: str) -> "ReferenceRatFun":
+        return cls.from_coprime(MPoly.var((var,), var), MPoly.const((var,), 1))
+
+    # -- queries ----------------------------------------------------------
+
+    @property
+    def var(self) -> str:
+        return self.num.vars[0]
+
+    def is_zero(self) -> bool:
+        return self.num.is_zero()
+
+    def is_polynomial(self) -> bool:
+        return self.den.total_degree() == 0
+
+    def is_constant(self) -> bool:
+        return self.is_polynomial() and self.num.is_constant()
+
+    def constant_value(self):
+        if not self.is_constant():
+            raise ValueError("not a constant")
+        return self.num.constant_value()
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (int, Fraction)):
+            other = ReferenceRatFun.const(self.var, other)
+        if not isinstance(other, ReferenceRatFun):
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    # -- arithmetic --------------------------------------------------------
+
+    def _coerce(self, other) -> "ReferenceRatFun":
+        if isinstance(other, ReferenceRatFun):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return ReferenceRatFun.const(self.var, other)
+        if isinstance(other, MPoly):
+            return ReferenceRatFun(other)
+        raise TypeError(f"cannot combine ReferenceRatFun with {other!r}")
+
+    # Henrici's cross-cancellation (Knuth, TAOCP vol. 2, 4.5.1): with both
+    # operands reduced, only gcds of the denominators, or of a numerator with
+    # the other denominator, can be nontrivial, and a unit argument has none.
+
+    def __add__(self, other) -> "ReferenceRatFun":
+        other = self._coerce(other)
+        if not self.num.terms:
+            return other
+        if not other.num.terms:
+            return self
+        a, b, c, d = self.num, self.den, other.num, other.den
+        g = _ref_common_factor(b, d)
+        if g is None:
+            # gcd(b, d) = 1 makes (ad + cb)/(bd) reduced
+            num, den = a * d + c * b, b * d
+        else:
+            b1 = _ref_quo(b, g)
+            num, den = a * _ref_quo(d, g) + c * b1, b1 * d
+        if not num.terms:
+            return ReferenceRatFun.zero(self.var)
+        if g is not None:
+            # a common factor of num and den = (b/g)(d/g) g can only divide g
+            g = _ref_common_factor(num, g)
+            num, den = _ref_quo(num, g), _ref_quo(den, g)
+        return ReferenceRatFun.from_coprime(num, den)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "ReferenceRatFun":
+        return ReferenceRatFun.from_coprime(-self.num, self.den)
+
+    def __sub__(self, other) -> "ReferenceRatFun":
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other) -> "ReferenceRatFun":
+        return self._coerce(other) + (-self)
+
+    def __mul__(self, other) -> "ReferenceRatFun":
+        if isinstance(other, (int, Fraction)):
+            # a scalar only scales the numerator: the pair stays coprime
+            if not other or not self.num.terms:
+                return ReferenceRatFun.zero(self.var)
+            return ReferenceRatFun.from_coprime(self.num.scale(other), self.den)
+        other = self._coerce(other)
+        if not self.num.terms:
+            return self
+        if not other.num.terms:
+            return other
+        return ReferenceRatFun._cross(self.num, self.den, other.num, other.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "ReferenceRatFun":
+        other = self._coerce(other)
+        if other.is_zero():
+            raise ZeroDivisionError("division by the zero function")
+        if not self.num.terms:
+            return self
+        return ReferenceRatFun._cross(self.num, self.den, other.den, other.num)
+
+    def __rtruediv__(self, other) -> "ReferenceRatFun":
+        return self._coerce(other) / self
+
+    @staticmethod
+    def _cross(a: MPoly, b: MPoly, c: MPoly, d: MPoly) -> "ReferenceRatFun":
+        """(a/b)(c/d) for coprime pairs (a, b), (c, d) and nonzero a, c."""
+        g1, g2 = _ref_common_factor(a, d), _ref_common_factor(c, b)
+        return ReferenceRatFun.from_coprime(_ref_quo(a, g1) * _ref_quo(c, g2), _ref_quo(b, g2) * _ref_quo(d, g1))
+
+    def __pow__(self, k: int) -> "ReferenceRatFun":
+        # powers of a coprime pair stay coprime, and den^k stays monic
+        if k >= 0:
+            return ReferenceRatFun.from_coprime(self.num ** k, self.den ** k)
+        if self.is_zero():
+            raise ZeroDivisionError("division by the zero function")
+        return ReferenceRatFun.from_coprime(self.den ** -k, self.num ** -k)
+
+    def derivative(self) -> "ReferenceRatFun":
+        x = self.var
+        return ReferenceRatFun(self.num.diff(x) * self.den - self.num * self.den.diff(x),
+                      self.den * self.den)
+
+    # -- valuations ---------------------------------------------------------
+
+    def ord_at(self, c) -> int | float:
+        """Order of vanishing at x = c; negative at a pole, +inf for 0."""
+        if self.is_zero():
+            return INF
+        c = as_rat(c)
+        return _ref_mult_at(self.num, c) - _ref_mult_at(self.den, c)
+
+    # -- substitutions --------------------------------------------------------
+
+    def shift(self, c) -> "ReferenceRatFun":
+        """Substitute x -> x + c; an automorphism of Q[x] keeps the pair
+        coprime."""
+        c = as_rat(c)
+        if not c:
+            return self
+        var = self.var
+        return ReferenceRatFun.from_coprime(
+            MPoly.from_univar_coeffs(var, _ref_taylor_shift(univar_coeffs(self.num), c)),
+            MPoly.from_univar_coeffs(var, _ref_taylor_shift(univar_coeffs(self.den), c)))
+
+    def invert_var(self, new_var: str) -> "ReferenceRatFun":
+        """Substitute x -> 1/t, returning a rational function of t."""
+        nd = self.num.total_degree() if not self.num.is_zero() else 0
+        dd = self.den.total_degree()
+        num_rev = _ref_reverse_univar(self.num, new_var, int(nd) if self.num else 0)
+        den_rev = _ref_reverse_univar(self.den, new_var, int(dd))
+        # num(1/t)/den(1/t) = t^(dd-nd) * rev(num)/rev(den); the reversals keep
+        # their degrees, so neither has a factor t, and a common root of theirs
+        # would invert to one of num and den: the pair stays coprime
+        tpow = int(dd) - (int(nd) if self.num else 0)
+        t = (new_var,)
+        if tpow >= 0:
+            return ReferenceRatFun.from_coprime(num_rev * MPoly.monomial(t, (tpow,)), den_rev)
+        return ReferenceRatFun.from_coprime(num_rev, den_rev * MPoly.monomial(t, (-tpow,)))
+
+    def __str__(self) -> str:
+        if self.is_polynomial():
+            return format_mpoly(self.num)
+        num_s = format_mpoly(self.num)
+        den_s = format_mpoly(self.den)
+        if len(self.num.terms) > 1:
+            num_s = f"({num_s})"
+        if len(self.den.terms) > 1:
+            den_s = f"({den_s})"
+        return f"{num_s}/{den_s}"
+
+    def __repr__(self) -> str:
+        return f"ReferenceRatFun({self!s})"
+
+
+def _ref_common_factor(p: MPoly, q: MPoly) -> MPoly | None:
+    """Monic gcd(p, q) of nonzero univariate polynomials, None standing for 1.
+
+    With a single-term argument (a constant, a power of x) the gcd is
+    x^min of the valuations, read off without `reference_univar_gcd`.
+    """
+    if len(p.terms) == 1 or len(q.terms) == 1:
+        k = min(min(p.terms)[0], min(q.terms)[0])
+        return MPoly.monomial(p.vars, (k,)) if k else None
+    g = reference_univar_gcd(p, q)
+    return g if g.total_degree() > 0 else None
+
+
+def _ref_quo(p: MPoly, g: MPoly | None) -> MPoly:
+    """p / g for a monic divisor g, None standing for 1."""
+    if g is None:
+        return p
+    if len(g.terms) == 1:
+        ((k,),) = g.terms
+        return MPoly.from_univar_coeffs(p.vars[0], univar_coeffs(p)[k:])
+    return univar_divmod(p, g)[0]
+
+
+def reference_denominator_lcm(fs: Iterable[ReferenceRatFun]) -> MPoly:
+    """Monic lcm of the denominators of some rational functions in one variable."""
+    dens = (f.den for f in fs)
+    lcm = next(dens)
+    for den in dens:
+        lcm = lcm * _ref_quo(den, _ref_common_factor(lcm, den))
+    return lcm
+
+
+def _ref_mult_at(p: MPoly, c: Fraction) -> int:
+    """Multiplicity of the root x = c in a nonzero univariate polynomial."""
+    if not c:
+        return min(e[0] for e in p.terms)
+    return _ref_divide_out(p, c)[1]
+
+
+def _ref_divide_out(p: MPoly, c: Fraction) -> tuple[MPoly, int]:
+    """(q, m) with p = (x - c)^m q and q(c) != 0, for nonzero univariate p."""
+    lin = MPoly.from_univar_coeffs(p.vars[0], [-c, 1])
+    mult = 0
+    while True:
+        q, r = univar_divmod(p, lin)
+        if r:
+            return p, mult
+        p = q
+        mult += 1
+
+
+def _ref_monic_den(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
+    """num/den rescaled so that the nonzero denominator is monic."""
+    lc = den.terms[max(den.terms)]
+    if lc == 1:
+        return num, den
+    inv = _inverse(lc)
+    return num.scale(inv), den.scale(inv)
+
+
+def _ref_taylor_shift(a: list, c: Fraction) -> list:
+    """Dense coefficients of p(x + c) from those of p, by repeated synthetic
+    division (Taylor shift) on integers.  At c = u/v, L v^D p(y/v), with L the
+    lcm of the coefficients' denominators, has integer coefficients
+    L v^(D-i) a_i; its shift by u is L v^D p((y + u)/v), whose coefficient i
+    over L v^(D-i) is that of p(x + c) (von zur Gathen & Gerhard 1997).
+    Unless L = v = 1 the quotients come back as Fractions, which
+    `MPoly.from_univar_coeffs` brings to normal form."""
+    d = len(a) - 1
+    if d < 1:
+        return a
+    u, v = c.numerator, c.denominator
+    lcm = math.lcm(*(ai.denominator for ai in a))
+    scales = [lcm * v ** (d - i) for i in range(d + 1)]
+    b = [ai.numerator * (s // ai.denominator) for ai, s in zip(a, scales)]
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            b[j] += u * b[j + 1]
+    if lcm == v == 1:
+        return b
+    return [Fraction(bi, s) for bi, s in zip(b, scales)]
+
+
+def _ref_reverse_univar(p: MPoly, new_var: str, degree: int) -> MPoly:
+    coeffs = univar_coeffs(p)
+    coeffs += [0] * (degree + 1 - len(coeffs))
+    return MPoly.from_univar_coeffs(new_var, list(reversed(coeffs)))
+
+
 # -- the plain forms of the Q(x) kernel ---------------------------------------------
 
 
@@ -674,7 +1189,7 @@ def reference_pow(p: MPoly, k: int) -> MPoly:
 def compose_univar(p: MPoly, inner: MPoly) -> MPoly:
     """Horner evaluation of p at another univariate polynomial."""
     result = MPoly.zero(inner.vars)
-    for c in reversed(p.univar_coeffs()):
+    for c in reversed(univar_coeffs(p)):
         result = result * inner + MPoly.const(inner.vars, c)
     return result
 
@@ -700,7 +1215,7 @@ def reference_taylor_shift_ratfun(f: RatFun, c) -> RatFun:
     c = as_rat(c)
     if not c:
         return f
-    num, den = (MPoly.from_univar_coeffs(f.var, reference_taylor_shift(p.univar_coeffs(), c))
+    num, den = (MPoly.from_univar_coeffs(f.var, reference_taylor_shift(univar_coeffs(p), c))
                 for p in (f.num, f.den))
     return RatFun.from_coprime(num, den)
 
@@ -734,7 +1249,7 @@ def reference_at_infinity(p: UnivarOperator, new_var: str = "t") -> UnivarOperat
     return total
 
 
-def reference_ratfun(num: MPoly, den: MPoly | None = None) -> RatFun:
+def reference_ratfun(num: MPoly, den: MPoly | None = None) -> "ReferenceRatFun":
     """The RatFun constructor with its own branches: a constant denominator
     scaled away, a denominator x^k cancelled by valuations, any other one
     by univar_gcd and univar_divmod, then made monic."""
@@ -763,16 +1278,16 @@ def reference_ratfun(num: MPoly, den: MPoly | None = None) -> RatFun:
         if dc != 1:
             num = num.scale(Fraction(1) / dc)
     else:
-        g = univar_gcd(num, den)
+        g = reference_univar_gcd(num, den)
         if g.total_degree() > 0:
-            num, _ = num.univar_divmod(g)
-            den, _ = den.univar_divmod(g)
-        lc = den.leading_univar_coeff()
+            num, _ = univar_divmod(num, g)
+            den, _ = univar_divmod(den, g)
+        lc = leading_univar_coeff(den)
         if lc != 1:
             inv = Fraction(1) / lc
             num = num.scale(inv)
             den = den.scale(inv)
-    out = RatFun.__new__(RatFun)
+    out = ReferenceRatFun.__new__(ReferenceRatFun)
     out.num = num
     out.den = den
     return out
@@ -867,7 +1382,7 @@ def scale_ratfun_var(f: RatFun, c) -> RatFun:
     if not c:
         raise ValueError("scale by zero")
     num, den = (MPoly.from_univar_coeffs(f.var, [a * c ** i for i, a in
-                                                 enumerate(q.univar_coeffs())])
+                                                 enumerate(univar_coeffs(q))])
                 for q in (f.num, f.den))
     return RatFun.from_coprime(num, den)
 

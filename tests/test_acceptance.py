@@ -1,13 +1,10 @@
 """Acceptance suite: every criterion prints one line and runs at its stated
 tolerance (exact equality unless noted)."""
 
-import itertools
 import json
 import random
 import time
 from fractions import Fraction
-
-import pytest
 
 from dreg.cli import main
 from dreg.corpus import OPERATORS
@@ -16,18 +13,14 @@ from dreg.dmod import (characteristic_variety_univar, decompose_symbol_ideal,
                        trivial_filtration_annihilator,
                        verify_components_both_ways, CONORMAL_DIVISOR,
                        CONORMAL_POINT, ZERO_SECTION)
-from dreg.ideals import (Ideal, is_radical_squarefree_monomial,
-                         krull_dimension, normal_form, groebner_basis,
-                         radical_membership)
+from dreg.ideals import Ideal, is_radical_squarefree_monomial, krull_dimension
 from dreg.parser import format_operator, parse_operator, parse_weyl_generators
 from dreg.polelattice import (LogLattice, NCChart, goodness_scan,
                               pole_filtration_annihilator, prop21_inclusion,
-                              theorem_forward_filtration, theta_XZ_ideal)
+                              theorem_forward_filtration)
 from dreg.polynomials import MPoly
-from dreg.regularity import (INFINITY, REGULAR, fuchs_regular_at,
-                             regular_on_projective_line)
-from dreg.systems import (ConnectionSystem, EXCEEDED_BOUND, STABILIZED,
-                          cyclic_vector, regular_system_report,
+from dreg.regularity import REGULAR, regular_on_projective_line
+from dreg.systems import (ConnectionSystem, EXCEEDED_BOUND, regular_system_report,
                           saturate_lattice)
 from dreg.weyl import (WeylElement, characteristic_ideal, coordinate_names,
                        weyl_mul)

@@ -1,8 +1,8 @@
 import json
 import os
-import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dreg.cli import build_parser, main, parse_point, render_json
-from dreg.corpus import OPERATORS
 from dreg.parser import (ParseError, format_operator, parse_operator,
                          parse_weyl_generators)
 from dreg.regularity import INFINITY
@@ -244,7 +243,6 @@ class TestExitCodes:
         # the bug trap: force a disagreeing report through the compare verb
         import dreg.cli as cli_mod
         from dreg.dmod import EquivalenceReport
-        from dreg.regularity import FuchsCertificate
 
         real = cli_mod.fuchs_kashiwara_equivalence
 
@@ -399,3 +397,36 @@ class TestOneBasisPerRequest:
         code, _, _ = run_cli(capsys, "holonomic", "--vars", "x,y", "y*dx - 1 ; y^2*dy + x")
         assert code == 0
         assert [c[0] for c in calls] == [False]
+
+
+class TestLargePoles:
+    """A pole far from the origin costs no trial division: each verb decides
+    it at once, and as it decides the same operator with its pole at 3."""
+
+    BIG = 10 ** 18 + 3
+    OPERATORS = ["d - 1/(x - {c})", "d - 1/(x - {c})^2",
+                 "d^2 + 1/(x - {c})*d + 1/((x - {c})^2*(x^2 + 1))"]
+    MATRICES = ["0 ; -1\n1/(x - {c})^2 ; 0\n", "0 ; -1\n1/(x - {c})^3 ; 1/(x - {c})\n"]
+
+    def verdicts(self, capsys, argv, c):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, *(a.format(c=c) for a in argv), "--format", "json")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        return [{**v, "point": "c"} if v.get("point") == str(c) else v
+                for v in json.loads(out)["verdicts"]]
+
+    @pytest.mark.parametrize("text", OPERATORS)
+    @pytest.mark.parametrize("verb", [["fuchs"], ["compare", "--point", "{c}"]])
+    def test_operator_verdicts(self, capsys, verb, text):
+        argv = [verb[0], text, *verb[1:]]
+        assert self.verdicts(capsys, argv, self.BIG) == self.verdicts(capsys, argv, 3)
+
+    @pytest.mark.parametrize("matrix", MATRICES)
+    def test_system_verdicts(self, capsys, tmp_path, matrix):
+        found = []
+        for c in (self.BIG, 3):
+            path = tmp_path / f"pole-{c}.sys"
+            path.write_text("rank 2\n" + matrix.format(c=c))
+            found.append(self.verdicts(capsys, ["system", "--file", str(path)], c))
+        assert found[0] == found[1]

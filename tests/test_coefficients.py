@@ -24,7 +24,8 @@ from dreg.parser import ParseError, parse_operator, parse_ratfun, parse_weyl_gen
 from dreg.polynomials import MPoly, RatFun
 from dreg.systems import CyclicVectorError, cyclic_vector, saturate_lattice
 
-from conftest import exact_coefficients, is_exact, polar_extended, polar_part
+from conftest import (exact_coefficients, is_exact, monic_univar, polar_extended, polar_part,
+                      univar_divmod)
 
 ATOMS = st.sampled_from(["x", "1", "2", "3", "6", "x^2", "(x - 1)", "(2*x + 3)",
                          "(x^2 + 1)", "(3*x - 2)"])
@@ -131,11 +132,11 @@ class TestIntegerDivisionSites:
 
     def test_univar_divmod(self):
         var = ("x",)
-        q, r = MPoly.from_univar_coeffs("x", [1, 0, 1]).univar_divmod(
-            MPoly.from_univar_coeffs("x", [0, 2]))
+        q, r = univar_divmod(MPoly.from_univar_coeffs("x", [1, 0, 1]),
+                             MPoly.from_univar_coeffs("x", [0, 2]))
         assert q.terms == {(1,): Fraction(1, 2)} and r.terms == {(0,): 1}
         assert exact_coefficients([q, r])
-        q, r = MPoly.from_univar_coeffs("x", [2, 4]).univar_divmod(MPoly.const(var, 2))
+        q, r = univar_divmod(MPoly.from_univar_coeffs("x", [2, 4]), MPoly.const(var, 2))
         assert q.terms == {(0,): 1, (1,): 2} and not r
         assert exact_coefficients([q])
 
@@ -168,8 +169,8 @@ class TestIntegerDivisionSites:
 
     def test_monic_stops_at_a_unit_leading_coefficient(self):
         p = MPoly.from_univar_coeffs("x", [3, 0, 1])
-        assert p.monic_univar() is p
-        q = MPoly.from_univar_coeffs("x", [3, 0, -1]).monic_univar()
+        assert monic_univar(p) is p
+        q = monic_univar(MPoly.from_univar_coeffs("x", [3, 0, -1]))
         assert q.terms == {(0,): -3, (2,): 1} and exact_coefficients([q])
 
     def test_numbers_and_booleans_become_ints(self):

@@ -5,7 +5,7 @@ import pytest
 
 from dreg import dmod, polynomials
 from dreg.corpus import OPERATORS
-from dreg.dmod import (CurveModule, CyclicFiltration, ZeroModuleError,
+from dreg.dmod import (CurveModule, ZeroModuleError,
                        characteristic_variety_univar, decompose_symbol_ideal, dimension_report,
                        fuchs_kashiwara_equivalence, kashiwara_regular_at,
                        kashiwara_regular_at_zero,
@@ -15,7 +15,7 @@ from dreg.dmod import (CurveModule, CyclicFiltration, ZeroModuleError,
                        CONORMAL_POINT, ZERO_SECTION)
 from dreg.ideals import Ideal, krull_dimension, radical_membership
 from dreg.parser import parse_operator, parse_weyl_generators
-from dreg.polynomials import MPoly, RatFun
+from dreg.polynomials import MPoly
 from dreg.regularity import INFINITY, IRREGULAR, REGULAR
 from dreg.weyl import WeylElement, characteristic_ideal, symbol_names
 

@@ -1,5 +1,6 @@
-"""Every name a module of dreg imports is used in that module, and every
-function, class and method it defines is used somewhere in src/.
+"""Every name a module of dreg or a test file imports is used in that
+file, and every function, class and method dreg defines is used somewhere
+in src/.
 
 `__init__.py` is left out of the import check: it imports names to
 re-export them, and a re-exported definition counts as used.
@@ -10,13 +11,13 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "dreg"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "dreg"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_FILES = sorted(TESTS.glob("*.py"))
 
 # definitions with no caller in src/ that stay, each with its reason
 KEPT = {
-    "polynomials.squarefree_part":
-        "the gcd-free basis of closed points of degree > 1 (ROADMAP item 2) builds on it",
     "dmod.verify_components_both_ways": "the gate of charvar from the singular locus (ROADMAP item 4)",
     "systems.ConnectionSystem.companion": "test oracle: the system of a scalar operator",
 }
@@ -51,7 +52,8 @@ def used_names(tree: ast.AST) -> set[str]:
     return set().union(*map(read_names, ast.walk(tree)))
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_FILES,
+                         ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), str(path))
     used = used_names(tree)

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from dreg.lattices import Laurent, PolarLattice
 from dreg.linalg import gauss_solve, mat_mul
-from dreg.polynomials import MPoly, RatFun
 
 from conftest import (LocalLattice, from_coeffs, polar_contains, polar_generators, polar_part,
                       reference_determinant)

@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from dreg.operators import (ThetaOperator, UnivarOperator, chart_infinity, from_theta_form,

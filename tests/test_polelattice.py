@@ -12,7 +12,6 @@ import dreg.cli
 import dreg.corpus
 import dreg.polelattice
 from dreg.cli import _read_chart_file
-from dreg.dmod import CurveModule
 from dreg.ideals import (Ideal, groebner_basis, is_radical_squarefree_monomial,
                          minimal_monomial_generators, normal_form)
 from dreg.parser import parse_operator

@@ -1,18 +1,22 @@
-import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dreg.cli
 import dreg.polynomials
-from dreg.polynomials import (INF, MPoly, Rat, RatFun, factor_rational,
-                              rational_roots, squarefree_part, univar_gcd)
+from dreg.polynomials import (INF, MPoly, Rat, RatFun, denominator_lcm, factor_rational,
+                              monic_mpoly, rational_roots, squarefree_part, univar_gcd)
 
-from conftest import (evaluate_mpoly, evaluate_ratfun, from_coeffs, random_fraction,
+from conftest import (evaluate_mpoly, evaluate_ratfun, from_coeffs, int_coeffs,
+                      leading_univar_coeff, monic_gcd, monic_univar, random_fraction,
                       random_mpoly, random_ratfun, reference_mul, reference_pow,
-                      reference_ratfun, reference_scale_var, reference_shift,
-                      reference_taylor_shift_ratfun, scale_ratfun_var)
+                      ReferenceRatFun, reference_denominator_lcm, reference_ratfun,
+                      reference_rational_roots, reference_scale_var, reference_shift,
+                      reference_taylor_shift_ratfun, reference_univar_gcd, scale_ratfun_var,
+                      univar_coeffs, univar_divmod)
 
 
 def rf(num, den=(1,)):
@@ -65,7 +69,7 @@ class TestMPoly:
     def test_divmod_exact(self):
         x = MPoly.var(("x",), "x")
         p = (x ** 2 + 1) * (x - 3)
-        q, r = p.univar_divmod(x - 3)
+        q, r = univar_divmod(p, x - 3)
         assert r.is_zero() and q == x ** 2 + MPoly.const(("x",), 1)
 
 
@@ -74,7 +78,7 @@ class TestGcdFactoring:
         x = MPoly.var(("x",), "x")
         a = (x - 1) ** 2 * (x + 2)
         b = (x - 1) * (x + 5)
-        assert univar_gcd(a, b) == x - MPoly.const(("x",), 1)
+        assert monic_gcd(a, b) == x - MPoly.const(("x",), 1)
 
     def test_gcd_random_products(self):
         rng = random.Random(11)
@@ -87,26 +91,25 @@ class TestGcdFactoring:
             b = common * random_mpoly(rng, ("x",), 2, 2)
             if a.is_zero() or b.is_zero():
                 continue
-            g = univar_gcd(a, b)
-            _, r = common.univar_divmod(g) if g.total_degree() <= common.total_degree() else (None, None)
+            g = monic_gcd(a, b)
             # the gcd divides both products
-            assert a.univar_divmod(g)[1].is_zero()
-            assert b.univar_divmod(g)[1].is_zero()
+            assert univar_divmod(a, g)[1].is_zero()
+            assert univar_divmod(b, g)[1].is_zero()
 
     def test_squarefree(self):
         x = MPoly.var(("x",), "x")
         p = (x - 1) ** 3 * (x + 1)
-        assert squarefree_part(p) == (x - 1) * (x + 1) * Fraction(1)
+        assert squarefree_part(int_coeffs(p)) == int_coeffs((x - 1) * (x + 1))
 
     def test_rational_roots(self):
         x = MPoly.var(("x",), "x")
         p = (2 * x - 1) * (x + 3) * (x ** 2 + 1)
-        assert rational_roots(p) == [Fraction(-3), Fraction(1, 2)]
+        assert rational_roots(int_coeffs(p)) == [Fraction(-3), Fraction(1, 2)]
 
     def test_factor_rational(self):
         x = MPoly.var(("x",), "x")
         p = x ** 2 * (x - 2) * (x ** 2 + 1)
-        roots, rest = factor_rational(p)
+        roots, rest = factor_rational(int_coeffs(p), "x")
         assert roots == [(Fraction(0), 2), (Fraction(2), 1)]
         assert rest == x ** 2 + MPoly.const(("x",), 1)
 
@@ -137,10 +140,10 @@ class TestAgainstSympy:
                 b = common * b
             if a.is_zero() or b.is_zero():
                 continue
-            ours = univar_gcd(a, b)
+            ours = monic_gcd(a, b)
             theirs = from_sympy(sympy.gcd(to_sympy(a, X, sympy), to_sympy(b, X, sympy)),
                                 X, sympy)
-            assert ours == theirs.monic_univar()
+            assert ours == monic_univar(theirs)
             nontrivial += ours.total_degree() > 0
         assert nontrivial > 10
 
@@ -158,7 +161,7 @@ class TestAgainstSympy:
             p = p * rng.choice([one, x ** 2 + one, x ** 2 - 2 * one])
             if p.is_zero():
                 continue
-            roots, rest = factor_rational(p)
+            roots, rest = factor_rational(int_coeffs(p), "x")
             expr = to_sympy(p, X, sympy)
             expected = sympy.roots(expr, X, filter="Q")
             assert {r: m for r, m in roots} == {
@@ -166,7 +169,7 @@ class TestAgainstSympy:
             _, factors = sympy.factor_list(expr, X)
             nonlinear = sympy.Mul(*(f ** m for f, m in factors
                                     if sympy.degree(f, X) > 1))
-            assert rest == from_sympy(nonlinear, X, sympy).monic_univar()
+            assert rest == monic_univar(from_sympy(nonlinear, X, sympy))
             repeated += any(m > 1 for _, m in roots)
         assert repeated > 10
 
@@ -214,9 +217,9 @@ class TestRatFunFieldLaws:
 def _invert_by_gcd(f, new_var):
     """x -> 1/t normalised by the RatFun constructor, which runs a gcd."""
     nd = f.num.total_degree() if f.num else 0
-    coeffs = f.num.univar_coeffs() + [Fraction(0)] * (int(nd) + 1 - len(f.num.univar_coeffs()))
+    coeffs = univar_coeffs(f.num) + [Fraction(0)] * (int(nd) + 1 - len(univar_coeffs(f.num)))
     num_rev = MPoly.from_univar_coeffs(new_var, coeffs[::-1])
-    den_rev = MPoly.from_univar_coeffs(new_var, f.den.univar_coeffs()[::-1])
+    den_rev = MPoly.from_univar_coeffs(new_var, univar_coeffs(f.den)[::-1])
     t = MPoly.var((new_var,), new_var)
     tpow = int(f.den.total_degree()) - int(nd)
     if tpow >= 0:
@@ -374,8 +377,8 @@ class TestGcdCount:
 class TestRatFun:
     def test_reduction_invariants(self):
         f = rf([0, -1, 1], [0, 0, 2])  # (x^2 - x) / (2 x^2)
-        assert f.den.leading_univar_coeff() == 1
-        assert univar_gcd(f.num, f.den).total_degree() == 0
+        assert leading_univar_coeff(f.den) == 1
+        assert univar_gcd(f.numer, f.denom) == (1,)
 
     def test_ord_examples(self):
         # pole order read off a monomial
@@ -437,7 +440,7 @@ GENERAL = st.builds(_general, st.integers(0, 2), st.integers(-2, 2), st.integers
 
 
 def _monic_pair(num, den):
-    lc = den.leading_univar_coeff()
+    lc = leading_univar_coeff(den)
     return num.scale(Fraction(1) / lc), den.scale(Fraction(1) / lc)
 
 
@@ -455,7 +458,7 @@ class TestOneNormaliser:
             num = num * den     # the whole denominator cancels
         f, ref = RatFun(num, den), reference_ratfun(num, den)
         assert (f.num, f.den) == (ref.num, ref.den)
-        assert f.den.leading_univar_coeff() == 1
+        assert leading_univar_coeff(f.den) == 1
         top, bottom = sympy.fraction(sympy.cancel(to_sympy(num, X, sympy)
                                                   / to_sympy(den, X, sympy)))
         assert (f.num, f.den) == _monic_pair(from_sympy(top, X, sympy),
@@ -472,4 +475,176 @@ class TestOneNormaliser:
             a, b = b, a
         theirs = from_sympy(sympy.gcd(to_sympy(a, X, sympy), to_sympy(b, X, sympy)),
                             X, sympy)
-        assert univar_gcd(a, b) == theirs.monic_univar()
+        assert monic_gcd(a, b) == monic_univar(theirs)
+
+
+# -- the integer kernel against the Fraction RatFun it replaced --------------------------
+
+BIG_DENOMINATORS = st.lists(st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 12),
+                            min_size=1, max_size=4).map(
+    lambda cs: MPoly.from_univar_coeffs("x", cs))
+FACTORS = st.one_of(CONSTANTS, SINGLE_TERMS, GENERAL, BIG_DENOMINATORS).filter(bool)
+
+
+@st.composite
+def num_den(draw):
+    """(num, den) with every shape the kernel branches on, often with a planted common factor."""
+    num = draw(st.one_of(st.just(MPoly.zero(("x",))), CONSTANTS, SINGLE_TERMS, UNIVAR, GENERAL,
+                         BIG_DENOMINATORS))
+    den = draw(FACTORS)
+    if draw(st.booleans()):
+        common = draw(FACTORS)
+        num, den = num * common, den * common
+    return num, den
+
+
+def same(mine, theirs) -> bool:
+    return ((mine.num, mine.den) == (theirs.num, theirs.den) and str(mine) == str(theirs)
+            and hash(mine) == hash(theirs) and mine.is_constant() == theirs.is_constant()
+            and mine.is_polynomial() == theirs.is_polynomial())
+
+
+class TestAgainstFrozenRatFun:
+    """Every RatFun operation, its text and its hash against the frozen
+    Fraction RatFun (conftest), and its arithmetic against sympy's cancel."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(num_den(), num_den(), st.fractions(-5, 5, max_denominator=7), st.integers(-2, 3))
+    def test_every_operation(self, first, second, c, k):
+        f, g = RatFun(*first), RatFun(*second)
+        rf, rg = ReferenceRatFun(*first), ReferenceRatFun(*second)
+        pairs = [(f, rf), (g, rg), (f + g, rf + rg), (f - g, rf - rg), (f * g, rf * rg),
+                 (-f, -rf), (f * c, rf * c), (f + c, rf + c), (f.derivative(), rf.derivative()),
+                 (f.shift(c), rf.shift(c)), (f.invert_var("t"), rf.invert_var("t"))]
+        if g:
+            pairs.append((f / g, rf / rg))
+        if f or k >= 0:
+            pairs.append((f ** k, rf ** k))
+        for mine, theirs in pairs:
+            assert same(mine, theirs), (mine, theirs)
+        for point in (0, 1, -2, c):
+            assert f.ord_at(point) == rf.ord_at(point)
+        assert (f == g) == (rf == rg) and (f == c) == (rf == c)
+        if f.is_constant():
+            assert f.constant_value() == rf.constant_value()
+        assert monic_mpoly("x", denominator_lcm([f, g])) == reference_denominator_lcm([rf, rg])
+        assert monic_gcd(first[0], second[1]) == reference_univar_gcd(first[0], second[1])
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(num_den(), num_den())
+    def test_arithmetic_matches_cancel(self, first, second):
+        sympy = pytest.importorskip("sympy")
+        X = sympy.Symbol("x")
+        f, g = RatFun(*first), RatFun(*second)
+        F, G = (to_sympy(a, X, sympy) / to_sympy(b, X, sympy) for a, b in (first, second))
+        results = [(f + g, F + G), (f * g, F * G)] + ([(f / g, F / G)] if g else [])
+        for mine, expr in results:
+            top, bottom = sympy.fraction(sympy.cancel(expr))
+            assert (mine.num, mine.den) == _monic_pair(from_sympy(top, X, sympy),
+                                                       from_sympy(bottom, X, sympy))
+
+
+BIG_ROOTS = [Fraction(s * b, d) for b in (10 ** 13 + 37, 10 ** 18 + 3, 10 ** 40 + 121)
+             for s in (1, -1) for d in (1, 7)]
+# 1, x^2 + 1, x^2 - 2, x^4 + x + 1, 3x^2 + 5 and (x^2 + 1)^2 have no rational root
+ROOTLESS = [(1,), (1, 0, 1), (-2, 0, 1), (1, 1, 0, 0, 1), (5, 0, 3), (1, 0, 2, 0, 1)]
+
+
+class TestRationalRoots:
+    """Rational roots by p-adic Newton lifting, against planted roots and
+    against the trial division they replaced."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.one_of(st.fractions(-6, 6, max_denominator=6),
+                                        st.sampled_from(BIG_ROOTS)), st.integers(1, 3)),
+                    max_size=4, unique_by=lambda t: t[0]),
+           st.sampled_from(ROOTLESS), st.integers(1, 5))
+    def test_planted_roots(self, roots, rest, c):
+        x = MPoly.var(("x",), "x")
+        p = MPoly.from_univar_coeffs("x", rest).scale(c)
+        for r, m in roots:
+            p = p * (x - r) ** m
+        found, leftover = factor_rational(int_coeffs(p), "x")
+        assert found == sorted(roots)
+        assert leftover == monic_univar(MPoly.from_univar_coeffs("x", rest))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(st.fractions(-4, 4, max_denominator=4), max_size=4),
+           st.lists(st.integers(-5, 5), min_size=1, max_size=4).filter(any))
+    def test_trial_division_agrees(self, roots, cofactor):
+        x = MPoly.var(("x",), "x")
+        p = MPoly.from_univar_coeffs("x", cofactor)
+        for r in roots:
+            p = p * (x - r)
+        assert rational_roots(int_coeffs(p)) == reference_rational_roots(p)
+
+    @pytest.mark.parametrize("root", [10 ** 18 + 3, 10 ** 40 + 121])
+    def test_a_large_pole_alone(self, root):
+        # one linear factor, and the same root beside a factor with no rational root
+        assert rational_roots((-root, 1)) == [root]
+        x = MPoly.var(("x",), "x")
+        p = (x - root) ** 2 * (x ** 2 + 1) * x
+        assert factor_rational(int_coeffs(p), "x") == ([(0, 1), (root, 2)], x ** 2 + 1)
+
+
+    def test_every_small_prime_divides_the_leading_coefficient(self):
+        # 2 * 3 * ... * 29: the lift runs modulo the first prime past them
+        a = 6469693230
+        x = MPoly.var(("x",), "x")
+        p = (a * x - 1) * (x - 5) * (x ** 2 + 1)
+        assert rational_roots(int_coeffs(p)) == [Fraction(1, a), 5]
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+# univar_gcd calls of the Fraction RatFun over the corpus runs below
+FRACTION_KERNEL_CORPUS_GCDS = 11
+
+
+class TestWorkGates:
+    COUNTED = ("__new__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+               "__truediv__", "__rtruediv__", "__pow__", "__neg__")
+
+    @pytest.fixture
+    def fraction_ops(self, monkeypatch):
+        count = [0]
+        for name in self.COUNTED:
+            method = vars(Fraction)[name]
+
+            def counted(*args, _method=method, **kwargs):
+                count[0] += 1
+                return _method(*args, **kwargs)
+
+            monkeypatch.setattr(Fraction, name,
+                                staticmethod(counted) if name == "__new__" else counted)
+        return count
+
+    def test_fraction_ops_do_not_grow_with_degree(self, fraction_ops):
+        counts = []
+        for degree in (2, 5, 12):
+            rng = random.Random(degree)
+
+            def poly():
+                return MPoly.from_univar_coeffs("x", [Fraction(rng.randint(1, 99), rng.randint(1, 10 ** 4))
+                                                      for _ in range(degree + 1)])
+
+            common = poly()
+            f, g = RatFun(poly() * common, poly()), RatFun(poly(), poly() * common)
+            fraction_ops[0] = 0
+            f + g, f * g, f / g
+            counts.append(fraction_ops[0])
+        assert max(counts) <= 6, counts
+
+    def test_corpus_runs_no_more_gcds(self, monkeypatch, capsys):
+        calls = []
+        gcd = dreg.polynomials.univar_gcd
+
+        def counted(a, b):
+            calls.append((a, b))
+            return gcd(a, b)
+
+        monkeypatch.setattr(dreg.polynomials, "univar_gcd", counted)
+        for path in sorted(CORPUS.glob("*.op")):
+            for verb in ("fuchs", "compare", "theta"):
+                assert dreg.cli.main([verb, "--file", str(path)]) == 0
+        capsys.readouterr()
+        assert len(calls) <= FRACTION_KERNEL_CORPUS_GCDS

@@ -16,7 +16,7 @@ from dreg.parser import parse_operator
 from dreg.polynomials import MPoly, RatFun, as_rat
 from dreg.regularity import (GLOBAL_IRREGULAR, GLOBAL_REGULAR, INFINITY,
                              IRREGULAR, REGULAR, fuchs_regular_at)
-from dreg.systems import (ConnectionSystem, CyclicVectorError, EXCEEDED_BOUND,
+from dreg.systems import (ConnectionSystem, EXCEEDED_BOUND,
                           STABILIZED, SaturationResult, cyclic_vector,
                           regular_system_report, saturate_lattice)
 
