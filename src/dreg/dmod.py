@@ -18,7 +18,7 @@ from .ideals import (DEFAULT_BUDGET, DEGREVLEX, LEX, Ideal, all_in_ideal,
                      basis_dimension, groebner_basis, radical_membership)
 from .lattices import PolarLattice, laurent_rows, theta_terms
 from .operators import UnivarOperator, to_theta_form
-from .polynomials import INF, MPoly, RatFun, factor_rational, split_content
+from .polynomials import INF, MPoly, RatFun, factor_rational, rational_roots, split_content
 from .regularity import (FuchsCertificate, IRREGULAR, REGULAR, _localize,
                          fuchs_regular_at)
 from .weyl import coordinate_names, symbol_names
@@ -250,7 +250,7 @@ def characteristic_variety_univar(p: UnivarOperator) -> CharVariety:
     """Ch(D/DP) = V(b_n(x) xi^n) with its fiber decomposition over Q."""
     if p.is_zero():
         raise ValueError("zero operator")
-    w, _ = p.to_weyl()
+    w = p.to_weyl()
     n = p.order()
     var = p.var
     sym = symbol_names(1)[0] if var == "x" else f"xi_{var}"
@@ -308,9 +308,8 @@ def _rational_zeros(polys: list[MPoly], variables: tuple,
     if uni is None:
         return None
     uni_poly = MPoly((last,), {(e[-1],): c for e, c in uni.terms.items()})
-    roots, _ = factor_rational(split_content(uni_poly)[1], last)
     solutions = []
-    for root, _ in roots:
+    for root in rational_roots(split_content(uni_poly)[1]):
         if len(variables) == 1:
             solutions.append((root,))
             continue

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .polynomials import MPoly, RatFun, denominator_lcm, monic_mpoly
+from .polynomials import RatFun, denominator_lcm
 from .weyl import WeylElement
 
 
@@ -45,15 +45,8 @@ class UnivarOperator:
 
     @classmethod
     def from_entries(cls, var: str, entries: Sequence) -> "UnivarOperator":
-        out = []
-        for e in entries:
-            if isinstance(e, RatFun):
-                out.append(e)
-            elif isinstance(e, MPoly):
-                out.append(RatFun(e))
-            else:
-                out.append(RatFun.const(var, e))
-        return cls(var, out)
+        return cls(var, [e if isinstance(e, RatFun) else RatFun.const(var, e)
+                         for e in entries])
 
     @classmethod
     def derivation(cls, var: str) -> "UnivarOperator":
@@ -149,8 +142,10 @@ class UnivarOperator:
             # (c*d^j)^k = c^k*d^(jk) when c is a constant or j = 0: no Leibniz
             j, c = terms[0]
             return UnivarOperator(self.var, [RatFun.zero(self.var)] * (j * k) + [c ** k])
-        result = UnivarOperator.from_entries(self.var, [1])
-        for _ in range(k):
+        if not k:
+            return UnivarOperator.from_entries(self.var, [1])
+        result = self
+        for _ in range(k - 1):
             result = result.mul(self)
         return result
 
@@ -168,13 +163,13 @@ class UnivarOperator:
     def at_infinity(self, new_var: str = "t") -> "UnivarOperator":
         """Image under x = 1/t, d_x = -t^2 d_t.
 
-        Coefficients stay rational functions; denominators are not cleared
-        here (clearing happens in the Weyl-element conversion, which records
-        the cleared factor).
+        Coefficients stay rational functions; denominators are cleared only
+        in the Weyl-element conversion, `to_weyl`.
         """
         if new_var == self.var:
             new_var = "t" if self.var != "t" else "s"
         n = self.order()
+        t = RatFun.x(new_var)
         out = [RatFun.zero(new_var) for _ in range(n + 1)]
         for i, b in enumerate(self.coeffs):
             if b.is_zero():
@@ -184,27 +179,24 @@ class UnivarOperator:
                 out[0] = f
             # (-t^2 d_t)^i = (-1)^i sum_{k>=1} L(i,k) t^(i+k) d_t^k for i >= 1
             for k in range(1, i + 1):
-                term = MPoly.monomial((new_var,), (i + k,), (-1) ** i * lah(i, k))
-                out[k] = out[k] + f * term
+                out[k] = out[k] + f * (t ** (i + k) * ((-1) ** i * lah(i, k)))
         return UnivarOperator(new_var, out)
 
     # -- conversions ----------------------------------------------------------------
 
-    def to_weyl(self) -> tuple[WeylElement, MPoly]:
-        """Clear denominators on the left; return (element, cleared factor).
-
-        The returned WeylElement equals cleared * P, with the monic cleared
-        polynomial retained for order bookkeeping at singular points.
-        """
+    def to_weyl(self) -> WeylElement:
+        """The Weyl element c * P for c the monic lcm of the denominators of
+        P's coefficients (`denominator_lcm`): P with its denominators
+        cleared on the left."""
         if self.is_zero():
-            return WeylElement.zero(1), MPoly.const((self.var,), 1)
+            return WeylElement.zero(1)
         cleared = denominator_lcm(self.coeffs)
         terms: dict[tuple, Fraction] = {}
         for i, c in enumerate(self.coeffs):
             for e, coeff in enumerate(c.clear(cleared)):
                 if coeff:
                     terms[(e, i)] = coeff
-        return WeylElement(1, terms), monic_mpoly(self.var, cleared)
+        return WeylElement(1, terms)
 
     def __str__(self) -> str:
         from .parser import format_operator

@@ -11,12 +11,13 @@ right-multiplication by the inverse of a pure-coordinate factor (never a
 derivation).  Generators are separated by ';'.  The printers below emit
 canonical forms the parser reads back verbatim.
 
-In one variable a value is a polynomial in Q[x] (an MPoly) until it is divided
-by a non-constant polynomial, a rational function in Q(x) after that, and an
-operator only where it meets a derivation: f*d^k places f at order k, f*P
-scales the coefficients of P, and only P*f needs the Leibniz product.  A power
-is refused, before it is computed, when the exponent times the order or
-degree of its base exceeds MAX_POWER.
+In one variable a value is a rational function in Q(x), a RatFun from the
+first number or x on (polynomials are its integer lists, and their sums,
+products and powers run no gcd), and an operator only where it meets a
+derivation: f*d^k places f at order k, f*P scales the coefficients of P, and
+only P*f needs the Leibniz product.  A power is refused, before it is
+computed, when the exponent times the order or degree of its base exceeds
+MAX_POWER.
 
 Text is lexed in one regex pass into token texts, which the descent reads by
 index; a token's line and column are worked out from its offset only when a
@@ -172,10 +173,9 @@ def _check_power(size: int, k: int, at: int) -> None:
 
 
 class _UnivarAlgebra:
-    """Evaluation into Q[x] until a division by a non-constant polynomial, into
-    Q(x) after it; a value becomes an operator where it meets a derivation.
-    The atoms x and d are built once per parse and shared by every use: no
-    operation writes to its operands."""
+    """Evaluation into Q(x); a value becomes an operator where it meets a
+    derivation.  The atoms x and d are built once per parse and shared by
+    every use: no operation writes to its operands."""
 
     def __init__(self, var: str):
         self.var = var
@@ -184,22 +184,14 @@ class _UnivarAlgebra:
             self.deriv_tokens.add("dx")
         self.zero = RatFun.zero(var)
         self.unit = RatFun.one(var)
-        self.one = MPoly.const((var,), 1)
-        self.x = self.one._with({(1,): 1})
+        self.x = RatFun.x(var)
         self.d = UnivarOperator.derivation(var)
 
-    def function(self, v) -> RatFun:
-        """A polynomial or rational function as a RatFun."""
-        return RatFun.from_coprime(v) if isinstance(v, MPoly) else v
-
     def lift(self, v) -> UnivarOperator:
-        if isinstance(v, UnivarOperator):
-            return v
-        return UnivarOperator.multiplication(self.function(v))
+        return v if isinstance(v, UnivarOperator) else UnivarOperator.multiplication(v)
 
-    def const(self, c: int) -> MPoly:
-        # a number token reads as an int, already in normal form
-        return self.one._with({(0,): c} if c else {})
+    def const(self, c: int) -> RatFun:
+        return RatFun.const(self.var, c)
 
     def symbol(self, name: str, at: int):
         if name == self.var:
@@ -214,39 +206,30 @@ class _UnivarAlgebra:
     def neg(self, v): return -v
 
     def add(self, a, b):
-        if isinstance(a, MPoly) and isinstance(b, MPoly):
-            return a + b
         if isinstance(a, UnivarOperator) or isinstance(b, UnivarOperator):
             return self.lift(a) + self.lift(b)
-        return self.function(a) + self.function(b)
+        return a + b
 
     def sub(self, a, b): return self.add(a, -b)
 
     def mul(self, a, b):
-        if isinstance(a, MPoly) and isinstance(b, MPoly):
-            return a * b
         if isinstance(a, UnivarOperator):
             return a.mul(self.lift(b))
         if not isinstance(b, UnivarOperator):
-            return self.function(a) * self.function(b)
-        f = self.function(a)
+            return a * b
         if b.coeffs and b.coeffs[-1] == self.unit and not any(b.coeffs[:-1]):
-            # b = d^k: f lands at order k, with no coefficient products
-            return UnivarOperator(self.var, b.coeffs[:-1] + (f,))
-        return b.scale(f)
+            # b = d^k: a lands at order k, with no coefficient products
+            return UnivarOperator(self.var, b.coeffs[:-1] + (a,))
+        return b.scale(a)
 
     def pow(self, v, k, at: int):
         if v is self.d:
             _check_power(1, k, at)
             return UnivarOperator(self.var, [self.zero] * k + [self.unit])
-        if isinstance(v, MPoly):
-            size = v.total_degree() if v.terms else 0
-        else:
-            op = self.lift(v)
-            sizes = [len(op.coeffs) - 1]
-            sizes += [max(len(c.numer), len(c.denom)) - 1 for c in op.coeffs]
-            size = max(sizes)
-        _check_power(size, k, at)
+        coeffs = v.coeffs if isinstance(v, UnivarOperator) else (v,)
+        sizes = [len(coeffs) - 1]
+        sizes += [max(len(c.numer), len(c.denom)) - 1 for c in coeffs]
+        _check_power(max(sizes), k, at)
         return v ** k
 
     def div(self, a, b, at: int):
@@ -256,13 +239,11 @@ class _UnivarAlgebra:
             b = b.coeff(0)
         if b.is_zero():
             raise _Refused("division by zero", at)
-        if isinstance(a, (MPoly, UnivarOperator)) and isinstance(b, MPoly) and b.is_constant():
-            return a.scale(_inverse(b.constant_value()))
         if isinstance(a, UnivarOperator):
-            return a * self.function(b) ** -1
+            return a.scale(_inverse(b.scale)) if b.is_constant() else a * b ** -1
         # a/b for a reduced a and a nonzero b: RatFun's cross-cancellation
-        # runs the one gcd of a's numerator with b's
-        return self.function(a) / self.function(b)
+        # runs the one gcd of a's numerator with b's, and none for a constant b
+        return a / b
 
 
 class _WeylAlgebra:
@@ -336,7 +317,7 @@ def parse_ratfun(text: str, var: str = "x") -> RatFun:
     algebra = _UnivarAlgebra(var)
     value = _parse(text, algebra)
     if not isinstance(value, UnivarOperator):
-        return algebra.function(value)
+        return value
     if value.is_zero():
         return RatFun.zero(var)
     if value.order() > 0:

@@ -15,8 +15,13 @@ division of coefficients goes through Fraction.
 Q(x) runs on integers inside.  A RatFun is one rational scale times a
 quotient of primitive integer polynomials held as dense tuples of ints, so
 its arithmetic, gcds, lcms, root finding and valuations never touch a
-Fraction (Gauss's lemma).  Rationals appear only in the scale and at the
-boundary: the MPoly views `.num`/`.den`, printing and Laurent series.
+Fraction (Gauss's lemma).  Rationals appear only in the scale, printing
+and Laurent series.  RatFun is the one univariate type below the operators
+(the parser evaluates into it), and it meets MPoly at two boundaries only:
+the ideals of `dreg.dmod` with the untested factors in reports
+(`split_content`, the monic leftover of `factor_rational`), and the
+normalising constructor `RatFun(num, den)` with the views `.num`/`.den`.
+Sums and products of a RatFun with an MPoly raise TypeError.
 """
 
 from __future__ import annotations
@@ -747,19 +752,6 @@ class RatFun:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def from_coprime(cls, num: MPoly, den: MPoly | None = None) -> "RatFun":
-        """num/den for a pair the caller knows to be coprime (den nonzero, and
-        a unit when num is zero; None standing for 1): no gcd runs."""
-        var = num.vars[0]
-        if num.is_zero():
-            return RatFun.zero(var)
-        cn, n = split_content(num)
-        if den is None:
-            return _make(var, cn, n, (1,))
-        cd, d = split_content(den)
-        return _make(var, _ratio(cn, cd), n, d)
-
-    @classmethod
     def const(cls, var: str, value) -> "RatFun":
         value = as_rat(value)
         return _make(var, value, (1,) if value else (), (1,))
@@ -841,8 +833,6 @@ class RatFun:
             return other
         if isinstance(other, (int, Fraction)):
             return RatFun.const(self.var, other)
-        if isinstance(other, MPoly):
-            return RatFun(other)
         raise TypeError(f"cannot combine RatFun with {other!r}")
 
     # Henrici's cross-cancellation (Knuth, TAOCP vol. 2, 4.5.1): with both

@@ -38,8 +38,9 @@ from dreg.operators import UnivarOperator
 from dreg.parser import MAX_POWER, ParseError
 from dreg.polelattice import (Prop21Report, _breaking_element, _in_ideal, _symbol_monomials,
                               _window, theta_XZ_ideal)
-from dreg.polynomials import (INF, MPoly, RatFun, _exact, _inverse, as_rat, denominator_lcm,
-                              format_mpoly, monic_mpoly, split_content, univar_gcd)
+from dreg.polynomials import (INF, MPoly, RatFun, _exact, _inverse, _make, as_rat,
+                              denominator_lcm, format_mpoly, monic_mpoly, split_content,
+                              univar_gcd)
 from dreg.regularity import _localize
 from dreg.systems import ConnectionSystem
 from dreg.weyl import WeylElement, deriv_names
@@ -862,7 +863,7 @@ class ReferenceRatFun:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def from_coprime(cls, num: MPoly, den: MPoly) -> "ReferenceRatFun":
+    def coprime(cls, num: MPoly, den: MPoly) -> "ReferenceRatFun":
         """num/den for a pair the caller knows to be coprime (den nonzero, and
         a unit when num is zero); only the denominator is made monic."""
         out = cls.__new__(cls)
@@ -871,7 +872,7 @@ class ReferenceRatFun:
 
     @classmethod
     def const(cls, var: str, value) -> "ReferenceRatFun":
-        return cls.from_coprime(MPoly.const((var,), value), MPoly.const((var,), 1))
+        return cls.coprime(MPoly.const((var,), value), MPoly.const((var,), 1))
 
     @classmethod
     def zero(cls, var: str) -> "ReferenceRatFun":
@@ -892,7 +893,7 @@ class ReferenceRatFun:
 
     @classmethod
     def x(cls, var: str) -> "ReferenceRatFun":
-        return cls.from_coprime(MPoly.var((var,), var), MPoly.const((var,), 1))
+        return cls.coprime(MPoly.var((var,), var), MPoly.const((var,), 1))
 
     # -- queries ----------------------------------------------------------
 
@@ -962,12 +963,12 @@ class ReferenceRatFun:
             # a common factor of num and den = (b/g)(d/g) g can only divide g
             g = _ref_common_factor(num, g)
             num, den = _ref_quo(num, g), _ref_quo(den, g)
-        return ReferenceRatFun.from_coprime(num, den)
+        return ReferenceRatFun.coprime(num, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ReferenceRatFun":
-        return ReferenceRatFun.from_coprime(-self.num, self.den)
+        return ReferenceRatFun.coprime(-self.num, self.den)
 
     def __sub__(self, other) -> "ReferenceRatFun":
         return self + (-self._coerce(other))
@@ -980,7 +981,7 @@ class ReferenceRatFun:
             # a scalar only scales the numerator: the pair stays coprime
             if not other or not self.num.terms:
                 return ReferenceRatFun.zero(self.var)
-            return ReferenceRatFun.from_coprime(self.num.scale(other), self.den)
+            return ReferenceRatFun.coprime(self.num.scale(other), self.den)
         other = self._coerce(other)
         if not self.num.terms:
             return self
@@ -1005,15 +1006,15 @@ class ReferenceRatFun:
     def _cross(a: MPoly, b: MPoly, c: MPoly, d: MPoly) -> "ReferenceRatFun":
         """(a/b)(c/d) for coprime pairs (a, b), (c, d) and nonzero a, c."""
         g1, g2 = _ref_common_factor(a, d), _ref_common_factor(c, b)
-        return ReferenceRatFun.from_coprime(_ref_quo(a, g1) * _ref_quo(c, g2), _ref_quo(b, g2) * _ref_quo(d, g1))
+        return ReferenceRatFun.coprime(_ref_quo(a, g1) * _ref_quo(c, g2), _ref_quo(b, g2) * _ref_quo(d, g1))
 
     def __pow__(self, k: int) -> "ReferenceRatFun":
         # powers of a coprime pair stay coprime, and den^k stays monic
         if k >= 0:
-            return ReferenceRatFun.from_coprime(self.num ** k, self.den ** k)
+            return ReferenceRatFun.coprime(self.num ** k, self.den ** k)
         if self.is_zero():
             raise ZeroDivisionError("division by the zero function")
-        return ReferenceRatFun.from_coprime(self.den ** -k, self.num ** -k)
+        return ReferenceRatFun.coprime(self.den ** -k, self.num ** -k)
 
     def derivative(self) -> "ReferenceRatFun":
         x = self.var
@@ -1038,7 +1039,7 @@ class ReferenceRatFun:
         if not c:
             return self
         var = self.var
-        return ReferenceRatFun.from_coprime(
+        return ReferenceRatFun.coprime(
             MPoly.from_univar_coeffs(var, _ref_taylor_shift(univar_coeffs(self.num), c)),
             MPoly.from_univar_coeffs(var, _ref_taylor_shift(univar_coeffs(self.den), c)))
 
@@ -1054,8 +1055,8 @@ class ReferenceRatFun:
         tpow = int(dd) - (int(nd) if self.num else 0)
         t = (new_var,)
         if tpow >= 0:
-            return ReferenceRatFun.from_coprime(num_rev * MPoly.monomial(t, (tpow,)), den_rev)
-        return ReferenceRatFun.from_coprime(num_rev, den_rev * MPoly.monomial(t, (-tpow,)))
+            return ReferenceRatFun.coprime(num_rev * MPoly.monomial(t, (tpow,)), den_rev)
+        return ReferenceRatFun.coprime(num_rev, den_rev * MPoly.monomial(t, (-tpow,)))
 
     def __str__(self) -> str:
         if self.is_polynomial():
@@ -1217,7 +1218,7 @@ def reference_taylor_shift_ratfun(f: RatFun, c) -> RatFun:
         return f
     num, den = (MPoly.from_univar_coeffs(f.var, reference_taylor_shift(univar_coeffs(p), c))
                 for p in (f.num, f.den))
-    return RatFun.from_coprime(num, den)
+    return RatFun(num, den)
 
 
 def reference_scale_var(f: RatFun, c) -> RatFun:
@@ -1381,10 +1382,14 @@ def scale_ratfun_var(f: RatFun, c) -> RatFun:
     c = as_rat(c)
     if not c:
         raise ValueError("scale by zero")
+    if not f:
+        return f
     num, den = (MPoly.from_univar_coeffs(f.var, [a * c ** i for i, a in
                                                  enumerate(univar_coeffs(q))])
                 for q in (f.num, f.den))
-    return RatFun.from_coprime(num, den)
+    # the pair stays coprime: only the contents are split off, with no gcd
+    (cn, n), (cd, d) = split_content(num), split_content(den)
+    return _make(f.var, _exact(Fraction(cn) / cd), n, d)
 
 
 def scale_operator_var(p: UnivarOperator, c) -> UnivarOperator:

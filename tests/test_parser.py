@@ -1,5 +1,5 @@
-"""The parser evaluates in Q[x] until a division, in Q(x) after it, and lifts
-to operators only at a derivation; it is checked against the all-operator
+"""The parser evaluates in Q(x), on RatFun's integer lists, and lifts to
+operators only at a derivation; it is checked against the all-operator
 reference algebra in conftest, and the Weyl generators against the
 reference Weyl algebra, both run on the frozen lexer and descent there."""
 
@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from dreg import parser, polynomials
 from dreg.cli import main
-from dreg.corpus import OPERATORS
+from dreg.corpus import OPERATORS, SYSTEM_FILES
 from dreg.operators import UnivarOperator
 from dreg.parser import (MAX_POWER, ParseError, format_operator, parse_operator,
                          parse_ratfun, parse_weyl_generators)
@@ -190,13 +190,29 @@ class TestWork:
 
     def test_polynomials_run_no_gcd(self, monkeypatch):
         calls = self.count(monkeypatch, polynomials, "univar_gcd")
-        # nor the cross-cancellation that decides when a gcd is needed
-        cross = self.count(monkeypatch, polynomials, "_common_factor")
+        # nor a conversion from MPoly or an exact division by a common factor
+        splits = self.count(monkeypatch, polynomials, "split_content")
+        quotients = self.count(monkeypatch, polynomials, "_exquo")
         p = parse_operator("(3*x^2 - 1/2*x + 5/3)*d^2 + x^4")
         f = parse_ratfun("(x + 1)^3*(x - 2)/3 - x^2")
-        assert calls == cross == []
+        assert calls == splits == quotients == []
         assert p == reference_parse_operator("(3*x^2 - 1/2*x + 5/3)*d^2 + x^4")
         assert f == reference_parse_ratfun("(x + 1)^3*(x - 2)/3 - x^2")
+
+    def test_values_never_leave_ratfun(self, monkeypatch):
+        # every value is a RatFun or an operator: no MPoly is built and converted
+        splits = self.count(monkeypatch, polynomials, "split_content")
+        for entry in OPERATORS:
+            parse_operator(entry.expression)
+        for text in SYSTEM_FILES.values():
+            for row in text.splitlines()[1:]:
+                for cell in row.split(";"):
+                    parse_ratfun(cell)
+        assert splits == []
+        with pytest.raises(TypeError):
+            RatFun.x("x") * MPoly.var(("x",), "x")
+        with pytest.raises(TypeError):
+            UnivarOperator.from_entries("x", [MPoly.var(("x",), "x")])
 
     @pytest.mark.parametrize("text", ["d^2 + (x^2 - 1)/(x^2 + 3*x + 2)*d + x",
                                       "(x^3 - x)/((x + 1)*(x^2 + 2))",
