@@ -17,10 +17,10 @@ from typing import NamedTuple
 from .ideals import (DEFAULT_BUDGET, DEGREVLEX, LEX, Ideal, all_in_ideal,
                      basis_dimension, groebner_basis, radical_membership)
 from .lattices import PolarLattice, laurent_rows, theta_terms
-from .operators import UnivarOperator, to_theta_form
-from .polynomials import INF, MPoly, RatFun, factor_rational, rational_roots, split_content
-from .regularity import (FuchsCertificate, IRREGULAR, REGULAR, _localize,
-                         fuchs_regular_at)
+from .operators import UnivarOperator, chart_infinity, to_theta_form
+from .polynomials import (INF, MPoly, RatFun, as_rat, factor_rational, monic_mpoly,
+                          rational_roots, split_content)
+from .regularity import FuchsCertificate, INFINITY, IRREGULAR, REGULAR, fuchs_regular_at
 from .weyl import coordinate_names, symbol_names
 
 
@@ -192,18 +192,26 @@ class EquivalenceReport:
                 "kashiwara_certificate": self.kashiwara.to_dict()}
 
 
+def _localize(p: UnivarOperator, point) -> UnivarOperator:
+    """Move the requested point to the origin (chart change at infinity)."""
+    if p.is_zero():
+        raise ValueError("zero operator")
+    if point is INFINITY:
+        return chart_infinity(p)
+    return p.shift(as_rat(point))
+
+
 def kashiwara_regular_at(p: UnivarOperator, point=0) -> KashiwaraCertificate:
     """Graded-annihilator test at an arbitrary point of P^1."""
     return kashiwara_regular_at_zero(_localize(p, point))
 
 
 def fuchs_kashiwara_equivalence(p: UnivarOperator, point=0) -> EquivalenceReport:
-    """Run both regularity tests through disjoint code paths and compare."""
-    local = _localize(p, point)
-    fuchs = fuchs_regular_at(local, 0)
-    # reuse the original point label in the certificate
-    fuchs = FuchsCertificate(point, fuchs.rows, fuchs.verdict)
-    kash = kashiwara_regular_at_zero(local)
+    """Run both regularity tests through disjoint code paths and compare.
+    At a finite point they share no localisation: Fuchs reads the orders in
+    place, and only the graded-annihilator test moves the point to 0."""
+    fuchs = fuchs_regular_at(p, point)
+    kash = kashiwara_regular_at_zero(_localize(p, point))
     return EquivalenceReport(point, fuchs, kash, fuchs.regular == kash.regular)
 
 
@@ -261,12 +269,13 @@ def characteristic_variety_univar(p: UnivarOperator) -> CharVariety:
     ideal = Ideal(ring, [symbol])
     comps = [Component(ZERO_SECTION, f"V({sym})",
                        Ideal(ring, [MPoly.var(ring, sym)]))]
-    roots, leftover = (factor_rational(split_content(lead_poly)[1], var)
-                       if lead_poly.total_degree() > 0 else ([], lead_poly))
-    for root, _mult in roots:
+    roots, rest = (factor_rational(split_content(lead_poly)[1])
+                   if lead_poly.total_degree() > 0 else ([], ()))
+    for root in roots:
         lin = MPoly.from_univar_coeffs(var, [-root, Fraction(1)]).extend(ring)
         comps.append(Component(CONORMAL_POINT, f"V({lin})", Ideal(ring, [lin])))
-    if lead_poly.total_degree() > 0 and leftover.total_degree() > 0:
+    if len(rest) > 1:
+        leftover = monic_mpoly(var, rest)
         comps.append(Component(CONORMAL_POINT, f"V({leftover})",
                                Ideal(ring, [leftover.extend(ring)])))
     return CharVariety(ideal, tuple(comps), covered=True,

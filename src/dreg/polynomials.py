@@ -18,8 +18,9 @@ its arithmetic, gcds, lcms, root finding and valuations never touch a
 Fraction (Gauss's lemma).  Rationals appear only in the scale, printing
 and Laurent series.  RatFun is the one univariate type below the operators
 (the parser evaluates into it), and it meets MPoly at two boundaries only:
-the ideals of `dreg.dmod` with the untested factors in reports
-(`split_content`, the monic leftover of `factor_rational`), and the
+the ideals of `dreg.dmod` (`split_content`) with the untested factor that
+the singular locus of `dreg.regularity` and `dreg.dmod` build from the
+primitive leftover of `factor_rational` (`monic_mpoly`), and the
 normalising constructor `RatFun(num, den)` with the views `.num`/`.den`.
 Sums and products of a RatFun with an MPoly raise TypeError.
 """
@@ -668,22 +669,21 @@ def rational_roots(p) -> list[Fraction]:
     return sorted(roots)
 
 
-def factor_rational(p, var: str) -> tuple[list[tuple[Fraction, int]], MPoly]:
+def factor_rational(p) -> tuple[list[Fraction], tuple]:
     """Split off the rational linear factors of a nonzero integer polynomial.
 
-    Returns ((root, multiplicity) pairs, the monic leftover in `var`, which
-    has no rational roots).  No factorization beyond this is attempted: the
+    Returns (its rational roots, ascending; the primitive leftover, which
+    has no rational root).  No factorization beyond this is attempted: the
     leftover may be reducible over Q but is reported as a single untested
     factor.
     """
     if not any(p):
         raise ValueError("cannot factor the zero polynomial")
     rest = _split(p)[1]
-    out: list[tuple[Fraction, int]] = []
-    for root in rational_roots(rest):
-        rest, mult = _divide_out(rest, root)
-        out.append((root, mult))
-    return out, monic_mpoly(var, rest)
+    roots = rational_roots(rest)
+    for root in roots:
+        rest = _divide_out(rest, root)[0]
+    return roots, rest
 
 
 def _taylor_shift(a, u: int, v: int) -> list:

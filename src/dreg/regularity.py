@@ -1,11 +1,12 @@
 """Connection-side regularity tests for univariate operators.
 
-The Fuchs criterion reads the orders ord_0 b_i >= i - n directly off the
-monic coefficients; the Euler-form criterion asks instead that the theta
-coefficients of x^n P have no pole.  The two are compared as independent
-routes in dmod; here each produces a self-contained certificate.  A Newton
-polygon refines the verdict with slopes, and the projective-line report
-aggregates per-point certificates including the chart at infinity.
+The Fuchs criterion reads the orders ord b_i >= i - n of the monic
+coefficients where the point is; the Euler-form criterion asks instead
+that the theta coefficients of x^n P have no pole.  dmod compares Fuchs
+with the graded-annihilator test as independent routes; here each test
+produces a self-contained certificate.  A Newton polygon refines the
+verdict with slopes, and one singular locus and one verdict rule serve
+the projective-line reports of operators and of systems.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .operators import ThetaOperator, UnivarOperator, chart_infinity, to_theta_form
-from .polynomials import INF, MPoly, as_rat, denominator_lcm, factor_rational
+from .polynomials import INF, denominator_lcm, factor_rational, monic_mpoly
 
 
 class _Infinity:
@@ -38,15 +39,6 @@ INFINITY = _Infinity()
 
 REGULAR = "regular"
 IRREGULAR = "irregular"
-
-
-def _localize(p: UnivarOperator, point) -> UnivarOperator:
-    """Move the requested point to the origin (chart change at infinity)."""
-    if p.is_zero():
-        raise ValueError("zero operator")
-    if point is INFINITY:
-        return chart_infinity(p)
-    return p.shift(as_rat(point))
 
 
 @dataclass(frozen=True)
@@ -82,16 +74,21 @@ class FuchsCertificate:
 
 
 def _monic_orders(p: UnivarOperator, point) -> list:
-    """ord_0 (b_i / b_n) for the operator moved to the origin: the
-    difference ord_0 b_i - ord_0 b_n, with no division by b_n."""
-    coeffs = _localize(p, point).coeffs
-    top = coeffs[-1].ord_at(0)
-    return [c.ord_at(0) - top for c in coeffs]
+    """ord (b_i / b_n) at the point: the difference ord b_i - ord b_n, with
+    no division by b_n.  A finite point is read in place by synthetic
+    division; infinity is read at 0 on the chart t = 1/x."""
+    if p.is_zero():
+        raise ValueError("zero operator")
+    coeffs = p.coeffs
+    if point is INFINITY:
+        coeffs, point = chart_infinity(p).coeffs, 0
+    top = coeffs[-1].ord_at(point)
+    return [c.ord_at(point) - top for c in coeffs]
 
 
 def fuchs_regular_at(p: UnivarOperator, point) -> FuchsCertificate:
-    """Fuchs order test at a point of P^1: ord_0 b_i >= i - n after monic
-    normalization and translation of the point to the origin."""
+    """Fuchs order test at a point of P^1: ord b_i >= i - n after monic
+    normalization."""
     orders = _monic_orders(p, point)
     n = len(orders) - 1
     rows = []
@@ -197,9 +194,19 @@ class ProjectiveLineReport:
                 "points": [q.to_dict() for q in self.points]}
 
 
-def singular_support(p: UnivarOperator) -> tuple[list[tuple[Fraction, int]], MPoly]:
-    """Rational roots and untested factor of the cleared leading coefficient."""
-    return factor_rational(denominator_lcm(p.monic().coeffs), p.var)
+def singular_locus(den, var: str) -> tuple[list, tuple]:
+    """The points of P^1 that get a verdict for a cleared integer
+    denominator, its rational roots ascending and then infinity, and its
+    untested monic factor, as a tuple of at most one MPoly in `var`."""
+    roots, rest = factor_rational(den)
+    return roots + [INFINITY], ((monic_mpoly(var, rest),) if len(rest) > 1 else ())
+
+
+def global_verdict(regular: bool, untested) -> str:
+    """An irregular point decides; an untested factor demotes "regular"."""
+    if not regular:
+        return GLOBAL_IRREGULAR
+    return GLOBAL_REGULAR_TESTED if untested else GLOBAL_REGULAR
 
 
 def regular_on_projective_line(p: UnivarOperator) -> ProjectiveLineReport:
@@ -211,25 +218,9 @@ def regular_on_projective_line(p: UnivarOperator) -> ProjectiveLineReport:
     """
     if p.is_zero():
         raise ValueError("zero operator")
-    roots, leftover = singular_support(p)
-    entries = []
-    all_regular = True
-    for root, _mult in roots:
-        cert = fuchs_regular_at(p, root)
-        if not cert.regular:
-            all_regular = False
-        entries.append(SingularPoint(root, True, cert))
-    cert_inf = fuchs_regular_at(p, INFINITY)
-    if not cert_inf.regular:
-        all_regular = False
-    entries.append(SingularPoint(INFINITY, True, cert_inf))
-    untested = leftover.total_degree() > 0
-    if untested:
-        entries.append(SingularPoint(leftover, False, None))
-    if not all_regular:
-        verdict = GLOBAL_IRREGULAR
-    elif untested:
-        verdict = GLOBAL_REGULAR_TESTED
-    else:
-        verdict = GLOBAL_REGULAR
-    return ProjectiveLineReport(p, tuple(entries), verdict)
+    points, untested = singular_locus(denominator_lcm(p.monic().coeffs), p.var)
+    certs = [fuchs_regular_at(p, pt) for pt in points]
+    entries = ([SingularPoint(c.point, True, c) for c in certs]
+               + [SingularPoint(f, False, None) for f in untested])
+    return ProjectiveLineReport(p, tuple(entries),
+                                global_verdict(all(c.regular for c in certs), untested))

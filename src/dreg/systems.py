@@ -17,9 +17,9 @@ from .dmod import ContradictionError
 from .lattices import PolarLattice, laurent_rows, theta_terms
 from .linalg import gauss_solve
 from .operators import UnivarOperator
-from .polynomials import INF, RatFun, as_rat, denominator_lcm, factor_rational
-from .regularity import (FuchsCertificate, GLOBAL_IRREGULAR, GLOBAL_REGULAR,
-                         GLOBAL_REGULAR_TESTED, INFINITY, fuchs_regular_at)
+from .polynomials import INF, RatFun, as_rat, denominator_lcm
+from .regularity import (FuchsCertificate, INFINITY, fuchs_regular_at, global_verdict,
+                         singular_locus)
 
 
 class CyclicVectorError(RuntimeError):
@@ -98,10 +98,6 @@ class ConnectionSystem:
                 if o != INF:
                     worst = max(worst, -min(0, int(o)))
         return worst
-
-    def singular_support(self):
-        """Rational poles of A and the untested denominator factor."""
-        return factor_rational(denominator_lcm(e for row in self.matrix for e in row), self.var)
 
 
 @dataclass(frozen=True)
@@ -252,13 +248,12 @@ class SystemPointReport:
     point: object
     fuchs: FuchsCertificate
     saturation: SaturationResult
-    stable_extension_exists: bool
 
     def to_dict(self) -> dict:
         return {"point": str(self.point),
                 "fuchs": self.fuchs.verdict,
                 "saturation": self.saturation.to_dict(),
-                "stable_coherent_extension": self.stable_extension_exists,
+                "stable_coherent_extension": self.saturation.stabilized,
                 "certificate": self.fuchs.to_dict()}
 
 
@@ -287,10 +282,9 @@ def regular_system_report(system: ConnectionSystem,
     m - 1 steps, since by Gerard-Levelt L_(m-1) is then theta-stable.
     """
     cyc = cyclic_vector(system)
-    roots, leftover = system.singular_support()
-    points = [root for root, _ in roots] + [INFINITY]
+    points, untested = singular_locus(
+        denominator_lcm(e for row in system.matrix for e in row), system.var)
     reports = []
-    all_regular = True
     for pt in points:
         cert = fuchs_regular_at(cyc.operator, pt)
         sat = saturate_lattice(system, pt, max_steps)
@@ -301,14 +295,7 @@ def regular_system_report(system: ConnectionSystem,
                 details={"point": str(pt), "fuchs": cert.to_dict(),
                          "saturation": sat.to_dict(),
                          "operator": str(cyc.operator)})
-        if not cert.regular:
-            all_regular = False
-        reports.append(SystemPointReport(pt, cert, sat, sat.stabilized))
-    untested = (leftover,) if leftover.total_degree() > 0 else ()
-    if not all_regular:
-        verdict = GLOBAL_IRREGULAR
-    elif untested:
-        verdict = GLOBAL_REGULAR_TESTED
-    else:
-        verdict = GLOBAL_REGULAR
-    return SystemReport(system, cyc, tuple(reports), untested, verdict)
+        reports.append(SystemPointReport(pt, cert, sat))
+    regular = all(r.fuchs.regular for r in reports)
+    return SystemReport(system, cyc, tuple(reports), untested,
+                        global_verdict(regular, untested))

@@ -29,7 +29,7 @@ from typing import Iterable, NamedTuple, Sequence
 import pytest
 
 import dreg.cli
-from dreg.dmod import ContradictionError, CurveModule, EquivalenceReport
+from dreg.dmod import ContradictionError, CurveModule, EquivalenceReport, _localize
 from dreg.ideals import (DEFAULT_BUDGET, DEGREVLEX, BudgetExceeded, TermOrder, _divides,
                          _exp_lcm, _exp_sub, leading_term, minimal_monomial_generators)
 from dreg.lattices import Laurent, PolarLattice
@@ -41,7 +41,6 @@ from dreg.polelattice import (Prop21Report, _breaking_element, _in_ideal, _symbo
 from dreg.polynomials import (INF, MPoly, RatFun, _exact, _inverse, _make, as_rat,
                               denominator_lcm, format_mpoly, monic_mpoly, split_content,
                               univar_gcd)
-from dreg.regularity import _localize
 from dreg.systems import ConnectionSystem
 from dreg.weyl import WeylElement, deriv_names
 
@@ -1423,6 +1422,19 @@ def evaluate_ratfun(f: RatFun, c) -> Fraction:
 
 def is_monic(p: UnivarOperator) -> bool:
     return bool(p.coeffs) and p.coeffs[-1] == RatFun.const(p.var, 1)
+
+
+def spy(monkeypatch, owner, name) -> list:
+    """The list that gets the arguments of each call of owner.name."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 def require_agreement(report: EquivalenceReport) -> EquivalenceReport:

@@ -259,6 +259,25 @@ class TestExitCodes:
         assert report["summary"]["agree"] is False
         assert details == json.dumps(report, sort_keys=True, indent=2) + "\n"
 
+    @pytest.fixture
+    def broken_shift(self, monkeypatch):
+        # x -> x + c as the identity: every translated test looks at the origin
+        from dreg.polynomials import RatFun
+        monkeypatch.setattr(RatFun, "shift", lambda self, c: self)
+
+    def test_broken_shift_splits_compare(self, capsys, broken_shift):
+        # Fuchs reads the orders at 1 in place; only the graded-annihilator
+        # test translates, so a broken shift makes the two sides disagree
+        code, _, err = run_cli(capsys, "compare", "(x-1)^2*d - 1", "--point", "1")
+        assert code == 3 and "contradiction" in err
+
+    def test_broken_shift_splits_system(self, capsys, tmp_path, broken_shift):
+        # Fuchs on the cyclic operator reads 1 in place; saturation translates
+        sys_file = tmp_path / "pole.sys"
+        sys_file.write_text("rank 2\n0 ; -1\n1/(x-1)^3 ; 0\n")
+        code, _, err = run_cli(capsys, "system", "--file", str(sys_file))
+        assert code == 3 and "contradiction" in err
+
 
 class TestDeterminismAndSchema:
     VERBS = [

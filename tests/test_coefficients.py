@@ -21,7 +21,7 @@ from dreg.cli import _read_system_file
 from dreg.lattices import Laurent, PolarLattice
 from dreg.operators import UnivarOperator, to_theta_form
 from dreg.parser import ParseError, parse_operator, parse_ratfun, parse_weyl_generators
-from dreg.polynomials import MPoly, RatFun, denominator_lcm
+from dreg.polynomials import MPoly, RatFun, denominator_lcm, factor_rational
 from dreg.systems import CyclicVectorError, cyclic_vector, saturate_lattice
 
 from conftest import (exact_coefficients, is_exact, monic_univar, polar_extended, polar_part,
@@ -103,8 +103,8 @@ class TestNormalFormByType:
         assert all(ratfun_exact(e) for row in system.matrix for e in row)
         lattice = polar_extended(PolarLattice(rank), system.matrix)
         assert all(is_exact(c) for row in lattice.rows.values() for c in row.values())
-        poles, _ = system.singular_support()
-        for point in [0] + [c for c, _ in poles][:2]:
+        poles, _ = factor_rational(denominator_lcm(e for row in system.matrix for e in row))
+        for point in [0] + poles[:2]:
             result = saturate_lattice(system, point, max_steps=rank)
             if result.lattice is not None:
                 assert all(is_exact(c) for row in result.lattice.rows.values()

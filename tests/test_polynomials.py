@@ -7,20 +7,30 @@ from hypothesis import given, settings, strategies as st
 
 import dreg.cli
 import dreg.polynomials
-from dreg.polynomials import (INF, MPoly, Rat, RatFun, denominator_lcm, factor_rational,
-                              monic_mpoly, rational_roots, squarefree_part, univar_gcd)
+from dreg.polynomials import (INF, MPoly, Rat, RatFun, _mult_at, denominator_lcm,
+                              factor_rational, monic_mpoly, rational_roots, squarefree_part,
+                              univar_gcd)
 
 from conftest import (evaluate_mpoly, evaluate_ratfun, from_coeffs, int_coeffs,
                       leading_univar_coeff, monic_gcd, monic_univar, random_fraction,
                       random_mpoly, random_ratfun, reference_mul, reference_pow,
                       ReferenceRatFun, reference_denominator_lcm, reference_ratfun,
-                      reference_rational_roots, reference_scale_var, reference_shift,
+                      reference_factor_rational, reference_rational_roots,
+                      reference_scale_var, reference_shift,
                       reference_taylor_shift_ratfun, reference_univar_gcd, scale_ratfun_var,
                       univar_coeffs, univar_divmod)
 
 
 def rf(num, den=(1,)):
     return from_coeffs("x", num, den)
+
+
+def factored(p: MPoly) -> tuple[list, MPoly]:
+    """factor_rational of a univariate polynomial, each root paired with its
+    multiplicity read by `_mult_at`, and the leftover made monic."""
+    a = int_coeffs(p)
+    roots, rest = factor_rational(a)
+    return [(r, _mult_at(a, r)) for r in roots], monic_mpoly("x", rest)
 
 
 class TestRat:
@@ -109,9 +119,11 @@ class TestGcdFactoring:
     def test_factor_rational(self):
         x = MPoly.var(("x",), "x")
         p = x ** 2 * (x - 2) * (x ** 2 + 1)
-        roots, rest = factor_rational(int_coeffs(p), "x")
+        assert factor_rational(int_coeffs(3 * p)) == ([0, 2], (1, 0, 1))
+        roots, rest = factored(p)
         assert roots == [(Fraction(0), 2), (Fraction(2), 1)]
         assert rest == x ** 2 + MPoly.const(("x",), 1)
+        assert factored(p) == reference_factor_rational(p)
 
 
 def to_sympy(p, x, sympy):
@@ -161,7 +173,7 @@ class TestAgainstSympy:
             p = p * rng.choice([one, x ** 2 + one, x ** 2 - 2 * one])
             if p.is_zero():
                 continue
-            roots, rest = factor_rational(int_coeffs(p), "x")
+            roots, rest = factored(p)
             expr = to_sympy(p, X, sympy)
             expected = sympy.roots(expr, X, filter="Q")
             assert {r: m for r, m in roots} == {
@@ -564,7 +576,7 @@ class TestRationalRoots:
         p = MPoly.from_univar_coeffs("x", rest).scale(c)
         for r, m in roots:
             p = p * (x - r) ** m
-        found, leftover = factor_rational(int_coeffs(p), "x")
+        found, leftover = factored(p)
         assert found == sorted(roots)
         assert leftover == monic_univar(MPoly.from_univar_coeffs("x", rest))
 
@@ -584,7 +596,8 @@ class TestRationalRoots:
         assert rational_roots((-root, 1)) == [root]
         x = MPoly.var(("x",), "x")
         p = (x - root) ** 2 * (x ** 2 + 1) * x
-        assert factor_rational(int_coeffs(p), "x") == ([(0, 1), (root, 2)], x ** 2 + 1)
+        assert factored(p) == ([(0, 1), (root, 2)], x ** 2 + 1)
+        assert factor_rational(int_coeffs(p))[1] == (1, 0, 1)
 
 
     def test_every_small_prime_divides_the_leading_coefficient(self):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from dreg import polynomials, regularity
+from dreg.dmod import kashiwara_regular_at
 from dreg.parser import parse_operator
 from dreg.polynomials import INF, MPoly, RatFun
 from dreg.regularity import (GLOBAL_IRREGULAR, GLOBAL_REGULAR,
@@ -11,7 +13,7 @@ from dreg.regularity import (GLOBAL_IRREGULAR, GLOBAL_REGULAR,
                              regular_on_projective_line, theta_regular_at_zero)
 
 from conftest import (evaluate_mpoly, random_operator, random_operator_with_poles,
-                      random_point, random_ratfun_with_poles, reference_monic_orders,
+                      random_point, random_ratfun_with_poles, reference_monic_orders, spy,
                       univar_divmod)
 
 
@@ -170,8 +172,9 @@ class TestProjectiveLine:
 
 
 class TestOrdersWithoutDivision:
-    """Fuchs rows and Newton points read ord b_i - ord b_n off the localized
-    operator; the reference divides by b_n first."""
+    """Fuchs rows and Newton points read ord b_i - ord b_n where the point
+    is, by synthetic division; the reference translates the point to the
+    origin and divides by b_n first."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32))
@@ -191,3 +194,22 @@ class TestOrdersWithoutDivision:
             assert rows == [(i, orders[i], i - n, orders[i] >= i - n) for i in range(n)]
             assert newton_polygon(p, point).points == tuple(
                 (i, i - int(o)) for i, o in enumerate(orders) if o != INF)
+
+    def test_finite_point_runs_no_taylor_shift(self, monkeypatch):
+        shifts = spy(monkeypatch, polynomials, "_taylor_shift")
+        p = op(HYP)
+        for point in (Fraction(1), Fraction(-2, 3)):
+            fuchs_regular_at(p, point)
+            newton_polygon(p, point)
+        regular_on_projective_line(p)
+        assert not shifts
+        # the graded-annihilator test still translates, and the spy sees it
+        kashiwara_regular_at(p, Fraction(1))
+        assert shifts
+
+    def test_one_factorisation_per_report(self, monkeypatch):
+        calls = spy(monkeypatch, regularity, "factor_rational")
+        rep = regular_on_projective_line(op("(x^2 + 1)*(x - 1)*d - 1"))
+        assert len(calls) == 1
+        assert [e.to_dict()["point"] for e in rep.points] == ["1", "inf", "x^2 + 1"]
+        assert rep.verdict == GLOBAL_REGULAR_TESTED

@@ -10,19 +10,20 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dreg import regularity
 from dreg.dmod import ContradictionError
 from dreg.operators import UnivarOperator
 from dreg.parser import parse_operator
-from dreg.polynomials import MPoly, RatFun, as_rat
+from dreg.polynomials import MPoly, RatFun, as_rat, denominator_lcm
 from dreg.regularity import (GLOBAL_IRREGULAR, GLOBAL_REGULAR, INFINITY,
-                             IRREGULAR, REGULAR, fuchs_regular_at)
+                             IRREGULAR, REGULAR, fuchs_regular_at, singular_locus)
 from dreg.systems import (ConnectionSystem, EXCEEDED_BOUND,
                           STABILIZED, SaturationResult, cyclic_vector,
                           regular_system_report, saturate_lattice)
 
 from conftest import (LocalLattice, conjugate, polar_contains, polar_generators, polar_part,
                       random_gauged_euler, random_operator, random_ratfun_with_poles,
-                      random_system)
+                      random_system, spy)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -34,6 +35,11 @@ def rat(text):
 
 def system(rows):
     return ConnectionSystem([[rat(e) for e in row] for row in rows])
+
+
+def verdict_points(sysm: ConnectionSystem) -> list:
+    """The rational poles of A, ascending, then infinity."""
+    return singular_locus(denominator_lcm(e for row in sysm.matrix for e in row), sysm.var)[0]
 
 
 class TestCyclicVector:
@@ -129,8 +135,7 @@ class TestPolarSaturation:
            st.integers(0, 6))
     def test_matches_reference_loop(self, rng, rank, max_steps):
         sysm = random_system(rng, rank)
-        roots, _ = sysm.singular_support()
-        for pt in [root for root, _ in roots] + [INFINITY]:
+        for pt in verdict_points(sysm):
             res = saturate_lattice(sysm, pt, max_steps)
             status, steps, ref = reference_saturation(sysm, pt, max_steps)
             assert (res.status, res.steps) == (status, steps), str(pt)
@@ -226,8 +231,7 @@ class TestGerardLevelt:
             sysm = direct_sum(random_system(rng, 2, degree=1), random_system(rng, 2, degree=1))
         max_steps = max(0, rank - 1 + offset)
         operator = cyclic_vector(sysm).operator
-        roots, _ = sysm.singular_support()
-        for pt in [root for root, _ in roots] + [INFINITY]:
+        for pt in verdict_points(sysm):
             res = saturate_lattice(sysm, pt, max_steps)
             status, steps, _ = reference_saturation(sysm, pt, max_steps)
             assert (res.status, res.steps) == (status, steps), str(pt)
@@ -241,8 +245,7 @@ class TestGerardLevelt:
     def test_verdict_is_settled_at_m_minus_one(self, rng, rank):
         sysm = random_system(rng, rank)
         operator = cyclic_vector(sysm).operator
-        roots, _ = sysm.singular_support()
-        for pt in [root for root, _ in roots] + [INFINITY]:
+        for pt in verdict_points(sysm):
             at = saturate_lattice(sysm, pt, rank - 1)
             above = saturate_lattice(sysm, pt, rank + 3)
             assert at.stabilized == above.stabilized == fuchs_regular_at(operator, pt).regular
@@ -350,7 +353,7 @@ class TestReports:
         assert [(str(p.point), p.fuchs.verdict, p.saturation.status)
                 for p in rep.points] == [
             ("0", REGULAR, STABILIZED), ("inf", REGULAR, STABILIZED)]
-        assert all(p.stable_extension_exists for p in rep.points)
+        assert all(p.saturation.stabilized for p in rep.points)
 
     def test_airy_companion(self):
         p = parse_operator("d^2 - x")
@@ -360,7 +363,14 @@ class TestReports:
         assert str(inf.point) == "inf"
         assert inf.fuchs.verdict == IRREGULAR
         assert inf.saturation.status == EXCEEDED_BOUND
-        assert not inf.stable_extension_exists
+        assert not inf.saturation.stabilized
+
+    def test_one_factorisation_per_report(self, monkeypatch):
+        calls = spy(monkeypatch, regularity, "factor_rational")
+        rep = regular_system_report(system([["0", "-1"], ["1/((x^2 + 1)*(x - 1))", "0"]]))
+        assert len(calls) == 1
+        assert [str(p.point) for p in rep.points] == ["1", "inf"]
+        assert [str(f) for f in rep.untested] == ["x^2 + 1"]
 
     def test_exp_twist(self):
         rep = regular_system_report(system([["1/x^2"]]))
