@@ -5,12 +5,20 @@ polynomial ring Q[vars] (the symbol ring) and the Weyl algebra A_n, whose
 elements are `MPoly`s in x and d with their own product (`dreg.weyl`).  The
 driver takes a term order; it builds new elements of its input's type with
 `MPoly._with`, and skips S-pairs by coprimality only where the elements say
-they commute (`MPoly.commutative`).  A run computes the order key of each
-exponent it meets once, in a table it makes and passes down
-(`OrderKeys`).  A division step, and the building of an S-element,
-subtract a one-term multiple of a basis element from a term map in place:
-a shift and a scale of its terms where the elements commute, else the
-elements' own product.  The S-pair loop (`buchberger_loop`) and the
+they commute (`MPoly.commutative`).  Inside a run every monomial is one int
+(`Packing`): each exponent has a fixed 32-bit field whose top bit is a
+guard, the total and the weighted degree sit above the fields, and the
+code is linear in the exponents and ordered like `TermOrder.key` (the
+revlex tie-break subtracts the fields).  So a leading term is a plain
+`max`, multiplying monomials adds codes, and divisibility, lcm and
+coprimality are arithmetic on the guard bits; an exponent that reaches
+the guard raises `BudgetExceeded`.  The boundary is crossed twice: the
+generators are packed on entry and the reduced basis is unpacked on exit,
+while a unit test reads only the last leading code.  A division step, and
+the building of an S-element, subtract a one-term multiple of a basis
+element from a packed term map in place: a shift and a scale where the
+ring commutes, and in A_n the contraction of d_i against x_i on the
+fields (`_leibniz`).  The S-pair loop (`buchberger_loop`) and the
 interreduction are two steps: a reduced basis takes both, while the
 unit-ideal tests (`is_unit_ideal`, `radical_membership`) only ask whether
 a nonzero constant entered the loop and stop there.  Arithmetic
@@ -29,11 +37,12 @@ it raises rather than silently truncating.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, le, mul, neg, sub
+from operator import le, mul, neg
 from typing import Iterable, Sequence
 
 from .polynomials import MPoly, _exact, _inverse, format_mpoly
@@ -121,37 +130,147 @@ def leading_term(p: MPoly, order: TermOrder) -> tuple[tuple, Fraction]:
     return e, p.terms[e]
 
 
-class OrderKeys(dict):
-    """The order key of every exponent tuple one driver run meets, each
-    computed once, on first use.
-
-    A run makes its own table and hands it to everything it does: leading
-    terms, the pair heap, every division and the interreduction.  `key`
-    reads the table, so a table serves wherever a `TermOrder`'s key does.
-    """
-
-    __slots__ = ("order",)
-    key = dict.__getitem__
-
-    def __init__(self, order: TermOrder):
-        super().__init__()
-        self.order = order
-
-    def __missing__(self, e: tuple) -> tuple:
-        k = self[e] = self.order.key(e)
-        return k
-
-
 def _divides(a: tuple, b: tuple) -> bool:
     return all(map(le, a, b))
 
 
-def _exp_sub(a: tuple, b: tuple) -> tuple:
-    return tuple(map(sub, a, b))
+FIELD_BITS = 32
+EXPONENT_LIMIT = 1 << (FIELD_BITS - 1)      # an exponent's field keeps its top bit clear
+_FIELD = (1 << FIELD_BITS) - 1
+_LIMIT_REACHED = f"an exponent reached the exponent limit {EXPONENT_LIMIT} of a packed monomial"
 
 
-def _exp_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(map(max, a, b))
+@functools.cache
+def _leibniz(b: int, g: int) -> tuple:
+    """The integers k! C(b, k) C(g, k), k = 0 .. min(b, g): the coefficients
+    of d^b x^g in normal order."""
+    return tuple(math.factorial(k) * math.comb(b, k) * math.comb(g, k)
+                 for k in range(min(b, g) + 1))
+
+
+class Packing:
+    """The monomials of one ring as ints ordered like a term order: what a
+    driver run computes on.
+
+    The code of an exponent vector e is sum e_i * unit_i, so adding codes
+    multiplies monomials.  Each exponent has a field of FIELD_BITS bits
+    whose top bit, the guard, stays clear (exponents below
+    EXPONENT_LIMIT).  Under LEX the fields are the whole code, the first
+    variable highest.  Under DEGREVLEX and the weighted orders the fields
+    hold e with the last variable highest and are subtracted, below the
+    total degree and, above it, the weighted degree: comparing codes then
+    compares weight, degree and the reversed exponents negated, as
+    `TermOrder.key` does.  `sign` turns a code into its fields (the low
+    bits of sign * code), so with the guard bits G:
+
+    - a divides b iff (G + sign * (b - a)) & G == G: a field of the sum
+      keeps its guard bit iff b_i - a_i >= 0;
+    - the sum of two valid codes is still exact and ordered (its fields
+      stay below 2**32, and the degree field is wide enough), and the
+      guard bits of sign * code show whether a field reached the limit.
+      Every term the driver makes is such a sum, and it checks each term
+      it divides by or keeps, so an exponent at the limit raises
+      `BudgetExceeded` before it can carry into the next field.
+
+    A run of the Weyl algebra (a ring whose elements are not
+    `commutative`) also knows which fields are x_i and d_i, to contract
+    d_i against x_i in a left-monomial product (`subtract`).
+    """
+
+    __slots__ = ("like", "commutative", "sign", "guard", "shifts", "units", "contractions")
+
+    def __init__(self, order: TermOrder, like):
+        nvars = len(like.vars)
+        spots = range(nvars)
+        if order.name == "lex":
+            self.sign = 1
+            self.shifts = tuple(FIELD_BITS * (nvars - 1 - i) for i in spots)
+            self.units = tuple(1 << s for s in self.shifts)
+        else:
+            if order.name == "degrevlex":
+                weights = (0,) * nvars
+            elif order.name == "weighted":
+                weights = order.weights
+                if len(weights) != nvars or not all(
+                        type(w) is int and 0 <= w < EXPONENT_LIMIT for w in weights):
+                    raise ValueError(f"weights {weights} are not {nvars} integers in "
+                                     f"[0, {EXPONENT_LIMIT})")
+            else:
+                raise ValueError(f"unknown term order {order.name}")
+            low = FIELD_BITS * nvars
+            top = low + FIELD_BITS + nvars.bit_length()
+            self.sign = -1
+            self.shifts = tuple(FIELD_BITS * i for i in spots)
+            self.units = tuple((w << top) + (1 << low) - (1 << s)
+                               for w, s in zip(weights, self.shifts))
+        self.guard = sum(EXPONENT_LIMIT << s for s in self.shifts)
+        self.like = like
+        self.commutative = like.commutative
+        n = nvars // 2
+        self.contractions = () if self.commutative else tuple(
+            (self.shifts[i], self.shifts[n + i], self.units[i] + self.units[n + i])
+            for i in range(n))
+
+    def pack(self, terms: dict) -> dict:
+        """The term map with each exponent replaced by its code."""
+        units = self.units
+        if any(max(e, default=0) >= EXPONENT_LIMIT for e in terms):
+            raise BudgetExceeded(_LIMIT_REACHED)
+        return {sum(map(mul, e, units)): c for e, c in terms.items()}
+
+    def unpack(self, terms: dict):
+        """The element of the ring with this term map on codes."""
+        sign, shifts = self.sign, self.shifts
+        return self.like._with({tuple((sign * c >> s) & _FIELD for s in shifts): v
+                                for c, v in terms.items()})
+
+    def divides(self, a: int, b: int) -> bool:
+        """Whether the monomial of code a divides that of code b."""
+        guard = self.guard
+        return (guard + self.sign * (b - a)) & guard == guard
+
+    def lcm(self, a: int, b: int) -> int:
+        """The code of the lcm: a raised by b_i - a_i on each field where
+        that is positive, read off the biased fields guard + b - a."""
+        t = self.guard + self.sign * (b - a)
+        for s, u in zip(self.shifts, self.units):
+            q = ((t >> s) & _FIELD) - EXPONENT_LIMIT
+            if q > 0:
+                a += q * u
+        return a
+
+    def subtract(self, rest: dict, q: int, s: int, g: dict) -> None:
+        """rest -= q * m * g in place, m the monomial of code s.
+
+        Where the ring commutes, or m has no d, the product is g's terms
+        shifted by s and scaled by q.  In A_n, each term x^gamma d^delta of
+        g meets m's d_i^b against x_i^gamma_i for the variables where both
+        are nonzero: the product terms come down by k * (x_i d_i) with the
+        integer factors of `_leibniz`.
+        """
+        sign = self.sign
+        v = sign * s
+        ds = [(sx, b, x) for sx, sd, x in self.contractions if (b := (v >> sd) & _FIELD)]
+        if ds:
+            product = []
+            for u, c in g.items():
+                w = sign * u
+                terms = [(u + s, q * c)]
+                for sx, b, x in ds:
+                    gx = (w >> sx) & _FIELD
+                    if gx:
+                        row = _leibniz(b, gx)
+                        terms = [(t - k * x, f * r) for t, f in terms for k, r in enumerate(row)]
+                product += terms
+        else:
+            product = [(u + s, q * c) for u, c in g.items()]
+        get = rest.get
+        for u, c in product:
+            w = get(u, 0) - c
+            if w:
+                rest[u] = w
+            else:
+                del rest[u]
 
 
 def _primitive(ints: dict) -> tuple[dict, int]:
@@ -168,44 +287,30 @@ def _integral(terms: dict) -> tuple[dict, Fraction]:
     return ints, Fraction(g, den)
 
 
-def _subtract(rest: dict, q: int, s: tuple, g) -> None:
-    """rest -= q * x^s * g, in place on the term map.
+def _pseudo_remainder(rest: dict, basis: Sequence, leads: Sequence,
+                      pk: Packing) -> tuple[dict, int]:
+    """(R, m) with R the integer term map of m * (remainder of `rest`), m > 0;
+    `rest` is used up.
 
-    Where g commutes the product is g's terms shifted by s and scaled by q;
-    in A_n it is the Weyl product of the one-term left factor with g.
+    `rest` and the basis are packed integer term maps and `leads` the
+    basis' leading codes.  The division runs inside one term map: a step
+    that meets a term a * x^e divisible by lc(g) x^ge scales the map by
+    lc(g)/h, h = gcd(a, lc(g)), and subtracts a/h * x^(e-ge) * g in place;
+    a term no leading monomial divides moves to the remainder.  Scaling by
+    a nonzero constant changes no support, so the steps are those of the
+    division over Q.
     """
-    if g.commutative:
-        product = ((tuple(map(add, u, s)), q * v) for u, v in g.terms.items())
-    else:
-        product = (g._with({s: q}) * g).terms.items()
-    for u, v in product:
-        w = rest.get(u)
-        if w is None:
-            rest[u] = -v
-        elif w == v:
-            del rest[u]
-        else:
-            rest[u] = w - v
-
-
-def _pseudo_remainder(f, basis: Sequence, leads: Sequence, keys: OrderKeys) -> tuple[dict, int]:
-    """(R, m) with R the integer term map of m * (remainder of f), m > 0.
-
-    f and the basis have integer coefficients.  The division runs inside
-    one term map: a step that meets a term a * x^e divisible by lc(g) x^ge
-    scales the map by lc(g)/h, h = gcd(a, lc(g)), and subtracts
-    a/h * x^(e-ge) * g in place; a term no leading monomial divides moves
-    to the remainder.  Scaling by a nonzero constant changes no support, so
-    the steps are those of the division over Q.
-    """
-    rank = keys.__getitem__
-    done, rest = {}, dict(f.terms)
-    scale = 1
+    sign, guard = pk.sign, pk.guard
+    divisors = [(sign * ge, ge, g) for g, ge in zip(basis, leads)]
+    done, scale = {}, 1
     while rest:
-        e = max(rest, key=rank)
-        for g, (ge, gc) in zip(basis, leads):
-            if all(map(le, ge, e)):
-                a = rest[e]
+        e = max(rest)
+        if sign * e & guard:
+            raise BudgetExceeded(_LIMIT_REACHED)
+        t = guard + sign * e
+        for sge, ge, g in divisors:
+            if (t - sge) & guard == guard:
+                a, gc = rest[e], g[ge]
                 h = math.gcd(a, gc) if gc > 0 else -math.gcd(a, gc)
                 m = gc // h
                 if m != 1:
@@ -214,59 +319,52 @@ def _pseudo_remainder(f, basis: Sequence, leads: Sequence, keys: OrderKeys) -> t
                         rest[u] *= m
                     for u in done:
                         done[u] *= m
-                _subtract(rest, a // h, _exp_sub(e, ge), g)
+                pk.subtract(rest, a // h, e - ge, g)
                 break
         else:
             done[e] = rest.pop(e)
     return done, scale
 
 
-def normal_form(f, basis: Sequence, order: TermOrder | OrderKeys = DEGREVLEX,
-                leads: Sequence | None = None):
-    """Full remainder of f on (left) division by the basis (every term reduced).
+def _integral_basis(basis: Sequence, pk: Packing) -> tuple[list, list]:
+    """The packed primitive integer multiples of the basis elements and
+    their leading codes."""
+    basis = [pk.pack(_integral(g.terms)[0]) for g in basis]
+    return basis, [max(g) for g in basis]
 
-    The division is integer pseudo-division (`_pseudo_remainder`).  Called
-    with `leads`, the basis' leading terms, as the Buchberger driver does
-    (with its run's `OrderKeys` for the order), f and the basis must have
-    integer coefficients, and the result is the primitive integer multiple
-    of the remainder.  Without them, f and the basis are made integer here
-    and the exact remainder comes back, divided once per term into exact
-    rationals in normal form.
-    """
+
+def normal_form(f, basis: Sequence, order: TermOrder = DEGREVLEX):
+    """Full remainder of f on (left) division by the basis (every term
+    reduced): integer pseudo-division (`_pseudo_remainder`) on the packed
+    primitive integer multiples of f and the basis, with the remainder
+    divided once per term into exact rationals in normal form."""
     if not basis or f.is_zero():
         return f
-    keys = order if isinstance(order, OrderKeys) else OrderKeys(order)
-    if leads is not None:
-        r, _ = _pseudo_remainder(f, basis, leads, keys)
-        return f._with(_primitive(r)[0])
-    basis, leads = _integral_basis(basis, keys)
+    pk = Packing(order, f)
+    basis, leads = _integral_basis(basis, pk)
     ints, c = _integral(f.terms)
-    r, m = _pseudo_remainder(f._with(ints), basis, leads, keys)
+    r, m = _pseudo_remainder(pk.pack(ints), basis, leads, pk)
     c /= m
-    return f._with({e: _exact(v * c) for e, v in r.items()})
-
-
-def _integral_basis(basis: Sequence, keys: OrderKeys) -> tuple[list, list]:
-    """The primitive integer multiples of the basis elements and their
-    leading terms: what `normal_form` takes with `leads`."""
-    basis = [g._with(_integral(g.terms)[0]) for g in basis]
-    return basis, [leading_term(g, keys) for g in basis]
+    return pk.unpack({e: _exact(v * c) for e, v in r.items()})
 
 
 def all_in_ideal(fs: Iterable, gb: Sequence, order: TermOrder = DEGREVLEX) -> bool:
     """Whether every f lies in the ideal a Gröbner basis gb spans: each
-    remainder is zero.  The basis is made integer once for all of them."""
-    keys = OrderKeys(order)
-    basis, leads = _integral_basis(gb, keys)
-    return all(normal_form(f._with(_integral(f.terms)[0]), basis, keys, leads).is_zero()
-               for f in fs)
+    remainder is zero.  The basis is packed once for all of them."""
+    fs = [f for f in fs if not f.is_zero()]
+    if not fs or not gb:
+        return not fs
+    pk = Packing(order, gb[0])
+    basis, leads = _integral_basis(gb, pk)
+    return not any(_pseudo_remainder(pk.pack(_integral(f.terms)[0]), basis, leads, pk)[0]
+                   for f in fs)
 
 
-def buchberger_loop(gens: Iterable, keys: OrderKeys, budget: int = DEFAULT_BUDGET,
+def buchberger_loop(gens: Iterable, pk: Packing, budget: int = DEFAULT_BUDGET,
                     known: Sequence = ()) -> tuple[list, list]:
     """The S-pair loop: a (left) Gröbner basis, not reduced, of the (left)
-    ideal `known` and the generators span, and its elements' leading terms,
-    under the order of the run's key table.
+    ideal `known` and the generators span, as packed integer term maps,
+    and its elements' leading codes, under the order of the run's packing.
 
     `known` must be a Gröbner basis under the order.  The loop
     starts from it with the pairs among its elements counted as processed:
@@ -281,31 +379,31 @@ def buchberger_loop(gens: Iterable, keys: OrderKeys, budget: int = DEFAULT_BUDGE
     coprimality criterion is used only for commutative elements: in A_n the
     commutator of elements with disjoint leading supports need not vanish.
     `budget` counts the pairs taken off the queue, those a criterion drops
-    included.  A nonzero constant ends the loop at once: it is then the
-    last element (`_is_unit`).
+    included.  A nonzero constant (code 0) ends the loop at once: it is
+    then the last element (`_is_unit`).
 
     Every element the loop keeps is the primitive integer multiple of the
     element over Q, and an S-element is built with integer cofactors, so
     the loop runs on integers.
     """
-    basis, leads = [], []           # the elements and their leading terms
-    queue, pending = [], set()      # heap of (order key of lcm, j, i, lcm); the (i, j) in it
+    sign, guard = pk.sign, pk.guard
+    basis, leads = [], []           # the elements and their leading codes
+    queue, pending = [], set()      # heap of (lcm code, j, i); the (i, j) in it
 
-    def insert(g, paired: bool) -> bool:
+    def insert(g: dict, paired: bool) -> bool:
         """Add g, and its pairs when `paired`; True when g is a constant."""
-        lead = leading_term(g, keys)
+        lead = max(g)
         j = len(basis)
-        for i, (fe, _) in enumerate(leads if paired else ()):
-            lcm = _exp_lcm(fe, lead[0])
-            heapq.heappush(queue, (keys[lcm], j, i, lcm))
+        for i, fe in enumerate(leads if paired else ()):
+            heapq.heappush(queue, (pk.lcm(fe, lead), j, i))
             pending.add((i, j))
         basis.append(g)
         leads.append(lead)
-        return not any(lead[0])
+        return lead == 0
 
     for paired, elements in ((False, known), (True, gens)):
         for g in elements:
-            if not g.is_zero() and insert(g._with(_integral(g.terms)[0]), paired):
+            if not g.is_zero() and insert(pk.pack(_integral(g.terms)[0]), paired):
                 return basis, leads
     processed = 0
     while queue:
@@ -313,31 +411,34 @@ def buchberger_loop(gens: Iterable, keys: OrderKeys, budget: int = DEFAULT_BUDGE
         if processed > budget:
             raise BudgetExceeded(
                 f"Buchberger budget of {budget} S-pairs exceeded")
-        _, j, i, lcm = heapq.heappop(queue)
+        lcm, j, i = heapq.heappop(queue)
         pending.discard((i, j))
-        (fe, fc), (ge, gc) = leads[i], leads[j]
+        fe, ge = leads[i], leads[j]
         # Buchberger's coprimality criterion, sound only where elements commute.
-        if basis[i].commutative and lcm == tuple(map(add, fe, ge)):
+        if pk.commutative and lcm == fe + ge:
             continue
-        if any(all(map(le, ke, lcm)) and k != i and k != j
+        t = guard + sign * lcm
+        if any((t - sign * ke) & guard == guard and k != i and k != j
                and (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending
-               for k, (ke, _) in enumerate(leads)):
+               for k, ke in enumerate(leads)):
             continue
         # the S-element (gc/h) x^(lcm-fe) f - (fc/h) x^(lcm-ge) g, built in one term map
+        f, g = basis[i], basis[j]
+        fc, gc = f[fe], g[ge]
         h = math.gcd(fc, gc)
         s = {}
-        _subtract(s, -(gc // h), _exp_sub(lcm, fe), basis[i])
-        _subtract(s, fc // h, _exp_sub(lcm, ge), basis[j])
-        r = normal_form(basis[i]._with(s), basis, keys, leads)
-        if not r.is_zero() and insert(r, True):
+        pk.subtract(s, -(gc // h), lcm - fe, f)
+        pk.subtract(s, fc // h, lcm - ge, g)
+        r, _ = _pseudo_remainder(s, basis, leads, pk)
+        if r and insert(_primitive(r)[0], True):
             return basis, leads
     return basis, leads
 
 
 def _is_unit(leads: Sequence) -> bool:
     """Whether a basis the loop returned holds a nonzero constant (its last
-    element, if any)."""
-    return bool(leads) and not any(leads[-1][0])
+    element, if any, of code 0)."""
+    return bool(leads) and leads[-1] == 0
 
 
 def buchberger_basis(gens: Iterable, order: TermOrder, budget: int = DEFAULT_BUDGET,
@@ -346,11 +447,15 @@ def buchberger_basis(gens: Iterable, order: TermOrder, budget: int = DEFAULT_BUD
     `known` and the generators span: the S-pair loop (`buchberger_loop`),
     then the interreduction, which makes the basis monic.  The reduced
     basis of the unit ideal is [1]."""
-    keys = OrderKeys(order)
-    basis, leads = buchberger_loop(gens, keys, budget, known)
+    gens = list(gens)
+    like = next((g for g in (*known, *gens) if not g.is_zero()), None)
+    if like is None:
+        return []
+    pk = Packing(order, like)
+    basis, leads = buchberger_loop(gens, pk, budget, known)
     if _is_unit(leads):
-        return [basis[-1]._with({leads[-1][0]: 1})]
-    return _reduce_basis(basis, leads, keys)
+        return [pk.unpack({0: 1})]
+    return [pk.unpack(g) for g in _reduce_basis(basis, leads, pk)]
 
 
 def groebner_basis(ideal: Ideal, order: TermOrder = DEGREVLEX,
@@ -359,14 +464,13 @@ def groebner_basis(ideal: Ideal, order: TermOrder = DEGREVLEX,
     return buchberger_basis(ideal.gens, order, budget)
 
 
-def _reduce_basis(basis: list, leads: list, keys: OrderKeys) -> list:
+def _reduce_basis(basis: list, leads: list, pk: Packing) -> list:
+    """The reduced basis of a Gröbner basis the loop returned: packed monic
+    term maps in ascending order of their leading codes."""
     # Minimalize: drop generators whose leading monomial another one divides.
-    keep = []
-    for i, (e, _) in enumerate(leads):
-        if any(j != i and _divides(f, e) and (f != e or j < i)
-               for j, (f, _) in enumerate(leads)):
-            continue
-        keep.append(i)
+    keep = [i for i, e in enumerate(leads)
+            if not any(j != i and pk.divides(f, e) and (f != e or j < i)
+                       for j, f in enumerate(leads))]
     minimal = [basis[i] for i in keep]
     lead = [leads[i] for i in keep]
     # Fully reduce each element against the others and make monic; no other
@@ -374,8 +478,9 @@ def _reduce_basis(basis: list, leads: list, keys: OrderKeys) -> list:
     reduced = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
-        r = normal_form(g, others, keys, lead[:i] + lead[i + 1:]) if others else g
-        reduced.append((keys[lead[i][0]], r.scale(_inverse(r.terms[lead[i][0]]))))
+        r = _pseudo_remainder(dict(g), others, lead[:i] + lead[i + 1:], pk)[0] if others else g
+        inverse = _inverse(r[lead[i]])
+        reduced.append((lead[i], {e: _exact(inverse * v) for e, v in r.items()}))
     return [r for _, r in sorted(reduced, key=lambda kr: kr[0])]
 
 
@@ -388,7 +493,8 @@ def buchberger(ideal: Ideal, order: TermOrder = DEGREVLEX,
 def is_unit_ideal(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> bool:
     """Whether 1 lies in the ideal: whether a nonzero constant enters the
     DEGREVLEX S-pair loop, with no interreduction after it."""
-    return _is_unit(buchberger_loop(ideal.gens, OrderKeys(DEGREVLEX), budget)[1])
+    pk = Packing(DEGREVLEX, MPoly.zero(ideal.vars))
+    return _is_unit(buchberger_loop(ideal.gens, pk, budget)[1])
 
 
 def krull_dimension(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> int:
@@ -454,7 +560,8 @@ def radical_membership(f: MPoly, ideal: Ideal, budget: int = DEFAULT_BUDGET) -> 
         return is_unit_ideal(Ideal(bigvars, gens + [rabinowitsch]), budget)
     if order.weights is not None:
         order = weighted_order(order.weights + (0,))
-    return _is_unit(buchberger_loop([rabinowitsch], OrderKeys(order), budget, known=gens)[1])
+    pk = Packing(order, rabinowitsch)
+    return _is_unit(buchberger_loop([rabinowitsch], pk, budget, known=gens)[1])
 
 
 def minimal_monomial_generators(ideal: Ideal) -> list[tuple]:

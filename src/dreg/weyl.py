@@ -23,7 +23,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from .ideals import DEFAULT_BUDGET, Ideal, buchberger_basis, symbol_weight_order
+from .ideals import DEFAULT_BUDGET, Ideal, _leibniz, buchberger_basis, symbol_weight_order
 from .polynomials import MPoly, _exact, as_rat, format_mpoly
 
 _COORD_NAMES = ("x", "y", "z")
@@ -145,14 +145,6 @@ class WeylElement(MPoly):
 
     def __str__(self) -> str:
         return format_mpoly(self, symbol_weight_order(len(self.vars)).key)
-
-
-@functools.cache
-def _leibniz(b: int, g: int) -> tuple:
-    """The integers k! C(b, k) C(g, k), k = 0 .. min(b, g): the coefficients
-    of d^b x^g in normal order."""
-    return tuple(math.factorial(k) * math.comb(b, k) * math.comb(g, k)
-                 for k in range(min(b, g) + 1))
 
 
 def weyl_mul(a: WeylElement, b: WeylElement) -> WeylElement:

@@ -31,7 +31,7 @@ import pytest
 import dreg.cli
 from dreg.dmod import ContradictionError, CurveModule, EquivalenceReport, _localize
 from dreg.ideals import (DEFAULT_BUDGET, DEGREVLEX, BudgetExceeded, TermOrder, _divides,
-                         _exp_lcm, _exp_sub, leading_term, minimal_monomial_generators)
+                         leading_term, minimal_monomial_generators)
 from dreg.lattices import Laurent, PolarLattice
 from dreg.linalg import gauss_solve, mat_mul
 from dreg.operators import UnivarOperator
@@ -42,7 +42,7 @@ from dreg.polynomials import (INF, MPoly, RatFun, _exact, _inverse, _make, as_ra
                               denominator_lcm, format_mpoly, monic_mpoly, split_content,
                               univar_gcd)
 from dreg.systems import ConnectionSystem
-from dreg.weyl import WeylElement, deriv_names
+from dreg.weyl import WeylElement, coordinate_names, deriv_names
 
 
 def is_exact(c) -> bool:
@@ -1597,6 +1597,14 @@ def reference_lattice_inclusion(lattice, chart, bound: int = 4) -> Prop21Report:
 # that the integer driver's bases, remainders and pop counts are checked against.
 
 
+def _exp_sub(a: tuple, b: tuple) -> tuple:
+    return tuple(map(sub, a, b))
+
+
+def _exp_lcm(a: tuple, b: tuple) -> tuple:
+    return tuple(map(max, a, b))
+
+
 def reference_normal_form(f, basis: Sequence, order: TermOrder = DEGREVLEX,
                           leads: Sequence | None = None):
     """Full remainder of f on (left) division by the basis (every term reduced).
@@ -1742,6 +1750,21 @@ def reference_weyl_mul(a: WeylElement, b: WeylElement) -> WeylElement:
                 else:
                     res[key] = term
     return a._with(res)
+
+
+def gkz_rational_normal_curve(k: int) -> tuple[tuple, str]:
+    """(coordinates, generator text) of the GKZ system of the rational normal
+    curve, A = [[1, ..., 1], [0, 1, ..., k]] in n = k + 1 variables: the
+    toric binomials d_i d_j - d_(i+1) d_(j-1) and the Euler operators with
+    beta = (1/2, 1/3)."""
+    n = k + 1
+    names = coordinate_names(n)
+    d = ["d" + v for v in names]
+    gens = [f"{d[i]}*{d[j]} - {d[i + 1]}*{d[j - 1]}" for i in range(n) for j in range(i + 2, n)]
+    gens.append(" + ".join(f"{v}*{dv}" for v, dv in zip(names, d)) + " - 1/2")
+    gens.append(" + ".join(f"{i}*{v}*{dv}" for i, (v, dv) in enumerate(zip(names, d)) if i)
+                + " - 1/3")
+    return names, " ; ".join(gens)
 
 
 def recorded_mismatches(pool, recorded: dict, directory: Path) -> list:

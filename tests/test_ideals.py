@@ -1,5 +1,9 @@
+import contextlib
+import hashlib
 import importlib.util
+import io
 import itertools
+import operator
 import random
 import sys
 from collections import Counter
@@ -9,18 +13,19 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import dreg.cli
 from dreg.dmod import OTHER, ZeroModuleError, decompose_symbol_ideal, dimension_report
-from dreg.ideals import (BudgetExceeded, DEGREVLEX, LEX, Ideal, NotMonomialIdeal, OrderKeys,
-                         TermOrder, _is_unit, buchberger, buchberger_basis, buchberger_loop,
-                         groebner_basis, is_radical_squarefree_monomial, is_unit_ideal,
-                         krull_dimension, leading_term, normal_form, radical_membership,
-                         symbol_weight_order, weighted_order)
+from dreg.ideals import (EXPONENT_LIMIT, BudgetExceeded, DEGREVLEX, LEX, Ideal, NotMonomialIdeal,
+                         Packing, TermOrder, _divides, _is_unit, buchberger, buchberger_basis,
+                         buchberger_loop, groebner_basis, is_radical_squarefree_monomial,
+                         is_unit_ideal, krull_dimension, leading_term, normal_form,
+                         radical_membership, symbol_weight_order, weighted_order)
 from dreg.parser import parse_weyl_generators
 from dreg.polynomials import MPoly
 from dreg.weyl import WeylElement, characteristic_ideal, weyl_groebner
 
-from conftest import (exact_coefficients, random_mpoly, reference_buchberger_basis,
-                      reference_normal_form, univar_divmod)
+from conftest import (_exp_lcm, exact_coefficients, gkz_rational_normal_curve, random_mpoly,
+                      reference_buchberger_basis, reference_normal_form, univar_divmod)
 
 # the benchmark's Weyl families and their parameters
 _spec = importlib.util.spec_from_file_location(
@@ -341,6 +346,8 @@ class TestPairCriteria:
 
 
 POP_BOUND = 100     # random sets that need more pops compare as "exceeded"
+# SHA-256 of stdout, a NUL byte and stderr of the k = 5 GKZ `holonomic` report
+GKZ5_HOLONOMIC_SHA256 = "958a1a408f7cf900dfccf15246040de188c1f873b929507495a5303f7183f295"
 
 
 def outcome(driver, gens, order, budget=POP_BOUND):
@@ -453,6 +460,68 @@ class TestIntegerDriver:
             for order in (DEGREVLEX, LEX):
                 assert (groebner_basis(symbols, order)
                         == reference_buchberger_basis(symbols.gens, order))
+
+
+# codes of four orders: the three the driver meets and radical_membership's
+# extension of the symbol order by a variable of weight 0
+PACKED_ORDERS = [(LEX, 4), (DEGREVLEX, 4), (symbol_weight_order(4), 4),
+                 (weighted_order(symbol_weight_order(4).weights + (0,)), 5)]
+PACKED_EXPONENTS = st.integers(0, 3) | st.integers(0, EXPONENT_LIMIT // 2 - 1)
+
+
+def packing(order, nvars) -> Packing:
+    return Packing(order, MPoly.zero(tuple(f"v{i}" for i in range(nvars))))
+
+
+def code(pk, e) -> int:
+    (c,) = pk.pack({e: 1})
+    return c
+
+
+class TestPacking:
+    """The driver's monomial codes are ordered like TermOrder.key and add
+    like exponents, their guard-bit divisibility and lcm are those of the
+    tuples, and unpacking gives the tuples back."""
+
+    @pytest.mark.parametrize("order, nvars", PACKED_ORDERS,
+                             ids=["lex", "degrevlex", "symbol", "symbol-t"])
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_codes_agree_with_the_tuples(self, order, nvars, data):
+        pk = packing(order, nvars)
+        a, b = (data.draw(st.tuples(*[PACKED_EXPONENTS] * nvars)) for _ in range(2))
+        ca, cb = code(pk, a), code(pk, b)
+        assert (ca < cb) == (order.key(a) < order.key(b)) and (ca == cb) == (a == b)
+        assert code(pk, tuple(map(operator.add, a, b))) == ca + cb
+        assert pk.divides(ca, cb) == _divides(a, b)
+        assert pk.lcm(ca, cb) == code(pk, _exp_lcm(a, b))
+        assert (pk.lcm(ca, cb) == ca + cb) == (not any(map(min, a, b)))
+        assert pk.unpack({ca: 3, cb: 5}).terms == ({a: 3, b: 5} if a != b else {a: 5})
+
+    @pytest.mark.parametrize("weights", [(-1, 0), (0, EXPONENT_LIMIT), (0, 1, 0), (0, True)])
+    def test_weights_outside_the_fields_are_refused(self, weights):
+        with pytest.raises(ValueError):
+            packing(weighted_order(weights), 2)
+        x = MPoly.var(("x", "y"), "x")
+        with pytest.raises(ValueError):
+            buchberger_basis([x], weighted_order(weights))
+
+    def test_an_input_exponent_at_the_limit_raises(self):
+        f = MPoly(("x", "y"), {(EXPONENT_LIMIT, 0): 1, (0, 1): 1})
+        for order in (LEX, DEGREVLEX, symbol_weight_order(2)):
+            with pytest.raises(BudgetExceeded, match="exponent limit"):
+                buchberger_basis([f], order)
+        assert buchberger_basis([MPoly(("x", "y"), {(EXPONENT_LIMIT - 1, 0): 1})], LEX)
+
+    @pytest.mark.parametrize("order", [LEX, DEGREVLEX, symbol_weight_order(2)],
+                             ids=["lex", "degrevlex", "symbol"])
+    def test_an_exponent_reaching_the_limit_inside_a_run_raises(self, order):
+        # f and g are valid, but dividing f by g makes x^(2L-2) or y^(2L-2)
+        top = EXPONENT_LIMIT - 1
+        f = MPoly(("x", "y"), {(top, top): 1})
+        g = MPoly(("x", "y"), {(top, 0): 1, (0, top): 1})
+        with pytest.raises(BudgetExceeded, match="exponent limit"):
+            normal_form(f, [g], order)
 
 
 def characteristic_or_none(gens):
@@ -638,6 +707,34 @@ def bounded(call):
         return None
 
 
+class TestScaledWeylCliff:
+    """GKZ of the rational normal curve (ROADMAP item 14): for k = 2..4 the
+    Weyl bases and pop counts equal those of the Fraction reference, and
+    the k = 5 `holonomic` report keeps its recorded bytes."""
+
+    @pytest.mark.parametrize("k, pops", [(2, 15), (3, 91), (4, 465)])
+    def test_bases_and_pops_match_the_oracle(self, k, pops):
+        names, text = gkz_rational_normal_curve(k)
+        gens = parse_weyl_generators(text, names)
+        order = symbol_weight_order(2 * len(names))
+        # the smallest budget of both drivers is `pops`: each returns under
+        # it, the same basis, and runs out one pop earlier
+        gb = outcome(buchberger_basis, gens, order, pops)
+        assert gb is not None and gb == outcome(reference_buchberger_basis, gens, order, pops)
+        for driver in (buchberger_basis, reference_buchberger_basis):
+            assert outcome(driver, gens, order, pops - 1) is None
+
+    def test_k5_holonomic_report_is_unchanged(self):
+        names, text = gkz_rational_normal_curve(5)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = dreg.cli.main(["holonomic", "--vars", ",".join(names), "--budget", "2000000",
+                                    text, "--format", "json"])
+        digest = hashlib.sha256(out.getvalue().encode() + b"\0" + err.getvalue().encode())
+        assert status == 0
+        assert digest.hexdigest() == GKZ5_HOLONOMIC_SHA256
+
+
 class TestLoopAndUnitTests:
     """The driver against the Fraction reference on random ideals of both
     rings, units included; and the unit-ideal tests, which stop at the
@@ -651,7 +748,7 @@ class TestLoopAndUnitTests:
         gens = data.draw(unit_or_not(data.draw(multilinear_generators())))
         gb = outcome(buchberger_basis, gens, order)
         assert gb == outcome(reference_buchberger_basis, gens, order)
-        loop = bounded(lambda b: _is_unit(buchberger_loop(gens, OrderKeys(order), b)[1]))
+        loop = bounded(lambda b: _is_unit(buchberger_loop(gens, Packing(order, gens[0]), b)[1]))
         assert loop == (None if gb is None else has_constant(gb))
         if order is DEGREVLEX:
             assert bounded(lambda b: is_unit_ideal(Ideal(SYMBOL_VARS, gens), b)) == loop
@@ -663,7 +760,7 @@ class TestLoopAndUnitTests:
         order = symbol_weight_order(2 * gens[0].n)
         gb = outcome(buchberger_basis, gens, order)
         assert gb == outcome(reference_buchberger_basis, gens, order)
-        loop = bounded(lambda b: _is_unit(buchberger_loop(gens, OrderKeys(order), b)[1]))
+        loop = bounded(lambda b: _is_unit(buchberger_loop(gens, Packing(order, gens[0]), b)[1]))
         assert loop == (None if gb is None else has_constant(gb))
 
     @settings(max_examples=25, deadline=None, derandomize=True)
@@ -700,9 +797,9 @@ class TestLoopAndUnitTests:
 
 class TestDriverWork:
     """Work counts of driver runs on the benchmark's Appell F1 pair and GKZ
-    sample: a run evaluates TermOrder.key at most once per exponent, a
-    radical test that answers False runs no interreduction, and both counts
-    repeat from one run to the next."""
+    sample: a run never evaluates TermOrder.key (it compares packed codes),
+    a radical test that answers False runs no interreduction, and the
+    counts repeat from one run to the next."""
 
     @pytest.fixture
     def counters(self, monkeypatch):
@@ -730,19 +827,19 @@ class TestDriverWork:
         counts = []
         keys.clear()
         ideal = characteristic_ideal(gens)
-        assert keys and max(keys.values()) == 1
-        counts.append(sum(keys.values()))
+        assert not keys
+        counts.append(len(ideal.gens))
         cv = decompose_symbol_ideal(ideal, len(names))
         verdicts = []
         for f in cover_products(cv):
             keys.clear()
             reductions.clear()
             verdict = radical_membership(f, ideal)
-            assert max(keys.values()) == 1
+            assert not keys
             if not verdict:
                 assert reductions == []
             verdicts.append(verdict)
-            counts.append((verdict, sum(keys.values()), len(reductions)))
+            counts.append((verdict, len(reductions)))
         assert False in verdicts
         return counts
 

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 import dreg.corpus
 import dreg.weyl
-from dreg.ideals import (Ideal, krull_dimension, leading_term, normal_form, groebner_basis,
-                         symbol_weight_order)
+from dreg.ideals import (Ideal, Packing, krull_dimension, leading_term, normal_form,
+                         groebner_basis, symbol_weight_order)
 from dreg.parser import parse_weyl_generators
 from dreg.polynomials import MPoly
 from dreg.weyl import (WeylElement, characteristic_ideal, coordinate_names, weyl_groebner,
@@ -225,6 +225,26 @@ class TestProductProperties:
         product = weyl_mul(a, b)
         assert product == reference_weyl_mul(a, b)
         assert exact_coefficients([product])
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 2))
+    def test_packed_left_monomial_product_equals_weyl_mul(self, data, n):
+        # the driver's product on codes: c * x^alpha d^beta, beta != 0, times
+        # an integer element, subtracted from a term map the way a division
+        # step does it
+        alpha = data.draw(multi_indices(n, 3))
+        beta = data.draw(multi_indices(n, 3).filter(any))
+        c = data.draw(st.integers(-4, 4).filter(bool))
+        a = WeylElement(n, {alpha + beta: c})
+        terms = data.draw(st.dictionaries(st.tuples(multi_indices(n, 3), multi_indices(n, 3)),
+                                          st.integers(-4, 4).filter(bool), min_size=1,
+                                          max_size=4))
+        b = WeylElement(n, {x + d: v for (x, d), v in terms.items()})
+        pk = Packing(symbol_weight_order(2 * n), b)
+        rest = pk.pack(b.terms)
+        pk.subtract(rest, -c, pk.pack({alpha + beta: 1}).popitem()[0], pk.pack(b.terms))
+        product = pk.unpack(rest) - b
+        assert product == weyl_mul(a, b) == reference_weyl_mul(a, b)
 
 
 class TestRingsDoNotMix:
