@@ -12,6 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import product
+from operator import mul
 from typing import NamedTuple
 
 from .ideals import (DEFAULT_BUDGET, DEGREVLEX, LEX, Ideal, all_in_ideal,
@@ -417,11 +420,14 @@ def decompose_symbol_ideal(ideal: Ideal, n: int,
 
 def _covers(ideal: Ideal, comps: list, budget: int) -> bool:
     """V(ideal) inside the union of components, by radical membership of all
-    one-generator-per-component products."""
-    products = [MPoly.const(ideal.vars, 1)]
-    for comp in comps:
-        products = [p * g for p in products for g in comp.ideal.gens]
-    return all(radical_membership(p, ideal, budget) for p in products)
+    one-generator-per-component products.
+
+    The products are built one at a time, the last component's generator
+    varying fastest, so the first product outside the radical ends the
+    test before the rest are built."""
+    one = MPoly.const(ideal.vars, 1)
+    return all(radical_membership(reduce(mul, choice, one), ideal, budget)
+               for choice in product(*(comp.ideal.gens for comp in comps)))
 
 
 def verify_components_both_ways(ideal: Ideal, cv: CharVariety,

@@ -14,7 +14,7 @@ curve-level backward extraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from operator import add, gt, le, sub
 from typing import Iterator
@@ -24,7 +24,7 @@ from .ideals import (Ideal, is_radical_squarefree_monomial,
                      minimal_monomial_generators)
 from .linalg import mat_mul, mat_sub
 from .operators import UnivarOperator
-from .polynomials import INF, MPoly
+from .polynomials import INF, MPoly, format_monomial
 from .regularity import IRREGULAR, REGULAR
 from .weyl import coordinate_names, symbol_names
 
@@ -111,12 +111,24 @@ def _apply_lift(chart: NCChart, a: tuple, b: tuple, alpha: tuple):
 
 @dataclass(frozen=True)
 class AnnihilatorReport:
+    """The window scan of one chart up to `bound`.
+
+    `standard` holds the exponents (a, b) of the standard monomials of
+    `ideal` the scan walked, in `_symbol_monomials` order: one witness
+    check each.  The report reads them back for the inclusion listing and
+    never prints them; they live as long as the report.
+    """
+
     chart: NCChart          # the chart whose window was scanned
     ideal: Ideal
     stability_checks: int
-    witness_checks: int
+    standard: tuple = field(repr=False)
     failures: tuple         # texts of the failing witness checks
     bound: int
+
+    @property
+    def witness_checks(self) -> int:
+        return len(self.standard)
 
     @property
     def matches_ideal(self) -> bool:
@@ -231,21 +243,22 @@ def pole_filtration_annihilator(chart: NCChart, bound: int = 6) -> AnnihilatorRe
     `stability_checks` counts those n * |window| checks.  Reverse: every
     symbol monomial outside the ideal acts nonzero on the witness
     1/(product of the x_l named by its d-support).  The scan walks only
-    those monomials, listed directly from the ideal's minimal generators.
+    those monomials, listed directly from the ideal's minimal generators,
+    and keeps them on the report: `prop21_inclusion` lists the ideal's
+    monomials as their complement, with no second walk.
     """
     ideal = theta_XZ_ideal(chart)
     r = chart.r
     smooth = (0,) * (chart.n - r)
-    checks = 0
+    standard = tuple(_outside_monomials(minimal_monomial_generators(ideal), chart.n, bound))
     failures = []
-    for a, b in _outside_monomials(minimal_monomial_generators(ideal), chart.n, bound):
-        checks += 1
+    for a, b in standard:
         witness = tuple(-1 if e else 0 for e in b[:r]) + smooth
         coeff, exp = _apply_lift(chart, a, b, witness)
         if not (coeff and chart.pole_order(exp) == chart.pole_order(witness) + sum(b)):
             failures.append(f"x^{a} xi^{b} acts nonzero on x^{witness}")
     return AnnihilatorReport(chart, ideal, chart.n * _window_size(chart, bound, bound),
-                             checks, tuple(failures), bound)
+                             standard, tuple(failures), bound)
 
 
 def goodness_scan(chart: NCChart, bound: int = 6) -> tuple[bool, Iterator[dict]]:
@@ -500,7 +513,9 @@ def prop21_inclusion(data, chart: NCChart, bound: int = 4) -> Prop21Report:
     this one, which is then not run again), a LogLattice, or a curve
     operator.  For the bare chart a passing scan certifies that the
     annihilator is the ideal, so the symbol monomials up to this bound that
-    lie in the ideal are listed, and none can violate.
+    lie in the ideal are listed, and none can violate.  They are the
+    complement of the standard monomials the scan walked and kept, read by
+    a merge (`_ideal_monomials`): no membership test and no second walk.
 
     A LogLattice lists the same monomials with no scan: the gammas are
     polynomials, so d^b raises the pole order by at most the part of |b| on
@@ -508,8 +523,10 @@ def prop21_inclusion(data, chart: NCChart, bound: int = 4) -> Prop21Report:
     has b_m > 0 for some m >= r or a_l b_l > 0 for some l < r, where x^a
     takes one pole back.  Its image of x^alpha has pole order at most
     pole(alpha) + |b| - 1, so it annihilates the window.  Only the
-    monomials outside the ideal are scanned, for the violations.
+    monomials outside the ideal are scanned, for the violations; the
+    listing merges against a walk of those same standard monomials.
     """
+    ring = chart.ring
     if isinstance(data, UnivarOperator):
         if chart.n != 1:
             raise ValueError("curve data requires a 1-variable chart")
@@ -517,7 +534,7 @@ def prop21_inclusion(data, chart: NCChart, bound: int = 4) -> Prop21Report:
         found: list[str] = []
         violations: list[str] = []
         for a, b in CurveModule.from_operator(data).annihilator_monomials(bound):
-            mono = str(MPoly.monomial(chart.ring, (a, b)))
+            mono = format_monomial(ring, (a, b))
             (found if _in_ideal(generators, (a, b)) else violations).append(mono)
         return Prop21Report(not violations, tuple(found), tuple(violations))
     if isinstance(data, LogLattice):
@@ -526,8 +543,8 @@ def prop21_inclusion(data, chart: NCChart, bound: int = 4) -> Prop21Report:
         generators = minimal_monomial_generators(theta_XZ_ideal(chart))
         outside = _outside_annihilators(
             data, _window(chart, chart.r + bound, bound), generators, bound)
-        violations = tuple(str(MPoly.monomial(chart.ring, a + b))
-                           for a, b in reversed(tuple(outside)))
+        violations = tuple(format_monomial(ring, a + b) for a, b in reversed(tuple(outside)))
+        standard = _outside_monomials(generators, chart.n, bound)
     elif data is None or isinstance(data, AnnihilatorReport):
         report = pole_filtration_annihilator(chart, bound) if data is None else data
         if report.chart != chart:
@@ -536,13 +553,30 @@ def prop21_inclusion(data, chart: NCChart, bound: int = 4) -> Prop21Report:
             raise ValueError(f"inclusion bound {bound} exceeds the scan bound {report.bound}")
         if not report.matches_ideal:
             return Prop21Report(False, (), ("window scan failed",))
-        generators, violations = minimal_monomial_generators(report.ideal), ()
+        standard, violations = report.standard, ()
     else:
         raise TypeError(f"no inclusion check for a {type(data).__name__}")
-    # membership in the monomial ideal is divisibility by a minimal generator
-    return Prop21Report(not violations, tuple(
-        str(MPoly.monomial(chart.ring, a + b)) for a, b in _symbol_monomials(chart, bound)
-        if _in_ideal(generators, a + b)), violations)
+    return Prop21Report(not violations, _ideal_monomials(chart, bound, standard), violations)
+
+
+def _ideal_monomials(chart: NCChart, bound: int, standard) -> tuple:
+    """Texts of the symbol monomials of degree 1 .. bound in the ideal whose
+    standard monomials `standard` yields in `_symbol_monomials` order (it
+    may go on past the bound; that part is not read).
+
+    Both walks are ordered alike, so the ideal's monomials are those of
+    `_symbol_monomials` that the next standard one does not equal.
+    """
+    ring = chart.ring
+    outside = iter(standard)
+    skip = next(outside, None)
+    found = []
+    for mono in _symbol_monomials(chart, bound):
+        if mono == skip:
+            skip = next(outside, None)
+        else:
+            found.append(format_monomial(ring, mono[0] + mono[1]))
+    return tuple(found)
 
 
 def _breaking_element(lattice: LogLattice, window: tuple, a: tuple, b: tuple):

@@ -326,10 +326,14 @@ def format_mpoly(p: MPoly, key=_grevlex_key) -> str:
     if p.is_zero():
         return "0"
     items = sorted(p.terms.items(), key=lambda kv: key(kv[0]), reverse=True)
-    return _join_terms((coeff > 0, _format_rat(abs(coeff)),
-                        "*".join(name if e == 1 else f"{name}^{e}"
-                                 for name, e in zip(p.vars, exps) if e))
+    return _join_terms((coeff > 0, _format_rat(abs(coeff)), format_monomial(p.vars, exps))
                        for exps, coeff in items)
+
+
+def format_monomial(names: Sequence[str], exps: Sequence[int]) -> str:
+    """The monomial part of a term as `format_mpoly` writes it: x*y^2 for
+    exponents (1, 2), '' for the monomial 1."""
+    return "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e])
 
 
 def _format_univar(var: str, coeffs: Sequence[int], divisor: int = 1) -> str:

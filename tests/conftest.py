@@ -30,17 +30,18 @@ import pytest
 
 import dreg.cli
 from dreg.dmod import ContradictionError, CurveModule, EquivalenceReport, _localize
-from dreg.ideals import (DEFAULT_BUDGET, DEGREVLEX, BudgetExceeded, TermOrder, _divides,
-                         leading_term, minimal_monomial_generators)
+from dreg.ideals import (DEFAULT_BUDGET, DEGREVLEX, BudgetExceeded, Ideal, TermOrder,
+                         _divides, leading_term, minimal_monomial_generators,
+                         radical_membership)
 from dreg.lattices import Laurent, PolarLattice
 from dreg.linalg import gauss_solve, mat_mul
 from dreg.operators import UnivarOperator
 from dreg.parser import MAX_POWER, ParseError
 from dreg.polelattice import (Prop21Report, _breaking_element, _in_ideal, _symbol_monomials,
                               _window, theta_XZ_ideal)
-from dreg.polynomials import (INF, MPoly, RatFun, _exact, _inverse, _make, as_rat,
-                              denominator_lcm, format_mpoly, monic_mpoly, split_content,
-                              univar_gcd)
+from dreg.polynomials import (INF, MPoly, RatFun, _exact, _format_rat, _grevlex_key,
+                              _inverse, _join_terms, _make, as_rat, denominator_lcm,
+                              format_mpoly, monic_mpoly, split_content, univar_gcd)
 from dreg.systems import ConnectionSystem
 from dreg.weyl import WeylElement, coordinate_names, deriv_names
 
@@ -1184,6 +1185,27 @@ def reference_pow(p: MPoly, k: int) -> MPoly:
     for _ in range(k):
         result = reference_mul(result, p)
     return result
+
+
+def reference_format_mpoly(p: MPoly, key=_grevlex_key) -> str:
+    """format_mpoly with the monomial text written inline, as it was before
+    the monomial helper: the oracle that both keep one spelling."""
+    if p.is_zero():
+        return "0"
+    items = sorted(p.terms.items(), key=lambda kv: key(kv[0]), reverse=True)
+    return _join_terms((coeff > 0, _format_rat(abs(coeff)),
+                        "*".join(name if e == 1 else f"{name}^{e}"
+                                 for name, e in zip(p.vars, exps) if e))
+                       for exps, coeff in items)
+
+
+def reference_covers(ideal: Ideal, comps: list, budget: int) -> bool:
+    """dmod._covers with every one-generator-per-component product built
+    before the first radical membership test."""
+    products = [MPoly.const(ideal.vars, 1)]
+    for comp in comps:
+        products = [p * g for p in products for g in comp.ideal.gens]
+    return all(radical_membership(p, ideal, budget) for p in products)
 
 
 def compose_univar(p: MPoly, inner: MPoly) -> MPoly:

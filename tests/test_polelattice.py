@@ -27,7 +27,7 @@ from dreg.weyl import WeylElement, characteristic_ideal, coordinate_names
 
 from conftest import (poly_degree, recorded_mismatches, reference_apply_derivation,
                       reference_bare_inclusion, reference_goodness_scan,
-                      reference_lattice_inclusion)
+                      reference_lattice_inclusion, spy)
 
 ALL_CHARTS = [(n, r) for n in (1, 2, 3) for r in range(1, n + 1)]
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -884,6 +884,32 @@ class TestPolelatticeCommand:
         capsys.readouterr()
         assert len(calls) == 1
         assert all(bound <= min(6, 4) for _chart, bound in calls)
+
+    def test_listing_merges_against_the_scan_walk(self, monkeypatch, capsys):
+        # a request walks the standard monomials once, in its scan; the
+        # listing reads that walk back, tests no monomial for membership and
+        # writes each text from its exponents, with no MPoly
+        walks = self.count(monkeypatch, "_outside_monomials")
+        tests = self.count(monkeypatch, "_in_ideal")
+        for n, r in ALL_CHARTS:
+            chart = NCChart(n, r)
+            for bound in range(8):
+                walks.clear()
+                assert dreg.cli.main(["polelattice", "--n", str(n), "--r", str(r),
+                                      "--bound", str(bound), "--format", "json"]) == 0
+                transcript = json.loads(capsys.readouterr().out)["transcripts"][1]
+                assert transcript["annihilating_monomials"] == \
+                    list(reference_bare_inclusion(chart, min(bound, 4)))
+                assert (len(walks), tests) == (1, [])
+        monomials = spy(monkeypatch, MPoly, "monomial")
+        for n, r in ALL_CHARTS:
+            chart = NCChart(n, r)
+            for bound in range(8):
+                scan = pole_filtration_annihilator(chart, bound)
+                monomials.clear()
+                listed = prop21_inclusion(scan, chart, min(bound, 4)).annihilating
+                assert monomials == []
+                assert listed == reference_bare_inclusion(chart, min(bound, 4))
 
     def test_one_window_per_forward_theorem(self, monkeypatch, capsys):
         # the check count and the inclusion scan read one window

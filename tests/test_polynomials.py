@@ -7,15 +7,18 @@ from hypothesis import given, settings, strategies as st
 
 import dreg.cli
 import dreg.polynomials
+from dreg.ideals import symbol_weight_order
 from dreg.polynomials import (INF, MPoly, Rat, RatFun, _mult_at, denominator_lcm,
-                              factor_rational, monic_mpoly, rational_roots, squarefree_part,
-                              univar_gcd)
+                              factor_rational, format_monomial, format_mpoly, monic_mpoly,
+                              rational_roots, squarefree_part, univar_gcd)
+from dreg.weyl import WeylElement
 
 from conftest import (evaluate_mpoly, evaluate_ratfun, from_coeffs, int_coeffs,
                       leading_univar_coeff, monic_gcd, monic_univar, random_fraction,
                       random_mpoly, random_ratfun, reference_mul, reference_pow,
                       ReferenceRatFun, reference_denominator_lcm, reference_ratfun,
-                      reference_factor_rational, reference_rational_roots,
+                      reference_factor_rational, reference_format_mpoly,
+                      reference_rational_roots,
                       reference_scale_var, reference_shift,
                       reference_taylor_shift_ratfun, reference_univar_gcd, scale_ratfun_var,
                       univar_coeffs, univar_divmod)
@@ -285,6 +288,43 @@ def single_terms(draw, nvars: int) -> MPoly:
     exps = draw(st.one_of(st.just((0,) * nvars), st.tuples(*[st.integers(0, 3)] * nvars)))
     coeff = draw(st.one_of(st.just(Fraction(1)), COEFFS.filter(bool)))
     return MPoly(VARS[:nvars], {exps: coeff})
+
+
+@st.composite
+def named_exponents(draw) -> tuple:
+    """1 to 6 distinct names and a nonzero exponent vector with entries 0 .. 15."""
+    names = draw(st.lists(st.from_regex(r"[a-z][a-z0-9]{0,2}", fullmatch=True),
+                          min_size=1, max_size=6, unique=True))
+    exps = draw(st.lists(st.integers(0, 15), min_size=len(names), max_size=len(names))
+                .filter(any))
+    return tuple(names), tuple(exps)
+
+
+@st.composite
+def weyl_elements(draw) -> WeylElement:
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * (2 * n))
+    return WeylElement(n, draw(st.dictionaries(exps, COEFFS, max_size=5)))
+
+
+class TestMonomialText:
+    """A monomial has one spelling: the helper's, inside format_mpoly too."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(named_exponents())
+    def test_helper_is_the_monomial_str(self, case):
+        names, exps = case
+        assert format_monomial(names, exps) == str(MPoly.monomial(names, exps))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 4).flatmap(polys))
+    def test_format_mpoly_unchanged(self, p):
+        assert str(p) == format_mpoly(p) == reference_format_mpoly(p)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(weyl_elements())
+    def test_weyl_text_unchanged(self, w):
+        assert str(w) == reference_format_mpoly(w, symbol_weight_order(len(w.vars)).key)
 
 
 class TestKernelShortcuts:

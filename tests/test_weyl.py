@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dreg.corpus
+import dreg.dmod
 import dreg.weyl
+from dreg.dmod import _covers, decompose_symbol_ideal
 from dreg.ideals import (Ideal, Packing, krull_dimension, leading_term, normal_form,
                          groebner_basis, symbol_weight_order)
 from dreg.parser import parse_weyl_generators
@@ -19,7 +21,7 @@ from dreg.weyl import (WeylElement, characteristic_ideal, coordinate_names, weyl
                        weyl_mul)
 
 from conftest import (apply_weyl, exact_coefficients, random_mpoly, random_weyl,
-                      recorded_mismatches, reference_weyl_mul)
+                      recorded_mismatches, reference_covers, reference_weyl_mul, spy)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -369,6 +371,65 @@ class TestWeylGroebner:
         gens = parse_weyl_generators(
             "x*dx*(x*dx + y*dy) - x*(x*dx + y*dy + 1)*(x*dx+1/2) ; dx*dy - 1", ("x", "y"))
         assert weyl_groebner(gens, budget=300) == [WeylElement.const(2, 1)]
+
+
+def covers_inputs(monkeypatch, systems) -> list:
+    """The (ideal, components, budget) of each coverage test that the
+    decomposition of these (generator text, variables) systems makes."""
+    calls = spy(monkeypatch, dreg.dmod, "_covers")
+    for text, variables in systems:
+        decompose_symbol_ideal(characteristic_ideal(parse_weyl_generators(text, variables)),
+                               len(variables))
+    return calls
+
+
+def pool_charvar_systems() -> list:
+    return [(request.argv[3], tuple(request.argv[2].split(",")))
+            for request in WORKLOADS.weyl(dreg.corpus).pool
+            if request.argv[0] == "charvar" and not request.exit_code]
+
+
+class TestCoverage:
+    # the exponential module and the dropped-candidate case of test_dmod.py
+    DMOD_SYSTEMS = [("y*dx - 1 ; y^2*dy + x", ("x", "y")), ("x ; dy", ("x", "y"))]
+
+    def test_lazy_products_match_the_eager_ones(self, monkeypatch):
+        inputs = covers_inputs(monkeypatch, pool_charvar_systems() + self.DMOD_SYSTEMS)
+        assert len(inputs) == 42
+        verdicts = [_covers(*args) for args in inputs]
+        assert verdicts == [reference_covers(*args) for args in inputs]
+        assert verdicts == [False] * 40 + [True, True]
+
+    def test_uncovered_ideal_builds_only_the_tested_product(self, monkeypatch):
+        # Appell F1: 4 components of 2 generators give 16 products; the
+        # first is outside the radical, as on every pool charvar request,
+        # and it is the only one built
+        [(ideal, comps, budget)] = covers_inputs(monkeypatch, pool_charvar_systems()[:1])
+        assert [len(comp.ideal.gens) for comp in comps] == [2, 2, 2, 2]
+        tested, built, testing = [], 0, False
+        member, mul = dreg.dmod.radical_membership, MPoly.__mul__
+
+        def counted_member(*args):
+            nonlocal testing
+            tested.append(args[0])
+            testing = True
+            try:
+                return member(*args)
+            finally:
+                testing = False
+
+        def counted_mul(self, other):
+            nonlocal built
+            built += not testing
+            return mul(self, other)
+
+        monkeypatch.setattr(dreg.dmod, "radical_membership", counted_member)
+        monkeypatch.setattr(MPoly, "__mul__", counted_mul)
+        assert not _covers(ideal, comps, budget)
+        # one product: the constant 1 times one generator of each component
+        assert (len(tested), built) == (1, len(comps))
+        assert tested[0] == comps[0].ideal.gens[0] * comps[1].ideal.gens[0] * \
+            comps[2].ideal.gens[0] * comps[3].ideal.gens[0]
 
 
 class TestRecordedReports:
