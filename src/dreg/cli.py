@@ -4,6 +4,10 @@ Exit codes: 0 analysis completed (whatever the verdict), 1 input error,
 2 resource budget exceeded, 3 internal contradiction between provably
 equivalent tests.  Reports are deterministic: identical inputs produce
 byte-identical JSON.
+
+A verb reaches the analyses as attributes of the package
+(`dreg.regularity.fuchs_regular_at`), which load on its first call, so
+building the parser loads no analysis module.
 """
 
 from __future__ import annotations
@@ -16,25 +20,10 @@ from itertools import islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
+import dreg
+
 from . import __version__
-from .corpus import CHART_FILES, OPERATOR_FILES, OPERATORS, SYSTEM_FILES
-from .dmod import (ContradictionError, ZeroModuleError, decompose_symbol_ideal,
-                   dimension_report, fuchs_kashiwara_equivalence,
-                   kashiwara_regular_at)
-from .ideals import (BudgetExceeded, DEFAULT_BUDGET,
-                     is_radical_squarefree_monomial)
-from .operators import UnivarOperator
-from .parser import (ParseError, format_operator, parse_operator,
-                     parse_polynomial, parse_ratfun, parse_weyl_generators)
-from .polelattice import (LogLattice, NCChart, goodness_scan,
-                          pole_filtration_annihilator, prop21_inclusion,
-                          theorem_backward_extraction,
-                          theorem_forward_filtration)
-from .regularity import (INFINITY, IRREGULAR, REGULAR, fuchs_regular_at,
-                         newton_polygon, regular_on_projective_line,
-                         theta_regular_at_zero)
-from .systems import ConnectionSystem, regular_system_report
-from .weyl import characteristic_ideal, coordinate_names
+from .errors import DEFAULT_BUDGET, BudgetExceeded, ContradictionError
 
 SCHEMA_VERSION = "dreg-report/1"
 
@@ -46,7 +35,7 @@ class InputError(ValueError):
 def parse_point(text: str):
     text = text.strip().lower()
     if text in ("inf", "infinity", "oo"):
-        return INFINITY
+        return dreg.regularity.INFINITY
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -86,8 +75,8 @@ def _read_source(args) -> str:
     raise InputError("provide an inline expression or --file")
 
 
-def _operator(args) -> UnivarOperator:
-    p = parse_operator(_read_source(args))
+def _operator(args) -> dreg.operators.UnivarOperator:
+    p = dreg.parser.parse_operator(_read_source(args))
     if p.is_zero():
         raise InputError("the zero operator has no analysis")
     return p
@@ -99,24 +88,24 @@ def _operator(args) -> UnivarOperator:
 def cmd_fuchs(args) -> dict:
     p = _operator(args)
     if args.point is None:
-        report = regular_on_projective_line(p)
-        return _report("fuchs", {"operator": format_operator(p)},
+        report = dreg.regularity.regular_on_projective_line(p)
+        return _report("fuchs", {"operator": dreg.parser.format_operator(p)},
                        [{"method": "fuchs", "point": "projective line",
                          "verdict": report.verdict}],
                        [e.to_dict() for e in report.points], [])
     point = parse_point(args.point)
-    cert = fuchs_regular_at(p, point)
+    cert = dreg.regularity.fuchs_regular_at(p, point)
     return _report("fuchs",
-                   {"operator": format_operator(p), "point": str(point)},
+                   {"operator": dreg.parser.format_operator(p), "point": str(point)},
                    [{"method": "fuchs", "point": str(point), "verdict": cert.verdict}],
                    [cert.to_dict()], [])
 
 
 def cmd_theta(args) -> dict:
     p = _operator(args)
-    ok, witness = theta_regular_at_zero(p)
-    verdict = REGULAR if ok else IRREGULAR
-    return _report("theta", {"operator": format_operator(p)},
+    ok, witness = dreg.regularity.theta_regular_at_zero(p)
+    verdict = dreg.regularity.REGULAR if ok else dreg.regularity.IRREGULAR
+    return _report("theta", {"operator": dreg.parser.format_operator(p)},
                    [{"method": "theta", "point": "0", "verdict": verdict}],
                    [{"theta_form": str(witness)}], [])
 
@@ -124,10 +113,11 @@ def cmd_theta(args) -> dict:
 def cmd_newton(args) -> dict:
     p = _operator(args)
     point = parse_point(args.point or "0")
-    np_ = newton_polygon(p, point)
-    verdict = REGULAR if list(np_.slopes) == [Fraction(0)] else IRREGULAR
+    np_ = dreg.regularity.newton_polygon(p, point)
+    regular = list(np_.slopes) == [Fraction(0)]
+    verdict = dreg.regularity.REGULAR if regular else dreg.regularity.IRREGULAR
     return _report("newton",
-                   {"operator": format_operator(p), "point": str(point)},
+                   {"operator": dreg.parser.format_operator(p), "point": str(point)},
                    [{"method": "newton", "point": str(point), "verdict": verdict}],
                    [np_.to_dict()], [])
 
@@ -135,10 +125,10 @@ def cmd_newton(args) -> dict:
 def cmd_kashiwara(args) -> dict:
     p = _operator(args)
     point = parse_point(args.point or "0")
-    cert = kashiwara_regular_at(p, point)
-    verdict = REGULAR if cert.regular else IRREGULAR
+    cert = dreg.dmod.kashiwara_regular_at(p, point)
+    verdict = dreg.regularity.REGULAR if cert.regular else dreg.regularity.IRREGULAR
     return _report("kashiwara",
-                   {"operator": format_operator(p), "point": str(point)},
+                   {"operator": dreg.parser.format_operator(p), "point": str(point)},
                    [{"method": "kashiwara", "point": str(point), "verdict": verdict}],
                    [cert.to_dict()], [])
 
@@ -146,10 +136,10 @@ def cmd_kashiwara(args) -> dict:
 def cmd_compare(args) -> dict:
     p = _operator(args)
     point = parse_point(args.point or "0")
-    rep = fuchs_kashiwara_equivalence(p, point)
+    rep = dreg.dmod.fuchs_kashiwara_equivalence(p, point)
     f, k = rep.verdicts
     report = _report(
-        "compare", {"operator": format_operator(p), "point": str(point)},
+        "compare", {"operator": dreg.parser.format_operator(p), "point": str(point)},
         [{"method": "fuchs", "point": str(point), "verdict": f},
          {"method": "kashiwara", "point": str(point), "verdict": k},
          {"method": "agreement", "point": str(point),
@@ -169,7 +159,7 @@ def _ring_vars(args) -> tuple:
 
 
 def _dimension_verdicts(ideal, n: int, budget: int) -> list:
-    dims = dimension_report(ideal, n, budget)
+    dims = dreg.dmod.dimension_report(ideal, n, budget)
     return [{"method": "dimension", "verdict": str(dims.dimension)},
             {"method": "holonomic", "verdict": str(dims.holonomic)},
             {"method": "bernstein", "verdict": str(dims.bernstein)}]
@@ -177,10 +167,10 @@ def _dimension_verdicts(ideal, n: int, budget: int) -> list:
 
 def cmd_charvar(args) -> dict:
     variables = _ring_vars(args)
-    gens = parse_weyl_generators(_read_source(args), variables)
+    gens = dreg.parser.parse_weyl_generators(_read_source(args), variables)
     n = len(variables)
-    ideal = characteristic_ideal(gens, budget=args.budget)
-    cv = decompose_symbol_ideal(ideal, n, budget=args.budget)
+    ideal = dreg.weyl.characteristic_ideal(gens, budget=args.budget)
+    cv = dreg.dmod.decompose_symbol_ideal(ideal, n, budget=args.budget)
     verdicts = ([{"method": "charvar", "verdict": f"{len(cv.components)} components"}]
                 + _dimension_verdicts(ideal, n, args.budget))
     return _report("charvar",
@@ -191,9 +181,9 @@ def cmd_charvar(args) -> dict:
 
 def cmd_holonomic(args) -> dict:
     variables = _ring_vars(args)
-    gens = parse_weyl_generators(_read_source(args), variables)
+    gens = dreg.parser.parse_weyl_generators(_read_source(args), variables)
     n = len(variables)
-    ideal = characteristic_ideal(gens, budget=args.budget)
+    ideal = dreg.weyl.characteristic_ideal(gens, budget=args.budget)
     return _report("holonomic",
                    {"generators": [str(g) for g in gens], "vars": list(variables)},
                    _dimension_verdicts(ideal, n, args.budget),
@@ -201,15 +191,16 @@ def cmd_holonomic(args) -> dict:
 
 
 def cmd_polelattice(args) -> dict:
-    chart = NCChart(args.n, args.r)
-    rep = pole_filtration_annihilator(chart, args.bound)
-    good, transcript = goodness_scan(chart, args.bound)
-    incl = prop21_inclusion(rep, chart, min(args.bound, 4))
+    pl = dreg.polelattice
+    chart = pl.NCChart(args.n, args.r)
+    rep = pl.pole_filtration_annihilator(chart, args.bound)
+    good, transcript = pl.goodness_scan(chart, args.bound)
+    incl = pl.prop21_inclusion(rep, chart, min(args.bound, 4))
     verdicts = [
         {"method": "annihilator", "verdict":
             "matches" if rep.matches_ideal else "mismatch"},
         {"method": "radical", "verdict":
-            str(is_radical_squarefree_monomial(rep.ideal))},
+            str(dreg.ideals.is_radical_squarefree_monomial(rep.ideal))},
         {"method": "goodness", "verdict": str(good)},
         {"method": "inclusion", "verdict": str(incl.holds)},
     ]
@@ -234,7 +225,7 @@ def _read_chart_file(path: str):
     n, r, rank = header["n"], header["r"], header["rank"]
     if rank < 1:
         raise InputError(f"chart rank must be at least 1, got {rank}")
-    coords = coordinate_names(n)
+    coords = dreg.weyl.coordinate_names(n)
     gammas = []
     for l in range(n):
         if idx >= len(lines) or lines[idx].split() != ["gamma", str(l + 1)]:
@@ -244,7 +235,7 @@ def _read_chart_file(path: str):
         for _ in range(rank):
             if idx >= len(lines):
                 raise InputError(f"chart file ended inside gamma block {l+1}")
-            entries = [parse_polynomial(cell, coords)
+            entries = [dreg.parser.parse_polynomial(cell, coords)
                        for cell in lines[idx].split(";")]
             if len(entries) != rank:
                 raise InputError(f"gamma row has {len(entries)} entries, expected {rank}")
@@ -253,23 +244,23 @@ def _read_chart_file(path: str):
         gammas.append(rows)
     if idx < len(lines):
         raise InputError(f"unexpected line after gamma block {n}: {lines[idx]!r}")
-    chart = NCChart(n, r)
-    return chart, LogLattice(chart, rank, gammas)
+    chart = dreg.polelattice.NCChart(n, r)
+    return chart, dreg.polelattice.LogLattice(chart, rank, gammas)
 
 
 def cmd_theorem(args) -> dict:
     if args.backward is not None:
-        p = parse_operator(args.backward)
-        rep = theorem_backward_extraction(p, args.pole_bound)
+        p = dreg.parser.parse_operator(args.backward)
+        rep = dreg.polelattice.theorem_backward_extraction(p, args.pole_bound)
         return _report("theorem",
-                       {"direction": "backward", "operator": format_operator(p),
+                       {"direction": "backward", "operator": dreg.parser.format_operator(p),
                         "pole_bound": args.pole_bound},
                        [{"method": "backward-extraction", "verdict": rep.verdict}],
                        [rep.to_dict()], [])
     if not args.file:
         raise InputError("theorem needs --file CHART or --backward EXPR")
     chart, lattice = _read_chart_file(args.file)
-    rep = theorem_forward_filtration(lattice, chart, args.bound)
+    rep = dreg.polelattice.theorem_forward_filtration(lattice, chart, args.bound)
     return _report("theorem",
                    {"direction": "forward", "file": args.file,
                     "n": chart.n, "r": chart.r, "rank": lattice.rank},
@@ -278,7 +269,7 @@ def cmd_theorem(args) -> dict:
                    [rep.to_dict()], [])
 
 
-def _read_system_file(path: str) -> ConnectionSystem:
+def _read_system_file(path: str) -> dreg.systems.ConnectionSystem:
     lines = [ln.strip() for ln in _read_lines(path)]
     head = lines[0].split() if lines else []
     if len(head) != 2 or head[0] != "rank" or not head[1].isdigit() or int(head[1]) < 1:
@@ -288,16 +279,16 @@ def _read_system_file(path: str) -> ConnectionSystem:
         raise InputError(f"expected {rank} matrix rows, found {len(lines) - 1}")
     matrix = []
     for ln in lines[1:]:
-        entries = [parse_ratfun(cell) for cell in ln.split(";")]
+        entries = [dreg.parser.parse_ratfun(cell) for cell in ln.split(";")]
         if len(entries) != rank:
             raise InputError(f"matrix row has {len(entries)} entries, expected {rank}")
         matrix.append(entries)
-    return ConnectionSystem(matrix)
+    return dreg.systems.ConnectionSystem(matrix)
 
 
 def cmd_system(args) -> dict:
     system = _read_system_file(args.file)
-    rep = regular_system_report(system, args.max_steps)
+    rep = dreg.systems.regular_system_report(system, args.max_steps)
     verdicts = [{"method": "system", "verdict": rep.verdict}]
     for pt in rep.points:
         verdicts.append({"method": "fuchs", "point": str(pt.point),
@@ -309,18 +300,19 @@ def cmd_system(args) -> dict:
 
 
 def cmd_corpus(args) -> dict:
+    corpus = dreg.corpus
     if args.emit:
         target = Path(args.emit)
         target.mkdir(parents=True, exist_ok=True)
-        for name, content in {**OPERATOR_FILES, **SYSTEM_FILES, **CHART_FILES}.items():
+        files = {**corpus.OPERATOR_FILES, **corpus.SYSTEM_FILES, **corpus.CHART_FILES}
+        for name, content in files.items():
             (target / name).write_text(content)
         return _report("corpus", {"emit": str(target)},
-                       [{"method": "corpus", "verdict":
-                         f"wrote {len(OPERATOR_FILES) + len(SYSTEM_FILES) + len(CHART_FILES)} files"}],
+                       [{"method": "corpus", "verdict": f"wrote {len(files)} files"}],
                        [], [])
     entries = [{"name": e.name, "expression": e.expression,
                 "description": e.description,
-                "expected": e.global_verdict} for e in OPERATORS]
+                "expected": e.global_verdict} for e in corpus.OPERATORS]
     return _report("corpus", {}, [{"method": "corpus",
                                    "verdict": f"{len(entries)} operators"}],
                    entries, [])
@@ -350,14 +342,10 @@ def render_json(report: dict) -> str:
 
 
 def _write_json(value, newline: str, out: list) -> None:
-    """Append the JSON text of value, nested at the indent `newline` ends in."""
-    if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif value is None or isinstance(value, bool):
-        out.append(_JSON_CONSTANTS[value])
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, dict):
+    """Append the JSON text of value, nested at the indent `newline` ends in.
+    A dict or list writes the str, int, bool and None values in it from
+    its own loop (`_SCALARS`), with no call of this function per leaf."""
+    if isinstance(value, dict):
         if not value:
             out.append("{}")
             return
@@ -366,10 +354,13 @@ def _write_json(value, newline: str, out: list) -> None:
         for key in sorted(value):
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(sep)
-            out.append(encode_basestring_ascii(key))
-            out.append(": ")
-            _write_json(value[key], inner, out)
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            item = value[key]
+            write = _SCALARS.get(type(item))
+            if write is None:
+                _write_json(item, inner, out)
+            else:
+                out.append(write(item))
             sep = "," + inner
         out.append(newline + "}")
     elif isinstance(value, (list, tuple)):
@@ -380,14 +371,27 @@ def _write_json(value, newline: str, out: list) -> None:
         sep = "[" + inner
         for item in value:
             out.append(sep)
-            _write_json(item, inner, out)
+            write = _SCALARS.get(type(item))
+            if write is None:
+                _write_json(item, inner, out)
+            else:
+                out.append(write(item))
             sep = "," + inner
         out.append(newline + "]")
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None or isinstance(value, bool):
+        out.append(_JSON_CONSTANTS[value])
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+# the writer of each scalar type, by exact type: a subclass takes the checks above
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
+            bool: _JSON_CONSTANTS.__getitem__, type(None): _JSON_CONSTANTS.__getitem__}
 
 
 @functools.cache
@@ -491,7 +495,7 @@ def main(argv=None) -> int:
     try:
         _check_bounds(args)
         report = args.fn(args)
-    except (ParseError, InputError, ZeroModuleError, ValueError) as exc:
+    except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except BudgetExceeded as exc:

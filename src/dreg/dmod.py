@@ -17,22 +17,15 @@ from itertools import product
 from operator import mul
 from typing import NamedTuple
 
-from .ideals import (DEFAULT_BUDGET, DEGREVLEX, LEX, Ideal, all_in_ideal,
-                     basis_dimension, groebner_basis, radical_membership)
+from .errors import DEFAULT_BUDGET
+from .ideals import (DEGREVLEX, LEX, Ideal, all_in_ideal, basis_dimension, groebner_basis,
+                     radical_membership)
 from .lattices import PolarLattice, laurent_rows, theta_terms
 from .operators import UnivarOperator, chart_infinity, to_theta_form
 from .polynomials import (INF, MPoly, RatFun, as_rat, factor_rational, monic_mpoly,
                           rational_roots, split_content)
 from .regularity import FuchsCertificate, INFINITY, IRREGULAR, REGULAR, fuchs_regular_at
 from .weyl import coordinate_names, symbol_names
-
-
-class ContradictionError(RuntimeError):
-    """Two provably equivalent tests disagreed; carries both certificates."""
-
-    def __init__(self, message: str, details=None):
-        super().__init__(message)
-        self.details = details
 
 
 class ZeroModuleError(ValueError):

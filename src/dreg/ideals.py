@@ -45,13 +45,8 @@ from fractions import Fraction
 from operator import le, mul, neg
 from typing import Iterable, Sequence
 
+from .errors import DEFAULT_BUDGET, BudgetExceeded
 from .polynomials import MPoly, _exact, _inverse, format_mpoly
-
-DEFAULT_BUDGET = 100_000
-
-
-class BudgetExceeded(RuntimeError):
-    """Raised when a computation exceeds its configured work budget."""
 
 
 class NotMonomialIdeal(ValueError):

@@ -18,8 +18,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
+import dreg  # dreg.weyl loads on first use, so the connection side never loads it
+
 from .polynomials import RatFun, denominator_lcm
-from .weyl import WeylElement
 
 
 class UnivarOperator:
@@ -184,19 +185,19 @@ class UnivarOperator:
 
     # -- conversions ----------------------------------------------------------------
 
-    def to_weyl(self) -> WeylElement:
+    def to_weyl(self) -> dreg.weyl.WeylElement:
         """The Weyl element c * P for c the monic lcm of the denominators of
         P's coefficients (`denominator_lcm`): P with its denominators
         cleared on the left."""
         if self.is_zero():
-            return WeylElement.zero(1)
+            return dreg.weyl.WeylElement.zero(1)
         cleared = denominator_lcm(self.coeffs)
         terms: dict[tuple, Fraction] = {}
         for i, c in enumerate(self.coeffs):
             for e, coeff in enumerate(c.clear(cleared)):
                 if coeff:
                     terms[(e, i)] = coeff
-        return WeylElement(1, terms)
+        return dreg.weyl.WeylElement(1, terms)
 
     def __str__(self) -> str:
         from .parser import format_operator

@@ -28,9 +28,10 @@ from __future__ import annotations
 
 import re
 
+import dreg  # dreg.weyl loads on first use, so the connection side never loads it
+
 from .operators import UnivarOperator
 from .polynomials import MPoly, RatFun, _inverse
-from .weyl import WeylElement, deriv_names
 
 
 MAX_POWER = 1000
@@ -258,7 +259,7 @@ class _WeylAlgebra:
             if _DERIV_RE.fullmatch(name):
                 raise ValueError(f"variable {name!r} is named like a derivation")
         derivs = {}
-        for i, name in enumerate(deriv_names(n)):
+        for i, name in enumerate(dreg.weyl.deriv_names(n)):
             derivs[name] = i
         for i, name in enumerate(self.vars):
             derivs.setdefault("d" + name, i)
@@ -271,13 +272,13 @@ class _WeylAlgebra:
         self.exponents.update((name, units[i]) for i, name in enumerate(self.vars))
         self.origin = (0,) * (2 * n)
 
-    def const(self, c: int) -> WeylElement:
-        return WeylElement._from_terms(self.n, {self.origin: c} if c else {})
+    def const(self, c: int) -> dreg.weyl.WeylElement:
+        return dreg.weyl.WeylElement._from_terms(self.n, {self.origin: c} if c else {})
 
-    def symbol(self, name: str, at: int) -> WeylElement:
+    def symbol(self, name: str, at: int) -> dreg.weyl.WeylElement:
         exps = self.exponents.get(name)
         if exps is not None:
-            return WeylElement._from_terms(self.n, {exps: 1})
+            return dreg.weyl.WeylElement._from_terms(self.n, {exps: 1})
         if _DERIV_RE.fullmatch(name) or re.fullmatch(r"[xyz][0-9]*", name):
             raise _Refused(f"{name!r} does not exist in the {self.n}-variable "
                            f"context {self.vars}", at)
@@ -307,7 +308,7 @@ def parse_operator(text: str, var: str = "x") -> UnivarOperator:
     return algebra.lift(_parse(text, algebra))
 
 
-def parse_weyl_generators(text: str, variables) -> list[WeylElement]:
+def parse_weyl_generators(text: str, variables) -> list[dreg.weyl.WeylElement]:
     """Parse ';'-separated generators of a left ideal in A_n."""
     return _parse(text, _WeylAlgebra(tuple(variables)), many=True)
 

@@ -466,23 +466,22 @@ def theorem_forward_filtration(lattice: LogLattice, chart: NCChart,
     ideal = theta_XZ_ideal(chart)
     window = _window(chart, twist + bound, bound)
     levels = sum(twist + bound + 1 - max(pole, twist) for pole, _alpha in window)
-    holds = next(_outside_annihilators(lattice, window, minimal_monomial_generators(ideal),
-                                       bound), None) is None
+    standard = tuple(_outside_monomials(minimal_monomial_generators(ideal), chart.n, bound))
+    holds = next(_outside_annihilators(lattice, window, standard), None) is None
     return ForwardReport(ideal, is_radical_squarefree_monomial(ideal),
                          chart.n * lattice.rank * levels, holds)
 
 
-def _outside_annihilators(lattice: LogLattice, window: tuple, generators: list,
-                          bound: int):
-    """Exponents (a, b) of the x^a d^b of degree <= bound outside the monomial
-    ideal of `generators` that annihilate the window, from the top degree
+def _outside_annihilators(lattice: LogLattice, window: tuple, standard: tuple):
+    """Exponents (a, b) of the x^a d^b in `standard`, a walk of
+    `_outside_monomials`, that annihilate the window, from the top degree
     down: the reverse of `_symbol_monomials` order.
 
     x^a' d^b failing on the window makes x^a d^b fail for every a <= a'
     (pole orders only rise as a falls), and a' comes before a, so a
     dominated a is not scanned."""
     failed: dict = {}
-    for a, b in reversed(tuple(_outside_monomials(generators, lattice.chart.n, bound))):
+    for a, b in reversed(standard):
         highs = failed.setdefault(b, [])
         if any(all(s <= t for s, t in zip(a, high)) for high in highs):
             continue
@@ -524,7 +523,7 @@ def prop21_inclusion(data, chart: NCChart, bound: int = 4) -> Prop21Report:
     takes one pole back.  Its image of x^alpha has pole order at most
     pole(alpha) + |b| - 1, so it annihilates the window.  Only the
     monomials outside the ideal are scanned, for the violations; the
-    listing merges against a walk of those same standard monomials.
+    listing merges against that same walk of the standard monomials.
     """
     ring = chart.ring
     if isinstance(data, UnivarOperator):
@@ -541,10 +540,9 @@ def prop21_inclusion(data, chart: NCChart, bound: int = 4) -> Prop21Report:
         if data.chart != chart:
             raise ValueError(f"lattice lives on chart {data.chart}, not on {chart}")
         generators = minimal_monomial_generators(theta_XZ_ideal(chart))
-        outside = _outside_annihilators(
-            data, _window(chart, chart.r + bound, bound), generators, bound)
+        standard = tuple(_outside_monomials(generators, chart.n, bound))
+        outside = _outside_annihilators(data, _window(chart, chart.r + bound, bound), standard)
         violations = tuple(format_monomial(ring, a + b) for a, b in reversed(tuple(outside)))
-        standard = _outside_monomials(generators, chart.n, bound)
     elif data is None or isinstance(data, AnnihilatorReport):
         report = pole_filtration_annihilator(chart, bound) if data is None else data
         if report.chart != chart:

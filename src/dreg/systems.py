@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dmod import ContradictionError
+from .errors import ContradictionError
 from .lattices import PolarLattice, laurent_rows, theta_terms
 from .linalg import gauss_solve
 from .operators import UnivarOperator

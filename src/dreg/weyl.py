@@ -23,7 +23,8 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from .ideals import DEFAULT_BUDGET, Ideal, _leibniz, buchberger_basis, symbol_weight_order
+from .errors import DEFAULT_BUDGET
+from .ideals import Ideal, _leibniz, buchberger_basis, symbol_weight_order
 from .polynomials import MPoly, _exact, as_rat, format_mpoly
 
 _COORD_NAMES = ("x", "y", "z")

@@ -29,7 +29,8 @@ from typing import Iterable, NamedTuple, Sequence
 import pytest
 
 import dreg.cli
-from dreg.dmod import ContradictionError, CurveModule, EquivalenceReport, _localize
+from dreg.dmod import CurveModule, EquivalenceReport, _localize
+from dreg.errors import ContradictionError
 from dreg.ideals import (DEFAULT_BUDGET, DEGREVLEX, BudgetExceeded, Ideal, TermOrder,
                          _divides, leading_term, minimal_monomial_generators,
                          radical_membership)

@@ -241,16 +241,16 @@ class TestExitCodes:
 
     def test_contradiction_exits_three(self, capsys, monkeypatch):
         # the bug trap: force a disagreeing report through the compare verb
-        import dreg.cli as cli_mod
+        from dreg import dmod
         from dreg.dmod import EquivalenceReport
 
-        real = cli_mod.fuchs_kashiwara_equivalence
+        real = dmod.fuchs_kashiwara_equivalence
 
         def broken(p, point=0):
             rep = real(p, point)
             return EquivalenceReport(rep.point, rep.fuchs, rep.kashiwara, False)
 
-        monkeypatch.setattr(cli_mod, "fuchs_kashiwara_equivalence", broken)
+        monkeypatch.setattr(dmod, "fuchs_kashiwara_equivalence", broken)
         code, _, err = run_cli(capsys, "compare", "x*d - 5", "--point", "0")
         assert code == 3 and "contradiction" in err
         # the disagreeing report follows, written like a --format json report
@@ -339,6 +339,18 @@ class TestRenderJson:
         report = {"nested": value, "": [], "e": {}}
         assert render_json(report) == json.dumps(report, sort_keys=True, indent=2)
         assert render_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_scalar_subclasses(self):
+        # the loops write scalars by exact type; a subclass takes the long way
+        class Text(str):
+            pass
+
+        class Count(int):
+            pass
+
+        for value in ({"a": [Text("é"), Count(-3), True, None], "b": (Count(7),)},
+                      [Text("x"), {"k": Text("")}], Count(5), Text("t")):
+            assert render_json(value) == json.dumps(value, sort_keys=True, indent=2)
 
     @pytest.mark.parametrize("value", [{"a": 1.5}, {"a": Fraction(1, 2)}, {1: "a"},
                                        [{"x": {None: 0}}], {"s": {1, 2}}])
@@ -449,3 +461,54 @@ class TestLargePoles:
             path.write_text("rank 2\n" + matrix.format(c=c))
             found.append(self.verdicts(capsys, ["system", "--file", str(path)], c))
         assert found[0] == found[1]
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def loaded_after(code: str) -> set[str]:
+    """The dreg modules a fresh interpreter holds after running code."""
+    probe = "\nimport sys\nprint(*sorted(m for m in sys.modules if m.startswith('dreg')))"
+    done = subprocess.run([sys.executable, "-c", code + probe], capture_output=True,
+                          text=True, timeout=60, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    return set(done.stdout.splitlines()[-1].split())
+
+
+class TestStartup:
+    """Starting the CLI loads no analysis module; a verb loads what it runs."""
+
+    STARTED = {"dreg", "dreg.cli", "dreg.errors"}
+
+    def test_parser_loads_no_analysis_module(self):
+        assert loaded_after("import dreg.cli\ndreg.cli.build_parser()") == self.STARTED
+
+    def test_version_loads_no_analysis_module(self):
+        assert loaded_after("import dreg.cli\ndreg.cli.main(['--version'])") == self.STARTED
+
+    @pytest.mark.parametrize("argv, unused", [
+        (["fuchs", "x*d - 1"], ("weyl", "ideals", "dmod", "lattices", "linalg",
+                                "polelattice", "systems", "corpus")),
+        (["system", "--file", str(CORPUS / "airy.sys")],
+         ("weyl", "ideals", "dmod", "polelattice", "corpus")),
+    ], ids=["fuchs", "system"])
+    def test_verb_loads_only_what_it_runs(self, argv, unused):
+        loaded = loaded_after(f"import dreg.cli\nassert dreg.cli.main({argv!r}) == 0")
+        assert "dreg.regularity" in loaded
+        assert not loaded & {f"dreg.{m}" for m in unused}
+
+    def test_every_traced_layer_is_a_package_attribute(self):
+        code = (f"import sys\nsys.path.insert(0, {str(PERFBENCH)!r})\n"
+                "from tracing import LAYERS\nimport dreg\n"
+                "for m in LAYERS:\n    assert getattr(dreg, m) is sys.modules['dreg.' + m]")
+        assert {"dreg.weyl", "dreg.polelattice"} <= loaded_after(code)
+
+    def test_reexports_are_the_defining_objects(self):
+        import dreg
+        from dreg import MPoly, weyl_mul
+        from dreg import ParseError as reexported
+
+        assert reexported is ParseError
+        assert MPoly is dreg.polynomials.MPoly and weyl_mul is dreg.weyl.weyl_mul
+        with pytest.raises(AttributeError, match="no_such_name"):
+            getattr(dreg, "no_such_name")

@@ -70,11 +70,13 @@ def test_finds_an_unused_import():
 
 def definitions(tree: ast.Module, module: str) -> dict[str, ast.AST]:
     """{module.name or module.Class.method: its node} for the top-level
-    functions and classes and their methods, dunder methods aside: the
-    language calls those."""
+    functions and classes and their methods, dunder functions and methods
+    aside: the language calls those (a module's `__getattr__`, PEP 562)."""
     out = {}
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        if isinstance(node, ast.ClassDef) or (
+                isinstance(node, ast.FunctionDef) and not (
+                    node.name.startswith("__") and node.name.endswith("__"))):
             out[f"{module}.{node.name}"] = node
         if isinstance(node, ast.ClassDef):
             for sub in node.body:
@@ -188,8 +190,12 @@ def test_finds_a_dead_definition():
                     "    def m(self):\n        pass\n\n    def idle(self):\n        pass\n",
                "b": "from a import C, used\nused()\nC().m()\n"}
     assert dead_definitions(sources) == ["a.C.idle", "a.unused"]
-    # a re-export by import counts as a use
+    # a re-export by import counts as a use, also inside a module's
+    # __getattr__, which the language calls, and in a helper it calls
     sources["__init__"] = "from .a import unused\n"
+    assert dead_definitions(sources) == ["a.C.idle"]
+    sources["__init__"] = ("def __getattr__(name):\n    return _exports()[name]\n\n"
+                           "def _exports():\n    from .a import unused\n    return locals()\n")
     assert dead_definitions(sources) == ["a.C.idle"]
     # a name read only in its own body does not count, and what only dead
     # definitions read is dead too

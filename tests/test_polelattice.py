@@ -311,7 +311,7 @@ class TestGoodness:
                     yield entry
             return ok, entries()
 
-        monkeypatch.setattr(dreg.cli, "goodness_scan", counted)
+        monkeypatch.setattr(dreg.polelattice, "goodness_scan", counted)
         assert dreg.cli.main(["polelattice", "--n", "3", "--r", "3", "--bound", "12",
                               "--format", "json"]) == 0
         printed = json.loads(capsys.readouterr().out)["transcripts"][0]["goodness"]
@@ -779,8 +779,9 @@ def forward_inclusion_matches_reference(lattice, bound):
     an integrable lattice, against the forward theorem's report."""
     chart = lattice.chart
     generators = minimal_monomial_generators(theta_XZ_ideal(chart))
+    standard = tuple(_outside_monomials(generators, chart.n, bound))
     found = next(_outside_annihilators(lattice, _window(chart, chart.r + bound, bound),
-                                       generators, bound), None)
+                                       standard), None)
     holds = found is None
     assert holds == reference_prop21(lattice, chart, bound)[0]
     if found is not None:
@@ -849,8 +850,7 @@ class TestPolelatticeCommand:
             scans += 1
             return scan(*args, **kwargs)
 
-        for module in (dreg.cli, dreg.polelattice):
-            monkeypatch.setattr(module, "pole_filtration_annihilator", counted)
+        monkeypatch.setattr(dreg.polelattice, "pole_filtration_annihilator", counted)
         for n, r in ALL_CHARTS:
             for bound in range(8):
                 scans = 0
@@ -910,6 +910,15 @@ class TestPolelatticeCommand:
                 listed = prop21_inclusion(scan, chart, min(bound, 4)).annihilating
                 assert monomials == []
                 assert listed == reference_bare_inclusion(chart, min(bound, 4))
+
+    def test_lattice_inclusion_walks_once(self, monkeypatch):
+        # the violation scan and the in-ideal listing read one walk of the
+        # standard monomials
+        chart, lattice = _read_chart_file(str(CORPUS / "plane_lattice.chart"))
+        walks = self.count(monkeypatch, "_outside_monomials")
+        report = prop21_inclusion(lattice, chart, 3)
+        assert len(walks) == 1
+        assert report.holds and report.annihilating == reference_bare_inclusion(chart, 3)
 
     def test_one_window_per_forward_theorem(self, monkeypatch, capsys):
         # the check count and the inclusion scan read one window

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dreg import regularity
-from dreg.dmod import ContradictionError
+from dreg.errors import ContradictionError
 from dreg.operators import UnivarOperator
 from dreg.parser import parse_operator
 from dreg.polynomials import MPoly, RatFun, as_rat, denominator_lcm
