@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 analysis completed (whatever the verdict), 1 input error,
-2 resource budget exceeded, 3 internal contradiction between provably
-equivalent tests.  Reports are deterministic: identical inputs produce
-byte-identical JSON.
+Exit codes: 0 analysis completed (whatever the verdict), 1 input error or
+a reader that closed stdout before the report was written (`dreg ... |
+head`), 2 resource budget exceeded, 3 internal contradiction between
+provably equivalent tests.  Reports are deterministic: identical inputs
+produce byte-identical JSON.
 
 A verb reaches the analyses as attributes of the package
 (`dreg.regularity.fuchs_regular_at`), which load on its first call, so
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from fractions import Fraction
 from itertools import islice
@@ -506,10 +508,16 @@ def main(argv=None) -> int:
         if exc.details:
             print(render_json(exc.details), file=sys.stderr)
         return 3
-    if args.format == "json":
-        print(render_json(report))
-    else:
-        print(render_text(report))
+    text = render_json(report) if args.format == "json" else render_text(report)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone (`dreg ... | head`); point stdout at devnull so
+        # that the flush at exit does not raise again
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -11,7 +11,6 @@ varieties, holonomicity and the Bernstein bound live here as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from itertools import product
 from operator import mul
@@ -21,11 +20,9 @@ from .errors import DEFAULT_BUDGET
 from .ideals import (DEGREVLEX, LEX, Ideal, all_in_ideal, basis_dimension, groebner_basis,
                      radical_membership)
 from .lattices import PolarLattice, laurent_rows, theta_terms
-from .operators import UnivarOperator, chart_infinity, to_theta_form
-from .polynomials import (INF, MPoly, RatFun, as_rat, factor_rational, monic_mpoly,
-                          rational_roots, split_content)
+from .operators import UnivarOperator, to_theta_form
+from .polynomials import INF, MPoly, RatFun, as_rat, rational_roots, split_content
 from .regularity import FuchsCertificate, INFINITY, IRREGULAR, REGULAR, fuchs_regular_at
-from .weyl import coordinate_names, symbol_names
 
 
 class ZeroModuleError(ValueError):
@@ -193,7 +190,7 @@ def _localize(p: UnivarOperator, point) -> UnivarOperator:
     if p.is_zero():
         raise ValueError("zero operator")
     if point is INFINITY:
-        return chart_infinity(p)
+        return p.at_infinity()
     return p.shift(as_rat(point))
 
 
@@ -248,45 +245,6 @@ class CharVariety:
 def _is_xi_homogeneous(g: MPoly, n: int) -> bool:
     degs = {sum(e[n:]) for e in g.terms}
     return len(degs) <= 1
-
-
-def characteristic_variety_univar(p: UnivarOperator) -> CharVariety:
-    """Ch(D/DP) = V(b_n(x) xi^n) with its fiber decomposition over Q."""
-    if p.is_zero():
-        raise ValueError("zero operator")
-    w = p.to_weyl()
-    n = p.order()
-    var = p.var
-    sym = symbol_names(1)[0] if var == "x" else f"xi_{var}"
-    ring = (var, sym)
-    # the cleared leading coefficient is the d^n part of the Weyl element
-    lead_poly = MPoly((var,), {(e,): c for (e, i), c in w.terms.items() if i == n})
-    symbol = lead_poly.extend(ring) * MPoly.monomial(ring, (0, n))
-    ideal = Ideal(ring, [symbol])
-    comps = [Component(ZERO_SECTION, f"V({sym})",
-                       Ideal(ring, [MPoly.var(ring, sym)]))]
-    roots, rest = (factor_rational(split_content(lead_poly)[1])
-                   if lead_poly.total_degree() > 0 else ([], ()))
-    for root in roots:
-        lin = MPoly.from_univar_coeffs(var, [-root, Fraction(1)]).extend(ring)
-        comps.append(Component(CONORMAL_POINT, f"V({lin})", Ideal(ring, [lin])))
-    if len(rest) > 1:
-        leftover = monic_mpoly(var, rest)
-        comps.append(Component(CONORMAL_POINT, f"V({leftover})",
-                               Ideal(ring, [leftover.extend(ring)])))
-    return CharVariety(ideal, tuple(comps), covered=True,
-                       conical=_is_xi_homogeneous(symbol, 1))
-
-
-def singular_points(p: UnivarOperator) -> list[MPoly]:
-    """Irreducible-over-Q factors under the fibers of Ch away from the zero
-    section."""
-    cv = characteristic_variety_univar(p)
-    out = []
-    for c in cv.components:
-        if c.kind == CONORMAL_POINT:
-            out.append(c.ideal.gens[0])
-    return out
 
 
 def _rational_zeros(polys: list[MPoly], variables: tuple,
@@ -456,16 +414,3 @@ def dimension_report(ideal: Ideal, n: int, budget: int = DEFAULT_BUDGET) -> Dime
         raise ZeroModuleError("unit ideal: the module is zero")
     dim = basis_dimension(ideal.vars, gb, ideal.basis_order or DEGREVLEX)
     return DimensionReport(dim, dim <= n, dim >= n)
-
-
-def trivial_filtration_annihilator(n: int, rank: int) -> Ideal:
-    """Graded annihilator of the stationary filtration on the trivial
-    rank-m connection: the ideal of all symbols (xi_1, ..., xi_n).
-
-    Each derivation kills the frame of the trivial connection, so F stays
-    put in every degree and the graded module lives in degree zero only.
-    """
-    if n < 1 or rank < 1:
-        raise ValueError("need n >= 1 and rank >= 1")
-    ring = coordinate_names(n) + symbol_names(n)
-    return Ideal(ring, [MPoly.var(ring, s) for s in symbol_names(n)])

@@ -24,8 +24,7 @@ unit-ideal tests (`is_unit_ideal`, `radical_membership`) only ask whether
 a nonzero constant entered the loop and stop there.  Arithmetic
 inside the driver is on integers: it keeps primitive integer multiples of
 its elements and divides by pseudo-division.  Rationals appear only at the
-boundary, in the monic reduced basis and in the exact remainder
-`normal_form` hands to an outside caller, and there in the normal form of
+boundary, in the monic reduced basis, and there in the normal form of
 `dreg.polynomials`: an int when integral, else a Fraction.  On top sit
 membership, radical membership via the extra-variable trick, and Krull
 dimension through independent variable sets modulo the initial ideal.  An
@@ -328,21 +327,6 @@ def _integral_basis(basis: Sequence, pk: Packing) -> tuple[list, list]:
     return basis, [max(g) for g in basis]
 
 
-def normal_form(f, basis: Sequence, order: TermOrder = DEGREVLEX):
-    """Full remainder of f on (left) division by the basis (every term
-    reduced): integer pseudo-division (`_pseudo_remainder`) on the packed
-    primitive integer multiples of f and the basis, with the remainder
-    divided once per term into exact rationals in normal form."""
-    if not basis or f.is_zero():
-        return f
-    pk = Packing(order, f)
-    basis, leads = _integral_basis(basis, pk)
-    ints, c = _integral(f.terms)
-    r, m = _pseudo_remainder(pk.pack(ints), basis, leads, pk)
-    c /= m
-    return pk.unpack({e: _exact(v * c) for e, v in r.items()})
-
-
 def all_in_ideal(fs: Iterable, gb: Sequence, order: TermOrder = DEGREVLEX) -> bool:
     """Whether every f lies in the ideal a Gröbner basis gb spans: each
     remainder is zero.  The basis is packed once for all of them."""
@@ -479,12 +463,6 @@ def _reduce_basis(basis: list, leads: list, pk: Packing) -> list:
     return [r for _, r in sorted(reduced, key=lambda kr: kr[0])]
 
 
-def buchberger(ideal: Ideal, order: TermOrder = DEGREVLEX,
-               budget: int = DEFAULT_BUDGET) -> Ideal:
-    """Same ideal, regenerated by its reduced Gröbner basis."""
-    return Ideal(ideal.vars, groebner_basis(ideal, order, budget))
-
-
 def is_unit_ideal(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> bool:
     """Whether 1 lies in the ideal: whether a nonzero constant enters the
     DEGREVLEX S-pair loop, with no interreduction after it."""
@@ -492,19 +470,13 @@ def is_unit_ideal(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> bool:
     return _is_unit(buchberger_loop(ideal.gens, pk, budget)[1])
 
 
-def krull_dimension(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> int:
-    """Dimension of V(I) as the largest independent variable set mod in(I).
-
-    A variable subset S is independent when no leading monomial of the
-    Gröbner basis is supported inside S.  The unit ideal cuts out the empty
-    set and is reported as dimension -1 by convention.
-    """
-    return basis_dimension(ideal.vars, groebner_basis(ideal, DEGREVLEX, budget))
-
-
 def basis_dimension(variables: Sequence[str], gb: Sequence[MPoly],
                     order: TermOrder = DEGREVLEX) -> int:
-    """Krull dimension of the ideal a Gröbner basis under `order` spans.
+    """Krull dimension of the ideal a Gröbner basis under `order` spans:
+    the size of the largest variable set S independent mod in(I), that is,
+    with no leading monomial of the basis supported inside S.  The unit
+    ideal cuts out the empty set and is reported as dimension -1 by
+    convention.
 
     I and in(I) have the same dimension under every term order, so the
     leading monomials of any basis give it.

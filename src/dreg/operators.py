@@ -2,13 +2,12 @@
 
 An operator P = sum b_i(x) d^i supports exact noncommutative products via
 the Leibniz rule, monic normalization over Q(x), translation and
-infinity-chart changes, and the two-way conversion with Euler form
+infinity-chart changes, and the conversion to Euler form
 
     x^n P = sum a_i(x) theta^i,   theta = x d,
 
-computed through signed Stirling numbers of the first kind (and inverted
-with the second kind).  The chart at infinity expands the powers of
--t^2 d_t with Lah numbers.
+computed through signed Stirling numbers of the first kind.  The chart at
+infinity expands the powers of -t^2 d_t with Lah numbers.
 """
 
 from __future__ import annotations
@@ -18,9 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-import dreg  # dreg.weyl loads on first use, so the connection side never loads it
-
-from .polynomials import RatFun, denominator_lcm
+from .polynomials import RatFun
 
 
 class UnivarOperator:
@@ -162,11 +159,9 @@ class UnivarOperator:
         return UnivarOperator(self.var, [b.shift(c) for b in self.coeffs])
 
     def at_infinity(self, new_var: str = "t") -> "UnivarOperator":
-        """Image under x = 1/t, d_x = -t^2 d_t.
-
-        Coefficients stay rational functions; denominators are cleared only
-        in the Weyl-element conversion, `to_weyl`.
-        """
+        """Image under x = 1/t, d_x = -t^2 d_t: the operator in the
+        coordinate t = 1/x at infinity.  Coefficients stay rational
+        functions."""
         if new_var == self.var:
             new_var = "t" if self.var != "t" else "s"
         n = self.order()
@@ -182,22 +177,6 @@ class UnivarOperator:
             for k in range(1, i + 1):
                 out[k] = out[k] + f * (t ** (i + k) * ((-1) ** i * lah(i, k)))
         return UnivarOperator(new_var, out)
-
-    # -- conversions ----------------------------------------------------------------
-
-    def to_weyl(self) -> dreg.weyl.WeylElement:
-        """The Weyl element c * P for c the monic lcm of the denominators of
-        P's coefficients (`denominator_lcm`): P with its denominators
-        cleared on the left."""
-        if self.is_zero():
-            return dreg.weyl.WeylElement.zero(1)
-        cleared = denominator_lcm(self.coeffs)
-        terms: dict[tuple, Fraction] = {}
-        for i, c in enumerate(self.coeffs):
-            for e, coeff in enumerate(c.clear(cleared)):
-                if coeff:
-                    terms[(e, i)] = coeff
-        return dreg.weyl.WeylElement(1, terms)
 
     def __str__(self) -> str:
         from .parser import format_operator
@@ -264,16 +243,6 @@ def stirling_first_signed(n: int, k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def stirling_second(n: int, k: int) -> int:
-    """Stirling numbers of the second kind: theta^n = sum S(n,k) x^k d^k."""
-    if n == k == 0:
-        return 1
-    if n == 0 or k == 0 or k > n:
-        return 0
-    return stirling_second(n - 1, k - 1) + k * stirling_second(n - 1, k)
-
-
-@lru_cache(maxsize=None)
 def lah(n: int, k: int) -> int:
     """Unsigned Lah numbers: (t^2 d)^n = sum_k L(n,k) t^(n+k) d^k."""
     if n == k == 0:
@@ -301,27 +270,3 @@ def to_theta_form(p: UnivarOperator) -> ThetaOperator:
             if s:
                 out[i] = out[i] + scaled * s
     return ThetaOperator(var, out)
-
-
-def from_theta_form(t: ThetaOperator) -> UnivarOperator:
-    """Inverse conversion: collapse theta powers back to x^k d^k."""
-    if not t.coeffs:
-        return UnivarOperator.zero(t.var)
-    n = t.order()
-    var = t.var
-    x = RatFun.x(var)
-    out = [RatFun.zero(var) for _ in range(n + 1)]
-    for i in range(n + 1):
-        a = t.coeff(i)
-        if a.is_zero():
-            continue
-        for k in range(i + 1):
-            s = stirling_second(i, k)
-            if s:
-                out[k] = out[k] + a * s * x ** k
-    return UnivarOperator(var, out)
-
-
-def chart_infinity(p: UnivarOperator, new_var: str = "t") -> UnivarOperator:
-    """Operator in the coordinate t = 1/x at infinity."""
-    return p.at_infinity(new_var)

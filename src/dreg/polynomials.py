@@ -822,12 +822,6 @@ class RatFun:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def clear(self, multiple) -> list:
-        """The dense coefficients of f times the monic form of `multiple`, an
-        integer polynomial that the denominator divides."""
-        s = _ratio(self.scale, multiple[-1])
-        return [_exact(s * c) for c in _mul(self.numer, _exquo(multiple, self.denom))]
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other) -> "RatFun":

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .operators import ThetaOperator, UnivarOperator, chart_infinity, to_theta_form
+from .operators import ThetaOperator, UnivarOperator, to_theta_form
 from .polynomials import INF, denominator_lcm, factor_rational, monic_mpoly
 
 
@@ -81,7 +81,7 @@ def _monic_orders(p: UnivarOperator, point) -> list:
         raise ValueError("zero operator")
     coeffs = p.coeffs
     if point is INFINITY:
-        coeffs, point = chart_infinity(p).coeffs, 0
+        coeffs, point = p.at_infinity().coeffs, 0
     top = coeffs[-1].ord_at(point)
     return [c.ord_at(point) - top for c in coeffs]
 

@@ -9,8 +9,11 @@ Fraction form of the log lattice's integer derivation images, the
 bare-chart inclusion as a direct enumeration, the certificate scans that
 the closed forms are checked against, the Fraction Buchberger
 driver and general Weyl product that the integer driver and the
-table-driven product are checked against, the replay of recorded
-benchmark reports, and small helpers only tests call."""
+table-driven product are checked against, the oracles no verb reaches
+(the packed normal form, Krull dimension, the inverse theta conversion, the
+Weyl element of an operator, the univariate characteristic variety and the
+trivial filtration's annihilator), the replay of recorded benchmark
+reports, and small helpers only tests call."""
 
 from __future__ import annotations
 
@@ -22,6 +25,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from functools import lru_cache
 from operator import add, sub
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -29,22 +33,25 @@ from typing import Iterable, NamedTuple, Sequence
 import pytest
 
 import dreg.cli
-from dreg.dmod import CurveModule, EquivalenceReport, _localize
+from dreg.dmod import (CONORMAL_POINT, ZERO_SECTION, CharVariety, Component, CurveModule,
+                       EquivalenceReport, _is_xi_homogeneous, _localize)
 from dreg.errors import ContradictionError
-from dreg.ideals import (DEFAULT_BUDGET, DEGREVLEX, BudgetExceeded, Ideal, TermOrder,
-                         _divides, leading_term, minimal_monomial_generators,
-                         radical_membership)
+from dreg.ideals import (DEFAULT_BUDGET, DEGREVLEX, BudgetExceeded, Ideal, Packing, TermOrder,
+                         _divides, _integral, _integral_basis, _pseudo_remainder,
+                         basis_dimension, groebner_basis, leading_term,
+                         minimal_monomial_generators, radical_membership)
 from dreg.lattices import Laurent, PolarLattice
 from dreg.linalg import gauss_solve, mat_mul
-from dreg.operators import UnivarOperator
+from dreg.operators import ThetaOperator, UnivarOperator
 from dreg.parser import MAX_POWER, ParseError
 from dreg.polelattice import (Prop21Report, _breaking_element, _in_ideal, _symbol_monomials,
                               _window, theta_XZ_ideal)
-from dreg.polynomials import (INF, MPoly, RatFun, _exact, _format_rat, _grevlex_key,
-                              _inverse, _join_terms, _make, as_rat, denominator_lcm,
-                              format_mpoly, monic_mpoly, split_content, univar_gcd)
+from dreg.polynomials import (INF, MPoly, RatFun, _exact, _exquo, _format_rat, _grevlex_key,
+                              _inverse, _join_terms, _make, _mul, _ratio, as_rat,
+                              denominator_lcm, factor_rational, format_mpoly, monic_mpoly,
+                              split_content, univar_gcd)
 from dreg.systems import ConnectionSystem
-from dreg.weyl import WeylElement, coordinate_names, deriv_names
+from dreg.weyl import WeylElement, coordinate_names, deriv_names, symbol_names
 
 
 def is_exact(c) -> bool:
@@ -1613,6 +1620,122 @@ def reference_lattice_inclusion(lattice, chart, bound: int = 4) -> Prop21Report:
         mono = str(MPoly.monomial(chart.ring, a + b))
         (found if _in_ideal(generators, a + b) else violations).append(mono)
     return Prop21Report(not violations, tuple(found), tuple(violations))
+
+
+# -- the oracles the library no longer holds ------------------------------------
+# Functions that no verb reaches, moved out of the library as they ran there:
+# the packed normal form that `_pseudo_remainder` is checked through, Krull
+# dimension from a fresh basis, the inverse of the theta conversion, the Weyl
+# element of an operator, the univariate characteristic variety and the
+# annihilator of the trivial filtration.
+
+
+def normal_form(f, basis: Sequence, order: TermOrder = DEGREVLEX):
+    """Full remainder of f on (left) division by the basis (every term
+    reduced): integer pseudo-division (`_pseudo_remainder`) on the packed
+    primitive integer multiples of f and the basis, with the remainder
+    divided once per term into exact rationals in normal form."""
+    if not basis or f.is_zero():
+        return f
+    pk = Packing(order, f)
+    basis, leads = _integral_basis(basis, pk)
+    ints, c = _integral(f.terms)
+    r, m = _pseudo_remainder(pk.pack(ints), basis, leads, pk)
+    c /= m
+    return pk.unpack({e: _exact(v * c) for e, v in r.items()})
+
+
+def krull_dimension(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> int:
+    """Dimension of V(I) from its DEGREVLEX reduced basis; -1 for the unit
+    ideal."""
+    return basis_dimension(ideal.vars, groebner_basis(ideal, DEGREVLEX, budget))
+
+
+@lru_cache(maxsize=None)
+def stirling_second(n: int, k: int) -> int:
+    """Stirling numbers of the second kind: theta^n = sum S(n,k) x^k d^k."""
+    if n == k == 0:
+        return 1
+    if n == 0 or k == 0 or k > n:
+        return 0
+    return stirling_second(n - 1, k - 1) + k * stirling_second(n - 1, k)
+
+
+def from_theta_form(t: ThetaOperator) -> UnivarOperator:
+    """Inverse of `to_theta_form`: collapse theta powers back to x^k d^k."""
+    if not t.coeffs:
+        return UnivarOperator.zero(t.var)
+    n = t.order()
+    var = t.var
+    x = RatFun.x(var)
+    out = [RatFun.zero(var) for _ in range(n + 1)]
+    for i in range(n + 1):
+        a = t.coeff(i)
+        if a.is_zero():
+            continue
+        for k in range(i + 1):
+            s = stirling_second(i, k)
+            if s:
+                out[k] = out[k] + a * s * x ** k
+    return UnivarOperator(var, out)
+
+
+def to_weyl(p: UnivarOperator) -> WeylElement:
+    """The Weyl element c * P for c the monic lcm of the denominators of
+    P's coefficients (`denominator_lcm`): P with its denominators cleared
+    on the left."""
+    if p.is_zero():
+        return WeylElement.zero(1)
+    cleared = denominator_lcm(p.coeffs)
+    terms: dict[tuple, Fraction] = {}
+    for i, c in enumerate(p.coeffs):
+        scale = _ratio(c.scale, cleared[-1])
+        for e, v in enumerate(_mul(c.numer, _exquo(cleared, c.denom))):
+            coeff = _exact(scale * v)
+            if coeff:
+                terms[(e, i)] = coeff
+    return WeylElement(1, terms)
+
+
+def characteristic_variety_univar(p: UnivarOperator) -> CharVariety:
+    """Ch(D/DP) = V(b_n(x) xi^n) with its fiber decomposition over Q."""
+    if p.is_zero():
+        raise ValueError("zero operator")
+    w = to_weyl(p)
+    n = p.order()
+    var = p.var
+    sym = symbol_names(1)[0] if var == "x" else f"xi_{var}"
+    ring = (var, sym)
+    # the cleared leading coefficient is the d^n part of the Weyl element
+    lead_poly = MPoly((var,), {(e,): c for (e, i), c in w.terms.items() if i == n})
+    symbol = lead_poly.extend(ring) * MPoly.monomial(ring, (0, n))
+    ideal = Ideal(ring, [symbol])
+    comps = [Component(ZERO_SECTION, f"V({sym})",
+                       Ideal(ring, [MPoly.var(ring, sym)]))]
+    roots, rest = (factor_rational(split_content(lead_poly)[1])
+                   if lead_poly.total_degree() > 0 else ([], ()))
+    for root in roots:
+        lin = MPoly.from_univar_coeffs(var, [-root, Fraction(1)]).extend(ring)
+        comps.append(Component(CONORMAL_POINT, f"V({lin})", Ideal(ring, [lin])))
+    if len(rest) > 1:
+        leftover = monic_mpoly(var, rest)
+        comps.append(Component(CONORMAL_POINT, f"V({leftover})",
+                               Ideal(ring, [leftover.extend(ring)])))
+    return CharVariety(ideal, tuple(comps), covered=True,
+                       conical=_is_xi_homogeneous(symbol, 1))
+
+
+def trivial_filtration_annihilator(n: int, rank: int) -> Ideal:
+    """Graded annihilator of the stationary filtration on the trivial
+    rank-m connection: the ideal of all symbols (xi_1, ..., xi_n).
+
+    Each derivation kills the frame of the trivial connection, so F stays
+    put in every degree and the graded module lives in degree zero only.
+    """
+    if n < 1 or rank < 1:
+        raise ValueError("need n >= 1 and rank >= 1")
+    ring = coordinate_names(n) + symbol_names(n)
+    return Ideal(ring, [MPoly.var(ring, s) for s in symbol_names(n)])
 
 
 # -- the Fraction Buchberger driver -----------------------------------------------

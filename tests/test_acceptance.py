@@ -8,12 +8,10 @@ from fractions import Fraction
 
 from dreg.cli import main
 from dreg.corpus import OPERATORS
-from dreg.dmod import (characteristic_variety_univar, decompose_symbol_ideal,
-                       dimension_report, fuchs_kashiwara_equivalence,
-                       trivial_filtration_annihilator,
+from dreg.dmod import (decompose_symbol_ideal, dimension_report, fuchs_kashiwara_equivalence,
                        verify_components_both_ways, CONORMAL_DIVISOR,
                        CONORMAL_POINT, ZERO_SECTION)
-from dreg.ideals import Ideal, is_radical_squarefree_monomial, krull_dimension
+from dreg.ideals import Ideal, is_radical_squarefree_monomial
 from dreg.parser import format_operator, parse_operator, parse_weyl_generators
 from dreg.polelattice import (LogLattice, NCChart, goodness_scan,
                               pole_filtration_annihilator, prop21_inclusion,
@@ -25,8 +23,9 @@ from dreg.systems import (ConnectionSystem, EXCEEDED_BOUND, regular_system_repor
 from dreg.weyl import (WeylElement, characteristic_ideal, coordinate_names,
                        weyl_mul)
 
-from conftest import (apply_weyl, polar_contains, polar_generators, random_mpoly,
-                      random_operator, random_weyl)
+from conftest import (apply_weyl, characteristic_variety_univar, krull_dimension, polar_contains,
+                      polar_generators, random_mpoly, random_operator, random_weyl,
+                      trivial_filtration_annihilator)
 
 
 def report(num, detail):

@@ -25,7 +25,7 @@ from dreg.polynomials import MPoly, RatFun, denominator_lcm, factor_rational
 from dreg.systems import CyclicVectorError, cyclic_vector, saturate_lattice
 
 from conftest import (exact_coefficients, is_exact, monic_univar, polar_extended, polar_part,
-                      univar_divmod)
+                      to_weyl, univar_divmod)
 
 ATOMS = st.sampled_from(["x", "1", "2", "3", "6", "x^2", "(x - 1)", "(2*x + 3)",
                          "(x^2 + 1)", "(3*x - 2)"])
@@ -71,7 +71,7 @@ class TestNormalFormByType:
         assert all(ratfun_exact(a) for a in to_theta_form(p).coeffs)
         assert operator_exact(p.at_infinity())
         assert operator_exact(p.shift(c))
-        assert exact_coefficients([p.to_weyl()])
+        assert exact_coefficients([to_weyl(p)])
         assert all(map(is_exact, denominator_lcm(p.coeffs)))
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -5,24 +5,23 @@ import pytest
 
 from dreg import dmod, polynomials
 from dreg.corpus import OPERATORS
-from dreg.dmod import (CurveModule, ZeroModuleError,
-                       characteristic_variety_univar, decompose_symbol_ideal, dimension_report,
+from dreg.dmod import (CurveModule, ZeroModuleError, decompose_symbol_ideal, dimension_report,
                        fuchs_kashiwara_equivalence, kashiwara_regular_at,
                        kashiwara_regular_at_zero,
-                       singular_points,
-                       trivial_filtration_annihilator,
                        verify_components_both_ways, CONORMAL_DIVISOR,
                        CONORMAL_POINT, ZERO_SECTION)
-from dreg.ideals import Ideal, krull_dimension, radical_membership
+from dreg.ideals import Ideal, radical_membership
 from dreg.parser import parse_operator, parse_weyl_generators
 from dreg.polynomials import MPoly
 from dreg.regularity import INFINITY, IRREGULAR, REGULAR
 from dreg.weyl import WeylElement, characteristic_ideal, symbol_names
 
-from conftest import (degree_in, frame, polar_contains, polar_generators, random_operator,
+from conftest import (characteristic_variety_univar, degree_in, frame, krull_dimension,
+                      polar_contains, polar_generators, random_operator,
                       random_operator_with_poles, random_point,
                       reference_annihilator_monomials, reference_check_good_filtration,
-                      reference_filtration, require_agreement, scale_operator_var)
+                      reference_filtration, require_agreement, scale_operator_var,
+                      trivial_filtration_annihilator)
 
 
 def op(text):
@@ -250,13 +249,13 @@ class TestCharVarietyUnivar:
     def test_airy_zero_section_only(self):
         cv = characteristic_variety_univar(op("d^2 - x"))
         assert [c.kind for c in cv.components] == [ZERO_SECTION]
-        assert singular_points(op("d^2 - x")) == []
+        assert [c.ideal.gens[0] for c in cv.components if c.kind == CONORMAL_POINT] == []
 
     def test_euler(self):
         cv = characteristic_variety_univar(op("x*d - 5"))
         kinds = [c.kind for c in cv.components]
         assert kinds == [ZERO_SECTION, CONORMAL_POINT]
-        pts = singular_points(op("x*d - 5"))
+        pts = [c.ideal.gens[0] for c in cv.components if c.kind == CONORMAL_POINT]
         assert len(pts) == 1 and degree_in(pts[0], "x") == 1
 
     def test_hypergeometric_fibers(self):

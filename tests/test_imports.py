@@ -1,9 +1,7 @@
 """Every name a module of dreg or a test file imports is used in that
 file, and every function, class and method dreg defines is used somewhere
-in src/.
-
-`__init__.py` is left out of the import check: it imports names to
-re-export them, and a re-exported definition counts as used.
+in src/.  An import is not a use: a definition that is only imported
+somewhere, `__init__.py` included, is dead.
 """
 
 import ast
@@ -13,7 +11,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "dreg"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 TEST_FILES = sorted(TESTS.glob("*.py"))
 
 # definitions with no caller in src/ that stay, each with its reason
@@ -115,14 +113,11 @@ def local_bindings(scope: ast.AST) -> set[str]:
 
 
 def referenced_names(node: ast.AST, shadowed: set[str]) -> set[str]:
-    """Names one node reads, less those a local binding shadows, the
-    attribute it takes and the names it imports (which is how __init__.py
-    re-exports)."""
+    """Names one node reads, less those a local binding shadows, and the
+    attribute it takes.  An import binds a name and reads none."""
     out = read_names(node) - shadowed
     if isinstance(node, ast.Attribute):
         out.add(node.attr)
-    if isinstance(node, (ast.Import, ast.ImportFrom)):
-        out |= set(imported_names(ast.Module([node], [])))
     return out
 
 
@@ -190,12 +185,15 @@ def test_finds_a_dead_definition():
                     "    def m(self):\n        pass\n\n    def idle(self):\n        pass\n",
                "b": "from a import C, used\nused()\nC().m()\n"}
     assert dead_definitions(sources) == ["a.C.idle", "a.unused"]
-    # a re-export by import counts as a use, also inside a module's
-    # __getattr__, which the language calls, and in a helper it calls
+    # an import is no use: not a re-export from __init__, nor one inside a
+    # module's __getattr__, which the language calls, or a helper it calls
     sources["__init__"] = "from .a import unused\n"
-    assert dead_definitions(sources) == ["a.C.idle"]
+    assert dead_definitions(sources) == ["a.C.idle", "a.unused"]
     sources["__init__"] = ("def __getattr__(name):\n    return _exports()[name]\n\n"
                            "def _exports():\n    from .a import unused\n    return locals()\n")
+    assert dead_definitions(sources) == ["a.C.idle", "a.unused"]
+    # an import followed by a call is: the call reads the name
+    sources["__init__"] = "from .a import unused\nunused()\n"
     assert dead_definitions(sources) == ["a.C.idle"]
     # a name read only in its own body does not count, and what only dead
     # definitions read is dead too

@@ -3,13 +3,14 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from dreg.operators import (ThetaOperator, UnivarOperator, chart_infinity, from_theta_form,
-                            lah, stirling_first_signed, stirling_second, to_theta_form)
+from dreg.operators import (ThetaOperator, UnivarOperator, lah, stirling_first_signed,
+                            to_theta_form)
 from dreg.polynomials import MPoly, RatFun, denominator_lcm
 from dreg.weyl import WeylElement
 
-from conftest import (apply_operator, is_monic, random_operator, random_operator_with_poles,
-                      random_point, random_ratfun_with_poles, reference_at_infinity)
+from conftest import (apply_operator, from_theta_form, is_monic, random_operator,
+                      random_operator_with_poles, random_point, random_ratfun_with_poles,
+                      reference_at_infinity, stirling_second, to_weyl)
 
 
 def x():
@@ -114,17 +115,17 @@ class TestCharts:
 
     def test_infinity_examples(self):
         # d -> -t^2 d_t
-        q = chart_infinity(D())
+        q = D().at_infinity()
         t = RatFun.x("t")
         assert q.coeff(1) == -(t ** 2)
         # x d -> -t d_t
         euler = UnivarOperator("x", [RatFun.zero("x"), x()])
-        q2 = chart_infinity(euler)
+        q2 = euler.at_infinity()
         assert q2.coeff(1) == -t
         assert q2.coeff(0).is_zero()
         # airy: t^4 d^2 + 2 t^3 d - 1/t
         airy = UnivarOperator.from_entries("x", [-x(), 0, 1])
-        q3 = chart_infinity(airy)
+        q3 = airy.at_infinity()
         assert q3.coeff(2) == t ** 4
         assert q3.coeff(1) == 2 * t ** 3
         assert q3.coeff(0) == -1 / t
@@ -133,14 +134,14 @@ class TestCharts:
         rng = random.Random(67)
         for _ in range(25):
             p = random_operator(rng, order=2, degree=2, pole=2)
-            twice = chart_infinity(chart_infinity(p), "x")
+            twice = p.at_infinity().at_infinity("x")
             assert twice.monic() == p.monic()
 
     def test_order_and_symbol_at_infinity(self):
         airy = UnivarOperator.from_entries("x", [-x(), 0, 1])
-        q = chart_infinity(airy)
+        q = airy.at_infinity()
         assert q.order() == airy.order()
-        assert q.to_weyl().order() == 2
+        assert to_weyl(q).order() == 2
         assert denominator_lcm(q.coeffs) == (0, 1)
 
 
@@ -169,7 +170,7 @@ class TestOperatorAlgebra:
         p = UnivarOperator.from_entries("x", [RatFun.const("x", 1) / x(), 1])
         assert denominator_lcm(p.coeffs) == (0, 1)
         xe, de = WeylElement.x(1, 0), WeylElement.d(1, 0)
-        assert p.to_weyl() == xe * de + WeylElement.const(1, 1)
+        assert to_weyl(p) == xe * de + WeylElement.const(1, 1)
 
     def test_monic(self):
         p = UnivarOperator.from_entries("x", [-1, x() * x()])

@@ -13,7 +13,7 @@ import dreg.corpus
 import dreg.polelattice
 from dreg.cli import _read_chart_file
 from dreg.ideals import (Ideal, groebner_basis, is_radical_squarefree_monomial,
-                         minimal_monomial_generators, normal_form)
+                         minimal_monomial_generators)
 from dreg.parser import parse_operator
 from dreg.polelattice import (LogLattice, NCChart, _apply_lift, _compositions, _in_ideal,
                               _outside_annihilators, _outside_monomials,
@@ -25,7 +25,7 @@ from dreg.polynomials import MPoly, RatFun
 from dreg.regularity import IRREGULAR, REGULAR
 from dreg.weyl import WeylElement, characteristic_ideal, coordinate_names
 
-from conftest import (poly_degree, recorded_mismatches, reference_apply_derivation,
+from conftest import (normal_form, poly_degree, recorded_mismatches, reference_apply_derivation,
                       reference_bare_inclusion, reference_goodness_scan,
                       reference_lattice_inclusion, spy)
 

@@ -13,15 +13,15 @@ import dreg.corpus
 import dreg.dmod
 import dreg.weyl
 from dreg.dmod import _covers, decompose_symbol_ideal
-from dreg.ideals import (Ideal, Packing, krull_dimension, leading_term, normal_form,
-                         groebner_basis, symbol_weight_order)
+from dreg.ideals import Ideal, Packing, leading_term, groebner_basis, symbol_weight_order
 from dreg.parser import parse_weyl_generators
 from dreg.polynomials import MPoly
 from dreg.weyl import (WeylElement, characteristic_ideal, coordinate_names, weyl_groebner,
                        weyl_mul)
 
-from conftest import (apply_weyl, exact_coefficients, random_mpoly, random_weyl,
-                      recorded_mismatches, reference_covers, reference_weyl_mul, spy)
+from conftest import (apply_weyl, exact_coefficients, krull_dimension, normal_form, random_mpoly,
+                      random_weyl, recorded_mismatches, reference_covers, reference_weyl_mul,
+                      spy)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
