@@ -398,13 +398,16 @@ _SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once per process: parsing leaves no state in it."""
+    """The CLI parser, built once per process: parsing leaves no state in it.
+    Its `verbs` attribute holds each verb's own parser by name (the
+    subparsers' `choices`)."""
     ap = argparse.ArgumentParser(
         prog="dreg",
         description="Exact regularity analyses for differential operators, "
                     "connection systems and pole lattices")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="verb", required=True)
+    ap.verbs = sub.choices
 
     def common(sp, expression=True):
         if expression:
@@ -488,8 +491,12 @@ def _check_bounds(args) -> None:
 
 def main(argv=None) -> int:
     ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a request that starts with its verb is parsed once, by the verb's own
+    # parser; the top-level parser serves --help, --version and the rest
+    verb = ap.verbs.get(argv[0]) if argv else None
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(argv) if verb is None else verb.parse_args(argv[1:])
     except SystemExit as exc:
         # argparse has printed help, the version or its usage message; a
         # usage error is an input error (argparse's 2 means a budget ran out here)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .errors import DEFAULT_BUDGET
 from .ideals import (DEGREVLEX, LEX, Ideal, all_in_ideal, basis_dimension, groebner_basis,
-                     radical_membership)
+                     leading_term, outside_radical_by_leads, radical_membership)
 from .lattices import PolarLattice, laurent_rows, theta_terms
 from .operators import UnivarOperator, to_theta_form
 from .polynomials import INF, MPoly, RatFun, as_rat, rational_roots, split_content
@@ -292,9 +292,11 @@ def decompose_symbol_ideal(ideal: Ideal, n: int,
     monomial contents and pure-coordinate generators, and conormals to
     rational points where the whole fiber lies in the variety; candidates
     with equal reduced bases are one component, listed once.  Inclusion of
-    every candidate and coverage of the variety are certified by radical
-    membership in both directions; coverage starts from the ideal's own
-    basis when it carries one (a characteristic ideal does).
+    every candidate is certified by ideal membership.  Coverage of the
+    variety is refuted, where it can be, by the leading monomials of the
+    ideal's own basis when it carries one (a characteristic ideal does),
+    with no new basis; otherwise it is decided by radical membership,
+    which starts from that basis.
     """
     variables = ideal.vars
     if len(variables) != 2 * n:
@@ -373,9 +375,22 @@ def _covers(ideal: Ideal, comps: list, budget: int) -> bool:
     """V(ideal) inside the union of components, by radical membership of all
     one-generator-per-component products.
 
-    The products are built one at a time, the last component's generator
-    varying fastest, so the first product outside the radical ends the
-    test before the rest are built."""
+    An ideal that carries its reduced basis (`basis_order`) first tries to
+    refute each product from leading monomials alone: the product's
+    leading exponent is the sum of its factors', and one outside the
+    radical of the basis' initial ideal ends the test with no product
+    built and no basis computed (`outside_radical_by_leads`).  Otherwise
+    the products are built one at a time, the last component's generator
+    varying fastest, and tested by radical membership, so the first
+    product outside the radical ends the test before the rest are built."""
+    order = ideal.basis_order
+    if order is not None:
+        leads = [leading_term(g, order)[0] for g in ideal.gens]
+        zero = (0,) * len(ideal.vars)
+        factors = [[leading_term(g, order)[0] for g in comp.ideal.gens] for comp in comps]
+        if any(outside_radical_by_leads(tuple(map(sum, zip(zero, *es))), leads)
+               for es in product(*factors)):
+            return False
     one = MPoly.const(ideal.vars, 1)
     return all(radical_membership(reduce(mul, choice, one), ideal, budget)
                for choice in product(*(comp.ideal.gens for comp in comps)))

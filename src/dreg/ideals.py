@@ -26,11 +26,12 @@ inside the driver is on integers: it keeps primitive integer multiples of
 its elements and divides by pseudo-division.  Rationals appear only at the
 boundary, in the monic reduced basis, and there in the normal form of
 `dreg.polynomials`: an int when integral, else a Fraction.  On top sit
-membership, radical membership via the extra-variable trick, and Krull
-dimension through independent variable sets modulo the initial ideal.  An
-ideal whose generators are known to be a reduced Gröbner basis says so
-(`Ideal.basis_order`), and both tests then start from that basis instead of
-computing one.  All computations carry an explicit work budget; exceeding
+membership, radical membership via the extra-variable trick (and its
+refutation by a leading monomial outside the radical of the initial
+ideal), and Krull dimension through independent variable sets modulo the
+initial ideal.  An ideal whose generators are known to be a reduced
+Gröbner basis says so (`Ideal.basis_order`), and both tests then start
+from that basis instead of computing one.  All computations carry an explicit work budget; exceeding
 it raises rather than silently truncating.
 """
 
@@ -529,6 +530,22 @@ def radical_membership(f: MPoly, ideal: Ideal, budget: int = DEFAULT_BUDGET) -> 
         order = weighted_order(order.weights + (0,))
     pk = Packing(order, rabinowitsch)
     return _is_unit(buchberger_loop([rabinowitsch], pk, budget, known=gens)[1])
+
+
+def outside_radical_by_leads(e: tuple, leads: Iterable[tuple]) -> bool:
+    """Whether x^e proves f outside sqrt(I) for every f with lm(f) = x^e,
+    `leads` being the leading exponents of a Gröbner basis of I under the
+    order that lm is taken in: no x^g, g in `leads`, has its support inside
+    the support of e.
+
+    Lemma: lm(f) outside sqrt(in(I)) puts f outside sqrt(I).  Proof: if
+    f^k lies in I then lm(f)^k = lm(f^k), as term orders are
+    multiplicative, and it lies in in(I), the monomial ideal the basis'
+    leading monomials generate; so some x^g divides x^(k e), that is,
+    supp(g) lies inside supp(e).  The converse fails: this only refutes.
+    (Cox, Little & O'Shea, Ideals, Varieties, and Algorithms, §2.2, §4.2.)
+    """
+    return not any(all(a or not b for a, b in zip(e, g)) for g in leads)
 
 
 def minimal_monomial_generators(ideal: Ideal) -> list[tuple]:

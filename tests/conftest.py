@@ -1455,13 +1455,13 @@ def is_monic(p: UnivarOperator) -> bool:
 
 
 def spy(monkeypatch, owner, name) -> list:
-    """The list that gets the arguments of each call of owner.name."""
+    """The list that gets the positional arguments of each call of owner.name."""
     calls = []
     fn = getattr(owner, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return fn(*args)
+        return fn(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
     return calls

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dreg.corpus
 from dreg.cli import build_parser, main, parse_point, render_json
 from dreg.parser import (ParseError, format_operator, parse_operator,
                          parse_weyl_generators)
@@ -20,6 +22,11 @@ from conftest import random_operator, random_weyl
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 SRC = Path(__file__).resolve().parent.parent / "src"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+# the benchmark's request pools, read only
+_spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+WORKLOADS = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(WORKLOADS)
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "src" / "dreg" / "data"
      / "report_schema.json").read_text())
@@ -70,6 +77,26 @@ class TestParserReuse:
         assert first.bound == 6
         assert second.bound == 4 and second.file == "F"
         assert not hasattr(second, "n")
+
+    def test_a_verb_request_is_parsed_once_by_the_verb(self, capsys, monkeypatch):
+        ap = build_parser()
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the top-level parser parsed a verb request")
+
+        monkeypatch.setattr(ap, "parse_known_args", refused)
+        code, out, _ = run_cli(capsys, "theta", "x*d - 1", "--format", "json")
+        assert code == 0 and json.loads(out)["command"] == "theta"
+
+    def test_the_verb_parses_every_benchmark_request_as_the_top_level_does(self):
+        ap = build_parser()
+        argvs = [request.argv for name in ("curves", "systems", "weyl", "polelattice")
+                 for request in getattr(WORKLOADS, name)(dreg.corpus).pool]
+        assert len(argvs) == 1283
+        for argv in argvs:
+            top = vars(ap.parse_args(argv))
+            assert top.pop("verb") == argv[0]
+            assert vars(ap.verbs[argv[0]].parse_args(argv[1:])) == top
 
     def test_repeated_request_prints_identical_bytes(self, capsys):
         argv = ("theorem", "--file", str(CORPUS / "euler_lattice.chart"),
@@ -415,26 +442,39 @@ class TestOneBasisPerRequest:
         monkeypatch.setattr(dreg.ideals, "buchberger_loop", counting)
         return calls
 
-    @pytest.mark.parametrize("argv", [
-        ("--vars", "x,y", "y*dx - 1 ; y^2*dy + x"),
-        ("--vars", "x,y", "x*dx^2 - x^2*dx^2 + y*dx*dy - x*y*dx*dy + 2/3*dx - 5/2*x*dx"
-                          " - 1/2*y*dy - 1/2 ; y*dy^2 - y^2*dy^2 + x*dx*dy - x*y*dx*dy"
-                          " + 2/3*dy - 7/3*y*dy - 1/3*x*dx - 1/3"),
-        ("--vars", "x", "x*d - 5"),
+    APPELL_F1 = ("--vars", "x,y", "x*dx^2 - x^2*dx^2 + y*dx*dy - x*y*dx*dy + 2/3*dx - 5/2*x*dx"
+                                  " - 1/2*y*dy - 1/2 ; y*dy^2 - y^2*dy^2 + x*dx*dy - x*y*dx*dy"
+                                  " + 2/3*dy - 7/3*y*dy - 1/3*x*dx - 1/3")
+
+    @pytest.mark.parametrize("argv, covered", [
+        (("--vars", "x,y", "y*dx - 1 ; y^2*dy + x"), True),
+        (APPELL_F1, False),
+        (("--vars", "x", "x*d - 5"), True),
     ], ids=["exponential", "appell-f1", "euler"])
-    def test_charvar(self, capsys, monkeypatch, argv):
+    def test_charvar(self, capsys, monkeypatch, argv, covered):
         calls = self.runs(monkeypatch)
         code, out, _ = run_cli(capsys, "charvar", *argv, "--format", "json")
         assert code == 0
-        symbols = json.loads(out)["certificates"][0]["ideal"]
+        certificate = json.loads(out)["certificates"][0]
+        assert certificate["covered"] is covered
         weyl_runs = [c for c in calls if not c[0]]
         assert len(weyl_runs) == 1
         # no basis of the symbol ideal itself, in any order: the radical
         # tests start from it (known) and queue only 1 - t*f
         commutative = [c for c in calls if c[0]]
-        assert all([str(g) for g in gens] != symbols for _, gens, _ in commutative)
+        assert all([str(g) for g in gens] != certificate["ideal"] for _, gens, _ in commutative)
         rabinowitsch = [c for c in commutative if c[2]]
-        assert rabinowitsch and all(len(gens) == 1 for _, gens, _ in rabinowitsch)
+        assert all(len(gens) == 1 for _, gens, _ in rabinowitsch)
+        # a variety the leading monomials show uncovered takes no radical test
+        assert bool(rabinowitsch) is covered
+
+    def test_charvar_budget_is_spent_on_the_weyl_basis_alone(self, capsys):
+        # Appell F1's coverage is refuted with no radical test, so the
+        # budget need only cover the Weyl basis
+        argv = ("charvar", *self.APPELL_F1, "--budget")
+        code, out, _ = run_cli(capsys, *argv, "30", "--format", "json")
+        assert code == 0 and json.loads(out)["certificates"][0]["covered"] is False
+        assert run_cli(capsys, *argv, "10")[0] == 2
 
     def test_holonomic(self, capsys, monkeypatch):
         calls = self.runs(monkeypatch)
@@ -475,8 +515,6 @@ class TestLargePoles:
             found.append(self.verdicts(capsys, ["system", "--file", str(path)], c))
         assert found[0] == found[1]
 
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def loaded_after(code: str) -> set[str]:

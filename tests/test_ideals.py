@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dreg.cli
+import dreg.ideals
 from dreg.dmod import OTHER, ZeroModuleError, decompose_symbol_ideal, dimension_report
 from dreg.ideals import (EXPONENT_LIMIT, BudgetExceeded, DEGREVLEX, LEX, Ideal, NotMonomialIdeal,
                          Packing, TermOrder, _divides, _is_unit, buchberger_basis,
@@ -26,7 +27,7 @@ from dreg.weyl import WeylElement, characteristic_ideal, weyl_groebner
 
 from conftest import (_exp_lcm, exact_coefficients, gkz_rational_normal_curve, krull_dimension,
                       normal_form, random_mpoly, reference_buchberger_basis,
-                      reference_normal_form, univar_divmod)
+                      reference_normal_form, spy, univar_divmod)
 
 # the benchmark's Weyl families and their parameters
 _spec = importlib.util.spec_from_file_location(
@@ -349,6 +350,13 @@ class TestPairCriteria:
 POP_BOUND = 100     # random sets that need more pops compare as "exceeded"
 # SHA-256 of stdout, a NUL byte and stderr of the k = 5 GKZ `holonomic` report
 GKZ5_HOLONOMIC_SHA256 = "958a1a408f7cf900dfccf15246040de188c1f873b929507495a5303f7183f295"
+# SHA-256 of the `charvar --budget 2000000 --format json` stdout, a NUL byte
+# and stderr, recorded when coverage still ran a radical test per product
+GKZ_CHARVAR_SHA256 = {
+    2: "4439a2129b22441ae640d81d5019dda627346c143a99941aa622c465af687fd4",
+    3: "6da1c0fef0fd2c88433f1c5fe7252b60075b779d6d288c0dfe59fdc5928b7eec",
+    4: "76b55ca48cd52470bf822a4fe063ff321dde75562ec07da4d48215072d48d50c",
+}
 
 
 def outcome(driver, gens, order, budget=POP_BOUND):
@@ -375,6 +383,20 @@ def smallest_budget(driver, gens, order, bound=POP_BOUND):
 
 SYMBOL_VARS = ring("x", "y", "xi", "eta")
 ORACLE_ORDERS = [DEGREVLEX, LEX, symbol_weight_order(4)]
+
+
+class TestLeadingMonomials:
+    """Term orders are multiplicative: the leading exponent of a product is
+    the sum of its factors' (the coverage refutation in `dmod._covers`
+    reads products' leading monomials this way)."""
+
+    @pytest.mark.parametrize("order", ORACLE_ORDERS, ids=["degrevlex", "lex", "symbol"])
+    @settings(max_examples=50, deadline=None)
+    @given(f=flat_terms(4, 3, 4), g=flat_terms(4, 3, 4))
+    def test_product_leads_with_the_sum(self, order, f, g):
+        f, g = MPoly(SYMBOL_VARS, f), MPoly(SYMBOL_VARS, g)
+        lead = tuple(map(operator.add, leading_term(f, order)[0], leading_term(g, order)[0]))
+        assert leading_term(f * g, order)[0] == lead
 
 
 @st.composite
@@ -734,6 +756,21 @@ class TestScaledWeylCliff:
         digest = hashlib.sha256(out.getvalue().encode() + b"\0" + err.getvalue().encode())
         assert status == 0
         assert digest.hexdigest() == GKZ5_HOLONOMIC_SHA256
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_charvar_report_is_unchanged_with_no_coverage_basis(self, monkeypatch, k):
+        # the coverage test is refuted by leading monomials: no driver run
+        # on the ring extended by the Rabinowitsch variable
+        names, text = gkz_rational_normal_curve(k)
+        runs = spy(monkeypatch, dreg.ideals, "buchberger_loop")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = dreg.cli.main(["charvar", "--vars", ",".join(names), "--budget", "2000000",
+                                    text, "--format", "json"])
+        digest = hashlib.sha256(out.getvalue().encode() + b"\0" + err.getvalue().encode())
+        assert status == 0
+        assert digest.hexdigest() == GKZ_CHARVAR_SHA256[k]
+        assert runs and not [pk for _, pk, *_ in runs if "_t" in pk.like.vars]
 
 
 class TestLoopAndUnitTests:

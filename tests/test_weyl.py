@@ -1,4 +1,6 @@
+import functools
 import importlib.util
+import itertools
 import json
 import operator
 import random
@@ -11,9 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 import dreg.corpus
 import dreg.dmod
+import dreg.ideals
 import dreg.weyl
 from dreg.dmod import _covers, decompose_symbol_ideal
-from dreg.ideals import Ideal, Packing, leading_term, groebner_basis, symbol_weight_order
+from dreg.ideals import (Ideal, Packing, leading_term, groebner_basis, outside_radical_by_leads,
+                         radical_membership, symbol_weight_order)
 from dreg.parser import parse_weyl_generators
 from dreg.polynomials import MPoly
 from dreg.weyl import (WeylElement, characteristic_ideal, coordinate_names, weyl_groebner,
@@ -400,10 +404,45 @@ class TestCoverage:
         assert verdicts == [reference_covers(*args) for args in inputs]
         assert verdicts == [False] * 40 + [True, True]
 
+    # the unresolved-remainder defect of ROADMAP and small cases either way
+    MORE_SYSTEMS = [("x*dx + 1 ; dy", ("x", "y")), ("x*dx + 1 ; y*dy + 1 ; dz", ("x", "y", "z")),
+                    ("x^2*y*dx + 1 ; x*y^2*dy + 1", ("x", "y")), ("dx - 1 ; dy", ("x", "y"))]
+
+    def test_leading_monomials_refute_only_products_outside_the_radical(self, monkeypatch):
+        systems = pool_charvar_systems() + self.DMOD_SYSTEMS + self.MORE_SYSTEMS
+        inputs = covers_inputs(monkeypatch, systems)
+        assert len(inputs) == 46
+        tested = refuted = inside = 0
+        for ideal, comps, budget in inputs:
+            order = ideal.basis_order
+            leads = [leading_term(g, order)[0] for g in ideal.gens]
+            for choice in itertools.product(*(comp.ideal.gens for comp in comps)):
+                f = functools.reduce(operator.mul, choice, MPoly.const(ideal.vars, 1))
+                outside = outside_radical_by_leads(leading_term(f, order)[0], leads)
+                member = radical_membership(f, ideal, budget)
+                assert not (outside and member)
+                tested, refuted, inside = tested + 1, refuted + outside, inside + member
+        assert (tested, refuted, inside) == (611, 122, 57)
+        assert [_covers(*args) for args in inputs] == [reference_covers(*args) for args in inputs]
+
+    def test_only_an_unrefuted_variety_takes_a_radical_test(self, monkeypatch):
+        # the 40 pool ideals are refuted with no driver run on the ring
+        # extended by the Rabinowitsch variable; the covered two still run one
+        inputs = covers_inputs(monkeypatch, pool_charvar_systems() + self.DMOD_SYSTEMS)
+        runs = spy(monkeypatch, dreg.ideals, "buchberger_loop")
+        extended = []
+        for args in inputs:
+            runs.clear()
+            _covers(*args)
+            extended.append(sum("_t" in pk.like.vars for _, pk, *_ in runs))
+        assert extended[:40] == [0] * 40
+        assert all(extended[40:]) and len(extended) == 42
+
     def test_uncovered_ideal_builds_only_the_tested_product(self, monkeypatch):
         # Appell F1: 4 components of 2 generators give 16 products; the
         # first is outside the radical, as on every pool charvar request,
-        # and it is the only one built
+        # and its leading monomial shows it: no product is built and no
+        # radical test runs
         [(ideal, comps, budget)] = covers_inputs(monkeypatch, pool_charvar_systems()[:1])
         assert [len(comp.ideal.gens) for comp in comps] == [2, 2, 2, 2]
         tested, built, testing = [], 0, False
@@ -426,10 +465,7 @@ class TestCoverage:
         monkeypatch.setattr(dreg.dmod, "radical_membership", counted_member)
         monkeypatch.setattr(MPoly, "__mul__", counted_mul)
         assert not _covers(ideal, comps, budget)
-        # one product: the constant 1 times one generator of each component
-        assert (len(tested), built) == (1, len(comps))
-        assert tested[0] == comps[0].ideal.gens[0] * comps[1].ideal.gens[0] * \
-            comps[2].ideal.gens[0] * comps[3].ideal.gens[0]
+        assert (len(tested), built) == (0, 0)
 
 
 class TestRecordedReports:
