@@ -197,7 +197,7 @@ def cmd_polelattice(args) -> dict:
     chart = pl.NCChart(args.n, args.r)
     rep = pl.pole_filtration_annihilator(chart, args.bound)
     good, transcript = pl.goodness_scan(chart, args.bound)
-    incl = pl.prop21_inclusion(rep, chart, min(args.bound, 4))
+    incl = pl.prop21_inclusion(rep, min(args.bound, 4))
     verdicts = [
         {"method": "annihilator", "verdict":
             "matches" if rep.matches_ideal else "mismatch"},

@@ -19,7 +19,6 @@ from typing import NamedTuple
 from .errors import DEFAULT_BUDGET
 from .ideals import (DEGREVLEX, LEX, Ideal, all_in_ideal, basis_dimension, groebner_basis,
                      leading_term, outside_radical_by_leads, radical_membership)
-from .lattices import PolarLattice, laurent_rows, theta_terms
 from .operators import UnivarOperator, to_theta_form
 from .polynomials import INF, MPoly, RatFun, as_rat, rational_roots, split_content
 from .regularity import FuchsCertificate, INFINITY, IRREGULAR, REGULAR, fuchs_regular_at
@@ -58,82 +57,6 @@ class CyclicFiltration:
         self.operator = p
         self.n = n
         self.theta_matrix = [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
-class CurveModule:
-    """A rank-m differential module on the line: frame with theta-action T.
-
-    theta(v) = x v' + T v and d(v) = v' + T v / x on coordinate columns.
-    Used to realize the module filtration F^k as lattices over the local
-    ring and to scan which symbol monomials annihilate the graded module.
-    Vectors are polar dicts {(exponent, component): c}, and d is x^-1 theta
-    through `theta_terms`, so no step runs a polynomial gcd.
-    """
-
-    __slots__ = ("var", "dim", "theta", "_columns")
-
-    def __init__(self, var: str, theta_matrix):
-        self.var = var
-        self.dim = len(theta_matrix)
-        self.theta = [list(row) for row in theta_matrix]
-        self._columns = laurent_rows(zip(*self.theta))
-
-    @classmethod
-    def from_operator(cls, p: UnivarOperator) -> "CurveModule":
-        filt = CyclicFiltration(p)
-        return cls(p.var, filt.theta_matrix)
-
-    def _d(self, v: dict) -> dict:
-        """The polar part of d(v) = x^-1 theta(v)."""
-        return {(e - 1, j): c for (e, j), c in theta_terms(v, self._columns, 0, 1).items()}
-
-    def filtration_lattices(self, levels: int):
-        """F^0 .. F^levels as polar lattices, with F^(k+1) = F^k + d F^k.
-
-        F^0 is O^m, spanned by the frame e_1 .. e_m, so every level
-        contains O^m and is held by its polar parts.  d(f g) = f' g +
-        f d(g) with f' in O, so F^(k+1) is F^k plus the images d(g) of any
-        O-generators g of F^k: the frame and the rows of its polar parts.
-        d of the frame lies in F^1 and d of older rows in F^k, so level
-        k + 1 inserts d only of the rows level k added, as saturation does
-        with theta.
-        """
-        out = [PolarLattice(self.dim, self.var)]
-        new = [{(0, j): 1} for j in range(self.dim)]
-        for _ in range(levels):
-            lattice = PolarLattice(self.dim, self.var)
-            lattice.rows = dict(out[-1].rows)
-            new = [row for v in new for row in lattice.insert(self._d(v))]
-            out.append(lattice)
-        return out
-
-    def annihilator_monomials(self, bound: int):
-        """Symbol monomials x^a xi^b (a + b <= bound) killing the graded
-        module across all scanned levels.
-
-        x^a d^b kills level k when it sends the m-vector basis of F^k into
-        F^(k + b - 1), for k = 0 .. bound.  b = 0 never does: it would have
-        to send F^0 = O^m to zero.  Each d^j(g) is kept as its polar part:
-        what that drops at step j lies in O^m = F^0, and d^(b - j) of it in
-        F^(b - j), inside F^(k + b - 1) since j >= 1, so x^a times the kept
-        vector lies in the target exactly when x^a d^b(g) does.
-        """
-        lattices = self.filtration_lattices(2 * bound - 1)     # the deepest target
-        chains = [[lattice.basis()] for lattice in lattices[:bound + 1]]
-        found = []
-        for total in range(1, bound + 1):
-            for b in range(1, total + 1):
-                a = total - b
-                for k, chain in enumerate(chains):
-                    while len(chain) <= b:
-                        chain.append([self._d(v) for v in chain[-1]])
-                    target = lattices[k + b - 1]
-                    if any(target.reduce({(e + a, j): c for (e, j), c in w.items() if e < -a})
-                           for w in chain[b]):
-                        break
-                else:
-                    found.append((a, b))
-        return found
 
 
 @dataclass(frozen=True)

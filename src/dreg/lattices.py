@@ -5,9 +5,8 @@ ring.  Callers move their point to the origin first.  One representation
 lives here: PolarLattice, a lattice O^m + P that contains O^m, held by the
 finite Q-space P of its polar parts.  Membership reduces a vector's
 Laurent tail in a Q-echelon, with no polynomial gcd.  theta-saturation
-and the curve filtrations both use it, since each of their lattices
-contains the standard one, and both grow it by one theta-action on polar
-dicts, `theta_terms`.
+uses it, since each of its lattices contains the standard one, and grows
+it by one theta-action on polar dicts, `theta_terms`.
 
 Stability questions (is theta(L) inside L?) are membership questions, so
 no completion machinery is needed.  Series coefficients and echelon rows
@@ -103,20 +102,6 @@ class PolarLattice:
             added.append(row)
             v = self.reduce({(e + 1, j): c for (e, j), c in row.items() if e < -1})
         return added
-
-    def basis(self) -> list[dict]:
-        """An O-basis of m vectors, as polar dicts.
-
-        Per component j: the row with the most polar pivot there, else
-        e_j = {(0, j): 1}.  Shift closure makes the pivots of component j
-        run from -1 down to some -d_j without gaps, and the vectors
-        x^(d_j) b_j at 0 form a unit lower triangular matrix, so the b_j
-        span O^m + P.
-        """
-        depth = [0] * self.dim          # d_j: the number of pivots in component j
-        for _, j in self.rows:
-            depth[j] += 1
-        return [self.rows[-k, j] if k else {(0, j): 1} for j, k in enumerate(depth)]
 
 
 def laurent_rows(matrix) -> list[list]:

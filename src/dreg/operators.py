@@ -38,10 +38,6 @@ class UnivarOperator:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def zero(cls, var: str) -> "UnivarOperator":
-        return cls(var, [])
-
-    @classmethod
     def from_entries(cls, var: str, entries: Sequence) -> "UnivarOperator":
         return cls(var, [e if isinstance(e, RatFun) else RatFun.const(var, e)
                          for e in entries])
@@ -197,11 +193,6 @@ class ThetaOperator:
             coeffs.pop()
         self.var = var
         self.coeffs = tuple(coeffs)
-
-    def order(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero theta operator")
-        return len(self.coeffs) - 1
 
     def coeff(self, i: int) -> RatFun:
         if 0 <= i < len(self.coeffs):

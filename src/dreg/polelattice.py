@@ -19,7 +19,7 @@ from itertools import combinations_with_replacement
 from operator import add, gt, le, sub
 from typing import Iterator
 
-from .dmod import CurveModule, CyclicFiltration
+from .dmod import CyclicFiltration
 from .ideals import (Ideal, is_radical_squarefree_monomial,
                      minimal_monomial_generators)
 from .linalg import mat_mul, mat_sub
@@ -80,12 +80,6 @@ def theta_XZ_ideal(chart: NCChart) -> Ideal:
         e[chart.n + i] = 1
         gens.append(MPoly.monomial(ring, e))
     return Ideal(ring, gens)
-
-
-def _in_ideal(generators: list, exps: tuple) -> bool:
-    """Membership of the monomial with exponents exps in a monomial ideal:
-    divisibility by one of its minimal generators."""
-    return any(all(map(le, gen, exps)) for gen in generators)
 
 
 def _falling(a: int, b: int) -> int:
@@ -503,58 +497,22 @@ class Prop21Report:
                 "violations": list(self.violations)}
 
 
-def prop21_inclusion(data, chart: NCChart, bound: int = 4) -> Prop21Report:
+def prop21_inclusion(report: AnnihilatorReport, bound: int = 4) -> Prop21Report:
     """Graded-annihilator monomials up to the bound all lie in the
-    logarithmic symbol ideal.
+    logarithmic symbol ideal, for the bare pole module of the chart that
+    `report` scanned, at a bound at least this one.
 
-    Accepts the bare chart pole module (data None, or the
-    AnnihilatorReport of its window scan on this chart at a bound at least
-    this one, which is then not run again), a LogLattice, or a curve
-    operator.  For the bare chart a passing scan certifies that the
-    annihilator is the ideal, so the symbol monomials up to this bound that
-    lie in the ideal are listed, and none can violate.  They are the
-    complement of the standard monomials the scan walked and kept, read by
-    a merge (`_ideal_monomials`): no membership test and no second walk.
-
-    A LogLattice lists the same monomials with no scan: the gammas are
-    polynomials, so d^b raises the pole order by at most the part of |b| on
-    the dividing coordinates (Deligne, LNM 163), and an x^a d^b in the ideal
-    has b_m > 0 for some m >= r or a_l b_l > 0 for some l < r, where x^a
-    takes one pole back.  Its image of x^alpha has pole order at most
-    pole(alpha) + |b| - 1, so it annihilates the window.  Only the
-    monomials outside the ideal are scanned, for the violations; the
-    listing merges against that same walk of the standard monomials.
+    A passing scan certifies that the annihilator is the ideal, so the
+    symbol monomials up to this bound that lie in the ideal are listed, and
+    none can violate.  They are the complement of the standard monomials
+    the scan walked and kept, read by a merge (`_ideal_monomials`): no
+    membership test and no second walk.
     """
-    ring = chart.ring
-    if isinstance(data, UnivarOperator):
-        if chart.n != 1:
-            raise ValueError("curve data requires a 1-variable chart")
-        generators = minimal_monomial_generators(theta_XZ_ideal(chart))
-        found: list[str] = []
-        violations: list[str] = []
-        for a, b in CurveModule.from_operator(data).annihilator_monomials(bound):
-            mono = format_monomial(ring, (a, b))
-            (found if _in_ideal(generators, (a, b)) else violations).append(mono)
-        return Prop21Report(not violations, tuple(found), tuple(violations))
-    if isinstance(data, LogLattice):
-        if data.chart != chart:
-            raise ValueError(f"lattice lives on chart {data.chart}, not on {chart}")
-        generators = minimal_monomial_generators(theta_XZ_ideal(chart))
-        standard = tuple(_outside_monomials(generators, chart.n, bound))
-        outside = _outside_annihilators(data, _window(chart, chart.r + bound, bound), standard)
-        violations = tuple(format_monomial(ring, a + b) for a, b in reversed(tuple(outside)))
-    elif data is None or isinstance(data, AnnihilatorReport):
-        report = pole_filtration_annihilator(chart, bound) if data is None else data
-        if report.chart != chart:
-            raise ValueError(f"the report was scanned on chart {report.chart}, not on {chart}")
-        if bound > report.bound:
-            raise ValueError(f"inclusion bound {bound} exceeds the scan bound {report.bound}")
-        if not report.matches_ideal:
-            return Prop21Report(False, (), ("window scan failed",))
-        standard, violations = report.standard, ()
-    else:
-        raise TypeError(f"no inclusion check for a {type(data).__name__}")
-    return Prop21Report(not violations, _ideal_monomials(chart, bound, standard), violations)
+    if bound > report.bound:
+        raise ValueError(f"inclusion bound {bound} exceeds the scan bound {report.bound}")
+    if not report.matches_ideal:
+        return Prop21Report(False, (), ("window scan failed",))
+    return Prop21Report(True, _ideal_monomials(report.chart, bound, report.standard), ())
 
 
 def _ideal_monomials(chart: NCChart, bound: int, standard) -> tuple:

@@ -18,18 +18,16 @@ its arithmetic, gcds, lcms, root finding and valuations never touch a
 Fraction (Gauss's lemma).  Rationals appear only in the scale, printing
 and Laurent series.  RatFun is the one univariate type below the operators
 (the parser evaluates into it), and it meets MPoly at two boundaries only:
-the ideals of `dreg.dmod` (`split_content`) with the untested factor that
-the singular locus of `dreg.regularity` and `dreg.dmod` build from the
-primitive leftover of `factor_rational` (`monic_mpoly`), and the
-normalising constructor `RatFun(num, den)` with the views `.num`/`.den`.
-Sums and products of a RatFun with an MPoly raise TypeError.
+the rational zeros of `dreg.dmod` (`split_content`) and the untested
+factor that the singular locus of `dreg.regularity` builds from the
+primitive leftover of `factor_rational` (`monic_mpoly`).  Sums and
+products of a RatFun with an MPoly raise TypeError.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import islice
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
@@ -297,10 +295,6 @@ class MPoly:
         return MPoly(variables, res)
 
     # -- univariate helpers ---------------------------------------------
-
-    def _require_univar(self) -> None:
-        if len(self.vars) != 1:
-            raise ValueError("operation requires a univariate polynomial")
 
     @classmethod
     def from_univar_coeffs(cls, var: str, coeffs: Sequence) -> "MPoly":
@@ -624,24 +618,21 @@ def _horner(a, y: int, m: int = 0) -> int:
 def _lifted_roots(f) -> list[Fraction]:
     """The rational roots of a primitive f of degree >= 2 with f(0) != 0.
 
-    With a = lc(f) and n = deg f, h(y) = a^(n-1) f(y/a) is monic in Z[y],
-    so its rational roots y = a x are integers, each below the Cauchy bound
+    The roots are those of the squarefree part s of f, taken first.  With
+    a = lc(s) and n = deg s, h(y) = a^(n-1) s(y/a) is monic in Z[y], so its
+    rational roots y = a x are integers, each below the Cauchy bound
     B = 1 + max |h_i| in absolute value.  For a prime p with h squarefree
     mod p, every root of h mod p is simple: Newton's iteration lifts it to a
     root mod p^(2^k) > 2B, and a rational root of h is the symmetric residue
-    of exactly one lift.  Such a prime exists exactly when f is squarefree;
-    when none of the first ten primes is one, the roots are those of the
-    squarefree part.
+    of exactly one lift.  s is squarefree, so such a prime exists.
     """
+    f = squarefree_part(f)
     n = len(f) - 1
+    if n == 1:
+        return [Fraction(-f[0], f[1])]
     a = f[n]
     h = [c * a ** (n - 1 - i) for i, c in enumerate(f[:n])] + [1]
-    p = next((q for q in islice(_primes(), 10) if a % q and _squarefree_mod(h, q)), None)
-    if p is None:
-        s = squarefree_part(f)
-        if len(s) < len(f):
-            return [Fraction(-s[0], s[1])] if len(s) == 2 else _lifted_roots(s)
-        p = next(q for q in _primes() if a % q and _squarefree_mod(h, q))
+    p = next(q for q in _primes() if a % q and _squarefree_mod(h, q))
     bound = 1 + max(map(abs, h[:n]))
     dh = _diff(h)
     roots = []
@@ -728,30 +719,11 @@ class RatFun:
     A nonzero f is scale * numer/denom: numer and denom are dense tuples of
     ints, lowest degree first, each primitive with a positive leading
     coefficient, with gcd(numer, denom) = 1, and scale is a nonzero
-    rational in normal form.  This form is unique, so equality compares
-    fields.  The zero function has scale 0, numer () and denom (1,).
-    `num`/`den` are the MPoly views over a monic denominator.
+    rational in normal form.  This form is unique, so equality and the hash
+    read the fields.  The zero function has scale 0, numer () and denom (1,).
     """
 
     __slots__ = ("var", "scale", "numer", "denom")
-
-    def __init__(self, num: MPoly, den: MPoly | None = None):
-        """num/den in lowest terms: the one constructor that runs a gcd."""
-        num._require_univar()
-        if den is None:
-            den = MPoly.const(num.vars, 1)
-        num._check(den)
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        self.var = num.vars[0]
-        if num.is_zero():
-            self.scale, self.numer, self.denom = 0, (), (1,)
-            return
-        (cn, n), (cd, d) = split_content(num), split_content(den)
-        g = _common_factor(n, d)
-        if g:
-            n, d = _exquo(n, g), _exquo(d, g)
-        self.scale, self.numer, self.denom = _ratio(cn, cd), n, d
 
     # -- constructors ---------------------------------------------------
 
@@ -781,18 +753,7 @@ class RatFun:
     def x(cls, var: str) -> "RatFun":
         return _make(var, 1, (0, 1), (1,))
 
-    # -- views and queries ------------------------------------------------
-
-    @property
-    def num(self) -> MPoly:
-        """The numerator over the monic denominator `den`."""
-        s = _ratio(self.scale, self.denom[-1])
-        return MPoly.from_univar_coeffs(self.var, [s * c for c in self.numer])
-
-    @property
-    def den(self) -> MPoly:
-        """The monic denominator."""
-        return monic_mpoly(self.var, self.denom)
+    # -- queries ----------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.scale
@@ -802,11 +763,6 @@ class RatFun:
 
     def is_constant(self) -> bool:
         return len(self.denom) == 1 and len(self.numer) <= 1
-
-    def constant_value(self):
-        if not self.is_constant():
-            raise ValueError("not a constant")
-        return self.scale
 
     def __bool__(self) -> bool:
         return bool(self.scale)
@@ -820,7 +776,7 @@ class RatFun:
                 and self.numer == other.numer and self.denom == other.denom)
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.var, self.scale, self.numer, self.denom))
 
     # -- arithmetic --------------------------------------------------------
 

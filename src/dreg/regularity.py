@@ -185,13 +185,8 @@ GLOBAL_REGULAR_TESTED = "regular over tested points"
 
 @dataclass(frozen=True)
 class ProjectiveLineReport:
-    operator: UnivarOperator
     points: tuple
     verdict: str
-
-    def to_dict(self) -> dict:
-        return {"verdict": self.verdict,
-                "points": [q.to_dict() for q in self.points]}
 
 
 def singular_locus(den, var: str) -> tuple[list, tuple]:
@@ -222,5 +217,5 @@ def regular_on_projective_line(p: UnivarOperator) -> ProjectiveLineReport:
     certs = [fuchs_regular_at(p, pt) for pt in points]
     entries = ([SingularPoint(c.point, True, c) for c in certs]
                + [SingularPoint(f, False, None) for f in untested])
-    return ProjectiveLineReport(p, tuple(entries),
+    return ProjectiveLineReport(tuple(entries),
                                 global_verdict(all(c.regular for c in certs), untested))

@@ -120,9 +120,8 @@ def _candidate_schedule(system: ConnectionSystem):
     seen = set()
 
     def emit(vec):
-        key = tuple(str(e) for e in vec)
-        if key not in seen:
-            seen.add(key)
+        if vec not in seen:
+            seen.add(vec)
             yield vec
 
     for i in range(m):

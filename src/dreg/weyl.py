@@ -72,21 +72,9 @@ class WeylElement(MPoly):
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, n: int) -> "WeylElement":
-        return cls(n, {})
-
-    @classmethod
     def const(cls, n: int, value) -> "WeylElement":
         value = as_rat(value)
         return cls._from_terms(n, {(0,) * (2 * n): value} if value else {})
-
-    @classmethod
-    def x(cls, n: int, i: int) -> "WeylElement":
-        return cls._from_terms(n, {tuple(1 if j == i else 0 for j in range(2 * n)): 1})
-
-    @classmethod
-    def d(cls, n: int, i: int) -> "WeylElement":
-        return cls._from_terms(n, {tuple(1 if j == n + i else 0 for j in range(2 * n)): 1})
 
     @classmethod
     def _from_terms(cls, n: int, terms: dict) -> "WeylElement":

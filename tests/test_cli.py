@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import os
 import subprocess
@@ -18,15 +17,10 @@ from dreg.parser import (ParseError, format_operator, parse_operator,
 from dreg.regularity import INFINITY
 from dreg.weyl import coordinate_names
 
-from conftest import random_operator, random_weyl
+from conftest import PERFBENCH, WORKLOADS, random_operator, random_weyl
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 SRC = Path(__file__).resolve().parent.parent / "src"
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-# the benchmark's request pools, read only
-_spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
-WORKLOADS = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(WORKLOADS)
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "src" / "dreg" / "data"
      / "report_schema.json").read_text())

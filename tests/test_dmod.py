@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from dreg import dmod, polynomials
+from dreg import polynomials
 from dreg.corpus import OPERATORS
-from dreg.dmod import (CurveModule, ZeroModuleError, decompose_symbol_ideal, dimension_report,
+from dreg.dmod import (ZeroModuleError, decompose_symbol_ideal, dimension_report,
                        fuchs_kashiwara_equivalence, kashiwara_regular_at,
                        kashiwara_regular_at_zero,
                        verify_components_both_ways, CONORMAL_DIVISOR,
@@ -16,12 +16,13 @@ from dreg.polynomials import MPoly
 from dreg.regularity import INFINITY, IRREGULAR, REGULAR
 from dreg.weyl import WeylElement, characteristic_ideal, symbol_names
 
-from conftest import (characteristic_variety_univar, degree_in, frame, krull_dimension,
-                      polar_contains, polar_generators, random_operator,
+import conftest
+from conftest import (CurveModule, characteristic_variety_univar, degree_in, frame,
+                      krull_dimension, polar_contains, polar_generators, random_operator,
                       random_operator_with_poles, random_point,
                       reference_annihilator_monomials, reference_check_good_filtration,
                       reference_filtration, require_agreement, scale_operator_var,
-                      trivial_filtration_annihilator)
+                      trivial_filtration_annihilator, weyl_d, weyl_x)
 
 
 def op(text):
@@ -146,14 +147,14 @@ class TestEchelonFiltration:
         # * 3 vectors
         module = CurveModule.from_operator(op("d^3 - x"))
         calls = 0
-        action = dmod.theta_terms
+        action = conftest.theta_terms
 
         def counted(*args):
             nonlocal calls
             calls += 1
             return action(*args)
 
-        monkeypatch.setattr(dmod, "theta_terms", counted)
+        monkeypatch.setattr(conftest, "theta_terms", counted)
         found = module.annihilator_monomials(4)
         assert calls <= 6 + 5 * 4 * 3
         assert found == [(1, 1), (2, 1), (1, 2), (0, 3), (3, 1), (2, 2), (1, 3), (0, 4)]
@@ -272,8 +273,8 @@ class TestCharVarietyUnivar:
 
 class TestExponentialModule:
     def setup_method(self):
-        X, Y = WeylElement.x(2, 0), WeylElement.x(2, 1)
-        DX, DY = WeylElement.d(2, 0), WeylElement.d(2, 1)
+        X, Y = weyl_x(2, 0), weyl_x(2, 1)
+        DX, DY = weyl_d(2, 0), weyl_d(2, 1)
         self.gens = [Y * DX - WeylElement.const(2, 1), Y * Y * DY + X]
         self.ideal = characteristic_ideal(self.gens)
 

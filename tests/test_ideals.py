@@ -1,14 +1,11 @@
 import contextlib
 import hashlib
-import importlib.util
 import io
 import itertools
 import operator
 import random
-import sys
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,15 +22,10 @@ from dreg.parser import parse_weyl_generators
 from dreg.polynomials import MPoly
 from dreg.weyl import WeylElement, characteristic_ideal, weyl_groebner
 
-from conftest import (_exp_lcm, exact_coefficients, gkz_rational_normal_curve, krull_dimension,
+from conftest import (WORKLOADS, _exp_lcm, exact_coefficients, gkz_rational_normal_curve, krull_dimension,
                       normal_form, random_mpoly, reference_buchberger_basis,
                       reference_normal_form, spy, univar_divmod)
 
-# the benchmark's Weyl families and their parameters
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
-WORKLOADS = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(WORKLOADS)
 CLIFF = WORKLOADS.CLIFF_WEYL
 
 

@@ -9,16 +9,15 @@ from pathlib import Path
 
 import pytest
 
+from conftest import ORACLE, UNREACHED
+
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "dreg"
 MODULES = sorted(SRC.glob("*.py"))
 TEST_FILES = sorted(TESTS.glob("*.py"))
 
-# definitions with no caller in src/ that stay, each with its reason
-KEPT = {
-    "dmod.verify_components_both_ways": "the gate of charvar from the singular locus (ROADMAP item 4)",
-    "systems.ConnectionSystem.companion": "test oracle: the system of a scalar operator",
-}
+# definitions with no caller in src/ that stay: the oracles of the one allowlist
+KEPT = {name for name, (kind, _reason) in UNREACHED.items() if kind == ORACLE}
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -175,8 +174,8 @@ def dead_definitions(sources: dict[str, str]) -> list[str]:
 def test_no_dead_definitions():
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     dead = set(dead_definitions(sources))
-    assert not dead - set(KEPT), f"defined but never used in src/: {sorted(dead - set(KEPT))}"
-    assert not set(KEPT) - dead, f"kept as unused but now used: {sorted(set(KEPT) - dead)}"
+    assert not dead - KEPT, f"defined but never used in src/: {sorted(dead - KEPT)}"
+    assert not KEPT - dead, f"kept as unused but now used: {sorted(KEPT - dead)}"
 
 
 def test_finds_a_dead_definition():

@@ -9,8 +9,8 @@ from dreg.polynomials import MPoly, RatFun, denominator_lcm
 from dreg.weyl import WeylElement
 
 from conftest import (apply_operator, from_theta_form, is_monic, random_operator,
-                      random_operator_with_poles, random_point, random_ratfun_with_poles,
-                      reference_at_infinity, stirling_second, to_weyl)
+                      random_operator_with_poles, random_point, random_ratfun_with_poles, ratfun,
+                      reference_at_infinity, stirling_second, to_weyl, weyl_d, weyl_x)
 
 
 def x():
@@ -54,7 +54,7 @@ class TestThetaForm:
         p = D() ** 2
         t = to_theta_form(p)
         for k in range(5):
-            xk = RatFun(MPoly.monomial(("x",), (k,)))
+            xk = ratfun(MPoly.monomial(("x",), (k,)))
             acted = apply_operator(p.scale(x() ** 2), xk)
             assert acted == xk * Fraction(k * (k - 1))
 
@@ -155,7 +155,7 @@ class TestOperatorAlgebra:
 
     def test_apply(self):
         p = UnivarOperator.from_entries("x", [1, x()])  # x d + 1
-        f = RatFun(MPoly.monomial(("x",), (3,)))
+        f = ratfun(MPoly.monomial(("x",), (3,)))
         assert apply_operator(p, f) == f * 4
 
     def test_mul_consistent_with_apply(self):
@@ -163,13 +163,13 @@ class TestOperatorAlgebra:
         for _ in range(40):
             a = random_operator(rng, order=2, degree=2, pole=1)
             b = random_operator(rng, order=2, degree=2, pole=1)
-            f = RatFun(MPoly.monomial(("x",), (rng.randint(0, 3),)))
+            f = ratfun(MPoly.monomial(("x",), (rng.randint(0, 3),)))
             assert apply_operator(a.mul(b), f) == apply_operator(a, apply_operator(b, f))
 
     def test_to_weyl_clears_denominators(self):
         p = UnivarOperator.from_entries("x", [RatFun.const("x", 1) / x(), 1])
         assert denominator_lcm(p.coeffs) == (0, 1)
-        xe, de = WeylElement.x(1, 0), WeylElement.d(1, 0)
+        xe, de = weyl_x(1, 0), weyl_d(1, 0)
         assert to_weyl(p) == xe * de + WeylElement.const(1, 1)
 
     def test_monic(self):

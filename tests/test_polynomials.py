@@ -13,15 +13,13 @@ from dreg.polynomials import (INF, MPoly, Rat, RatFun, _mult_at, denominator_lcm
                               rational_roots, squarefree_part, univar_gcd)
 from dreg.weyl import WeylElement
 
-from conftest import (evaluate_mpoly, evaluate_ratfun, from_coeffs, int_coeffs,
-                      leading_univar_coeff, monic_gcd, monic_univar, random_fraction,
-                      random_mpoly, random_ratfun, reference_mul, reference_pow,
-                      ReferenceRatFun, reference_denominator_lcm, reference_ratfun,
-                      reference_factor_rational, reference_format_mpoly,
-                      reference_rational_roots,
-                      reference_scale_var, reference_shift,
-                      reference_taylor_shift_ratfun, reference_univar_gcd, scale_ratfun_var,
-                      univar_coeffs, univar_divmod)
+from conftest import (ReferenceRatFun, den_of, evaluate_mpoly, evaluate_ratfun, from_coeffs,
+                      int_coeffs, leading_univar_coeff, monic_gcd, monic_univar, num_of,
+                      random_fraction, random_mpoly, random_ratfun, ratfun,
+                      reference_denominator_lcm, reference_factor_rational, reference_format_mpoly,
+                      reference_mul, reference_pow, reference_ratfun, reference_rational_roots,
+                      reference_scale_var, reference_shift, reference_taylor_shift_ratfun,
+                      reference_univar_gcd, scale_ratfun_var, univar_coeffs, univar_divmod)
 
 
 def rf(num, den=(1,)):
@@ -193,7 +191,7 @@ class TestAgainstSympy:
 def _ratfun(num, k, c, i, j):
     x = MPoly.var(("x",), "x")
     den = x ** k * (x + c) ** i * (x ** 2 + 1) ** j
-    return RatFun(MPoly.from_univar_coeffs("x", num), den)
+    return ratfun(MPoly.from_univar_coeffs("x", num), den)
 
 
 RATFUNS = st.builds(_ratfun, st.lists(st.integers(-4, 4), max_size=4),
@@ -230,16 +228,16 @@ class TestRatFunFieldLaws:
 
 
 def _invert_by_gcd(f, new_var):
-    """x -> 1/t normalised by the RatFun constructor, which runs a gcd."""
-    nd = f.num.total_degree() if f.num else 0
-    coeffs = univar_coeffs(f.num) + [Fraction(0)] * (int(nd) + 1 - len(univar_coeffs(f.num)))
+    """x -> 1/t normalised by `ratfun`, which runs a gcd."""
+    nd = num_of(f).total_degree() if num_of(f) else 0
+    coeffs = univar_coeffs(num_of(f)) + [Fraction(0)] * (int(nd) + 1 - len(univar_coeffs(num_of(f))))
     num_rev = MPoly.from_univar_coeffs(new_var, coeffs[::-1])
-    den_rev = MPoly.from_univar_coeffs(new_var, univar_coeffs(f.den)[::-1])
+    den_rev = MPoly.from_univar_coeffs(new_var, univar_coeffs(den_of(f))[::-1])
     t = MPoly.var((new_var,), new_var)
-    tpow = int(f.den.total_degree()) - int(nd)
+    tpow = int(den_of(f).total_degree()) - int(nd)
     if tpow >= 0:
-        return RatFun(num_rev * t ** tpow, den_rev)
-    return RatFun(num_rev, den_rev * t ** -tpow)
+        return ratfun(num_rev * t ** tpow, den_rev)
+    return ratfun(num_rev, den_rev * t ** -tpow)
 
 
 class TestCoprimeShortcuts:
@@ -250,16 +248,16 @@ class TestCoprimeShortcuts:
     def test_powers(self, f, k):
         expected = RatFun.const("x", 1)
         for _ in range(k):
-            expected = RatFun(expected.num * f.num, expected.den * f.den)
+            expected = ratfun(num_of(expected) * num_of(f), den_of(expected) * den_of(f))
         assert f ** k == expected
         if f:
-            assert f ** -k == RatFun(expected.den, expected.num)
+            assert f ** -k == ratfun(den_of(expected), num_of(expected))
 
     @settings(max_examples=60, deadline=None)
     @given(RATFUNS, st.fractions(-8, 8, max_denominator=5))
     def test_negation_and_constant_factors(self, f, c):
-        assert -f == RatFun(-f.num, f.den)
-        assert f * c == c * f == RatFun(f.num.scale(c), f.den)
+        assert -f == ratfun(-num_of(f), den_of(f))
+        assert f * c == c * f == ratfun(num_of(f).scale(c), den_of(f))
         assert f + 0 == 0 + f == f
 
     @settings(max_examples=60, deadline=None)
@@ -356,9 +354,9 @@ class TestKernelShortcuts:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.lists(COEFFS, max_size=6), RATFUNS, st.fractions(-6, 6, max_denominator=7))
     def test_integer_taylor_shift_is_the_fraction_one(self, num, f, c):
-        f = RatFun(MPoly.from_univar_coeffs("x", num), f.den)
+        f = ratfun(MPoly.from_univar_coeffs("x", num), den_of(f))
         got, expected = f.shift(c), reference_taylor_shift_ratfun(f, c)
-        for mine, theirs in ((got.num, expected.num), (got.den, expected.den)):
+        for mine, theirs in ((num_of(got), num_of(expected)), (den_of(got), den_of(expected))):
             assert list(mine.terms.items()) == list(theirs.terms.items())
             assert [type(v) for v in mine.terms.values()] == \
                 [type(v) for v in theirs.terms.values()]
@@ -366,12 +364,12 @@ class TestKernelShortcuts:
     @settings(max_examples=150, deadline=None)
     @given(RATFUNS, RATFUNS)
     def test_henrici_arithmetic_is_the_full_normalisation(self, f, g):
-        a, b, c, d = f.num, f.den, g.num, g.den
-        assert f + g == RatFun(a * d + c * b, b * d)
-        assert f - g == RatFun(a * d - c * b, b * d)
-        assert f * g == RatFun(a * c, b * d)
+        a, b, c, d = num_of(f), den_of(f), num_of(g), den_of(g)
+        assert f + g == ratfun(a * d + c * b, b * d)
+        assert f - g == ratfun(a * d - c * b, b * d)
+        assert f * g == ratfun(a * c, b * d)
         if g:
-            assert f / g == RatFun(a * d, b * c)
+            assert f / g == ratfun(a * d, b * c)
 
     def test_henrici_cancellations(self):
         # second cancellation in +: x/(x+1)^2 + 1/(x+1)^2 = 1/(x+1)
@@ -382,7 +380,7 @@ class TestKernelShortcuts:
         assert rf([-1, 0, 1], [0, 1]) / rf([1, 1], [0, 0, 1, 1]) == rf([0, -1, 0, 1])
         # sums that vanish
         f = rf([2, 3], [1, 0, 1])
-        assert (f - f).is_zero() and (f + (-f)).den == MPoly.const(("x",), 1)
+        assert (f - f).is_zero() and den_of(f + (-f)) == MPoly.const(("x",), 1)
 
 
 class TestGcdCount:
@@ -417,19 +415,19 @@ class TestGcdCount:
         results = [p + f, f + p, f - p, p * p, monomial * f, f * monomial,
                    p * over_x, over_x / monomial]
         assert not gcds
-        a, b = f.num, f.den
-        assert results[0] == results[1] == RatFun(p.num * b + a, b)
-        assert results[2] == RatFun(a - p.num * b, b)
-        assert results[3] == RatFun(p.num * p.num)
-        assert results[4] == results[5] == RatFun(monomial.num * a, b)
-        assert results[6] == RatFun(p.num * over_x.num, over_x.den)
-        assert results[7] == RatFun(over_x.num, over_x.den * monomial.num)
+        a, b = num_of(f), den_of(f)
+        assert results[0] == results[1] == ratfun(num_of(p) * b + a, b)
+        assert results[2] == ratfun(a - num_of(p) * b, b)
+        assert results[3] == ratfun(num_of(p) * num_of(p))
+        assert results[4] == results[5] == ratfun(num_of(monomial) * a, b)
+        assert results[6] == ratfun(num_of(p) * num_of(over_x), den_of(over_x))
+        assert results[7] == ratfun(num_of(over_x), den_of(over_x) * num_of(monomial))
 
 
 class TestRatFun:
     def test_reduction_invariants(self):
         f = rf([0, -1, 1], [0, 0, 2])  # (x^2 - x) / (2 x^2)
-        assert leading_univar_coeff(f.den) == 1
+        assert leading_univar_coeff(den_of(f)) == 1
         assert univar_gcd(f.numer, f.denom) == (1,)
 
     def test_ord_examples(self):
@@ -497,7 +495,7 @@ def _monic_pair(num, den):
 
 
 class TestOneNormaliser:
-    """RatFun(num, den) and univar_gcd against the constructor's former
+    """`ratfun(num, den)` and univar_gcd against the constructor's former
     branches (kept in conftest) and against sympy."""
 
     @settings(max_examples=200, deadline=None)
@@ -508,12 +506,12 @@ class TestOneNormaliser:
         X = sympy.Symbol("x")
         if plant:
             num = num * den     # the whole denominator cancels
-        f, ref = RatFun(num, den), reference_ratfun(num, den)
-        assert (f.num, f.den) == (ref.num, ref.den)
-        assert leading_univar_coeff(f.den) == 1
+        f, ref = ratfun(num, den), reference_ratfun(num, den)
+        assert (num_of(f), den_of(f)) == (ref.num, ref.den)
+        assert leading_univar_coeff(den_of(f)) == 1
         top, bottom = sympy.fraction(sympy.cancel(to_sympy(num, X, sympy)
                                                   / to_sympy(den, X, sympy)))
-        assert (f.num, f.den) == _monic_pair(from_sympy(top, X, sympy),
+        assert (num_of(f), den_of(f)) == _monic_pair(from_sympy(top, X, sympy),
                                              from_sympy(bottom, X, sympy))
 
     @settings(max_examples=200, deadline=None)
@@ -551,8 +549,12 @@ def num_den(draw):
 
 
 def same(mine, theirs) -> bool:
-    return ((mine.num, mine.den) == (theirs.num, theirs.den) and str(mine) == str(theirs)
-            and hash(mine) == hash(theirs) and mine.is_constant() == theirs.is_constant()
+    """mine, a RatFun, is theirs, a ReferenceRatFun: the same num/den, text
+    and shape, and the hash of the equal RatFun that `ratfun` builds."""
+    rebuilt = ratfun(theirs.num, theirs.den)
+    return ((num_of(mine), den_of(mine)) == (theirs.num, theirs.den) and str(mine) == str(theirs)
+            and mine == rebuilt and hash(mine) == hash(rebuilt)
+            and mine.is_constant() == theirs.is_constant()
             and mine.is_polynomial() == theirs.is_polynomial())
 
 
@@ -563,7 +565,7 @@ class TestAgainstFrozenRatFun:
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(num_den(), num_den(), st.fractions(-5, 5, max_denominator=7), st.integers(-2, 3))
     def test_every_operation(self, first, second, c, k):
-        f, g = RatFun(*first), RatFun(*second)
+        f, g = ratfun(*first), ratfun(*second)
         rf, rg = ReferenceRatFun(*first), ReferenceRatFun(*second)
         pairs = [(f, rf), (g, rg), (f + g, rf + rg), (f - g, rf - rg), (f * g, rf * rg),
                  (-f, -rf), (f * c, rf * c), (f + c, rf + c), (f.derivative(), rf.derivative()),
@@ -578,7 +580,7 @@ class TestAgainstFrozenRatFun:
             assert f.ord_at(point) == rf.ord_at(point)
         assert (f == g) == (rf == rg) and (f == c) == (rf == c)
         if f.is_constant():
-            assert f.constant_value() == rf.constant_value()
+            assert f.scale == rf.constant_value()
         assert monic_mpoly("x", denominator_lcm([f, g])) == reference_denominator_lcm([rf, rg])
         assert monic_gcd(first[0], second[1]) == reference_univar_gcd(first[0], second[1])
 
@@ -587,17 +589,19 @@ class TestAgainstFrozenRatFun:
     def test_arithmetic_matches_cancel(self, first, second):
         sympy = pytest.importorskip("sympy")
         X = sympy.Symbol("x")
-        f, g = RatFun(*first), RatFun(*second)
+        f, g = ratfun(*first), ratfun(*second)
         F, G = (to_sympy(a, X, sympy) / to_sympy(b, X, sympy) for a, b in (first, second))
         results = [(f + g, F + G), (f * g, F * G)] + ([(f / g, F / G)] if g else [])
         for mine, expr in results:
             top, bottom = sympy.fraction(sympy.cancel(expr))
-            assert (mine.num, mine.den) == _monic_pair(from_sympy(top, X, sympy),
+            assert (num_of(mine), den_of(mine)) == _monic_pair(from_sympy(top, X, sympy),
                                                        from_sympy(bottom, X, sympy))
 
 
 BIG_ROOTS = [Fraction(s * b, d) for b in (10 ** 13 + 37, 10 ** 18 + 3, 10 ** 40 + 121)
              for s in (1, -1) for d in (1, 7)]
+# leading coefficients: 1, each of the first ten primes and their product
+LEADING = (1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 6469693230)
 # 1, x^2 + 1, x^2 - 2, x^4 + x + 1, 3x^2 + 5 and (x^2 + 1)^2 have no rational root
 ROOTLESS = [(1,), (1, 0, 1), (-2, 0, 1), (1, 1, 0, 0, 1), (5, 0, 3), (1, 0, 2, 0, 1)]
 
@@ -640,6 +644,30 @@ class TestRationalRoots:
         assert factor_rational(int_coeffs(p))[1] == (1, 0, 1)
 
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(-6, 6), st.sampled_from(LEADING), st.integers(1, 3)),
+                    max_size=3),
+           st.integers(0, 3), st.booleans())
+    def test_roots_and_leftover_match_sympy(self, linear, k, surd):
+        # repeated linear factors v x - u, v often a product of small primes,
+        # beside (x^2 + 1)^k and x^2 - 2, which have no rational root
+        sympy = pytest.importorskip("sympy")
+        X = sympy.Symbol("x")
+        x = MPoly.var(("x",), "x")
+        p = (x ** 2 + 1) ** k * (x ** 2 - 2 if surd else 1)
+        for u, v, m in linear:
+            p = p * (v * x - u) ** m
+        a = int_coeffs(p)
+        expr = to_sympy(p, X, sympy)
+        theirs = {Fraction(int(r.p), int(r.q)): m
+                  for r, m in sympy.roots(expr, X, filter="Q").items()}
+        roots, rest = factor_rational(a)
+        assert rational_roots(a) == roots == sorted(theirs)
+        assert {r: _mult_at(a, r) for r in roots} == theirs
+        leftover = sympy.Mul(*(f ** m for f, m in sympy.factor_list(expr)[1]
+                               if sympy.degree(f, X) > 1))
+        assert rest == int_coeffs(from_sympy(leftover, X, sympy))
+
     def test_every_small_prime_divides_the_leading_coefficient(self):
         # 2 * 3 * ... * 29: the lift runs modulo the first prime past them
         a = 6469693230
@@ -681,7 +709,7 @@ class TestWorkGates:
                                                       for _ in range(degree + 1)])
 
             common = poly()
-            f, g = RatFun(poly() * common, poly()), RatFun(poly(), poly() * common)
+            f, g = ratfun(poly() * common, poly()), ratfun(poly(), poly() * common)
             fraction_ops[0] = 0
             f + g, f * g, f / g
             counts.append(fraction_ops[0])

@@ -12,8 +12,8 @@ from dreg.regularity import (GLOBAL_IRREGULAR, GLOBAL_REGULAR,
                              REGULAR, fuchs_regular_at, newton_polygon,
                              regular_on_projective_line, theta_regular_at_zero)
 
-from conftest import (evaluate_mpoly, random_operator, random_operator_with_poles,
-                      random_point, random_ratfun_with_poles, reference_monic_orders, spy,
+from conftest import (den_of, evaluate_mpoly, random_operator, random_operator_with_poles,
+                      random_point, random_ratfun_with_poles, ratfun, reference_monic_orders, spy,
                       univar_divmod)
 
 
@@ -55,7 +55,7 @@ class TestFuchs:
         for _ in range(25):
             p = random_operator(rng, order=2, degree=2, pole=2)
             # (x + 1) is a unit of the local ring at 0
-            unit = RatFun(MPoly.from_univar_coeffs("x", [1, 1]))
+            unit = ratfun(MPoly.from_univar_coeffs("x", [1, 1]))
             q = p.scale(unit)
             assert (fuchs_regular_at(p, 0).verdict
                     == fuchs_regular_at(q, 0).verdict)
@@ -155,7 +155,7 @@ class TestProjectiveLine:
         for _ in range(60):
             c = random_point(rng)
             p = random_operator_with_poles(rng, c, order=3, degree=3, pole=2)
-            dens = [a.den for a in p.monic().coeffs]
+            dens = [den_of(a) for a in p.monic().coeffs]
             has_quadratic = any(univar_divmod(d, quadratic)[1].is_zero() for d in dens)
             has_c = any(evaluate_mpoly(d, {"x": c}) == 0 for d in dens)
             rep = regular_on_projective_line(p)

@@ -18,12 +18,12 @@ from dreg.polynomials import MPoly, RatFun, as_rat, denominator_lcm
 from dreg.regularity import (GLOBAL_IRREGULAR, GLOBAL_REGULAR, INFINITY,
                              IRREGULAR, REGULAR, fuchs_regular_at, singular_locus)
 from dreg.systems import (ConnectionSystem, EXCEEDED_BOUND,
-                          STABILIZED, SaturationResult, cyclic_vector,
+                          STABILIZED, SaturationResult, _candidate_schedule, cyclic_vector,
                           regular_system_report, saturate_lattice)
 
-from conftest import (LocalLattice, conjugate, polar_contains, polar_generators, polar_part,
-                      random_gauged_euler, random_operator, random_ratfun_with_poles,
-                      random_system, spy)
+from conftest import (LocalLattice, conjugate, den_of, num_of, polar_contains, polar_generators,
+                      polar_part, random_gauged_euler, random_operator, random_ratfun_with_poles,
+                      random_system, ratfun, spy)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -60,6 +60,22 @@ class TestCyclicVector:
         # singularities only at 0 and infinity, Fuchs-regular at both
         for point in (Fraction(0), INFINITY):
             assert fuchs_regular_at(res.operator, point).verdict == REGULAR
+
+    def test_scalar_system_passes_every_constant_functional(self):
+        # B = -I/x: a constant functional c has derivative -c/x, so no 0/1
+        # candidate is cyclic, and the schedule reaches its exponent grid
+        sysm = system([["1/x", "0"], ["0", "1/x"]])
+        schedule = list(_candidate_schedule(sysm))
+        assert len(set(schedule)) == len(schedule)
+        assert [tuple(map(str, c)) for c in schedule[:4]] == \
+            [("1", "0"), ("0", "1"), ("1", "1"), ("x", "1")]
+        res = cyclic_vector(sysm)
+        assert [str(e) for e in res.cyclic_vector] == ["x", "1"]
+        assert not res.determinant.is_zero()
+        assert res.operator == parse_operator("d^2 + 2/x*d")
+        report = regular_system_report(sysm)
+        assert [(p.point, p.fuchs.verdict, p.saturation.status) for p in report.points] == \
+            [(0, REGULAR, STABILIZED), (INFINITY, REGULAR, STABILIZED)]
 
     def test_gauge_invariant_verdicts(self):
         p = parse_operator("d^2 - x")
@@ -163,7 +179,7 @@ class TestPolarSaturation:
         assert res.stabilized and len(gens) == 2
         assert any(polar_part(g) for g in gens)  # at least one has a pole
         for g in gens:
-            assert all(e.den.is_monomial() for e in g)
+            assert all(den_of(e).is_monomial() for e in g)
             assert polar_contains(res.lattice, g)
 
     def test_d3_companion_default_bound_finishes(self, tmp_path):
@@ -421,7 +437,7 @@ class TestReports:
         t2 = MPoly.monomial(("t",), (2,))
         inverted = [[e.invert_var("t") for e in row] for row in sysm.matrix]
         assert sysm.at_infinity().matrix == tuple(
-            tuple(RatFun(-f.num, f.den * t2) for f in row) for row in inverted)
+            tuple(ratfun(-num_of(f), den_of(f) * t2) for f in row) for row in inverted)
 
     def test_infinity_chart_carries_solutions(self):
         # d^2 - 2/x^2 has the solution x^2, so its companion has (x^2, 2x);
