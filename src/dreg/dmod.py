@@ -28,35 +28,30 @@ class ZeroModuleError(ValueError):
     """Raised when an operation receives the unit ideal (the zero module)."""
 
 
-class CyclicFiltration:
-    """Companion data of the filtration generated by u, theta u, ..."""
-
-    __slots__ = ("operator", "n", "theta_matrix")
-
-    def __init__(self, p: UnivarOperator):
-        if p.is_zero():
-            raise ValueError("zero operator")
-        p = p.monic()
-        n = p.order()
-        if n < 1:
-            raise ValueError("order-zero operator presents the zero module")
-        theta = to_theta_form(p)
-        var = p.var
-        zero = RatFun.zero(var)
-        cols = []
-        for j in range(n):
-            col = [zero] * n
-            if j < n - 1:
-                col[j + 1] = RatFun.one(var)
-            else:
-                top = theta.coeff(n)
-                for i in range(n):
-                    col[i] = -theta.coeff(i) / top
-            cols.append(col)
-        # theta_matrix[i][j]: coefficient of e_i in theta(e_j)
-        self.operator = p
-        self.n = n
-        self.theta_matrix = [[cols[j][i] for j in range(n)] for i in range(n)]
+def cyclic_theta_matrix(p: UnivarOperator) -> list[list[RatFun]]:
+    """The theta-action on the lattice spanned by u, theta u, ...,
+    theta^(n-1) u of D/DP: entry [i][j] is the coefficient of e_i in
+    theta(e_j), the companion matrix of the Euler form of P."""
+    if p.is_zero():
+        raise ValueError("zero operator")
+    p = p.monic()
+    n = p.order()
+    if n < 1:
+        raise ValueError("order-zero operator presents the zero module")
+    theta = to_theta_form(p)
+    var = p.var
+    zero = RatFun.zero(var)
+    cols = []
+    for j in range(n):
+        col = [zero] * n
+        if j < n - 1:
+            col[j + 1] = RatFun.one(var)
+        else:
+            top = theta.coeff(n)
+            for i in range(n):
+                col[i] = -theta.coeff(i) / top
+        cols.append(col)
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -81,10 +76,10 @@ def kashiwara_regular_at_zero(p: UnivarOperator) -> KashiwaraCertificate:
     entry of its theta-action matrix has nonnegative order at the point; the
     class of x*d then annihilates the graded module.
     """
-    filt = CyclicFiltration(p)
-    orders = tuple(tuple(e.ord_at(0) for e in row) for row in filt.theta_matrix)
+    matrix = cyclic_theta_matrix(p)
+    orders = tuple(tuple(e.ord_at(0) for e in row) for row in matrix)
     regular = all(o >= 0 for row in orders for o in row)
-    reprs = tuple(tuple(str(e) for e in row) for row in filt.theta_matrix)
+    reprs = tuple(tuple(str(e) for e in row) for row in matrix)
     return KashiwaraCertificate(regular, orders, reprs)
 
 

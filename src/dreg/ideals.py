@@ -2,37 +2,39 @@
 
 One Buchberger driver serves both rings of the package: the commutative
 polynomial ring Q[vars] (the symbol ring) and the Weyl algebra A_n, whose
-elements are `MPoly`s in x and d with their own product (`dreg.weyl`).  The
-driver takes a term order; it builds new elements of its input's type with
-`MPoly._with`, and skips S-pairs by coprimality only where the elements say
-they commute (`MPoly.commutative`).  Inside a run every monomial is one int
-(`Packing`): each exponent has a fixed 32-bit field whose top bit is a
-guard, the total and the weighted degree sit above the fields, and the
-code is linear in the exponents and ordered like `TermOrder.key` (the
-revlex tie-break subtracts the fields).  So a leading term is a plain
-`max`, multiplying monomials adds codes, and divisibility, lcm and
-coprimality are arithmetic on the guard bits; an exponent that reaches
-the guard raises `BudgetExceeded`.  The boundary is crossed twice: the
-generators are packed on entry and the reduced basis is unpacked on exit,
-while a unit test reads only the last leading code.  A division step, and
-the building of an S-element, subtract a one-term multiple of a basis
-element from a packed term map in place: a shift and a scale where the
-ring commutes, and in A_n the contraction of d_i against x_i on the
-fields (`_leibniz`).  The S-pair loop (`buchberger_loop`) and the
-interreduction are two steps: a reduced basis takes both, while the
-unit-ideal tests (`is_unit_ideal`, `radical_membership`) only ask whether
-a nonzero constant entered the loop and stop there.  Arithmetic
-inside the driver is on integers: it keeps primitive integer multiples of
-its elements and divides by pseudo-division.  Rationals appear only at the
-boundary, in the monic reduced basis, and there in the normal form of
-`dreg.polynomials`: an int when integral, else a Fraction.  On top sit
-membership, radical membership via the extra-variable trick (and its
-refutation by a leading monomial outside the radical of the initial
-ideal), and Krull dimension through independent variable sets modulo the
-initial ideal.  An ideal whose generators are known to be a reduced
-Gröbner basis says so (`Ideal.basis_order`), and both tests then start
-from that basis instead of computing one.  All computations carry an explicit work budget; exceeding
-it raises rather than silently truncating.
+elements are `MPoly`s in x and d that refuse MPoly's product
+(`dreg.weyl`).  The driver takes a term order; it builds new elements of
+its input's type with `MPoly._with`, and skips S-pairs by coprimality only
+where the elements say they commute (`MPoly.commutative`).  Inside a run
+every monomial is one int (`Packing`): each exponent has a fixed 32-bit
+field whose top bit is a guard, the total and the weighted degree sit
+above the fields, and the code is linear in the exponents and ordered like
+`TermOrder.key` (the revlex tie-break subtracts the fields).  So a leading
+term is a plain `max`, multiplying monomials adds codes, and divisibility,
+lcm and coprimality are arithmetic on the guard bits; an exponent that
+reaches the guard raises `BudgetExceeded`.  The boundary is crossed twice:
+the generators are packed on entry and the reduced basis is unpacked on
+exit, while a unit test reads only the last leading code.  A division
+step, and the building of an S-element, subtract a one-term multiple of a
+basis element from a packed term map in place: a shift and a scale where
+the ring commutes, and in A_n the contraction of d_i against x_i on the
+fields (`_leibniz`).  That is the one Weyl product of the package: the
+parser evaluates generators with it too, on the LEX packing of A_n.  The
+S-pair loop (`buchberger_loop`) and the interreduction are two steps: a
+reduced basis takes both, while the unit-ideal tests (`is_unit_ideal`,
+`radical_membership`) only ask whether a nonzero constant entered the loop
+and stop there.  Arithmetic inside the driver is on integers: it keeps
+primitive integer multiples of its elements and divides by
+pseudo-division.  Rationals appear only at the boundary, in the monic
+reduced basis, and there in the normal form of `dreg.polynomials`: an int
+when integral, else a Fraction.  On top sit membership, radical membership
+via the extra-variable trick (and its refutation by a leading monomial
+outside the radical of the initial ideal), and Krull dimension through
+independent variable sets modulo the initial ideal.  An ideal whose
+generators are known to be a reduced Gröbner basis says so
+(`Ideal.basis_order`), and both tests then start from that basis instead
+of computing one.  All computations carry an explicit work budget;
+exceeding it raises rather than silently truncating.
 """
 
 from __future__ import annotations

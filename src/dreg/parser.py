@@ -15,9 +15,12 @@ In one variable a value is a rational function in Q(x), a RatFun from the
 first number or x on (polynomials are its integer lists, and their sums,
 products and powers run no gcd), and an operator only where it meets a
 derivation: f*d^k places f at order k, f*P scales the coefficients of P, and
-only P*f needs the Leibniz product.  A power is refused, before it is
-computed, when the exponent times the order or degree of its base exceeds
-MAX_POWER.
+only P*f needs the Leibniz product.  In A_n a value is a term map on the
+packed monomial codes of the Gröbner driver (`dreg.ideals.Packing`), whose
+left-monomial product is the one Weyl product of the package, and each
+generator becomes a `WeylElement` once, at the end.  A power is refused,
+before it is computed, when the exponent times the order or degree of its
+base exceeds MAX_POWER.
 
 Text is lexed in one regex pass into token texts, which the descent reads by
 index; a token's line and column are worked out from its offset only when a
@@ -26,12 +29,14 @@ ParseError is raised.
 
 from __future__ import annotations
 
+import functools
 import re
 
-import dreg  # dreg.weyl loads on first use, so the connection side never loads it
+import dreg  # the Weyl grammar loads dreg.weyl and dreg.ideals on first use
 
+from .errors import BudgetExceeded
 from .operators import UnivarOperator
-from .polynomials import MPoly, RatFun, _inverse
+from .polynomials import MPoly, RatFun, _exact, _inverse
 
 
 MAX_POWER = 1000
@@ -247,8 +252,17 @@ class _UnivarAlgebra:
         return a / b
 
 
+@functools.cache
+def _weyl_packing(n: int):
+    """The LEX `Packing` of A_n that Weyl generators are evaluated on."""
+    return dreg.ideals.Packing(dreg.ideals.LEX, dreg.weyl.WeylElement._from_terms(n, {}))
+
+
 class _WeylAlgebra:
-    """Evaluation into normal-ordered Weyl elements."""
+    """Evaluation in A_n on packed term maps {code: coefficient} of
+    `_weyl_packing(n)`: an atom is its unit code, a constant sits at code 0,
+    and a product is one `Packing.subtract` per term of the left factor, the
+    driver's left-monomial product.  `element` unpacks a generator once."""
 
     def __init__(self, variables: tuple):
         self.vars = tuple(variables)
@@ -265,41 +279,69 @@ class _WeylAlgebra:
             derivs.setdefault("d" + name, i)
         if n == 1:
             derivs.setdefault("d", 0)
-        # name -> the exponent of its one-term element; a variable's name
-        # wins over a derivation's ('dX' in variables ('X', 'dX'))
-        units = [tuple(int(j == k) for k in range(2 * n)) for j in range(2 * n)]
-        self.exponents = {name: units[n + i] for name, i in derivs.items()}
-        self.exponents.update((name, units[i]) for i, name in enumerate(self.vars))
-        self.origin = (0,) * (2 * n)
+        self.packing = pk = _weyl_packing(n)
+        # name -> the code of its one-term element; a variable's name wins
+        # over a derivation's ('dX' in variables ('X', 'dX'))
+        self.codes = {name: pk.units[n + i] for name, i in derivs.items()}
+        self.codes.update((name, pk.units[i]) for i, name in enumerate(self.vars))
 
-    def const(self, c: int) -> dreg.weyl.WeylElement:
-        return dreg.weyl.WeylElement._from_terms(self.n, {self.origin: c} if c else {})
+    def element(self, v: dict) -> dreg.weyl.WeylElement:
+        return self.packing.unpack({u: _exact(c) for u, c in v.items()})
 
-    def symbol(self, name: str, at: int) -> dreg.weyl.WeylElement:
-        exps = self.exponents.get(name)
-        if exps is not None:
-            return dreg.weyl.WeylElement._from_terms(self.n, {exps: 1})
+    def const(self, c: int) -> dict:
+        return {0: c} if c else {}
+
+    def symbol(self, name: str, at: int) -> dict:
+        code = self.codes.get(name)
+        if code is not None:
+            return {code: 1}
         if _DERIV_RE.fullmatch(name) or re.fullmatch(r"[xyz][0-9]*", name):
             raise _Refused(f"{name!r} does not exist in the {self.n}-variable "
                            f"context {self.vars}", at)
         raise _Refused(f"unknown symbol {name!r}", at)
 
-    def neg(self, v): return -v
-    def add(self, a, b): return a + b
-    def sub(self, a, b): return a - b
-    def mul(self, a, b): return a * b
+    def neg(self, v): return {u: -c for u, c in v.items()}
+
+    def add(self, a, b):
+        out = dict(a)
+        for u, c in b.items():
+            s = out.get(u, 0) + c
+            if s:
+                out[u] = s
+            else:
+                del out[u]
+        return out
+
+    def sub(self, a, b): return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        pk, out = self.packing, {}
+        for s, q in a.items():
+            pk.subtract(out, -q, s, b)
+        # LEX codes are their fields: a product term whose exponent reached
+        # the limit shows its guard bit before it can carry any further
+        guard = pk.guard
+        if any(u & guard for u in out):
+            raise BudgetExceeded(dreg.ideals._LIMIT_REACHED)
+        return out
 
     def pow(self, v, k, at: int):
-        _check_power(v.total_degree() if v.terms else 0, k, at)
-        return v ** k
+        _check_power(self.packing.unpack(v).total_degree() if v else 0, k, at)
+        if k == 0:
+            return {0: 1}
+        out = v
+        for _ in range(k - 1):
+            out = self.mul(out, v)
+        return out
 
     def div(self, a, b, at: int):
-        if b.is_zero():
+        if not b:
             raise _Refused("division by zero", at)
-        if not b.is_constant():
+        if len(b) > 1 or 0 not in b:
             raise _Refused("division is only defined by nonzero rational constants in a "
                            "multivariate context", at)
-        return a.scale(_inverse(b.constant_value()))
+        c = _inverse(b[0])
+        return {u: _exact(v * c) for u, v in a.items()}
 
 
 def parse_operator(text: str, var: str = "x") -> UnivarOperator:
@@ -310,7 +352,8 @@ def parse_operator(text: str, var: str = "x") -> UnivarOperator:
 
 def parse_weyl_generators(text: str, variables) -> list[dreg.weyl.WeylElement]:
     """Parse ';'-separated generators of a left ideal in A_n."""
-    return _parse(text, _WeylAlgebra(tuple(variables)), many=True)
+    algebra = _WeylAlgebra(tuple(variables))
+    return [algebra.element(v) for v in _parse(text, algebra, many=True)]
 
 
 def parse_ratfun(text: str, var: str = "x") -> RatFun:
@@ -329,10 +372,8 @@ def parse_ratfun(text: str, var: str = "x") -> RatFun:
 
 def parse_polynomial(text: str, variables) -> MPoly:
     """Parse a polynomial in the coordinate variables."""
-    gens = parse_weyl_generators(text, variables)
-    if len(gens) != 1:
-        raise ParseError("expected a single polynomial", 1, 1)
-    w = gens[0]
+    algebra = _WeylAlgebra(tuple(variables))
+    w = algebra.element(_parse(text, algebra))
     if w.order() > 0:
         raise ParseError("expected a polynomial, found a derivation", 1, 1)
     return MPoly(tuple(variables), {e[:w.n]: c for e, c in w.terms.items()})

@@ -19,7 +19,7 @@ from itertools import combinations_with_replacement
 from operator import add, gt, le, sub
 from typing import Iterator
 
-from .dmod import CyclicFiltration
+from .dmod import cyclic_theta_matrix
 from .ideals import (Ideal, is_radical_squarefree_monomial,
                      minimal_monomial_generators)
 from .linalg import mat_mul, mat_sub
@@ -583,7 +583,7 @@ def theorem_backward_extraction(p: UnivarOperator, pole_bound: int) -> BackwardR
     """
     if not isinstance(p, UnivarOperator):
         raise TypeError(f"backward extraction needs an operator, not a {type(p).__name__}")
-    matrix = CyclicFiltration(p).theta_matrix
+    matrix = cyclic_theta_matrix(p)
     certified = []
     failing = []
     for i, row in enumerate(matrix):

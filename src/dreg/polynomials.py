@@ -64,9 +64,10 @@ class MPoly:
 
     Terms map exponent tuples to nonzero coefficients; zero coefficients are
     never stored, so equality of polynomials is equality of term maps.  A
-    subclass with its own product (`dreg.weyl.WeylElement`) is another
-    ring: its elements never equal an MPoly, and sums and products with
-    one raise ValueError.
+    subclass whose product is not this one (`dreg.weyl.WeylElement`, which
+    refuses `*`) is another ring: its elements never equal an MPoly, and
+    sums and products with one raise.  No power is defined: `**` raises
+    TypeError.
     """
 
     __slots__ = ("vars", "terms")
@@ -234,26 +235,6 @@ class MPoly:
     def scale(self, c) -> "MPoly":
         c = as_rat(c)
         return self._with({e: _exact(c * v) for e, v in self.terms.items()} if c else {})
-
-    def __pow__(self, k: int) -> "MPoly":
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        if k == 0:
-            return self._with({(0,) * len(self.vars): 1})
-        if len(self.terms) == 1:
-            ((e, c),) = self.terms.items()
-            # a power of a non-integral rational is not integral: c^k is exact
-            return self._with({tuple(a * k for a in e): c ** k})
-        # square-and-multiply from the base: no product by 1, no last squaring
-        result = None
-        base = self
-        while True:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if not k:
-                return result
-            base = base * base
 
     def diff(self, name: str) -> "MPoly":
         idx = self.vars.index(name)

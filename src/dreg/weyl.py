@@ -1,16 +1,19 @@
 """The Weyl algebra A_n over Q in normal-ordered canonical form.
 
 Elements are finite sums c * x^alpha * d^beta with all x's to the left of
-all d's; multiplication normal-orders immediately through the closed form
+all d's, so equality of elements is equality of term maps.  A
+normal-ordered element has the basis of a polynomial in x and d, so
+`WeylElement` is the `MPoly` of those 2n variables with the term
+alpha + beta for x^alpha d^beta; it inherits sums, scaling, equality and
+printing, but not the commutative product: `*` between two elements raises
+TypeError.  A_n has one product, the left-monomial product of the
+Buchberger driver on packed codes (`dreg.ideals.Packing.subtract`), which
+normal-orders through the closed form
 
-    d^a x^b = sum_k k! C(a,k) C(b,k) x^(b-k) d^(a-k)
+    d^a x^b = sum_k k! C(a,k) C(b,k) x^(b-k) d^(a-k).
 
-so equality of elements is equality of term maps.  A normal-ordered
-element has the basis of a polynomial in x and d, so `WeylElement` is the
-`MPoly` of those 2n variables with the term alpha + beta for x^alpha d^beta;
-it inherits sums, scaling, equality and printing and brings its own
-product.  Left Gröbner bases come from the Buchberger driver in
-`dreg.ideals` under a term order that compares total d-degree first, which
+The parser evaluates the grammar with it, and left Gröbner bases come from
+the driver under a term order that compares total d-degree first, which
 makes the principal symbols of a basis generate a well-defined graded ideal
 in Q[x, xi].
 """
@@ -18,14 +21,12 @@ in Q[x, xi].
 from __future__ import annotations
 
 import functools
-import math
 from fractions import Fraction
-from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DEFAULT_BUDGET
-from .ideals import Ideal, _leibniz, buchberger_basis, symbol_weight_order
-from .polynomials import MPoly, _exact, as_rat, format_mpoly
+from .ideals import Ideal, buchberger_basis, symbol_weight_order
+from .polynomials import INF, MPoly, format_mpoly
 
 _COORD_NAMES = ("x", "y", "z")
 _SYMBOL_NAMES = ("xi", "eta", "zeta")
@@ -61,25 +62,19 @@ def _weyl_vars(n: int) -> tuple:
 
 class WeylElement(MPoly):
     """A normal-ordered element of A_n: an MPoly in x_1..x_n, d_1..d_n whose
-    term alpha + beta stands for x^alpha d^beta, with the Weyl product."""
+    term alpha + beta stands for x^alpha d^beta."""
 
     __slots__ = ()
     commutative = False
+    __mul__ = None      # MPoly's product would commute d past x; see dreg.ideals.Packing
 
     def __init__(self, n: int, terms: Mapping[tuple, Fraction] | None = None):
         super().__init__(_weyl_vars(n), terms)
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def const(cls, n: int, value) -> "WeylElement":
-        value = as_rat(value)
-        return cls._from_terms(n, {(0,) * (2 * n): value} if value else {})
-
     @classmethod
     def _from_terms(cls, n: int, terms: dict) -> "WeylElement":
-        """The element of A_n with this term map, taken as given: what the
-        constructors above build, without the checks of `MPoly.__init__`."""
+        """The element of A_n with this term map, taken as given, without
+        the checks of `MPoly.__init__`."""
         out = object.__new__(cls)
         out.vars = _weyl_vars(n)
         out.terms = terms
@@ -94,29 +89,7 @@ class WeylElement(MPoly):
     def order(self) -> int | float:
         """Maximal total d-degree (the order filtration level)."""
         n = self.n
-        return max((sum(e[n:]) for e in self.terms), default=-math.inf)
-
-    # -- arithmetic -----------------------------------------------------------
-
-    def __mul__(self, other) -> "WeylElement":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return weyl_mul(self, other)
-
-    def __rmul__(self, other) -> "WeylElement":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __pow__(self, k: int) -> "WeylElement":
-        if k < 0:
-            raise ValueError("negative power in the Weyl algebra")
-        if k == 0:
-            return WeylElement.const(self.n, 1)
-        result = self
-        for _ in range(k - 1):
-            result = weyl_mul(result, self)
-        return result
+        return max((sum(e[n:]) for e in self.terms), default=-INF)
 
     # -- symbol ----------------------------------------------------------------
 
@@ -134,41 +107,6 @@ class WeylElement(MPoly):
 
     def __str__(self) -> str:
         return format_mpoly(self, symbol_weight_order(len(self.vars)).key)
-
-
-def weyl_mul(a: WeylElement, b: WeylElement) -> WeylElement:
-    """Normal-ordered product in A_n.
-
-    A left factor c * x^alpha with no d is an exponent shift and a scale,
-    under which no two terms collide.  Otherwise each term pair contracts
-    d_i^beta_i against x_i^gamma_i for the variables where both are
-    nonzero, with the integer factors of `_leibniz`, so each product term
-    costs one coefficient multiply.
-    """
-    a._check(b)
-    n = a.n
-    if len(a.terms) == 1:
-        ((e, c),) = a.terms.items()
-        if not any(e[n:]):
-            return b._mul_term(e, c)
-    res: dict[tuple, Fraction] = {}
-    for ea, ca in a.terms.items():
-        dvars = [i for i in range(n) if ea[n + i]]
-        for eb, cb in b.terms.items():
-            terms = [(tuple(map(add, ea, eb)), ca * cb)]
-            for i in dvars:
-                if eb[i]:
-                    row, j = _leibniz(ea[n + i], eb[i]), n + i
-                    terms = [(e[:i] + (e[i] - k,) + e[i + 1:j] + (e[j] - k,) + e[j + 1:],
-                              c * f if f != 1 else c)
-                             for e, c in terms for k, f in enumerate(row)]
-            for e, c in terms:
-                s = res.get(e, 0) + c
-                if s:
-                    res[e] = s
-                else:
-                    del res[e]
-    return a._with({e: _exact(c) for e, c in res.items()})
 
 
 # -- left Gröbner bases -------------------------------------------------------

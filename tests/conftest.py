@@ -20,6 +20,7 @@ small helpers only tests call."""
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import heapq
 import importlib.util
@@ -37,8 +38,8 @@ from typing import Iterable, NamedTuple, Sequence
 import pytest
 
 import dreg.cli
-from dreg.dmod import (CONORMAL_POINT, ZERO_SECTION, CharVariety, Component, CyclicFiltration,
-                       EquivalenceReport, _is_xi_homogeneous, _localize)
+from dreg.dmod import (CONORMAL_POINT, ZERO_SECTION, CharVariety, Component, EquivalenceReport,
+                       _is_xi_homogeneous, _localize, cyclic_theta_matrix)
 from dreg.errors import ContradictionError
 from dreg.ideals import (DEFAULT_BUDGET, DEGREVLEX, BudgetExceeded, Ideal, Packing, TermOrder,
                          _divides, _integral, _integral_basis, _pseudo_remainder,
@@ -47,7 +48,7 @@ from dreg.ideals import (DEFAULT_BUDGET, DEGREVLEX, BudgetExceeded, Ideal, Packi
 from dreg.lattices import Laurent, PolarLattice, laurent_rows, theta_terms
 from dreg.linalg import gauss_solve, mat_mul
 from dreg.operators import ThetaOperator, UnivarOperator
-from dreg.parser import MAX_POWER, ParseError
+from dreg.parser import MAX_POWER, ParseError, _WeylAlgebra
 from dreg.polelattice import (Prop21Report, _breaking_element, _ideal_monomials,
                               _outside_annihilators, _outside_monomials, _symbol_monomials,
                               _window, theta_XZ_ideal)
@@ -89,11 +90,9 @@ UNREACHED = {
     "regularity._Infinity.__repr__": (DUNDER, "debugging text; reports print str()"),
     "operators.UnivarOperator.__sub__": (DUNDER, "P - Q; the parser adds the negation"),
     "operators.UnivarOperator.__rmul__": (DUNDER, "c * P for a scalar c; the parser scales"),
-    "polynomials.MPoly.__pow__": (DUNDER, "p^k; the parser raises Weyl elements"),
     "polynomials.MPoly.__rsub__": (DUNDER, "c - p for a scalar c"),
     "polynomials.RatFun.__rsub__": (DUNDER, "c - f for a scalar c"),
     "polynomials.RatFun.__rtruediv__": (DUNDER, "c / f for a scalar c"),
-    "weyl.WeylElement.__rmul__": (DUNDER, "c * w for a scalar c"),
     "weyl.WeylElement.__init__": (DUNDER, "the checked constructor; verbs build from term maps"),
     "errors.ContradictionError.__init__": (EXIT_3, "two equivalent tests disagreed"),
     "dmod.verify_components_both_ways": (
@@ -171,7 +170,7 @@ def random_ratfun_with_poles(rng: random.Random, c: Fraction, var: str = "x",
     num = random_mpoly(rng, (var,), degree, terms=degree + 1)
     linear = MPoly.from_univar_coeffs(var, [-c, Fraction(1)])
     quadratic = MPoly.from_univar_coeffs(var, [1, 0, 1])
-    den = linear ** rng.randint(0, pole) * quadratic ** rng.randint(0, 1)
+    den = reference_pow(linear, rng.randint(0, pole)) * reference_pow(quadratic, rng.randint(0, 1))
     return ratfun(num, den)
 
 
@@ -376,8 +375,7 @@ class CurveModule:
 
     @classmethod
     def from_operator(cls, p: UnivarOperator) -> "CurveModule":
-        filt = CyclicFiltration(p)
-        return cls(p.var, filt.theta_matrix)
+        return cls(p.var, cyclic_theta_matrix(p))
 
     def _d(self, v: dict) -> dict:
         """The polar part of d(v) = x^-1 theta(v)."""
@@ -716,7 +714,7 @@ class ReferenceWeylAlgebra:
             self.derivs.setdefault("d", 0)
 
     def const(self, c: int) -> WeylElement:
-        return WeylElement.const(self.n, c)
+        return weyl_const(self.n, c)
 
     def symbol(self, tok: Token) -> WeylElement:
         if tok.text in self.vars:
@@ -732,11 +730,11 @@ class ReferenceWeylAlgebra:
     def neg(self, v): return -v
     def add(self, a, b): return a + b
     def sub(self, a, b): return a - b
-    def mul(self, a, b): return a * b
+    def mul(self, a, b): return reference_weyl_mul(a, b)
 
     def pow(self, v, k, tok: Token):
         _check_power(v.total_degree() if v.terms else 0, k, tok)
-        return v ** k
+        return reference_weyl_pow(v, k)
 
     def div(self, a, b, tok: Token):
         if b.is_zero():
@@ -1220,10 +1218,10 @@ class ReferenceRatFun:
     def __pow__(self, k: int) -> "ReferenceRatFun":
         # powers of a coprime pair stay coprime, and den^k stays monic
         if k >= 0:
-            return ReferenceRatFun.coprime(self.num ** k, self.den ** k)
+            return ReferenceRatFun.coprime(reference_pow(self.num, k), reference_pow(self.den, k))
         if self.is_zero():
             raise ZeroDivisionError("division by the zero function")
-        return ReferenceRatFun.coprime(self.den ** -k, self.num ** -k)
+        return ReferenceRatFun.coprime(reference_pow(self.den, -k), reference_pow(self.num, -k))
 
     def derivative(self) -> "ReferenceRatFun":
         x = self.var
@@ -1571,6 +1569,11 @@ def weyl_x(n: int, i: int) -> WeylElement:
 def weyl_d(n: int, i: int) -> WeylElement:
     """The derivation d_(i+1) of A_n."""
     return WeylElement(n, {tuple(int(j == n + i) for j in range(2 * n)): 1})
+
+
+def weyl_const(n: int, c) -> WeylElement:
+    """The constant c of A_n."""
+    return WeylElement(n, {(0,) * (2 * n): c})
 
 
 def degree_in(p: MPoly, name: str):
@@ -2005,7 +2008,7 @@ def reference_normal_form(f, basis: Sequence, order: TermOrder = DEGREVLEX,
         e = max(rest, key=rank.__getitem__)
         for g, (ge, gc) in zip(basis, leads):
             if _divides(ge, e):
-                product = f._with({_exp_sub(e, ge): Fraction(rest[e]) / gc}) * g
+                product = reference_product(f._with({_exp_sub(e, ge): Fraction(rest[e]) / gc}), g)
                 for u, v in product.terms.items():
                     s = rest.get(u)
                     if s is None:
@@ -2072,8 +2075,8 @@ def reference_buchberger_basis(gens: Iterable, order: TermOrder,
                and (min(j, k), max(j, k)) not in pending and _divides(ke, lcm)
                for k, (ke, _) in enumerate(leads)):
             continue
-        s = (basis[i]._with({_exp_sub(lcm, fe): Fraction(1) / fc}) * basis[i]
-             - basis[j]._with({_exp_sub(lcm, ge): Fraction(1) / gc}) * basis[j])
+        s = (reference_product(basis[i]._with({_exp_sub(lcm, fe): Fraction(1) / fc}), basis[i])
+             - reference_product(basis[j]._with({_exp_sub(lcm, ge): Fraction(1) / gc}), basis[j]))
         r = reference_normal_form(s, basis, order, leads)
         if not r.is_zero() and insert(r):
             return [r._with({leads[-1][0]: Fraction(1)})]
@@ -2130,6 +2133,40 @@ def reference_weyl_mul(a: WeylElement, b: WeylElement) -> WeylElement:
                 else:
                     res[key] = term
     return a._with(res)
+
+
+@functools.cache
+def weyl_algebra(n: int) -> _WeylAlgebra:
+    """The parser's evaluation algebra of A_n, in the coordinates x, y, z."""
+    return _WeylAlgebra(coordinate_names(n))
+
+
+def weyl_product(a: WeylElement, b: WeylElement) -> WeylElement:
+    """a * b by the package's one Weyl product, the parser algebra's: the
+    driver's `Packing.subtract` once per term of a, on packed codes."""
+    a._check(b)
+    algebra = weyl_algebra(a.n)
+    pack = algebra.packing.pack
+    return algebra.element(algebra.mul(pack(a.terms), pack(b.terms)))
+
+
+def weyl_power(v: WeylElement, k: int) -> WeylElement:
+    """v^k by the parser algebra's power: k - 1 products from v, or 1."""
+    algebra = weyl_algebra(v.n)
+    return algebra.element(algebra.pow(algebra.packing.pack(v.terms), k, 0))
+
+
+def reference_product(a: MPoly, b: MPoly) -> MPoly:
+    """a * b in their ring: `reference_weyl_mul` in A_n, else MPoly's product."""
+    return a * b if a.commutative else reference_weyl_mul(a, b)
+
+
+def reference_weyl_pow(v: WeylElement, k: int) -> WeylElement:
+    """v^k in A_n as k reference products, starting from 1."""
+    result = weyl_const(v.n, 1)
+    for _ in range(k):
+        result = reference_weyl_mul(result, v)
+    return result
 
 
 def gkz_rational_normal_curve(k: int) -> tuple[tuple, str]:

@@ -19,12 +19,11 @@ from dreg.polynomials import MPoly
 from dreg.regularity import REGULAR, regular_on_projective_line
 from dreg.systems import (ConnectionSystem, EXCEEDED_BOUND, regular_system_report,
                           saturate_lattice)
-from dreg.weyl import (WeylElement, characteristic_ideal, coordinate_names,
-                       weyl_mul)
+from dreg.weyl import characteristic_ideal, coordinate_names
 
 from conftest import (apply_weyl, characteristic_variety_univar, krull_dimension, polar_contains,
                       polar_generators, random_mpoly, random_operator, random_weyl,
-                      trivial_filtration_annihilator, weyl_d, weyl_x)
+                      trivial_filtration_annihilator, weyl_const, weyl_d, weyl_product, weyl_x)
 
 
 def report(num, detail):
@@ -33,18 +32,18 @@ def report(num, detail):
 
 def test_criterion_1_weyl_arithmetic():
     x, d = weyl_x(1, 0), weyl_d(1, 0)
-    assert d * x == x * d + WeylElement.const(1, 1)
+    assert weyl_product(d, x) == weyl_product(x, d) + weyl_const(1, 1)
     rng = random.Random(1001)
     for _ in range(1000):
         n = rng.choice((1, 2))
         a, b, c = (random_weyl(rng, n, 4, 2) for _ in range(3))
-        assert weyl_mul(weyl_mul(a, b), c) == weyl_mul(a, weyl_mul(b, c))
+        assert weyl_product(weyl_product(a, b), c) == weyl_product(a, weyl_product(b, c))
     for _ in range(1000):
         n = rng.choice((1, 2))
         a = random_weyl(rng, n, 3, 2)
         b = random_weyl(rng, n, 3, 2)
         p = random_mpoly(rng, coordinate_names(n), 3, 2)
-        assert apply_weyl(weyl_mul(a, b), p) == apply_weyl(a, apply_weyl(b, p))
+        assert apply_weyl(weyl_product(a, b), p) == apply_weyl(a, apply_weyl(b, p))
     report(1, "d*x = x*d + 1; 1000 associativity and 1000 action triples exact")
 
 

@@ -145,6 +145,14 @@ class TestDocumentedInvocations:
         assert comps[0]["kind"] == "zero_section"
         assert len({tuple(c["ideal"]) for c in comps}) == 2
 
+    def test_charvar_normal_orders_d_before_x(self, capsys):
+        # d_i x_i = x_i d_i + 1, and the report prints the normal-ordered
+        # generators, so the two texts give one report
+        runs = [run_cli(capsys, "charvar", "--vars", "x,y", text, "--format", "json")
+                for text in ("dx*x ; dy*y", "x*dx + 1 ; y*dy + 1")]
+        assert runs[0][0] == runs[1][0] == 0
+        assert runs[0][1] == runs[1][1]
+
     def test_system_airy(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "corpus", "--emit", str(tmp_path))
         assert code == 0

@@ -25,7 +25,7 @@ from dreg.polynomials import MPoly, RatFun, denominator_lcm, factor_rational
 from dreg.systems import CyclicVectorError, cyclic_vector, saturate_lattice
 
 from conftest import (den_of, exact_coefficients, is_exact, monic_univar, num_of, polar_extended,
-                      polar_part, to_weyl, univar_divmod)
+                      polar_part, to_weyl, univar_divmod, weyl_product)
 
 ATOMS = st.sampled_from(["x", "1", "2", "3", "6", "x^2", "(x - 1)", "(2*x + 3)",
                          "(x^2 + 1)", "(3*x - 2)"])
@@ -121,7 +121,7 @@ class TestNormalFormByType:
         gens = parse_weyl_generators(f"{a} ; {b}", ("x", "y"))
         assert exact_coefficients(gens)
         f, g = gens
-        assert exact_coefficients([f * g, f + g, f - g, f.scale(Fraction(2, 3))])
+        assert exact_coefficients([weyl_product(f, g), f + g, f - g, f.scale(Fraction(2, 3))])
         if f:
             assert exact_coefficients([f.principal_symbol()])
 

@@ -14,7 +14,7 @@ from dreg.ideals import Ideal, radical_membership
 from dreg.parser import parse_operator, parse_weyl_generators
 from dreg.polynomials import MPoly
 from dreg.regularity import INFINITY, IRREGULAR, REGULAR
-from dreg.weyl import WeylElement, characteristic_ideal, symbol_names
+from dreg.weyl import characteristic_ideal, symbol_names
 
 import conftest
 from conftest import (CurveModule, characteristic_variety_univar, degree_in, frame,
@@ -22,7 +22,7 @@ from conftest import (CurveModule, characteristic_variety_univar, degree_in, fra
                       random_operator_with_poles, random_point,
                       reference_annihilator_monomials, reference_check_good_filtration,
                       reference_filtration, require_agreement, scale_operator_var,
-                      trivial_filtration_annihilator, weyl_d, weyl_x)
+                      trivial_filtration_annihilator, weyl_const, weyl_d, weyl_product, weyl_x)
 
 
 def op(text):
@@ -275,7 +275,8 @@ class TestExponentialModule:
     def setup_method(self):
         X, Y = weyl_x(2, 0), weyl_x(2, 1)
         DX, DY = weyl_d(2, 0), weyl_d(2, 1)
-        self.gens = [Y * DX - WeylElement.const(2, 1), Y * Y * DY + X]
+        self.gens = [weyl_product(Y, DX) - weyl_const(2, 1),
+                     weyl_product(weyl_product(Y, Y), DY) + X]
         self.ideal = characteristic_ideal(self.gens)
 
     def test_three_components(self):

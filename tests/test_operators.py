@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 from dreg.operators import (ThetaOperator, UnivarOperator, lah, stirling_first_signed,
                             to_theta_form)
 from dreg.polynomials import MPoly, RatFun, denominator_lcm
-from dreg.weyl import WeylElement
 
 from conftest import (apply_operator, from_theta_form, is_monic, random_operator,
                       random_operator_with_poles, random_point, random_ratfun_with_poles, ratfun,
-                      reference_at_infinity, stirling_second, to_weyl, weyl_d, weyl_x)
+                      reference_at_infinity, stirling_second, to_weyl, weyl_const, weyl_d,
+                      weyl_product, weyl_x)
 
 
 def x():
@@ -170,7 +170,7 @@ class TestOperatorAlgebra:
         p = UnivarOperator.from_entries("x", [RatFun.const("x", 1) / x(), 1])
         assert denominator_lcm(p.coeffs) == (0, 1)
         xe, de = weyl_x(1, 0), weyl_d(1, 0)
-        assert to_weyl(p) == xe * de + WeylElement.const(1, 1)
+        assert to_weyl(p) == weyl_product(xe, de) + weyl_const(1, 1)
 
     def test_monic(self):
         p = UnivarOperator.from_entries("x", [-1, x() * x()])

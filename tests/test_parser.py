@@ -16,8 +16,10 @@ from dreg import parser, polynomials
 from dreg.cli import main
 from dreg.corpus import OPERATORS, SYSTEM_FILES
 from dreg.operators import UnivarOperator
+from dreg.errors import BudgetExceeded
+from dreg.ideals import EXPONENT_LIMIT, _LIMIT_REACHED
 from dreg.parser import (MAX_POWER, ParseError, format_operator, parse_operator,
-                         parse_ratfun, parse_weyl_generators)
+                         parse_polynomial, parse_ratfun, parse_weyl_generators)
 from dreg.polynomials import MPoly, RatFun
 from dreg.weyl import coordinate_names, deriv_names
 
@@ -252,6 +254,28 @@ class TestWork:
             assert num_of(RatFun.zero(var)).terms == {}
             assert den_of(RatFun.zero(var)) == MPoly.const((var,), 1)
         assert RatFun.zero("x") is zero
+
+
+class TestWeylAlgebra:
+    """The Weyl grammar's values are packed term maps of the driver."""
+
+    def test_an_exponent_at_the_limit_raises_before_it_carries(self):
+        algebra = parser._WeylAlgebra(("x", "y"))
+        unit_x = algebra.packing.units[0]
+        x, dx = algebra.symbol("x", 0), algebra.symbol("dx", 0)
+        below = {(EXPONENT_LIMIT - 2) * unit_x: 1}
+        top = algebra.mul(below, x)
+        assert list(algebra.element(top).terms) == [(EXPONENT_LIMIT - 1, 0, 0, 0)]
+        # d contracts against x: x^(L-1) dx + (L-1) x^(L-2), both in range
+        assert len(algebra.mul(dx, top)) == 2
+        for a, b in ((top, x), (x, top)):
+            with pytest.raises(BudgetExceeded, match=_LIMIT_REACHED):
+                algebra.mul(a, b)
+
+    def test_a_polynomial_is_one_value(self):
+        with pytest.raises(ParseError, match="unexpected trailing input ';'") as err:
+            parse_polynomial("x ; y", ("x", "y"))
+        assert (err.value.line, err.value.col) == (1, 3)
 
 
 class TestPowerCap:

@@ -39,6 +39,7 @@ EXTRA = (
             files=(("reach/diagonal.sys", DIAGONAL),)),
     Request("charvar-covered", ("charvar", "--vars", "x,y", "x*dx + 1 ; dy")),
     Request("charvar-covered-shift", ("charvar", "--vars", "x,y", "dx - 1 ; dy")),
+    Request("weyl-contraction", ("charvar", "--vars", "x,y", "dx*x ; dy*y")),
     Request("product-d-x-d", ("fuchs", "d*x*d")),
     Request("product-power", ("fuchs", "(x*d - 1)^2")),
     Request("product-x-sum", ("fuchs", "x*(d + 1)")),

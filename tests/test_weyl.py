@@ -14,18 +14,17 @@ from hypothesis import given, settings, strategies as st
 import dreg.corpus
 import dreg.dmod
 import dreg.ideals
-import dreg.weyl
+import dreg.parser
 from dreg.dmod import _covers, decompose_symbol_ideal
 from dreg.ideals import (Ideal, Packing, leading_term, groebner_basis, outside_radical_by_leads,
                          radical_membership, symbol_weight_order)
 from dreg.parser import parse_weyl_generators
 from dreg.polynomials import MPoly
-from dreg.weyl import (WeylElement, characteristic_ideal, coordinate_names, weyl_groebner,
-                       weyl_mul)
+from dreg.weyl import WeylElement, characteristic_ideal, coordinate_names, weyl_groebner
 
 from conftest import (apply_weyl, exact_coefficients, krull_dimension, normal_form, random_mpoly,
                       random_weyl, recorded_mismatches, reference_covers, reference_weyl_mul,
-                      spy, weyl_d, weyl_x)
+                      spy, weyl_const, weyl_d, weyl_power, weyl_product, weyl_x)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -43,77 +42,72 @@ def a1():
 class TestNormalOrdering:
     def test_defining_relation(self):
         x, d = a1()
-        assert d * x == x * d + 1
+        assert weyl_product(d, x) == weyl_product(x, d) + 1
 
     def test_dd_xx(self):
         x, d = a1()
-        lhs = (d ** 2) * (x ** 2)
-        expected = x ** 2 * d ** 2 + (x * d).scale(4) + WeylElement.const(1, 2)
+        lhs = weyl_product(weyl_power(d, 2), weyl_power(x, 2))
+        expected = (weyl_product(weyl_power(x, 2), weyl_power(d, 2))
+                    + weyl_product(x, d).scale(4) + weyl_const(1, 2))
         assert lhs == expected
 
     def test_theta_squared(self):
         x, d = a1()
-        theta = x * d
-        assert theta * theta == x ** 2 * d ** 2 + x * d
+        theta = weyl_product(x, d)
+        assert weyl_product(theta, theta) == (
+            weyl_product(weyl_power(x, 2), weyl_power(d, 2)) + weyl_product(x, d))
         # a one-term element has Weyl powers, not multiplied exponents
-        assert theta ** 2 == WeylElement(1, {(2, 2): 1}) + theta
-        assert theta ** 0 == WeylElement.const(1, 1)
+        assert weyl_power(theta, 2) == WeylElement(1, {(2, 2): 1}) + theta
+        assert weyl_power(theta, 0) == weyl_const(1, 1)
 
     def test_sums_and_scaling_keep_the_type(self):
         # the arithmetic WeylElement inherits from MPoly returns WeylElements
         x, d = a1()
-        for value in (x + d, x - d, -x, x.scale(3), x.scale(0), x * d + 1, 1 - d,
-                      x * Fraction(1, 2)):
+        for value in (x + d, x - d, -x, x.scale(3), x.scale(0), weyl_product(x, d) + 1, 1 - d,
+                      Fraction(1, 2) * x):
             assert type(value) is WeylElement and value.vars == ("x", "d")
         assert x.scale(0) == WeylElement(1)
 
     def test_one_term_constructors_equal_the_checked_ones(self):
-        # const builds its term map without MPoly.__init__
+        # the parser unpacks a constant's term map without MPoly.__init__
         for n in (1, 2, 3):
-            for c in (0, 3, Fraction(4, 2), Fraction(-1, 3)):
-                built, checked = WeylElement.const(n, c), WeylElement(n, {(0,) * (2 * n): c})
+            for text, c in (("0", 0), ("3", 3), ("4/2", Fraction(4, 2)), ("-1/3", Fraction(-1, 3))):
+                (built,) = parse_weyl_generators(text, coordinate_names(n))
+                checked = WeylElement(n, {(0,) * (2 * n): c})
                 assert built == checked
                 assert list(map(type, built.terms.values())) == list(map(type, checked.terms.values()))
         with pytest.raises(ValueError):
-            WeylElement.const(0, 1)
+            WeylElement(0)
 
     def test_powers_are_repeated_products(self):
         rng = random.Random(47)
         for _ in range(40):
             n = rng.choice((1, 2))
             v = random_weyl(rng, n, 3, 2)
-            product = WeylElement.const(n, 1)
+            product = weyl_const(n, 1)
             for k in range(5):
-                assert v ** k == product
-                product = weyl_mul(product, v)
+                assert weyl_power(v, k) == product
+                product = weyl_product(product, v)
 
     def test_power_makes_one_product_fewer_than_its_exponent(self, monkeypatch):
         # v^0 is the constant 1 and v^k starts from v: no product by 1
-        products = []
-        mul = dreg.weyl.weyl_mul
-
-        def counted(a, b):
-            products.append(1)
-            return mul(a, b)
-
-        monkeypatch.setattr(dreg.weyl, "weyl_mul", counted)
-        x, _d = a1()
+        products = spy(monkeypatch, dreg.parser._WeylAlgebra, "mul")
         for k in range(6):
             products.clear()
-            assert x ** k == WeylElement(1, {(k, 0): 1})
+            assert parse_weyl_generators(f"x^{k}", ("x",)) == [WeylElement(1, {(k, 0): 1})]
             assert len(products) == max(k - 1, 0)
 
     def test_pure_parts_commute(self):
         x, d = a1()
-        assert x * (x ** 2) == (x ** 2) * x
-        assert d * (d ** 2) == (d ** 2) * d
+        assert weyl_product(x, weyl_power(x, 2)) == weyl_product(weyl_power(x, 2), x)
+        assert weyl_product(d, weyl_power(d, 2)) == weyl_product(weyl_power(d, 2), d)
 
     def test_associativity_fuzz(self):
         rng = random.Random(41)
         for _ in range(250):
             n = rng.choice((1, 2))
             a, b, c = (random_weyl(rng, n, 4, 2) for _ in range(3))
-            assert weyl_mul(weyl_mul(a, b), c) == weyl_mul(a, weyl_mul(b, c))
+            assert weyl_product(weyl_product(a, b), c) == weyl_product(a, weyl_product(b, c))
 
     def test_action_consistency(self):
         rng = random.Random(43)
@@ -121,13 +115,12 @@ class TestNormalOrdering:
             n = rng.choice((1, 2))
             a = random_weyl(rng, n, 3, 2)
             b = random_weyl(rng, n, 3, 2)
-            from dreg.weyl import coordinate_names
             p = random_mpoly(rng, coordinate_names(n), 3, 3)
-            assert apply_weyl(weyl_mul(a, b), p) == apply_weyl(a, apply_weyl(b, p))
+            assert apply_weyl(weyl_product(a, b), p) == apply_weyl(a, apply_weyl(b, p))
 
     def test_theta_action_on_monomials(self):
         x, d = a1()
-        theta2 = (x * d) ** 2
+        theta2 = weyl_power(weyl_product(x, d), 2)
         for k in range(5):
             xk = MPoly.monomial(("x",), (k,))
             assert apply_weyl(theta2, xk) == xk.scale(k * k)
@@ -163,20 +156,21 @@ def as_weyl(p: MPoly) -> WeylElement:
 
 
 class TestProductProperties:
-    """Hypothesis properties of `weyl_mul` on small elements of A_1 and A_2."""
+    """Hypothesis properties of the packed Weyl product (`weyl_product`) on
+    small elements of A_1 and A_2."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(1, 2))
     def test_associative(self, data, n):
         a, b, c = (data.draw(weyl_elements(n)) for _ in range(3))
-        assert (a * b) * c == a * (b * c)
+        assert weyl_product(weyl_product(a, b), c) == weyl_product(a, weyl_product(b, c))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(1, 2))
     def test_distributive_on_both_sides(self, data, n):
         a, b, c = (data.draw(weyl_elements(n)) for _ in range(3))
-        assert a * (b + c) == a * b + a * c
-        assert (a + b) * c == a * c + b * c
+        assert weyl_product(a, b + c) == weyl_product(a, b) + weyl_product(a, c)
+        assert weyl_product(a + b, c) == weyl_product(a, c) + weyl_product(b, c)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(1, 2))
@@ -184,20 +178,21 @@ class TestProductProperties:
         p = data.draw(coordinate_polynomials(n))
         i = data.draw(st.integers(0, n - 1))
         d = weyl_d(n, i)
-        assert d * as_weyl(p) - as_weyl(p) * d == as_weyl(p.diff(p.vars[i]))
+        assert (weyl_product(d, as_weyl(p)) - weyl_product(as_weyl(p), d)
+                == as_weyl(p.diff(p.vars[i])))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(1, 2))
     def test_action_is_faithful_to_products(self, data, n):
         a, b = (data.draw(weyl_elements(n)) for _ in range(2))
         p = data.draw(coordinate_polynomials(n))
-        assert apply_weyl(a * b, p) == apply_weyl(a, apply_weyl(b, p))
+        assert apply_weyl(weyl_product(a, b), p) == apply_weyl(a, apply_weyl(b, p))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(1, 2))
     def test_product_coefficients_are_in_normal_form(self, data, n):
         a, b = (data.draw(weyl_elements(n)) for _ in range(2))
-        assert exact_coefficients([weyl_mul(a, b)])
+        assert exact_coefficients([weyl_product(a, b)])
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), n=st.integers(1, 2))
@@ -207,11 +202,11 @@ class TestProductProperties:
         alpha = data.draw(multi_indices(n, 3))
         a = WeylElement(n, {alpha + (0,) * n: data.draw(COEFFS)})
         b = data.draw(weyl_elements(n, degree=3, max_terms=4))
-        shifted = weyl_mul(a, b)
+        shifted = weyl_product(a, b)
         assert shifted == reference_weyl_mul(a, b)
         assert exact_coefficients([shifted])
         other = data.draw(weyl_elements(n))
-        assert weyl_mul(other, b) == reference_weyl_mul(other, b)
+        assert weyl_product(other, b) == reference_weyl_mul(other, b)
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(data=st.data(), n=st.integers(1, 3))
@@ -222,7 +217,7 @@ class TestProductProperties:
         beta = data.draw(multi_indices(n, 3).filter(any))
         a = WeylElement(n, {alpha + beta: data.draw(COEFFS)})
         b = data.draw(weyl_elements(n, degree=3, max_terms=4))
-        product = weyl_mul(a, b)
+        product = weyl_product(a, b)
         assert product == reference_weyl_mul(a, b)
         assert exact_coefficients([product])
 
@@ -244,7 +239,7 @@ class TestProductProperties:
         rest = pk.pack(b.terms)
         pk.subtract(rest, -c, pk.pack({alpha + beta: 1}).popitem()[0], pk.pack(b.terms))
         product = pk.unpack(rest) - b
-        assert product == weyl_mul(a, b) == reference_weyl_mul(a, b)
+        assert product == weyl_product(a, b) == reference_weyl_mul(a, b)
 
 
 class TestRingsDoNotMix:
@@ -255,9 +250,24 @@ class TestRingsDoNotMix:
         x, d = a1()
         p = MPoly(x.vars, {(1, 0): 1})
         for left, right in ((p, d), (d, p)):
-            for op in (operator.add, operator.sub, operator.mul):
+            for op in (operator.add, operator.sub):
                 with pytest.raises(ValueError):
                     op(left, right)
+        with pytest.raises(ValueError):
+            p * d
+        with pytest.raises(TypeError):      # a Weyl element has no `*` at all
+            d * p
+
+    def test_no_commutative_product_or_power(self):
+        # `*` between Weyl elements would otherwise fall through to MPoly's
+        # commutative product, and neither ring defines `**`
+        x, d = a1()
+        with pytest.raises(TypeError):
+            d * x
+        for base in (d, MPoly(x.vars, {(1, 0): 1})):
+            with pytest.raises(TypeError):
+                base ** 2
+        assert 2 * d == d.scale(2)
 
     def test_equality_stays_within_one_class(self):
         x, _ = a1()
@@ -270,11 +280,11 @@ class TestRingsDoNotMix:
 class TestSymbols:
     def test_examples(self):
         x, d = a1()
-        s = (x ** 2 * d - WeylElement.const(1, 1)).principal_symbol()
+        s = (weyl_product(weyl_power(x, 2), d) - weyl_const(1, 1)).principal_symbol()
         assert s == MPoly(("x", "xi"), {(2, 1): Fraction(1)})
-        s2 = (d ** 2 - x).principal_symbol()
+        s2 = (weyl_power(d, 2) - x).principal_symbol()
         assert s2 == MPoly(("x", "xi"), {(0, 2): Fraction(1)})
-        y_dx = weyl_x(2, 1) * weyl_d(2, 0) - WeylElement.const(2, 1)
+        y_dx = weyl_product(weyl_x(2, 1), weyl_d(2, 0)) - weyl_const(2, 1)
         assert y_dx.principal_symbol() == MPoly(
             ("x", "y", "xi", "eta"), {(0, 1, 1, 0): Fraction(1)})
         f1 = parse_weyl_generators(APPELL_F1, ("x", "y"))
@@ -290,7 +300,7 @@ class TestSymbols:
             b = random_weyl(rng, n, 3, 2)
             if a.is_zero() or b.is_zero():
                 continue
-            ab = weyl_mul(a, b)
+            ab = weyl_product(a, b)
             assert ab.order() == a.order() + b.order()
             assert ab.principal_symbol() == a.principal_symbol() * b.principal_symbol()
 
@@ -307,8 +317,8 @@ class TestWeylGroebner:
 
     def test_euler_symbol(self):
         x, d = a1()
-        lam = WeylElement.const(1, 5)
-        ideal = characteristic_ideal([x * d - lam])
+        lam = weyl_const(1, 5)
+        ideal = characteristic_ideal([weyl_product(x, d) - lam])
         assert ideal.gens == (MPoly(("x", "xi"), {(1, 1): Fraction(1)}),)
 
     def test_left_ideal_with_unit(self):
@@ -317,14 +327,14 @@ class TestWeylGroebner:
         # generators, its pair dropped by the coprimality criterion, which
         # must not run in A_n
         x, d = a1()
-        assert weyl_groebner([x, d]) == [WeylElement.const(1, 1)]
+        assert weyl_groebner([x, d]) == [weyl_const(1, 1)]
         x, xi = MPoly.var(("x", "xi"), "x"), MPoly.var(("x", "xi"), "xi")
         assert groebner_basis(Ideal(("x", "xi"), [x, xi]), symbol_weight_order(2)) == [x, xi]
 
     def test_exponential_module_three_components(self):
         X, Y = weyl_x(2, 0), weyl_x(2, 1)
         DX, DY = weyl_d(2, 0), weyl_d(2, 1)
-        gens = [Y * DX - WeylElement.const(2, 1), Y * Y * DY + X]
+        gens = [weyl_product(Y, DX) - weyl_const(2, 1), weyl_product(weyl_product(Y, Y), DY) + X]
         ideal = characteristic_ideal(gens)
         vs = ideal.vars
         x, y, xi, eta = (MPoly.var(vs, nm) for nm in vs)
@@ -354,7 +364,7 @@ class TestWeylGroebner:
                     ej = tuple(p - q for p, q in zip(lcm, ge))
                     mi = WeylElement(n, {ei: Fraction(1) / fc})
                     mj = WeylElement(n, {ej: Fraction(1) / gc})
-                    s = weyl_mul(mi, gb[i]) - weyl_mul(mj, gb[j])
+                    s = reference_weyl_mul(mi, gb[i]) - reference_weyl_mul(mj, gb[j])
                     assert normal_form(s, gb, order).is_zero()
 
     def test_unit_ideal_cliff_within_budget(self):
@@ -362,13 +372,13 @@ class TestWeylGroebner:
         # constant joins the basis; first in, first out without it needs 903
         gens = parse_weyl_generators(
             "x*dx*(x*dx + y*dy) - x*(x*dx + y*dy + 1)*(x*dx+1/2) ; dx*dy - 1", ("x", "y"))
-        assert weyl_groebner(gens, budget=800) == [WeylElement.const(2, 1)]
+        assert weyl_groebner(gens, budget=800) == [weyl_const(2, 1)]
 
     def test_unit_ideal_cliff_stops_at_the_constant(self):
         # a constant joins the basis at pop 220, and the loop stops there
         gens = parse_weyl_generators(
             "x*dx*(x*dx + y*dy) - x*(x*dx + y*dy + 1)*(x*dx+1/2) ; dx*dy - 1", ("x", "y"))
-        assert weyl_groebner(gens, budget=300) == [WeylElement.const(2, 1)]
+        assert weyl_groebner(gens, budget=300) == [weyl_const(2, 1)]
 
 
 def covers_inputs(monkeypatch, systems) -> list:
