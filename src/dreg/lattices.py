@@ -61,11 +61,10 @@ class PolarLattice:
     when its polar part reduces to zero.
     """
 
-    __slots__ = ("dim", "var", "rows")
+    __slots__ = ("dim", "rows")
 
-    def __init__(self, dim: int, var: str = "x"):
+    def __init__(self, dim: int):
         self.dim = dim
-        self.var = var
         self.rows: dict[tuple, dict] = {}
 
     def reduce(self, v: dict) -> dict:
@@ -111,22 +110,20 @@ def laurent_rows(matrix) -> list[list]:
             for row in matrix]
 
 
-def theta_terms(v: dict, rows: list, shift: int, stop: int) -> dict:
-    """The terms below x^stop of x v' + x^shift M v, for v = {(exponent,
-    component): c}.
+def theta_terms(v: dict, rows: list) -> dict:
+    """The polar terms of theta(v) = x (v' + M v) on row functionals, for
+    v = {(exponent, component): c}.
 
     M comes from `laurent_rows`: rows[i] lists the entries that carry
-    component i of v to a component j.  theta = x (v' + v B) on row
-    functionals is shift 1 with M = B; theta = x v' + T v on columns is
-    shift 0 with M the transpose of T.
+    component i of v to a component j.
     """
     out = {}
     for (e, i), c in v.items():
-        if e and e < stop:
+        if e < 0:
             out[e, i] = out.get((e, i), 0) + e * c
         for j, f in rows[i]:
-            # f's term x^t lands at x^(e + shift + t), below x^stop while t < stop - e - shift
-            for n, b in enumerate(f.terms(stop - e - shift), e + shift + f.start):
+            # f's term x^t lands at x^(e + 1 + t), polar while t < -e - 1
+            for n, b in enumerate(f.terms(-e - 1), e + 1 + f.start):
                 if b:
                     out[n, j] = out.get((n, j), 0) + c * b
     return {k: c for k, c in out.items() if c}

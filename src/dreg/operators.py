@@ -13,7 +13,6 @@ infinity expands the powers of -t^2 d_t with Lah numbers.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -41,14 +40,6 @@ class UnivarOperator:
     def from_entries(cls, var: str, entries: Sequence) -> "UnivarOperator":
         return cls(var, [e if isinstance(e, RatFun) else RatFun.const(var, e)
                          for e in entries])
-
-    @classmethod
-    def derivation(cls, var: str) -> "UnivarOperator":
-        return cls(var, [RatFun.zero(var), RatFun.one(var)])
-
-    @classmethod
-    def multiplication(cls, f: RatFun) -> "UnivarOperator":
-        return cls(f.var, [f])
 
     # -- queries -------------------------------------------------------------
 
@@ -80,22 +71,6 @@ class UnivarOperator:
 
     # -- algebra ------------------------------------------------------------
 
-    def __add__(self, other: "UnivarOperator") -> "UnivarOperator":
-        m = max(len(self.coeffs), len(other.coeffs))
-        return UnivarOperator(self.var, [self.coeff(i) + other.coeff(i) for i in range(m)])
-
-    def __neg__(self) -> "UnivarOperator":
-        return UnivarOperator(self.var, [-c for c in self.coeffs])
-
-    def __sub__(self, other: "UnivarOperator") -> "UnivarOperator":
-        return self + (-other)
-
-    def scale(self, f) -> "UnivarOperator":
-        """Left multiplication by a function of x."""
-        if not isinstance(f, RatFun):
-            f = RatFun.const(self.var, f)
-        return UnivarOperator(self.var, [f * c for c in self.coeffs])
-
     def mul(self, other: "UnivarOperator") -> "UnivarOperator":
         """Operator composition self . other, expanded by Leibniz."""
         if self.var != other.var:
@@ -115,20 +90,6 @@ class UnivarOperator:
                         out[i + j - k] = out[i + j - k] + bi * math.comb(i, k) * deriv
                     deriv = deriv.derivative()
         return UnivarOperator(self.var, out)
-
-    def __mul__(self, other):
-        if isinstance(other, UnivarOperator):
-            return self.mul(other)
-        if isinstance(other, (int, Fraction, RatFun)):
-            # multiplication by a function from the right is an operator product
-            return self.mul(UnivarOperator.multiplication(
-                other if isinstance(other, RatFun) else RatFun.const(self.var, other)))
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, RatFun)):
-            return self.scale(other)
-        return NotImplemented
 
     def __pow__(self, k: int) -> "UnivarOperator":
         terms = [(j, c) for j, c in enumerate(self.coeffs) if c]

@@ -11,16 +11,19 @@ right-multiplication by the inverse of a pure-coordinate factor (never a
 derivation).  Generators are separated by ';'.  The printers below emit
 canonical forms the parser reads back verbatim.
 
-In one variable a value is a rational function in Q(x), a RatFun from the
-first number or x on (polynomials are its integer lists, and their sums,
-products and powers run no gcd), and an operator only where it meets a
-derivation: f*d^k places f at order k, f*P scales the coefficients of P, and
-only P*f needs the Leibniz product.  In A_n a value is a term map on the
-packed monomial codes of the Gröbner driver (`dreg.ideals.Packing`), whose
-left-monomial product is the one Weyl product of the package, and each
-generator becomes a `WeylElement` once, at the end.  A power is refused,
-before it is computed, when the exponent times the order or degree of its
-base exceeds MAX_POWER.
+In one variable a value is a tuple of unreduced pairs (num, den) of integer
+lists, one per order of d: sums, products and quotients of functions run no
+gcd, f*d^k places f at order k and f*P scales the coefficients of P.  Each
+coefficient is put in lowest terms once, by `RatFun.quotient`, when the
+operator or the rational function is built.  Only P*f, P*Q, P/f for a
+non-constant f and powers of operators need the Leibniz product of
+`UnivarOperator`, which runs on reduced coefficients.
+
+In A_n a value is a term map on the packed monomial codes of the Gröbner
+driver (`dreg.ideals.Packing`), whose left-monomial product is the one Weyl
+product of the package, and each generator becomes a `WeylElement` once, at
+the end.  A power is refused, before it is computed, when the exponent
+times the order or degree of its base, in lowest terms, exceeds MAX_POWER.
 
 Text is lexed in one regex pass into token texts, which the descent reads by
 index; a token's line and column are worked out from its offset only when a
@@ -30,13 +33,14 @@ ParseError is raised.
 from __future__ import annotations
 
 import functools
+import math
 import re
 
 import dreg  # the Weyl grammar loads dreg.weyl and dreg.ideals on first use
 
 from .errors import BudgetExceeded
 from .operators import UnivarOperator
-from .polynomials import MPoly, RatFun, _exact, _inverse
+from .polynomials import MPoly, RatFun, _combine, _exact, _inverse, _mul, _pow
 
 
 MAX_POWER = 1000
@@ -178,28 +182,71 @@ def _check_power(size: int, k: int, at: int) -> None:
                        f"of the base (at least 1) exceeds {MAX_POWER}", at)
 
 
+_ZERO = ((), (1,))          # the pair 0/1
+_ONE = ((1,), (1,))
+
+
+def _pair(f: RatFun) -> tuple:
+    """The pair (num, den) of integer polynomials with num/den = f."""
+    p, q = f.scale.numerator, f.scale.denominator
+    if not p:
+        return _ZERO
+    return (f.numer if p == 1 else tuple(p * c for c in f.numer),
+            f.denom if q == 1 else tuple(q * c for c in f.denom))
+
+
+def _pair_sum(p: tuple, q: tuple, v: int) -> tuple:
+    """p + v q for pairs p and q and v = 1 or -1; equal or constant
+    denominators combine in place."""
+    (a, b), (c, d) = p, q
+    if not c:
+        return p
+    if not a:
+        return q if v == 1 else (tuple(-t for t in c), d)
+    if b == d:
+        return _combine(1, a, v, c), b
+    if len(b) == len(d) == 1:
+        (k,), (m,) = b, d
+        g = math.gcd(k, m)
+        return _combine(m // g, a, v * (k // g), c), (k // g * m,)
+    return _combine(1, _mul(a, d), v, _mul(c, b)), _mul(b, d)
+
+
+def _pair_mul(p: tuple, q: tuple) -> tuple:
+    """p q for pairs p and q."""
+    (a, b), (c, d) = p, q
+    if not a or not c:
+        return _ZERO
+    if q is _ONE:
+        return p
+    return _mul(a, c), ((b[0] * d[0],) if len(b) == len(d) == 1 else _mul(b, d))
+
+
 class _UnivarAlgebra:
-    """Evaluation into Q(x); a value becomes an operator where it meets a
-    derivation.  The atoms x and d are built once per parse and shared by
-    every use: no operation writes to its operands."""
+    """Evaluation into Q(x) on unreduced pairs (num, den) of integer
+    polynomials.  A value is a tuple of pairs, the coefficient of d^i at
+    index i, with no zero on top, so a function is a tuple of at most one
+    pair.  Sums, products and quotients of functions run no gcd, and f*d^k
+    places f at order k; `operator` puts each coefficient in lowest terms
+    once, at the end.  A product with an operator of order >= 1 on the
+    left, and such an operator's power, is a Leibniz product of
+    `UnivarOperator` on reduced coefficients."""
 
     def __init__(self, var: str):
         self.var = var
         self.deriv_tokens = {"d", "d" + var}
         if var == "x":
             self.deriv_tokens.add("dx")
-        self.zero = RatFun.zero(var)
-        self.unit = RatFun.one(var)
-        self.x = RatFun.x(var)
-        self.d = UnivarOperator.derivation(var)
+        self.x = (((0, 1), (1,)),)
+        self.d = (_ZERO, _ONE)
 
-    def lift(self, v) -> UnivarOperator:
-        return v if isinstance(v, UnivarOperator) else UnivarOperator.multiplication(v)
+    def operator(self, v: tuple) -> UnivarOperator:
+        return UnivarOperator(self.var, [RatFun.quotient(self.var, *p) for p in v])
 
-    def const(self, c: int) -> RatFun:
-        return RatFun.const(self.var, c)
+    def const(self, c: int) -> tuple:
+        return (((c,), (1,)),) if c else ()
 
-    def symbol(self, name: str, at: int):
+    def symbol(self, name: str, at: int) -> tuple:
         if name == self.var:
             return self.x
         if name in self.deriv_tokens:
@@ -209,47 +256,56 @@ class _UnivarAlgebra:
                            f"1-variable context (variable {self.var!r})", at)
         raise _Refused(f"unknown symbol {name!r}", at)
 
-    def neg(self, v): return -v
+    def neg(self, v): return tuple((tuple(-c for c in a), b) for a, b in v)
 
-    def add(self, a, b):
-        if isinstance(a, UnivarOperator) or isinstance(b, UnivarOperator):
-            return self.lift(a) + self.lift(b)
-        return a + b
+    def add(self, a, b, v: int = 1):
+        out = [_pair_sum(p, q, v) for p, q in zip(a, b)]
+        out += a[len(b):] or (b[len(a):] if v == 1 else self.neg(b[len(a):]))
+        while out and not out[-1][0]:
+            out.pop()
+        return tuple(out)
 
-    def sub(self, a, b): return self.add(a, -b)
+    def sub(self, a, b): return self.add(a, b, -1)
 
     def mul(self, a, b):
-        if isinstance(a, UnivarOperator):
-            return a.mul(self.lift(b))
-        if not isinstance(b, UnivarOperator):
-            return a * b
-        if b.coeffs and b.coeffs[-1] == self.unit and not any(b.coeffs[:-1]):
-            # b = d^k: a lands at order k, with no coefficient products
-            return UnivarOperator(self.var, b.coeffs[:-1] + (a,))
-        return b.scale(a)
+        if len(a) > 1:
+            return tuple(map(_pair, self.operator(a).mul(self.operator(b)).coeffs))
+        if not a:
+            return ()
+        f = a[0]
+        return tuple(_pair_mul(f, q) for q in b)
 
     def pow(self, v, k, at: int):
         if v is self.d:
             _check_power(1, k, at)
-            return UnivarOperator(self.var, [self.zero] * k + [self.unit])
-        coeffs = v.coeffs if isinstance(v, UnivarOperator) else (v,)
-        sizes = [len(coeffs) - 1]
-        sizes += [max(len(c.numer), len(c.denom)) - 1 for c in coeffs]
-        _check_power(max(sizes), k, at)
-        return v ** k
+            return (_ZERO,) * k + (_ONE,)
+        if len(v) > 1:
+            # the cap reads the order and the degrees in lowest terms
+            p = self.operator(v)
+            _check_power(max(len(v), *(max(len(c.numer), len(c.denom)) for c in p.coeffs)) - 1,
+                         k, at)
+            return tuple(map(_pair, (p ** k).coeffs))
+        if not v:
+            _check_power(0, k, at)
+            return () if k else self.const(1)
+        num, den = v[0]
+        if len(den) > 1:
+            # the cap reads the degrees in lowest terms
+            num, den = _pair(RatFun.quotient(self.var, num, den))
+        _check_power(max(len(num), len(den)) - 1, k, at)
+        return ((_pow(num, k), _pow(den, k)),)
 
     def div(self, a, b, at: int):
-        if isinstance(b, UnivarOperator) and not b.is_zero():
-            if b.order() > 0:
-                raise _Refused("division by a derivation is not defined", at)
-            b = b.coeff(0)
-        if b.is_zero():
+        if len(b) > 1:
+            raise _Refused("division by a derivation is not defined", at)
+        if not b:
             raise _Refused("division by zero", at)
-        if isinstance(a, UnivarOperator):
-            return a.scale(_inverse(b.scale)) if b.is_constant() else a * b ** -1
-        # a/b for a reduced a and a nonzero b: RatFun's cross-cancellation
-        # runs the one gcd of a's numerator with b's, and none for a constant b
-        return a / b
+        num, den = b[0]
+        inverse = (den, num)
+        if len(a) > 1 and (len(num) > 1 or len(den) > 1):
+            # P/f for a non-constant f is the operator product P*(1/f)
+            return self.mul(a, (inverse,))
+        return tuple(_pair_mul(p, inverse) for p in a)
 
 
 @functools.cache
@@ -347,7 +403,7 @@ class _WeylAlgebra:
 def parse_operator(text: str, var: str = "x") -> UnivarOperator:
     """Parse a univariate operator with rational-function coefficients."""
     algebra = _UnivarAlgebra(var)
-    return algebra.lift(_parse(text, algebra))
+    return algebra.operator(_parse(text, algebra))
 
 
 def parse_weyl_generators(text: str, variables) -> list[dreg.weyl.WeylElement]:
@@ -358,16 +414,11 @@ def parse_weyl_generators(text: str, variables) -> list[dreg.weyl.WeylElement]:
 
 def parse_ratfun(text: str, var: str = "x") -> RatFun:
     """Parse a rational function (an order-zero operator)."""
-    algebra = _UnivarAlgebra(var)
-    value = _parse(text, algebra)
-    if not isinstance(value, UnivarOperator):
-        return value
-    if value.is_zero():
-        return RatFun.zero(var)
-    if value.order() > 0:
+    value = _parse(text, _UnivarAlgebra(var))
+    if len(value) > 1:
         raise ParseError("expected a coefficient, found a derivation",
                          *_position(text, _token_offset(text, 0)))
-    return value.coeff(0)
+    return RatFun.quotient(var, *value[0]) if value else RatFun.zero(var)
 
 
 def parse_polynomial(text: str, variables) -> MPoly:

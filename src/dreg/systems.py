@@ -224,15 +224,14 @@ def saturate_lattice(system: ConnectionSystem, point,
     m = system.rank
     if max_steps is None:
         max_steps = m * (system.pole_order_at(point) + 1) + 4
-    # theta = x (v' + v B): the x is the exponent shift 1, and the lattice
-    # reads only the polar terms
+    # theta = x (v' + v B), of which the lattice reads only the polar terms
     flow = laurent_rows(system.flow_matrix())
-    lattice = PolarLattice(m, system.var)
+    lattice = PolarLattice(m)
     new = [{(0, i): 1} for i in range(m)]
     for step in range(max_steps + 1):
         added = []
         for v in new:
-            added += lattice.insert(theta_terms(v, flow, 1, 0))
+            added += lattice.insert(theta_terms(v, flow))
         if not added:
             return SaturationResult(STABILIZED, step, max_steps, lattice)
         if step == m - 1:

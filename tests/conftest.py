@@ -45,10 +45,11 @@ from dreg.ideals import (DEFAULT_BUDGET, DEGREVLEX, BudgetExceeded, Ideal, Packi
                          _divides, _integral, _integral_basis, _pseudo_remainder,
                          basis_dimension, groebner_basis, leading_term,
                          minimal_monomial_generators, radical_membership)
-from dreg.lattices import Laurent, PolarLattice, laurent_rows, theta_terms
+from dreg.lattices import Laurent, PolarLattice, laurent_rows
 from dreg.linalg import gauss_solve, mat_mul
 from dreg.operators import ThetaOperator, UnivarOperator
-from dreg.parser import MAX_POWER, ParseError, _WeylAlgebra
+from dreg.parser import (MAX_POWER, ParseError, _WeylAlgebra, _Refused, _parse, _position,
+                         _token_offset, _check_power as _refuse_power)
 from dreg.polelattice import (Prop21Report, _breaking_element, _ideal_monomials,
                               _outside_annihilators, _outside_monomials, _symbol_monomials,
                               _window, theta_XZ_ideal)
@@ -88,8 +89,6 @@ UNREACHED = {
     "polynomials.MPoly.__repr__": (DUNDER, "debugging text; reports print str()"),
     "polynomials.RatFun.__repr__": (DUNDER, "debugging text; reports print str()"),
     "regularity._Infinity.__repr__": (DUNDER, "debugging text; reports print str()"),
-    "operators.UnivarOperator.__sub__": (DUNDER, "P - Q; the parser adds the negation"),
-    "operators.UnivarOperator.__rmul__": (DUNDER, "c * P for a scalar c; the parser scales"),
     "polynomials.MPoly.__rsub__": (DUNDER, "c - p for a scalar c"),
     "polynomials.RatFun.__rsub__": (DUNDER, "c - f for a scalar c"),
     "polynomials.RatFun.__rtruediv__": (DUNDER, "c / f for a scalar c"),
@@ -355,6 +354,22 @@ def polar_basis(lattice: PolarLattice) -> list[dict]:
     return [lattice.rows[-k, j] if k else {(0, j): 1} for j, k in enumerate(depth)]
 
 
+def column_theta_terms(v: dict, columns: list) -> dict:
+    """The terms below x^1 of theta(v) = x v' + T v on columns, for v =
+    {(exponent, component): c}: `lattices.theta_terms` with the transpose
+    of T from `laurent_rows` and no exponent shift."""
+    out = {}
+    for (e, i), c in v.items():
+        if e < 0:
+            out[e, i] = out.get((e, i), 0) + e * c
+        for j, f in columns[i]:
+            # f's term x^t lands at x^(e + t), below x^1 while t < 1 - e
+            for n, b in enumerate(f.terms(1 - e), e + f.start):
+                if b:
+                    out[n, j] = out.get((n, j), 0) + c * b
+    return {k: c for k, c in out.items() if c}
+
+
 class CurveModule:
     """A rank-m differential module on the line: frame with theta-action T.
 
@@ -362,7 +377,7 @@ class CurveModule:
     Used to realize the module filtration F^k as lattices over the local
     ring and to scan which symbol monomials annihilate the graded module.
     Vectors are polar dicts {(exponent, component): c}, and d is x^-1 theta
-    through `theta_terms`, so no step runs a polynomial gcd.
+    through `column_theta_terms`, so no step runs a polynomial gcd.
     """
 
     __slots__ = ("var", "dim", "theta", "_columns")
@@ -379,7 +394,7 @@ class CurveModule:
 
     def _d(self, v: dict) -> dict:
         """The polar part of d(v) = x^-1 theta(v)."""
-        return {(e - 1, j): c for (e, j), c in theta_terms(v, self._columns, 0, 1).items()}
+        return {(e - 1, j): c for (e, j), c in column_theta_terms(v, self._columns).items()}
 
     def filtration_lattices(self, levels: int):
         """F^0 .. F^levels as polar lattices, with F^(k+1) = F^k + d F^k.
@@ -392,10 +407,10 @@ class CurveModule:
         k + 1 inserts d only of the rows level k added, as saturation does
         with theta.
         """
-        out = [PolarLattice(self.dim, self.var)]
+        out = [PolarLattice(self.dim)]
         new = [{(0, j): 1} for j in range(self.dim)]
         for _ in range(levels):
-            lattice = PolarLattice(self.dim, self.var)
+            lattice = PolarLattice(self.dim)
             lattice.rows = dict(out[-1].rows)
             new = [row for v in new for row in lattice.insert(self._d(v))]
             out.append(lattice)
@@ -472,16 +487,16 @@ def polar_contains(lattice: PolarLattice, vec: Sequence[RatFun]) -> bool:
 
 def polar_extended(lattice: PolarLattice, vectors: Iterable[Sequence[RatFun]]) -> PolarLattice:
     """A copy with the vectors' polar parts inserted; the lattice is unchanged."""
-    out = PolarLattice(lattice.dim, lattice.var)
+    out = PolarLattice(lattice.dim)
     out.rows = dict(lattice.rows)
     for v in vectors:
         out.insert(polar_part(v))
     return out
 
 
-def polar_generators(lattice: PolarLattice) -> list[tuple]:
-    """polar_basis(lattice), each vector written as p/x^k."""
-    var = (lattice.var,)
+def polar_generators(lattice: PolarLattice, var: str = "x") -> list[tuple]:
+    """polar_basis(lattice), each vector written as p/x^k in `var`."""
+    var = (var,)
     gens = []
     for row in polar_basis(lattice):
         k = -min(e for e, _ in row)
@@ -751,7 +766,43 @@ def reference_parse_weyl_generators(text: str, variables) -> list[WeylElement]:
     return _Parser(tokenize(text), ReferenceWeylAlgebra(tuple(variables))).parse_list()
 
 
-# -- the reference parser algebra -------------------------------------------------
+# -- operator arithmetic ---------------------------------------------------------
+# The parser builds each UnivarOperator once, from its coefficients, so no
+# verb adds, negates or scales operators.  These are those operations as the
+# library had them, for the tests and references that build operators.
+
+
+def derivation(var: str) -> UnivarOperator:
+    """d, with the shared zero and one of `var` as its coefficients."""
+    return UnivarOperator(var, [RatFun.zero(var), RatFun.one(var)])
+
+
+def multiplication(f: RatFun) -> UnivarOperator:
+    """The order-zero operator f."""
+    return UnivarOperator(f.var, [f])
+
+
+def op_add(p: UnivarOperator, q: UnivarOperator) -> UnivarOperator:
+    m = max(len(p.coeffs), len(q.coeffs))
+    return UnivarOperator(p.var, [p.coeff(i) + q.coeff(i) for i in range(m)])
+
+
+def op_neg(p: UnivarOperator) -> UnivarOperator:
+    return UnivarOperator(p.var, [-c for c in p.coeffs])
+
+
+def op_sub(p: UnivarOperator, q: UnivarOperator) -> UnivarOperator:
+    return op_add(p, op_neg(q))
+
+
+def op_scale(f, p: UnivarOperator) -> UnivarOperator:
+    """f P, the left multiplication by a function or a number."""
+    if not isinstance(f, RatFun):
+        f = RatFun.const(p.var, f)
+    return UnivarOperator(p.var, [f * c for c in p.coeffs])
+
+
+# -- the reference parser algebras -------------------------------------------------
 
 
 class _UnivarAlgebra:
@@ -770,16 +821,16 @@ class _UnivarAlgebra:
         if tok.text == self.var:
             return UnivarOperator.from_entries(self.var, [RatFun.x(self.var)])
         if tok.text in self.deriv_tokens:
-            return UnivarOperator.derivation(self.var)
+            return derivation(self.var)
         if _DERIV_RE.fullmatch(tok.text):
             raise ParseError(f"derivation {tok.text!r} does not exist in a "
                              f"1-variable context (variable {self.var!r})",
                              tok.line, tok.col)
         raise ParseError(f"unknown symbol {tok.text!r}", tok.line, tok.col)
 
-    def neg(self, v): return -v
-    def add(self, a, b): return a + b
-    def sub(self, a, b): return a - b
+    def neg(self, v): return op_neg(v)
+    def add(self, a, b): return op_add(a, b)
+    def sub(self, a, b): return op_sub(a, b)
     def mul(self, a, b): return a.mul(b)
     def pow(self, v, k): return v ** k
 
@@ -790,7 +841,7 @@ class _UnivarAlgebra:
             raise ParseError("division by a derivation is not defined",
                              tok.line, tok.col)
         inv = RatFun.const(self.var, 1) / b.coeff(0)
-        return a.mul(UnivarOperator.multiplication(inv))
+        return a.mul(multiplication(inv))
 
 
 class ReferenceUnivarAlgebra(_UnivarAlgebra):
@@ -819,6 +870,101 @@ def reference_parse_ratfun(text: str, var: str = "x") -> RatFun:
         raise ParseError("expected a coefficient, found a derivation",
                          tokens[0].line, tokens[0].col)
     return op.coeff(0)
+
+
+class RatFunAlgebra:
+    """The library's one-variable algebra before it evaluated on integer
+    pairs, under the library's descent: a value is a reduced RatFun from
+    the first number or x on, and an operator where it meets a derivation.
+    Every + - * / ^ normalises, so this is the reference that reducing each
+    coefficient once, at the end, is checked against."""
+
+    def __init__(self, var: str):
+        self.var = var
+        self.deriv_tokens = {"d", "d" + var}
+        if var == "x":
+            self.deriv_tokens.add("dx")
+        self.zero = RatFun.zero(var)
+        self.unit = RatFun.one(var)
+        self.x = RatFun.x(var)
+        self.d = derivation(var)
+
+    def lift(self, v) -> UnivarOperator:
+        return v if isinstance(v, UnivarOperator) else multiplication(v)
+
+    def const(self, c: int) -> RatFun:
+        return RatFun.const(self.var, c)
+
+    def symbol(self, name: str, at: int):
+        if name == self.var:
+            return self.x
+        if name in self.deriv_tokens:
+            return self.d
+        if _DERIV_RE.fullmatch(name):
+            raise _Refused(f"derivation {name!r} does not exist in a "
+                           f"1-variable context (variable {self.var!r})", at)
+        raise _Refused(f"unknown symbol {name!r}", at)
+
+    def neg(self, v): return op_neg(v) if isinstance(v, UnivarOperator) else -v
+
+    def add(self, a, b):
+        if isinstance(a, UnivarOperator) or isinstance(b, UnivarOperator):
+            return op_add(self.lift(a), self.lift(b))
+        return a + b
+
+    def sub(self, a, b): return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        if isinstance(a, UnivarOperator):
+            return a.mul(self.lift(b))
+        if not isinstance(b, UnivarOperator):
+            return a * b
+        if b.coeffs and b.coeffs[-1] == self.unit and not any(b.coeffs[:-1]):
+            # b = d^k: a lands at order k, with no coefficient products
+            return UnivarOperator(self.var, b.coeffs[:-1] + (a,))
+        return op_scale(a, b)
+
+    def pow(self, v, k, at: int):
+        if v is self.d:
+            _refuse_power(1, k, at)
+            return UnivarOperator(self.var, [self.zero] * k + [self.unit])
+        coeffs = v.coeffs if isinstance(v, UnivarOperator) else (v,)
+        sizes = [len(coeffs) - 1]
+        sizes += [max(len(c.numer), len(c.denom)) - 1 for c in coeffs]
+        _refuse_power(max(sizes), k, at)
+        return v ** k
+
+    def div(self, a, b, at: int):
+        if isinstance(b, UnivarOperator) and not b.is_zero():
+            if b.order() > 0:
+                raise _Refused("division by a derivation is not defined", at)
+            b = b.coeff(0)
+        if b.is_zero():
+            raise _Refused("division by zero", at)
+        if isinstance(a, UnivarOperator):
+            if b.is_constant():
+                return op_scale(_inverse(b.scale), a)
+            return a.mul(multiplication(b ** -1))
+        return a / b
+
+
+def ratfun_parse_operator(text: str, var: str = "x") -> UnivarOperator:
+    """parse_operator on RatFunAlgebra."""
+    algebra = RatFunAlgebra(var)
+    return algebra.lift(_parse(text, algebra))
+
+
+def ratfun_parse_ratfun(text: str, var: str = "x") -> RatFun:
+    """parse_ratfun on RatFunAlgebra."""
+    value = _parse(text, RatFunAlgebra(var))
+    if not isinstance(value, UnivarOperator):
+        return value
+    if value.is_zero():
+        return RatFun.zero(var)
+    if value.order() > 0:
+        raise ParseError("expected a coefficient, found a derivation",
+                         *_position(text, _token_offset(text, 0)))
+    return value.coeff(0)
 
 
 # -- the univariate MPoly helpers and the Fraction RatFun -------------------------
@@ -1474,7 +1620,7 @@ def reference_at_infinity(p: UnivarOperator, new_var: str = "t") -> UnivarOperat
     total = UnivarOperator(new_var, [])
     for i, b in enumerate(p.coeffs):
         if not b.is_zero():
-            total = total + powers[i].scale(b.invert_var(new_var))
+            total = op_add(total, op_scale(b.invert_var(new_var), powers[i]))
     return total
 
 
@@ -1795,11 +1941,11 @@ def reference_check_good_filtration(p: UnivarOperator, bound: int = 8,
     """
     local = _localize(p, point)
     module = CurveModule.from_operator(local)
-    gens = [polar_generators(lattice) for lattice in module.filtration_lattices(bound + 1)]
+    gens = [polar_generators(lattice, module.var) for lattice in module.filtration_lattices(bound + 1)]
     transcript = []
     ok = True
     for j in range(module.dim, bound + 1):
-        span = polar_extended(PolarLattice(module.dim, module.var),
+        span = polar_extended(PolarLattice(module.dim),
                               gens[j] + [partial_action(module, g) for g in gens[j]])
         for idx, g in enumerate(gens[j + 1]):
             inside = polar_contains(span, g)

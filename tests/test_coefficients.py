@@ -19,7 +19,7 @@ import dreg.cli
 import dreg.corpus
 from dreg.cli import _read_system_file
 from dreg.lattices import Laurent, PolarLattice
-from dreg.operators import UnivarOperator, to_theta_form
+from dreg.operators import to_theta_form
 from dreg.parser import ParseError, parse_operator, parse_ratfun, parse_weyl_generators
 from dreg.polynomials import MPoly, RatFun, denominator_lcm, factor_rational
 from dreg.systems import CyclicVectorError, cyclic_vector, saturate_lattice
@@ -194,5 +194,4 @@ def test_shared_unit_survives_a_corpus_pass():
     assert RatFun.one("x") is one
     assert num_of(one).terms == {(0,): 1} and den_of(one).terms == {(0,): 1}
     assert ratfun_exact(one)
-    assert UnivarOperator.derivation("x").coeffs[1] is one
     assert parse_operator("d").coeffs[1] is one

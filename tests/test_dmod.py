@@ -147,14 +147,14 @@ class TestEchelonFiltration:
         # * 3 vectors
         module = CurveModule.from_operator(op("d^3 - x"))
         calls = 0
-        action = conftest.theta_terms
+        action = conftest.column_theta_terms
 
         def counted(*args):
             nonlocal calls
             calls += 1
             return action(*args)
 
-        monkeypatch.setattr(conftest, "theta_terms", counted)
+        monkeypatch.setattr(conftest, "column_theta_terms", counted)
         found = module.annihilator_monomials(4)
         assert calls <= 6 + 5 * 4 * 3
         assert found == [(1, 1), (2, 1), (1, 2), (0, 3), (3, 1), (2, 2), (1, 3), (0, 4)]
@@ -166,7 +166,7 @@ class TestEchelonFiltration:
         module = CurveModule.from_operator(op(expr).monic())
         coarse = [lattice.generators()
                   for lattice in reference_filtration(module, 8, [frame(module)[0]])]
-        polar = [polar_generators(lattice) for lattice in module.filtration_lattices(8)]
+        polar = [polar_generators(lattice, module.var) for lattice in module.filtration_lattices(8)]
         for levels in (polar, coarse):
             assert len(levels) == 9
             assert all(len(gens) <= module.dim for gens in levels)
@@ -202,7 +202,7 @@ class TestPolarFiltration:
             polar = module.filtration_lattices(2 * bound)
             reference = reference_filtration(module, 2 * bound)
             for lattice, ref in zip(polar, reference, strict=True):
-                gens = polar_generators(lattice)
+                gens = polar_generators(lattice, module.var)
                 assert len(gens) == module.dim
                 assert all(ref.contains(g) for g in gens)
                 assert all(polar_contains(lattice, g) for g in ref.generators())

@@ -1,7 +1,9 @@
-"""The parser evaluates in Q(x), on RatFun's integer lists, and lifts to
-operators only at a derivation; it is checked against the all-operator
+"""The parser evaluates in Q(x) on unreduced pairs of integer lists and
+reduces each coefficient once; it is checked against the all-operator
 reference algebra in conftest, and the Weyl generators against the
-reference Weyl algebra, both run on the frozen lexer and descent there."""
+reference Weyl algebra, both run on the frozen lexer and descent there.
+The RatFun algebra it replaced, which reduced every value, is the
+reference for the coefficients' fields and the refusals."""
 
 import os
 import resource
@@ -23,7 +25,8 @@ from dreg.parser import (MAX_POWER, ParseError, format_operator, parse_operator,
 from dreg.polynomials import MPoly, RatFun
 from dreg.weyl import coordinate_names, deriv_names
 
-from conftest import (den_of, num_of, reference_parse_operator, reference_parse_ratfun,
+from conftest import (den_of, num_of, ratfun_parse_operator, ratfun_parse_ratfun,
+                      reference_parse_operator, reference_parse_ratfun,
                       reference_parse_weyl_generators)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -66,6 +69,30 @@ MALFORMED = [
     "x\t+ \u00e9*d", "x*d +\r\n\t", "d^2\n + x*d\n + (x - 1))", "x +\r\n ; d",
     "\u00a0d + x\u00a0^",
 ]
+
+
+# leaves with poles and shared factors, so that sums, quotients and powers
+# of unreduced pairs meet the cancellations a reduced value runs at each step
+RATIONAL_LEAVES = st.sampled_from([
+    ("x", 1), ("d", 1), ("0", 0), ("2", 0), ("3/2", 0), ("(5/6)", 0), ("(x/4)", 1),
+    ("1/x", 1), ("(x - 1)", 1), ("(x + 2)", 1), ("(2*x + 3)", 1), ("(x^2 - 1)", 2),
+    ("(x^2 + 1)", 2), ("1/(x^2 - 1)", 2)])
+RATIONAL_TEXTS = st.recursive(RATIONAL_LEAVES, _combine, max_leaves=10).filter(
+    lambda t: t[1] <= 12).map(lambda t: t[0])
+
+
+def fields(value):
+    """The fields of a RatFun, or of each coefficient of an operator, with
+    the type of each scale: the normal form is part of the value."""
+    coeffs = value.coeffs if isinstance(value, UnivarOperator) else (value,)
+    return [(c.var, c.scale, type(c.scale), c.numer, c.denom) for c in coeffs]
+
+
+def field_outcome(parse, text):
+    try:
+        return "ok", fields(parse(text))
+    except ParseError as exc:
+        return "error", str(exc), exc.line, exc.col
 
 
 def _weyl_leaves(n):
@@ -137,6 +164,34 @@ class TestAgainstReference:
         got = weyl_outcome(parse_weyl_generators, text, ("x", "y", "z"))
         assert got[0] == "error"
         assert got == weyl_outcome(reference_parse_weyl_generators, text, ("x", "y", "z"))
+
+
+class TestAgainstRatFunAlgebra:
+    """Reducing each coefficient once gives the fields and the refusals that
+    reducing every value gave."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(RATIONAL_TEXTS)
+    def test_fields_and_refusals_match(self, text):
+        assert field_outcome(parse_operator, text) == field_outcome(ratfun_parse_operator, text)
+        assert field_outcome(parse_ratfun, text) == field_outcome(ratfun_parse_ratfun, text)
+
+    @pytest.mark.parametrize("text", WELL_FORMED + MALFORMED + [
+        "((x^2 - 1)/(x - 1))^600", "(x^2 + 1)^501", "((x^2 - 1)/(x - 1))^600*d^400",
+        "(x/x)^1000*d", "(1/x - 1/x)*d + d^2", "((1/x - 1/x)*d + d^2)^3", "(3/2*d^2)^2",
+        "x/(d*x - x*d)", "d/(x/x)", "(d + x)/(x^2 - 1)", "x/4 + 1/6 - x^2/10*d",
+        "1/(x - 1) + x/(x - 1)", "1/(x - 1) - 1/(x + 1)", "(x/2)^3 + 1/4"])
+    def test_named_texts_match(self, text):
+        assert field_outcome(parse_operator, text) == field_outcome(ratfun_parse_operator, text)
+        assert field_outcome(parse_ratfun, text) == field_outcome(ratfun_parse_ratfun, text)
+
+    def test_the_power_cap_reads_the_reduced_base(self):
+        # (x^2 - 1)/(x - 1) is x + 1 of degree 1, where its pair has degree 2
+        p = parse_operator("((x^2 - 1)/(x - 1))^600")
+        assert len(p.coeff(0).numer) == 601
+        with pytest.raises(ParseError, match="power too large") as err:
+            parse_operator("(x^2 + 1)^501")
+        assert (err.value.line, err.value.col) == (1, 11)
 
 
 class TestParseRatfun:
@@ -240,6 +295,17 @@ class TestWork:
         got = parse_operator(text)
         assert calls == []
         assert format_operator(got) == shown
+        assert got == reference_parse_operator(text)
+
+    @pytest.mark.parametrize("text, coefficients", [
+        ("d^2 + 1/x*d + 1/(x - 1) - 2/(x - 1)^2", 3), ("(x^2 - 1)/(x - 1)", 1),
+        ("d^3 + (x^2 - 1)/(x^2*(x - 3/2)^2)*d^2 + 2/x*d + 1/(x^2 + 1)", 4)])
+    def test_each_coefficient_is_reduced_once(self, monkeypatch, text, coefficients):
+        calls = self.count(monkeypatch, RatFun, "quotient")
+        gcds = self.count(monkeypatch, polynomials, "_common_factor")
+        got = parse_operator(text)
+        assert len(calls) == len(got.coeffs) == coefficients
+        assert len(gcds) <= coefficients
         assert got == reference_parse_operator(text)
 
     def test_shared_zero_is_left_alone(self, capsys):

@@ -187,6 +187,76 @@ class TestAgainstSympy:
         assert repeated > 10
 
 
+def _int_poly(coeffs) -> tuple:
+    """The dense integer polynomial with these coefficients, trailing zeros dropped."""
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _from_roots(roots) -> tuple:
+    """prod (x - r) over integer roots r: close and repeated roots give
+    coefficients that nearly cancel at any evaluation point near them."""
+    out = (1,)
+    for r in roots:
+        out = dreg.polynomials._mul(out, (-r, 1))
+    return out
+
+
+# factors of degree up to 8: wide coefficients, or products of close linear factors
+FACTORS = st.one_of(
+    st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=1, max_size=9).map(_int_poly),
+    st.lists(st.integers(-3, 3), max_size=8).map(_from_roots),
+).filter(bool)
+
+
+class TestHeuristicGcd:
+    """GCDHEU in front of the PRS, from degree HEURISTIC_DEGREE on."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(FACTORS, FACTORS, FACTORS)
+    def test_matches_sympy_and_the_reference(self, common, u, v):
+        sympy = pytest.importorskip("sympy")
+        X = sympy.Symbol("x")
+        a, b = dreg.polynomials._mul(common, u), dreg.polynomials._mul(common, v)
+        g = univar_gcd(a, b)
+        assert g[-1] > 0
+        expected = reference_univar_gcd(MPoly.from_univar_coeffs("x", a),
+                                        MPoly.from_univar_coeffs("x", b))
+        assert monic_mpoly("x", g) == expected
+        theirs = sympy.Poly(a[::-1], X).gcd(sympy.Poly(b[::-1], X)).primitive()[1]
+        assert g == tuple(int(c) for c in theirs.all_coeffs()[::-1])
+
+    def test_large_common_factors_take_the_heuristic(self, monkeypatch):
+        heuristic = dreg.polynomials._heuristic_gcd
+        found = []
+
+        def kept(a, b):
+            found.append(heuristic(a, b))
+            return found[-1]
+
+        monkeypatch.setattr(dreg.polynomials, "_heuristic_gcd", kept)
+        rng = random.Random(7)
+        for _ in range(20):
+            common = _int_poly([rng.randint(-99, 99) for _ in range(6)] + [rng.randint(1, 9)])
+            # cofactors with no common root: the gcd is the primitive part of common
+            a = dreg.polynomials._mul(common, _from_roots(rng.choices(range(-2, 3), k=3)))
+            b = dreg.polynomials._mul(common, (5, 1))
+            assert univar_gcd(a, b) == dreg.polynomials._split(common)[1]
+        assert len(found) == 20 and None not in found
+
+    def test_prs_takes_over_when_no_point_verifies(self, monkeypatch):
+        x = MPoly.var(("x",), "x")
+        common = int_coeffs(reference_pow(x - 1, 4) * (x * x * x + 2 * x + 5))
+        a = dreg.polynomials._mul(common, (3, 0, 1))
+        b = dreg.polynomials._mul(common, (-2, 7))
+        assert univar_gcd(a, b) == common
+        monkeypatch.setattr(dreg.polynomials, "HEURISTIC_TRIES", 0)
+        assert dreg.polynomials._heuristic_gcd(a, b) is None
+        assert univar_gcd(a, b) == common
+
+
 # p / (x^k (x + c)^i (x^2 + 1)^j): poles at 0, at a rational and off the rationals
 def _ratfun(num, k, c, i, j):
     x = MPoly.var(("x",), "x")

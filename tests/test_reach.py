@@ -45,6 +45,8 @@ EXTRA = (
     Request("product-x-sum", ("fuchs", "x*(d + 1)")),
     Request("product-d-over-x", ("fuchs", "d/x")),
     Request("power-zero", ("fuchs", "(x*d + 1)^0*d")),
+    # the coefficient's one gcd, of degrees 7 and 6, goes through GCDHEU
+    Request("gcd-heuristic", ("fuchs", "d - (x^7 - 1)/(x^6 - 1)")),
     Request("weyl-power-zero", ("holonomic", "--vars", "x,y", "(x*dx)^0*dx ; dy")),
     # one malformed input per parser error
     Request("bad-character", ("fuchs", "x # d"), exit_code=1),

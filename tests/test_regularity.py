@@ -12,9 +12,9 @@ from dreg.regularity import (GLOBAL_IRREGULAR, GLOBAL_REGULAR,
                              REGULAR, fuchs_regular_at, newton_polygon,
                              regular_on_projective_line, theta_regular_at_zero)
 
-from conftest import (den_of, evaluate_mpoly, random_operator, random_operator_with_poles,
-                      random_point, random_ratfun_with_poles, ratfun, reference_monic_orders, spy,
-                      univar_divmod)
+from conftest import (den_of, evaluate_mpoly, op_scale, random_operator,
+                      random_operator_with_poles, random_point, random_ratfun_with_poles, ratfun,
+                      reference_monic_orders, spy, univar_divmod)
 
 
 def op(text):
@@ -56,7 +56,7 @@ class TestFuchs:
             p = random_operator(rng, order=2, degree=2, pole=2)
             # (x + 1) is a unit of the local ring at 0
             unit = ratfun(MPoly.from_univar_coeffs("x", [1, 1]))
-            q = p.scale(unit)
+            q = op_scale(unit, p)
             assert (fuchs_regular_at(p, 0).verdict
                     == fuchs_regular_at(q, 0).verdict)
 
@@ -185,7 +185,7 @@ class TestOrdersWithoutDivision:
         # a left factor with zeros and poles makes the leading coefficient matter
         lead = random_ratfun_with_poles(rng, c, degree=2, pole=2)
         if lead:
-            p = p.scale(lead)
+            p = op_scale(lead, p)
         for point in (c, Fraction(0), INFINITY):
             orders = reference_monic_orders(p, point)
             n = len(orders) - 1
