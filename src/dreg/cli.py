@@ -160,8 +160,8 @@ def _ring_vars(args) -> tuple:
     return ("x",)
 
 
-def _dimension_verdicts(ideal, n: int, budget: int) -> list:
-    dims = dreg.dmod.dimension_report(ideal, n, budget)
+def _dimension_verdicts(ideal, budget: int) -> list:
+    dims = dreg.dmod.dimension_report(ideal, budget)
     return [{"method": "dimension", "verdict": str(dims.dimension)},
             {"method": "holonomic", "verdict": str(dims.holonomic)},
             {"method": "bernstein", "verdict": str(dims.bernstein)}]
@@ -170,11 +170,10 @@ def _dimension_verdicts(ideal, n: int, budget: int) -> list:
 def cmd_charvar(args) -> dict:
     variables = _ring_vars(args)
     gens = dreg.parser.parse_weyl_generators(_read_source(args), variables)
-    n = len(variables)
     ideal = dreg.weyl.characteristic_ideal(gens, budget=args.budget)
-    cv = dreg.dmod.decompose_symbol_ideal(ideal, n, budget=args.budget)
+    cv = dreg.dmod.decompose_symbol_ideal(ideal, budget=args.budget)
     verdicts = ([{"method": "charvar", "verdict": f"{len(cv.components)} components"}]
-                + _dimension_verdicts(ideal, n, args.budget))
+                + _dimension_verdicts(ideal, args.budget))
     return _report("charvar",
                    {"generators": [str(g) for g in gens],
                     "vars": list(variables)},
@@ -184,11 +183,10 @@ def cmd_charvar(args) -> dict:
 def cmd_holonomic(args) -> dict:
     variables = _ring_vars(args)
     gens = dreg.parser.parse_weyl_generators(_read_source(args), variables)
-    n = len(variables)
     ideal = dreg.weyl.characteristic_ideal(gens, budget=args.budget)
     return _report("holonomic",
                    {"generators": [str(g) for g in gens], "vars": list(variables)},
-                   _dimension_verdicts(ideal, n, args.budget),
+                   _dimension_verdicts(ideal, args.budget),
                    [{"characteristic_ideal": [str(g) for g in ideal.gens]}], [])
 
 
@@ -211,7 +209,7 @@ def cmd_polelattice(args) -> dict:
                    [{"goodness": list(islice(transcript, 50))}, incl.to_dict()])
 
 
-def _read_chart_file(path: str):
+def _read_chart_file(path: str) -> dreg.polelattice.LogLattice:
     lines = [ln.strip() for ln in _read_lines(path)]
     header = {}
     idx = 0
@@ -246,8 +244,7 @@ def _read_chart_file(path: str):
         gammas.append(rows)
     if idx < len(lines):
         raise InputError(f"unexpected line after gamma block {n}: {lines[idx]!r}")
-    chart = dreg.polelattice.NCChart(n, r)
-    return chart, dreg.polelattice.LogLattice(chart, rank, gammas)
+    return dreg.polelattice.LogLattice(dreg.polelattice.NCChart(n, r), rank, gammas)
 
 
 def cmd_theorem(args) -> dict:
@@ -261,11 +258,11 @@ def cmd_theorem(args) -> dict:
                        [rep.to_dict()], [])
     if not args.file:
         raise InputError("theorem needs --file CHART or --backward EXPR")
-    chart, lattice = _read_chart_file(args.file)
-    rep = dreg.polelattice.theorem_forward_filtration(lattice, chart, args.bound)
+    lattice = _read_chart_file(args.file)
+    rep = dreg.polelattice.theorem_forward_filtration(lattice, args.bound)
     return _report("theorem",
                    {"direction": "forward", "file": args.file,
-                    "n": chart.n, "r": chart.r, "rank": lattice.rank},
+                    "n": lattice.chart.n, "r": lattice.chart.r, "rank": lattice.rank},
                    [{"method": "forward-filtration",
                      "verdict": "certified" if rep.certified else "failed"}],
                    [rep.to_dict()], [])

@@ -202,9 +202,9 @@ def _rational_zeros(polys: list[MPoly], variables: tuple,
     return solutions
 
 
-def decompose_symbol_ideal(ideal: Ideal, n: int,
-                           budget: int = DEFAULT_BUDGET) -> CharVariety:
-    """Structured component decomposition of a conical symbol ideal.
+def decompose_symbol_ideal(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> CharVariety:
+    """Structured component decomposition of a conical symbol ideal in the
+    2n variables x_1..x_n, xi_1..xi_n.
 
     Candidates are the zero section, conormals to linear divisors read off
     monomial contents and pure-coordinate generators, and conormals to
@@ -217,8 +217,7 @@ def decompose_symbol_ideal(ideal: Ideal, n: int,
     which starts from that basis.
     """
     variables = ideal.vars
-    if len(variables) != 2 * n:
-        raise ValueError("symbol ring must have 2n variables")
+    n = len(variables) // 2
     xvars, svars = variables[:n], variables[n:]
     gens = list(ideal.gens)
     conical = all(_is_xi_homogeneous(g, n) for g in gens)
@@ -335,8 +334,9 @@ class DimensionReport(NamedTuple):
     bernstein: bool     # dim Ch >= n, asserted for every characteristic ideal
 
 
-def dimension_report(ideal: Ideal, n: int, budget: int = DEFAULT_BUDGET) -> DimensionReport:
-    """Dimension, holonomicity and the Bernstein bound from one basis.
+def dimension_report(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> DimensionReport:
+    """Dimension, holonomicity and the Bernstein bound from one basis, for
+    a symbol ideal in 2n variables.
 
     A characteristic ideal carries its reduced basis (`basis_order`), and
     the leading monomials of that basis give the dimension with no new
@@ -346,4 +346,5 @@ def dimension_report(ideal: Ideal, n: int, budget: int = DEFAULT_BUDGET) -> Dime
     if any(g.is_constant() and not g.is_zero() for g in gb):
         raise ZeroModuleError("unit ideal: the module is zero")
     dim = basis_dimension(ideal.vars, gb, ideal.basis_order or DEGREVLEX)
+    n = len(ideal.vars) // 2
     return DimensionReport(dim, dim <= n, dim >= n)

@@ -330,13 +330,14 @@ def _integral_basis(basis: Sequence, pk: Packing) -> tuple[list, list]:
     return basis, [max(g) for g in basis]
 
 
-def all_in_ideal(fs: Iterable, gb: Sequence, order: TermOrder = DEGREVLEX) -> bool:
-    """Whether every f lies in the ideal a Gröbner basis gb spans: each
-    remainder is zero.  The basis is packed once for all of them."""
+def all_in_ideal(fs: Iterable, gb: Sequence) -> bool:
+    """Whether every f lies in the ideal a DEGREVLEX Gröbner basis gb
+    spans: each remainder is zero.  The basis is packed once for all of
+    them."""
     fs = [f for f in fs if not f.is_zero()]
     if not fs or not gb:
         return not fs
-    pk = Packing(order, gb[0])
+    pk = Packing(DEGREVLEX, gb[0])
     basis, leads = _integral_basis(gb, pk)
     return not any(_pseudo_remainder(pk.pack(_integral(f.terms)[0]), basis, leads, pk)[0]
                    for f in fs)
@@ -423,18 +424,17 @@ def _is_unit(leads: Sequence) -> bool:
     return bool(leads) and leads[-1] == 0
 
 
-def buchberger_basis(gens: Iterable, order: TermOrder, budget: int = DEFAULT_BUDGET,
-                     known: Sequence = ()) -> list:
-    """Reduced (left) Gröbner basis under `order` of the (left) ideal
-    `known` and the generators span: the S-pair loop (`buchberger_loop`),
-    then the interreduction, which makes the basis monic.  The reduced
-    basis of the unit ideal is [1]."""
+def buchberger_basis(gens: Iterable, order: TermOrder, budget: int = DEFAULT_BUDGET) -> list:
+    """Reduced (left) Gröbner basis under `order` of the (left) ideal the
+    generators span: the S-pair loop (`buchberger_loop`), then the
+    interreduction, which makes the basis monic.  The reduced basis of the
+    unit ideal is [1]."""
     gens = list(gens)
-    like = next((g for g in (*known, *gens) if not g.is_zero()), None)
+    like = next((g for g in gens if not g.is_zero()), None)
     if like is None:
         return []
     pk = Packing(order, like)
-    basis, leads = buchberger_loop(gens, pk, budget, known)
+    basis, leads = buchberger_loop(gens, pk, budget)
     if _is_unit(leads):
         return [pk.unpack({0: 1})]
     return [pk.unpack(g) for g in _reduce_basis(basis, leads, pk)]

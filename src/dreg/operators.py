@@ -115,25 +115,23 @@ class UnivarOperator:
         """Translate the point c to the origin: substitute x -> x + c."""
         return UnivarOperator(self.var, [b.shift(c) for b in self.coeffs])
 
-    def at_infinity(self, new_var: str = "t") -> "UnivarOperator":
+    def at_infinity(self) -> "UnivarOperator":
         """Image under x = 1/t, d_x = -t^2 d_t: the operator in the
         coordinate t = 1/x at infinity.  Coefficients stay rational
         functions."""
-        if new_var == self.var:
-            new_var = "t" if self.var != "t" else "s"
         n = self.order()
-        t = RatFun.x(new_var)
-        out = [RatFun.zero(new_var) for _ in range(n + 1)]
+        t = RatFun.x("t")
+        out = [RatFun.zero("t") for _ in range(n + 1)]
         for i, b in enumerate(self.coeffs):
             if b.is_zero():
                 continue
-            f = b.invert_var(new_var)
+            f = b.invert_var("t")
             if i == 0:
                 out[0] = f
             # (-t^2 d_t)^i = (-1)^i sum_{k>=1} L(i,k) t^(i+k) d_t^k for i >= 1
             for k in range(1, i + 1):
                 out[k] = out[k] + f * (t ** (i + k) * ((-1) ** i * lah(i, k)))
-        return UnivarOperator(new_var, out)
+        return UnivarOperator("t", out)
 
     def __str__(self) -> str:
         from .parser import format_operator

@@ -232,28 +232,24 @@ class _UnivarAlgebra:
     left, and such an operator's power, is a Leibniz product of
     `UnivarOperator` on reduced coefficients."""
 
-    def __init__(self, var: str):
-        self.var = var
-        self.deriv_tokens = {"d", "d" + var}
-        if var == "x":
-            self.deriv_tokens.add("dx")
-        self.x = (((0, 1), (1,)),)
-        self.d = (_ZERO, _ONE)
+    x = (((0, 1), (1,)),)
+    d = (_ZERO, _ONE)
 
-    def operator(self, v: tuple) -> UnivarOperator:
-        return UnivarOperator(self.var, [RatFun.quotient(self.var, *p) for p in v])
+    @staticmethod
+    def operator(v: tuple) -> UnivarOperator:
+        return UnivarOperator("x", [RatFun.quotient("x", *p) for p in v])
 
     def const(self, c: int) -> tuple:
         return (((c,), (1,)),) if c else ()
 
     def symbol(self, name: str, at: int) -> tuple:
-        if name == self.var:
+        if name == "x":
             return self.x
-        if name in self.deriv_tokens:
+        if name in ("d", "dx"):
             return self.d
         if _DERIV_RE.fullmatch(name):
             raise _Refused(f"derivation {name!r} does not exist in a "
-                           f"1-variable context (variable {self.var!r})", at)
+                           "1-variable context (variable 'x')", at)
         raise _Refused(f"unknown symbol {name!r}", at)
 
     def neg(self, v): return tuple((tuple(-c for c in a), b) for a, b in v)
@@ -291,7 +287,7 @@ class _UnivarAlgebra:
         num, den = v[0]
         if len(den) > 1:
             # the cap reads the degrees in lowest terms
-            num, den = _pair(RatFun.quotient(self.var, num, den))
+            num, den = _pair(RatFun.quotient("x", num, den))
         _check_power(max(len(num), len(den)) - 1, k, at)
         return ((_pow(num, k), _pow(den, k)),)
 
@@ -400,10 +396,10 @@ class _WeylAlgebra:
         return {u: _exact(v * c) for u, v in a.items()}
 
 
-def parse_operator(text: str, var: str = "x") -> UnivarOperator:
-    """Parse a univariate operator with rational-function coefficients."""
-    algebra = _UnivarAlgebra(var)
-    return algebra.operator(_parse(text, algebra))
+def parse_operator(text: str) -> UnivarOperator:
+    """Parse a univariate operator in x, d (or dx) with rational-function
+    coefficients."""
+    return _UnivarAlgebra.operator(_parse(text, _UnivarAlgebra()))
 
 
 def parse_weyl_generators(text: str, variables) -> list[dreg.weyl.WeylElement]:
@@ -412,13 +408,13 @@ def parse_weyl_generators(text: str, variables) -> list[dreg.weyl.WeylElement]:
     return [algebra.element(v) for v in _parse(text, algebra, many=True)]
 
 
-def parse_ratfun(text: str, var: str = "x") -> RatFun:
-    """Parse a rational function (an order-zero operator)."""
-    value = _parse(text, _UnivarAlgebra(var))
+def parse_ratfun(text: str) -> RatFun:
+    """Parse a rational function of x (an order-zero operator)."""
+    value = _parse(text, _UnivarAlgebra())
     if len(value) > 1:
         raise ParseError("expected a coefficient, found a derivation",
                          *_position(text, _token_offset(text, 0)))
-    return RatFun.quotient(var, *value[0]) if value else RatFun.zero(var)
+    return RatFun.quotient("x", *value[0]) if value else RatFun.zero("x")
 
 
 def parse_polynomial(text: str, variables) -> MPoly:
@@ -445,7 +441,7 @@ def format_ratfun_factor(f: RatFun) -> tuple[str, bool]:
     return body, negated
 
 
-def format_operator(p: UnivarOperator, deriv: str = "d") -> str:
+def format_operator(p: UnivarOperator) -> str:
     if p.is_zero():
         return "0"
     parts = []
@@ -454,7 +450,7 @@ def format_operator(p: UnivarOperator, deriv: str = "d") -> str:
         c = p.coeff(i)
         if c.is_zero():
             continue
-        dpart = "" if i == 0 else (deriv if i == 1 else f"{deriv}^{i}")
+        dpart = "" if i == 0 else ("d" if i == 1 else f"d^{i}")
         if i > 0 and c == one:
             body, neg = dpart, False
         elif i > 0 and c == -one:

@@ -16,12 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-from operator import add, gt, le, sub
+from operator import add, sub
 from typing import Iterator
 
 from .dmod import cyclic_theta_matrix
-from .ideals import (Ideal, is_radical_squarefree_monomial,
-                     minimal_monomial_generators)
+from .ideals import Ideal, is_radical_squarefree_monomial
 from .linalg import mat_mul, mat_sub
 from .operators import UnivarOperator
 from .polynomials import INF, MPoly, format_monomial
@@ -156,29 +155,21 @@ def _symbol_monomials(chart: NCChart, bound: int):
             yield exps[:n], exps[n:]
 
 
-def _outside_monomials(generators: list, n: int, bound: int):
-    """Exponents (a, b) of the x^a xi^b of degree 1 .. bound that no
-    generator (an exponent vector in 2n variables) divides, in
-    `_symbol_monomials` order: the standard monomials of the ideal.
+def _outside_monomials(chart: NCChart, bound: int):
+    """Exponents (a, b) of the x^a xi^b of degree 1 .. bound outside
+    `theta_XZ_ideal(chart)`, in `_symbol_monomials` order: the standard
+    monomials of the ideal.
 
-    One composition gives a and the degree s left for b.  Of the generators
-    whose x-part divides x^a, one with no xi-part puts every x^a xi^b in the
-    ideal, one whose xi-part is a single xi_i keeps b_i at 0, and any other
-    is tested by divisibility.  b walks the other coordinates only.
+    One composition gives a and the degree s left for b.  xi_j for j >= r
+    and x_i xi_i for i < r generate the ideal, so b_j = 0 for j >= r and
+    b_i = 0 for each i < r with a_i >= 1: b walks the other coordinates.
     """
-    split = [(gen[:n], gen[n:]) for gen in generators]
-    plans: dict = {}
+    n, r = chart.n, chart.r
     for total in range(1, bound + 1):
         for exps in _compositions(total, n + 1):
             a, s = exps[:n], exps[n]
-            plan = plans.get(a)
-            if plan is None:
-                plan = plans[a] = _outside_plan(split, a)
-            if not plan:
-                continue
-            walked, others = plan
+            walked = [i for i in range(r) if not a[i]]
             if not walked:
-                # b = 0, which no xi-part in `others` divides
                 if not s:
                     yield a, (0,) * n
                 continue
@@ -186,26 +177,7 @@ def _outside_monomials(generators: list, n: int, bound: int):
             for step in _compositions(s, len(walked)):
                 for i, e in zip(walked, step):
                     b[i] = e
-                if not any(all(map(le, xi, b)) for xi in others):
-                    yield a, tuple(b)
-
-
-def _outside_plan(split: list, a: tuple):
-    """How `_outside_monomials` walks b above x^a, given each generator's
-    x-part and xi-part: () when a generator with no xi-part divides x^a;
-    otherwise the coordinates b walks and the xi-parts left to test."""
-    walked = set(range(len(a)))
-    others = []
-    for x, xi in split:
-        if any(map(gt, x, a)):
-            continue
-        if not any(xi):
-            return ()
-        if sum(xi) == 1:
-            walked.discard(xi.index(1))
-        else:
-            others.append(xi)
-    return sorted(walked), others
+                yield a, tuple(b)
 
 
 def _window(chart: NCChart, level: int, max_poly: int) -> tuple:
@@ -237,14 +209,14 @@ def pole_filtration_annihilator(chart: NCChart, bound: int = 6) -> AnnihilatorRe
     `stability_checks` counts those n * |window| checks.  Reverse: every
     symbol monomial outside the ideal acts nonzero on the witness
     1/(product of the x_l named by its d-support).  The scan walks only
-    those monomials, listed directly from the ideal's minimal generators,
-    and keeps them on the report: `prop21_inclusion` lists the ideal's
-    monomials as their complement, with no second walk.
+    those monomials, listed directly from the chart, and keeps them on the
+    report: `prop21_inclusion` lists the ideal's monomials as their
+    complement, with no second walk.
     """
     ideal = theta_XZ_ideal(chart)
     r = chart.r
     smooth = (0,) * (chart.n - r)
-    standard = tuple(_outside_monomials(minimal_monomial_generators(ideal), chart.n, bound))
+    standard = tuple(_outside_monomials(chart, bound))
     failures = []
     for a, b in standard:
         witness = tuple(-1 if e else 0 for e in b[:r]) + smooth
@@ -429,12 +401,11 @@ class ForwardReport:
                 "failures": []}
 
 
-def theorem_forward_filtration(lattice: LogLattice, chart: NCChart,
-                               bound: int = 4) -> ForwardReport:
+def theorem_forward_filtration(lattice: LogLattice, bound: int = 4) -> ForwardReport:
     """Forward comparison: a log lattice induces the filtration with level
-    zero the lattice twisted by chart.r, and every logarithmic symbol
-    stabilizes every scanned level, so the graded annihilator is the
-    radical squarefree ideal.
+    zero the lattice twisted by the r of its chart, and every logarithmic
+    symbol stabilizes every scanned level, so the graded annihilator is
+    the radical squarefree ideal.
 
     Stability holds with no scan: the gammas are polynomials, so
     x_l d_l + gamma_l and d_m + gamma_m never raise the pole order
@@ -445,11 +416,9 @@ def theorem_forward_filtration(lattice: LogLattice, chart: NCChart,
     Each scan walks the window deepest pole first, where a failing
     x^a d^b meets its breaking element early.
 
-    Raises on non-integrable input, reporting the failed commutator, and
-    on a chart other than the lattice's own.
+    Raises on non-integrable input, reporting the failed commutator.
     """
-    if chart != lattice.chart:
-        raise ValueError(f"lattice lives on chart {lattice.chart}, not on {chart}")
+    chart = lattice.chart
     fail = lattice.integrability_failure()
     if fail is not None:
         l, k, mat = fail
@@ -460,7 +429,7 @@ def theorem_forward_filtration(lattice: LogLattice, chart: NCChart,
     ideal = theta_XZ_ideal(chart)
     window = _window(chart, twist + bound, bound)
     levels = sum(twist + bound + 1 - max(pole, twist) for pole, _alpha in window)
-    standard = tuple(_outside_monomials(minimal_monomial_generators(ideal), chart.n, bound))
+    standard = tuple(_outside_monomials(chart, bound))
     holds = next(_outside_annihilators(lattice, window, standard), None) is None
     return ForwardReport(ideal, is_radical_squarefree_monomial(ideal),
                          chart.n * lattice.rank * levels, holds)

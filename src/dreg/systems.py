@@ -17,7 +17,7 @@ from .errors import ContradictionError
 from .lattices import PolarLattice, laurent_rows, theta_terms
 from .linalg import gauss_solve
 from .operators import UnivarOperator
-from .polynomials import INF, RatFun, as_rat, denominator_lcm
+from .polynomials import RatFun, as_rat, denominator_lcm
 from .regularity import (FuchsCertificate, INFINITY, fuchs_regular_at, global_verdict,
                          singular_locus)
 
@@ -62,15 +62,13 @@ class ConnectionSystem:
         """B = -A: solutions satisfy y' = B y."""
         return [[-e for e in row] for row in self.matrix]
 
-    def at_infinity(self, new_var: str = "t") -> "ConnectionSystem":
+    def at_infinity(self) -> "ConnectionSystem":
         """Chart t = 1/x: solutions transform with B~ = -t^-2 B(1/t)."""
-        if new_var == self.var:
-            new_var = "t" if self.var != "t" else "s"
         # A~ = -B~ = t^-2 B(1/t) = -t^-2 A(1/t); dividing by the single term
         # t^2 runs no gcd
-        t2 = RatFun.x(new_var) ** 2
-        a = [[-e.invert_var(new_var) / t2 for e in row] for row in self.matrix]
-        return ConnectionSystem(a, new_var)
+        t2 = RatFun.x("t") ** 2
+        a = [[-e.invert_var("t") / t2 for e in row] for row in self.matrix]
+        return ConnectionSystem(a, "t")
 
     def shifted(self, c) -> "ConnectionSystem":
         """Translate the point c to the origin: A(x) -> A(x + c)."""
@@ -89,15 +87,6 @@ class ConnectionSystem:
                     acc = acc + c[i] * b[i][j]
             out.append(acc)
         return tuple(out)
-
-    def pole_order_at(self, point) -> int:
-        worst = 0
-        for row in self.matrix:
-            for e in row:
-                o = e.ord_at(point)
-                if o != INF:
-                    worst = max(worst, -min(0, int(o)))
-        return worst
 
 
 @dataclass(frozen=True)
@@ -206,9 +195,9 @@ def saturate_lattice(system: ConnectionSystem, point,
     L_(m-1) = L + theta L + ... + theta^(m-1) L is theta-stable (Gerard &
     Levelt 1973), and a theta-stable lattice forces regularity (Deligne,
     LNM 163).  So if step m - 1 still adds rows no later step can
-    stabilize, and the loop stops there with what the run to max_steps
-    would return: exceeded_bound, steps = max_steps.  Below m - 1 the bound
-    alone ends the loop.
+    stabilize: the loop stops after step min(max_steps, m - 1) with what
+    the run to max_steps would return, exceeded_bound with steps =
+    max_steps.  max_steps defaults to m - 1, the fewest steps that decide.
 
     Stabilization certifies a theta-stable coherent extension.  The result
     fields keep their meaning: exceeded_bound reports the bound running
@@ -223,20 +212,17 @@ def saturate_lattice(system: ConnectionSystem, point,
         return saturate_lattice(system.shifted(point), Fraction(0), max_steps)
     m = system.rank
     if max_steps is None:
-        max_steps = m * (system.pole_order_at(point) + 1) + 4
+        max_steps = m - 1
     # theta = x (v' + v B), of which the lattice reads only the polar terms
     flow = laurent_rows(system.flow_matrix())
     lattice = PolarLattice(m)
     new = [{(0, i): 1} for i in range(m)]
-    for step in range(max_steps + 1):
+    for step in range(min(max_steps, m - 1) + 1):
         added = []
         for v in new:
             added += lattice.insert(theta_terms(v, flow))
         if not added:
             return SaturationResult(STABILIZED, step, max_steps, lattice)
-        if step == m - 1:
-            # L_(m-1) is not theta-stable: Gerard-Levelt rules out every later step
-            break
         new = added
     return SaturationResult(EXCEEDED_BOUND, max_steps, max_steps, None)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import DEFAULT_BUDGET
 from .ideals import Ideal, buchberger_basis, symbol_weight_order
@@ -93,17 +93,13 @@ class WeylElement(MPoly):
 
     # -- symbol ----------------------------------------------------------------
 
-    def principal_symbol(self, variables: Sequence[str] | None = None) -> MPoly:
+    def principal_symbol(self) -> MPoly:
         """Image of the top-order part in Gr A_n = Q[x, xi]."""
         if self.is_zero():
             raise ValueError("no symbol of zero")
         n, top = self.n, self.order()
-        if variables is None:
-            variables = coordinate_names(n) + symbol_names(n)
-        variables = tuple(variables)
-        if len(variables) != 2 * n:
-            raise ValueError("need one coordinate and one symbol name per variable")
-        return MPoly(variables, {e: c for e, c in self.terms.items() if sum(e[n:]) == top})
+        return MPoly(coordinate_names(n) + symbol_names(n),
+                     {e: c for e, c in self.terms.items() if sum(e[n:]) == top})
 
     def __str__(self) -> str:
         return format_mpoly(self, symbol_weight_order(len(self.vars)).key)
@@ -122,7 +118,6 @@ def weyl_groebner(gens: Iterable[WeylElement],
 
 
 def characteristic_ideal(gens: Iterable[WeylElement],
-                         variables: Sequence[str] | None = None,
                          budget: int = DEFAULT_BUDGET) -> Ideal:
     """Ideal of principal symbols of the reduced left Gröbner basis of the
     input.
@@ -136,8 +131,6 @@ def characteristic_ideal(gens: Iterable[WeylElement],
     if not gens:
         raise ValueError("characteristic ideal of the empty generator list")
     n = gens[0].n
-    gb = weyl_groebner(gens, budget)
-    if variables is None:
-        variables = coordinate_names(n) + symbol_names(n)
-    symbols = [g.principal_symbol(variables) for g in gb]
-    return Ideal(tuple(variables), symbols, basis_order=symbol_weight_order(2 * n))
+    symbols = [g.principal_symbol() for g in weyl_groebner(gens, budget)]
+    return Ideal(coordinate_names(n) + symbol_names(n), symbols,
+                 basis_order=symbol_weight_order(2 * n))

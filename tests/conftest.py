@@ -42,9 +42,9 @@ from dreg.dmod import (CONORMAL_POINT, ZERO_SECTION, CharVariety, Component, Equ
                        _is_xi_homogeneous, _localize, cyclic_theta_matrix)
 from dreg.errors import ContradictionError
 from dreg.ideals import (DEFAULT_BUDGET, DEGREVLEX, BudgetExceeded, Ideal, Packing, TermOrder,
-                         _divides, _integral, _integral_basis, _pseudo_remainder,
-                         basis_dimension, groebner_basis, leading_term,
-                         minimal_monomial_generators, radical_membership)
+                         _divides, _integral, _integral_basis, _is_unit, _pseudo_remainder,
+                         _reduce_basis, basis_dimension, buchberger_loop, groebner_basis,
+                         leading_term, minimal_monomial_generators, radical_membership)
 from dreg.lattices import Laurent, PolarLattice, laurent_rows
 from dreg.linalg import gauss_solve, mat_mul
 from dreg.operators import ThetaOperator, UnivarOperator
@@ -102,6 +102,11 @@ UNREACHED = {
                      "verify_components_both_ways asks"),
     "polynomials.MPoly.zero": (ORACLE_ONLY, "only is_unit_ideal builds one"),
 }
+# The allowlist of the knob gate beside it (test_reach.py): every defaulted
+# parameter of an entered function that no CLI request sets to another
+# value, as {module.qualname(parameter): reason}.  Empty: a value no request
+# changes is a constant, not a parameter.
+UNTURNED: dict[str, str] = {}
 
 
 def is_exact(c) -> bool:
@@ -1608,19 +1613,18 @@ def reference_monic_orders(p: UnivarOperator, point) -> list:
     return [c.ord_at(0) for c in local.coeffs]
 
 
-def reference_at_infinity(p: UnivarOperator, new_var: str = "t") -> UnivarOperator:
+def reference_at_infinity(p: UnivarOperator) -> UnivarOperator:
     """x = 1/t, d_x = -t^2 d_t with the powers of -t^2 d_t built as Leibniz
     products."""
     n = p.order()
-    t2d = UnivarOperator.from_entries(new_var, [RatFun.zero(new_var),
-                                                -RatFun.x(new_var) ** 2])
-    powers = [UnivarOperator.from_entries(new_var, [1])]
+    t2d = UnivarOperator.from_entries("t", [RatFun.zero("t"), -RatFun.x("t") ** 2])
+    powers = [UnivarOperator.from_entries("t", [1])]
     for _ in range(n):
         powers.append(powers[-1].mul(t2d))
-    total = UnivarOperator(new_var, [])
+    total = UnivarOperator("t", [])
     for i, b in enumerate(p.coeffs):
         if not b.is_zero():
-            total = op_add(total, op_scale(b.invert_var(new_var), powers[i]))
+            total = op_add(total, op_scale(b.invert_var("t"), powers[i]))
     return total
 
 
@@ -1761,7 +1765,7 @@ def apply_weyl(a: WeylElement, p: MPoly) -> MPoly:
                     break
         if q.is_zero():
             continue
-        result = result + MPoly.monomial(p.vars, e[:n], c) * q
+        result = result + MPoly(p.vars, {e[:n]: c}) * q
     return result
 
 
@@ -1981,8 +1985,7 @@ def lattice_inclusion(lattice, bound: int = 4) -> Prop21Report:
     window.  Only the standard monomials are scanned, for the violations,
     and the listing merges against that same walk."""
     chart = lattice.chart
-    generators = minimal_monomial_generators(theta_XZ_ideal(chart))
-    standard = tuple(_outside_monomials(generators, chart.n, bound))
+    standard = tuple(_outside_monomials(chart, bound))
     outside = _outside_annihilators(lattice, _window(chart, chart.r + bound, bound), standard)
     violations = tuple(format_monomial(chart.ring, a + b) for a, b in reversed(tuple(outside)))
     return Prop21Report(not violations, _ideal_monomials(chart, bound, standard), violations)
@@ -2169,6 +2172,21 @@ def reference_normal_form(f, basis: Sequence, order: TermOrder = DEGREVLEX,
         else:
             done[e] = rest.pop(e)
     return remainder
+
+
+def started_basis(gens: Iterable, order: TermOrder, budget: int, known: Sequence) -> list:
+    """`buchberger_basis` of the ideal that a Gröbner basis `known` under
+    `order` and the generators span, from a `buchberger_loop` that starts
+    from `known` with its pairs counted as processed."""
+    gens = list(gens)
+    like = next((g for g in (*known, *gens) if not g.is_zero()), None)
+    if like is None:
+        return []
+    pk = Packing(order, like)
+    basis, leads = buchberger_loop(gens, pk, budget, known)
+    if _is_unit(leads):
+        return [pk.unpack({0: 1})]
+    return [pk.unpack(g) for g in _reduce_basis(basis, leads, pk)]
 
 
 def reference_buchberger_basis(gens: Iterable, order: TermOrder,

@@ -93,7 +93,7 @@ def test_criterion_3_annihilator_identity():
 def test_criterion_4_exponential_module_components():
     gens = parse_weyl_generators("y*dx - 1 ; y^2*dy + x", ("x", "y"))
     ideal = characteristic_ideal(gens)
-    cv = decompose_symbol_ideal(ideal, 2)
+    cv = decompose_symbol_ideal(ideal)
     assert cv.covered and cv.conical
     kinds = sorted(c.kind for c in cv.components)
     assert kinds == [CONORMAL_DIVISOR, CONORMAL_POINT, ZERO_SECTION]
@@ -113,18 +113,18 @@ def test_criterion_5_bernstein_and_holonomicity():
     for entry in OPERATORS:
         p = parse_operator(entry.expression)
         cv = characteristic_variety_univar(p)
-        assert dimension_report(cv.ideal, 1).bernstein
+        assert dimension_report(cv.ideal).bernstein
         assert krull_dimension(cv.ideal) == 1
-        assert dimension_report(cv.ideal, 1).holonomic
+        assert dimension_report(cv.ideal).holonomic
         checked += 1
     gens = parse_weyl_generators("y*dx - 1 ; y^2*dy + x", ("x", "y"))
     exy = characteristic_ideal(gens)
     assert krull_dimension(exy) == 2
-    assert dimension_report(exy, 2).holonomic and dimension_report(exy, 2).bernstein
+    assert dimension_report(exy).holonomic and dimension_report(exy).bernstein
     zero_ideal = Ideal(("x", "xi"), [])
     assert krull_dimension(zero_ideal) == 2
-    assert not dimension_report(zero_ideal, 1).holonomic
-    assert dimension_report(zero_ideal, 1).bernstein
+    assert not dimension_report(zero_ideal).holonomic
+    assert dimension_report(zero_ideal).bernstein
     report(5, f"dim = n for {checked} cyclic modules and the e^(x/y) module; "
               f"dim = 2n for the full algebra; Bernstein bound everywhere")
 
@@ -154,10 +154,10 @@ def test_criterion_6_forward_theorem():
     assert len(catalog) >= 5
     violations = 0
     for name, chart, lat in catalog:
-        fr = theorem_forward_filtration(lat, chart, 4)
+        fr = theorem_forward_filtration(lat, 4)
         assert fr.certified, name
         assert fr.radical
-        inclusion = theorem_forward_filtration(lat, chart, 3).inclusion_holds
+        inclusion = theorem_forward_filtration(lat, 3).inclusion_holds
         violations += not inclusion
         assert inclusion, name
     assert violations == 0
@@ -205,7 +205,7 @@ def test_criterion_8_coherent_case():
         assert names == ["xi", "eta", "zeta"][:n]
         assert is_radical_squarefree_monomial(ideal)
         assert krull_dimension(ideal) == n
-        assert dimension_report(ideal, n).holonomic
+        assert dimension_report(ideal).holonomic
     report(8, "stationary filtration annihilator is (xi_1..xi_n), radical, "
               "dimension n, for n = 1, 2, 3")
 

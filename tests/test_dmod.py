@@ -280,7 +280,7 @@ class TestExponentialModule:
         self.ideal = characteristic_ideal(self.gens)
 
     def test_three_components(self):
-        cv = decompose_symbol_ideal(self.ideal, 2)
+        cv = decompose_symbol_ideal(self.ideal)
         assert cv.covered and cv.conical
         kinds = sorted(c.kind for c in cv.components)
         assert kinds == [CONORMAL_DIVISOR, CONORMAL_POINT, ZERO_SECTION]
@@ -290,20 +290,20 @@ class TestExponentialModule:
         assert "x" in point.label and "y" in point.label
 
     def test_membership_both_directions(self):
-        cv = decompose_symbol_ideal(self.ideal, 2)
+        cv = decompose_symbol_ideal(self.ideal)
         assert verify_components_both_ways(self.ideal, cv)
 
     def test_holonomic(self):
         assert krull_dimension(self.ideal) == 2
-        assert dimension_report(self.ideal, 2).holonomic
-        assert dimension_report(self.ideal, 2).bernstein
+        assert dimension_report(self.ideal).holonomic
+        assert dimension_report(self.ideal).bernstein
 
 
 class TestSymbolDecomposition:
     def test_candidate_not_containing_the_variety_is_dropped(self):
         # x lies in the symbol ideal but not in the zero section's (xi, eta)
         ideal = characteristic_ideal(parse_weyl_generators("x ; dy", ("x", "y")))
-        cv = decompose_symbol_ideal(ideal, 2)
+        cv = decompose_symbol_ideal(ideal)
         assert [(c.kind, c.label) for c in cv.components] == [(CONORMAL_DIVISOR, "V(x)")]
         assert cv.covered
 
@@ -312,28 +312,28 @@ class TestHolonomicity:
     def test_structure_sheaf(self):
         vs = ("x", "xi")
         I = Ideal(vs, [MPoly.var(vs, "xi")])
-        assert dimension_report(I, 1).holonomic and dimension_report(I, 1).bernstein
+        assert dimension_report(I).holonomic and dimension_report(I).bernstein
 
     def test_full_module_not_holonomic(self):
         vs = ("x", "xi")
         I = Ideal(vs, [])
-        assert not dimension_report(I, 1).holonomic
-        assert dimension_report(I, 1).bernstein
+        assert not dimension_report(I).holonomic
+        assert dimension_report(I).bernstein
         assert krull_dimension(I) == 2
 
     def test_unit_ideal_error(self):
         vs = ("x", "xi")
         I = Ideal(vs, [MPoly.const(vs, 1)])
         with pytest.raises(ZeroModuleError):
-            dimension_report(I, 1)
+            dimension_report(I)
 
     def test_every_univar_char_ideal(self):
         rng = random.Random(109)
         for _ in range(20):
             p = random_operator(rng, order=3, degree=3, pole=2)
             cv = characteristic_variety_univar(p)
-            assert dimension_report(cv.ideal, 1).bernstein
-            assert dimension_report(cv.ideal, 1).holonomic
+            assert dimension_report(cv.ideal).bernstein
+            assert dimension_report(cv.ideal).holonomic
 
 
 class TestTrivialFiltration:
@@ -349,7 +349,7 @@ class TestTrivialFiltration:
     def test_holonomic_consistency(self):
         for n in (1, 2, 3):
             ideal = trivial_filtration_annihilator(n, 2)
-            assert dimension_report(ideal, n).holonomic
+            assert dimension_report(ideal).holonomic
             assert krull_dimension(ideal) == n
 
 

@@ -24,7 +24,8 @@ from dreg.weyl import WeylElement, characteristic_ideal, weyl_groebner
 
 from conftest import (WORKLOADS, _exp_lcm, exact_coefficients, gkz_rational_normal_curve, krull_dimension,
                       normal_form, random_mpoly, reference_buchberger_basis,
-                      reference_normal_form, reference_product, spy, univar_divmod)
+                      reference_normal_form, reference_product, spy, started_basis,
+                      univar_divmod)
 
 CLIFF = WORKLOADS.CLIFF_WEYL
 
@@ -252,10 +253,8 @@ class TestSharedDriver:
                     fe, fc = leading_term(gb[i], DEGREVLEX)
                     ge, gc = leading_term(gb[j], DEGREVLEX)
                     lcm = tuple(max(p, q) for p, q in zip(fe, ge))
-                    mi = MPoly.monomial(vs, tuple(p - q for p, q in zip(lcm, fe)),
-                                        Fraction(1) / fc)
-                    mj = MPoly.monomial(vs, tuple(p - q for p, q in zip(lcm, ge)),
-                                        Fraction(1) / gc)
+                    mi = MPoly(vs, {tuple(p - q for p, q in zip(lcm, fe)): Fraction(1) / fc})
+                    mj = MPoly(vs, {tuple(p - q for p, q in zip(lcm, ge)): Fraction(1) / gc})
                     assert normal_form(mi * gb[i] - mj * gb[j], gb).is_zero()
                     pairs += 1
         assert pairs > 0
@@ -318,7 +317,7 @@ class TestPairCriteria:
         gens = [MPoly(vs, t) for t in terms]
         gb = groebner_basis(Ideal(vs, gens))
         assert_buchberger_test(gens, gb, DEGREVLEX,
-                               lambda e, c: MPoly.monomial(vs, e, c))
+                               lambda e, c: MPoly(vs, {tuple(e): c}))
 
     @settings(max_examples=40, deadline=None)
     @given(terms=st.lists(flat_terms(4, 2, 2), min_size=3, max_size=3))
@@ -549,9 +548,9 @@ def characteristic_or_none(gens):
         return None
 
 
-def dimension_or_zero(ideal, n):
+def dimension_or_zero(ideal):
     try:
-        return dimension_report(ideal, n)
+        return dimension_report(ideal)
     except ZeroModuleError:
         return "zero module"
 
@@ -587,10 +586,9 @@ class TestCharacteristicBasis:
         ideal = characteristic_or_none(gens)
         if ideal is None:
             return
-        scratch = Ideal(ideal.vars, ideal.gens)
-        assert scratch.basis_order is None
-        n = gens[0].n
-        assert dimension_or_zero(ideal, n) == dimension_or_zero(scratch, n)
+        plain = Ideal(ideal.vars, ideal.gens)
+        assert plain.basis_order is None
+        assert dimension_or_zero(ideal) == dimension_or_zero(plain)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(gens=a1_a2_generators(), data=st.data())
@@ -598,13 +596,13 @@ class TestCharacteristicBasis:
         ideal = characteristic_or_none(gens)
         if ideal is None:
             return
-        scratch = Ideal(ideal.vars, ideal.gens)
+        plain = Ideal(ideal.vars, ideal.gens)
         n = gens[0].n
-        fs = cover_products(decompose_symbol_ideal(scratch, n))
+        fs = cover_products(decompose_symbol_ideal(plain))
         fs += [MPoly(ideal.vars, data.draw(flat_terms(2 * n, 2, 3))) for _ in range(2)]
         fs += [g * f for g, f in zip(ideal.gens, fs)]
         for f in fs:
-            assert radical_membership(f, ideal) == radical_membership(f, scratch)
+            assert radical_membership(f, ideal) == radical_membership(f, plain)
 
     @pytest.mark.parametrize("family", [f[0] for f in WORKLOADS.FAMILIES])
     def test_workload_families_give_the_scratch_verdicts(self, family):
@@ -614,15 +612,15 @@ class TestCharacteristicBasis:
         gens = parse_weyl_generators(" ; ".join(build(*rng.sample(WORKLOADS.PARAMS, nparams))),
                                      names)
         ideal = characteristic_ideal(gens)
-        scratch = Ideal(ideal.vars, ideal.gens)
-        cv = decompose_symbol_ideal(ideal, len(names))
-        assert cv == decompose_symbol_ideal(scratch, len(names))
-        assert dimension_report(ideal, len(names)) == dimension_report(scratch, len(names))
+        plain = Ideal(ideal.vars, ideal.gens)
+        cv = decompose_symbol_ideal(ideal)
+        assert cv == decompose_symbol_ideal(plain)
+        assert dimension_report(ideal) == dimension_report(plain)
         # the pool's varieties are not covered: the products alone read False
         fs = cover_products(cv)
         fs += [g * f for g, f in zip(ideal.gens, fs)]
         verdicts = [radical_membership(f, ideal) for f in fs]
-        assert verdicts == [radical_membership(f, scratch) for f in fs]
+        assert verdicts == [radical_membership(f, plain) for f in fs]
         assert set(verdicts) == {True, False}
 
     def test_hand_built_ideal_is_not_taken_for_a_basis(self):
@@ -633,7 +631,7 @@ class TestCharacteristicBasis:
         x, xi = V(vs, "x"), V(vs, "xi")
         ideal = Ideal(vs, [x * x + xi, x * xi])
         assert ideal.basis_order is None
-        assert dimension_report(ideal, 1) == (0, True, False)
+        assert dimension_report(ideal) == (0, True, False)
         assert radical_membership(x, ideal) and radical_membership(xi, ideal)
         assert not radical_membership(x + MPoly.const(vs, 1), ideal)
 
@@ -645,7 +643,7 @@ class TestCharacteristicBasis:
         symbols = characteristic_ideal(gens)
         order = symbols.basis_order
         assert len(symbols.gens) > 1
-        assert buchberger_basis([], order, 0, known=symbols.gens) == list(symbols.gens)
+        assert started_basis([], order, 0, symbols.gens) == list(symbols.gens)
         with pytest.raises(BudgetExceeded):
             buchberger_basis(symbols.gens, order, 0)
 
@@ -660,7 +658,7 @@ class TestCharacteristicBasis:
             return
         extra = data.draw(symbol_ring_generators())
         whole = outcome(buchberger_basis, gb + extra, order)
-        started = outcome(lambda g, o, b: buchberger_basis(g, o, b, known=gb), extra, order)
+        started = outcome(lambda g, o, b: started_basis(g, o, b, gb), extra, order)
         if whole is not None and started is not None:
             assert started == whole
 
@@ -674,7 +672,7 @@ class TestCharacteristicBasis:
             return
         extra = [g for g in data.draw(a1_a2_generators()) if g.n == gens[0].n]
         whole = outcome(buchberger_basis, gb + extra, order)
-        started = outcome(lambda g, o, b: buchberger_basis(g, o, b, known=gb), extra, order)
+        started = outcome(lambda g, o, b: started_basis(g, o, b, gb), extra, order)
         if whole is not None and started is not None:
             assert started == whole
 
@@ -819,7 +817,7 @@ class TestLoopAndUnitTests:
             big, rab = rabinowitsch(f, ideal)
             verdict = bounded(lambda b: radical_membership(f, ideal, b))
             # the old test: the reduced basis from the known start holds a constant
-            old = bounded(lambda b: buchberger_basis([rab], extended(order), b, known=big))
+            old = bounded(lambda b: started_basis([rab], extended(order), b, big))
             assert verdict == (None if old is None else has_constant(old))
             scratch = outcome(reference_buchberger_basis, big + [rab], extended(order))
             if verdict is not None and scratch is not None:
@@ -860,7 +858,7 @@ class TestDriverWork:
         ideal = characteristic_ideal(gens)
         assert not keys
         counts.append(len(ideal.gens))
-        cv = decompose_symbol_ideal(ideal, len(names))
+        cv = decompose_symbol_ideal(ideal)
         verdicts = []
         for f in cover_products(cv):
             keys.clear()

@@ -103,7 +103,6 @@ class TestLah:
         if lead:
             p = op_scale(lead, p)
         assert p.at_infinity() == reference_at_infinity(p)
-        assert p.at_infinity("s") == reference_at_infinity(p, "s")
 
 
 class TestCharts:
@@ -133,8 +132,9 @@ class TestCharts:
     def test_double_infinity_is_unit_multiple(self):
         rng = random.Random(67)
         for _ in range(25):
-            p = random_operator(rng, order=2, degree=2, pole=2)
-            twice = p.at_infinity().at_infinity("x")
+            # t = 1/x twice is the identity on operators in t
+            p = random_operator(rng, "t", order=2, degree=2, pole=2)
+            twice = p.at_infinity().at_infinity()
             assert twice.monic() == p.monic()
 
     def test_order_and_symbol_at_infinity(self):

@@ -72,11 +72,12 @@ MALFORMED = [
 
 
 # leaves with poles and shared factors, so that sums, quotients and powers
-# of unreduced pairs meet the cancellations a reduced value runs at each step
+# of unreduced pairs meet the cancellations a reduced value runs at each step,
+# and constant denominators with a common factor (4, 6, 10) meet in a sum
 RATIONAL_LEAVES = st.sampled_from([
-    ("x", 1), ("d", 1), ("0", 0), ("2", 0), ("3/2", 0), ("(5/6)", 0), ("(x/4)", 1),
-    ("1/x", 1), ("(x - 1)", 1), ("(x + 2)", 1), ("(2*x + 3)", 1), ("(x^2 - 1)", 2),
-    ("(x^2 + 1)", 2), ("1/(x^2 - 1)", 2)])
+    ("x", 1), ("d", 1), ("0", 0), ("2", 0), ("3/2", 0), ("(5/6)", 0), ("(1/4)", 0),
+    ("(1/6)", 0), ("(3/10)", 0), ("(x/4)", 1), ("(x/10)", 1), ("1/x", 1), ("(x - 1)", 1),
+    ("(x + 2)", 1), ("(2*x + 3)", 1), ("(x^2 - 1)", 2), ("(x^2 + 1)", 2), ("1/(x^2 - 1)", 2)])
 RATIONAL_TEXTS = st.recursive(RATIONAL_LEAVES, _combine, max_leaves=10).filter(
     lambda t: t[1] <= 12).map(lambda t: t[0])
 

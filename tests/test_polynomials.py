@@ -539,7 +539,7 @@ class TestRatFun:
 
 UNIVAR = st.lists(COEFFS, max_size=5).map(lambda cs: MPoly.from_univar_coeffs("x", cs))
 CONSTANTS = COEFFS.filter(bool).map(lambda c: MPoly.const(("x",), c))
-SINGLE_TERMS = st.builds(lambda c, k: MPoly.monomial(("x",), (k,), c),
+SINGLE_TERMS = st.builds(lambda c, k: MPoly(("x",), {(k,): c}),
                          COEFFS.filter(bool), st.integers(1, 4))
 
 

@@ -1,14 +1,18 @@
-"""Every function and method defined in src/dreg runs under some CLI verb.
+"""Every function and method defined in src/dreg runs under some CLI verb,
+and every defaulted parameter of one takes another value under some verb.
 
 Each request of the four benchmark pools, and each request below that the
 pools never send, runs in-process through `dreg.cli.main` under a call
 hook.  A definition that none of them enters is listed in
-`conftest.UNREACHED` with its reason, or it leaves src/.
+`conftest.UNREACHED` with its reason, or it leaves src/.  A defaulted
+parameter that every call leaves at its default (a knob no request turns)
+is listed in `conftest.UNTURNED` with its reason, or it becomes a constant.
 """
 
 import ast
 import contextlib
 import importlib
+import inspect
 import io
 import sys
 from pathlib import Path
@@ -19,12 +23,27 @@ import dreg
 import dreg.cli
 import dreg.corpus
 
-from conftest import UNREACHED, WORKLOADS
+from conftest import UNREACHED, UNTURNED, WORKLOADS
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dreg"
 Request = WORKLOADS.Request
 
 DIAGONAL = "rank 2\n1/x ; 0\n0 ; 1/x\n"
+
+
+def _refused(key: str, argv: tuple, *files) -> Request:
+    return Request(key, argv, files=files, exit_code=1)
+
+
+def _bad_chart(key: str, content: str) -> Request:
+    return _refused(key, ("theorem", "--file", f"reach/{key}.chart"),
+                    (f"reach/{key}.chart", content))
+
+
+def _bad_system(key: str, content: str) -> Request:
+    return _refused(key, ("system", "--file", f"reach/{key}.sys"),
+                    (f"reach/{key}.sys", content))
+
 
 # requests the benchmark pools never send, with the exit code each must give
 EXTRA = (
@@ -69,6 +88,33 @@ EXTRA = (
             files=(("reach/deriv.sys", "rank 1\nd\n"),), exit_code=1),
     Request("bad-polynomial", ("theorem", "--file", "reach/deriv.chart"),
             files=(("reach/deriv.chart", "n 1\nr 1\nrank 1\ngamma 1\ndx\n"),), exit_code=1),
+    # the input branches of the verbs
+    Request("fuchs-point", ("fuchs", "x*d - 1", "--point", "2")),
+    Request("fuchs-file", ("fuchs", "--file", "reach/euler.op"),
+            files=(("reach/euler.op", "# Euler\nx*d -\n  5\n"),)),
+    _refused("missing-file", ("fuchs", "--file", "reach/missing.op")),
+    _refused("no-expression", ("fuchs",)),
+    _refused("zero-operator", ("fuchs", "0")),
+    _bad_chart("chart-repeated-header", "n 1\nn 1\nr 1\nrank 1\ngamma 1\n0\n"),
+    _bad_chart("chart-missing-header", "n 1\nrank 1\ngamma 1\n0\n"),
+    _bad_chart("chart-rank-zero", "n 1\nr 1\nrank 0\ngamma 1\n"),
+    _bad_chart("chart-no-block", "n 1\nr 1\nrank 1\n0\n"),
+    _bad_chart("chart-cut-short", "n 1\nr 1\nrank 2\ngamma 1\n0 ; 0\n"),
+    _bad_chart("chart-row-length", "n 1\nr 1\nrank 2\ngamma 1\n0\n0 ; 0\n"),
+    _bad_chart("chart-trailing-line", "n 1\nr 1\nrank 1\ngamma 1\n0\n0\n"),
+    _bad_system("system-bad-head", "rank two\n0\n"),
+    _bad_system("system-few-rows", "rank 2\n0 ; 0\n"),
+    _bad_system("system-row-length", "rank 2\n0 ; 0\n0\n"),
+    _refused("theorem-no-input", ("theorem",)),
+    _refused("negative-steps", ("system", "--file", "reach/airy.sys", "--max-steps", "-1")),
+    Request("charvar-budget", ("charvar", "--budget", "500", "--vars", "x,y", "x*dx + 1 ; dy")),
+    Request("holonomic-budget", ("holonomic", "--budget", "3", "--vars", "x,y",
+                                 WORKLOADS.CLIFF_WEYL), exit_code=2),
+    # the parser's sums and powers of unlike denominators and of zero
+    Request("sum-unlike-denominators", ("fuchs", "d - 1/x + 1/(x + 1)")),
+    Request("power-of-fraction", ("fuchs", "d - (1/x)^2")),
+    Request("power-of-zero", ("fuchs", "d - 0^2")),
+    Request("weyl-cancelled-sum", ("charvar", "--vars", "x,y", "dx + x - x ; dy")),
 )
 
 
@@ -89,14 +135,53 @@ def _qualnames(node: ast.AST, prefix: str):
                 child, ast.ClassDef) else prefix)
 
 
-def entered_functions(requests, directory: Path) -> tuple[set[str], dict]:
+def defaulted_parameters() -> dict:
+    """{code: (module.qualname, {parameter: default})} of every function and
+    method that src/dreg defines at module or class level with a defaulted
+    parameter, keyed by the code object a call enters.  A nested function's
+    defaults are made per call of the function around it, and a generator's
+    later resumes enter its code with reassigned locals; neither is read."""
+    table = {}
+    for name in dreg._SUBMODULES:
+        for value in vars(importlib.import_module(f"dreg.{name}")).values():
+            for member in vars(value).values() if inspect.isclass(value) else (value,):
+                # a static or class method wraps its function in __func__
+                f = getattr(member, "__func__", member)
+                f = inspect.unwrap(f) if callable(f) else None
+                if (not inspect.isfunction(f) or inspect.isgeneratorfunction(f)
+                        or Path(f.__code__.co_filename).parent != SRC):
+                    continue
+                defaults = {p.name: p.default for p in inspect.signature(f).parameters.values()
+                            if p.default is not p.empty}
+                if defaults:
+                    table[f.__code__] = (
+                        f"{Path(f.__code__.co_filename).stem}.{f.__qualname__}", defaults)
+    return table
+
+
+def _is_default(value, default) -> bool:
+    return value is default or (type(value) is type(default) and value == default)
+
+
+def entered_functions(requests, directory: Path) -> tuple[set[str], set[str], dict]:
     """(module.qualname of every function of src/dreg the requests enter,
-    {request key: exit code}), running each request from `directory`."""
+    `module.qualname(parameter)` of every defaulted parameter of an entered
+    function that no call sets to another value, {request key: exit code}),
+    running each request from `directory`."""
     codes = set()
+    table = defaulted_parameters()
+    # the parameters every call so far left at their default, by code
+    at_default = {code: dict(defaults) for code, (_, defaults) in table.items()}
 
     def hook(frame, event, arg):
         if event == "call":
-            codes.add(frame.f_code)
+            code = frame.f_code
+            codes.add(code)
+            left = at_default.get(code)
+            if left:
+                values = frame.f_locals
+                for name in [n for n, d in left.items() if not _is_default(values[n], d)]:
+                    del left[name]
 
     exits = {}
     # load every submodule, so that no request runs the package's lazy
@@ -120,7 +205,9 @@ def entered_functions(requests, directory: Path) -> tuple[set[str], dict]:
     src = str(SRC)
     entered = {f"{Path(code.co_filename).stem}.{code.co_qualname}" for code in codes
                if str(Path(code.co_filename).parent) == src}
-    return entered, exits
+    unturned = {f"{table[code][0]}({name})" for code, left in at_default.items()
+                if code in codes for name in left}
+    return entered, unturned, exits
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +222,7 @@ def trace(tmp_path_factory):
 
 
 def test_every_function_runs_under_some_verb(trace):
-    _, entered, _ = trace
+    _, entered, _, _ = trace
     defined = set().union(*map(defined_functions, SRC.glob("*.py")))
     unreached = defined - entered
     assert not unreached - set(UNREACHED), \
@@ -144,8 +231,16 @@ def test_every_function_runs_under_some_verb(trace):
         f"listed as unreached but entered: {sorted(set(UNREACHED) - unreached)}"
 
 
+def test_every_defaulted_parameter_takes_another_value(trace):
+    _, _, unturned, _ = trace
+    assert not unturned - set(UNTURNED), \
+        f"no request sets: {sorted(unturned - set(UNTURNED))}"
+    assert not set(UNTURNED) - unturned, \
+        f"listed as unturned but set: {sorted(set(UNTURNED) - unturned)}"
+
+
 def test_every_request_exits_as_expected(trace):
-    requests, _, exits = trace
+    requests, _, _, exits = trace
     assert {r.key: exits[r.key] for r in requests if exits[r.key] != r.exit_code} == {}
 
 

@@ -117,7 +117,7 @@ class TestSaturation:
         assert res.lattice is None
 
 
-def reference_saturation(sysm, point, max_steps=None):
+def reference_saturation(sysm, point, max_steps):
     """L -> L + theta L by whole LocalLattice echelons: the reference loop.
 
     Returns (status, steps, lattice or None), the lattice at the origin of
@@ -129,8 +129,6 @@ def reference_saturation(sysm, point, max_steps=None):
     if point:
         return reference_saturation(sysm.shifted(point), Fraction(0), max_steps)
     m = sysm.rank
-    if max_steps is None:
-        max_steps = m * (sysm.pole_order_at(point) + 1) + 4
     shift = RatFun.x(sysm.var)
     lattice = LocalLattice.standard(m, sysm.var)
     for step in range(max_steps + 1):
@@ -195,8 +193,8 @@ class TestPolarSaturation:
         assert done.returncode == 0, done.stderr
         points = json.loads(done.stdout)["certificates"][0]["points"]
         assert [(p["point"], p["saturation"]) for p in points] == [
-            ("0", {"status": STABILIZED, "steps": 1, "max_steps": 13}),
-            ("inf", {"status": EXCEEDED_BOUND, "steps": 19, "max_steps": 19})]
+            ("0", {"status": STABILIZED, "steps": 1, "max_steps": 2}),
+            ("inf", {"status": EXCEEDED_BOUND, "steps": 2, "max_steps": 2})]
 
 
 def direct_sum(a, b):
@@ -327,8 +325,8 @@ class TestGerardLevelt:
         message, details = capsys.readouterr().err.split("\n", 1)
         assert "exceeded_bound at 0" in message
         details = json.loads(details)
-        assert details["saturation"] == {"status": EXCEEDED_BOUND, "steps": 6,
-                                         "max_steps": 6}
+        assert details["saturation"] == {"status": EXCEEDED_BOUND, "steps": 0,
+                                         "max_steps": 0}
         assert details["fuchs"]["verdict"] == REGULAR
 
     def test_bound_below_m_minus_one_is_no_contradiction(self):
@@ -346,8 +344,8 @@ class TestGerardLevelt:
     def test_rank_five_cliff_finishes(self, tmp_path):
         points, elapsed = run_system(tmp_path, cliff_text(5, 3))
         assert [(p["point"], p["fuchs"], p["saturation"]) for p in points] == [
-            ("0", IRREGULAR, {"status": EXCEEDED_BOUND, "steps": 84, "max_steps": 84}),
-            ("inf", REGULAR, {"status": STABILIZED, "steps": 4, "max_steps": 19})]
+            ("0", IRREGULAR, {"status": EXCEEDED_BOUND, "steps": 4, "max_steps": 4}),
+            ("inf", REGULAR, {"status": STABILIZED, "steps": 4, "max_steps": 4})]
         assert elapsed < 1.0
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -372,8 +370,8 @@ class TestGerardLevelt:
                                            "max_steps": max_steps}
         points, _ = run_system(tmp_path, text)
         assert [p["saturation"] for p in points] == [
-            {"status": EXCEEDED_BOUND, "steps": 25, "max_steps": 25},
-            {"status": STABILIZED, "steps": 2, "max_steps": 13}]
+            {"status": EXCEEDED_BOUND, "steps": 2, "max_steps": 2},
+            {"status": STABILIZED, "steps": 2, "max_steps": 2}]
 
 
 class TestReports:

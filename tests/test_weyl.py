@@ -386,8 +386,7 @@ def covers_inputs(monkeypatch, systems) -> list:
     decomposition of these (generator text, variables) systems makes."""
     calls = spy(monkeypatch, dreg.dmod, "_covers")
     for text, variables in systems:
-        decompose_symbol_ideal(characteristic_ideal(parse_weyl_generators(text, variables)),
-                               len(variables))
+        decompose_symbol_ideal(characteristic_ideal(parse_weyl_generators(text, variables)))
     return calls
 
 
