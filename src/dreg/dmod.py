@@ -119,8 +119,10 @@ def kashiwara_regular_at(p: UnivarOperator, point=0) -> KashiwaraCertificate:
 
 def fuchs_kashiwara_equivalence(p: UnivarOperator, point=0) -> EquivalenceReport:
     """Run both regularity tests through disjoint code paths and compare.
-    At a finite point they share no localisation: Fuchs reads the orders in
-    place, and only the graded-annihilator test moves the point to 0."""
+    They share no localisation at any point of P^1: Fuchs reads the orders
+    in place, at infinity from the reversed coefficient lists, and only the
+    graded-annihilator test moves the point to 0 or builds the chart
+    t = 1/x."""
     fuchs = fuchs_regular_at(p, point)
     kash = kashiwara_regular_at_zero(_localize(p, point))
     return EquivalenceReport(point, fuchs, kash, fuchs.regular == kash.regular)

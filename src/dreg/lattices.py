@@ -1,7 +1,9 @@
 """Lattices over the local ring at the origin.
 
 The local ring O = { f in Q(x) : ord_0 f >= 0 } is a discrete valuation
-ring.  Callers move their point to the origin first.  One representation
+ring.  A finite point is moved to the origin by its caller, and infinity
+is read at t = 0 of the chart t = 1/x straight from the reversed
+coefficient lists (`laurent_rows_at_infinity`).  One representation
 lives here: PolarLattice, a lattice O^m + P that contains O^m, held by the
 finite Q-space P of its polar parts.  Membership reduces a vector's
 Laurent tail in a Q-echelon, with no polynomial gcd.  theta-saturation
@@ -16,26 +18,31 @@ integral, else a Fraction.
 
 from __future__ import annotations
 
-from .polynomials import RatFun, _exact, _inverse, _valuation
+from .polynomials import _exact, _inverse, _reverse, _valuation
 
 
 class Laurent:
-    """The Laurent expansion at the origin of a rational function, term by term.
-
-    With f = s num/den and den = x^k u, u(0) != 0, f = x^-k (s num)/u.  The
-    coefficients of (s num)/u come on demand by power-series division by the
-    integer polynomial u and are kept.
+    """The Laurent expansion x^start num/unit at the origin, term by term,
+    for a list num of rationals and an integer polynomial unit with
+    unit(0) != 0.  The coefficients of num/unit come on demand by
+    power-series division by unit and are kept.
     """
 
     __slots__ = ("start", "_num", "_unit", "_inv", "_coeffs")
 
-    def __init__(self, f: RatFun):
-        k = _valuation(f.denom)
-        self.start = -k                  # no term below x^start
-        self._num = [_exact(f.scale * c) for c in f.numer]
-        self._unit = f.denom[k:]
-        self._inv = _inverse(self._unit[0])
+    def __init__(self, start: int, num: list, unit: tuple):
+        self.start = start               # no term below x^start
+        self._num = num
+        self._unit = unit
+        self._inv = _inverse(unit[0])
         self._coeffs: list = []
+
+    @classmethod
+    def at_origin(cls, f) -> "Laurent":
+        """The expansion of a nonzero RatFun f = s num/den: with den = x^k u,
+        u(0) != 0, f = x^-k (s num)/u."""
+        k = _valuation(f.denom)
+        return cls(-k, [_exact(f.scale * c) for c in f.numer], f.denom[k:])
 
     def terms(self, stop: int) -> list:
         """The coefficients of x^start .. x^(stop - 1)."""
@@ -106,8 +113,25 @@ class PolarLattice:
 def laurent_rows(matrix) -> list[list]:
     """[(j, Laurent of matrix[i][j]) for the nonzero entries] for each row i:
     the action of a matrix from component i, in the form `theta_terms` reads."""
-    return [[(j, Laurent(e)) for j, e in enumerate(row) if not e.is_zero()]
+    return [[(j, Laurent.at_origin(e)) for j, e in enumerate(row) if not e.is_zero()]
             for row in matrix]
+
+
+def laurent_rows_at_infinity(matrix) -> list[list]:
+    """`laurent_rows` of t^-2 M(1/t), read off the reversed lists of each
+    entry with no chart built: f = s num/den gives s t^(len den - len num)
+    rev(num)/rev(den) at t = 0, and both reversals have a nonzero constant
+    term."""
+    rows = []
+    for row in matrix:
+        rows.append([])
+        for j, f in enumerate(row):
+            if not f.is_zero():
+                (sn, num), (sd, unit) = _reverse(f.numer), _reverse(f.denom)
+                s = f.scale if sn == sd else -f.scale
+                rows[-1].append((j, Laurent(len(f.denom) - len(f.numer) - 2,
+                                            [_exact(s * c) for c in num], unit)))
+    return rows
 
 
 def theta_terms(v: dict, rows: list) -> dict:

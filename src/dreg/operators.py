@@ -125,7 +125,7 @@ class UnivarOperator:
         for i, b in enumerate(self.coeffs):
             if b.is_zero():
                 continue
-            f = b.invert_var("t")
+            f = b.invert_var()
             if i == 0:
                 out[0] = f
             # (-t^2 d_t)^i = (-1)^i sum_{k>=1} L(i,k) t^(i+k) d_t^k for i >= 1

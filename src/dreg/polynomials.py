@@ -973,10 +973,11 @@ class RatFun:
         top, bottom = sn * v ** (len(d) - 1), sd * v ** (len(n) - 1)
         return _make(self.var, _exact(self.scale * Fraction(top, bottom)), n, d)
 
-    def invert_var(self, new_var: str) -> "RatFun":
-        """Substitute x -> 1/t, returning a rational function of t."""
+    def invert_var(self) -> "RatFun":
+        """Substitute x -> 1/t, returning a rational function of the chart
+        variable t at infinity."""
         if not self.scale:
-            return RatFun.zero(new_var)
+            return RatFun.zero("t")
         (sn, n), (sd, d) = _reverse(self.numer), _reverse(self.denom)
         # num(1/t)/den(1/t) = t^(dd-nd) rev(num)/rev(den); the reversals keep
         # no factor t, and a common root of theirs would invert to one of
@@ -986,7 +987,7 @@ class RatFun:
             n = (0,) * tpow + n
         else:
             d = (0,) * -tpow + d
-        return _make(new_var, self.scale if sn == sd else -self.scale, n, d)
+        return _make("t", self.scale if sn == sd else -self.scale, n, d)
 
     def __str__(self) -> str:
         # the numerator over the monic denominator has coefficients p n_i/(q lc)

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .operators import ThetaOperator, UnivarOperator, to_theta_form
-from .polynomials import INF, denominator_lcm, factor_rational, monic_mpoly
+from .operators import ThetaOperator, UnivarOperator, lah, to_theta_form
+from .polynomials import INF, _reverse, denominator_lcm, factor_rational, monic_mpoly
 
 
 class _Infinity:
@@ -76,14 +76,72 @@ class FuchsCertificate:
 def _monic_orders(p: UnivarOperator, point) -> list:
     """ord (b_i / b_n) at the point: the difference ord b_i - ord b_n, with
     no division by b_n.  A finite point is read in place by synthetic
-    division; infinity is read at 0 on the chart t = 1/x."""
+    division, and infinity in place from the reversed coefficient lists
+    (`_orders_at_infinity`): no chart is built."""
     if p.is_zero():
         raise ValueError("zero operator")
-    coeffs = p.coeffs
     if point is INFINITY:
-        coeffs, point = p.at_infinity().coeffs, 0
-    top = coeffs[-1].ord_at(point)
-    return [c.ord_at(point) - top for c in coeffs]
+        orders = _orders_at_infinity(p.coeffs)
+    else:
+        orders = [c.ord_at(point) for c in p.coeffs]
+    top = orders[-1]
+    return [o - top for o in orders]
+
+
+def _orders_at_infinity(coeffs) -> list:
+    """ord_0 of the coefficients of the chart x = 1/t, d_x = -t^2 d_t,
+    without building it: b~_0 = a_0(1/t) and, for k >= 1,
+    b~_k = sum_(i>=k) (-1)^i L(i,k) t^(i+k) a_i(1/t) with the Lah numbers
+    of `UnivarOperator.at_infinity`.  For a = s n/d, a(1/t) is
+    s t^(len d - len n) times the reversal of n over that of d, and both
+    reversals have a nonzero constant term."""
+    chart = {}          # i: a_i(1/t) as (order, signed scale, reversed n, reversed d)
+    for i, a in enumerate(coeffs):
+        if not a.is_zero():
+            (sn, n), (sd, d) = _reverse(a.numer), _reverse(a.denom)
+            chart[i] = (len(a.denom) - len(a.numer), a.scale if sn == sd else -a.scale, n, d)
+    orders = [chart[0][0] if 0 in chart else INF]
+    for k in range(1, len(coeffs)):
+        orders.append(_sum_order([(e + i + k, (-1) ** i * lah(i, k) * s, n, d)
+                                  for i, (e, s, n, d) in chart.items() if i >= k]))
+    return orders
+
+
+def _sum_order(terms) -> int | float:
+    """ord_0 of the sum of c t^e n(t)/d(t) over terms (e, c, n, d), each n
+    and d an integer polynomial with a nonzero constant term.
+
+    A single term of lowest order decides, and so do tied ones whose
+    lowest coefficients c n(0)/d(0) do not cancel.  Otherwise the sum is
+    expanded by power-series division up to its first nonzero coefficient.
+    Over the product Q of the distinct d, the sum is t^low P/Q with
+    Q(0) != 0 and deg P at most `bound`, so bound + 1 vanishing
+    coefficients make P, and the sum, zero: the read is exact, with no gcd.
+    """
+    low = min(e for e, _, _, _ in terms)
+    tied = [(c, n, d) for e, c, n, d in terms if e == low]
+    if len(tied) == 1 or sum(Fraction(c * n[0], d[0]) for c, n, d in tied):
+        return low
+    dens = sum(len(d) - 1 for d in set(d for _, _, _, d in terms))
+    bound = max(e - low + len(n) - len(d) for e, _, n, d in terms) + dens
+    series = [(e - low, c, _series(n, d)) for e, c, n, d in terms]
+    for j in range(bound + 1):
+        if sum(c * next(s) for lag, c, s in series if lag <= j):
+            return low + j
+    return INF
+
+
+def _series(n, d):
+    """The coefficients of the power series n/d at 0, one by one, for
+    integer polynomials with d(0) != 0."""
+    out = []
+    while True:
+        j = len(out)
+        acc = n[j] if j < len(n) else 0
+        for i in range(1, min(j, len(d) - 1) + 1):
+            acc -= d[i] * out[j - i]
+        out.append(Fraction(acc, d[0]))
+        yield out[-1]
 
 
 def fuchs_regular_at(p: UnivarOperator, point) -> FuchsCertificate:

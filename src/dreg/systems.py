@@ -11,10 +11,9 @@ extension.  The two verdicts are produced independently and compared.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ContradictionError
-from .lattices import PolarLattice, laurent_rows, theta_terms
+from .lattices import PolarLattice, laurent_rows, laurent_rows_at_infinity, theta_terms
 from .linalg import gauss_solve
 from .operators import UnivarOperator
 from .polynomials import RatFun, as_rat, denominator_lcm
@@ -27,20 +26,17 @@ class CyclicVectorError(RuntimeError):
 
 
 class ConnectionSystem:
-    """An integrable connection of rank m given by its matrix over Q(x)."""
+    """An integrable connection of rank m >= 1 given by its matrix of
+    RatFuns, all in one variable."""
 
     __slots__ = ("var", "rank", "matrix")
 
-    def __init__(self, matrix, var: str = "x"):
+    def __init__(self, matrix):
         self.rank = len(matrix)
-        rows = []
-        for row in matrix:
-            if len(row) != self.rank:
-                raise ValueError("connection matrix must be square")
-            rows.append(tuple(e if isinstance(e, RatFun) else RatFun.const(var, e)
-                              for e in row))
-        self.var = var
-        self.matrix = tuple(rows)
+        if any(len(row) != self.rank for row in matrix):
+            raise ValueError("connection matrix must be square")
+        self.matrix = tuple(map(tuple, matrix))
+        self.var = self.matrix[0][0].var
 
     @classmethod
     def companion(cls, p: UnivarOperator) -> "ConnectionSystem":
@@ -56,24 +52,15 @@ class ConnectionSystem:
             b[m - 1][j] = -monic.coeff(j)
         # A = -B so that y' + A y = 0 reads y' = B y
         a = [[-e for e in row] for row in b]
-        return cls(a, var)
+        return cls(a)
 
     def flow_matrix(self):
         """B = -A: solutions satisfy y' = B y."""
         return [[-e for e in row] for row in self.matrix]
 
-    def at_infinity(self) -> "ConnectionSystem":
-        """Chart t = 1/x: solutions transform with B~ = -t^-2 B(1/t)."""
-        # A~ = -B~ = t^-2 B(1/t) = -t^-2 A(1/t); dividing by the single term
-        # t^2 runs no gcd
-        t2 = RatFun.x("t") ** 2
-        a = [[-e.invert_var("t") / t2 for e in row] for row in self.matrix]
-        return ConnectionSystem(a, "t")
-
     def shifted(self, c) -> "ConnectionSystem":
         """Translate the point c to the origin: A(x) -> A(x + c)."""
-        return ConnectionSystem([[e.shift(c) for e in row] for row in self.matrix],
-                                self.var)
+        return ConnectionSystem([[e.shift(c) for e in row] for row in self.matrix])
 
     def functional_derivative(self, c: tuple) -> tuple:
         """Derivation on row functionals: c -> c' + c B."""
@@ -183,6 +170,11 @@ def saturate_lattice(system: ConnectionSystem, point,
                      max_steps: int | None = None) -> SaturationResult:
     """Iterate L -> L + theta L from the standard lattice at the point.
 
+    The lattices live at the origin: a finite point is translated there,
+    and infinity is read at t = 0 of the chart t = 1/x, whose flow
+    t^-2 A(1/t) comes straight from the reversed lists of the entries of A
+    (`laurent_rows_at_infinity`), with no chart system built.
+
     Every iterate contains O^m, so it is held by its polar parts.  theta is
     Q-linear and theta(f v) = x f' v + f theta(v) with x f' in O, so step s
     needs theta only of the rows added at step s - 1; theta of older rows
@@ -204,17 +196,16 @@ def saturate_lattice(system: ConnectionSystem, point,
     out, not an irregularity verdict, although at max_steps >= m - 1 it was
     decided at step m - 1.
     """
-    if point is INFINITY:
-        return saturate_lattice(system.at_infinity(), Fraction(0), max_steps)
-    point = as_rat(point)
-    if point:
-        # lattices live at the origin, where Laurent tails are power-series divisions
-        return saturate_lattice(system.shifted(point), Fraction(0), max_steps)
     m = system.rank
     if max_steps is None:
         max_steps = m - 1
     # theta = x (v' + v B), of which the lattice reads only the polar terms
-    flow = laurent_rows(system.flow_matrix())
+    if point is INFINITY:
+        # the chart t = 1/x has the flow -t^-2 B(1/t) = t^-2 A(1/t)
+        flow = laurent_rows_at_infinity(system.matrix)
+    else:
+        point = as_rat(point)
+        flow = laurent_rows((system.shifted(point) if point else system).flow_matrix())
     lattice = PolarLattice(m)
     new = [{(0, i): 1} for i in range(m)]
     for step in range(min(max_steps, m - 1) + 1):

@@ -195,7 +195,7 @@ def random_system(rng: random.Random, rank: int, var: str = "x",
     rows = [[RatFun.zero(var) if rng.random() < 0.25
              else random_ratfun_with_poles(rng, rng.choice(points), var, degree, pole)
              for _ in range(rank)] for _ in range(rank)]
-    return ConnectionSystem(rows, var)
+    return ConnectionSystem(rows)
 
 
 def random_gauged_euler(rng: random.Random, rank: int, var: str = "x") -> ConnectionSystem:
@@ -218,7 +218,7 @@ def random_gauged_euler(rng: random.Random, rank: int, var: str = "x") -> Connec
     conj = mat_mul(mat_mul(t_inv, euler), t)
     drift = mat_mul(t_inv, [[e.derivative() for e in row] for row in t])
     # flow matrix T^-1 B T - T^-1 T', so A = T^-1 T' - T^-1 B T
-    return ConnectionSystem([[d - c for c, d in zip(r, s)] for r, s in zip(conj, drift)], var)
+    return ConnectionSystem([[d - c for c, d in zip(r, s)] for r, s in zip(conj, drift)])
 
 
 @pytest.fixture
@@ -479,7 +479,7 @@ def polar_part(vec: Sequence[RatFun]) -> dict:
     out = {}
     for j, f in enumerate(vec):
         if not f.is_zero():
-            series = Laurent(f)
+            series = Laurent.at_origin(f)
             for e, c in enumerate(series.terms(0), series.start):
                 if c:
                     out[e, j] = c
@@ -1401,8 +1401,9 @@ class ReferenceRatFun:
             MPoly.from_univar_coeffs(var, _ref_taylor_shift(univar_coeffs(self.num), c)),
             MPoly.from_univar_coeffs(var, _ref_taylor_shift(univar_coeffs(self.den), c)))
 
-    def invert_var(self, new_var: str) -> "ReferenceRatFun":
+    def invert_var(self) -> "ReferenceRatFun":
         """Substitute x -> 1/t, returning a rational function of t."""
+        new_var = "t"
         nd = self.num.total_degree() if not self.num.is_zero() else 0
         dd = self.den.total_degree()
         num_rev = _ref_reverse_univar(self.num, new_var, int(nd) if self.num else 0)
@@ -1624,8 +1625,15 @@ def reference_at_infinity(p: UnivarOperator) -> UnivarOperator:
     total = UnivarOperator("t", [])
     for i, b in enumerate(p.coeffs):
         if not b.is_zero():
-            total = op_add(total, op_scale(b.invert_var("t"), powers[i]))
+            total = op_add(total, op_scale(b.invert_var(), powers[i]))
     return total
+
+
+def system_at_infinity(system: ConnectionSystem) -> ConnectionSystem:
+    """The chart t = 1/x: solutions transform with B~ = -t^-2 B(1/t), so
+    A~ = -B~ = -t^-2 A(1/t), built by `RatFun.invert_var` and one division."""
+    t2 = RatFun.x("t") ** 2
+    return ConnectionSystem([[-e.invert_var() / t2 for e in row] for row in system.matrix])
 
 
 def reference_ratfun(num: MPoly, den: MPoly | None = None) -> "ReferenceRatFun":
@@ -1852,7 +1860,7 @@ def conjugate(system: ConnectionSystem, g) -> ConnectionSystem:
     rat = [[RatFun.const(var, e) for e in row] for row in gq]
     ratinv = [[RatFun.const(var, col[i]) for col in inv_cols] for i in range(m)]
     prod = mat_mul(mat_mul(rat, [list(r) for r in system.matrix]), ratinv)
-    return ConnectionSystem(prod, var)
+    return ConnectionSystem(prod)
 
 
 def reference_apply_derivation(lattice, l: int, elem: dict) -> dict:

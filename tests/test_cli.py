@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import dreg.corpus
 from dreg.cli import build_parser, main, parse_point, render_json
+from dreg.operators import UnivarOperator
 from dreg.parser import (ParseError, format_operator, parse_operator,
                          parse_weyl_generators)
 from dreg.regularity import INFINITY
@@ -318,6 +319,53 @@ class TestExitCodes:
         sys_file = tmp_path / "pole.sys"
         sys_file.write_text("rank 2\n0 ; -1\n1/(x-1)^3 ; 0\n")
         code, _, err = run_cli(capsys, "system", "--file", str(sys_file))
+        assert code == 3 and "contradiction" in err
+
+
+class TestChartAtInfinity:
+    """Fuchs, Newton and saturation read infinity in place: only the
+    graded-annihilator test builds the chart t = 1/x, so a bug in the chart
+    can reach one verdict of `compare`, never both."""
+
+    OPERATORS = sorted(CORPUS.glob("*.op"))
+
+    def requests(self):
+        for path in self.OPERATORS:
+            yield ("fuchs", "--file", str(path), "--format", "json")
+            yield ("fuchs", "--file", str(path), "--point", "inf", "--format", "json")
+            yield ("newton", "--file", str(path), "--point", "inf", "--format", "json")
+        for path in sorted(CORPUS.glob("*.sys")):
+            yield ("system", "--file", str(path), "--format", "json")
+
+    def test_fuchs_newton_and_system_build_no_chart(self, capsys, monkeypatch):
+        argvs = list(self.requests())
+        before = [run_cli(capsys, *argv) for argv in argvs]
+
+        def trap(self):
+            raise AssertionError("the chart t = 1/x was built")
+
+        monkeypatch.setattr(UnivarOperator, "at_infinity", trap)
+        for argv, expected in zip(argvs, before):
+            assert expected[0] == 0 and run_cli(capsys, *argv) == expected, argv
+
+    def test_compare_builds_the_chart_on_the_kashiwara_side_only(self, capsys, monkeypatch):
+        real = UnivarOperator.at_infinity
+        callers = []
+
+        def traced(self):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(self)
+
+        monkeypatch.setattr(UnivarOperator, "at_infinity", traced)
+        for path in self.OPERATORS:
+            callers.clear()
+            code, _, _ = run_cli(capsys, "compare", "--file", str(path), "--point", "inf")
+            assert (code, callers) == (0, ["_localize"]), path.name
+
+    def test_broken_chart_splits_compare(self, capsys, monkeypatch):
+        # the chart as the identity: Kashiwara reads Airy at 0, Fuchs at infinity
+        monkeypatch.setattr(UnivarOperator, "at_infinity", lambda self: self)
+        code, _, err = run_cli(capsys, "compare", "d^2 - x", "--point", "inf")
         assert code == 3 and "contradiction" in err
 
 

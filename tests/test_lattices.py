@@ -111,7 +111,7 @@ class TestPolarLattice:
         expr = (sum(c * X ** i for i, c in enumerate(num))
                 / (X ** k * sum(c * X ** i for i, c in enumerate(unit))))
         stop = 3
-        series = Laurent(f)
+        series = Laurent.at_origin(f)
         expansion = sympy.series(expr, X, 0, stop).removeO()
         expected = [expansion.coeff(X, e) for e in range(series.start, stop)]
         assert series.start == min(0, f.ord_at(0))

@@ -5,16 +5,19 @@ from hypothesis import given, settings, strategies as st
 
 from dreg import polynomials, regularity
 from dreg.dmod import kashiwara_regular_at
+from dreg.operators import UnivarOperator
 from dreg.parser import parse_operator
 from dreg.polynomials import INF, MPoly, RatFun
 from dreg.regularity import (GLOBAL_IRREGULAR, GLOBAL_REGULAR,
                              GLOBAL_REGULAR_TESTED, INFINITY, IRREGULAR,
                              REGULAR, fuchs_regular_at, newton_polygon,
                              regular_on_projective_line, theta_regular_at_zero)
+from dreg.systems import cyclic_vector
 
 from conftest import (den_of, evaluate_mpoly, op_scale, random_operator,
-                      random_operator_with_poles, random_point, random_ratfun_with_poles, ratfun,
-                      reference_monic_orders, spy, univar_divmod)
+                      random_operator_with_poles, random_point, random_ratfun,
+                      random_ratfun_with_poles, random_system, ratfun, reference_at_infinity, reference_monic_orders, spy,
+                      univar_divmod)
 
 
 def op(text):
@@ -213,3 +216,62 @@ class TestOrdersWithoutDivision:
         assert len(calls) == 1
         assert [e.to_dict()["point"] for e in rep.points] == ["1", "inf", "x^2 + 1"]
         assert rep.verdict == GLOBAL_REGULAR_TESTED
+
+
+# b~_1 of the chart cancels in its leading terms, and in the second its
+# series cancel through t^4 across unlike denominators
+CANCELLING = (("x^2*d^2 + 2*x*d + 1", [-2, INF, 0]),
+              ("x^2*d^2 + (2*x + 1/x)*d", [INF, 1, 0]),
+              ("(x^3 + 2)/(x + 3)*d^2 + (2*(x^3 + 2)/(x*(x + 3)) + 1/(x^3 + 1))*d + 1",
+               [-2, 3, 0]),
+              ("(x^3 + 2)/(x + 3)*d^2 + 2*(x^3 + 2)/(x*(x + 3))*d + 1", [-2, INF, 0]))
+
+
+class TestOrdersAtInfinity:
+    """Infinity is read in place from the reversed coefficient lists; the
+    references build the chart t = 1/x, by Lah numbers and by Leibniz
+    powers of -t^2 d_t."""
+
+    @staticmethod
+    def chart_orders(p):
+        chart = reference_at_infinity(p)
+        top = chart.coeffs[-1].ord_at(0)
+        return [c.ord_at(0) - top for c in chart.coeffs]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 4))
+    def test_matches_the_chart(self, rng, order):
+        p = random_operator(rng, order=order)
+        orders = regularity._monic_orders(p, INFINITY)
+        assert orders == reference_monic_orders(p, INFINITY) == self.chart_orders(p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_matches_the_chart_where_leading_terms_cancel(self, rng):
+        # b~_1 = -t^2 a_1(1/t) + 2 t^3 a_2(1/t) cancels up to the terms of r
+        x = RatFun.x("x")
+        a0, a2 = random_ratfun_with_poles(rng, random_point(rng)), random_ratfun(rng)
+        if a2.is_zero():
+            a2 = x
+        r = random_ratfun_with_poles(rng, random_point(rng), degree=1) / x ** rng.randint(1, 3)
+        p = UnivarOperator("x", [a0, 2 * a2 / x + r, a2])
+        assert regularity._monic_orders(p, INFINITY) == self.chart_orders(p)
+
+    def test_cancelling_chart_coefficients(self, monkeypatch):
+        gcds = spy(monkeypatch, polynomials, "_common_factor")
+        for text, want in CANCELLING:
+            p = op(text)
+            calls = len(gcds)
+            assert regularity._monic_orders(p, INFINITY) == want, text
+            assert len(gcds) == calls, text
+            assert reference_monic_orders(p, INFINITY) == self.chart_orders(p) == want, text
+
+    def test_newton_reads_the_same_orders(self):
+        for (text, orders), points in zip(CANCELLING[::2], (((0, 2), (2, 2)),
+                                                             ((0, 2), (1, -2), (2, 2)))):
+            assert newton_polygon(op(text), INFINITY).points == points == tuple(
+                (i, i - o) for i, o in enumerate(orders) if o != INF)
+
+    def test_cyclic_operator_of_a_rank_six_system(self):
+        p = cyclic_vector(random_system(random.Random(6), 6)).operator
+        assert regularity._monic_orders(p, INFINITY) == reference_monic_orders(p, INFINITY)

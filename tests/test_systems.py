@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dreg import regularity
+from dreg import regularity, systems as systems_mod
 from dreg.errors import ContradictionError
+from dreg.lattices import laurent_rows
 from dreg.operators import UnivarOperator
 from dreg.parser import parse_operator
 from dreg.polynomials import MPoly, RatFun, as_rat, denominator_lcm
@@ -23,7 +24,7 @@ from dreg.systems import (ConnectionSystem, EXCEEDED_BOUND,
 
 from conftest import (LocalLattice, conjugate, den_of, num_of, polar_contains, polar_generators,
                       polar_part, random_gauged_euler, random_operator, random_ratfun_with_poles,
-                      random_system, ratfun, spy)
+                      random_system, ratfun, spy, system_at_infinity)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -124,7 +125,7 @@ def reference_saturation(sysm, point, max_steps):
     the moved chart, as saturate_lattice leaves its own.
     """
     if point is INFINITY:
-        return reference_saturation(sysm.at_infinity(), Fraction(0), max_steps)
+        return reference_saturation(system_at_infinity(sysm), Fraction(0), max_steps)
     point = as_rat(point)
     if point:
         return reference_saturation(sysm.shifted(point), Fraction(0), max_steps)
@@ -155,7 +156,7 @@ class TestPolarSaturation:
             assert (res.status, res.steps) == (status, steps), str(pt)
             if ref is not None:
                 polar = res.lattice
-                var = "t" if pt is INFINITY else sysm.var      # the chart at_infinity moves to
+                var = "t" if pt is INFINITY else sysm.var      # the chart variable at infinity
                 assert all(polar_contains(polar, g) for g in ref.generators())
                 assert all(ref.contains(g) for g in polar_generators(polar, var))
 
@@ -201,7 +202,7 @@ def direct_sum(a, b):
     """The block-diagonal system a (+) b."""
     zero = RatFun.zero(a.var)
     return ConnectionSystem([list(r) + [zero] * b.rank for r in a.matrix]
-                            + [[zero] * a.rank + list(r) for r in b.matrix], a.var)
+                            + [[zero] * a.rank + list(r) for r in b.matrix])
 
 
 def cliff_rows(m, p):
@@ -302,7 +303,6 @@ class TestGerardLevelt:
 
     def test_disagreeing_saturation_is_a_contradiction(self, monkeypatch, capsys,
                                                         tmp_path):
-        import dreg.systems as systems_mod
         from dreg.cli import main
         real = systems_mod.saturate_lattice
 
@@ -437,7 +437,7 @@ class TestReports:
 
     def test_infinity_chart(self):
         sysm = system([["-5/x"]])
-        inf_sys = sysm.at_infinity()
+        inf_sys = system_at_infinity(sysm)
         assert inf_sys.var == "t"
         res = cyclic_vector(inf_sys)
         assert fuchs_regular_at(res.operator, 0).verdict == REGULAR
@@ -447,15 +447,32 @@ class TestReports:
     def test_infinity_chart_matches_gcd_formula(self, rng, rank):
         sysm = random_system(rng, rank)
         t2 = MPoly.monomial(("t",), (2,))
-        inverted = [[e.invert_var("t") for e in row] for row in sysm.matrix]
-        assert sysm.at_infinity().matrix == tuple(
+        inverted = [[e.invert_var() for e in row] for row in sysm.matrix]
+        assert system_at_infinity(sysm).matrix == tuple(
             tuple(ratfun(-num_of(f), den_of(f) * t2) for f in row) for row in inverted)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 3))
+    def test_laurent_rows_at_infinity_match_the_chart(self, rng, rank):
+        # the chart keeps leading zeros where a numerator vanishes at t = 0,
+        # so the rows are compared as {exponent: coefficient}, not by start
+        sysm = random_system(rng, rank)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = spy(mp, systems_mod, "theta_terms")
+            saturate_lattice(sysm, INFINITY)
+        chart = laurent_rows(system_at_infinity(sysm).flow_matrix())
+
+        def expansions(rows):
+            return [{j: {f.start + k: c for k, c in enumerate(f.terms(4)) if c} for j, f in row}
+                    for row in rows]
+
+        assert expansions(calls[0][1]) == expansions(chart)
 
     def test_infinity_chart_carries_solutions(self):
         # d^2 - 2/x^2 has the solution x^2, so its companion has (x^2, 2x);
         # in the chart t = 1/x that is (t^-2, 2/t), and y' + A y = 0 there
         sysm = ConnectionSystem.companion(parse_operator("d^2 - 2/x^2"))
-        inf_sys = sysm.at_infinity()
+        inf_sys = system_at_infinity(sysm)
         t = RatFun.x("t")
         y = (RatFun.const("t", 1) / t ** 2, RatFun.const("t", 2) / t)
         residual = [f.derivative() + sum((a * g for a, g in zip(row, y)), RatFun.zero("t"))
